@@ -38,13 +38,18 @@ from .certify import (
     problem_from_obj,
     purified_basic_problem,
 )
-from .quantum import check_theorem, constrained_family_sample, trial_seed
+from .quantum import THEOREMS, check_theorem, constrained_family_sample, trial_seed
 from .search import SearchConfig, local_refine, random_scan
 
 
 def _die(msg: str, code: int = 2):
     print(msg, file=sys.stderr)
     raise SystemExit(code)
+
+
+def _require_at_least(value, flag: str, low: int):
+    if value is not None and value < low:
+        _die(f"{flag} must be at least {low}")
 
 
 def _load_json(path: str):
@@ -172,6 +177,7 @@ def cmd_witness(args) -> int:
     started = _now()
     if args.n < 2:
         _die("--n must be at least 2; the construction needs two registers")
+    _require_at_least(args.p_max, "--p-max", 1)
     report = verify_witness(args.n, p_max=args.p_max, scan_instances=not args.no_scan)
     obj = report.to_dict()
     rows = [
@@ -218,6 +224,9 @@ def cmd_eval(args) -> int:
         "holds": rep.holds,
     }
     _emit(args, obj, started)
+    if rep.n_admissible == 0:
+        print(f"{rep.template_name}: no instance was admissible", file=sys.stderr)
+        return 1
     print(
         f"{rep.template_name}: min value {obj['min_value']} over "
         f"{rep.n_admissible} admissible instances",
@@ -228,7 +237,13 @@ def cmd_eval(args) -> int:
 
 def cmd_sample(args) -> int:
     started = _now()
+    _require_at_least(args.n, "--n", 1)
+    _require_at_least(args.blocks, "--blocks", 1)
+    _require_at_least(args.trials, "--trials", 1)
     which = tuple(args.theorems.split(",")) if args.theorems else None
+    for name in which or ():
+        if name not in THEOREMS:
+            _die(f"unknown theorem {name!r} (choose from {','.join(THEOREMS)})")
     trials = []
     all_pass = True
     for t in range(args.trials):
@@ -279,6 +294,7 @@ def cmd_certify(args) -> int:
     elif args.builtin == "independence":
         if args.n is None:
             _die("--builtin independence needs --n")
+        _require_at_least(args.n, "--n", 1)
         target, generators, constraints, ground, meta = independence_problem(
             args.n, p_max=args.p_max
         )
@@ -312,6 +328,7 @@ def cmd_certify(args) -> int:
 
 def cmd_search(args) -> int:
     started = _now()
+    _require_at_least(args.trials, "--trials", 1)
     template = args.template
     if args.template_file:
         obj = _load_json(args.template_file)
@@ -357,10 +374,12 @@ def cmd_search(args) -> int:
     ]
     _emit(args, obj, started, csv_table=(header, rows))
     msg = f"search {scan.template_name}: min slack {scan.min_slack}"
+    if scan.n_admissible == 0:
+        msg += " -- no instance was admissible"
     if violated:
         msg += " -- VIOLATION"
     print(msg, file=sys.stderr)
-    return 1 if violated else 0
+    return 1 if violated or scan.n_admissible == 0 else 0
 
 
 def _now() -> str:

@@ -184,12 +184,6 @@ class InequalityTemplate:
                 out[mask] = out.get(mask, Fraction(0)) + c
         return {m: c for m, c in sorted(out.items()) if c}
 
-    def slot_mask(self, names: Iterable[str]) -> int:
-        mask = 0
-        for n in names:
-            mask |= 1 << self.slots.index(n)
-        return mask
-
     def slot_names(self, mask: int) -> tuple[str, ...]:
         return tuple(s for i, s in enumerate(self.slots) if mask >> i & 1)
 
@@ -235,9 +229,6 @@ class Instance:
     assignment: tuple[tuple[str, int], ...]  # (slot, party mask) in slot order
     functional: LinearFunctional
     constraints: tuple[LinearFunctional, ...]
-
-    def assignment_labels(self) -> dict[str, tuple[str, ...]]:
-        return {slot: self.ground.labels_of(m) for slot, m in self.assignment}
 
     def describe(self) -> str:
         binds = " ".join(
@@ -360,10 +351,6 @@ def enumerate_instances(
     return rec(0, 0)
 
 
-def evaluate(functional: LinearFunctional, f: SetFunction):
-    return functional.evaluate(f)
-
-
 @dataclass
 class SatisfiesReport:
     """Scan of every admissible instance of a template on one set function."""
@@ -484,10 +471,6 @@ def eliminate_party_pure(
 
 
 # --- builtin templates ---
-
-
-def _slot_bits(k: int) -> list[int]:
-    return [1 << i for i in range(k)]
 
 
 def _mi_terms(a: int, b: int) -> dict[int, Fraction]:
@@ -639,10 +622,6 @@ def _canon_name(name: str) -> str:
         "thm2p": "thm2p",
     }
     return aliases.get(s, s)
-
-
-def builtin_names() -> list[str]:
-    return sorted(_FIXED) + sorted(_PARAMETRIC)
 
 
 def builtin(name: str, n: int | None = None) -> InequalityTemplate:

@@ -16,8 +16,8 @@ import base64
 import json
 import os
 import string
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -64,9 +64,9 @@ class MultipartyState:
     """Density matrix over an ordered tuple of labeled parties.
 
     The matrix is indexed row-major by the party order.  Construction checks
-    shape, hermiticity, and unit trace; `validate='full'` adds a positivity
-    check, `validate='none'` skips everything (internal use on matrices that
-    are valid by construction).
+    shape, hermiticity, and unit trace (a NaN or infinite entry fails them);
+    `validate='full'` adds a positivity check, `validate='none'` skips
+    everything (internal use on matrices that are valid by construction).
     """
 
     __slots__ = ("labels", "dims", "rho")
@@ -89,14 +89,14 @@ class MultipartyState:
         self.rho = rho
         if validate != "none":
             herm = np.max(np.abs(rho - rho.conj().T)) if total else 0.0
-            if herm > STATE_ATOL:
+            if not herm <= STATE_ATOL:
                 raise ValueError(f"matrix not hermitian (deviation {herm:.3e})")
             tr = abs(np.trace(rho) - 1.0)
-            if tr > STATE_ATOL:
+            if not tr <= STATE_ATOL:
                 raise ValueError(f"trace deviates from one by {tr:.3e}")
             if validate == "full":
                 w = np.linalg.eigvalsh(rho)
-                if w.min() < -STATE_ATOL:
+                if not w.min() >= -STATE_ATOL:
                     raise ValueError(f"matrix not positive (min eigenvalue {w.min():.3e})")
 
     @property
@@ -115,9 +115,6 @@ class MultipartyState:
 
     def ground(self) -> GroundSet:
         return GroundSet(self.labels)
-
-    def dims_of(self, labels: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.dims[self.index(l)] for l in labels)
 
     def __repr__(self):
         pairs = ", ".join(f"{l}:{d}" for l, d in zip(self.labels, self.dims))
@@ -284,7 +281,6 @@ class BlockStructure:
 
     party: str
     blocks: tuple[tuple[int, int], ...]  # (start, size) pairs, contiguous
-    weights: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not self.blocks:
@@ -380,12 +376,14 @@ def family_labels(n: int) -> tuple[str, ...]:
 
 def assemble_constrained_state(
     fdims: FamilyDims,
+    bs: BlockStructure,
     weights: Sequence[float],
     chis: Sequence[np.ndarray],
     xis: Sequence[np.ndarray],
-) -> tuple[MultipartyState, BlockStructure]:
+) -> MultipartyState:
     """Build sum_k p_k chi_k (x) xi_k with chi_k on (A-block k, B-block k,
-    x first halves) and xi_k on (C, x second halves).
+    x first halves) and xi_k on (C, x second halves); `bs` is the A-side
+    block structure of `fdims`.
 
     Both constraints I(A:C|B) and I(B:C|A) vanish identically on the result.
     """
@@ -398,12 +396,12 @@ def assemble_constrained_state(
     labels = family_labels(n)
     dims = (fdims.dim_a, fdims.dim_b, fdims.dim_c) + fdims.x_dims()
     rho = np.zeros((total, total), dtype=np.complex128)
-    a_starts = np.cumsum((0,) + fdims.a_blocks[:-1])
     b_starts = np.cumsum((0,) + fdims.b_blocks[:-1])
     xp = [h[0] for h in fdims.x_halves]
     xq = [h[1] for h in fdims.x_halves]
     for k in range(K):
-        ak, bk = fdims.a_blocks[k], fdims.b_blocks[k]
+        a_start, ak = bs.blocks[k]
+        bk = fdims.b_blocks[k]
         chi = np.asarray(chis[k], dtype=np.complex128)
         xi = np.asarray(xis[k], dtype=np.complex128)
         d_chi = ak * bk * int(np.prod(xp)) if n else ak * bk
@@ -426,19 +424,42 @@ def assemble_constrained_state(
         dk = ak * bk * fdims.dim_c * int(np.prod(fdims.x_dims())) if n else ak * bk * fdims.dim_c
         block = block.reshape(dk, dk)
         ranges = [
-            (int(a_starts[k]), int(a_starts[k]) + ak),
+            (a_start, a_start + ak),
             (int(b_starts[k]), int(b_starts[k]) + bk),
             (0, fdims.dim_c),
         ] + [(0, d) for d in fdims.x_dims()]
         idx = _embed_indices(dims, ranges)
         rho[np.ix_(idx, idx)] += weights[k] * block
-    state = MultipartyState(labels, dims, rho, validate="basic")
-    bs = BlockStructure(
-        party="A",
-        blocks=tuple((int(s), int(z)) for s, z in zip(a_starts, fdims.a_blocks)),
-        weights=tuple(float(w) for w in weights),
-    )
-    return state, bs
+    return MultipartyState(labels, dims, rho, validate="basic")
+
+
+# --- parameters to states ---
+
+
+def simplex_weights(params: np.ndarray) -> np.ndarray:
+    """Probability vector x_i^2 / sum_j x_j^2."""
+    p = params * params
+    s = p.sum()
+    if not s > 0:
+        raise ValueError("degenerate parameter point (zero trace)")
+    return p / s
+
+
+def diagonal_density(params: np.ndarray) -> np.ndarray:
+    """A classical distribution embedded diagonally: diag(simplex_weights(params))."""
+    return np.diag(simplex_weights(params)).astype(np.complex128)
+
+
+def gram_density(params: np.ndarray, dim: int, rank: int) -> np.ndarray:
+    """G G^dag / trace, with the dim x rank Ginibre matrix G read from
+    2*dim*rank reals: all real parts first, then all imaginary parts."""
+    half = dim * rank
+    g = (params[:half] + 1j * params[half:]).reshape(dim, rank)
+    rho = g @ g.conj().T
+    tr = np.trace(rho).real
+    if not tr > 0:
+        raise ValueError("degenerate parameter point (zero trace)")
+    return rho / tr
 
 
 def random_density(dim: int, rng, rank: int | None = None) -> np.ndarray:
@@ -446,21 +467,150 @@ def random_density(dim: int, rng, rank: int | None = None) -> np.ndarray:
     rank = dim if rank is None else rank
     if not 1 <= rank:
         raise ValueError("rank must be >= 1")
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return gram_density(rng.standard_normal(2 * dim * rank), dim, rank)
 
 
-def random_diagonal_density(dim: int, rng) -> np.ndarray:
-    p = rng.standard_exponential(dim)
-    return np.diag(p / p.sum()).astype(np.complex128)
+class StateFamily:
+    """A smoothly parameterized ensemble of states: draw params, build a state."""
+
+    labels: tuple[str, ...]
+
+    def n_params(self) -> int:
+        raise NotImplementedError
+
+    def draw(self, rng) -> np.ndarray:
+        raise NotImplementedError
+
+    def build(self, params: np.ndarray) -> MultipartyState:
+        raise NotImplementedError
 
 
-def haar_unitary(dim: int, rng) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+class HaarMixedFamily(StateFamily):
+    """Hilbert-Schmidt-style states: G G^dag / trace with Gaussian G."""
+
+    def __init__(self, labels: Sequence[str], dims: Sequence[int], rank: int | None = None):
+        self.labels = tuple(labels)
+        self.dims = tuple(int(d) for d in dims)
+        if len(self.labels) != len(self.dims):
+            raise ValueError("labels and dims must align")
+        self.total = int(np.prod(self.dims))
+        _check_cap(self.total)
+        self.rank = self.total if rank is None else int(rank)
+        if self.rank < 1:
+            raise ValueError("rank must be >= 1")
+
+    def n_params(self) -> int:
+        return 2 * self.total * self.rank
+
+    def draw(self, rng) -> np.ndarray:
+        return rng.standard_normal(self.n_params())
+
+    def build(self, params: np.ndarray) -> MultipartyState:
+        rho = gram_density(params, self.total, self.rank)
+        return MultipartyState(self.labels, self.dims, rho, validate="none")
+
+
+class DiagonalFamily(StateFamily):
+    """Classical distributions embedded diagonally."""
+
+    def __init__(self, labels: Sequence[str], dims: Sequence[int]):
+        self.labels = tuple(labels)
+        self.dims = tuple(int(d) for d in dims)
+        self.total = int(np.prod(self.dims))
+        _check_cap(self.total)
+
+    def n_params(self) -> int:
+        return self.total
+
+    def draw(self, rng) -> np.ndarray:
+        return np.sqrt(rng.standard_exponential(self.total))
+
+    def build(self, params: np.ndarray) -> MultipartyState:
+        return MultipartyState(self.labels, self.dims, diagonal_density(params), validate="none")
+
+
+class ConstrainedFamily(StateFamily):
+    """The block-decomposed family on (A, B, C, X1..Xn); both conditional
+    independence constraints hold identically for every parameter point.
+
+    Parameters: K block weights, then one factor per chi_k and per xi_k
+    (Ginibre reals, or diagonal amplitudes with `diagonal=True`).  The A-side
+    block structure is fixed by the dimensions and kept in `structure`.
+    """
+
+    def __init__(self, n: int, blocks: int = 2, dims: FamilyDims | None = None,
+                 diagonal: bool = False):
+        self.fdims = default_family_dims(n, blocks) if dims is None else dims
+        _check_cap(self.fdims.total_dim())
+        self.labels = family_labels(self.fdims.n)
+        self.diagonal = diagonal
+        starts = np.cumsum((0,) + self.fdims.a_blocks[:-1])
+        self.structure = BlockStructure(
+            "A", tuple((int(s), int(z)) for s, z in zip(starts, self.fdims.a_blocks))
+        )
+        xp = 1
+        xq = 1
+        for a, b in self.fdims.x_halves:
+            xp *= a
+            xq *= b
+        K = self.fdims.n_blocks
+        self.factor_dims = tuple(
+            [self.fdims.a_blocks[k] * self.fdims.b_blocks[k] * xp for k in range(K)]
+            + [self.fdims.dim_c * xq] * K
+        )
+        self.sizes = (K,) + tuple(d if diagonal else 2 * d * d for d in self.factor_dims)
+
+    def n_params(self) -> int:
+        return sum(self.sizes)
+
+    def draw(self, rng) -> np.ndarray:
+        parts = [np.sqrt(rng.standard_exponential(self.fdims.n_blocks))]
+        for size in self.sizes[1:]:
+            if self.diagonal:
+                parts.append(np.sqrt(rng.standard_exponential(size)))
+            else:
+                parts.append(rng.standard_normal(size))
+        return np.concatenate(parts)
+
+    def build(self, params: np.ndarray) -> MultipartyState:
+        if params.size != self.n_params():
+            raise ValueError("parameter vector has the wrong length")
+        pieces = np.split(params, np.cumsum(self.sizes)[:-1])
+        if self.diagonal:
+            factors = [diagonal_density(raw) for raw in pieces[1:]]
+        else:
+            factors = [gram_density(raw, d, d) for raw, d in zip(pieces[1:], self.factor_dims)]
+        K = self.fdims.n_blocks
+        return assemble_constrained_state(
+            self.fdims, self.structure, simplex_weights(pieces[0]), factors[:K], factors[K:]
+        )
+
+
+class LW05Family(StateFamily):
+    """Four-party family carrying all three constraints of the earlier
+    constrained inequality; see lw05_family_sample."""
+
+    def __init__(self, blocks: int = 2, block_dims: tuple = (1, 1, 2), dim_c: int = 2):
+        self.labels = ("A", "B", "C", "D")
+        self.blocks = blocks
+        self.block_dims = tuple(block_dims)
+        self.dim_c = dim_c
+        da, db, dd = self.block_dims
+        _check_cap(da * blocks * db * blocks * dim_c * dd * blocks)
+
+    def n_params(self) -> int:
+        da, db, dd = self.block_dims
+        per = 2 * da * da + 2 * db * db + 2 * (self.dim_c * dd) ** 2
+        return self.blocks + per * self.blocks
+
+    def draw(self, rng) -> np.ndarray:
+        # parameterization mirrors the sampler; draw here just forwards a seed
+        return rng.integers(0, 2**63 - 1, size=2)
+
+    def build(self, params: np.ndarray) -> MultipartyState:
+        return lw05_family_sample(
+            self.blocks, self.block_dims, self.dim_c, seed=tuple(int(v) for v in params)
+        )
 
 
 def constrained_family_sample(
@@ -470,7 +620,8 @@ def constrained_family_sample(
     seed=0,
     diagonal: bool = False,
 ) -> tuple[MultipartyState, BlockStructure]:
-    """Draw one member of the constrained family.
+    """Draw one member of the constrained family: ConstrainedFamily's draw,
+    then its build, on the stream of `seed`.
 
     Weights come from a flat simplex draw; block factors are Hilbert-Schmidt
     random densities (or random diagonal ones with `diagonal=True`, giving an
@@ -478,21 +629,12 @@ def constrained_family_sample(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    fdims = default_family_dims(n, blocks) if dims is None else dims
-    if dims is not None and blocks not in (fdims.n_blocks, 2):
+    if dims is not None and blocks not in (dims.n_blocks, 2):
         raise ValueError("blocks disagrees with dims")
-    if fdims.n != n:
-        raise ValueError(f"dims describe {fdims.n} x-parties, asked for {n}")
-    rng = _rng(seed)
-    K = fdims.n_blocks
-    w = rng.standard_exponential(K)
-    weights = w / w.sum()
-    xp = int(np.prod([h[0] for h in fdims.x_halves])) if n else 1
-    xq = int(np.prod([h[1] for h in fdims.x_halves])) if n else 1
-    make = random_diagonal_density if diagonal else random_density
-    chis = [make(fdims.a_blocks[k] * fdims.b_blocks[k] * xp, rng) for k in range(K)]
-    xis = [make(fdims.dim_c * xq, rng) for k in range(K)]
-    return assemble_constrained_state(fdims, weights, chis, xis)
+    family = ConstrainedFamily(n, blocks, dims, diagonal)
+    if family.fdims.n != n:
+        raise ValueError(f"dims describe {family.fdims.n} x-parties, asked for {n}")
+    return family.build(family.draw(_rng(seed))), family.structure
 
 
 def lw05_family_sample(
@@ -583,7 +725,7 @@ def measure_and_register(
     )
 
 
-_THEOREMS = ("thm1", "thm1p", "thm2", "thm2p")
+THEOREMS = ("thm1", "thm1p", "thm2", "thm2p")
 
 
 @dataclass
@@ -642,7 +784,7 @@ class TheoremReport:
 def check_theorem(
     state: MultipartyState,
     bs: BlockStructure,
-    which: Sequence[str] = _THEOREMS,
+    which: Sequence[str] = THEOREMS,
     tol: float = 1e-8,
 ) -> TheoremReport:
     """Evaluate the four constrained inequalities on a family state and walk
@@ -659,7 +801,7 @@ def check_theorem(
     if n < 1:
         raise ValueError("need at least one X party")
     for name in which:
-        if name not in _THEOREMS:
+        if name not in THEOREMS:
             raise ValueError(f"unknown theorem {name!r}")
 
     gr = GroundSet(labels)

@@ -1,16 +1,15 @@
 """Randomized search for counterexamples to entropic inequality templates.
 
-A search draws states from a parameterized family, evaluates every admissible
-instance of a template on each state's entropy vector, and reports the worst
-slack seen.  A violation is only reported when the instance's constraint
-residuals also pass, and every violation is revalidated from its recorded
-seed before being believed.
+A search draws states from a parameterized family (the families live in
+`quantum`), evaluates every admissible instance of a template on each
+state's entropy vector, and reports the worst slack seen.  A violation is
+only reported when the instance's constraint residuals also pass, and every
+violation is revalidated from its recorded seed before being believed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -22,18 +21,17 @@ from .inequalities import (
     instantiate,
 )
 from .quantum import (
-    BlockStructure,
+    ConstrainedFamily,
+    DiagonalFamily,
     FamilyDims,
-    MultipartyState,
-    _check_cap,
+    HaarMixedFamily,
+    LW05Family,
+    StateFamily,
     _rng,
-    assemble_constrained_state,
-    default_family_dims,
     entropy_vector,
-    family_labels,
-    lw05_family_sample,
     trial_seed,
 )
+from .setfn import GroundSet
 
 FAMILIES = ("haar-mixed", "diagonal", "constrained", "constrained-diagonal", "lw05")
 
@@ -83,184 +81,6 @@ def resolve_template(cfg: SearchConfig) -> InequalityTemplate:
     return builtin(str(cfg.template), cfg.n)
 
 
-class StateFamily:
-    """A smoothly parameterized ensemble of states: draw params, build a state."""
-
-    labels: tuple[str, ...]
-    block_structure: BlockStructure | None = None
-
-    def n_params(self) -> int:
-        raise NotImplementedError
-
-    def draw(self, rng) -> np.ndarray:
-        raise NotImplementedError
-
-    def build(self, params: np.ndarray) -> MultipartyState:
-        raise NotImplementedError
-
-    def block_hints(self) -> dict | None:
-        return None
-
-
-class HaarMixedFamily(StateFamily):
-    """Hilbert-Schmidt-style states: G G^dag / trace with Gaussian G."""
-
-    def __init__(self, labels: Sequence[str], dims: Sequence[int], rank: int | None = None):
-        self.labels = tuple(labels)
-        self.dims = tuple(int(d) for d in dims)
-        if len(self.labels) != len(self.dims):
-            raise ValueError("labels and dims must align")
-        self.total = int(np.prod(self.dims))
-        _check_cap(self.total)
-        self.rank = self.total if rank is None else int(rank)
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-
-    def n_params(self) -> int:
-        return 2 * self.total * self.rank
-
-    def draw(self, rng) -> np.ndarray:
-        return rng.standard_normal(self.n_params())
-
-    def build(self, params: np.ndarray) -> MultipartyState:
-        half = self.total * self.rank
-        g = (params[:half] + 1j * params[half:]).reshape(self.total, self.rank)
-        rho = g @ g.conj().T
-        tr = np.trace(rho).real
-        if tr <= 0:
-            raise ValueError("degenerate parameter point (zero trace)")
-        return MultipartyState(self.labels, self.dims, rho / tr, validate="none")
-
-
-class DiagonalFamily(StateFamily):
-    """Classical distributions embedded diagonally."""
-
-    def __init__(self, labels: Sequence[str], dims: Sequence[int]):
-        self.labels = tuple(labels)
-        self.dims = tuple(int(d) for d in dims)
-        self.total = int(np.prod(self.dims))
-        _check_cap(self.total)
-
-    def n_params(self) -> int:
-        return self.total
-
-    def draw(self, rng) -> np.ndarray:
-        return np.sqrt(rng.standard_exponential(self.total))
-
-    def build(self, params: np.ndarray) -> MultipartyState:
-        p = params * params
-        s = p.sum()
-        if s <= 0:
-            raise ValueError("degenerate parameter point")
-        return MultipartyState(
-            self.labels, self.dims, np.diag(p / s).astype(np.complex128), validate="none"
-        )
-
-
-class ConstrainedFamily(StateFamily):
-    """The block-decomposed family on (A, B, C, X1..Xn); both conditional
-    independence constraints hold identically for every parameter point."""
-
-    def __init__(self, n: int, blocks: int = 2, dims: FamilyDims | None = None,
-                 diagonal: bool = False):
-        self.fdims = default_family_dims(n, blocks) if dims is None else dims
-        _check_cap(self.fdims.total_dim())
-        self.labels = family_labels(self.fdims.n)
-        self.diagonal = diagonal
-        xp = 1
-        xq = 1
-        for a, b in self.fdims.x_halves:
-            xp *= a
-            xq *= b
-        self.chi_dims = [self.fdims.a_blocks[k] * self.fdims.b_blocks[k] * xp
-                         for k in range(self.fdims.n_blocks)]
-        self.xi_dims = [self.fdims.dim_c * xq] * self.fdims.n_blocks
-
-    def _sizes(self):
-        K = self.fdims.n_blocks
-        sizes = [K]
-        for d in self.chi_dims:
-            sizes.append(d if self.diagonal else 2 * d * d)
-        for d in self.xi_dims:
-            sizes.append(d if self.diagonal else 2 * d * d)
-        return sizes
-
-    def n_params(self) -> int:
-        return sum(self._sizes())
-
-    def draw(self, rng) -> np.ndarray:
-        parts = [np.sqrt(rng.standard_exponential(self.fdims.n_blocks))]
-        for d in self.chi_dims + self.xi_dims:
-            if self.diagonal:
-                parts.append(np.sqrt(rng.standard_exponential(d)))
-            else:
-                parts.append(rng.standard_normal(2 * d * d))
-        return np.concatenate(parts)
-
-    @staticmethod
-    def _density(raw: np.ndarray, d: int, diagonal: bool) -> np.ndarray:
-        if diagonal:
-            p = raw * raw
-            return np.diag(p / p.sum()).astype(np.complex128)
-        g = (raw[: d * d] + 1j * raw[d * d:]).reshape(d, d)
-        rho = g @ g.conj().T
-        return rho / np.trace(rho).real
-
-    def build_with_blocks(self, params: np.ndarray):
-        sizes = self._sizes()
-        if params.size != sum(sizes):
-            raise ValueError("parameter vector has the wrong length")
-        pieces = []
-        pos = 0
-        for s in sizes:
-            pieces.append(params[pos: pos + s])
-            pos += s
-        w = pieces[0] * pieces[0]
-        weights = w / w.sum()
-        K = self.fdims.n_blocks
-        chis = [self._density(pieces[1 + k], self.chi_dims[k], self.diagonal)
-                for k in range(K)]
-        xis = [self._density(pieces[1 + K + k], self.xi_dims[k], self.diagonal)
-               for k in range(K)]
-        return assemble_constrained_state(self.fdims, weights, chis, xis)
-
-    def build(self, params: np.ndarray) -> MultipartyState:
-        state, bs = self.build_with_blocks(params)
-        self.block_structure = bs
-        return state
-
-    def block_hints(self) -> dict | None:
-        starts = np.cumsum((0,) + self.fdims.a_blocks[:-1])
-        return {"A": tuple((int(s), int(z)) for s, z in zip(starts, self.fdims.a_blocks))}
-
-
-class LW05Family(StateFamily):
-    """Four-party family carrying all three constraints of the earlier
-    constrained inequality; see quantum.lw05_family_sample."""
-
-    def __init__(self, blocks: int = 2, block_dims: tuple = (1, 1, 2), dim_c: int = 2):
-        self.labels = ("A", "B", "C", "D")
-        self.blocks = blocks
-        self.block_dims = tuple(block_dims)
-        self.dim_c = dim_c
-        da, db, dd = self.block_dims
-        _check_cap(da * blocks * db * blocks * dim_c * dd * blocks)
-
-    def n_params(self) -> int:
-        da, db, dd = self.block_dims
-        per = 2 * da * da + 2 * db * db + 2 * (self.dim_c * dd) ** 2
-        return self.blocks + per * self.blocks
-
-    def draw(self, rng) -> np.ndarray:
-        # parameterization mirrors the sampler; draw here just forwards a seed
-        return rng.integers(0, 2**63 - 1, size=2)
-
-    def build(self, params: np.ndarray) -> MultipartyState:
-        return lw05_family_sample(
-            self.blocks, self.block_dims, self.dim_c, seed=tuple(int(v) for v in params)
-        )
-
-
 def family_for(cfg: SearchConfig, template: InequalityTemplate) -> StateFamily:
     name = cfg.family
     if name == "haar-mixed" or name == "diagonal":
@@ -300,6 +120,30 @@ def _instances_for(
             "constrained template: give a binding or set auto_filter=True"
         )
     return list(enumerate_instances(template, ground))
+
+
+def _setup(cfg: SearchConfig):
+    """Template, family, instances and entropy block hints of a scan or walk."""
+    template = resolve_template(cfg)
+    family = family_for(cfg, template)
+    instances = _instances_for(template, GroundSet(family.labels), cfg)
+    if not instances:
+        raise ValueError("no instances to evaluate")
+    hints = None
+    if isinstance(family, ConstrainedFamily):
+        hints = {family.structure.party: family.structure.blocks}
+    return template, family, instances, hints
+
+
+def _replay(family: StateFamily, params, inst: Instance, tol: float) -> dict | None:
+    """Rebuild the state from `params` on the dense, unhinted path and
+    re-evaluate `inst`; the violation record if it still holds, else None."""
+    h = entropy_vector(family.build(params))
+    val = inst.functional.evaluate(h)
+    resid = max((abs(c.evaluate(h)) for c in inst.constraints), default=0.0)
+    if val < -tol and resid <= tol:
+        return {"instance": inst.describe(), "value": float(val), "residual": float(resid)}
+    return None
 
 
 @dataclass
@@ -349,15 +193,7 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
     within tolerance); any violation is recomputed from its seed before being
     reported.
     """
-    template = resolve_template(cfg)
-    family = family_for(cfg, template)
-    from .setfn import GroundSet
-
-    ground = GroundSet(family.labels)
-    instances = _instances_for(template, ground, cfg)
-    if not instances:
-        raise ValueError("no instances to evaluate")
-
+    template, family, instances, hints = _setup(cfg)
     min_slack = None
     argmin = None
     histogram: dict[int, int] = {}
@@ -367,7 +203,7 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
     n_adm = 0
 
     def eval_trial(state) -> tuple:
-        h = entropy_vector(state, block_hints=family.block_hints())
+        h = entropy_vector(state, block_hints=hints)
         best = None
         best_inst = None
         best_resid = None
@@ -412,22 +248,9 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
             }
         if best < -cfg.tol:
             # rebuild independently from the recorded seed before reporting
-            state2 = family.build(family.draw(_rng(seed)))
-            h2 = entropy_vector(state2)
-            val2 = best_inst.functional.evaluate(h2)
-            resid2 = max(
-                (abs(c.evaluate(h2)) for c in best_inst.constraints), default=0.0
-            )
-            if val2 < -cfg.tol and resid2 <= cfg.tol:
-                violations.append(
-                    {
-                        "trial": t,
-                        "seed": list(seed),
-                        "instance": best_inst.describe(),
-                        "value": float(val2),
-                        "residual": float(resid2),
-                    }
-                )
+            replayed = _replay(family, family.draw(_rng(seed)), best_inst, cfg.tol)
+            if replayed is not None:
+                violations.append({"trial": t, "seed": list(seed), **replayed})
 
     return ScanReport(
         config=cfg.summary(),
@@ -489,19 +312,14 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
     constraint residuals).  One random coordinate moves per step; the step
     size halves on failure and the walk stops below 1e-8.
     """
-    template = resolve_template(cfg)
-    family = family_for(cfg, template)
-    from .setfn import GroundSet
-
-    ground = GroundSet(family.labels)
-    instances = _instances_for(template, ground, cfg)
+    template, family, instances, hints = _setup(cfg)
     if start_seed is None:
         start_seed = trial_seed(cfg.seed, 0)
     start_seed = tuple(start_seed) if isinstance(start_seed, (tuple, list)) else (start_seed,)
 
     def objective(params):
         state = family.build(params)
-        h = entropy_vector(state, block_hints=family.block_hints())
+        h = entropy_vector(state, block_hints=hints)
         best = None
         best_parts = None
         for inst in instances:
@@ -551,16 +369,7 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
     violation = None
     if final_slack < -cfg.tol and final_resid <= cfg.tol:
         # revalidate from scratch on the final parameter point
-        state = family.build(params)
-        h = entropy_vector(state)
-        val = final_inst.functional.evaluate(h)
-        resid = max((abs(c.evaluate(h)) for c in final_inst.constraints), default=0.0)
-        if val < -cfg.tol and resid <= cfg.tol:
-            violation = {
-                "instance": final_inst.describe(),
-                "value": float(val),
-                "residual": float(resid),
-            }
+        violation = _replay(family, params, final_inst, cfg.tol)
     return RefineReport(
         config=cfg.summary(),
         template_name=template.name,

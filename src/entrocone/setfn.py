@@ -171,12 +171,6 @@ class SetFunction:
     def __repr__(self):
         return f"SetFunction({self.ground.labels}, domain={self.domain})"
 
-    def values_by_subset(self) -> dict[tuple[str, ...], Value]:
-        return {
-            self.ground.labels_of(m): self.values[m]
-            for m in range(1, self.ground.n_subsets)
-        }
-
 
 @dataclass(frozen=True)
 class PredicateReport:
@@ -188,11 +182,6 @@ class PredicateReport:
 
     def __bool__(self) -> bool:
         return self.holds
-
-
-def _require_same_ground(f: SetFunction, g: SetFunction):
-    if f.ground != g.ground:
-        raise ValueError("ground sets do not match")
 
 
 def cmi(f: SetFunction, a: Subset, b: Subset, g: Subset = 0) -> Value:

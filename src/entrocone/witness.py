@@ -274,19 +274,11 @@ def verify_witness(n: int, p_max: int | None = None, scan_instances: bool = True
             zero_sum_ok = False
             break
 
-    # elemental forms agree on f and g, so every balanced instance will too
-    elemental_match = True
-    m = gr.size
-    for i in range(m):
-        for j in range(i + 1, m):
-            comp = gr.full_mask & ~((1 << i) | (1 << j))
-            for a in submasks(comp):
-                bi, bj = 1 << i, 1 << j
-                vf = f.values[bi | a] + f.values[bj | a] - f.values[a] - f.values[bi | bj | a]
-                vg = g.values[bi | a] + g.values[bj | a] - g.values[a] - g.values[bi | bj | a]
-                if vf != vg:
-                    elemental_match = False
-                    break
+    # elemental forms agree on f and g, so every balanced instance will too.
+    # Both vanish on the empty set, so that holds exactly when g - f is
+    # modular: d(S) = d(S minus its lowest element) + d(that element).
+    d = [vg - vf for vf, vg in zip(f.values, g.values)]
+    elemental_match = all(d[m] == d[m & (m - 1)] + d[m & -m] for m in range(1, gr.n_subsets))
 
     rows: list[dict] = []
     match_f = True

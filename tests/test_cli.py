@@ -85,6 +85,38 @@ def test_bad_binding_syntax(etable_file, capsys):
     assert "SLOT=labels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "0"],
+    ["sample", "--n", "1", "--blocks", "0"],
+    ["sample", "--n", "1", "--theorems", "bogus"],
+    ["sample", "--n", "1", "--trials", "0"],
+    ["search", "--template", "ssa", "--trials", "0"],
+    ["certify", "--builtin", "independence", "--n", "0"],
+    ["witness", "--n", "2", "--p-max", "0"],
+])
+def test_usage_errors_exit_two_without_traceback(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.strip() and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--template", "c_2", "--trials", "2"],
+    ["eval", "--values", "{concave}", "--template", "lw05", "--auto-filter"],
+])
+def test_nothing_admissible_exits_one(argv, tmp_path, capsys):
+    # strictly concave in |S|: every conditional mutual information with
+    # nonempty sides is positive, so no constrained instance is admissible
+    from entrocone.setfn import GroundSet, SetFunction
+
+    concave = tmp_path / "concave.json"
+    concave.write_text(setfn_to_json(SetFunction(
+        GroundSet(("A", "B", "C", "D")),
+        [bin(m).count("1") * (8 - bin(m).count("1")) for m in range(16)])))
+    assert run([a.format(concave=concave) for a in argv]) == 1
+    assert "no instance was admissible" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ sample/search
 
 

@@ -11,7 +11,6 @@ from entrocone.inequalities import (
     builtin,
     eliminate_party_pure,
     enumerate_instances,
-    evaluate,
     instantiate,
     satisfies,
     template_from_json,
@@ -66,7 +65,7 @@ def test_instantiate_matches_brute_expansion():
         for inst in enumerate_instances(t, gr):
             f = random_int_fn(gr, rng)
             direct = brute_instance_value(t, inst.assignment, f)
-            assert evaluate(inst.functional, f) == direct
+            assert inst.functional.evaluate(f) == direct
 
 
 def test_c_template_symmetric_in_a_and_b():
@@ -191,7 +190,7 @@ def test_eliminate_party_pure_on_symmetric_functions():
         f = pure_like_fn(gr, rng)
         g = SetFunction(small, [f.value(gr.mask_of(small.labels_of(m)))
                                 for m in range(small.n_subsets)])
-        assert evaluate(inst.functional, f) == evaluate(reduced, g)
+        assert inst.functional.evaluate(f) == reduced.evaluate(g)
 
 
 def _identity_binding(gr, t):

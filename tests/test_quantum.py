@@ -1,19 +1,28 @@
 """Density matrices, entropy vectors, the constrained family, measurement."""
 
+import base64
+import copy
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrocone.setfn import is_submodular, is_weakly_monotone
 from entrocone.quantum import (
     BlockStructure,
+    ConstrainedFamily,
+    DiagonalFamily,
     FamilyDims,
+    HaarMixedFamily,
+    LW05Family,
     MultipartyState,
     check_theorem,
     constrained_family_sample,
     default_family_dims,
     entropy_vector,
     family_labels,
-    haar_unitary,
     lw05_family_sample,
     measure_and_register,
     partial_trace,
@@ -204,6 +213,56 @@ def test_lw05_family_has_positive_slack_and_zero_residuals():
         assert slack > 1e-6
 
 
+# ------------------------------------------------------------ family layer
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+# every family whose parameters are continuous (lw05's are two seed integers)
+CONTINUOUS_FAMILIES = {
+    "haar": lambda: HaarMixedFamily(("A", "B"), (2, 2)),
+    "haar-rank-1": lambda: HaarMixedFamily(("A", "B"), (2, 2), rank=1),
+    "diagonal": lambda: DiagonalFamily(("A", "B"), (2, 3)),
+    "constrained": lambda: ConstrainedFamily(1),
+    "constrained-diagonal": lambda: ConstrainedFamily(2, blocks=3, diagonal=True),
+}
+FAMILIES = {**CONTINUOUS_FAMILIES, "lw05": LW05Family}
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 2), blocks=st.integers(1, 3), diagonal=st.booleans(), seed=SEEDS)
+def test_constrained_sample_is_family_draw_then_build(n, blocks, diagonal, seed):
+    state, bs = constrained_family_sample(n, blocks=blocks, seed=seed, diagonal=diagonal)
+    family = ConstrainedFamily(n, blocks, diagonal=diagonal)
+    built = family.build(family.draw(_rng(seed)))
+    assert (state.labels, state.dims) == (built.labels, built.dims)
+    assert np.array_equal(state.rho, built.rho)
+    assert bs == family.structure == BlockStructure("A", tuple((k, 1) for k in range(blocks)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 6), rank=st.none() | st.integers(1, 4), seed=SEEDS)
+def test_random_density_is_haar_family_build(dim, rank, seed):
+    family = HaarMixedFamily(("A",), (dim,), rank)
+    built = family.build(family.draw(_rng(seed)))
+    assert np.array_equal(random_density(dim, _rng(seed), rank), built.rho)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(FAMILIES)), seed=SEEDS)
+def test_build_leaves_family_unchanged(name, seed):
+    family = FAMILIES[name]()
+    before = copy.deepcopy(vars(family))
+    family.build(family.draw(_rng(seed)))
+    assert vars(family) == before
+
+
+@pytest.mark.parametrize("name", sorted(CONTINUOUS_FAMILIES))
+def test_zero_parameter_point_is_rejected(name):
+    family = CONTINUOUS_FAMILIES[name]()
+    with pytest.raises(ValueError, match="degenerate"):
+        family.build(np.zeros(family.n_params()))
+
+
 # ------------------------------------------------------------ measurement
 
 
@@ -254,11 +313,6 @@ def test_seeded_sampling_is_reproducible():
     assert not np.array_equal(s1.rho, s3.rho)
 
 
-def test_haar_unitary_is_unitary():
-    u = haar_unitary(6, _rng(2))
-    assert np.allclose(u @ u.conj().T, np.eye(6), atol=1e-12)
-
-
 def test_state_json_round_trip():
     state, _ = constrained_family_sample(1, seed=5)
     text = state_to_json(state)
@@ -276,6 +330,16 @@ def test_state_json_rejects_wrong_payload_size():
     obj["matrix_b64"] = obj["matrix_b64"][: len(obj["matrix_b64"]) // 2]
     with pytest.raises(ValueError):
         state_from_json(_json.dumps(obj))
+
+
+def test_state_json_rejects_nan_matrix():
+    state, _ = constrained_family_sample(1, seed=5)
+    obj = json.loads(state_to_json(state))
+    nan = np.full(state.rho.shape, np.nan, dtype="<c16")
+    obj["matrix_b64"] = base64.b64encode(nan.tobytes()).decode("ascii")
+    # rejected by the first check, not by the eigensolver failing to converge
+    with pytest.raises(ValueError, match="not hermitian"):
+        state_from_json(json.dumps(obj))
 
 
 def test_dimension_cap_honored(monkeypatch):

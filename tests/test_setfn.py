@@ -208,7 +208,7 @@ def test_complement_transform_involution(vals):
 
 def test_monotone_repair_properties():
     rng = np.random.default_rng(7)
-    from entrocone.inequalities import builtin, evaluate, instantiate
+    from entrocone.inequalities import builtin, instantiate
 
     gr = GroundSet(("A", "B", "C"))
     ssa = instantiate(builtin("ssa"), gr, {"A": "A", "B": "B", "C": "C"})
@@ -217,7 +217,7 @@ def test_monotone_repair_properties():
         g = monotone_repair(f)
         assert is_monotone(g)
         # balanced functionals cannot see the repair
-        assert evaluate(ssa.functional, f) == evaluate(ssa.functional, g)
+        assert ssa.functional.evaluate(f) == ssa.functional.evaluate(g)
 
 
 def test_monotone_repair_idempotent_and_exact_only():

@@ -222,3 +222,24 @@ def test_counterexample_report():
     assert all(v == 0 for v in rep.constraint_values.values())
     assert not rep.monotone  # the table is deliberately not monotone
     assert rep.submodular and rep.weakly_monotone
+
+
+@pytest.mark.parametrize("bump, match", [("cardinality", True), ("one value", False)])
+def test_elemental_match_tracks_g_minus_f(monkeypatch, bump, match):
+    # a cardinality bump keeps g - f modular; one bumped value breaks it
+    from entrocone import witness
+    from entrocone.setfn import SetFunction
+
+    repair = witness.monotone_repair
+
+    def bumped(f):
+        values = list(repair(f).values)
+        if bump == "cardinality":
+            values = [v + bin(m).count("1") for m, v in enumerate(values)]
+        else:
+            values[-1] += 1
+        return SetFunction(f.ground, values)
+
+    monkeypatch.setattr(witness, "monotone_repair", bumped)
+    rep = verify_witness(3, scan_instances=False)
+    assert rep.elemental_match_fg is match
