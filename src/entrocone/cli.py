@@ -177,7 +177,8 @@ def cmd_witness(args) -> int:
     started = _now()
     if args.n < 2:
         _die("--n must be at least 2; the construction needs two registers")
-    _require_at_least(args.p_max, "--p-max", 1)
+    # the scan must reach p = n, the one negative class
+    _require_at_least(args.p_max, "--p-max", 1 if args.no_scan else args.n)
     report = verify_witness(args.n, p_max=args.p_max, scan_instances=not args.no_scan)
     obj = report.to_dict()
     rows = [
@@ -405,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify the separating witness family exactly")
     p.add_argument("--n", type=int, required=True, help="witness order (>= 2)")
     p.add_argument("--p-max", type=int, default=None,
-                   help="largest template order to scan (default n+2)")
+                   help="largest template order to scan, at least n (default n+2)")
     p.add_argument("--no-scan", action="store_true",
                    help="skip the full instance scan; structural checks only")
     p.set_defaults(func=cmd_witness)

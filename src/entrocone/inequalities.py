@@ -11,8 +11,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from itertools import islice
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .setfn import (
     DEFAULT_TOL,
@@ -222,13 +226,38 @@ class InequalityTemplate:
 
 @dataclass(frozen=True)
 class Instance:
-    """A template bound to concrete disjoint subsets of a ground set."""
+    """A template bound to concrete disjoint subsets of a ground set.
+
+    Only the slot masks are stored; the functional and constraints are
+    realized on first read and cached.
+    """
 
     template: InequalityTemplate
     ground: GroundSet
-    assignment: tuple[tuple[str, int], ...]  # (slot, party mask) in slot order
-    functional: LinearFunctional
-    constraints: tuple[LinearFunctional, ...]
+    slot_masks: tuple[int, ...]  # party mask per slot, in slot order
+
+    @property
+    def assignment(self) -> tuple[tuple[str, int], ...]:
+        return tuple(zip(self.template.slots, self.slot_masks))
+
+    @cached_property
+    def functional(self) -> LinearFunctional:
+        return self._realize(self.template.terms)
+
+    @cached_property
+    def constraints(self) -> tuple[LinearFunctional, ...]:
+        return tuple(self._realize(c) for c in self.template.constraints)
+
+    def _realize(self, terms: Mapping[int, Fraction]) -> LinearFunctional:
+        out: dict[int, Fraction] = {}
+        for smask, c in terms.items():
+            pmask = 0
+            for i, m in enumerate(self.slot_masks):
+                if smask >> i & 1:
+                    pmask |= m
+            if pmask:
+                out[pmask] = out.get(pmask, Fraction(0)) + c
+        return LinearFunctional(self.ground, out)
 
     def describe(self) -> str:
         binds = " ".join(
@@ -254,34 +283,7 @@ def instantiate(
         if used & m:
             raise ValueError(f"slot {slot!r} overlaps a previously assigned subset")
         used |= m
-    return _build_instance(template, ground, tuple(masks[s] for s in template.slots))
-
-
-def _build_instance(
-    template: InequalityTemplate, ground: GroundSet, slot_masks: tuple[int, ...]
-) -> Instance:
-    def realize(terms: Mapping[int, Fraction]) -> LinearFunctional:
-        out: dict[int, Fraction] = {}
-        for smask, c in terms.items():
-            pmask = 0
-            i = 0
-            m = smask
-            while m:
-                if m & 1:
-                    pmask |= slot_masks[i]
-                m >>= 1
-                i += 1
-            if pmask:
-                out[pmask] = out.get(pmask, Fraction(0)) + c
-        return LinearFunctional(ground, out)
-
-    return Instance(
-        template,
-        ground,
-        tuple(zip(template.slots, slot_masks)),
-        realize(template.terms),
-        tuple(realize(c) for c in template.constraints),
-    )
+    return Instance(template, ground, tuple(masks[s] for s in template.slots))
 
 
 def enumerate_instances(
@@ -299,45 +301,45 @@ def enumerate_instances(
     symmetries are emitted once, in canonical (sorted-mask) form.
     """
     fixed_masks: dict[str, int] = {}
+    used0 = 0  # parties of the fixed slots, closed to every free slot
     if fixed:
         for slot, sub in fixed.items():
             if slot not in template.slots:
                 raise ValueError(f"fixed binding names unknown slot {slot!r}")
             fixed_masks[slot] = ground.mask_of(sub)
-        used0 = 0
         for m in fixed_masks.values():
             if used0 & m:
                 raise ValueError("fixed bindings overlap")
             used0 |= m
     empties = template.empty_ok if allow_empty is None else frozenset(allow_empty)
 
-    prev_in_group: dict[str, str] = {}
-    if dedup:
-        for group in template.symmetries:
-            for a, b in zip(group, group[1:]):
-                prev_in_group[b] = a
-
     slots = template.slots
     n = len(slots)
+    # per slot, the index of the free slot before it in its symmetry group
+    prev_index = [-1] * n
+    if dedup:
+        for group in template.symmetries:
+            group = sorted(group, key=slots.index)
+            for a, b in zip(group, group[1:]):
+                if a not in fixed_masks:
+                    prev_index[slots.index(b)] = slots.index(a)
+    full = ground.full_mask
     chosen: list[int] = []
 
     def rec(i: int, used: int) -> Iterator[Instance]:
         if i == n:
-            yield _build_instance(template, ground, tuple(chosen))
+            yield Instance(template, ground, tuple(chosen))
             return
         slot = slots[i]
         if slot in fixed_masks:
             chosen.append(fixed_masks[slot])
-            yield from rec(i + 1, used | fixed_masks[slot])
+            yield from rec(i + 1, used)
             chosen.pop()
             return
-        avail = ground.full_mask & ~used
-        prev = prev_in_group.get(slot)
-        floor_mask = -1
-        if prev is not None and prev not in fixed_masks:
-            floor_mask = chosen[slots.index(prev)]
-        for cand in submasks(avail):
-            if cand == 0 and slot not in empties:
+        floor_mask = chosen[prev_index[i]] if prev_index[i] >= 0 else -1
+        empty_ok = slot in empties
+        for cand in submasks(full & ~used):
+            if cand == 0 and not empty_ok:
                 continue
             if floor_mask >= 0:
                 # canonical order inside a symmetry group: strictly increasing
@@ -348,7 +350,96 @@ def enumerate_instances(
             yield from rec(i + 1, used | cand)
             chosen.pop()
 
-    return rec(0, 0)
+    return rec(0, used0)
+
+
+# --- compiled batches ---
+
+BATCH_ROWS = 1024  # instances per chunk of a compiled batch evaluation
+
+
+class CompiledTemplate:
+    """A template's functional and constraints as one coefficient matrix.
+
+    Rows are the distinct slot subsets the forms use, column 0 is the
+    functional and column j the j-th constraint.  `ints` holds each column
+    cleared by the lcm of its denominators (`denominators`), `floats` the
+    coefficients as float64.  An instance's slot masks are disjoint, so the
+    party mask of every term is the slot-mask row times `incidence`.
+    """
+
+    def __init__(self, template: InequalityTemplate):
+        forms = (template.terms,) + template.constraints
+        terms = sorted(set().union(*forms))
+        self.incidence = np.array(
+            [[t >> i & 1 for t in terms] for i in range(len(template.slots))],
+            dtype=np.int64,
+        ).reshape(len(template.slots), len(terms))
+        self.denominators = [lcm(*(c.denominator for c in form.values())) for form in forms]
+        self.ints = [
+            [int(form.get(t, 0) * d) for form, d in zip(forms, self.denominators)]
+            for t in terms
+        ]
+        self.floats = np.array(
+            [[float(form.get(t, 0)) for form in forms] for t in terms], dtype=np.float64
+        ).reshape(len(terms), len(forms))
+        # the largest sum |c| of a cleared column: bounds |value| / max |f|
+        self.abs_sum = max(sum(abs(row[j]) for row in self.ints) for j in range(len(forms)))
+
+    def bind(self, f: SetFunction) -> "BoundTemplate":
+        return BoundTemplate(self, f)
+
+
+class BoundTemplate:
+    """A compiled template paired with one set function.
+
+    `evaluate` returns numerators: float values for a float64 f; for an exact
+    f, integers whose value is numerator / `scales[column]`.  Exact f is
+    cleared by the lcm of its denominators and runs in int64 when
+    sum |c| * max |f| < 2^63, else in Python integers (object dtype).
+    """
+
+    def __init__(self, compiled: CompiledTemplate, f: SetFunction):
+        self.incidence = compiled.incidence
+        self.exact = f.domain != FLOAT64
+        if not self.exact:
+            self.table = np.array(f.values, dtype=np.float64)
+            self.coefs = compiled.floats
+            self.scales = None
+            return
+        den = lcm(*(v.denominator for v in f.values))
+        table = [int(v * den) for v in f.values]
+        fits = max(map(abs, table)) * max(compiled.abs_sum, 1) < 2**63
+        dtype = np.int64 if fits else object
+        self.table = np.array(table, dtype=dtype)
+        self.coefs = np.array(compiled.ints, dtype=dtype).reshape(compiled.floats.shape)
+        self.scales = [d * den for d in compiled.denominators]
+
+    def evaluate(self, slot_masks: np.ndarray) -> np.ndarray:
+        """(rows, 1 + constraints) numerators for a (rows, slots) mask matrix."""
+        return self.table[slot_masks @ self.incidence] @ self.coefs
+
+    def value(self, num, column: int = 0):
+        """A numerator as a Python value: float, or exact int / Fraction."""
+        if not self.exact:
+            return float(num)
+        return _canon_exact(Fraction(int(num), self.scales[column]))
+
+
+def slot_mask_matrix(instances: Sequence[Instance], n_slots: int) -> np.ndarray:
+    """The instances' slot masks as an int64 (rows, slots) matrix."""
+    masks = np.array([inst.slot_masks for inst in instances], dtype=np.int64)
+    return masks.reshape(len(instances), n_slots)
+
+
+def instance_batches(
+    template: InequalityTemplate, ground: GroundSet, **kwargs
+) -> Iterator[tuple[list[Instance], np.ndarray]]:
+    """`enumerate_instances` in chunks of BATCH_ROWS: each chunk's instances
+    and their slot-mask matrix."""
+    it = enumerate_instances(template, ground, **kwargs)
+    while chunk := list(islice(it, BATCH_ROWS)):
+        yield chunk, slot_mask_matrix(chunk, len(template.slots))
 
 
 @dataclass
@@ -382,7 +473,7 @@ def satisfies(
     allow_empty: Iterable[str] | None = None,
     max_recorded: int = 10,
 ) -> SatisfiesReport:
-    """Evaluate a template over its instances on f.
+    """Evaluate a template over its instances on f, a chunk at a time.
 
     Constrained templates need either an explicit `binding` of the constrained
     slots or `auto_filter=True`, which keeps only instances whose realized
@@ -392,40 +483,49 @@ def satisfies(
         raise ValueError(
             "constrained template: pass an explicit binding or auto_filter=True"
         )
-    is_float = f.domain == FLOAT64
-    zero_tol = tol if is_float else 0
+    bound = CompiledTemplate(template).bind(f)
+    zero_tol = 0 if bound.exact else tol
     n_enum = 0
     n_adm = 0
-    min_value = None
+    best = None  # numerator of the minimum
     argmin = None
     n_viol = 0
     viols: list = []
-    max_resid = 0.0 if is_float else 0
-    for inst in enumerate_instances(
+    resid_nums = [0] * len(template.constraints)  # per constraint, max |numerator|
+    for chunk, masks in instance_batches(
         template, f.ground, fixed=binding, allow_empty=allow_empty
     ):
-        n_enum += 1
-        resid = None
-        if inst.constraints:
-            resid = max(abs(c.evaluate(f)) for c in inst.constraints)
-        if auto_filter and resid is not None and resid > zero_tol:
+        n_enum += len(chunk)
+        nums = bound.evaluate(masks)
+        resid = abs(nums[:, 1:])
+        if auto_filter:
+            keep = np.flatnonzero(~(resid > zero_tol).any(axis=1))
+        else:
+            keep = np.arange(len(chunk))
+        vals, resid = nums[keep, 0], resid[keep]
+        n_adm += len(keep)
+        if not len(keep):
             continue
-        n_adm += 1
-        if resid is not None and resid > max_resid:
-            max_resid = resid
-        val = inst.functional.evaluate(f)
-        if min_value is None or val < min_value:
-            min_value = val
-            argmin = inst
-        if val < (-tol if is_float else 0):
-            n_viol += 1
-            if len(viols) < max_recorded:
-                viols.append((inst, val))
+        if resid.size:
+            resid_nums = [max(r, m) for r, m in zip(resid_nums, resid.max(axis=0))]
+        i = int(np.argmin(vals))
+        if best is None or vals[i] < best:
+            best, argmin = vals[i], chunk[keep[i]]
+        bad = np.flatnonzero(vals < -zero_tol)
+        n_viol += len(bad)
+        for j in bad[: max_recorded - len(viols)]:
+            viols.append((chunk[keep[j]], bound.value(vals[j])))
+    if bound.exact:
+        max_resid = max(
+            (bound.value(m, j + 1) for j, m in enumerate(resid_nums)), default=0
+        )
+    else:
+        max_resid = float(max(resid_nums, default=0.0))
     return SatisfiesReport(
         template_name=template.name,
         n_enumerated=n_enum,
         n_admissible=n_adm,
-        min_value=min_value,
+        min_value=None if best is None else bound.value(best),
         argmin=argmin,
         n_violations=n_viol,
         violations=viols,

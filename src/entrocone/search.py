@@ -9,16 +9,19 @@ violation is revalidated from its recorded seed before being believed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .inequalities import (
+    CompiledTemplate,
     InequalityTemplate,
     Instance,
     builtin,
     enumerate_instances,
     instantiate,
+    slot_mask_matrix,
 )
 from .quantum import (
     ConstrainedFamily,
@@ -123,7 +126,12 @@ def _instances_for(
 
 
 def _setup(cfg: SearchConfig):
-    """Template, family, instances and entropy block hints of a scan or walk."""
+    """Template, family, instances, their compiled evaluation `values` and
+    the entropy block hints of a scan or walk.
+
+    `values(h)` gives every instance's value and constraint values on the
+    entropy vector h, as one float64 matrix product.
+    """
     template = resolve_template(cfg)
     family = family_for(cfg, template)
     instances = _instances_for(template, GroundSet(family.labels), cfg)
@@ -132,7 +140,14 @@ def _setup(cfg: SearchConfig):
     hints = None
     if isinstance(family, ConstrainedFamily):
         hints = {family.structure.party: family.structure.blocks}
-    return template, family, instances, hints
+    compiled = CompiledTemplate(template)
+    masks = slot_mask_matrix(instances, len(template.slots))
+
+    def values(h) -> tuple[np.ndarray, np.ndarray]:
+        v = compiled.bind(h).evaluate(masks)
+        return v[:, 0], v[:, 1:]
+
+    return template, family, instances, values, hints
 
 
 def _replay(family: StateFamily, params, inst: Instance, tol: float) -> dict | None:
@@ -157,8 +172,8 @@ class ScanReport:
     min_slack: float | None
     argmin: dict | None
     histogram: dict
-    violations: list
-    revalidated: bool
+    violations: list  # the replays that confirmed
+    n_replayed: int  # trials whose best slack crossed -tol, replayed from their seed
     trial_records: list = field(default_factory=list)
 
     @property
@@ -178,12 +193,8 @@ class ScanReport:
             "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
             "violations": self.violations,
             "violation_found": self.violation_found,
-            "revalidated": self.revalidated,
+            "n_replayed": self.n_replayed,
         }
-
-
-def _bucket(x: float) -> int:
-    return int(np.floor(x / 1e-3))
 
 
 def random_scan(cfg: SearchConfig) -> ScanReport:
@@ -193,39 +204,29 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
     within tolerance); any violation is recomputed from its seed before being
     reported.
     """
-    template, family, instances, hints = _setup(cfg)
+    template, family, instances, values, hints = _setup(cfg)
     min_slack = None
     argmin = None
-    histogram: dict[int, int] = {}
+    histogram: Counter = Counter()  # millibit floors of the admissible slacks
     violations: list[dict] = []
     records: list[dict] = []
     n_eval = 0
     n_adm = 0
-
-    def eval_trial(state) -> tuple:
-        h = entropy_vector(state, block_hints=hints)
-        best = None
-        best_inst = None
-        best_resid = None
-        nonlocal n_eval, n_adm
-        for inst in instances:
-            n_eval += 1
-            resid = 0.0
-            if inst.constraints:
-                resid = max(abs(c.evaluate(h)) for c in inst.constraints)
-            if resid > cfg.tol:
-                continue
-            n_adm += 1
-            val = inst.functional.evaluate(h)
-            histogram[_bucket(val)] = histogram.get(_bucket(val), 0) + 1
-            if best is None or val < best:
-                best, best_inst, best_resid = val, inst, resid
-        return best, best_inst, best_resid
+    n_replayed = 0
 
     for t in range(cfg.trials):
         seed = trial_seed(cfg.seed, t)
         state = family.build(family.draw(_rng(seed)))
-        best, best_inst, best_resid = eval_trial(state)
+        vals, cons = values(entropy_vector(state, block_hints=hints))
+        resid = np.abs(cons).max(axis=1, initial=0.0)
+        adm = np.flatnonzero(~(resid > cfg.tol))
+        n_eval += len(vals)
+        n_adm += len(adm)
+        best = best_inst = best_resid = None
+        if len(adm):
+            histogram.update(np.floor(vals[adm] / 1e-3).astype(np.int64).tolist())
+            i = adm[np.argmin(vals[adm])]
+            best, best_inst, best_resid = float(vals[i]), instances[i], float(resid[i])
         records.append(
             {
                 "trial": t,
@@ -243,11 +244,12 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
                 "trial": t,
                 "seed": list(seed),
                 "instance": best_inst.describe(),
-                "value": float(best),
-                "residual": float(best_resid),
+                "value": best,
+                "residual": best_resid,
             }
         if best < -cfg.tol:
             # rebuild independently from the recorded seed before reporting
+            n_replayed += 1
             replayed = _replay(family, family.draw(_rng(seed)), best_inst, cfg.tol)
             if replayed is not None:
                 violations.append({"trial": t, "seed": list(seed), **replayed})
@@ -259,11 +261,11 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
         n_instances=len(instances),
         n_evaluations=n_eval,
         n_admissible=n_adm,
-        min_slack=None if min_slack is None else float(min_slack),
+        min_slack=min_slack,
         argmin=argmin,
         histogram=histogram,
         violations=violations,
-        revalidated=bool(violations),
+        n_replayed=n_replayed,
         trial_records=records,
     )
 
@@ -312,29 +314,17 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
     constraint residuals).  One random coordinate moves per step; the step
     size halves on failure and the walk stops below 1e-8.
     """
-    template, family, instances, hints = _setup(cfg)
+    template, family, instances, values, hints = _setup(cfg)
     if start_seed is None:
         start_seed = trial_seed(cfg.seed, 0)
     start_seed = tuple(start_seed) if isinstance(start_seed, (tuple, list)) else (start_seed,)
 
     def objective(params):
-        state = family.build(params)
-        h = entropy_vector(state, block_hints=hints)
-        best = None
-        best_parts = None
-        for inst in instances:
-            val = inst.functional.evaluate(h)
-            pen = 0.0
-            resid = 0.0
-            for c in inst.constraints:
-                r = c.evaluate(h)
-                resid = max(resid, abs(r))
-                pen += r * r
-            obj = val + cfg.penalty * pen
-            if best is None or obj < best:
-                best = obj
-                best_parts = (float(val), float(resid), inst)
-        return float(best), best_parts
+        vals, cons = values(entropy_vector(family.build(params), block_hints=hints))
+        objs = vals + cfg.penalty * (cons * cons).sum(axis=1)
+        i = int(np.argmin(objs))
+        resid = float(np.abs(cons[i]).max(initial=0.0))
+        return float(objs[i]), (float(vals[i]), resid, instances[i])
 
     rng = _rng(start_seed)
     params = family.draw(rng)

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 from .setfn import (
     GroundSet,
     SetFunction,
@@ -23,7 +25,7 @@ from .setfn import (
     monotone_repair,
     submasks,
 )
-from .inequalities import builtin, enumerate_instances, instantiate
+from .inequalities import CompiledTemplate, builtin, instance_batches, instantiate
 
 
 def witness_ground(n: int) -> GroundSet:
@@ -235,11 +237,14 @@ def verify_witness(n: int, p_max: int | None = None, scan_instances: bool = True
     values, additivity over disjoint x-subsets, and (optionally) every
     instance of the order-p families for p up to p_max (default n+2) against
     the closed-form value, recording the (p, delta) histogram and confirming
-    the single negative class (p=n, delta=0).
+    the single negative class (p=n, delta=0); a scan needs p_max >= n.
+    Instances are evaluated in compiled chunks (see `instance_batches`).
     """
     if n < 2:
         raise ValueError("witness construction requires n >= 2")
     p_max = n + 2 if p_max is None else p_max
+    if scan_instances and p_max < n:
+        raise ValueError(f"p_max must be at least n = {n}: the negative class is p = n")
     f = make_witness_f(n)
     g = make_witness_g(n)
     gr = f.ground
@@ -286,26 +291,28 @@ def verify_witness(n: int, p_max: int | None = None, scan_instances: bool = True
     negative_classes: list[dict] = []
     if scan_instances:
         binding = standard_c_binding()
-        hist: dict[tuple[int, int], dict] = {}
         for p in range(1, p_max + 1):
             template = builtin("c_n", p)
-            for inst in enumerate_instances(template, gr, fixed=binding):
-                delta = sum(1 for slot, mask in inst.assignment if slot.startswith("X") and mask == 0)
-                vf = inst.functional.evaluate(f)
-                vg = inst.functional.evaluate(g)
-                expected = closed_form_value(n, p, delta)
-                key = (p, delta)
-                row = hist.get(key)
-                if row is None:
-                    row = {"p": p, "delta": delta, "count": 0,
-                           "value_f": vf, "value_g": vg, "expected": expected}
-                    hist[key] = row
-                row["count"] += 1
-                if vf != expected or vf != row["value_f"]:
-                    match_f = False
-                if vg != expected or vg != row["value_g"]:
-                    match_g = False
-        rows = [hist[k] for k in sorted(hist)]
+            compiled = CompiledTemplate(template)
+            on_f, on_g = compiled.bind(f), compiled.bind(g)
+            is_x = np.array([slot.startswith("X") for slot in template.slots])
+            classes: dict[int, dict] = {}
+            for _, masks in instance_batches(template, gr, fixed=binding):
+                deltas = (masks[:, is_x] == 0).sum(axis=1)
+                vf, vg = on_f.evaluate(masks)[:, 0], on_g.evaluate(masks)[:, 0]
+                for delta in np.flatnonzero(np.bincount(deltas)).tolist():
+                    sel = np.flatnonzero(deltas == delta)
+                    expected = closed_form_value(n, p, delta)
+                    row = classes.get(delta)
+                    if row is None:
+                        row = {"p": p, "delta": delta, "count": 0,
+                               "value_f": on_f.value(vf[sel[0]]),
+                               "value_g": on_g.value(vg[sel[0]]), "expected": expected}
+                        classes[delta] = row
+                    row["count"] += len(sel)
+                    match_f = match_f and bool((vf[sel] == expected * on_f.scales[0]).all())
+                    match_g = match_g and bool((vg[sel] == expected * on_g.scales[0]).all())
+            rows += [classes[d] for d in sorted(classes)]
         for row in rows:
             if row["expected"] < 0:
                 negative_classes.append({"p": row["p"], "delta": row["delta"],

@@ -93,6 +93,7 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["search", "--template", "ssa", "--trials", "0"],
     ["certify", "--builtin", "independence", "--n", "0"],
     ["witness", "--n", "2", "--p-max", "0"],
+    ["witness", "--n", "3", "--p-max", "2"],
 ])
 def test_usage_errors_exit_two_without_traceback(argv, capsys):
     assert run(argv) == 2

@@ -1,0 +1,243 @@
+"""Compiled batch evaluation against the per-instance reference paths.
+
+Each reference below is the per-instance loop the compiled path replaced:
+every instance's functional is realized as a Fraction LinearFunctional and
+evaluated on its own.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entrocone import search, witness
+from entrocone.inequalities import (
+    CompiledTemplate,
+    InequalityTemplate,
+    builtin,
+    enumerate_instances,
+    satisfies,
+)
+from entrocone.quantum import _rng, entropy_vector, trial_seed
+from entrocone.setfn import FLOAT64, GroundSet, SetFunction
+
+FLOAT_TOL = 1e-12
+
+
+# ------------------------------------------------------------ references
+
+
+def reference_satisfies(f, template, binding=None, auto_filter=False, tol=1e-9,
+                        max_recorded=10):
+    is_float = f.domain == FLOAT64
+    zero_tol = tol if is_float else 0
+    n_enum = n_adm = n_viol = 0
+    min_value = argmin = None
+    viols = []
+    max_resid = 0.0 if is_float else 0
+    for inst in enumerate_instances(template, f.ground, fixed=binding):
+        n_enum += 1
+        resid = None
+        if inst.constraints:
+            resid = max(abs(c.evaluate(f)) for c in inst.constraints)
+        if auto_filter and resid is not None and resid > zero_tol:
+            continue
+        n_adm += 1
+        if resid is not None and resid > max_resid:
+            max_resid = resid
+        val = inst.functional.evaluate(f)
+        if min_value is None or val < min_value:
+            min_value, argmin = val, inst
+        if val < (-tol if is_float else 0):
+            n_viol += 1
+            if len(viols) < max_recorded:
+                viols.append((inst, val))
+    return dict(n_enumerated=n_enum, n_admissible=n_adm, min_value=min_value,
+                argmin=argmin, n_violations=n_viol, violations=viols,
+                max_constraint_residual=max_resid)
+
+
+def reference_instance_rows(n, f, g, p_max):
+    """(instance_rows, match_f, match_g) of the witness scan, per instance."""
+    hist = {}
+    match_f = match_g = True
+    for p in range(1, p_max + 1):
+        for inst in enumerate_instances(builtin("c_n", p), f.ground,
+                                        fixed=witness.standard_c_binding()):
+            delta = sum(1 for slot, m in inst.assignment if slot.startswith("X") and m == 0)
+            vf, vg = inst.functional.evaluate(f), inst.functional.evaluate(g)
+            expected = witness.closed_form_value(n, p, delta)
+            row = hist.setdefault((p, delta), {"p": p, "delta": delta, "count": 0,
+                                               "value_f": vf, "value_g": vg,
+                                               "expected": expected})
+            row["count"] += 1
+            match_f = match_f and vf == expected == row["value_f"]
+            match_g = match_g and vg == expected == row["value_g"]
+    return [hist[k] for k in sorted(hist)], match_f, match_g
+
+
+def reference_trial(instances, h, tol):
+    """(n_evaluations, n_admissible, min slack, argmin instance) on one state."""
+    n_adm = 0
+    best = best_inst = None
+    for inst in instances:
+        resid = max((abs(c.evaluate(h)) for c in inst.constraints), default=0.0)
+        if resid > tol:
+            continue
+        n_adm += 1
+        val = inst.functional.evaluate(h)
+        if best is None or val < best:
+            best, best_inst = val, inst
+    return len(instances), n_adm, best, best_inst
+
+
+# ------------------------------------------------------------ satisfies
+
+
+def _coef():
+    return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def templates(draw):
+    k = draw(st.integers(1, 4))
+    slots = tuple(f"S{i}" for i in range(k))
+    form = st.dictionaries(st.integers(1, (1 << k) - 1), _coef(), max_size=5)
+    symmetries = ((slots[0], slots[1]),) if k > 1 and draw(st.booleans()) else ()
+    return InequalityTemplate(
+        "t", slots, draw(form), draw(st.lists(form, max_size=2)), symmetries,
+        draw(st.sets(st.sampled_from(slots))),
+    )
+
+
+def set_function(ground, domain, seed):
+    rng = np.random.default_rng(seed)
+    size = ground.n_subsets - 1
+    if domain == "small":
+        vals = [int(v) for v in rng.integers(-3, 4, size)]
+    elif domain == "big":
+        vals = [int(v) * 2**63 + int(w) for v, w in zip(rng.integers(1, 4, size),
+                                                      rng.integers(0, 9, size))]
+    elif domain == "rational":
+        vals = [Fraction(int(a), int(b)) for a, b in zip(rng.integers(-9, 10, size),
+                                                         rng.integers(2, 7, size))]
+    else:
+        vals = [float(v) for v in rng.uniform(-3, 3, size)]
+    return SetFunction(ground, [0] + vals)
+
+
+def _close(a, b):
+    return abs(a - b) <= FLOAT_TOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(template=templates(), parties=st.integers(1, 5),
+       domain=st.sampled_from(["small", "big", "rational", "float"]),
+       seed=st.integers(0, 2**32 - 1), bind=st.integers(-1, 3),
+       auto_filter=st.booleans())
+def test_compiled_satisfies_matches_reference(template, parties, domain, seed, bind,
+                                              auto_filter):
+    ground = GroundSet(tuple("abcde"[:parties]))
+    f = set_function(ground, domain, seed)
+    # optionally pin one slot (any position) to party a
+    binding = {template.slots[bind % len(template.slots)]: ("a",)} if bind >= 0 else None
+    if template.constraints and binding is None:
+        auto_filter = True
+    tol = 0.5 if domain == "float" else 1e-9  # lets some float instances through
+    got = satisfies(f, template, binding=binding, auto_filter=auto_filter, tol=tol)
+    want = reference_satisfies(f, template, binding=binding, auto_filter=auto_filter, tol=tol)
+    if domain == "big":
+        assert CompiledTemplate(template).bind(f).table.dtype == object
+
+    assert got.n_enumerated == want["n_enumerated"]
+    assert got.n_admissible == want["n_admissible"]
+    assert got.n_violations == want["n_violations"]
+    assert [i.describe() for i, _ in got.violations] == [
+        i.describe() for i, _ in want["violations"]]
+    if domain != "float":
+        assert got.min_value == want["min_value"]
+        assert got.argmin == want["argmin"]
+        assert [v for _, v in got.violations] == [v for _, v in want["violations"]]
+        assert got.max_constraint_residual == want["max_constraint_residual"]
+        exact = [got.min_value, got.max_constraint_residual] + [v for _, v in got.violations]
+        assert all(type(v) in (int, Fraction) for v in exact if v is not None)
+        return
+    assert (got.min_value is None) == (want["min_value"] is None)
+    if got.min_value is not None:
+        assert type(got.min_value) is float
+        assert _close(got.min_value, want["min_value"])
+        # the same argmin unless two values tie within the tolerance
+        assert got.argmin == want["argmin"] or _close(
+            got.argmin.functional.evaluate(f), want["min_value"])
+    assert all(_close(a, b) for (_, a), (_, b) in zip(got.violations, want["violations"]))
+    assert _close(got.max_constraint_residual, want["max_constraint_residual"])
+
+
+def test_int64_path_is_taken_below_the_bound():
+    t = builtin("ssa")
+    gr = GroundSet(("a", "b", "c"))
+    small = SetFunction(gr, [0] + [2**60] * 7)
+    huge = SetFunction(gr, [0] + [2**61] * 7)  # 4 terms of |c| = 1: 2^63
+    assert CompiledTemplate(t).bind(small).table.dtype == np.int64
+    assert CompiledTemplate(t).bind(huge).table.dtype == object
+    assert satisfies(huge, t).min_value == reference_satisfies(huge, t)["min_value"]
+
+
+# ------------------------------------------------------------ witness scan
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_compiled_witness_scan_matches_reference(n):
+    rep = witness.verify_witness(n)
+    rows, match_f, match_g = reference_instance_rows(
+        n, witness.make_witness_f(n), witness.make_witness_g(n), n + 2)
+    assert rep.instance_rows == rows
+    assert (rep.instances_match_f, rep.instances_match_g) == (match_f, match_g) == (True, True)
+
+
+def test_compiled_witness_scan_sees_a_mutated_subset(monkeypatch):
+    n = 3
+    true_f = witness.make_witness_f
+
+    def off_by_one(k):
+        f = true_f(k)
+        vals = list(f.values)
+        # read only by instances that come after the first of their class
+        vals[f.ground.mask_of(("x1", "x3"))] += 1
+        return SetFunction(f.ground, vals)
+
+    monkeypatch.setattr(witness, "make_witness_f", off_by_one)
+    rep = witness.verify_witness(n)
+    assert not rep.instances_match_f
+    rows, match_f, match_g = reference_instance_rows(
+        n, off_by_one(n), witness.make_witness_g(n), n + 2)
+    assert rep.instance_rows == rows
+    assert (rep.instances_match_f, rep.instances_match_g) == (match_f, match_g)
+
+
+# ------------------------------------------------------------ search (float path)
+
+
+@pytest.mark.parametrize("cfg", [
+    search.SearchConfig(template="ssa", labels=("A", "B", "C"), dims=(2, 2, 2),
+                        trials=30, seed=11),
+    search.SearchConfig(template="ssa", labels=tuple("ABCDE"), dims=(2,) * 5,
+                        trials=6, seed=12),
+    search.SearchConfig(template="c_2", family="constrained", n=2, trials=6, seed=13),
+], ids=["ssa-222", "ssa-5-qubits", "c_2-constrained"])
+def test_scan_records_match_reference_loop(cfg):
+    rep = search.random_scan(cfg)
+    _, family, instances, _, hints = search._setup(cfg)
+    n_eval = n_adm = 0
+    for rec in rep.trial_records:
+        seed = trial_seed(cfg.seed, rec["trial"])
+        h = entropy_vector(family.build(family.draw(_rng(seed))), block_hints=hints)
+        evals, adm, best, best_inst = reference_trial(instances, h, cfg.tol)
+        n_eval, n_adm = n_eval + evals, n_adm + adm
+        assert _close(rec["min_slack"], best)
+        if rec["argmin_instance"] != best_inst.describe():
+            chosen = next(i for i in instances if i.describe() == rec["argmin_instance"])
+            assert _close(chosen.functional.evaluate(h), best)
+    assert (rep.n_evaluations, rep.n_admissible) == (n_eval, n_adm)

@@ -7,6 +7,7 @@ import pytest
 
 from entrocone.setfn import GroundSet, SetFunction, submasks
 from entrocone.inequalities import (
+    InequalityTemplate,
     LinearFunctional,
     builtin,
     eliminate_party_pure,
@@ -148,6 +149,23 @@ def test_enumeration_with_fixed_binding():
     # X slots range over disjoint subsets of {x1,x2} with empties allowed:
     # {}{}, {}{x1}, {}{x2}, {}{x1x2}, {x1}{x2} -> 5
     assert len(insts) == 5
+
+
+def test_fixed_later_slot_is_closed_to_earlier_slots():
+    gr = GroundSet(("a", "b", "c"))
+    insts = list(enumerate_instances(builtin("ssa"), gr, fixed={"C": "a"}))
+    assert [i.describe() for i in insts] == ["ssa[A={b} B={c} C={a}]"]
+
+
+def test_symmetry_group_order_does_not_matter():
+    gr = GroundSet(("a", "b", "c"))
+    terms = {1: 1, 2: 1, 3: -1}
+    fwd = InequalityTemplate("t", ("A", "B"), terms, symmetries=(("A", "B"),))
+    rev = InequalityTemplate("t", ("A", "B"), terms, symmetries=(("B", "A"),))
+    def listed(t):
+        return [i.describe() for i in enumerate_instances(t, gr)]
+
+    assert listed(fwd) == listed(rev)
 
 
 # ------------------------------------------------------------ balance

@@ -188,6 +188,13 @@ def test_verify_witness_n3():
     assert rep.negative_classes == [{"p": 3, "delta": 0, "value": "-12"}]
 
 
+def test_scan_below_the_negative_class_is_rejected():
+    with pytest.raises(ValueError):
+        verify_witness(3, p_max=2)
+    assert verify_witness(3, p_max=2, scan_instances=False).passed
+    assert verify_witness(3, p_max=3).passed
+
+
 def test_witness_structure_small():
     for n in (2, 3):
         f = make_witness_f(n)
