@@ -2,10 +2,12 @@
 generated by known inequality instances, modulo constraint functionals.
 
 Membership asks for target = sum lambda_i * gen_i + sum mu_j * con_j with
-lambda_i >= 0 and mu_j free.  Everything runs in rational arithmetic: a
-feasible answer returns the multipliers, an infeasible one returns an exact
-separating point (a set function nonnegative on every generator, zero on
-every constraint, strictly negative on the target).
+lambda_i >= 0 and mu_j free.  Every answer is exact and re-checked in
+rational arithmetic: a feasible answer returns the multipliers, an
+infeasible one returns an exact separating point (a set function nonnegative
+on every generator, zero on every constraint, strictly negative on the
+target).  A float64 run of the LP may propose where to look; it never
+decides.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
+
+import numpy as np
 
 from .setfn import GroundSet, SetFunction, FLOAT64
 from .inequalities import (
@@ -86,6 +90,7 @@ class Feasible:
     coefficients: tuple[Fraction, ...]
     constraint_coefficients: tuple[Fraction, ...]
     pivots: int = 0
+    method: str = "simplex"  # "shortcut", "float-guided" or "simplex"
 
     @property
     def feasible(self) -> bool:
@@ -97,6 +102,7 @@ class Feasible:
             "coefficients": [str(c) for c in self.coefficients],
             "constraint_coefficients": [str(c) for c in self.constraint_coefficients],
             "pivots": self.pivots,
+            "method": self.method,
         }
 
 
@@ -106,6 +112,7 @@ class Infeasible:
 
     farkas_point: SetFunction
     pivots: int = 0
+    method: str = "simplex"  # "shortcut", "float-guided" or "simplex"
 
     @property
     def feasible(self) -> bool:
@@ -118,112 +125,146 @@ class Infeasible:
             "feasible": False,
             "farkas_point": setfn_to_obj(self.farkas_point),
             "pivots": self.pivots,
+            "method": self.method,
         }
 
 
-def _vectorize(functional: LinearFunctional, dim: int) -> list[Fraction]:
-    v = [Fraction(0)] * dim
-    for mask, c in functional.coefs.items():
-        v[mask - 1] = c
-    return v
-
-
 class _Simplex:
-    """Phase-1 simplex in exact rationals with Bland's rule (never cycles)."""
+    """Phase-1 simplex with Bland's rule on one dense tableau.
 
-    def __init__(self, columns: list[list[Fraction]], rhs: list[Fraction]):
-        self.nrows = len(rhs)
-        self.ncols = len(columns)
-        self.row_sign = [1] * self.nrows
-        # scale rows to b >= 0
-        rows = []
-        for i in range(self.nrows):
-            s = -1 if rhs[i] < 0 else 1
-            self.row_sign[i] = s
-            rows.append([s * columns[j][i] for j in range(self.ncols)])
-        self.b = [abs(v) for v in rhs]
-        # artificial basis
-        for i in range(self.nrows):
-            art = [Fraction(0)] * self.nrows
-            art[i] = Fraction(1)
-            for j in range(self.nrows):
-                rows[j].append(art[j])
-        self.T = rows
-        self.basis = list(range(self.ncols, self.ncols + self.nrows))
-        # reduced costs for phase-1 objective (minimize sum of artificials)
-        total = self.ncols + self.nrows
-        self.red = [Fraction(0)] * total
-        for j in range(self.ncols):
-            self.red[j] = -sum(self.T[i][j] for i in range(self.nrows))
-        self.obj = sum(self.b)
+    The dtype of `A` picks the arithmetic.  An object array of Fractions with
+    tol 0 is exact and never cycles.  A float64 array runs the same rule with
+    entries within `tol` of zero taken as zero; its answer is only a proposal.
+    Rows are scaled to b >= 0 and start on the artificial basis; the phase-1
+    objective is the sum of the artificials.
+    """
+
+    def __init__(self, A: np.ndarray, rhs: np.ndarray, tol: float = 0):
+        m, n = A.shape
+        zero, one = (Fraction(0), Fraction(1)) if A.dtype == object else (0.0, 1.0)
+        self.nrows, self.ncols, self.tol = m, n, tol
+        self.row_sign = np.where(rhs < 0, -1, 1)
+        self.T = np.full((m, n + m), zero, dtype=A.dtype)
+        self.T[:, :n] = A * self.row_sign[:, None]
+        self.T[np.arange(m), n + np.arange(m)] = one
+        self.b = rhs * self.row_sign
+        self.basis = list(range(n, n + m))
+        self.red = np.full(n + m, zero, dtype=A.dtype)
+        if m:
+            self.red[:n] = -self.T[:, :n].sum(axis=0)
         self.pivots = 0
 
+    @property
+    def objective(self):
+        return sum(v for v, j in zip(self.b, self.basis) if j >= self.ncols)
+
     def solve(self, max_pivots: int = 2_000_000):
-        nrows, T, b, red = self.nrows, self.T, self.b, self.red
-        total = len(red)
+        T, b, red, tol = self.T, self.b, self.red, self.tol
         while True:
-            enter = -1
-            for j in range(total):
-                if red[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
+            negative = np.flatnonzero(red < -tol)
+            if not len(negative):
                 return
-            leave = -1
-            best = None
-            for i in range(nrows):
-                a = T[i][enter]
-                if a > 0:
-                    ratio = b[i] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
-            if leave < 0:
+            enter = negative[0]
+            rows = np.flatnonzero(T[:, enter] > tol)
+            if not len(rows):
                 raise RuntimeError("phase-1 objective unbounded; should not happen")
+            ratios = b[rows] / T[rows, enter]
+            tied = rows[ratios <= ratios.min() + tol]
+            leave = min(tied, key=self.basis.__getitem__)
             self._pivot(leave, enter)
-            self.pivots += 1
             if self.pivots > max_pivots:
                 raise RuntimeError("pivot limit exceeded")
 
+    def enter(self, columns, artificial) -> bool:
+        """Pivot `columns` into the basis in place of the artificials of the
+        rows not in `artificial`; False when the resulting basis is singular."""
+        kept = set(artificial)
+        for c in columns:
+            free = [i for i in np.flatnonzero(self.T[:, c])
+                    if i not in kept and self.basis[i] == self.ncols + i]
+            if not free:
+                return False
+            self._pivot(free[0], c)
+        return True
+
     def _pivot(self, r: int, c: int):
         T, b, red = self.T, self.b, self.red
-        piv = T[r][c]
-        inv = 1 / piv
-        row = T[r] = [v * inv for v in T[r]]
-        b[r] = b[r] * inv
-        for i in range(self.nrows):
-            if i == r:
-                continue
-            factor = T[i][c]
-            if factor:
-                Ti = T[i]
-                for j in range(len(row)):
-                    if row[j]:
-                        Ti[j] -= factor * row[j]
-                b[i] -= factor * b[r]
-        factor = red[c]
-        if factor:
-            for j in range(len(row)):
-                if row[j]:
-                    red[j] -= factor * row[j]
+        piv = T[r, c]
+        T[r] /= piv
+        b[r] /= piv
+        row = T[r]
+        cols = np.flatnonzero(row)
+        factors = T[:, c].copy()
+        factors[r] = 0
+        rows = np.flatnonzero(factors)
+        if T.dtype == object:
+            # every Fraction operation costs: touch only the nonzero block
+            T[np.ix_(rows, cols)] -= np.outer(factors[rows], row[cols])
+        else:
+            T -= np.outer(factors, row)
+        b[rows] -= factors[rows] * b[r]
+        red[cols] -= red[c] * row[cols]
         self.basis[r] = c
-        self.obj = sum(b[i] for i in range(self.nrows) if self.basis[i] >= self.ncols)
+        self.pivots += 1
 
-    def solution(self) -> list[Fraction]:
+    def solution(self) -> list:
         x = [Fraction(0)] * self.ncols
         for i, var in enumerate(self.basis):
             if var < self.ncols:
                 x[var] = self.b[i]
         return x
 
-    def dual_prices(self) -> list[Fraction]:
+    def dual_prices(self) -> list:
         # y_i = c_art_i - reduced cost of artificial column i, with c_art = 1
-        return [
-            (1 - self.red[self.ncols + i]) * self.row_sign[i]
-            for i in range(self.nrows)
-        ]
+        return list((1 - self.red[self.ncols:]) * self.row_sign)
+
+
+_FLOAT_TOL = 1e-9  # the float guide reads entries within this of zero as zero
+
+
+def _float_basis(A: np.ndarray, rhs: np.ndarray):
+    """Run the phase-1 LP in float64 and propose its final basis.
+
+    Returns (basis, pivots), or None when the float run hits its pivot cap,
+    finds no positive ratio or meets a value float64 cannot hold.  Nothing
+    it returns is trusted: the caller re-solves the basis exactly and
+    re-checks.
+    """
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            sx = _Simplex(A.astype(float), rhs.astype(float), tol=_FLOAT_TOL)
+            sx.solve(max_pivots=10 * (sx.nrows + sx.ncols))
+    except (RuntimeError, FloatingPointError, OverflowError):
+        return None
+    return sx.basis, sx.pivots
+
+
+def _feasible(target, generators, constraints, lams, mus, method, pivots):
+    """Feasible, once the multipliers replay the target exactly; else None."""
+    if not _check_combination(target, generators, lams, constraints, mus):
+        return None
+    return Feasible(tuple(lams), tuple(mus), pivots=pivots, method=method)
+
+
+def _infeasible(target, generators, constraints, values, method, pivots):
+    """Infeasible, once the separating point (values on the nonempty subsets,
+    cleared to coprime integers) passes verify_certificate; else None."""
+    denom_lcm = 1
+    for v in values:
+        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
+    ints = [int(v * denom_lcm) for v in values]
+    content = 0
+    for v in ints:
+        content = gcd(content, abs(v))
+    if content > 1:
+        ints = [v // content for v in ints]
+    point = SetFunction(target.ground, [0] + ints)
+    report = verify_certificate(
+        Certificate(point, tuple(generators), tuple(constraints), target)
+    )
+    if not report.valid:
+        return None
+    return Infeasible(farkas_point=point, pivots=pivots, method=method)
 
 
 def cone_membership(
@@ -236,8 +277,12 @@ def cone_membership(
     """Decide exactly whether target lies in cone(generators) + span(constraints).
 
     Returns Feasible (with multipliers) or Infeasible (with a separating set
-    function scaled to integers).  Duplicate generator rays collapse before
-    the solve; a target equal to a generator short-circuits.
+    function scaled to integers); its `method` names what decided it.
+    Duplicate generator rays collapse before the solve.  With fast paths on,
+    a target equal to a generator short-circuits, and a float64 run of the
+    phase-1 LP proposes a basis that one exact solve turns into a claim.  Every
+    claim is re-checked exactly; a rejected one falls through to the exact
+    Bland simplex.
     """
     ground = target.ground
     for item in list(generators) + list(constraints):
@@ -245,6 +290,7 @@ def cone_membership(
             raise ValueError("all functionals must share one ground set")
     if len(generators) > max_generators:
         raise ValueError(f"{len(generators)} generators exceeds cap {max_generators}")
+    problem = (target, generators, constraints)
 
     # collapse duplicate rays, remembering a representative index
     rep_index: list[int] = []
@@ -268,90 +314,85 @@ def cone_membership(
             # target = t, rep = r with t = s*r for the common primitive ray;
             # the scale is the ratio of any matching coefficients
             mask0, c0 = next(iter(target.coefs.items()))
-            scale = c0 / rep.coefs[mask0]
-            if scale > 0:
-                lams = [Fraction(0)] * len(generators)
-                lams[rep_index[seen[key]]] = scale
-                return Feasible(
-                    coefficients=tuple(lams),
-                    constraint_coefficients=tuple(Fraction(0) for _ in constraints),
-                )
+            lams = [Fraction(0)] * len(generators)
+            lams[rep_index[seen[key]]] = c0 / rep.coefs[mask0]
+            mus = [Fraction(0)] * len(constraints)
+            result = _feasible(*problem, lams, mus, "shortcut", 0)
+            if result is not None:
+                return result
 
+    # LP columns: one per ray, a +/- pair per constraint (a free multiplier)
     dim = ground.n_subsets - 1
-    cols = [_vectorize(g, dim) for g in reps]
-    ncols_gen = len(cols)
-    for c in nz_constraints:
-        vc = _vectorize(c, dim)
-        cols.append(vc)
-        cols.append([-v for v in vc])
-    rhs = _vectorize(target, dim)
+    columns = [g.coefs for g in reps]
+    for con in nz_constraints:
+        columns += [con.coefs, {m: -c for m, c in con.coefs.items()}]
+    A = np.full((dim, len(columns)), Fraction(0), dtype=object)
+    for j, coefs in enumerate(columns):
+        for mask, c in coefs.items():
+            A[mask - 1, j] = c
+    rhs = np.full(dim, Fraction(0), dtype=object)
+    for mask, c in target.coefs.items():
+        rhs[mask - 1] = c
 
     # drop identically-zero rows; an inconsistent zero row separates trivially
     keep_rows = []
     for i in range(dim):
-        if any(col[i] for col in cols):
+        if any(A[i]):
             keep_rows.append(i)
         elif rhs[i]:
-            table = [0] * ground.n_subsets
-            table[i + 1] = 1 if rhs[i] < 0 else -1
-            point = SetFunction(ground, table)
-            return Infeasible(farkas_point=point)
-    cols = [[col[i] for i in keep_rows] for col in cols]
-    rhs_kept = [rhs[i] for i in keep_rows]
+            values = [Fraction(0)] * dim
+            values[i] = Fraction(1 if rhs[i] < 0 else -1)
+            result = _infeasible(*problem, values, "shortcut", 0)
+            if result is None:
+                raise RuntimeError("internal error: zero-row separating point fails re-check")
+            return result
+    A, b = A[keep_rows], rhs[keep_rows]
 
-    sx = _Simplex(cols, rhs_kept)
+    def claim(sx: _Simplex, lp_columns, method: str, pivots: int):
+        """The re-checked result an exact tableau over `lp_columns` supports,
+        or None."""
+        if sx.objective == 0 and all(v >= 0 for v in sx.b):
+            x = [Fraction(0)] * len(columns)
+            for j, v in zip(lp_columns, sx.solution()):
+                x[j] = v
+            lams = [Fraction(0)] * len(generators)
+            for ridx, val in zip(rep_index, x):
+                lams[ridx] = val
+            diffs = iter(x[pos] - x[pos + 1] for pos in range(len(reps), len(x), 2))
+            mus = [Fraction(0) if c.is_zero() else next(diffs) for c in constraints]
+            return _feasible(*problem, lams, mus, method, pivots)
+        values = [Fraction(0)] * dim
+        for row, y in zip(keep_rows, sx.dual_prices()):
+            values[row] = -y
+        return _infeasible(*problem, values, method, pivots)
+
+    if use_fast_paths:
+        proposal = _float_basis(A, b)
+        if proposal is not None:
+            basis, float_pivots = proposal
+            basic = [j for j in basis if j < len(columns)]
+            artificial = [j - len(columns) for j in basis if j >= len(columns)]
+            sx = _Simplex(A[:, basic], b)
+            if sx.enter(range(len(basic)), artificial):
+                result = claim(sx, basic, "float-guided", float_pivots)
+                if result is not None:
+                    return result
+
+    sx = _Simplex(A, b)
     sx.solve()
-    if sx.obj == 0:
-        x = sx.solution()
-        lams = [Fraction(0)] * len(generators)
-        for ridx, val in zip(rep_index, x[:ncols_gen]):
-            lams[ridx] = val
-        mus = []
-        pos = ncols_gen
-        for _ in nz_constraints:
-            mus.append(x[pos] - x[pos + 1])
-            pos += 2
-        mu_out = []
-        it = iter(mus)
-        for c in constraints:
-            mu_out.append(Fraction(0) if c.is_zero() else next(it))
-        _check_combination(target, generators, lams, constraints, mu_out)
-        return Feasible(
-            coefficients=tuple(lams),
-            constraint_coefficients=tuple(mu_out),
-            pivots=sx.pivots,
-        )
-
-    # infeasible: phase-1 duals give a separating hyperplane
-    y = sx.dual_prices()
-    full = [Fraction(0)] * dim
-    for i, row in enumerate(keep_rows):
-        full[row] = -y[i]
-    # clear denominators and common content
-    denom_lcm = 1
-    for v in full:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in full]
-    content = 0
-    for v in ints:
-        content = gcd(content, abs(v))
-    if content > 1:
-        ints = [v // content for v in ints]
-    table = [0] + ints
-    point = SetFunction(ground, table)
-    report = verify_certificate(
-        Certificate(point, tuple(generators), tuple(constraints), target)
-    )
-    if not report.valid:
-        raise RuntimeError("internal error: extracted separating point fails re-check")
-    return Infeasible(farkas_point=point, pivots=sx.pivots)
+    result = claim(sx, range(len(columns)), "simplex", sx.pivots)
+    if result is None:
+        raise RuntimeError("internal error: the simplex's exact answer fails re-check")
+    return result
 
 
-def _check_combination(target, generators, lams, constraints, mus):
+def _check_combination(target, generators, lams, constraints, mus) -> bool:
+    """True when the generator multipliers are >= 0 and the combination
+    equals the target exactly."""
     acc: dict[int, Fraction] = {}
     for lam, gen in zip(lams, generators):
         if lam < 0:
-            raise RuntimeError("internal error: negative generator multiplier")
+            return False
         if lam:
             for m, c in gen.coefs.items():
                 acc[m] = acc.get(m, Fraction(0)) + lam * c
@@ -360,8 +401,7 @@ def _check_combination(target, generators, lams, constraints, mus):
             for m, c in con.coefs.items():
                 acc[m] = acc.get(m, Fraction(0)) + mu * c
     acc = {m: c for m, c in acc.items() if c}
-    if acc != dict(target.coefs):
-        raise RuntimeError("internal error: multipliers do not reproduce the target")
+    return acc == dict(target.coefs)
 
 
 # --- problem builders ---
@@ -466,16 +506,20 @@ def functional_to_obj(functional: LinearFunctional) -> list:
 
 
 def functional_from_obj(entries, ground: GroundSet) -> LinearFunctional:
+    if not isinstance(entries, list):
+        raise ValueError("a functional is a list of terms")
     coefs: dict[int, Fraction] = {}
     for ent in entries:
         if not isinstance(ent, dict) or "subset" not in ent or "coef" not in ent:
             raise ValueError("each term needs 'subset' and 'coef'")
+        if not isinstance(ent["subset"], (list, str)):
+            raise ValueError("a term's subset is a list of party labels")
         mask = ground.mask_of(ent["subset"])
         if mask == 0:
             raise ValueError("term subset may not be empty")
         coef = ent["coef"]
-        if isinstance(coef, float):
-            raise ValueError("coefficients must be exact: use 'p/q' strings")
+        if not isinstance(coef, (int, str)):
+            raise ValueError("coefficients must be exact: use integers or 'p/q' strings")
         coefs[mask] = coefs.get(mask, Fraction(0)) + Fraction(coef)
     return LinearFunctional(ground, coefs)
 
@@ -498,6 +542,8 @@ def problem_from_obj(obj):
     for key in ("ground", "target", "generators"):
         if key not in obj:
             raise ValueError(f"problem object missing key {key!r}")
+    if not isinstance(obj["ground"], list) or not isinstance(obj["generators"], list):
+        raise ValueError("'ground' and 'generators' must be lists")
     ground = GroundSet(tuple(obj["ground"]))
     target = functional_from_obj(obj["target"], ground)
     generators = [functional_from_obj(g, ground) for g in obj["generators"]]

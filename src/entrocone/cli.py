@@ -287,11 +287,14 @@ def cmd_sample(args) -> int:
 
 def cmd_certify(args) -> int:
     started = _now()
+    _require_at_least(args.max_generators, "--max-generators", 1)
     expect = None
     if args.problem:
-        target, generators, constraints, ground, expect = problem_from_obj(
-            _load_json(args.problem)
-        )
+        obj = _load_json(args.problem)
+        try:
+            target, generators, constraints, ground, expect = problem_from_obj(obj)
+        except ValueError as exc:
+            _die(f"{args.problem}: {exc}")
     elif args.builtin == "independence":
         if args.n is None:
             _die("--builtin independence needs --n")
@@ -305,11 +308,14 @@ def cmd_certify(args) -> int:
         expect = meta.get("expect")
     else:
         _die("give --problem FILE or --builtin {independence,purified-basic}")
-    outcome = cone_membership(
-        target, generators, constraints,
-        max_generators=args.max_generators,
-        use_fast_paths=not args.no_fast_paths,
-    )
+    try:
+        outcome = cone_membership(
+            target, generators, constraints,
+            max_generators=args.max_generators,
+            use_fast_paths=not args.no_fast_paths,
+        )
+    except ValueError as exc:
+        _die(str(exc))
     feasible = isinstance(outcome, Feasible)
     obj = {
         "outcome": "feasible" if feasible else "infeasible",
@@ -320,7 +326,7 @@ def cmd_certify(args) -> int:
         "result": outcome.to_dict(),
     }
     _emit(args, obj, started)
-    print(f"certify: {obj['outcome']}"
+    print(f"certify: {obj['outcome']} via {outcome.method}"
           + (f" (expected {expect})" if expect else ""), file=sys.stderr)
     if expect is not None:
         return 0 if obj["outcome"] == expect else 1
@@ -444,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-max", type=int, default=None)
     p.add_argument("--max-generators", type=int, default=20000)
     p.add_argument("--no-fast-paths", action="store_true",
-                   help="always run the exact simplex")
+                   help="skip the generator shortcut and the float guide; "
+                        "run the exact simplex alone")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("search", parents=[common],

@@ -749,8 +749,8 @@ class TheoremReport:
 
     @property
     def passed(self) -> bool:
-        ok = all(abs(r) <= 1e-9 for r in self.constraint_residuals.values())
-        ok = ok and all(s >= -1e-9 for s in self.slacks.values())
+        ok = all(abs(r) <= self.tol for r in self.constraint_residuals.values())
+        ok = ok and all(s >= -self.tol for s in self.slacks.values())
         ok = ok and self.cond_register_on_a <= self.tol
         ok = ok and self.cond_register_on_b <= self.tol
         ok = ok and self.min_register_monotonicity >= -self.tol

@@ -256,6 +256,8 @@ def test_criterion_5_certificates_and_lp():
     out = cone_membership(target, gens, cons)
     if not isinstance(out, Infeasible):
         failures.append(("independence", "expected infeasible"))
+    if out.method != "float-guided":
+        failures.append(("independence", f"decided by {out.method}"))
     g2 = make_witness_g(2)
     rep = verify_certificate(
         Certificate(point=g2, generators=tuple(gens), constraints=tuple(cons),
@@ -286,7 +288,7 @@ def test_criterion_5_certificates_and_lp():
     if elapsed >= 300.0:
         failures.append(("time", elapsed))
     ok = _record(5, "exact LP: independence refuted, purified form recovered",
-                 not failures, f"{elapsed:.2f}s, {out.pivots} pivots")
+                 not failures, f"{elapsed:.2f}s, {out.pivots} pivots, {out.method}")
     assert ok, failures[:5]
 
 

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entrocone import certify
 from entrocone.setfn import GroundSet, SetFunction
 from entrocone.inequalities import (
     LinearFunctional,
@@ -180,7 +183,133 @@ def test_membership_random_problems_are_internally_consistent():
     assert n_feasible and n_infeasible  # the sample hits both sides
 
 
+def _assert_replays(out, target, gens, cons):
+    """The returned object stands on its own: multipliers rebuild the target,
+    a separating point evaluates with the right signs."""
+    if isinstance(out, Feasible):
+        assert len(out.coefficients) == len(gens)
+        assert len(out.constraint_coefficients) == len(cons)
+        assert all(c >= 0 for c in out.coefficients)
+        acc: dict = {}
+        pairs = list(zip(out.coefficients, gens)) + list(zip(out.constraint_coefficients, cons))
+        for c, g in pairs:
+            for mask, coef in g.coefs.items():
+                acc[mask] = acc.get(mask, Fraction(0)) + c * coef
+        assert {m: v for m, v in acc.items() if v != 0} == target.coefs
+    else:
+        w = out.farkas_point
+        assert all(isinstance(v, int) for v in w.values)
+        assert all(g.evaluate(w) >= 0 for g in gens)
+        assert all(c.evaluate(w) == 0 for c in cons)
+        assert target.evaluate(w) < 0
+
+
+@st.composite
+def membership_problems(draw):
+    gr = GroundSet(("a", "b", "c")[: draw(st.integers(1, 3))])
+    masks = list(gr.iter_masks())
+
+    def functional():
+        return LinearFunctional(gr, {m: draw(st.integers(-3, 3)) for m in masks})
+
+    gens = [functional() for _ in range(draw(st.integers(0, 6)))]
+    cons = [functional() for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        # plant a member: a nonnegative combination plus any constraint multiple
+        acc: dict = {}
+        for g, w in [(g, draw(st.integers(0, 3))) for g in gens] + [
+            (c, draw(st.integers(-2, 2))) for c in cons
+        ]:
+            for mask, coef in g.coefs.items():
+                acc[mask] = acc.get(mask, Fraction(0)) + w * coef
+        target = LinearFunctional(gr, acc)
+    else:
+        target = functional()
+    return target, gens, cons
+
+
+@settings(max_examples=200, deadline=None)
+@given(membership_problems())
+def test_fast_paths_agree_with_exact_simplex(problem):
+    target, gens, cons = problem
+    fast = cone_membership(target, gens, cons)
+    exact = cone_membership(target, gens, cons, use_fast_paths=False)
+    assert fast.feasible == exact.feasible
+    assert fast.method in ("shortcut", "float-guided", "simplex")
+    assert exact.method in ("shortcut", "simplex")
+    for out in (fast, exact):
+        _assert_replays(out, target, gens, cons)
+
+
+@pytest.mark.parametrize("wrong", ["artificial", "repeated"])
+def test_rejected_float_basis_falls_back_to_simplex(wrong, monkeypatch):
+    # the float guide proposes its starting basis, or a singular one: the
+    # exact re-checks reject either and the Bland simplex decides
+    def propose(A, b):
+        m, n = A.shape
+        return (list(range(n, n + m)) if wrong == "artificial" else [0] * m), 7
+
+    monkeypatch.setattr(certify, "_float_basis", propose)
+    gr = GroundSet(("a", "b"))
+    s_a, s_b = fn(gr, {("a",): 1}), fn(gr, {("b",): 1})
+    cases = [
+        (fn(gr, {("a",): 1, ("b",): 1}), [s_a, s_b]),  # feasible, no shortcut
+        (fn(gr, {("a",): -2, ("b",): 1}), [s_a, fn(gr, {("a",): -1, ("b",): 1})]),
+    ]
+    for target, gens in cases:
+        exact = cone_membership(target, gens, [], use_fast_paths=False)
+        out = cone_membership(target, gens, [])
+        assert out.method == "simplex"
+        assert out.feasible == exact.feasible and out.pivots == exact.pivots
+        _assert_replays(out, target, gens, [])
+    assert [cone_membership(t, g, []).feasible for t, g in cases] == [True, False]
+
+
+def test_float_overflow_falls_back_to_simplex():
+    # 10**400 has no float64 value: the float run cannot start
+    gr = GroundSet(("a", "b"))
+    gens = [fn(gr, {("a",): 10**400}), fn(gr, {("b",): 1})]
+    out = cone_membership(fn(gr, {("a",): 1, ("b",): 1}), gens, [])
+    assert isinstance(out, Feasible) and out.method == "simplex"
+    _assert_replays(out, fn(gr, {("a",): 1, ("b",): 1}), gens, [])
+
+
+def test_shortcuts_pass_the_exact_rechecks(monkeypatch):
+    # the target-equals-a-generator and the inconsistent-zero-row answers go
+    # through the same re-checks as the LP's
+    gr = GroundSet(("a", "b"))
+    s_a = fn(gr, {("a",): 1})
+    checked = []
+    for name in ("verify_certificate", "_check_combination"):
+        real = getattr(certify, name)
+        monkeypatch.setattr(certify, name,
+                            lambda *a, real=real: checked.append(real) or real(*a))
+    zero_row = cone_membership(fn(gr, {("a",): 1, ("b",): 2}), [s_a], [])
+    assert isinstance(zero_row, Infeasible) and zero_row.method == "shortcut"
+    listed = cone_membership(fn(gr, {("a",): 3}), [s_a], [])
+    assert isinstance(listed, Feasible) and listed.method == "shortcut"
+    assert listed.coefficients == (Fraction(3),)
+    assert [f.__name__ for f in checked] == ["verify_certificate", "_check_combination"]
+    three_a = fn(gr, {("a",): 3})
+    assert certify._check_combination(three_a, [s_a], [Fraction(3)], [], [])
+    assert not certify._check_combination(three_a, [s_a], [Fraction(2)], [], [])
+    assert not certify._check_combination(fn(gr, {("a",): -3}), [s_a], [Fraction(-3)], [], [])
+
+
 # ------------------------------------------------------------ problems
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lp_point_and_closed_form_both_certify_independence(n):
+    target, gens, cons, ground, meta = independence_problem(n)
+    out = cone_membership(target, gens, cons)
+    assert isinstance(out, Infeasible) and out.method == "float-guided"
+    for point in (out.farkas_point, make_witness_g(n)):
+        rep = verify_certificate(
+            Certificate(point=point, generators=tuple(gens), constraints=tuple(cons),
+                        target=target)
+        )
+        assert rep.valid, rep.failures[:3]
 
 
 def test_witness_validates_against_independence_problem():

@@ -94,9 +94,27 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["certify", "--builtin", "independence", "--n", "0"],
     ["witness", "--n", "2", "--p-max", "0"],
     ["witness", "--n", "3", "--p-max", "2"],
+    ["certify", "--builtin", "independence", "--n", "2", "--max-generators", "10"],
+    ["certify", "--builtin", "purified-basic", "--max-generators", "0"],
+    ["certify", "--problem", "{float_coef}"],
+    ["certify", "--problem", "{missing_key}"],
+    ["certify", "--problem", "{unknown_label}"],
+    ["certify", "--problem", "{not_a_list}"],
 ])
-def test_usage_errors_exit_two_without_traceback(argv, capsys):
-    assert run(argv) == 2
+def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys):
+    term = {"subset": ["a"], "coef": "1"}
+    problems = {
+        "float_coef": {"ground": ["a"], "target": [{**term, "coef": 1.5}],
+                       "generators": [[term]]},
+        "missing_key": {"ground": ["a"], "target": [term]},
+        "unknown_label": {"ground": ["a"], "target": [{**term, "subset": ["z"]}],
+                          "generators": [[term]]},
+        "not_a_list": {"ground": ["a"], "target": 5, "generators": [[term]]},
+    }
+    for name, obj in problems.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    assert run([a.format(**{k: tmp_path / f"{k}.json" for k in problems})
+                for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
 

@@ -2,6 +2,7 @@
 
 import base64
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -192,6 +193,21 @@ def test_check_theorem_passes_on_samples():
         rep = check_theorem(state, bs)
         assert rep.passed, rep.to_dict()
         assert set(rep.slacks) == {"thm1", "thm1p", "thm2", "thm2p"}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("slacks", {"thm1": -5e-9}),
+    ("constraint_residuals", {"I(A:C|B)": 5e-9, "I(B:C|A)": -5e-9}),
+])
+def test_check_theorem_uses_its_stated_tol(field, value):
+    # 5e-9 sits between the default 1e-8 and the CLI's 1e-9: the verdict
+    # follows the report's tol, for residuals and slacks as for the rest
+    state, bs = constrained_family_sample(1, seed=trial_seed(3, 1))
+    rep = check_theorem(state, bs)
+    assert rep.passed
+    loose = dataclasses.replace(rep, **{field: value})
+    assert loose.tol == 1e-8 and loose.passed
+    assert not dataclasses.replace(loose, tol=1e-9).passed
 
 
 def test_check_theorem_subset_of_theorems():
