@@ -247,20 +247,24 @@ def cmd_sample(args) -> int:
             _die(f"unknown theorem {name!r} (choose from {','.join(THEOREMS)})")
     trials = []
     all_pass = True
-    for t in range(args.trials):
-        seed = trial_seed(args.seed, t)
-        state, bs = constrained_family_sample(
-            args.n, blocks=args.blocks, seed=seed, diagonal=args.diagonal
-        )
-        kw = {"tol": args.tol}
-        if which:
-            kw["which"] = which
-        rep = check_theorem(state, bs, **kw)
-        d = rep.to_dict()
-        d["trial"] = t
-        d["seed"] = list(seed)
-        trials.append(d)
-        all_pass = all_pass and rep.passed
+    kw = {"tol": args.tol}
+    if which:
+        kw["which"] = which
+    try:
+        # the dimension cap (of a state or its register) raises here: a usage error
+        for t in range(args.trials):
+            seed = trial_seed(args.seed, t)
+            state, bs = constrained_family_sample(
+                args.n, blocks=args.blocks, seed=seed, diagonal=args.diagonal
+            )
+            rep = check_theorem(state, bs, **kw)
+            d = rep.to_dict()
+            d["trial"] = t
+            d["seed"] = list(seed)
+            trials.append(d)
+            all_pass = all_pass and rep.passed
+    except ValueError as exc:
+        _die(str(exc))
     obj = {
         "n": args.n,
         "blocks": args.blocks,
@@ -336,6 +340,9 @@ def cmd_certify(args) -> int:
 def cmd_search(args) -> int:
     started = _now()
     _require_at_least(args.trials, "--trials", 1)
+    _require_at_least(args.refine, "--refine", 0)
+    if not args.step > 0:
+        _die("--step must be positive")
     template = args.template
     if args.template_file:
         obj = _load_json(args.template_file)

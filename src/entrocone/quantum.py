@@ -185,45 +185,35 @@ def _trace_one(mat: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:
     return out.reshape(pre * post, pre * post)
 
 
-def _block_eigs(mat: np.ndarray, dims: Sequence[int], pos: int, blocks) -> np.ndarray | None:
-    """Eigenvalues via the block decomposition along party `pos`, or None if
-    the matrix is not numerically block diagonal there."""
-    pre = int(np.prod(dims[:pos])) if pos else 1
-    dk = dims[pos]
-    post = int(np.prod(dims[pos + 1:])) if pos + 1 < len(dims) else 1
-    t = mat.reshape(pre, dk, post, pre, dk, post)
-    off = t.copy()
-    eigs = []
-    for start, size in blocks:
-        sl = slice(start, start + size)
-        sub = t[:, sl, :, :, sl, :].reshape(pre * size * post, pre * size * post)
-        eigs.append(np.linalg.eigvalsh(sub))
-        off[:, sl, :, :, sl, :] = 0
-    if np.max(np.abs(off)) > 1e-12:
-        return None
-    return np.concatenate(eigs)
+def _support_entropy(mat: np.ndarray) -> tuple[float, float]:
+    """Entropy and clipped mass of the Hermitian `mat`, diagonalized on its
+    support.  A row (and, by hermiticity, its column) with no entry above
+    CLIP adds only an eigenvalue the clip drops, so it is removed first and
+    its diagonal counts as clipped mass.  Only rows whose diagonal is at
+    most CLIP are scanned, so a dense matrix goes straight to `eigvalsh`."""
+    diag = mat.diagonal().real
+    if diag.min() > CLIP:
+        return _entropy_from_eigs(np.linalg.eigvalsh(mat))
+    keep = diag > CLIP
+    low = ~keep
+    keep[low] = (np.abs(mat[low]) > CLIP).any(axis=1)
+    s, clipped = _entropy_from_eigs(np.linalg.eigvalsh(mat[np.ix_(keep, keep)]))
+    return s, clipped + float(np.abs(diag[~keep]).sum())
 
 
-def entropy_vector(
-    state: MultipartyState,
-    block_hints: dict | None = None,
-    diagnostics: dict | None = None,
-) -> SetFunction:
+def entropy_vector(state: MultipartyState, diagnostics: dict | None = None) -> SetFunction:
     """Entropies of every nonempty marginal, as a float64 set function.
 
-    `block_hints` maps a party label to its block ranges ((start, size), ...);
-    marginals containing a hinted party are diagonalized blockwise after an
-    explicit check that the off-block mass vanishes.  This changes cost, not
-    values.  When a `diagnostics` dict is supplied, the total eigenvalue mass
-    dropped by clipping is accumulated under "clipped_mass".
+    Each marginal is diagonalized on its support, so the empty index
+    combinations of a block-structured state (the constrained family's
+    mismatched A/B blocks, a measured register's other outcomes) cost nothing.
+    When a `diagnostics` dict is supplied, the total eigenvalue mass dropped
+    by clipping is accumulated under "clipped_mass".
     """
     gr = state.ground()
     m = gr.size
     values = [0.0] * gr.n_subsets
-    hints = []
     clipped_total = 0.0
-    if block_hints:
-        hints = [(state.index(lab), lab, tuple(blocks)) for lab, blocks in block_hints.items()]
 
     level = {gr.full_mask: state.rho}
     for count in range(m, 0, -1):
@@ -231,15 +221,7 @@ def entropy_vector(
         for mask, mat in level.items():
             idxs = [i for i in range(m) if mask >> i & 1]
             dims = [state.dims[i] for i in idxs]
-            w = None
-            for pidx, _, blocks in hints:
-                if mask >> pidx & 1:
-                    w = _block_eigs(mat, dims, idxs.index(pidx), blocks)
-                    if w is not None:
-                        break
-            if w is None:
-                w = np.linalg.eigvalsh(mat)
-            values[mask], clipped = _entropy_from_eigs(w)
+            values[mask], clipped = _support_entropy(mat)
             clipped_total += clipped
             if count > 1:
                 for pos, i in enumerate(idxs):
@@ -806,8 +788,7 @@ def check_theorem(
 
     gr = GroundSet(labels)
     diag: dict = {}
-    hints = {bs.party: bs.blocks}
-    h_rho = entropy_vector(state, block_hints=hints, diagnostics=diag)
+    h_rho = entropy_vector(state, diagnostics=diag)
 
     binding = {"A": "A", "B": "B", "C": "C"}
     binding.update({f"X{i}": f"X{i}" for i in range(1, n + 1)})
@@ -823,8 +804,7 @@ def check_theorem(
         slacks[name] = float(instantiate(t, gr, binding).functional.evaluate(h_rho))
 
     sigma = measure_and_register(state, bs, "R")
-    sig_hints = {"R": tuple((k, 1) for k in range(bs.n_blocks)), bs.party: bs.blocks}
-    h_sigma = entropy_vector(sigma, block_hints=sig_hints, diagnostics=diag)
+    h_sigma = entropy_vector(sigma, diagnostics=diag)
     sgr = h_sigma.ground
 
     def S(labels_):

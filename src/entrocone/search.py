@@ -32,9 +32,11 @@ from .quantum import (
     StateFamily,
     _rng,
     entropy_vector,
+    partial_trace,
     trial_seed,
+    von_neumann_entropy,
 )
-from .setfn import GroundSet
+from .setfn import GroundSet, SetFunction
 
 FAMILIES = ("haar-mixed", "diagonal", "constrained", "constrained-diagonal", "lw05")
 
@@ -126,8 +128,8 @@ def _instances_for(
 
 
 def _setup(cfg: SearchConfig):
-    """Template, family, instances, their compiled evaluation `values` and
-    the entropy block hints of a scan or walk.
+    """Template, family, instances and their compiled evaluation `values`
+    of a scan or walk.
 
     `values(h)` gives every instance's value and constraint values on the
     entropy vector h, as one float64 matrix product.
@@ -137,9 +139,6 @@ def _setup(cfg: SearchConfig):
     instances = _instances_for(template, GroundSet(family.labels), cfg)
     if not instances:
         raise ValueError("no instances to evaluate")
-    hints = None
-    if isinstance(family, ConstrainedFamily):
-        hints = {family.structure.party: family.structure.blocks}
     compiled = CompiledTemplate(template)
     masks = slot_mask_matrix(instances, len(template.slots))
 
@@ -147,13 +146,17 @@ def _setup(cfg: SearchConfig):
         v = compiled.bind(h).evaluate(masks)
         return v[:, 0], v[:, 1:]
 
-    return template, family, instances, values, hints
+    return template, family, instances, values
 
 
 def _replay(family: StateFamily, params, inst: Instance, tol: float) -> dict | None:
-    """Rebuild the state from `params` on the dense, unhinted path and
-    re-evaluate `inst`; the violation record if it still holds, else None."""
-    h = entropy_vector(family.build(params))
+    """Rebuild the state from `params` and re-evaluate `inst` on entropies
+    taken apart from the scan's `entropy_vector` (a dense eigvalsh of each
+    subset's `partial_trace`); the violation record if it holds, else None."""
+    state = family.build(params)
+    gr = GroundSet(state.labels)
+    h = SetFunction(gr, {m: von_neumann_entropy(partial_trace(state, gr.labels_of(m)))
+                         for m in gr.iter_masks()})
     val = inst.functional.evaluate(h)
     resid = max((abs(c.evaluate(h)) for c in inst.constraints), default=0.0)
     if val < -tol and resid <= tol:
@@ -204,7 +207,7 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
     within tolerance); any violation is recomputed from its seed before being
     reported.
     """
-    template, family, instances, values, hints = _setup(cfg)
+    template, family, instances, values = _setup(cfg)
     min_slack = None
     argmin = None
     histogram: Counter = Counter()  # millibit floors of the admissible slacks
@@ -217,7 +220,7 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
     for t in range(cfg.trials):
         seed = trial_seed(cfg.seed, t)
         state = family.build(family.draw(_rng(seed)))
-        vals, cons = values(entropy_vector(state, block_hints=hints))
+        vals, cons = values(entropy_vector(state))
         resid = np.abs(cons).max(axis=1, initial=0.0)
         adm = np.flatnonzero(~(resid > cfg.tol))
         n_eval += len(vals)
@@ -314,13 +317,13 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
     constraint residuals).  One random coordinate moves per step; the step
     size halves on failure and the walk stops below 1e-8.
     """
-    template, family, instances, values, hints = _setup(cfg)
+    template, family, instances, values = _setup(cfg)
     if start_seed is None:
         start_seed = trial_seed(cfg.seed, 0)
     start_seed = tuple(start_seed) if isinstance(start_seed, (tuple, list)) else (start_seed,)
 
     def objective(params):
-        vals, cons = values(entropy_vector(family.build(params), block_hints=hints))
+        vals, cons = values(entropy_vector(family.build(params)))
         objs = vals + cfg.penalty * (cons * cons).sum(axis=1)
         i = int(np.argmin(objs))
         resid = float(np.abs(cons[i]).max(initial=0.0))

@@ -100,8 +100,18 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["certify", "--problem", "{missing_key}"],
     ["certify", "--problem", "{unknown_label}"],
     ["certify", "--problem", "{not_a_list}"],
+    ["sample", "--n", "6", "--trials", "1"],
+    ["env:ENTROPIC_MAX_DIM=abc", "sample", "--n", "1"],
+    ["env:ENTROPIC_MAX_DIM=48", "sample", "--n", "1", "--trials", "1"],
+    ["search", "--template", "ssa", "--trials", "2", "--refine", "5", "--step", "0"],
+    ["search", "--template", "ssa", "--trials", "2", "--refine", "5", "--step", "-0.1"],
+    ["search", "--template", "ssa", "--trials", "2", "--refine", "-1"],
 ])
-def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys):
+def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeypatch):
+    """A leading "env:NAME=value" entry sets that environment variable."""
+    while argv[0].startswith("env:"):
+        monkeypatch.setenv(*argv[0][4:].split("=", 1))
+        argv = argv[1:]
     term = {"subset": ["a"], "coef": "1"}
     problems = {
         "float_coef": {"ground": ["a"], "target": [{**term, "coef": 1.5}],

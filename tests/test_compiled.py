@@ -229,11 +229,11 @@ def test_compiled_witness_scan_sees_a_mutated_subset(monkeypatch):
 ], ids=["ssa-222", "ssa-5-qubits", "c_2-constrained"])
 def test_scan_records_match_reference_loop(cfg):
     rep = search.random_scan(cfg)
-    _, family, instances, _, hints = search._setup(cfg)
+    _, family, instances, _ = search._setup(cfg)
     n_eval = n_adm = 0
     for rec in rep.trial_records:
         seed = trial_seed(cfg.seed, rec["trial"])
-        h = entropy_vector(family.build(family.draw(_rng(seed))), block_hints=hints)
+        h = entropy_vector(family.build(family.draw(_rng(seed))))
         evals, adm, best, best_inst = reference_trial(instances, h, cfg.tol)
         n_eval, n_adm = n_eval + evals, n_adm + adm
         assert _close(rec["min_slack"], best)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from entrocone import search
+from entrocone.setfn import SetFunction
 from entrocone.search import (
     ConstrainedFamily,
     DiagonalFamily,
@@ -41,6 +43,23 @@ def test_scan_finds_planted_violation_quickly():
     first = rep.violations[0]
     assert first["value"] < -1e-9
     assert first["trial"] < 100
+
+
+def test_replay_does_not_trust_the_scan_entropies(monkeypatch):
+    """A scan whose entropy vectors are wrong (negated, so every ssa slack
+    looks negative) must not get a violation past the replay."""
+    scan_entropy = search.entropy_vector
+
+    def negated(state):
+        h = scan_entropy(state)
+        return SetFunction(h.ground, [-v for v in h.values], domain=h.domain)
+
+    monkeypatch.setattr(search, "entropy_vector", negated)
+    cfg = SearchConfig(template="ssa", family="haar-mixed", labels=("A", "B", "C"),
+                       dims=(2, 2, 2), trials=5, seed=4)
+    rep = random_scan(cfg)
+    assert rep.n_replayed > 0
+    assert rep.violations == []
 
 
 def test_scan_histogram_buckets_are_millibit_floors():
