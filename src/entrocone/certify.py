@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .setfn import GroundSet, SetFunction, FLOAT64
 from .inequalities import (
     LinearFunctional,
     builtin,
+    cleared_values,
     eliminate_party_pure,
     enumerate_instances,
     instantiate,
@@ -68,15 +69,18 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
     f = cert.point
     if f.domain == FLOAT64:
         raise ValueError("certificate point must be exact (integer or rational)")
+    if any(item.ground != f.ground for item in (*cert.generators, *cert.constraints)):
+        raise ValueError("ground sets do not match")
+    # dot products with f cleared to integers: the values times a positive
+    # integer, so the same signs, in integer arithmetic
+    table, _ = cleared_values(f)
     failures = []
     for idx, gen in enumerate(cert.generators):
-        v = gen.evaluate(f)
-        if v < 0:
-            failures.append({"kind": "generator", "index": idx, "value": v})
+        if gen.dot(table) < 0:
+            failures.append({"kind": "generator", "index": idx, "value": gen.evaluate(f)})
     for idx, con in enumerate(cert.constraints):
-        v = con.evaluate(f)
-        if v != 0:
-            failures.append({"kind": "constraint", "index": idx, "value": v})
+        if con.dot(table) != 0:
+            failures.append({"kind": "constraint", "index": idx, "value": con.evaluate(f)})
     tval = cert.target.evaluate(f)
     if tval >= 0:
         failures.append({"kind": "target", "index": 0, "value": tval})
@@ -129,19 +133,25 @@ class Infeasible:
         }
 
 
+_to_fractions = np.frompyfunc(Fraction, 1, 1)
+
+
 class _Simplex:
     """Phase-1 simplex with Bland's rule on one dense tableau.
 
-    The dtype of `A` picks the arithmetic.  An object array of Fractions with
-    tol 0 is exact and never cycles.  A float64 array runs the same rule with
-    entries within `tol` of zero taken as zero; its answer is only a proposal.
-    Rows are scaled to b >= 0 and start on the artificial basis; the phase-1
-    objective is the sum of the artificials.
+    The dtype of `A` picks the arithmetic.  Integers (int64 or Python ints)
+    are lifted to Fractions, so with tol 0 the run is exact and never cycles;
+    Python ints would divide to floats.  A float64 array runs the same rule
+    with entries within `tol` of zero taken as zero; its answer is only a
+    proposal.  Rows are scaled to b >= 0 and start on the artificial basis;
+    the phase-1 objective is the sum of the artificials.
     """
 
     def __init__(self, A: np.ndarray, rhs: np.ndarray, tol: float = 0):
         m, n = A.shape
-        zero, one = (Fraction(0), Fraction(1)) if A.dtype == object else (0.0, 1.0)
+        if A.dtype != np.float64:
+            A, rhs = _to_fractions(A), _to_fractions(rhs)
+        zero, one = (0.0, 1.0) if A.dtype == np.float64 else (Fraction(0), Fraction(1))
         self.nrows, self.ncols, self.tol = m, n, tol
         self.row_sign = np.where(rhs < 0, -1, 1)
         self.T = np.full((m, n + m), zero, dtype=A.dtype)
@@ -208,7 +218,7 @@ class _Simplex:
         self.pivots += 1
 
     def solution(self) -> list:
-        x = [Fraction(0)] * self.ncols
+        x = [0] * self.ncols
         for i, var in enumerate(self.basis):
             if var < self.ncols:
                 x[var] = self.b[i]
@@ -249,16 +259,10 @@ def _feasible(target, generators, constraints, lams, mus, method, pivots):
 def _infeasible(target, generators, constraints, values, method, pivots):
     """Infeasible, once the separating point (values on the nonempty subsets,
     cleared to coprime integers) passes verify_certificate; else None."""
-    denom_lcm = 1
-    for v in values:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
+    denom_lcm = lcm(*(v.denominator for v in values))
     ints = [int(v * denom_lcm) for v in values]
-    content = 0
-    for v in ints:
-        content = gcd(content, abs(v))
-    if content > 1:
-        ints = [v // content for v in ints]
-    point = SetFunction(target.ground, [0] + ints)
+    content = gcd(*ints) or 1  # 0 only when every value is 0
+    point = SetFunction(target.ground, [0] + [v // content for v in ints])
     report = verify_certificate(
         Certificate(point, tuple(generators), tuple(constraints), target)
     )
@@ -313,55 +317,58 @@ def cone_membership(
             rep = reps[seen[key]]
             # target = t, rep = r with t = s*r for the common primitive ray;
             # the scale is the ratio of any matching coefficients
-            mask0, c0 = next(iter(target.coefs.items()))
-            lams = [Fraction(0)] * len(generators)
-            lams[rep_index[seen[key]]] = c0 / rep.coefs[mask0]
-            mus = [Fraction(0)] * len(constraints)
-            result = _feasible(*problem, lams, mus, "shortcut", 0)
+            mask0, t0 = next(iter(target.nums.items()))
+            lams = [0] * len(generators)
+            lams[rep_index[seen[key]]] = Fraction(t0 * rep.den, target.den * rep.nums[mask0])
+            result = _feasible(*problem, lams, [0] * len(constraints), "shortcut", 0)
             if result is not None:
                 return result
 
-    # LP columns: one per ray, a +/- pair per constraint (a free multiplier)
+    # LP columns: one per ray, a +/- pair per constraint (a free multiplier),
+    # each the item's numerators, so column j is scales[j] times its item;
+    # the right-hand side is the target's numerators, target.den times it
     dim = ground.n_subsets - 1
-    columns = [g.coefs for g in reps]
+    columns = [g.nums for g in reps]
+    scales = [g.den for g in reps]
     for con in nz_constraints:
-        columns += [con.coefs, {m: -c for m, c in con.coefs.items()}]
-    A = np.full((dim, len(columns)), Fraction(0), dtype=object)
-    for j, coefs in enumerate(columns):
-        for mask, c in coefs.items():
+        columns += [con.nums, {m: -c for m, c in con.nums.items()}]
+        scales += [con.den, con.den]
+    fits = all(abs(c) < 2**63 for nums in [target.nums, *columns] for c in nums.values())
+    A = np.zeros((dim, len(columns)), dtype=np.int64 if fits else object)
+    for j, nums in enumerate(columns):
+        for mask, c in nums.items():
             A[mask - 1, j] = c
-    rhs = np.full(dim, Fraction(0), dtype=object)
-    for mask, c in target.coefs.items():
+    rhs = np.zeros(dim, dtype=A.dtype)
+    for mask, c in target.nums.items():
         rhs[mask - 1] = c
 
     # drop identically-zero rows; an inconsistent zero row separates trivially
-    keep_rows = []
-    for i in range(dim):
-        if any(A[i]):
-            keep_rows.append(i)
-        elif rhs[i]:
-            values = [Fraction(0)] * dim
-            values[i] = Fraction(1 if rhs[i] < 0 else -1)
-            result = _infeasible(*problem, values, "shortcut", 0)
-            if result is None:
-                raise RuntimeError("internal error: zero-row separating point fails re-check")
-            return result
+    live = (A != 0).any(axis=1)
+    inconsistent = np.flatnonzero(~live & (rhs != 0))
+    if len(inconsistent):
+        values = [0] * dim
+        values[inconsistent[0]] = 1 if rhs[inconsistent[0]] < 0 else -1
+        result = _infeasible(*problem, values, "shortcut", 0)
+        if result is None:
+            raise RuntimeError("internal error: zero-row separating point fails re-check")
+        return result
+    keep_rows = np.flatnonzero(live)
     A, b = A[keep_rows], rhs[keep_rows]
 
     def claim(sx: _Simplex, lp_columns, method: str, pivots: int):
         """The re-checked result an exact tableau over `lp_columns` supports,
         or None."""
         if sx.objective == 0 and all(v >= 0 for v in sx.b):
-            x = [Fraction(0)] * len(columns)
+            x = [0] * len(columns)
             for j, v in zip(lp_columns, sx.solution()):
-                x[j] = v
-            lams = [Fraction(0)] * len(generators)
+                x[j] = Fraction(v * scales[j], target.den)
+            lams = [0] * len(generators)
             for ridx, val in zip(rep_index, x):
                 lams[ridx] = val
             diffs = iter(x[pos] - x[pos + 1] for pos in range(len(reps), len(x), 2))
-            mus = [Fraction(0) if c.is_zero() else next(diffs) for c in constraints]
+            mus = [0 if c.is_zero() else next(diffs) for c in constraints]
             return _feasible(*problem, lams, mus, method, pivots)
-        values = [Fraction(0)] * dim
+        values = [0] * dim
         for row, y in zip(keep_rows, sx.dual_prices()):
             values[row] = -y
         return _infeasible(*problem, values, method, pivots)
@@ -389,19 +396,19 @@ def cone_membership(
 def _check_combination(target, generators, lams, constraints, mus) -> bool:
     """True when the generator multipliers are >= 0 and the combination
     equals the target exactly."""
-    acc: dict[int, Fraction] = {}
-    for lam, gen in zip(lams, generators):
-        if lam < 0:
-            return False
-        if lam:
-            for m, c in gen.coefs.items():
-                acc[m] = acc.get(m, Fraction(0)) + lam * c
-    for mu, con in zip(mus, constraints):
-        if mu:
-            for m, c in con.coefs.items():
-                acc[m] = acc.get(m, Fraction(0)) + mu * c
-    acc = {m: c for m, c in acc.items() if c}
-    return acc == dict(target.coefs)
+    if any(lam < 0 for lam in lams):
+        return False
+    # weight of each item's numerators, and one integer scale clearing them all
+    terms = [(Fraction(w) / item.den, item)
+             for w, item in zip([*lams, *mus], [*generators, *constraints]) if w]
+    scale = lcm(target.den, *(w.denominator for w, _ in terms))
+    acc: dict[int, int] = {}
+    for w, item in terms:
+        k = int(w * scale)
+        for m, c in item.nums.items():
+            acc[m] = acc.get(m, 0) + k * c
+    want = scale // target.den
+    return {m: c for m, c in acc.items() if c} == {m: c * want for m, c in target.nums.items()}
 
 
 # --- problem builders ---
@@ -440,29 +447,15 @@ def independence_problem(n: int, p_max: int | None = None):
         ground,
         {**binding, **{f"X{i}": f"x{i}" for i in range(1, n + 1)}},
     )
-    target = target_inst.functional
-    constraints = target_inst.constraints
-
-    generators = []
-    labels = []
-    for inst in basic_generator_instances(ground):
-        generators.append(inst.functional)
-        labels.append(inst.describe())
+    target, constraints = target_inst.functional, target_inst.constraints
+    generators = [inst.functional for inst in basic_generator_instances(ground)]
     for p in range(1, p_max + 1):
         if p == n:
             continue
         for inst in enumerate_instances(builtin("c_n", p), ground, fixed=binding):
-            if inst.functional.is_zero():
-                continue
-            generators.append(inst.functional)
-            labels.append(inst.describe())
-    meta = {
-        "n": n,
-        "p_max": p_max,
-        "n_generators": len(generators),
-        "labels": labels,
-        "expect": "infeasible",
-    }
+            if not inst.functional.is_zero():
+                generators.append(inst.functional)
+    meta = {"n": n, "p_max": p_max, "n_generators": len(generators), "expect": "infeasible"}
     return target, generators, list(constraints), ground, meta
 
 
@@ -476,22 +469,16 @@ def purified_basic_problem():
     big = GroundSet(("A", "B", "C", "D"))
     small = GroundSet(("A", "B", "C"))
     generators = []
-    labels = []
     seen = set()
     for inst in enumerate_instances(builtin("ssa"), big):
         reduced = eliminate_party_pure(inst.functional, "D")
-        if reduced.is_zero():
-            continue
-        key = tuple(sorted(reduced.coefs.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        generators.append(reduced)
-        labels.append(inst.describe() + " | pure")
+        if not reduced.is_zero() and reduced not in seen:
+            seen.add(reduced)
+            generators.append(reduced)
     target = instantiate(
         builtin("wmo"), small, {"A": "A", "B": "B", "C": "C"}
     ).functional
-    meta = {"n_generators": len(generators), "labels": labels, "expect": "feasible"}
+    meta = {"n_generators": len(generators), "expect": "feasible"}
     return target, generators, [], small, meta
 
 
@@ -508,7 +495,7 @@ def functional_to_obj(functional: LinearFunctional) -> list:
 def functional_from_obj(entries, ground: GroundSet) -> LinearFunctional:
     if not isinstance(entries, list):
         raise ValueError("a functional is a list of terms")
-    coefs: dict[int, Fraction] = {}
+    coefs: dict[int, object] = {}
     for ent in entries:
         if not isinstance(ent, dict) or "subset" not in ent or "coef" not in ent:
             raise ValueError("each term needs 'subset' and 'coef'")
@@ -520,7 +507,7 @@ def functional_from_obj(entries, ground: GroundSet) -> LinearFunctional:
         coef = ent["coef"]
         if not isinstance(coef, (int, str)):
             raise ValueError("coefficients must be exact: use integers or 'p/q' strings")
-        coefs[mask] = coefs.get(mask, Fraction(0)) + Fraction(coef)
+        coefs[mask] = coefs.get(mask, 0) + Fraction(coef)
     return LinearFunctional(ground, coefs)
 
 

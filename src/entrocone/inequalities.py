@@ -3,7 +3,7 @@
 A template states an inequality (and optional equality constraints) over
 abstract slots; instantiating it assigns pairwise-disjoint subsets of a
 concrete ground set to the slots and collects terms.  Coefficients are exact
-rationals throughout.
+rationals throughout, held as integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -29,85 +29,126 @@ from .setfn import (
 )
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise ValueError("coefficients must be exact (int, Fraction, or 'p/q' string)")
-    return Fraction(x)
+def _exact(c):
+    """An exact coefficient: an int as it is, a Fraction or 'p/q' string as a
+    Fraction; floats and anything else are refused."""
+    if isinstance(c, int):
+        return c
+    if not isinstance(c, float):
+        try:
+            return Fraction(c)
+        except TypeError:
+            pass
+    raise ValueError(f"coefficient {c!r} is not exact (int, Fraction, or 'p/q' string)")
+
+
+def _lowest(nums: Mapping[int, int], den: int) -> tuple[dict[int, int], int]:
+    """Integer numerators over a positive denominator in lowest terms, with
+    zeros dropped and masks sorted."""
+    g = gcd(den, *nums.values()) if den != 1 else 1
+    return {m: v // g for m, v in sorted(nums.items()) if v}, den // g
+
+
+def _cleared(terms: Iterable[tuple[int, object]]) -> tuple[dict[int, int], int]:
+    """Exact (mask, coefficient) terms, summed per mask, as integer numerators
+    over one positive denominator in lowest terms."""
+    acc: dict[int, object] = {}
+    for mask, c in terms:
+        acc[mask] = acc.get(mask, 0) + _exact(c)
+    den = lcm(*(c.denominator for c in acc.values()))
+    return _lowest({m: int(c * den) for m, c in acc.items()}, den)
+
+
+def _fractions(nums: Mapping[int, int], den: int) -> dict[int, Fraction]:
+    return {m: Fraction(v, den) for m, v in nums.items()}
+
+
+def cleared_values(f: SetFunction) -> tuple[list[int], int]:
+    """An exact set function's values as integers times one positive scale."""
+    den = lcm(*(v.denominator for v in f.values))
+    return [int(v * den) for v in f.values], den
 
 
 class LinearFunctional:
-    """Exact rational combination sum_a coef(a) * f(a) over nonempty subsets."""
+    """Exact rational combination sum_a coef(a) * f(a) over nonempty subsets.
 
-    __slots__ = ("ground", "coefs")
+    Stored as integer numerators `nums` (mask -> int, masks ascending) over
+    one positive denominator `den`, in lowest terms.  `coefs` gives the
+    coefficients as Fractions.
+    """
+
+    __slots__ = ("ground", "nums", "den")
 
     def __init__(self, ground: GroundSet, coefs: Mapping[Subset, object]):
-        table: dict[int, Fraction] = {}
-        for key, c in coefs.items():
-            mask = ground.mask_of(key)
-            if mask == 0:
-                raise ValueError("the empty set carries no coefficient")
-            c = _as_fraction(c)
-            if c:
-                table[mask] = table.get(mask, Fraction(0)) + c
+        masks = [ground.mask_of(key) for key in coefs]
+        if 0 in masks:
+            raise ValueError("the empty set carries no coefficient")
         self.ground = ground
-        self.coefs = {m: c for m, c in sorted(table.items()) if c}
+        self.nums, self.den = _cleared(zip(masks, coefs.values()))
+
+    @classmethod
+    def _from_ints(cls, ground: GroundSet, nums: Mapping[int, int], den: int = 1):
+        """sum_m nums[m] / den * f(m), for nonempty masks m and den > 0."""
+        self = cls.__new__(cls)
+        self.ground = ground
+        self.nums, self.den = _lowest(nums, den)
+        return self
+
+    @property
+    def coefs(self) -> dict[int, Fraction]:
+        return _fractions(self.nums, self.den)
+
+    def dot(self, table: Sequence) -> object:
+        """sum_m nums[m] * table[m]: the value on `table` times `den`."""
+        return sum(c * table[m] for m, c in self.nums.items())
 
     def evaluate(self, f: SetFunction):
         """Value on a set function; exact inputs give exact (int/Fraction) output."""
         if f.ground != self.ground:
             raise ValueError("ground sets do not match")
         if f.domain == FLOAT64:
-            return float(sum(float(c) * f.values[m] for m, c in self.coefs.items()))
-        return _canon_exact(sum(c * f.values[m] for m, c in self.coefs.items()))
-
-    def coefficient(self, subset: Subset) -> Fraction:
-        return self.coefs.get(self.ground.mask_of(subset), Fraction(0))
+            return float(sum(c / self.den * f.values[m] for m, c in self.nums.items()))
+        s = self.dot(f.values)
+        return _canon_exact(Fraction(s, self.den) if self.den != 1 else s)
 
     def party_sums(self) -> dict[str, Fraction]:
-        sums = {lab: Fraction(0) for lab in self.ground.labels}
-        for mask, c in self.coefs.items():
-            for lab in self.ground.labels_of(mask):
-                sums[lab] += c
-        return sums
+        return {lab: Fraction(sum(c for m, c in self.nums.items() if m >> i & 1), self.den)
+                for i, lab in enumerate(self.ground.labels)}
 
     def is_balanced(self) -> bool:
         return all(s == 0 for s in self.party_sums().values())
 
     def is_zero(self) -> bool:
-        return not self.coefs
+        return not self.nums
 
     def scale(self, k) -> "LinearFunctional":
-        k = _as_fraction(k)
-        return LinearFunctional(self.ground, {m: c * k for m, c in self.coefs.items()})
+        k = _exact(k)
+        return LinearFunctional._from_ints(
+            self.ground, {m: c * k.numerator for m, c in self.nums.items()},
+            self.den * k.denominator,
+        )
 
     def primitive_key(self) -> tuple:
-        """Integer-cleared, content-1 coefficient vector; identifies the ray."""
-        if not self.coefs:
-            return ()
-        denom_lcm = 1
-        for c in self.coefs.values():
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = {m: int(c * denom_lcm) for m, c in self.coefs.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, abs(v))
-        return tuple((m, v // g) for m, v in sorted(ints.items()))
+        """The numerators divided by their content; identifies the ray."""
+        g = gcd(*self.nums.values())
+        return tuple((m, v // g) for m, v in self.nums.items())
 
     def __eq__(self, other):
         return (
             isinstance(other, LinearFunctional)
             and self.ground == other.ground
-            and self.coefs == other.coefs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.ground, tuple(sorted(self.coefs.items()))))
+        return hash((self.ground, self.den, tuple(self.nums.items())))
 
     def __repr__(self):
         return f"LinearFunctional({self.describe()})"
 
     def describe(self) -> str:
-        if not self.coefs:
+        if not self.nums:
             return "0"
         parts = []
         for mask, c in self.coefs.items():
@@ -121,10 +162,9 @@ class LinearFunctional:
 # --- templates ---
 
 
-def _add_terms(dst: dict, src: Mapping[int, Fraction], scale=1):
-    scale = Fraction(scale)
+def _add_terms(dst: dict, src: Mapping[int, int], scale: int = 1):
     for mask, c in src.items():
-        new = dst.get(mask, Fraction(0)) + c * scale
+        new = dst.get(mask, 0) + c * scale
         if new:
             dst[mask] = new
         else:
@@ -132,11 +172,11 @@ def _add_terms(dst: dict, src: Mapping[int, Fraction], scale=1):
     return dst
 
 
-def _cmi_terms(a: int, b: int, g: int = 0) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
+def _cmi_terms(a: int, b: int, g: int = 0) -> dict[int, int]:
+    out: dict[int, int] = {}
     for mask, s in ((a | g, 1), (b | g, 1), (g, -1), (a | b | g, -1)):
         if mask:
-            _add_terms(out, {mask: Fraction(s)})
+            _add_terms(out, {mask: s})
     return out
 
 
@@ -145,11 +185,13 @@ class InequalityTemplate:
 
     `terms` maps slot-subset masks (bits in slot order) to coefficients; the
     statement is sum >= 0 subject to each constraint form evaluating to 0.
+    `forms` holds the functional, then each constraint, as integer numerators
+    by slot mask over one positive denominator.
     `symmetries` lists groups of interchangeable slots (used to deduplicate
     enumeration) and `empty_ok` the slots allowed to be empty by default.
     """
 
-    __slots__ = ("name", "slots", "terms", "constraints", "symmetries", "empty_ok")
+    __slots__ = ("name", "slots", "forms", "symmetries", "empty_ok")
 
     def __init__(
         self,
@@ -164,9 +206,11 @@ class InequalityTemplate:
         self.slots = tuple(slots)
         if len(set(self.slots)) != len(self.slots):
             raise ValueError("slot names must be distinct")
-        full = (1 << len(self.slots)) - 1
-        self.terms = self._clean(terms, full)
-        self.constraints = tuple(self._clean(c, full) for c in constraints)
+        forms = (terms, *constraints)
+        for mask in (m for form in forms for m in form):
+            if not 1 <= mask < 1 << len(self.slots):
+                raise ValueError(f"slot mask {mask} out of range")
+        self.forms = tuple(_cleared(form.items()) for form in forms)
         self.symmetries = tuple(tuple(g) for g in symmetries)
         for group in self.symmetries:
             for s in group:
@@ -177,26 +221,16 @@ class InequalityTemplate:
             if s not in self.slots:
                 raise ValueError(f"empty_ok names unknown slot {s!r}")
 
-    @staticmethod
-    def _clean(terms, full) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for mask, c in terms.items():
-            if not 1 <= mask <= full:
-                raise ValueError(f"slot mask {mask} out of range")
-            c = _as_fraction(c)
-            if c:
-                out[mask] = out.get(mask, Fraction(0)) + c
-        return {m: c for m, c in sorted(out.items()) if c}
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        return _fractions(*self.forms[0])
+
+    @property
+    def constraints(self) -> tuple[dict[int, Fraction], ...]:
+        return tuple(_fractions(*form) for form in self.forms[1:])
 
     def slot_names(self, mask: int) -> tuple[str, ...]:
         return tuple(s for i, s in enumerate(self.slots) if mask >> i & 1)
-
-    def party_sums(self) -> dict[str, Fraction]:
-        sums = {s: Fraction(0) for s in self.slots}
-        for mask, c in self.terms.items():
-            for s in self.slot_names(mask):
-                sums[s] += c
-        return sums
 
     def is_balanced(self) -> bool:
         """True when every slot's coefficients sum to zero.
@@ -204,21 +238,22 @@ class InequalityTemplate:
         Any instance of a balanced template is balanced as a functional, since
         each assigned party sits in exactly one slot's subset.
         """
-        return all(v == 0 for v in self.party_sums().values())
+        nums = self.forms[0][0]
+        return all(sum(c for m, c in nums.items() if m >> i & 1) == 0
+                   for i in range(len(self.slots)))
 
     def __eq__(self, other):
         return (
             isinstance(other, InequalityTemplate)
             and self.name == other.name
             and self.slots == other.slots
-            and self.terms == other.terms
-            and self.constraints == other.constraints
+            and self.forms == other.forms
             and self.symmetries == other.symmetries
             and self.empty_ok == other.empty_ok
         )
 
     def __hash__(self):
-        return hash((self.name, self.slots, tuple(sorted(self.terms.items()))))
+        return hash((self.name, self.slots, tuple(self.forms[0][0].items())))
 
     def __repr__(self):
         return f"InequalityTemplate({self.name!r}, slots={self.slots})"
@@ -242,22 +277,25 @@ class Instance:
 
     @cached_property
     def functional(self) -> LinearFunctional:
-        return self._realize(self.template.terms)
+        return self._realize(self.template.forms[0])
 
     @cached_property
     def constraints(self) -> tuple[LinearFunctional, ...]:
-        return tuple(self._realize(c) for c in self.template.constraints)
+        return tuple(self._realize(form) for form in self.template.forms[1:])
 
-    def _realize(self, terms: Mapping[int, Fraction]) -> LinearFunctional:
-        out: dict[int, Fraction] = {}
-        for smask, c in terms.items():
+    def _realize(self, form: tuple[dict[int, int], int]) -> LinearFunctional:
+        nums, den = form
+        masks = self.slot_masks
+        out: dict[int, int] = {}
+        for smask, c in nums.items():
             pmask = 0
-            for i, m in enumerate(self.slot_masks):
-                if smask >> i & 1:
-                    pmask |= m
+            while smask:  # one step per slot the term names
+                low = smask & -smask
+                pmask |= masks[low.bit_length() - 1]
+                smask ^= low
             if pmask:
-                out[pmask] = out.get(pmask, Fraction(0)) + c
-        return LinearFunctional(self.ground, out)
+                out[pmask] = out.get(pmask, 0) + c
+        return LinearFunctional._from_ints(self.ground, out, den)
 
     def describe(self) -> str:
         binds = " ".join(
@@ -369,19 +407,16 @@ class CompiledTemplate:
     """
 
     def __init__(self, template: InequalityTemplate):
-        forms = (template.terms,) + template.constraints
-        terms = sorted(set().union(*forms))
+        forms = template.forms
+        terms = sorted(set().union(*(nums for nums, _ in forms)))
         self.incidence = np.array(
             [[t >> i & 1 for t in terms] for i in range(len(template.slots))],
             dtype=np.int64,
         ).reshape(len(template.slots), len(terms))
-        self.denominators = [lcm(*(c.denominator for c in form.values())) for form in forms]
-        self.ints = [
-            [int(form.get(t, 0) * d) for form, d in zip(forms, self.denominators)]
-            for t in terms
-        ]
+        self.denominators = [den for _, den in forms]
+        self.ints = [[nums.get(t, 0) for nums, _ in forms] for t in terms]
         self.floats = np.array(
-            [[float(form.get(t, 0)) for form in forms] for t in terms], dtype=np.float64
+            [[nums.get(t, 0) / den for nums, den in forms] for t in terms], dtype=np.float64
         ).reshape(len(terms), len(forms))
         # the largest sum |c| of a cleared column: bounds |value| / max |f|
         self.abs_sum = max(sum(abs(row[j]) for row in self.ints) for j in range(len(forms)))
@@ -407,8 +442,7 @@ class BoundTemplate:
             self.coefs = compiled.floats
             self.scales = None
             return
-        den = lcm(*(v.denominator for v in f.values))
-        table = [int(v * den) for v in f.values]
+        table, den = cleared_values(f)
         fits = max(map(abs, table)) * max(compiled.abs_sum, 1) < 2**63
         dtype = np.int64 if fits else object
         self.table = np.array(table, dtype=dtype)
@@ -545,69 +579,51 @@ def eliminate_party_pure(
     """
     gr = functional.ground
     bit = 1 << gr.index(label)
-    new_labels = tuple(lab for lab in gr.labels if lab != label)
-    new_ground = GroundSet(new_labels)
-
-    def remap(mask: int) -> int:
-        out = 0
-        j = 0
-        for i, lab in enumerate(gr.labels):
-            if lab == label:
-                continue
-            if mask >> i & 1:
-                out |= 1 << j
-            j += 1
-        return out
-
-    out: dict[int, Fraction] = {}
-    for mask, c in functional.coefs.items():
+    new_ground = GroundSet(tuple(lab for lab in gr.labels if lab != label))
+    out: dict[int, int] = {}
+    for mask, c in functional.nums.items():
         if mask & bit:
             mask = gr.complement(mask)
             if mask == 0:
                 continue
-        nm = remap(mask)
-        out[nm] = out.get(nm, Fraction(0)) + c
-    return LinearFunctional(new_ground, out)
+        nm = new_ground.mask_of(gr.labels_of(mask))
+        out[nm] = out.get(nm, 0) + c
+    return LinearFunctional._from_ints(new_ground, out, functional.den)
 
 
 # --- builtin templates ---
 
 
-def _mi_terms(a: int, b: int) -> dict[int, Fraction]:
+def _mi_terms(a: int, b: int) -> dict[int, int]:
     return _cmi_terms(a, b, 0)
 
 
 def _c_family_parts(n: int):
-    """Common pieces for the conditional-independence family of order n."""
+    """Common pieces for the conditional-independence family of order n,
+    with the terms every member has: sum over x of S(x) + I(A:B|x)."""
     slots = ("A", "B", "C") + tuple(f"X{i}" for i in range(1, n + 1))
     a, b, c = 1, 2, 4
-    xs = [8 << i for i in range(n)]
     x_all = 0
-    for x in xs:
+    shared: dict[int, int] = {}
+    for x in (8 << i for i in range(n)):
         x_all |= x
+        _add_terms(shared, {x: 1})
+        _add_terms(shared, _cmi_terms(a, b, x))
     constraints = (_cmi_terms(a, c, b), _cmi_terms(b, c, a))
     sym = (("A", "B"), tuple(f"X{i}" for i in range(1, n + 1)))
     empty = frozenset(f"X{i}" for i in range(1, n + 1))
-    return slots, a, b, c, xs, x_all, constraints, sym, empty
+    return slots, a, b, c, x_all, shared, constraints, sym, empty
 
 
 def _template_c(n: int) -> InequalityTemplate:
-    slots, a, b, c, xs, x_all, cons, sym, empty = _c_family_parts(n)
-    t: dict[int, Fraction] = {}
-    for x in xs:
-        _add_terms(t, {x: 1})
-        _add_terms(t, _cmi_terms(a, b, x))
+    slots, a, b, c, x_all, t, cons, sym, empty = _c_family_parts(n)
     _add_terms(t, {x_all: -1})
     _add_terms(t, _mi_terms(a | b, c), -(n - 1))
     return InequalityTemplate(f"c_{n}", slots, t, cons, sym, empty)
 
 
 def _template_thm1p(n: int) -> InequalityTemplate:
-    slots, a, b, c, xs, x_all, cons, sym, empty = _c_family_parts(n)
-    t: dict[int, Fraction] = {}
-    for x in xs:
-        _add_terms(t, {x: 1})
-        _add_terms(t, _cmi_terms(a, b, x))
+    slots, a, b, c, x_all, t, cons, sym, empty = _c_family_parts(n)
     _add_terms(t, _cmi_terms(a, b, c | x_all))
     _add_terms(t, {a | b | c | x_all: 1})
     _add_terms(t, {a | b | c: -1})
@@ -616,11 +632,7 @@ def _template_thm1p(n: int) -> InequalityTemplate:
 
 
 def _template_thm2(n: int) -> InequalityTemplate:
-    slots, a, b, c, xs, x_all, cons, sym, empty = _c_family_parts(n)
-    t: dict[int, Fraction] = {}
-    for x in xs:
-        _add_terms(t, {x: 1})
-        _add_terms(t, _cmi_terms(a, b, x))
+    slots, a, b, c, x_all, t, cons, sym, empty = _c_family_parts(n)
     _add_terms(t, _cmi_terms(a, b, c))
     _add_terms(t, {c: 1, c | x_all: -1})
     _add_terms(t, _mi_terms(a | b, c), -n)
@@ -628,11 +640,7 @@ def _template_thm2(n: int) -> InequalityTemplate:
 
 
 def _template_thm2p(n: int) -> InequalityTemplate:
-    slots, a, b, c, xs, x_all, cons, sym, empty = _c_family_parts(n)
-    t: dict[int, Fraction] = {}
-    for x in xs:
-        _add_terms(t, {x: 1})
-        _add_terms(t, _cmi_terms(a, b, x))
+    slots, a, b, c, x_all, t, cons, sym, empty = _c_family_parts(n)
     _add_terms(t, _cmi_terms(a, b, c | x_all))
     _add_terms(t, {a | b | c | x_all: 1})
     _add_terms(t, _cmi_terms(a, b, c))
@@ -677,7 +685,7 @@ def _template_antimono(_=None) -> InequalityTemplate:
 
 def _template_lw05(_=None) -> InequalityTemplate:
     a, b, c, d = 1, 2, 4, 8
-    t: dict[int, Fraction] = {}
+    t: dict[int, int] = {}
     _add_terms(t, _mi_terms(c, d))
     _add_terms(t, _mi_terms(a | b, c), -1)
     cons = (_cmi_terms(a, c, b), _cmi_terms(b, c, a), _cmi_terms(a, b, d))
@@ -716,10 +724,6 @@ def _canon_name(name: str) -> str:
         "anti-monotonicity": "anti-monotone",
         "c-n": "c_n",
         "cn": "c_n",
-        "thm1": "thm1",
-        "thm1p": "thm1p",
-        "thm2": "thm2",
-        "thm2p": "thm2p",
     }
     return aliases.get(s, s)
 
@@ -779,8 +783,8 @@ def template_to_obj(template: InequalityTemplate) -> dict:
     return obj
 
 
-def _terms_from_obj(entries, slots: tuple[str, ...]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
+def _terms_from_obj(entries, slots: tuple[str, ...]) -> dict[int, object]:
+    out: dict[int, object] = {}
     for ent in entries:
         if not isinstance(ent, dict) or "subset" not in ent or "coef" not in ent:
             raise ValueError("each term needs 'subset' and 'coef'")
@@ -791,10 +795,7 @@ def _terms_from_obj(entries, slots: tuple[str, ...]) -> dict[int, Fraction]:
             mask |= 1 << slots.index(s)
         if mask == 0:
             raise ValueError("term subset may not be empty")
-        coef = ent["coef"]
-        if isinstance(coef, float):
-            raise ValueError("coefficients must be exact: use 'p/q' strings")
-        out[mask] = out.get(mask, Fraction(0)) + Fraction(coef)
+        out[mask] = out.get(mask, 0) + _exact(ent["coef"])
     return out
 
 

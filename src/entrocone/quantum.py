@@ -13,6 +13,7 @@ conditional-independence constraints hold identically.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import os
 import string
@@ -763,6 +764,15 @@ class TheoremReport:
         }
 
 
+@functools.cache
+def _theorem_forms(labels: tuple[str, ...]):
+    """The shared constraints and each theorem's functional on the parties
+    (A, B, C, X1..Xn) bound to themselves; built once per order."""
+    gr, binding = GroundSet(labels), {s: s for s in labels}
+    insts = {name: instantiate(builtin(name, len(labels) - 3), gr, binding) for name in THEOREMS}
+    return insts["thm1"].constraints, {name: i.functional for name, i in insts.items()}
+
+
 def check_theorem(
     state: MultipartyState,
     bs: BlockStructure,
@@ -786,22 +796,15 @@ def check_theorem(
         if name not in THEOREMS:
             raise ValueError(f"unknown theorem {name!r}")
 
-    gr = GroundSet(labels)
     diag: dict = {}
     h_rho = entropy_vector(state, diagnostics=diag)
 
-    binding = {"A": "A", "B": "B", "C": "C"}
-    binding.update({f"X{i}": f"X{i}" for i in range(1, n + 1)})
-    template = builtin("c_n", n)
-    inst = instantiate(template, gr, binding)
+    constraints, forms = _theorem_forms(labels)
     residuals = {
-        "I(A:C|B)": float(inst.constraints[0].evaluate(h_rho)),
-        "I(B:C|A)": float(inst.constraints[1].evaluate(h_rho)),
+        "I(A:C|B)": float(constraints[0].evaluate(h_rho)),
+        "I(B:C|A)": float(constraints[1].evaluate(h_rho)),
     }
-    slacks = {}
-    for name in which:
-        t = builtin(name, n) if name != "thm1" else template
-        slacks[name] = float(instantiate(t, gr, binding).functional.evaluate(h_rho))
+    slacks = {name: float(forms[name].evaluate(h_rho)) for name in which}
 
     sigma = measure_and_register(state, bs, "R")
     h_sigma = entropy_vector(sigma, diagnostics=diag)

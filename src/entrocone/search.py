@@ -62,6 +62,15 @@ class SearchConfig:
     refine_steps: int = 200
     step_size: float = 0.1
 
+    def __post_init__(self):
+        # no trials, or a walk that cannot move, would report "no violation"
+        # without having looked
+        for name, ok, want in (("trials", self.trials >= 1, "at least 1"),
+                               ("step_size", self.step_size > 0, "positive"),
+                               ("refine_steps", self.refine_steps >= 0, "at least 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {want}")
+
     def summary(self) -> dict:
         return {
             "template": self.template if isinstance(self.template, str) else self.template.name,

@@ -10,7 +10,6 @@ All arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator
 
 import numpy as np

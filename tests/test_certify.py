@@ -185,8 +185,10 @@ def test_membership_random_problems_are_internally_consistent():
 
 def _assert_replays(out, target, gens, cons):
     """The returned object stands on its own: multipliers rebuild the target,
-    a separating point evaluates with the right signs."""
+    a separating point evaluates with the right signs.  Every number is exact."""
     if isinstance(out, Feasible):
+        multipliers = out.coefficients + out.constraint_coefficients
+        assert all(isinstance(c, (int, Fraction)) for c in multipliers)
         assert len(out.coefficients) == len(gens)
         assert len(out.constraint_coefficients) == len(cons)
         assert all(c >= 0 for c in out.coefficients)
@@ -210,7 +212,10 @@ def membership_problems(draw):
     masks = list(gr.iter_masks())
 
     def functional():
-        return LinearFunctional(gr, {m: draw(st.integers(-3, 3)) for m in masks})
+        # a denominator above 1 makes the LP column a multiple of the item
+        den = draw(st.integers(1, 3))
+        return LinearFunctional(gr, {m: Fraction(draw(st.integers(-3, 3)), den)
+                                     for m in masks})
 
     gens = [functional() for _ in range(draw(st.integers(0, 6)))]
     cons = [functional() for _ in range(draw(st.integers(0, 2)))]

@@ -106,6 +106,7 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["search", "--template", "ssa", "--trials", "2", "--refine", "5", "--step", "0"],
     ["search", "--template", "ssa", "--trials", "2", "--refine", "5", "--step", "-0.1"],
     ["search", "--template", "ssa", "--trials", "2", "--refine", "-1"],
+    ["search", "--template-file", "{list_coef}", "--trials", "1"],
 ])
 def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeypatch):
     """A leading "env:NAME=value" entry sets that environment variable."""
@@ -120,6 +121,8 @@ def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeyp
         "unknown_label": {"ground": ["a"], "target": [{**term, "subset": ["z"]}],
                           "generators": [[term]]},
         "not_a_list": {"ground": ["a"], "target": 5, "generators": [[term]]},
+        "list_coef": {"name": "t", "slots": ["A"], "terms": [{**term, "subset": ["A"],
+                                                            "coef": [1]}]},
     }
     for name, obj in problems.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))

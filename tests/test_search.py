@@ -147,6 +147,17 @@ def test_family_resolution_and_errors():
         family_for(cfg2, resolve_template(cfg2))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("trials", 0), ("trials", -1),
+    ("step_size", 0.0), ("step_size", -0.1), ("step_size", float("nan")),
+    ("refine_steps", -1), ("refine_steps", -3),
+])
+def test_config_rejects_values_that_cannot_search(field, value):
+    # zero trials or an immobile walk would report "no violation" unlooked
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(template="ssa", labels=("A", "B", "C"), **{field: value})
+
+
 def test_families_build_unit_trace_states():
     import numpy as np
 
