@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .setfn import GroundSet, SetFunction, FLOAT64
+from .setfn import GroundSet, SetFunction, FLOAT64, list_field
 from .inequalities import (
     LinearFunctional,
     builtin,
@@ -28,6 +28,8 @@ from .inequalities import (
     eliminate_party_pure,
     enumerate_instances,
     instantiate,
+    terms_from_obj,
+    terms_to_obj,
 )
 
 
@@ -292,6 +294,8 @@ def cone_membership(
     for item in list(generators) + list(constraints):
         if item.ground != ground:
             raise ValueError("all functionals must share one ground set")
+    if max_generators < 1:
+        raise ValueError(f"max_generators must be at least 1, got {max_generators}")
     if len(generators) > max_generators:
         raise ValueError(f"{len(generators)} generators exceeds cap {max_generators}")
     problem = (target, generators, constraints)
@@ -486,29 +490,11 @@ def purified_basic_problem():
 
 
 def functional_to_obj(functional: LinearFunctional) -> list:
-    return [
-        {"subset": list(functional.ground.labels_of(mask)), "coef": str(c)}
-        for mask, c in functional.coefs.items()
-    ]
+    return terms_to_obj(functional.coefs, functional.ground)
 
 
 def functional_from_obj(entries, ground: GroundSet) -> LinearFunctional:
-    if not isinstance(entries, list):
-        raise ValueError("a functional is a list of terms")
-    coefs: dict[int, object] = {}
-    for ent in entries:
-        if not isinstance(ent, dict) or "subset" not in ent or "coef" not in ent:
-            raise ValueError("each term needs 'subset' and 'coef'")
-        if not isinstance(ent["subset"], (list, str)):
-            raise ValueError("a term's subset is a list of party labels")
-        mask = ground.mask_of(ent["subset"])
-        if mask == 0:
-            raise ValueError("term subset may not be empty")
-        coef = ent["coef"]
-        if not isinstance(coef, (int, str)):
-            raise ValueError("coefficients must be exact: use integers or 'p/q' strings")
-        coefs[mask] = coefs.get(mask, 0) + Fraction(coef)
-    return LinearFunctional(ground, coefs)
+    return terms_from_obj(entries, ground)
 
 
 def problem_to_obj(target, generators, constraints, ground, expect=None) -> dict:
@@ -526,16 +512,14 @@ def problem_to_obj(target, generators, constraints, ground, expect=None) -> dict
 def problem_from_obj(obj):
     if not isinstance(obj, dict):
         raise ValueError("problem must be a JSON object")
-    for key in ("ground", "target", "generators"):
-        if key not in obj:
-            raise ValueError(f"problem object missing key {key!r}")
-    if not isinstance(obj["ground"], list) or not isinstance(obj["generators"], list):
-        raise ValueError("'ground' and 'generators' must be lists")
-    ground = GroundSet(tuple(obj["ground"]))
-    target = functional_from_obj(obj["target"], ground)
-    generators = [functional_from_obj(g, ground) for g in obj["generators"]]
-    constraints = [functional_from_obj(c, ground) for c in obj.get("constraints", [])]
-    return target, generators, constraints, ground, obj.get("expect")
+    obj = {"constraints": [], "expect": None, **obj}
+    if obj["expect"] not in (None, "feasible", "infeasible"):
+        raise ValueError("'expect' must be \"feasible\" or \"infeasible\"")
+    ground = GroundSet(list_field(obj, "ground"))
+    target = functional_from_obj(list_field(obj, "target"), ground)
+    generators = [functional_from_obj(g, ground) for g in list_field(obj, "generators")]
+    constraints = [functional_from_obj(c, ground) for c in list_field(obj, "constraints")]
+    return target, generators, constraints, ground, obj["expect"]
 
 
 def problem_to_json(target, generators, constraints, ground, expect=None, indent=None) -> str:

@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .setfn import GroundSet, setfn_from_obj
+from .setfn import setfn_from_obj
 from .inequalities import builtin, satisfies, template_from_obj
 from .witness import verify_counterexample, verify_witness
 from .certify import (
@@ -39,61 +39,37 @@ from .certify import (
     purified_basic_problem,
 )
 from .quantum import THEOREMS, check_theorem, constrained_family_sample, trial_seed
-from .search import SearchConfig, local_refine, random_scan
+from .search import FAMILIES, SearchConfig, local_refine, random_scan
 
 
-def _die(msg: str, code: int = 2):
-    print(msg, file=sys.stderr)
-    raise SystemExit(code)
-
-
-def _require_at_least(value, flag: str, low: int):
-    if value is not None and value < low:
-        _die(f"{flag} must be at least {low}")
-
-
-def _load_json(path: str):
+def _load(path: str, parse):
+    """`parse` applied to the JSON file at `path`; any fault names the file."""
     try:
-        text = Path(path).read_text()
+        return parse(json.loads(Path(path).read_text()))
     except OSError as exc:
-        _die(f"{path}: {exc.strerror or exc}")
-    try:
-        return json.loads(text)
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
-        _die(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-
-
-def _load_setfn(path: str):
-    obj = _load_json(path)
-    try:
-        return setfn_from_obj(obj)
-    except ValueError as exc:
-        _die(f"{path}: {exc}")
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _resolve_template(args):
-    if getattr(args, "template_file", None):
-        obj = _load_json(args.template_file)
-        try:
-            return template_from_obj(obj)
-        except ValueError as exc:
-            _die(f"{args.template_file}: {exc}")
-    if getattr(args, "template", None):
-        try:
-            return builtin(args.template, getattr(args, "n", None))
-        except (KeyError, ValueError) as exc:
-            _die(str(exc))
-    _die("give --template NAME or --template-file FILE")
+    if args.template_file:
+        return _load(args.template_file, template_from_obj)
+    if args.template:
+        return builtin(args.template, args.n)
+    raise ValueError("give --template NAME or --template-file FILE")
 
 
-def _parse_binding(text: str | None, ground: GroundSet | None = None):
+def _parse_binding(text: str | None):
     """Parse 'A=a,B=b,X1=x1+x2' into a slot -> label-tuple mapping."""
     if not text:
         return None
     binding = {}
     for part in text.split(","):
         if "=" not in part:
-            _die(f"bad binding component {part!r}; expected SLOT=labels")
+            raise ValueError(f"bad binding component {part!r}; expected SLOT=labels")
         slot, _, val = part.partition("=")
         labels = tuple(v for v in val.split("+") if v)
         binding[slot.strip()] = labels
@@ -152,7 +128,7 @@ def _emit(args, report_obj, started, csv_table=None):
     manifest = _manifest(args, report_obj, started)
     if args.format == "csv":
         if csv_table is None:
-            _die(f"{args.command}: csv output is not available for this command")
+            raise ValueError(f"{args.command}: csv output is not available for this command")
         header, rows = csv_table
         text = _csv_text(header, rows)
         if args.out:
@@ -175,10 +151,6 @@ def _emit(args, report_obj, started, csv_table=None):
 
 def cmd_witness(args) -> int:
     started = _now()
-    if args.n < 2:
-        _die("--n must be at least 2; the construction needs two registers")
-    # the scan must reach p = n, the one negative class
-    _require_at_least(args.p_max, "--p-max", 1 if args.no_scan else args.n)
     report = verify_witness(args.n, p_max=args.p_max, scan_instances=not args.no_scan)
     obj = report.to_dict()
     rows = [
@@ -193,7 +165,7 @@ def cmd_witness(args) -> int:
 
 def cmd_counterexample(args) -> int:
     started = _now()
-    f = _load_setfn(args.values) if args.values else None
+    f = _load(args.values, setfn_from_obj) if args.values else None
     report = verify_counterexample(f)
     _emit(args, report.to_dict(), started)
     print(f"counterexample: {'pass' if report.passed else 'FAIL'}", file=sys.stderr)
@@ -202,14 +174,10 @@ def cmd_counterexample(args) -> int:
 
 def cmd_eval(args) -> int:
     started = _now()
-    f = _load_setfn(args.values)
+    f = _load(args.values, setfn_from_obj)
     template = _resolve_template(args)
-    binding = _parse_binding(args.bind)
-    try:
-        rep = satisfies(f, template, binding=binding, auto_filter=args.auto_filter,
-                        tol=args.tol)
-    except ValueError as exc:
-        _die(str(exc))
+    rep = satisfies(f, template, binding=_parse_binding(args.bind),
+                    auto_filter=args.auto_filter, tol=args.tol)
     obj = {
         "template": rep.template_name,
         "n_enumerated": rep.n_enumerated,
@@ -238,33 +206,22 @@ def cmd_eval(args) -> int:
 
 def cmd_sample(args) -> int:
     started = _now()
-    _require_at_least(args.n, "--n", 1)
-    _require_at_least(args.blocks, "--blocks", 1)
-    _require_at_least(args.trials, "--trials", 1)
-    which = tuple(args.theorems.split(",")) if args.theorems else None
-    for name in which or ():
-        if name not in THEOREMS:
-            _die(f"unknown theorem {name!r} (choose from {','.join(THEOREMS)})")
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    which = tuple(args.theorems.split(",")) if args.theorems else THEOREMS
     trials = []
     all_pass = True
-    kw = {"tol": args.tol}
-    if which:
-        kw["which"] = which
-    try:
-        # the dimension cap (of a state or its register) raises here: a usage error
-        for t in range(args.trials):
-            seed = trial_seed(args.seed, t)
-            state, bs = constrained_family_sample(
-                args.n, blocks=args.blocks, seed=seed, diagonal=args.diagonal
-            )
-            rep = check_theorem(state, bs, **kw)
-            d = rep.to_dict()
-            d["trial"] = t
-            d["seed"] = list(seed)
-            trials.append(d)
-            all_pass = all_pass and rep.passed
-    except ValueError as exc:
-        _die(str(exc))
+    for t in range(args.trials):
+        seed = trial_seed(args.seed, t)
+        state, bs = constrained_family_sample(
+            args.n, blocks=args.blocks, seed=seed, diagonal=args.diagonal
+        )
+        rep = check_theorem(state, bs, which=which, tol=args.tol)
+        d = rep.to_dict()
+        d["trial"] = t
+        d["seed"] = list(seed)
+        trials.append(d)
+        all_pass = all_pass and rep.passed
     obj = {
         "n": args.n,
         "blocks": args.blocks,
@@ -291,18 +248,11 @@ def cmd_sample(args) -> int:
 
 def cmd_certify(args) -> int:
     started = _now()
-    _require_at_least(args.max_generators, "--max-generators", 1)
-    expect = None
     if args.problem:
-        obj = _load_json(args.problem)
-        try:
-            target, generators, constraints, ground, expect = problem_from_obj(obj)
-        except ValueError as exc:
-            _die(f"{args.problem}: {exc}")
+        target, generators, constraints, ground, expect = _load(args.problem, problem_from_obj)
     elif args.builtin == "independence":
         if args.n is None:
-            _die("--builtin independence needs --n")
-        _require_at_least(args.n, "--n", 1)
+            raise ValueError("--builtin independence needs --n")
         target, generators, constraints, ground, meta = independence_problem(
             args.n, p_max=args.p_max
         )
@@ -311,15 +261,12 @@ def cmd_certify(args) -> int:
         target, generators, constraints, ground, meta = purified_basic_problem()
         expect = meta.get("expect")
     else:
-        _die("give --problem FILE or --builtin {independence,purified-basic}")
-    try:
-        outcome = cone_membership(
-            target, generators, constraints,
-            max_generators=args.max_generators,
-            use_fast_paths=not args.no_fast_paths,
-        )
-    except ValueError as exc:
-        _die(str(exc))
+        raise ValueError("give --problem FILE or --builtin {independence,purified-basic}")
+    outcome = cone_membership(
+        target, generators, constraints,
+        max_generators=args.max_generators,
+        use_fast_paths=not args.no_fast_paths,
+    )
     feasible = isinstance(outcome, Feasible)
     obj = {
         "outcome": "feasible" if feasible else "infeasible",
@@ -339,17 +286,9 @@ def cmd_certify(args) -> int:
 
 def cmd_search(args) -> int:
     started = _now()
-    _require_at_least(args.trials, "--trials", 1)
-    _require_at_least(args.refine, "--refine", 0)
-    if not args.step > 0:
-        _die("--step must be positive")
     template = args.template
     if args.template_file:
-        obj = _load_json(args.template_file)
-        try:
-            template = template_from_obj(obj)
-        except ValueError as exc:
-            _die(f"{args.template_file}: {exc}")
+        template = _load(args.template_file, template_from_obj)
     cfg = SearchConfig(
         template=template,
         n=args.n,
@@ -367,10 +306,7 @@ def cmd_search(args) -> int:
         refine_steps=args.refine,
         step_size=args.step,
     )
-    try:
-        scan = random_scan(cfg)
-    except ValueError as exc:
-        _die(str(exc))
+    scan = random_scan(cfg)
     obj = {"scan": scan.to_dict()}
     violated = scan.violation_found
     if args.refine > 0:
@@ -466,9 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--template", help="builtin template name")
     p.add_argument("--template-file", help="template JSON file")
     p.add_argument("--n", type=int, help="template/family order")
-    p.add_argument("--family", default="haar-mixed",
-                   choices=("haar-mixed", "diagonal", "constrained",
-                            "constrained-diagonal", "lw05"))
+    p.add_argument("--family", default="haar-mixed", choices=FAMILIES)
     p.add_argument("--labels", help="comma list of party labels")
     p.add_argument("--dims", help="comma list of local dimensions")
     p.add_argument("--rank", type=int, help="rank cap for haar-mixed draws")
@@ -485,8 +419,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: 0 passed, 1 failed, 2 usage error.
+
+    Bad input raises ValueError, in the command or the library it calls,
+    and ends as one line on stderr; internal faults raise RuntimeError and
+    are not caught.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,19 +25,22 @@ from .setfn import (
     SetFunction,
     Subset,
     _canon_exact,
+    check_tol,
+    list_field,
     submasks,
+    subset_from_obj,
 )
 
 
 def _exact(c):
     """An exact coefficient: an int as it is, a Fraction or 'p/q' string as a
-    Fraction; floats and anything else are refused."""
-    if isinstance(c, int):
+    Fraction; bools, floats, zero denominators and anything else are refused."""
+    if isinstance(c, int) and not isinstance(c, bool):
         return c
-    if not isinstance(c, float):
+    if not isinstance(c, (bool, float)):
         try:
             return Fraction(c)
-        except TypeError:
+        except (TypeError, ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"coefficient {c!r} is not exact (int, Fraction, or 'p/q' string)")
 
@@ -229,9 +232,6 @@ class InequalityTemplate:
     def constraints(self) -> tuple[dict[int, Fraction], ...]:
         return tuple(_fractions(*form) for form in self.forms[1:])
 
-    def slot_names(self, mask: int) -> tuple[str, ...]:
-        return tuple(s for i, s in enumerate(self.slots) if mask >> i & 1)
-
     def is_balanced(self) -> bool:
         """True when every slot's coefficients sum to zero.
 
@@ -328,15 +328,13 @@ def enumerate_instances(
     template: InequalityTemplate,
     ground: GroundSet,
     fixed: Mapping[str, Subset] | None = None,
-    allow_empty: Iterable[str] | None = None,
-    dedup: bool = True,
 ) -> Iterator[Instance]:
     """All assignments of pairwise-disjoint subsets to slots, lexicographic.
 
     `fixed` pins chosen slots; free slots range over subsets of the remaining
-    parties, empty only where permitted (template default, or `allow_empty`).
-    With `dedup`, assignments equal under the template's declared slot
-    symmetries are emitted once, in canonical (sorted-mask) form.
+    parties, empty only where the template's `empty_ok` permits.  Assignments
+    equal under the template's declared slot symmetries are emitted once, in
+    canonical (sorted-mask) form.
     """
     fixed_masks: dict[str, int] = {}
     used0 = 0  # parties of the fixed slots, closed to every free slot
@@ -349,18 +347,15 @@ def enumerate_instances(
             if used0 & m:
                 raise ValueError("fixed bindings overlap")
             used0 |= m
-    empties = template.empty_ok if allow_empty is None else frozenset(allow_empty)
-
     slots = template.slots
     n = len(slots)
     # per slot, the index of the free slot before it in its symmetry group
     prev_index = [-1] * n
-    if dedup:
-        for group in template.symmetries:
-            group = sorted(group, key=slots.index)
-            for a, b in zip(group, group[1:]):
-                if a not in fixed_masks:
-                    prev_index[slots.index(b)] = slots.index(a)
+    for group in template.symmetries:
+        group = sorted(group, key=slots.index)
+        for a, b in zip(group, group[1:]):
+            if a not in fixed_masks:
+                prev_index[slots.index(b)] = slots.index(a)
     full = ground.full_mask
     chosen: list[int] = []
 
@@ -375,7 +370,7 @@ def enumerate_instances(
             chosen.pop()
             return
         floor_mask = chosen[prev_index[i]] if prev_index[i] >= 0 else -1
-        empty_ok = slot in empties
+        empty_ok = slot in template.empty_ok
         for cand in submasks(full & ~used):
             if cand == 0 and not empty_ok:
                 continue
@@ -504,7 +499,6 @@ def satisfies(
     binding: Mapping[str, Subset] | None = None,
     auto_filter: bool = False,
     tol: float = DEFAULT_TOL,
-    allow_empty: Iterable[str] | None = None,
     max_recorded: int = 10,
 ) -> SatisfiesReport:
     """Evaluate a template over its instances on f, a chunk at a time.
@@ -513,6 +507,7 @@ def satisfies(
     slots or `auto_filter=True`, which keeps only instances whose realized
     constraints vanish on f (within `tol` for float64 inputs).
     """
+    check_tol(tol)
     if template.constraints and binding is None and not auto_filter:
         raise ValueError(
             "constrained template: pass an explicit binding or auto_filter=True"
@@ -526,11 +521,14 @@ def satisfies(
     n_viol = 0
     viols: list = []
     resid_nums = [0] * len(template.constraints)  # per constraint, max |numerator|
-    for chunk, masks in instance_batches(
-        template, f.ground, fixed=binding, allow_empty=allow_empty
-    ):
+    for chunk, masks in instance_batches(template, f.ground, fixed=binding):
         n_enum += len(chunk)
-        nums = bound.evaluate(masks)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                nums = bound.evaluate(masks)
+        except FloatingPointError:
+            # a sum of finite values beyond float64 would read as inf or nan
+            raise ValueError(f"{template.name} overflows float64 on these values") from None
         resid = abs(nums[:, 1:])
         if auto_filter:
             keep = np.flatnonzero(~(resid > zero_tol).any(axis=1))
@@ -757,24 +755,37 @@ def builtin(name: str, n: int | None = None) -> InequalityTemplate:
     raise ValueError(f"unknown builtin template {name!r}")
 
 
-# --- template serialization ---
+# --- term lists and template serialization ---
 
 
-def _terms_to_obj(template: InequalityTemplate, terms: Mapping[int, Fraction]) -> list:
-    return [
-        {"subset": list(template.slot_names(mask)), "coef": str(c)}
-        for mask, c in sorted(terms.items())
-    ]
+def terms_to_obj(coefs: Mapping[int, object], ground: GroundSet) -> list:
+    """A JSON term list: one {"subset": labels, "coef": "p/q"} per mask."""
+    return [{"subset": list(ground.labels_of(mask)), "coef": str(c)}
+            for mask, c in coefs.items()]
+
+
+def terms_from_obj(entries, ground: GroundSet) -> LinearFunctional:
+    """Read a JSON term list over `ground`; a subset given twice sums."""
+    if not isinstance(entries, list):
+        raise ValueError("a term list must be a JSON list")
+    terms = []
+    for ent in entries:
+        if not isinstance(ent, dict) or "subset" not in ent or "coef" not in ent:
+            raise ValueError("each term needs 'subset' and 'coef'")
+        mask = subset_from_obj(ground, ent["subset"])
+        if mask == 0:
+            raise ValueError("term subset may not be empty")
+        terms.append((mask, ent["coef"]))
+    return LinearFunctional._from_ints(ground, *_cleared(terms))
 
 
 def template_to_obj(template: InequalityTemplate) -> dict:
+    slots = GroundSet(template.slots)
     obj = {
         "name": template.name,
         "slots": list(template.slots),
-        "terms": _terms_to_obj(template, template.terms),
-        "constraints": [
-            _terms_to_obj(template, c) for c in template.constraints
-        ],
+        "terms": terms_to_obj(template.terms, slots),
+        "constraints": [terms_to_obj(c, slots) for c in template.constraints],
     }
     if template.symmetries:
         obj["symmetries"] = [list(g) for g in template.symmetries]
@@ -783,36 +794,24 @@ def template_to_obj(template: InequalityTemplate) -> dict:
     return obj
 
 
-def _terms_from_obj(entries, slots: tuple[str, ...]) -> dict[int, object]:
-    out: dict[int, object] = {}
-    for ent in entries:
-        if not isinstance(ent, dict) or "subset" not in ent or "coef" not in ent:
-            raise ValueError("each term needs 'subset' and 'coef'")
-        mask = 0
-        for s in ent["subset"]:
-            if s not in slots:
-                raise ValueError(f"term names unknown slot {s!r}")
-            mask |= 1 << slots.index(s)
-        if mask == 0:
-            raise ValueError("term subset may not be empty")
-        out[mask] = out.get(mask, 0) + _exact(ent["coef"])
-    return out
-
-
 def template_from_obj(obj) -> InequalityTemplate:
     if not isinstance(obj, dict):
         raise ValueError("template object must be a JSON object")
-    for key in ("name", "slots", "terms"):
-        if key not in obj:
-            raise ValueError(f"template object missing key {key!r}")
-    slots = tuple(obj["slots"])
+    if "name" not in obj:
+        raise ValueError("template object missing key 'name'")
+    obj = {"constraints": [], "symmetries": [], "empty_ok": [], **obj}
+    slots = GroundSet(list_field(obj, "slots"))
+
+    def subset(entry) -> tuple[str, ...]:
+        return slots.labels_of(subset_from_obj(slots, entry))
+
     return InequalityTemplate(
         str(obj["name"]),
-        slots,
-        _terms_from_obj(obj["terms"], slots),
-        [_terms_from_obj(c, slots) for c in obj.get("constraints", [])],
-        [tuple(g) for g in obj.get("symmetries", [])],
-        obj.get("empty_ok", ()),
+        slots.labels,
+        terms_from_obj(list_field(obj, "terms"), slots).coefs,
+        [terms_from_obj(c, slots).coefs for c in list_field(obj, "constraints")],
+        [subset(g) for g in list_field(obj, "symmetries")],
+        subset(list_field(obj, "empty_ok")),
     )
 
 

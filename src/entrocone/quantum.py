@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .setfn import GroundSet, SetFunction
+from .setfn import GroundSet, SetFunction, check_tol, cmi
 from .inequalities import builtin, instantiate
 
 CLIP = 1e-12
@@ -794,7 +794,8 @@ def check_theorem(
         raise ValueError("need at least one X party")
     for name in which:
         if name not in THEOREMS:
-            raise ValueError(f"unknown theorem {name!r}")
+            raise ValueError(f"unknown theorem {name!r} (choose from {','.join(THEOREMS)})")
+    check_tol(tol)
 
     diag: dict = {}
     h_rho = entropy_vector(state, diagnostics=diag)
@@ -810,12 +811,9 @@ def check_theorem(
     h_sigma = entropy_vector(sigma, diagnostics=diag)
     sgr = h_sigma.ground
 
-    def S(labels_):
-        return h_sigma(labels_)
-
-    s_r = S("R")
-    cond_a = abs(S(("A", "R")) - S(("A",)))
-    cond_b = abs(S(("B", "R")) - S(("B",)))
+    s_r = h_sigma("R")
+    cond_a = abs(h_sigma(("A", "R")) - h_sigma("A"))
+    cond_b = abs(h_sigma(("B", "R")) - h_sigma("B"))
 
     r_bit = sgr.mask_of("R")
     min_mono = min(
@@ -824,22 +822,15 @@ def check_theorem(
         if not mask & r_bit
     )
 
-    i_ab_c = S(("A", "B")) + S(("C",)) - S(("A", "B", "C"))
-    reg_vs_corr = s_r - i_ab_c
+    reg_vs_corr = s_r - cmi(h_sigma, ("A", "B"), "C")
 
     chain = []
     dp = []
     for i in range(1, n + 1):
         xi = f"X{i}"
-        s_r_given_xi = S((xi, "R")) - S((xi,))
-        i_ab_xi_sigma = (
-            S(("A", xi)) + S(("B", xi)) - S((xi,)) - S(("A", "B", xi))
-        )
-        chain.append(i_ab_xi_sigma - s_r_given_xi)
-        i_ab_xi_rho = (
-            h_rho(("A", xi)) + h_rho(("B", xi)) - h_rho((xi,)) - h_rho(("A", "B", xi))
-        )
-        dp.append(i_ab_xi_rho - i_ab_xi_sigma)
+        i_ab_xi_sigma = cmi(h_sigma, "A", "B", xi)
+        chain.append(i_ab_xi_sigma - (h_sigma((xi, "R")) - h_sigma(xi)))
+        dp.append(cmi(h_rho, "A", "B", xi) - i_ab_xi_sigma)
     aggregate = sum(chain)
 
     drift = 0.0

@@ -9,6 +9,7 @@ violation is revalidated from its recorded seed before being believed.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -36,7 +37,7 @@ from .quantum import (
     trial_seed,
     von_neumann_entropy,
 )
-from .setfn import GroundSet, SetFunction
+from .setfn import GroundSet, SetFunction, check_tol
 
 FAMILIES = ("haar-mixed", "diagonal", "constrained", "constrained-diagonal", "lw05")
 
@@ -63,13 +64,18 @@ class SearchConfig:
     step_size: float = 0.1
 
     def __post_init__(self):
-        # no trials, or a walk that cannot move, would report "no violation"
-        # without having looked
+        # no trials, or a walk that cannot move (an infinite step, or a NaN
+        # or infinite penalty, makes every candidate NaN), would report "no
+        # violation" without having looked
         for name, ok, want in (("trials", self.trials >= 1, "at least 1"),
-                               ("step_size", self.step_size > 0, "positive"),
-                               ("refine_steps", self.refine_steps >= 0, "at least 0")):
+                               ("step_size", 0 < self.step_size < math.inf,
+                                "positive and finite"),
+                               ("refine_steps", self.refine_steps >= 0, "at least 0"),
+                               ("penalty", 0 <= self.penalty < math.inf,
+                                "finite and at least 0")):
             if not ok:
                 raise ValueError(f"{name} must be {want}")
+        check_tol(self.tol)
 
     def summary(self) -> dict:
         return {

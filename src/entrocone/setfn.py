@@ -9,6 +9,7 @@ comparisons use an absolute tolerance (default 1e-9).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -21,6 +22,13 @@ EXACT_RATIONAL = "exact-rational"
 FLOAT64 = "float64"
 
 DEFAULT_TOL = 1e-9
+
+
+def check_tol(tol: float) -> None:
+    """Refuse a float tolerance that is negative or not finite: a NaN or
+    infinite one would let every check pass whatever the values."""
+    if not 0 <= tol <= sys.float_info.max:
+        raise ValueError(f"tolerance must be finite and at least 0, got {tol}")
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -44,11 +52,11 @@ class GroundSet:
             object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) == 0:
             raise ValueError("ground set needs at least one party")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("party labels must be distinct")
         for lab in self.labels:
             if not isinstance(lab, str) or not lab:
                 raise ValueError("party labels must be nonempty strings")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("party labels must be distinct")
 
     @property
     def size(self) -> int:
@@ -90,8 +98,9 @@ class GroundSet:
     def complement(self, mask: int) -> int:
         return self.full_mask & ~mask
 
-    def iter_masks(self, nonempty: bool = True) -> Iterator[int]:
-        return iter(range(1 if nonempty else 0, self.n_subsets))
+    def iter_masks(self) -> Iterator[int]:
+        """The nonempty subsets' masks, ascending."""
+        return iter(range(1, self.n_subsets))
 
     def subset_str(self, mask: int) -> str:
         return "{" + ",".join(self.labels_of(mask)) + "}"
@@ -311,7 +320,26 @@ def _format_exact(v) -> str:
     return str(v)
 
 
+def list_field(obj: Mapping, key: str) -> list:
+    """obj[key] of a JSON object read from a file, which must be a list."""
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    if not isinstance(obj[key], list):
+        raise ValueError(f"{key!r} must be a JSON list")
+    return obj[key]
+
+
+def subset_from_obj(ground: GroundSet, subset) -> int:
+    """The mask of a subset read from a file: a list of labels, or a string
+    naming one label."""
+    if not isinstance(subset, (list, str)):
+        raise ValueError(f"subset {subset!r} is not a list of labels")
+    return ground.mask_of(subset)
+
+
 def _parse_value(v):
+    """A value read from a file: a string is exact (integer or 'p/q'), a
+    number is float64; either must be finite."""
     if isinstance(v, str):
         s = v.strip()
         try:
@@ -320,8 +348,9 @@ def _parse_value(v):
             return int(s)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad exact value {v!r}") from None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"bad value {v!r}")
+    # NaN and the infinities fail the comparison, as do ints beyond float64
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ValueError(f"bad value {v!r}: give a finite number or an exact string")
     return float(v)
 
 
@@ -341,26 +370,23 @@ def setfn_to_obj(f: SetFunction) -> dict:
 def setfn_from_obj(obj) -> SetFunction:
     if not isinstance(obj, dict):
         raise ValueError("set-function object must be a JSON object")
-    try:
-        parties = obj["parties"]
-        entries = obj["values"]
-    except KeyError as exc:
-        raise ValueError(f"set-function object missing key {exc}") from None
-    gr = GroundSet(tuple(parties))
+    gr = GroundSet(list_field(obj, "parties"))
+    entries = list_field(obj, "values")
+    if len(entries) != gr.n_subsets - 1:
+        raise ValueError(f"need {gr.n_subsets - 1} values, one per nonempty subset, "
+                         f"got {len(entries)}")
+    # as many distinct nonempty subsets as there are: every one is covered
     table = [None] * gr.n_subsets
     table[0] = 0
     for ent in entries:
         if not isinstance(ent, dict) or "subset" not in ent or "value" not in ent:
             raise ValueError("each values entry needs 'subset' and 'value'")
-        mask = gr.mask_of(ent["subset"])
+        mask = subset_from_obj(gr, ent["subset"])
         if mask == 0:
             raise ValueError("the empty subset may not appear in 'values'")
         if table[mask] is not None:
             raise ValueError(f"subset {gr.subset_str(mask)} appears twice")
         table[mask] = _parse_value(ent["value"])
-    for mask in range(1, gr.n_subsets):
-        if table[mask] is None:
-            raise ValueError(f"missing value for subset {gr.subset_str(mask)}")
     return SetFunction(gr, table)
 
 

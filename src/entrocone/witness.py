@@ -236,14 +236,17 @@ def verify_witness(n: int, p_max: int | None = None, scan_instances: bool = True
     values, additivity over disjoint x-subsets, and (optionally) every
     instance of the order-p families for p up to p_max (default n+2) against
     the closed-form value, recording the (p, delta) histogram and confirming
-    the single negative class (p=n, delta=0); a scan needs p_max >= n.
-    Instances are evaluated in compiled chunks (see `instance_batches`).
+    the single negative class (p=n, delta=0); a scan needs p_max >= n, and
+    p_max >= 1 always.  Instances are evaluated in compiled chunks (see
+    `instance_batches`).
     """
     if n < 2:
-        raise ValueError("witness construction requires n >= 2")
+        raise ValueError("witness order n must be at least 2: the construction needs two registers")
     p_max = n + 2 if p_max is None else p_max
     if scan_instances and p_max < n:
         raise ValueError(f"p_max must be at least n = {n}: the negative class is p = n")
+    if p_max < 1:
+        raise ValueError("p_max must be at least 1")
     f = make_witness_f(n)
     g = make_witness_g(n)
     gr = f.ground

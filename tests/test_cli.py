@@ -1,11 +1,16 @@
 """Command line behavior: exit codes, manifests, determinism, error format."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from entrocone.certify import problem_to_obj
 from entrocone.cli import main
-from entrocone.setfn import setfn_to_json
+from entrocone.inequalities import builtin, enumerate_instances, instantiate, template_to_obj
+from entrocone.setfn import GroundSet, SetFunction, setfn_to_json, setfn_to_obj
 from entrocone.witness import counterexample_table
 
 
@@ -107,6 +112,23 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["search", "--template", "ssa", "--trials", "2", "--refine", "5", "--step", "-0.1"],
     ["search", "--template", "ssa", "--trials", "2", "--refine", "-1"],
     ["search", "--template-file", "{list_coef}", "--trials", "1"],
+    ["counterexample", "--values", "{ones}"],
+    ["search", "--template", "ssa", "--labels", "A,B,C", "--dims", "2,x,2"],
+    ["eval", "--values", "{ones}", "--template-file", "{terms_not_list}"],
+    ["eval", "--values", "{ones}", "--template-file", "{constraints_not_list}"],
+    ["eval", "--values", "{ones}", "--template-file", "{symmetries_not_list}"],
+    ["certify", "--problem", "{problem_constraints_not_list}"],
+    ["eval", "--values", "{values_not_list}", "--template", "ssa"],
+    ["eval", "--values", "{ones}", "--template-file", "{zero_denominator}"],
+    ["certify", "--problem", "{problem_zero_denominator}"],
+    ["eval", "--values", "{ones}", "--template-file", "{bool_coef}"],
+    ["certify", "--problem", "{problem_bool_coef}"],
+    ["eval", "--values", "{nans}", "--template", "ssa"],
+    ["eval", "--values", "{huge}", "--template", "wmo"],
+    ["eval", "--values", "{ones}", "--template", "ssa", "--tol", "nan"],
+    ["search", "--template", "anti-monotone", "--trials", "2", "--tol", "nan"],
+    ["sample", "--n", "1", "--trials", "1", "--tol", "-1"],
+    ["eval", "--values", "{deep}", "--template", "ssa"],
 ])
 def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeypatch):
     """A leading "env:NAME=value" entry sets that environment variable."""
@@ -123,9 +145,27 @@ def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeyp
         "not_a_list": {"ground": ["a"], "target": 5, "generators": [[term]]},
         "list_coef": {"name": "t", "slots": ["A"], "terms": [{**term, "subset": ["A"],
                                                             "coef": [1]}]},
+        "problem_constraints_not_list": {"ground": ["a"], "target": [term],
+                                         "generators": [[term]], "constraints": 5},
+        "problem_zero_denominator": {"ground": ["a"], "target": [{**term, "coef": "1/0"}],
+                                     "generators": [[term]]},
+        "problem_bool_coef": {"ground": ["a"], "target": [{**term, "coef": True}],
+                              "generators": [[term]]},
+        "values_not_list": {"parties": ["A"], "values": 5},
     }
+    template = {"name": "t", "slots": ["A"], "terms": [{"subset": ["A"], "coef": "1"}]}
+    for name, change in (("terms_not_list", {"terms": 5}),
+                         ("constraints_not_list", {"constraints": 5}),
+                         ("symmetries_not_list", {"symmetries": 5}),
+                         ("zero_denominator", {"terms": [{"subset": ["A"], "coef": "1/0"}]}),
+                         ("bool_coef", {"terms": [{"subset": ["A"], "coef": True}]})):
+        problems[name] = {**template, **change}
+    # three-party tables with every value 1, NaN, or so large that a sum overflows
+    for name, v in (("ones", 1), ("nans", float("nan")), ("huge", 1.7e308)):
+        problems[name] = setfn_to_obj(SetFunction(GroundSet(("A", "B", "C")), [v] * 8))
+    problems["deep"] = "[" * 100_000 + "]" * 100_000  # past the JSON decoder's recursion
     for name, obj in problems.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        (tmp_path / f"{name}.json").write_text(obj if isinstance(obj, str) else json.dumps(obj))
     assert run([a.format(**{k: tmp_path / f"{k}.json" for k in problems})
                 for a in argv]) == 2
     err = capsys.readouterr().err
@@ -147,6 +187,73 @@ def test_nothing_admissible_exits_one(argv, tmp_path, capsys):
         [bin(m).count("1") * (8 - bin(m).count("1")) for m in range(16)])))
     assert run([a.format(concave=concave) for a in argv]) == 1
     assert "no instance was admissible" in capsys.readouterr().err
+
+
+# any JSON value in any field of an input file, on at most three parties
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["1/2", "-3", "1/0", "a", "b", "A", "B"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+def _input_files():
+    """Per file kind: a valid file and the command that reads it."""
+    table = SetFunction(GroundSet(("A", "B", "C")), [bin(m).count("1") for m in range(8)])
+    template = template_to_obj(builtin("ssa"))
+    template["constraints"] = [[{"subset": ["A", "C"], "coef": "1"},
+                                {"subset": ["A"], "coef": "-1/2"}]]
+    gr = GroundSet(("a", "b", "c"))
+    problem = problem_to_obj(
+        instantiate(builtin("mi"), gr, {"A": "a", "B": "b"}).functional,
+        [i.functional for i in enumerate_instances(builtin("ssa"), gr)],
+        [instantiate(builtin("mi"), gr, {"A": "a", "B": "c"}).functional],
+        gr, expect="feasible",
+    )
+    return {
+        "setfn": (setfn_to_obj(table), ["eval", "--values", "{file}", "--template", "ssa"]),
+        "template": (template, ["eval", "--values", "{table}", "--template-file", "{file}",
+                                "--auto-filter"]),
+        "problem": (problem, ["certify", "--problem", "{file}"]),
+    }, setfn_to_obj(table)
+
+
+def _fields(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _fields(value, path + (key,))
+
+
+def _with(obj, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(obj)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_json_in_any_field_exits_cleanly(data, tmp_path, capsys):
+    files, table = _input_files()
+    base, argv = files[data.draw(st.sampled_from(sorted(files)))]
+    path = data.draw(st.sampled_from(list(_fields(base))))
+    obj = _with(base, path, data.draw(json_values))
+    (tmp_path / "in.json").write_text(json.dumps(obj))
+    (tmp_path / "table.json").write_text(json.dumps(table))
+    rc = run([a.format(file=tmp_path / "in.json", table=tmp_path / "table.json")
+              for a in argv])
+    assert rc in (0, 1, 2)
+    err = capsys.readouterr().err
+    if rc == 2:
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 # ------------------------------------------------------------ sample/search

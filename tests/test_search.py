@@ -151,6 +151,8 @@ def test_family_resolution_and_errors():
     ("trials", 0), ("trials", -1),
     ("step_size", 0.0), ("step_size", -0.1), ("step_size", float("nan")),
     ("refine_steps", -1), ("refine_steps", -3),
+    ("step_size", float("inf")), ("penalty", float("nan")), ("penalty", float("inf")),
+    ("penalty", -1.0), ("tol", float("nan")), ("tol", -1e-9),
 ])
 def test_config_rejects_values_that_cannot_search(field, value):
     # zero trials or an immobile walk would report "no violation" unlooked

@@ -272,6 +272,13 @@ def test_json_rejects_empty_and_duplicate_subsets():
     dup = dict(base, values=base["values"] * 2)
     with pytest.raises(ValueError):
         setfn_from_json(json.dumps(dup))
+    # the same faults with one entry per nonempty subset, past the count check
+    two = {"parties": ["A", "B"],
+           "values": [{"subset": s, "value": "1"} for s in (["A"], ["B"], ["A", "B"])]}
+    for last, msg in (([], "empty"), (["B"], "twice")):
+        bad = dict(two, values=two["values"][:2] + [{"subset": last, "value": "1"}])
+        with pytest.raises(ValueError, match=msg):
+            setfn_from_json(json.dumps(bad))
 
 
 def test_json_label_order_is_cosmetic():
