@@ -120,15 +120,14 @@ def _csv_text(header, rows) -> str:
 
 
 def _emit(args, report_obj, started, csv_table=None):
-    """Write the report per --format/--out and return nothing.
+    """Write the report per --out and return nothing: JSON, or CSV when the
+    command gives a `csv_table` (those that take --format) and --format asks.
 
     CSV stays byte-deterministic: the manifest never enters the CSV body; it
     goes to stdout when the CSV has a file of its own, to stderr otherwise.
     """
     manifest = _manifest(args, report_obj, started)
-    if args.format == "csv":
-        if csv_table is None:
-            raise ValueError(f"{args.command}: csv output is not available for this command")
+    if csv_table is not None and args.format == "csv":
         header, rows = csv_table
         text = _csv_text(header, rows)
         if args.out:
@@ -337,11 +336,13 @@ def _now() -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base random seed")
-    common.add_argument("--tol", type=float, default=1e-9, help="float tolerance")
-    common.add_argument("--out", help="write the report to this file (atomic)")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+    # each command takes only the shared flags it reads: every one takes
+    # --out, and --format, --seed and --tol go where a command uses them
+    out, fmt, seed, tol = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    out.add_argument("--out", help="write the report to this file (atomic)")
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
+    seed.add_argument("--seed", type=int, default=0, help="base random seed")
+    tol.add_argument("--tol", type=float, default=1e-9, help="float tolerance")
 
     parser = argparse.ArgumentParser(
         prog="entrocone",
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("witness", parents=[common],
+    p = sub.add_parser("witness", parents=[out, fmt],
                        help="verify the separating witness family exactly")
     p.add_argument("--n", type=int, required=True, help="witness order (>= 2)")
     p.add_argument("--p-max", type=int, default=None,
@@ -360,12 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the full instance scan; structural checks only")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("counterexample", parents=[common],
+    p = sub.add_parser("counterexample", parents=[out],
                        help="verify the four-party counterexample table")
     p.add_argument("--values", help="optional set-function JSON replacing the builtin")
     p.set_defaults(func=cmd_counterexample)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[out, tol],
                        help="evaluate a template on a stored set function")
     p.add_argument("--values", required=True, help="set-function JSON file")
     p.add_argument("--template", help="builtin template name, e.g. ssa or c_3")
@@ -376,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep only instances whose constraints vanish on f")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sample", parents=[common],
+    p = sub.add_parser("sample", parents=[out, fmt, seed, tol],
                        help="draw constrained-family states and check them")
     p.add_argument("--n", type=int, required=True, help="number of X registers")
     p.add_argument("--blocks", type=int, default=2)
@@ -385,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorems", help="comma list from thm1,thm1p,thm2,thm2p")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("certify", parents=[common],
+    p = sub.add_parser("certify", parents=[out],
                        help="decide cone membership and emit the certificate")
     p.add_argument("--problem", help="problem JSON file")
     p.add_argument("--builtin", choices=("independence", "purified-basic"))
@@ -397,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "run the exact simplex alone")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("search", parents=[common],
+    p = sub.add_parser("search", parents=[out, fmt, seed, tol],
                        help="random counterexample scan with optional refinement")
     p.add_argument("--template", help="builtin template name")
     p.add_argument("--template-file", help="template JSON file")

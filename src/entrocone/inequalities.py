@@ -396,9 +396,10 @@ class CompiledTemplate:
 
     Rows are the distinct slot subsets the forms use, column 0 is the
     functional and column j the j-th constraint.  `ints` holds each column
-    cleared by the lcm of its denominators (`denominators`), `floats` the
-    coefficients as float64.  An instance's slot masks are disjoint, so the
-    party mask of every term is the slot-mask row times `incidence`.
+    cleared by the lcm of its denominators (`denominators`), `floats` (built
+    on first use) the coefficients as float64.  An instance's slot masks are
+    disjoint, so the party mask of every term is the slot-mask row times
+    `incidence`.
     """
 
     def __init__(self, template: InequalityTemplate):
@@ -410,11 +411,17 @@ class CompiledTemplate:
         ).reshape(len(template.slots), len(terms))
         self.denominators = [den for _, den in forms]
         self.ints = [[nums.get(t, 0) for nums, _ in forms] for t in terms]
-        self.floats = np.array(
-            [[nums.get(t, 0) / den for nums, den in forms] for t in terms], dtype=np.float64
-        ).reshape(len(terms), len(forms))
+        self.shape = (len(terms), len(forms))
         # the largest sum |c| of a cleared column: bounds |value| / max |f|
         self.abs_sum = max(sum(abs(row[j]) for row in self.ints) for j in range(len(forms)))
+
+    @cached_property
+    def floats(self) -> np.ndarray:
+        try:
+            rows = [[c / den for c, den in zip(row, self.denominators)] for row in self.ints]
+        except OverflowError:
+            raise ValueError("a template coefficient is beyond float64") from None
+        return np.array(rows, dtype=np.float64).reshape(self.shape)
 
     def bind(self, f: SetFunction) -> "BoundTemplate":
         return BoundTemplate(self, f)
@@ -441,7 +448,7 @@ class BoundTemplate:
         fits = max(map(abs, table)) * max(compiled.abs_sum, 1) < 2**63
         dtype = np.int64 if fits else object
         self.table = np.array(table, dtype=dtype)
-        self.coefs = np.array(compiled.ints, dtype=dtype).reshape(compiled.floats.shape)
+        self.coefs = np.array(compiled.ints, dtype=dtype).reshape(compiled.shape)
         self.scales = [d * den for d in compiled.denominators]
 
     def evaluate(self, slot_masks: np.ndarray) -> np.ndarray:

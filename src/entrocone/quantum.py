@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import base64
 import functools
+import itertools
 import json
+import math
 import os
 import string
 from dataclasses import dataclass
@@ -283,13 +285,18 @@ class BlockStructure:
         return len(self.blocks)
 
 
-def _embed_indices(dims: Sequence[int], ranges: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Row-major global indices of the product of per-party index ranges."""
-    out = np.zeros(1, dtype=np.int64)
-    for d, (start, stop) in zip(dims, ranges):
-        arr = np.arange(start, stop, dtype=np.int64)
-        out = (out[:, None] * d + arr[None, :]).reshape(-1)
-    return out
+def _place_blocks(dims: Sequence[int], parts) -> np.ndarray:
+    """The matrix over parties of `dims` that sums `parts`, (block, ranges)
+    pairs: each block, reshaped to a square matrix, sits on the row-major
+    product of its per-party (start, stop) index ranges."""
+    total = math.prod(dims)
+    rho = np.zeros((total, total), dtype=np.complex128)
+    for block, ranges in parts:
+        idx = np.zeros(1, dtype=np.int64)
+        for d, (start, stop) in zip(dims, ranges):
+            idx = (idx[:, None] * d + np.arange(start, stop, dtype=np.int64)).reshape(-1)
+        rho[np.ix_(idx, idx)] += block.reshape(idx.size, idx.size)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -357,74 +364,23 @@ def family_labels(n: int) -> tuple[str, ...]:
     return ("A", "B", "C") + tuple(f"X{i}" for i in range(1, n + 1))
 
 
-def assemble_constrained_state(
-    fdims: FamilyDims,
-    bs: BlockStructure,
-    weights: Sequence[float],
-    chis: Sequence[np.ndarray],
-    xis: Sequence[np.ndarray],
-) -> MultipartyState:
-    """Build sum_k p_k chi_k (x) xi_k with chi_k on (A-block k, B-block k,
-    x first halves) and xi_k on (C, x second halves); `bs` is the A-side
-    block structure of `fdims`.
-
-    Both constraints I(A:C|B) and I(B:C|A) vanish identically on the result.
-    """
-    n = fdims.n
-    K = fdims.n_blocks
-    if not (len(weights) == len(chis) == len(xis) == K):
-        raise ValueError("need one weight, chi, and xi per block")
-    total = fdims.total_dim()
-    _check_cap(total)
-    labels = family_labels(n)
-    dims = (fdims.dim_a, fdims.dim_b, fdims.dim_c) + fdims.x_dims()
-    rho = np.zeros((total, total), dtype=np.complex128)
-    b_starts = np.cumsum((0,) + fdims.b_blocks[:-1])
-    xp = [h[0] for h in fdims.x_halves]
-    xq = [h[1] for h in fdims.x_halves]
-    for k in range(K):
-        a_start, ak = bs.blocks[k]
-        bk = fdims.b_blocks[k]
-        chi = np.asarray(chis[k], dtype=np.complex128)
-        xi = np.asarray(xis[k], dtype=np.complex128)
-        d_chi = ak * bk * int(np.prod(xp)) if n else ak * bk
-        d_xi = fdims.dim_c * int(np.prod(xq)) if n else fdims.dim_c
-        if chi.shape != (d_chi, d_chi):
-            raise ValueError(f"chi[{k}] must be {d_chi}x{d_chi}")
-        if xi.shape != (d_xi, d_xi):
-            raise ValueError(f"xi[{k}] must be {d_xi}x{d_xi}")
-        chi_t = chi.reshape([ak, bk] + xp + [ak, bk] + xp)
-        xi_t = xi.reshape([fdims.dim_c] + xq + [fdims.dim_c] + xq)
-        T = np.tensordot(chi_t, xi_t, axes=0)
-        # axes: chi rows (2+n), chi cols (2+n), xi rows (1+n), xi cols (1+n)
-        cr, cc, xr, xc = 0, 2 + n, 2 * (2 + n), 2 * (2 + n) + 1 + n
-        row = [cr, cr + 1, xr]
-        col = [cc, cc + 1, xc]
-        for i in range(n):
-            row += [cr + 2 + i, xr + 1 + i]
-            col += [cc + 2 + i, xc + 1 + i]
-        block = T.transpose(row + col)
-        dk = ak * bk * fdims.dim_c * int(np.prod(fdims.x_dims())) if n else ak * bk * fdims.dim_c
-        block = block.reshape(dk, dk)
-        ranges = [
-            (a_start, a_start + ak),
-            (int(b_starts[k]), int(b_starts[k]) + bk),
-            (0, fdims.dim_c),
-        ] + [(0, d) for d in fdims.x_dims()]
-        idx = _embed_indices(dims, ranges)
-        rho[np.ix_(idx, idx)] += weights[k] * block
-    return MultipartyState(labels, dims, rho, validate="basic")
-
-
 # --- parameters to states ---
+
+
+def _check_trace(tr) -> None:
+    """Refuse a parameter point whose trace is zero, or overflowed to inf or
+    NaN (the builders compute it with float warnings off, so this error
+    comes first)."""
+    if not 0 < tr < np.inf:
+        raise ValueError("degenerate parameter point (trace zero or not finite)")
 
 
 def simplex_weights(params: np.ndarray) -> np.ndarray:
     """Probability vector x_i^2 / sum_j x_j^2."""
-    p = params * params
-    s = p.sum()
-    if not s > 0:
-        raise ValueError("degenerate parameter point (zero trace)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = params * params
+        s = p.sum()
+    _check_trace(s)
     return p / s
 
 
@@ -437,11 +393,11 @@ def gram_density(params: np.ndarray, dim: int, rank: int) -> np.ndarray:
     """G G^dag / trace, with the dim x rank Ginibre matrix G read from
     2*dim*rank reals: all real parts first, then all imaginary parts."""
     half = dim * rank
-    g = (params[:half] + 1j * params[half:]).reshape(dim, rank)
-    rho = g @ g.conj().T
-    tr = np.trace(rho).real
-    if not tr > 0:
-        raise ValueError("degenerate parameter point (zero trace)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (params[:half] + 1j * params[half:]).reshape(dim, rank)
+        rho = g @ g.conj().T
+        tr = np.trace(rho).real
+    _check_trace(tr)
     return rho / tr
 
 
@@ -517,31 +473,38 @@ class ConstrainedFamily(StateFamily):
     independence constraints hold identically for every parameter point.
 
     Parameters: K block weights, then one factor per chi_k and per xi_k
-    (Ginibre reals, or diagonal amplitudes with `diagonal=True`).  The A-side
-    block structure is fixed by the dimensions and kept in `structure`.
+    (Ginibre reals, or diagonal amplitudes with `diagonal=True`).  The layout
+    is fixed here, once: the A-side block structure (`structure`), each
+    chi_k's tensor shape on (A block k, B block k, x first halves), xi_k's
+    on (C, x second halves), and the index ranges where chi_k (x) xi_k sits.
     """
 
     def __init__(self, n: int, blocks: int = 2, dims: FamilyDims | None = None,
                  diagonal: bool = False):
-        self.fdims = default_family_dims(n, blocks) if dims is None else dims
-        _check_cap(self.fdims.total_dim())
-        self.labels = family_labels(self.fdims.n)
+        fd = self.fdims = default_family_dims(n, blocks) if dims is None else dims
+        _check_cap(fd.total_dim())
+        self.labels = family_labels(fd.n)
+        self.dims = (fd.dim_a, fd.dim_b, fd.dim_c) + fd.x_dims()
         self.diagonal = diagonal
-        starts = np.cumsum((0,) + self.fdims.a_blocks[:-1])
-        self.structure = BlockStructure(
-            "A", tuple((int(s), int(z)) for s, z in zip(starts, self.fdims.a_blocks))
+        a_starts = tuple(itertools.accumulate(fd.a_blocks, initial=0))
+        b_starts = tuple(itertools.accumulate(fd.b_blocks, initial=0))
+        self.structure = BlockStructure("A", tuple(zip(a_starts, fd.a_blocks)))
+        self.chi_shapes = tuple((a, b) + tuple(p for p, _ in fd.x_halves)
+                                for a, b in zip(fd.a_blocks, fd.b_blocks))
+        self.xi_shape = (fd.dim_c,) + tuple(q for _, q in fd.x_halves)
+        self.ranges = tuple(
+            ((sa, sa + a), (sb, sb + b), (0, fd.dim_c)) + tuple((0, d) for d in fd.x_dims())
+            for sa, a, sb, b in zip(a_starts, fd.a_blocks, b_starts, fd.b_blocks)
         )
-        xp = 1
-        xq = 1
-        for a, b in self.fdims.x_halves:
-            xp *= a
-            xq *= b
-        K = self.fdims.n_blocks
-        self.factor_dims = tuple(
-            [self.fdims.a_blocks[k] * self.fdims.b_blocks[k] * xp for k in range(K)]
-            + [self.fdims.dim_c * xq] * K
-        )
-        self.sizes = (K,) + tuple(d if diagonal else 2 * d * d for d in self.factor_dims)
+        # chi_k (x) xi_k has axes (chi rows, chi cols, xi rows, xi cols); in
+        # state order the rows run A, B, C, then each X's first half and its
+        # second, and each column axis sits m (chi) or n + 1 (xi) past its row
+        m = 2 + fd.n
+        rows = [0, 1, 2 * m] + [a for i in range(fd.n) for a in (2 + i, 2 * m + 1 + i)]
+        self.axes = tuple(rows + [a + m if a < m else a + fd.n + 1 for a in rows])
+        self.factor_dims = tuple(map(math.prod, self.chi_shapes + (self.xi_shape,) * fd.n_blocks))
+        self.sizes = (fd.n_blocks,) + tuple(d if diagonal else 2 * d * d
+                                            for d in self.factor_dims)
 
     def n_params(self) -> int:
         return sum(self.sizes)
@@ -556,6 +519,7 @@ class ConstrainedFamily(StateFamily):
         return np.concatenate(parts)
 
     def build(self, params: np.ndarray) -> MultipartyState:
+        """sum_k p_k chi_k (x) xi_k; I(A:C|B) and I(B:C|A) vanish identically."""
         if params.size != self.n_params():
             raise ValueError("parameter vector has the wrong length")
         pieces = np.split(params, np.cumsum(self.sizes)[:-1])
@@ -564,9 +528,16 @@ class ConstrainedFamily(StateFamily):
         else:
             factors = [gram_density(raw, d, d) for raw, d in zip(pieces[1:], self.factor_dims)]
         K = self.fdims.n_blocks
-        return assemble_constrained_state(
-            self.fdims, self.structure, simplex_weights(pieces[0]), factors[:K], factors[K:]
-        )
+        weights = simplex_weights(pieces[0])
+
+        def part(k):
+            chi = factors[k].reshape(self.chi_shapes[k] * 2)
+            xi = factors[K + k].reshape(self.xi_shape * 2)
+            block = np.tensordot(chi, xi, axes=0).transpose(self.axes)
+            return weights[k] * block, self.ranges[k]
+
+        rho = _place_blocks(self.dims, map(part, range(K)))
+        return MultipartyState(self.labels, self.dims, rho, validate="basic")
 
 
 class LW05Family(StateFamily):
@@ -638,25 +609,20 @@ def lw05_family_sample(
     da, db, dd = block_dims
     K = blocks
     dims = (da * K, db * K, dim_c, dd * K)
-    total = int(np.prod(dims))
-    _check_cap(total)
+    _check_cap(math.prod(dims))
     rng = _rng(seed)
     w = rng.standard_exponential(K)
     weights = w / w.sum()
-    rho = np.zeros((total, total), dtype=np.complex128)
-    for k in range(K):
+
+    def part(k):
         fa = random_density(da, rng)
         fb = random_density(db, rng)
         fcd = random_density(dim_c * dd, rng)
-        blk = np.kron(np.kron(fa, fb), fcd)
-        ranges = [
-            (k * da, (k + 1) * da),
-            (k * db, (k + 1) * db),
-            (0, dim_c),
-            (k * dd, (k + 1) * dd),
-        ]
-        idx = _embed_indices(dims, ranges)
-        rho[np.ix_(idx, idx)] += weights[k] * blk
+        ranges = ((k * da, (k + 1) * da), (k * db, (k + 1) * db), (0, dim_c),
+                  (k * dd, (k + 1) * dd))
+        return weights[k] * np.kron(np.kron(fa, fb), fcd), ranges
+
+    rho = _place_blocks(dims, map(part, range(K)))
     return MultipartyState(("A", "B", "C", "D"), dims, rho, validate="basic")
 
 
@@ -677,35 +643,25 @@ def measure_and_register(
             f"blocks cover dimension {bs.dim}, party {bs.party!r} has {state.dims[pos]}"
         )
     K = bs.n_blocks
-    d = state.total_dim
-    _check_cap(d * K)
-    pre = int(np.prod(state.dims[:pos])) if pos else 1
-    dk = state.dims[pos]
-    post = int(np.prod(state.dims[pos + 1:])) if pos + 1 < len(state.dims) else 1
-    t = state.rho.reshape(pre, dk, post, pre, dk, post)
-    off = t.copy()
-    parts = []
+    _check_cap(state.total_dim * K)
+    dims = state.dims
+    t = state.rho.reshape((math.prod(dims[:pos]), dims[pos], math.prod(dims[pos + 1:])) * 2)
+    ranges = [(0, d) for d in dims]
+    blocks = []
     for start, size in bs.blocks:
+        ranges[pos] = (start, start + size)
         sl = slice(start, start + size)
-        parts.append((sl, t[:, sl, :, :, sl, :]))
-        off[:, sl, :, :, sl, :] = 0
-    off_mass = float(np.max(np.abs(off)))
+        blocks.append((t[:, sl, :, :, sl, :], tuple(ranges)))
+    off_mass = float(np.max(np.abs(state.rho - _place_blocks(dims, blocks))))
     if off_mass > STATE_ATOL:
         raise ValueError(
             f"state is not block diagonal in {bs.party!r} (off-block mass {off_mass:.3e})"
         )
-    sigma = np.zeros((d * K, d * K), dtype=np.complex128)
-    view = sigma.reshape(d, K, d, K)
-    for k, (sl, _) in enumerate(parts):
-        blocked = np.zeros_like(t)
-        blocked[:, sl, :, :, sl, :] = t[:, sl, :, :, sl, :]
-        view[:, k, :, k] = blocked.reshape(d, d)
-    return MultipartyState(
-        state.labels + (register_label,),
-        state.dims + (K,),
-        sigma,
-        validate="none",
+    sigma = _place_blocks(
+        dims + (K,), [(blk, r + ((k, k + 1),)) for k, (blk, r) in enumerate(blocks)]
     )
+    return MultipartyState(state.labels + (register_label,), dims + (K,), sigma,
+                           validate="none")
 
 
 THEOREMS = ("thm1", "thm1p", "thm2", "thm2p")

@@ -21,13 +21,11 @@ from .inequalities import (
     Instance,
     builtin,
     enumerate_instances,
-    instantiate,
     slot_mask_matrix,
 )
 from .quantum import (
     ConstrainedFamily,
     DiagonalFamily,
-    FamilyDims,
     HaarMixedFamily,
     LW05Family,
     StateFamily,
@@ -53,7 +51,6 @@ class SearchConfig:
     dims: tuple = ()  # per-party dims for haar-mixed / diagonal
     rank: int | None = None
     blocks: int = 2
-    family_dims: FamilyDims | None = None
     trials: int = 100
     seed: int = 0
     tol: float = 1e-9
@@ -115,11 +112,9 @@ def family_for(cfg: SearchConfig, template: InequalityTemplate) -> StateFamily:
         n = cfg.n
         if n is None:
             n = sum(1 for s in template.slots if s.startswith("X"))
-        if n < 0 or (cfg.family_dims is None and n < 1):
+        if n < 1:
             raise ValueError("constrained family needs the order n >= 1")
-        return ConstrainedFamily(
-            n, cfg.blocks, cfg.family_dims, diagonal=(name == "constrained-diagonal")
-        )
+        return ConstrainedFamily(n, cfg.blocks, diagonal=(name == "constrained-diagonal"))
     if name == "lw05":
         return LW05Family(cfg.blocks)
     raise ValueError(f"unknown family {cfg.family!r} (choose from {FAMILIES})")
@@ -128,18 +123,13 @@ def family_for(cfg: SearchConfig, template: InequalityTemplate) -> StateFamily:
 def _instances_for(
     template: InequalityTemplate, ground, cfg: SearchConfig
 ) -> list[Instance]:
-    if cfg.binding is not None:
-        if set(cfg.binding) == set(template.slots):
-            return [instantiate(template, ground, cfg.binding)]
-        return list(enumerate_instances(template, ground, fixed=cfg.binding))
-    if template.constraints and not cfg.auto_filter:
+    binding = cfg.binding
+    if binding is None and template.constraints and not cfg.auto_filter:
         # natural binding: slots named after parties bind to themselves
-        if all(s in ground.labels for s in template.slots):
-            return [instantiate(template, ground, {s: s for s in template.slots})]
-        raise ValueError(
-            "constrained template: give a binding or set auto_filter=True"
-        )
-    return list(enumerate_instances(template, ground))
+        if not all(s in ground.labels for s in template.slots):
+            raise ValueError("constrained template: give a binding or set auto_filter=True")
+        binding = {s: s for s in template.slots}
+    return list(enumerate_instances(template, ground, fixed=binding))
 
 
 def _setup(cfg: SearchConfig):
@@ -359,7 +349,10 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
         steps += 1
         j = int(walk_rng.integers(0, params.size))
         cand = params.copy()
-        cand[j] += step * walk_rng.standard_normal()
+        cand[j] = float(params[j]) + step * walk_rng.standard_normal()
+        if not math.isfinite(cand[j]):  # the step overflowed
+            step *= 0.5
+            continue
         try:
             cand_obj, cand_parts = objective(cand)
         except (ValueError, np.linalg.LinAlgError):

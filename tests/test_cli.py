@@ -129,6 +129,10 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["search", "--template", "anti-monotone", "--trials", "2", "--tol", "nan"],
     ["sample", "--n", "1", "--trials", "1", "--tol", "-1"],
     ["eval", "--values", "{deep}", "--template", "ssa"],
+    ["eval", "--values", "{halves}", "--template-file", "{huge_coef}"],
+    ["witness", "--n", "2", "--seed", "1"],
+    ["counterexample", "--tol", "1"],
+    ["eval", "--values", "{ones}", "--template", "ssa", "--format", "csv"],
 ])
 def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeypatch):
     """A leading "env:NAME=value" entry sets that environment variable."""
@@ -158,10 +162,12 @@ def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeyp
                          ("constraints_not_list", {"constraints": 5}),
                          ("symmetries_not_list", {"symmetries": 5}),
                          ("zero_denominator", {"terms": [{"subset": ["A"], "coef": "1/0"}]}),
-                         ("bool_coef", {"terms": [{"subset": ["A"], "coef": True}]})):
+                         ("bool_coef", {"terms": [{"subset": ["A"], "coef": True}]}),
+                         ("huge_coef", {"terms": [{"subset": ["A"], "coef": "1e400"}]})):
         problems[name] = {**template, **change}
-    # three-party tables with every value 1, NaN, or so large that a sum overflows
-    for name, v in (("ones", 1), ("nans", float("nan")), ("huge", 1.7e308)):
+    # three-party tables with every value 1, 1/2, NaN, or so large that a sum
+    # overflows
+    for name, v in (("ones", 1), ("halves", 0.5), ("nans", float("nan")), ("huge", 1.7e308)):
         problems[name] = setfn_to_obj(SetFunction(GroundSet(("A", "B", "C")), [v] * 8))
     problems["deep"] = "[" * 100_000 + "]" * 100_000  # past the JSON decoder's recursion
     for name, obj in problems.items():
@@ -170,6 +176,18 @@ def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeyp
                 for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
+
+
+def test_coefficient_beyond_float64_evaluates_exactly(tmp_path, capsys):
+    # only a float64 table needs the coefficient as a float
+    values, template, out = tmp_path / "ones.json", tmp_path / "t.json", tmp_path / "r.json"
+    values.write_text(setfn_to_json(SetFunction(GroundSet(("A", "B", "C")), [1] * 8)))
+    template.write_text(json.dumps({"name": "t", "slots": ["A"],
+                                    "terms": [{"subset": ["A"], "coef": "1e400"}]}))
+    assert run(["eval", "--values", str(values), "--template-file", str(template),
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["report"]["min_value"] == str(10**400)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -134,6 +134,24 @@ def test_refine_on_constrained_family_keeps_residuals_small():
     assert not rep.violation_found
 
 
+def test_refine_never_builds_a_state_that_is_not_finite(monkeypatch):
+    import numpy as np
+
+    real_build = HaarMixedFamily.build
+
+    def build(self, params):
+        assert np.isfinite(params).all()
+        state = real_build(self, params)
+        assert np.isfinite(state.rho).all()
+        return state
+
+    monkeypatch.setattr(HaarMixedFamily, "build", build)
+    # every step overflows a parameter or the trace: none may be accepted
+    rep = local_refine(SearchConfig(template="ssa", step_size=1e308, refine_steps=40))
+    assert rep.steps == 40 and rep.accepted == 0
+    assert rep.trajectory == [rep.start_objective] == [rep.final_objective]
+
+
 # ------------------------------------------------------------ families
 
 

@@ -250,3 +250,23 @@ def test_elemental_match_tracks_g_minus_f(monkeypatch, bump, match):
     monkeypatch.setattr(witness, "monotone_repair", bumped)
     rep = verify_witness(3, scan_instances=False)
     assert rep.elemental_match_fg is match
+
+
+@pytest.mark.parametrize("subset, ok", [
+    (("x1",), False), (("x2", "x3"), False), (("x1", "x2", "x3"), False), (("a", "x1"), True),
+])
+def test_zero_sum_check_sees_one_bumped_x_value(monkeypatch, subset, ok):
+    # additivity over disjoint x-subsets reads the x-only values alone
+    from entrocone import witness
+    from entrocone.setfn import SetFunction
+
+    true_f = witness.make_witness_f
+
+    def bumped(k):
+        f = true_f(k)
+        values = list(f.values)
+        values[f.ground.mask_of(subset)] += 1
+        return SetFunction(f.ground, values)
+
+    monkeypatch.setattr(witness, "make_witness_f", bumped)
+    assert verify_witness(3, scan_instances=False).zero_sum_ok is ok
