@@ -96,7 +96,7 @@ class Feasible:
     coefficients: tuple[Fraction, ...]
     constraint_coefficients: tuple[Fraction, ...]
     pivots: int = 0
-    method: str = "simplex"  # "shortcut", "float-guided" or "simplex"
+    method: str = "simplex"  # "float-guided" or "simplex"
 
     @property
     def feasible(self) -> bool:
@@ -118,7 +118,7 @@ class Infeasible:
 
     farkas_point: SetFunction
     pivots: int = 0
-    method: str = "simplex"  # "shortcut", "float-guided" or "simplex"
+    method: str = "simplex"  # "float-guided" or "simplex"
 
     @property
     def feasible(self) -> bool:
@@ -283,12 +283,10 @@ def cone_membership(
     """Decide exactly whether target lies in cone(generators) + span(constraints).
 
     Returns Feasible (with multipliers) or Infeasible (with a separating set
-    function scaled to integers); its `method` names what decided it.
-    Duplicate generator rays collapse before the solve.  With fast paths on,
-    a target equal to a generator short-circuits, and a float64 run of the
-    phase-1 LP proposes a basis that one exact solve turns into a claim.  Every
-    claim is re-checked exactly; a rejected one falls through to the exact
-    Bland simplex.
+    function scaled to integers); its `method` names the LP run that decided
+    it.  With fast paths on, a float64 run of the phase-1 LP proposes a basis
+    that one exact solve turns into a claim.  Every claim is re-checked
+    exactly; a rejected one falls through to the exact Bland simplex.
     """
     ground = target.ground
     for item in list(generators) + list(constraints):
@@ -300,41 +298,16 @@ def cone_membership(
         raise ValueError(f"{len(generators)} generators exceeds cap {max_generators}")
     problem = (target, generators, constraints)
 
-    # collapse duplicate rays, remembering a representative index
-    rep_index: list[int] = []
-    seen: dict[tuple, int] = {}
-    reps: list[LinearFunctional] = []
-    for idx, gen in enumerate(generators):
-        if gen.is_zero():
-            continue
-        key = gen.primitive_key()
-        if key not in seen:
-            seen[key] = len(reps)
-            rep_index.append(idx)
-            reps.append(gen)
-
-    nz_constraints = [c for c in constraints if not c.is_zero()]
-
-    if use_fast_paths:
-        key = target.primitive_key()
-        if key in seen:
-            rep = reps[seen[key]]
-            # target = t, rep = r with t = s*r for the common primitive ray;
-            # the scale is the ratio of any matching coefficients
-            mask0, t0 = next(iter(target.nums.items()))
-            lams = [0] * len(generators)
-            lams[rep_index[seen[key]]] = Fraction(t0 * rep.den, target.den * rep.nums[mask0])
-            result = _feasible(*problem, lams, [0] * len(constraints), "shortcut", 0)
-            if result is not None:
-                return result
-
-    # LP columns: one per ray, a +/- pair per constraint (a free multiplier),
-    # each the item's numerators, so column j is scales[j] times its item;
-    # the right-hand side is the target's numerators, target.den times it
+    # LP columns: one per generator, a +/- pair per constraint (a free
+    # multiplier), each the item's numerators, so column j is scales[j] times
+    # its item; the right-hand side is the target's numerators, target.den
+    # times it.  Under Bland's rule a zero column never enters, nor does a
+    # repeated ray: its first copy has a lower index and a reduced cost of
+    # the same sign.
     dim = ground.n_subsets - 1
-    columns = [g.nums for g in reps]
-    scales = [g.den for g in reps]
-    for con in nz_constraints:
+    columns = [g.nums for g in generators]
+    scales = [g.den for g in generators]
+    for con in constraints:
         columns += [con.nums, {m: -c for m, c in con.nums.items()}]
         scales += [con.den, con.den]
     fits = all(abs(c) < 2**63 for nums in [target.nums, *columns] for c in nums.values())
@@ -342,22 +315,9 @@ def cone_membership(
     for j, nums in enumerate(columns):
         for mask, c in nums.items():
             A[mask - 1, j] = c
-    rhs = np.zeros(dim, dtype=A.dtype)
+    b = np.zeros(dim, dtype=A.dtype)
     for mask, c in target.nums.items():
-        rhs[mask - 1] = c
-
-    # drop identically-zero rows; an inconsistent zero row separates trivially
-    live = (A != 0).any(axis=1)
-    inconsistent = np.flatnonzero(~live & (rhs != 0))
-    if len(inconsistent):
-        values = [0] * dim
-        values[inconsistent[0]] = 1 if rhs[inconsistent[0]] < 0 else -1
-        result = _infeasible(*problem, values, "shortcut", 0)
-        if result is None:
-            raise RuntimeError("internal error: zero-row separating point fails re-check")
-        return result
-    keep_rows = np.flatnonzero(live)
-    A, b = A[keep_rows], rhs[keep_rows]
+        b[mask - 1] = c
 
     def claim(sx: _Simplex, lp_columns, method: str, pivots: int):
         """The re-checked result an exact tableau over `lp_columns` supports,
@@ -366,16 +326,10 @@ def cone_membership(
             x = [0] * len(columns)
             for j, v in zip(lp_columns, sx.solution()):
                 x[j] = Fraction(v * scales[j], target.den)
-            lams = [0] * len(generators)
-            for ridx, val in zip(rep_index, x):
-                lams[ridx] = val
-            diffs = iter(x[pos] - x[pos + 1] for pos in range(len(reps), len(x), 2))
-            mus = [0 if c.is_zero() else next(diffs) for c in constraints]
-            return _feasible(*problem, lams, mus, method, pivots)
-        values = [0] * dim
-        for row, y in zip(keep_rows, sx.dual_prices()):
-            values[row] = -y
-        return _infeasible(*problem, values, method, pivots)
+            k = len(generators)
+            mus = [x[pos] - x[pos + 1] for pos in range(k, len(x), 2)]
+            return _feasible(*problem, x[:k], mus, method, pivots)
+        return _infeasible(*problem, [-y for y in sx.dual_prices()], method, pivots)
 
     if use_fast_paths:
         proposal = _float_basis(A, b)
@@ -489,20 +443,12 @@ def purified_basic_problem():
 # --- problem / result serialization ---
 
 
-def functional_to_obj(functional: LinearFunctional) -> list:
-    return terms_to_obj(functional.coefs, functional.ground)
-
-
-def functional_from_obj(entries, ground: GroundSet) -> LinearFunctional:
-    return terms_from_obj(entries, ground)
-
-
 def problem_to_obj(target, generators, constraints, ground, expect=None) -> dict:
     obj = {
         "ground": list(ground.labels),
-        "target": functional_to_obj(target),
-        "generators": [functional_to_obj(g) for g in generators],
-        "constraints": [functional_to_obj(c) for c in constraints],
+        "target": terms_to_obj(target.coefs, ground),
+        "generators": [terms_to_obj(g.coefs, ground) for g in generators],
+        "constraints": [terms_to_obj(c.coefs, ground) for c in constraints],
     }
     if expect:
         obj["expect"] = expect
@@ -516,9 +462,9 @@ def problem_from_obj(obj):
     if obj["expect"] not in (None, "feasible", "infeasible"):
         raise ValueError("'expect' must be \"feasible\" or \"infeasible\"")
     ground = GroundSet(list_field(obj, "ground"))
-    target = functional_from_obj(list_field(obj, "target"), ground)
-    generators = [functional_from_obj(g, ground) for g in list_field(obj, "generators")]
-    constraints = [functional_from_obj(c, ground) for c in list_field(obj, "constraints")]
+    target = terms_from_obj(list_field(obj, "target"), ground)
+    generators = [terms_from_obj(g, ground) for g in list_field(obj, "generators")]
+    constraints = [terms_from_obj(c, ground) for c in list_field(obj, "constraints")]
     return target, generators, constraints, ground, obj["expect"]
 
 

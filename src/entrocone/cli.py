@@ -150,7 +150,7 @@ def _emit(args, report_obj, started, csv_table=None):
 
 def cmd_witness(args) -> int:
     started = _now()
-    report = verify_witness(args.n, p_max=args.p_max, scan_instances=not args.no_scan)
+    report = verify_witness(args.n, p_max=args.p_max)
     obj = report.to_dict()
     rows = [
         (r["p"], r["delta"], r["count"], r["value_f"], r["value_g"], r["expected"])
@@ -357,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="witness order (>= 2)")
     p.add_argument("--p-max", type=int, default=None,
                    help="largest template order to scan, at least n (default n+2)")
-    p.add_argument("--no-scan", action="store_true",
-                   help="skip the full instance scan; structural checks only")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("counterexample", parents=[out],
@@ -394,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-max", type=int, default=None)
     p.add_argument("--max-generators", type=int, default=20000)
     p.add_argument("--no-fast-paths", action="store_true",
-                   help="skip the generator shortcut and the float guide; "
-                        "run the exact simplex alone")
+                   help="skip the float guide; run the exact simplex alone")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("search", parents=[out, fmt, seed, tol],

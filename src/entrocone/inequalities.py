@@ -131,11 +131,6 @@ class LinearFunctional:
             self.den * k.denominator,
         )
 
-    def primitive_key(self) -> tuple:
-        """The numerators divided by their content; identifies the ray."""
-        g = gcd(*self.nums.values())
-        return tuple((m, v // g) for m, v in self.nums.items())
-
     def __eq__(self, other):
         return (
             isinstance(other, LinearFunctional)

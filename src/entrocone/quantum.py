@@ -12,10 +12,8 @@ conditional-independence constraints hold identically.
 
 from __future__ import annotations
 
-import base64
 import functools
 import itertools
-import json
 import math
 import os
 import string
@@ -68,13 +66,13 @@ class MultipartyState:
 
     The matrix is indexed row-major by the party order.  Construction checks
     shape, hermiticity, and unit trace (a NaN or infinite entry fails them);
-    `validate='full'` adds a positivity check, `validate='none'` skips
-    everything (internal use on matrices that are valid by construction).
+    `validate=False` skips the last two (internal use on matrices that are
+    valid by construction).
     """
 
     __slots__ = ("labels", "dims", "rho")
 
-    def __init__(self, labels, dims, rho, validate: str = "basic"):
+    def __init__(self, labels, dims, rho, validate: bool = True):
         self.labels = tuple(labels)
         self.dims = tuple(int(d) for d in dims)
         if len(self.labels) != len(self.dims):
@@ -90,17 +88,13 @@ class MultipartyState:
         if rho.shape != (total, total):
             raise ValueError(f"matrix shape {rho.shape} does not match total dim {total}")
         self.rho = rho
-        if validate != "none":
+        if validate:
             herm = np.max(np.abs(rho - rho.conj().T)) if total else 0.0
             if not herm <= STATE_ATOL:
                 raise ValueError(f"matrix not hermitian (deviation {herm:.3e})")
             tr = abs(np.trace(rho) - 1.0)
             if not tr <= STATE_ATOL:
                 raise ValueError(f"trace deviates from one by {tr:.3e}")
-            if validate == "full":
-                w = np.linalg.eigvalsh(rho)
-                if not w.min() >= -STATE_ATOL:
-                    raise ValueError(f"matrix not positive (min eigenvalue {w.min():.3e})")
 
     @property
     def total_dim(self) -> int:
@@ -160,7 +154,7 @@ def partial_trace(state: MultipartyState, keep) -> MultipartyState:
         tuple(state.labels[i] for i in keep_idx),
         new_dims,
         reduced.reshape(d, d),
-        validate="none",
+        validate=False,
     )
 
 
@@ -256,7 +250,7 @@ def purify(state: MultipartyState, new_label: str = "E") -> MultipartyState:
         vec[i::r] = np.sqrt(w[i]) * v[:, i]
     rho = np.outer(vec, vec.conj())
     return MultipartyState(
-        state.labels + (new_label,), state.dims + (r,), rho, validate="none"
+        state.labels + (new_label,), state.dims + (r,), rho, validate=False
     )
 
 
@@ -446,7 +440,7 @@ class HaarMixedFamily(StateFamily):
 
     def build(self, params: np.ndarray) -> MultipartyState:
         rho = gram_density(params, self.total, self.rank)
-        return MultipartyState(self.labels, self.dims, rho, validate="none")
+        return MultipartyState(self.labels, self.dims, rho, validate=False)
 
 
 class DiagonalFamily(StateFamily):
@@ -465,7 +459,7 @@ class DiagonalFamily(StateFamily):
         return np.sqrt(rng.standard_exponential(self.total))
 
     def build(self, params: np.ndarray) -> MultipartyState:
-        return MultipartyState(self.labels, self.dims, diagonal_density(params), validate="none")
+        return MultipartyState(self.labels, self.dims, diagonal_density(params), validate=False)
 
 
 class ConstrainedFamily(StateFamily):
@@ -537,7 +531,7 @@ class ConstrainedFamily(StateFamily):
             return weights[k] * block, self.ranges[k]
 
         rho = _place_blocks(self.dims, map(part, range(K)))
-        return MultipartyState(self.labels, self.dims, rho, validate="basic")
+        return MultipartyState(self.labels, self.dims, rho)
 
 
 class LW05Family(StateFamily):
@@ -623,7 +617,7 @@ def lw05_family_sample(
         return weights[k] * np.kron(np.kron(fa, fb), fcd), ranges
 
     rho = _place_blocks(dims, map(part, range(K)))
-    return MultipartyState(("A", "B", "C", "D"), dims, rho, validate="basic")
+    return MultipartyState(("A", "B", "C", "D"), dims, rho)
 
 
 def measure_and_register(
@@ -661,7 +655,7 @@ def measure_and_register(
         dims + (K,), [(blk, r + ((k, k + 1),)) for k, (blk, r) in enumerate(blocks)]
     )
     return MultipartyState(state.labels + (register_label,), dims + (K,), sigma,
-                           validate="none")
+                           validate=False)
 
 
 THEOREMS = ("thm1", "thm1p", "thm2", "thm2p")
@@ -812,48 +806,3 @@ def check_theorem(
         clipped_mass=float(diag.get("clipped_mass", 0.0)),
     )
 
-
-# --- serialization ---
-
-STATE_FORMAT = "density-matrix/complex128-le/v1"
-
-
-def state_to_obj(state: MultipartyState, meta: dict | None = None) -> dict:
-    data = np.ascontiguousarray(state.rho, dtype="<c16").tobytes()
-    obj = {
-        "format": STATE_FORMAT,
-        "labels": list(state.labels),
-        "dims": list(state.dims),
-        "matrix_b64": base64.b64encode(data).decode("ascii"),
-    }
-    if meta:
-        obj["meta"] = meta
-    return obj
-
-
-def state_from_obj(obj) -> MultipartyState:
-    if not isinstance(obj, dict):
-        raise ValueError("state object must be a JSON object")
-    for key in ("labels", "dims", "matrix_b64"):
-        if key not in obj:
-            raise ValueError(f"state object missing key {key!r}")
-    if obj.get("format", STATE_FORMAT) != STATE_FORMAT:
-        raise ValueError(f"unsupported state format {obj.get('format')!r}")
-    labels = tuple(obj["labels"])
-    dims = tuple(int(d) for d in obj["dims"])
-    total = 1
-    for d in dims:
-        total *= d
-    raw = base64.b64decode(obj["matrix_b64"])
-    if len(raw) != total * total * 16:
-        raise ValueError("matrix payload has the wrong size")
-    mat = np.frombuffer(raw, dtype="<c16").astype(np.complex128).reshape(total, total)
-    return MultipartyState(labels, dims, mat, validate="full")
-
-
-def state_to_json(state: MultipartyState, meta: dict | None = None) -> str:
-    return json.dumps(state_to_obj(state, meta))
-
-
-def state_from_json(text: str) -> MultipartyState:
-    return state_from_obj(json.loads(text))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -75,21 +75,13 @@ class SearchConfig:
         check_tol(self.tol)
 
     def summary(self) -> dict:
-        return {
-            "template": self.template if isinstance(self.template, str) else self.template.name,
-            "n": self.n,
-            "family": self.family,
-            "labels": list(self.labels),
-            "dims": list(self.dims),
-            "rank": self.rank,
-            "blocks": self.blocks,
-            "trials": self.trials,
-            "seed": self.seed,
-            "tol": self.tol,
-            "penalty": self.penalty,
-            "refine_steps": self.refine_steps,
-            "step_size": self.step_size,
-        }
+        """Every field, JSON-ready: `SearchConfig(**summary)` redoes the run
+        (a template object is recorded by its name)."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if not isinstance(self.template, str):
+            out["template"] = self.template.name
+        out["labels"], out["dims"] = list(self.labels), list(self.dims)
+        return out
 
 
 def resolve_template(cfg: SearchConfig) -> InequalityTemplate:

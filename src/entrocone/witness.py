@@ -211,24 +211,21 @@ class WitnessReport:
         }
 
 
-def verify_witness(n: int, p_max: int | None = None, scan_instances: bool = True) -> WitnessReport:
+def verify_witness(n: int, p_max: int | None = None) -> WitnessReport:
     """Check every defining property of the order-n witness exactly.
 
     Scans all elemental submodularity triples for f and g, the pinned special
-    values, additivity over disjoint x-subsets, and (optionally) every
-    instance of the order-p families for p up to p_max (default n+2) against
-    the closed-form value, recording the (p, delta) histogram and confirming
-    the single negative class (p=n, delta=0); a scan needs p_max >= n, and
-    p_max >= 1 always.  Instances are evaluated in compiled chunks (see
-    `instance_batches`).
+    values, additivity over disjoint x-subsets, and every instance of the
+    order-p families for p up to p_max (default n+2, at least n) against the
+    closed-form value, recording the (p, delta) histogram and confirming the
+    single negative class (p=n, delta=0).  Instances are evaluated in
+    compiled chunks (see `instance_batches`).
     """
     if n < 2:
         raise ValueError("witness order n must be at least 2: the construction needs two registers")
     p_max = n + 2 if p_max is None else p_max
-    if scan_instances and p_max < n:
+    if p_max < n:
         raise ValueError(f"p_max must be at least n = {n}: the negative class is p = n")
-    if p_max < 1:
-        raise ValueError("p_max must be at least 1")
     f = make_witness_f(n)
     g = make_witness_g(n)
     gr = f.ground
@@ -262,38 +259,32 @@ def verify_witness(n: int, p_max: int | None = None, scan_instances: bool = True
     rows: list[dict] = []
     match_f = True
     match_g = True
-    negative_classes: list[dict] = []
-    if scan_instances:
-        binding = standard_c_binding()
-        for p in range(1, p_max + 1):
-            template = builtin("c_n", p)
-            compiled = CompiledTemplate(template)
-            on_f, on_g = compiled.bind(f), compiled.bind(g)
-            is_x = np.array([slot.startswith("X") for slot in template.slots])
-            classes: dict[int, dict] = {}
-            for _, masks in instance_batches(template, gr, fixed=binding):
-                deltas = (masks[:, is_x] == 0).sum(axis=1)
-                vf, vg = on_f.evaluate(masks)[:, 0], on_g.evaluate(masks)[:, 0]
-                for delta in np.flatnonzero(np.bincount(deltas)).tolist():
-                    sel = np.flatnonzero(deltas == delta)
-                    expected = closed_form_value(n, p, delta)
-                    row = classes.get(delta)
-                    if row is None:
-                        row = {"p": p, "delta": delta, "count": 0,
-                               "value_f": on_f.value(vf[sel[0]]),
-                               "value_g": on_g.value(vg[sel[0]]), "expected": expected}
-                        classes[delta] = row
-                    row["count"] += len(sel)
-                    match_f = match_f and bool((vf[sel] == expected * on_f.scales[0]).all())
-                    match_g = match_g and bool((vg[sel] == expected * on_g.scales[0]).all())
-            rows += [classes[d] for d in sorted(classes)]
-        for row in rows:
-            if row["expected"] < 0:
-                negative_classes.append({"p": row["p"], "delta": row["delta"],
-                                         "value": str(row["expected"])})
+    binding = standard_c_binding()
+    for p in range(1, p_max + 1):
+        template = builtin("c_n", p)
+        compiled = CompiledTemplate(template)
+        on_f, on_g = compiled.bind(f), compiled.bind(g)
+        is_x = np.array([slot.startswith("X") for slot in template.slots])
+        classes: dict[int, dict] = {}
+        for _, masks in instance_batches(template, gr, fixed=binding):
+            deltas = (masks[:, is_x] == 0).sum(axis=1)
+            vf, vg = on_f.evaluate(masks)[:, 0], on_g.evaluate(masks)[:, 0]
+            for delta in np.flatnonzero(np.bincount(deltas)).tolist():
+                sel = np.flatnonzero(deltas == delta)
+                expected = closed_form_value(n, p, delta)
+                row = classes.get(delta)
+                if row is None:
+                    row = {"p": p, "delta": delta, "count": 0,
+                           "value_f": on_f.value(vf[sel[0]]),
+                           "value_g": on_g.value(vg[sel[0]]), "expected": expected}
+                    classes[delta] = row
+                row["count"] += len(sel)
+                match_f = match_f and bool((vf[sel] == expected * on_f.scales[0]).all())
+                match_g = match_g and bool((vg[sel] == expected * on_g.scales[0]).all())
+        rows += [classes[d] for d in sorted(classes)]
+    negative_classes = [{"p": row["p"], "delta": row["delta"], "value": str(row["expected"])}
+                        for row in rows if row["expected"] < 0]
     unique_negative = negative_classes == [{"p": n, "delta": 0, "value": str(-n * (n + 1))}]
-    if not scan_instances:
-        unique_negative = True
 
     return WitnessReport(
         n=n,

@@ -210,16 +210,29 @@ def _assert_replays(out, target, gens, cons):
 def membership_problems(draw):
     gr = GroundSet(("a", "b", "c")[: draw(st.integers(1, 3))])
     masks = list(gr.iter_masks())
+    # a subset no generator or constraint touches: a zero row of the LP
+    untouched = draw(st.none() | st.sampled_from(masks))
 
     def functional():
         # a denominator above 1 makes the LP column a multiple of the item
         den = draw(st.integers(1, 3))
         return LinearFunctional(gr, {m: Fraction(draw(st.integers(-3, 3)), den)
-                                     for m in masks})
+                                     for m in masks if m != untouched})
+
+    def insert(items, item):
+        items.insert(draw(st.integers(0, len(items))), item)
 
     gens = [functional() for _ in range(draw(st.integers(0, 6)))]
     cons = [functional() for _ in range(draw(st.integers(0, 2)))]
+    if gens and draw(st.booleans()):
+        # a repeated ray, before or after its first copy
+        insert(gens, draw(st.sampled_from(gens)).scale(draw(st.integers(1, 3))))
     if draw(st.booleans()):
+        insert(gens, LinearFunctional(gr, {}))
+    if draw(st.booleans()):
+        insert(cons, LinearFunctional(gr, {}))
+    kind = draw(st.sampled_from(["member", "ray", "any"]))
+    if kind == "member":
         # plant a member: a nonnegative combination plus any constraint multiple
         acc: dict = {}
         for g, w in [(g, draw(st.integers(0, 3))) for g in gens] + [
@@ -228,8 +241,13 @@ def membership_problems(draw):
             for mask, coef in g.coefs.items():
                 acc[mask] = acc.get(mask, Fraction(0)) + w * coef
         target = LinearFunctional(gr, acc)
+    elif kind == "ray" and gens:
+        target = draw(st.sampled_from(gens)).scale(draw(st.integers(1, 3)))
     else:
         target = functional()
+    if untouched is not None and draw(st.booleans()):
+        coef = draw(st.integers(-3, 3).filter(bool))
+        target = LinearFunctional(gr, {**target.coefs, untouched: Fraction(coef)})
     return target, gens, cons
 
 
@@ -240,8 +258,8 @@ def test_fast_paths_agree_with_exact_simplex(problem):
     fast = cone_membership(target, gens, cons)
     exact = cone_membership(target, gens, cons, use_fast_paths=False)
     assert fast.feasible == exact.feasible
-    assert fast.method in ("shortcut", "float-guided", "simplex")
-    assert exact.method in ("shortcut", "simplex")
+    assert fast.method in ("float-guided", "simplex")
+    assert exact.method == "simplex"
     for out in (fast, exact):
         _assert_replays(out, target, gens, cons)
 
@@ -258,7 +276,7 @@ def test_rejected_float_basis_falls_back_to_simplex(wrong, monkeypatch):
     gr = GroundSet(("a", "b"))
     s_a, s_b = fn(gr, {("a",): 1}), fn(gr, {("b",): 1})
     cases = [
-        (fn(gr, {("a",): 1, ("b",): 1}), [s_a, s_b]),  # feasible, no shortcut
+        (fn(gr, {("a",): 1, ("b",): 1}), [s_a, s_b]),  # feasible
         (fn(gr, {("a",): -2, ("b",): 1}), [s_a, fn(gr, {("a",): -1, ("b",): 1})]),
     ]
     for target, gens in cases:
@@ -280,21 +298,26 @@ def test_float_overflow_falls_back_to_simplex():
 
 
 def test_shortcuts_pass_the_exact_rechecks(monkeypatch):
-    # the target-equals-a-generator and the inconsistent-zero-row answers go
-    # through the same re-checks as the LP's
+    # a target with a coefficient on a subset no generator touches, and a
+    # target that is a multiple of a listed generator: the LP decides both,
+    # on either path, and each answer goes through the exact re-checks
     gr = GroundSet(("a", "b"))
     s_a = fn(gr, {("a",): 1})
+    zero_row_target, listed_target = fn(gr, {("a",): 1, ("b",): 2}), fn(gr, {("a",): 3})
     checked = []
     for name in ("verify_certificate", "_check_combination"):
         real = getattr(certify, name)
         monkeypatch.setattr(certify, name,
                             lambda *a, real=real: checked.append(real) or real(*a))
-    zero_row = cone_membership(fn(gr, {("a",): 1, ("b",): 2}), [s_a], [])
-    assert isinstance(zero_row, Infeasible) and zero_row.method == "shortcut"
-    listed = cone_membership(fn(gr, {("a",): 3}), [s_a], [])
-    assert isinstance(listed, Feasible) and listed.method == "shortcut"
-    assert listed.coefficients == (Fraction(3),)
-    assert [f.__name__ for f in checked] == ["verify_certificate", "_check_combination"]
+    for fast, method in ((True, "float-guided"), (False, "simplex")):
+        zero_row = cone_membership(zero_row_target, [s_a], [], use_fast_paths=fast)
+        assert isinstance(zero_row, Infeasible) and zero_row.method == method
+        _assert_replays(zero_row, zero_row_target, [s_a], [])
+        listed = cone_membership(listed_target, [s_a], [], use_fast_paths=fast)
+        assert isinstance(listed, Feasible) and listed.method == method
+        assert listed.coefficients == (Fraction(3),)
+        assert [f.__name__ for f in checked] == ["verify_certificate", "_check_combination"]
+        checked.clear()
     three_a = fn(gr, {("a",): 3})
     assert certify._check_combination(three_a, [s_a], [Fraction(3)], [], [])
     assert not certify._check_combination(three_a, [s_a], [Fraction(2)], [], [])
@@ -341,12 +364,10 @@ def test_basic_generators_cover_ssa_and_wmo():
     gens = basic_generator_instances(gr)
     names = {inst.template.name for inst in gens}
     assert names == {"ssa", "wmo"}
-    # positivity appears as a WMO degeneration with empty side slots
-    # (as the ray 2 S(a), so compare ray identities rather than coefficients)
+    # positivity appears as a WMO degeneration with empty side slots,
+    # as the ray 2 S(a)
     pos = instantiate(builtin("positivity"), gr, {"A": "a"}).functional
-    assert any(
-        inst.functional.primitive_key() == pos.primitive_key() for inst in gens
-    )
+    assert any(inst.functional == pos.scale(2) for inst in gens)
 
 
 def test_problem_json_round_trip():

@@ -38,7 +38,7 @@ def test_witness_rejects_order_one(capsys):
 
 def test_witness_passes_structural_run(tmp_path, capsys):
     out = tmp_path / "w.json"
-    rc = run(["witness", "--n", "2", "--no-scan", "--out", str(out)])
+    rc = run(["witness", "--n", "2", "--out", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["report"]["passed"] is True
@@ -133,6 +133,7 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["witness", "--n", "2", "--seed", "1"],
     ["counterexample", "--tol", "1"],
     ["eval", "--values", "{ones}", "--template", "ssa", "--format", "csv"],
+    ["witness", "--n", "3", "--no-scan"],
 ])
 def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeypatch):
     """A leading "env:NAME=value" entry sets that environment variable."""

@@ -184,14 +184,14 @@ def test_family_templates_are_balanced():
     assert not builtin("positivity").is_balanced()
 
 
-def test_party_sums_and_primitive_key():
+def test_party_sums_and_scale():
     gr = GroundSet(("a", "b", "c"))
     inst = instantiate(builtin("ssa"), gr, {"A": "a", "B": "b", "C": "c"})
     fn = inst.functional
     assert all(v == 0 for v in fn.party_sums().values())
     scaled = fn.scale(Fraction(3, 2))
-    assert scaled.primitive_key() == fn.primitive_key()
-    assert scaled.coefs != fn.coefs
+    assert scaled.coefs == {m: c * Fraction(3, 2) for m, c in fn.coefs.items()}
+    assert scaled.scale(Fraction(2, 3)) == fn
 
 
 # ------------------------------------------------------------ purification

@@ -13,8 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrocone.certify import functional_from_obj, functional_to_obj
-from entrocone.inequalities import LinearFunctional, eliminate_party_pure
+from entrocone.inequalities import (
+    LinearFunctional,
+    eliminate_party_pure,
+    terms_from_obj,
+    terms_to_obj,
+)
 from entrocone.setfn import GroundSet, SetFunction, _canon_exact
 
 LABELS = ("a", "b", "c", "d")
@@ -35,19 +39,6 @@ def ref_evaluate(coefs, f):
     if f.domain == "float64":
         return float(sum(float(c) * f.values[m] for m, c in coefs.items()))
     return _canon_exact(sum(c * f.values[m] for m, c in coefs.items()))
-
-
-def ref_primitive_key(coefs) -> tuple:
-    if not coefs:
-        return ()
-    denom_lcm = 1
-    for c in coefs.values():
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = {m: int(c * denom_lcm) for m, c in coefs.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, abs(v))
-    return tuple((m, v // g) for m, v in sorted(ints.items()))
 
 
 def ref_eliminate(gr, coefs, label):
@@ -135,10 +126,6 @@ def test_integer_functional_matches_fraction_reference(problem, data):
     scaled = lf.scale(k)
     assert_represents(scaled, gr, {m: c * Fraction(k) for m, c in ref.items() if Fraction(k)})
 
-    assert lf.primitive_key() == ref_primitive_key(ref)
-    if Fraction(k) > 0:
-        assert scaled.primitive_key() == lf.primitive_key()
-
     assert (lf.scale(2) == lf) == lf.is_zero()
 
     label = data.draw(st.sampled_from(gr.labels)) if gr.size > 1 else None
@@ -148,9 +135,9 @@ def test_integer_functional_matches_fraction_reference(problem, data):
         assert reduced.ground == small
         assert_represents(reduced, small, want_coefs)
 
-    obj = functional_to_obj(lf)
+    obj = terms_to_obj(lf.coefs, gr)
     assert obj == [{"subset": list(gr.labels_of(m)), "coef": str(c)} for m, c in ref.items()]
-    assert functional_from_obj(obj, gr) == lf
+    assert terms_from_obj(obj, gr) == lf
 
 
 def test_float_coefficients_are_refused():

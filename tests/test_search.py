@@ -1,5 +1,7 @@
 """Randomized violation search: reproducibility, planted defects, refinement."""
 
+import json
+
 import pytest
 
 from entrocone import search
@@ -70,6 +72,18 @@ def test_scan_histogram_buckets_are_millibit_floors():
     assert all(isinstance(k, int) for k in rep.histogram)
     assert sum(rep.histogram.values()) == rep.n_admissible
     assert min(rep.histogram) >= 0  # ssa slacks are nonnegative
+
+
+@pytest.mark.parametrize("options", [
+    {},  # the natural binding: 1 instance
+    {"binding": {"A": ("A",), "B": ("B",), "C": ("C",)}},  # 5 instances
+    {"auto_filter": True},  # 405 instances
+])
+def test_report_config_rebuilds_the_scan(options):
+    cfg = SearchConfig(template="c_2", family="constrained", n=2, trials=2, **options)
+    report = json.loads(json.dumps(random_scan(cfg).to_dict()))
+    again = random_scan(SearchConfig(**report["config"]))
+    assert json.loads(json.dumps(again.to_dict())) == report
 
 
 def test_scan_constrained_family_natural_binding():

@@ -191,7 +191,6 @@ def test_verify_witness_n3():
 def test_scan_below_the_negative_class_is_rejected():
     with pytest.raises(ValueError):
         verify_witness(3, p_max=2)
-    assert verify_witness(3, p_max=2, scan_instances=False).passed
     assert verify_witness(3, p_max=3).passed
 
 
@@ -248,7 +247,7 @@ def test_elemental_match_tracks_g_minus_f(monkeypatch, bump, match):
         return SetFunction(f.ground, values)
 
     monkeypatch.setattr(witness, "monotone_repair", bumped)
-    rep = verify_witness(3, scan_instances=False)
+    rep = verify_witness(3)
     assert rep.elemental_match_fg is match
 
 
@@ -269,4 +268,4 @@ def test_zero_sum_check_sees_one_bumped_x_value(monkeypatch, subset, ok):
         return SetFunction(f.ground, values)
 
     monkeypatch.setattr(witness, "make_witness_f", bumped)
-    assert verify_witness(3, scan_instances=False).zero_sum_ok is ok
+    assert verify_witness(3).zero_sum_ok is ok
