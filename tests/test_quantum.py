@@ -387,6 +387,9 @@ def test_state_validation_catches_bad_input():
     rho = np.array([[0.9, 0.3], [0.1, 0.1]], dtype=complex)  # not hermitian
     with pytest.raises(ValueError):
         MultipartyState(("A",), (2,), rho)
+
+
+def test_state_rejects_nan_matrix():
     nan = np.full((2, 2), np.nan, dtype=complex)
     # a NaN deviation fails every comparison; the first check still rejects it
     with pytest.raises(ValueError, match="not hermitian"):
