@@ -42,7 +42,6 @@ from .certify import (
     verify_certificate,
 )
 from .quantum import (
-    BlockStructure,
     FamilyDims,
     MultipartyState,
     check_theorem,
@@ -87,7 +86,6 @@ __all__ = [
     "independence_problem",
     "purified_basic_problem",
     "verify_certificate",
-    "BlockStructure",
     "FamilyDims",
     "MultipartyState",
     "check_theorem",

@@ -12,7 +12,6 @@ decides.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -467,10 +466,3 @@ def problem_from_obj(obj):
     constraints = [terms_from_obj(c, ground) for c in list_field(obj, "constraints")]
     return target, generators, constraints, ground, obj["expect"]
 
-
-def problem_to_json(target, generators, constraints, ground, expect=None, indent=None) -> str:
-    return json.dumps(problem_to_obj(target, generators, constraints, ground, expect), indent=indent)
-
-
-def problem_from_json(text: str):
-    return problem_from_obj(json.loads(text))

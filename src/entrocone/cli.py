@@ -38,7 +38,13 @@ from .certify import (
     problem_from_obj,
     purified_basic_problem,
 )
-from .quantum import THEOREMS, check_theorem, constrained_family_sample, trial_seed
+from .quantum import (
+    THEOREMS,
+    FamilyDims,
+    check_theorem,
+    constrained_family_sample,
+    trial_seed,
+)
 from .search import FAMILIES, SearchConfig, local_refine, random_scan
 
 
@@ -54,11 +60,12 @@ def _load(path: str, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _resolve_template(args):
+def _template_arg(args):
+    """The template a command was given: a file's template, or a builtin name."""
     if args.template_file:
         return _load(args.template_file, template_from_obj)
     if args.template:
-        return builtin(args.template, args.n)
+        return args.template
     raise ValueError("give --template NAME or --template-file FILE")
 
 
@@ -174,7 +181,9 @@ def cmd_counterexample(args) -> int:
 def cmd_eval(args) -> int:
     started = _now()
     f = _load(args.values, setfn_from_obj)
-    template = _resolve_template(args)
+    template = _template_arg(args)
+    if isinstance(template, str):
+        template = builtin(template, args.n)
     rep = satisfies(f, template, binding=_parse_binding(args.bind),
                     auto_filter=args.auto_filter, tol=args.tol)
     obj = {
@@ -208,14 +217,13 @@ def cmd_sample(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     which = tuple(args.theorems.split(",")) if args.theorems else THEOREMS
+    dims = FamilyDims.default(args.n, args.blocks)
     trials = []
     all_pass = True
     for t in range(args.trials):
         seed = trial_seed(args.seed, t)
-        state, bs = constrained_family_sample(
-            args.n, blocks=args.blocks, seed=seed, diagonal=args.diagonal
-        )
-        rep = check_theorem(state, bs, which=which, tol=args.tol)
+        state = constrained_family_sample(dims, seed=seed, diagonal=args.diagonal)
+        rep = check_theorem(state, dims.a_blocks, which=which, tol=args.tol)
         d = rep.to_dict()
         d["trial"] = t
         d["seed"] = list(seed)
@@ -285,11 +293,8 @@ def cmd_certify(args) -> int:
 
 def cmd_search(args) -> int:
     started = _now()
-    template = args.template
-    if args.template_file:
-        template = _load(args.template_file, template_from_obj)
     cfg = SearchConfig(
-        template=template,
+        template=_template_arg(args),
         n=args.n,
         family=args.family,
         labels=tuple(args.labels.split(",")) if args.labels else (),

@@ -8,7 +8,6 @@ rationals throughout, held as integer numerators over one denominator.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -473,6 +472,9 @@ def instance_batches(
         yield chunk, slot_mask_matrix(chunk, len(template.slots))
 
 
+MAX_RECORDED = 10  # violations a SatisfiesReport lists; it counts them all
+
+
 @dataclass
 class SatisfiesReport:
     """Scan of every admissible instance of a template on one set function."""
@@ -501,7 +503,6 @@ def satisfies(
     binding: Mapping[str, Subset] | None = None,
     auto_filter: bool = False,
     tol: float = DEFAULT_TOL,
-    max_recorded: int = 10,
 ) -> SatisfiesReport:
     """Evaluate a template over its instances on f, a chunk at a time.
 
@@ -547,7 +548,7 @@ def satisfies(
             best, argmin = vals[i], chunk[keep[i]]
         bad = np.flatnonzero(vals < -zero_tol)
         n_viol += len(bad)
-        for j in bad[: max_recorded - len(viols)]:
+        for j in bad[: MAX_RECORDED - len(viols)]:
             viols.append((chunk[keep[j]], bound.value(vals[j])))
     if bound.exact:
         max_resid = max(
@@ -650,40 +651,40 @@ def _template_thm2p(n: int) -> InequalityTemplate:
     return InequalityTemplate(f"thm2p_{n}", slots, t, cons, sym, empty)
 
 
-def _template_ssa(_=None) -> InequalityTemplate:
+def _template_ssa() -> InequalityTemplate:
     return InequalityTemplate(
         "ssa", ("A", "B", "C"), _cmi_terms(1, 2, 4),
         symmetries=(("A", "B"),), empty_ok=("C",),
     )
 
 
-def _template_wmo(_=None) -> InequalityTemplate:
+def _template_wmo() -> InequalityTemplate:
     return InequalityTemplate(
         "wmo", ("A", "B", "C"), {3: 1, 5: 1, 2: -1, 4: -1},
         symmetries=(("B", "C"),), empty_ok=("B", "C"),
     )
 
 
-def _template_mi(_=None) -> InequalityTemplate:
+def _template_mi() -> InequalityTemplate:
     return InequalityTemplate(
         "mutual-info", ("A", "B"), _mi_terms(1, 2), symmetries=(("A", "B"),)
     )
 
 
-def _template_triangle(_=None) -> InequalityTemplate:
+def _template_triangle() -> InequalityTemplate:
     return InequalityTemplate("triangle", ("A", "B"), {3: 1, 1: 1, 2: -1})
 
 
-def _template_positivity(_=None) -> InequalityTemplate:
+def _template_positivity() -> InequalityTemplate:
     return InequalityTemplate("positivity", ("A",), {1: 1})
 
 
-def _template_antimono(_=None) -> InequalityTemplate:
+def _template_antimono() -> InequalityTemplate:
     # deliberately false probe: S(A) >= S(AB) fails on entangled states
     return InequalityTemplate("anti-monotone", ("A", "B"), {1: 1, 3: -1})
 
 
-def _template_lw05(_=None) -> InequalityTemplate:
+def _template_lw05() -> InequalityTemplate:
     a, b, c, d = 1, 2, 4, 8
     t: dict[int, int] = {}
     _add_terms(t, _mi_terms(c, d))
@@ -816,10 +817,3 @@ def template_from_obj(obj) -> InequalityTemplate:
         subset(list_field(obj, "empty_ok")),
     )
 
-
-def template_to_json(template: InequalityTemplate, indent: int | None = None) -> str:
-    return json.dumps(template_to_obj(template), indent=indent)
-
-
-def template_from_json(text: str) -> InequalityTemplate:
-    return template_from_obj(json.loads(text))

@@ -231,10 +231,10 @@ def entropy_vector(state: MultipartyState, diagnostics: dict | None = None) -> S
     return SetFunction(gr, values, domain="float64")
 
 
-def purify(state: MultipartyState, new_label: str = "E") -> MultipartyState:
-    """Attach a purifying party (dimension = rank of the state) at the end."""
-    if new_label in state.labels:
-        raise ValueError(f"label {new_label!r} already in use")
+def purify(state: MultipartyState) -> MultipartyState:
+    """Attach a purifying party E (dimension = rank of the state) at the end."""
+    if "E" in state.labels:
+        raise ValueError("label 'E' already in use")
     w, v = np.linalg.eigh(state.rho)
     keep = w > CLIP
     w = w[keep]
@@ -249,34 +249,7 @@ def purify(state: MultipartyState, new_label: str = "E") -> MultipartyState:
     for i in range(w.size):
         vec[i::r] = np.sqrt(w[i]) * v[:, i]
     rho = np.outer(vec, vec.conj())
-    return MultipartyState(
-        state.labels + (new_label,), state.dims + (r,), rho, validate=False
-    )
-
-
-@dataclass(frozen=True)
-class BlockStructure:
-    """Orthogonal decomposition of one party's space into index ranges."""
-
-    party: str
-    blocks: tuple[tuple[int, int], ...]  # (start, size) pairs, contiguous
-
-    def __post_init__(self):
-        if not self.blocks:
-            raise ValueError("need at least one block")
-        pos = 0
-        for start, size in self.blocks:
-            if start != pos or size < 1:
-                raise ValueError("blocks must be contiguous (start, size) ranges from 0")
-            pos = start + size
-
-    @property
-    def dim(self) -> int:
-        return sum(size for _, size in self.blocks)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
+    return MultipartyState(state.labels + ("E",), state.dims + (r,), rho, validate=False)
 
 
 def _place_blocks(dims: Sequence[int], parts) -> np.ndarray:
@@ -295,7 +268,8 @@ def _place_blocks(dims: Sequence[int], parts) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FamilyDims:
-    """Dimension layout for the constrained family.
+    """The shape of the constrained family, its one description;
+    ConstrainedFamily derives the whole layout from it.
 
     Party A splits into K blocks (a_blocks), party B into matching blocks
     (b_blocks); each X_i is a pair of halves, the first correlated with the
@@ -319,43 +293,13 @@ class FamilyDims:
             if len(h) != 2 or h[0] < 1 or h[1] < 1:
                 raise ValueError("each x entry is a pair of halves >= 1")
 
-    @property
-    def n(self) -> int:
-        return len(self.x_halves)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.a_blocks)
-
-    @property
-    def dim_a(self) -> int:
-        return sum(self.a_blocks)
-
-    @property
-    def dim_b(self) -> int:
-        return sum(self.b_blocks)
-
-    def x_dims(self) -> tuple[int, ...]:
-        return tuple(p * q for p, q in self.x_halves)
-
-    def total_dim(self) -> int:
-        t = self.dim_a * self.dim_b * self.dim_c
-        for d in self.x_dims():
-            t *= d
-        return t
-
-
-def default_family_dims(n: int, blocks: int = 2) -> FamilyDims:
-    return FamilyDims(
-        a_blocks=(1,) * blocks,
-        b_blocks=(1,) * blocks,
-        dim_c=2,
-        x_halves=((2, 2),) * n,
-    )
-
-
-def family_labels(n: int) -> tuple[str, ...]:
-    return ("A", "B", "C") + tuple(f"X{i}" for i in range(1, n + 1))
+    @classmethod
+    def default(cls, n: int, blocks: int = 2) -> FamilyDims:
+        """n x-parties of two qubit halves each, a qubit C, and `blocks`
+        one-dimensional blocks on A and on B."""
+        if n < 1:
+            raise ValueError("constrained family needs the order n >= 1")
+        return cls((1,) * blocks, (1,) * blocks, 2, ((2, 2),) * n)
 
 
 # --- parameters to states ---
@@ -463,48 +407,49 @@ class DiagonalFamily(StateFamily):
 
 
 class ConstrainedFamily(StateFamily):
-    """The block-decomposed family on (A, B, C, X1..Xn); both conditional
-    independence constraints hold identically for every parameter point.
+    """The block-decomposed family on (A, B, C, X1..Xn) of shape `dims`; both
+    conditional independence constraints hold identically for every
+    parameter point.
 
     Parameters: K block weights, then one factor per chi_k and per xi_k
-    (Ginibre reals, or diagonal amplitudes with `diagonal=True`).  The layout
-    is fixed here, once: the A-side block structure (`structure`), each
-    chi_k's tensor shape on (A block k, B block k, x first halves), xi_k's
-    on (C, x second halves), and the index ranges where chi_k (x) xi_k sits.
+    (Ginibre reals, or diagonal amplitudes with `diagonal=True`).  The whole
+    layout is derived here, once, from `dims`: the party labels and
+    dimensions, each chi_k's tensor shape on (A block k, B block k, x first
+    halves), xi_k's on (C, x second halves), and the index ranges where
+    chi_k (x) xi_k sits.
     """
 
-    def __init__(self, n: int, blocks: int = 2, dims: FamilyDims | None = None,
-                 diagonal: bool = False):
-        fd = self.fdims = default_family_dims(n, blocks) if dims is None else dims
-        _check_cap(fd.total_dim())
-        self.labels = family_labels(fd.n)
-        self.dims = (fd.dim_a, fd.dim_b, fd.dim_c) + fd.x_dims()
+    def __init__(self, dims: FamilyDims, diagonal: bool = False):
+        a_blocks, b_blocks, dim_c, halves = dims.a_blocks, dims.b_blocks, dims.dim_c, dims.x_halves
+        n, K = len(halves), len(a_blocks)
+        x_dims = tuple(p * q for p, q in halves)
+        self.labels = ("A", "B", "C") + tuple(f"X{i}" for i in range(1, n + 1))
+        self.dims = (sum(a_blocks), sum(b_blocks), dim_c) + x_dims
+        _check_cap(math.prod(self.dims))
         self.diagonal = diagonal
-        a_starts = tuple(itertools.accumulate(fd.a_blocks, initial=0))
-        b_starts = tuple(itertools.accumulate(fd.b_blocks, initial=0))
-        self.structure = BlockStructure("A", tuple(zip(a_starts, fd.a_blocks)))
-        self.chi_shapes = tuple((a, b) + tuple(p for p, _ in fd.x_halves)
-                                for a, b in zip(fd.a_blocks, fd.b_blocks))
-        self.xi_shape = (fd.dim_c,) + tuple(q for _, q in fd.x_halves)
+        a_starts = itertools.accumulate(a_blocks, initial=0)
+        b_starts = itertools.accumulate(b_blocks, initial=0)
+        self.chi_shapes = tuple((a, b) + tuple(p for p, _ in halves)
+                                for a, b in zip(a_blocks, b_blocks))
+        self.xi_shape = (dim_c,) + tuple(q for _, q in halves)
         self.ranges = tuple(
-            ((sa, sa + a), (sb, sb + b), (0, fd.dim_c)) + tuple((0, d) for d in fd.x_dims())
-            for sa, a, sb, b in zip(a_starts, fd.a_blocks, b_starts, fd.b_blocks)
+            ((sa, sa + a), (sb, sb + b), (0, dim_c)) + tuple((0, d) for d in x_dims)
+            for sa, a, sb, b in zip(a_starts, a_blocks, b_starts, b_blocks)
         )
         # chi_k (x) xi_k has axes (chi rows, chi cols, xi rows, xi cols); in
         # state order the rows run A, B, C, then each X's first half and its
         # second, and each column axis sits m (chi) or n + 1 (xi) past its row
-        m = 2 + fd.n
-        rows = [0, 1, 2 * m] + [a for i in range(fd.n) for a in (2 + i, 2 * m + 1 + i)]
-        self.axes = tuple(rows + [a + m if a < m else a + fd.n + 1 for a in rows])
-        self.factor_dims = tuple(map(math.prod, self.chi_shapes + (self.xi_shape,) * fd.n_blocks))
-        self.sizes = (fd.n_blocks,) + tuple(d if diagonal else 2 * d * d
-                                            for d in self.factor_dims)
+        m = 2 + n
+        rows = [0, 1, 2 * m] + [a for i in range(n) for a in (2 + i, 2 * m + 1 + i)]
+        self.axes = tuple(rows + [a + m if a < m else a + n + 1 for a in rows])
+        self.factor_dims = tuple(map(math.prod, self.chi_shapes + (self.xi_shape,) * K))
+        self.sizes = (K,) + tuple(d if diagonal else 2 * d * d for d in self.factor_dims)
 
     def n_params(self) -> int:
         return sum(self.sizes)
 
     def draw(self, rng) -> np.ndarray:
-        parts = [np.sqrt(rng.standard_exponential(self.fdims.n_blocks))]
+        parts = [np.sqrt(rng.standard_exponential(self.sizes[0]))]
         for size in self.sizes[1:]:
             if self.diagonal:
                 parts.append(np.sqrt(rng.standard_exponential(size)))
@@ -521,7 +466,7 @@ class ConstrainedFamily(StateFamily):
             factors = [diagonal_density(raw) for raw in pieces[1:]]
         else:
             factors = [gram_density(raw, d, d) for raw, d in zip(pieces[1:], self.factor_dims)]
-        K = self.fdims.n_blocks
+        K = self.sizes[0]
         weights = simplex_weights(pieces[0])
 
         def part(k):
@@ -534,73 +479,50 @@ class ConstrainedFamily(StateFamily):
         return MultipartyState(self.labels, self.dims, rho)
 
 
+# lw05's fixed layout: the A, B and D dimensions of one block, then C's
+LW05_DIMS = (1, 1, 2, 2)
+
+
 class LW05Family(StateFamily):
     """Four-party family carrying all three constraints of the earlier
     constrained inequality; see lw05_family_sample."""
 
-    def __init__(self, blocks: int = 2, block_dims: tuple = (1, 1, 2), dim_c: int = 2):
+    def __init__(self, blocks: int = 2):
         self.labels = ("A", "B", "C", "D")
         self.blocks = blocks
-        self.block_dims = tuple(block_dims)
-        self.dim_c = dim_c
-        da, db, dd = self.block_dims
-        _check_cap(da * blocks * db * blocks * dim_c * dd * blocks)
-
-    def n_params(self) -> int:
-        da, db, dd = self.block_dims
-        per = 2 * da * da + 2 * db * db + 2 * (self.dim_c * dd) ** 2
-        return self.blocks + per * self.blocks
 
     def draw(self, rng) -> np.ndarray:
         # parameterization mirrors the sampler; draw here just forwards a seed
         return rng.integers(0, 2**63 - 1, size=2)
 
     def build(self, params: np.ndarray) -> MultipartyState:
-        return lw05_family_sample(
-            self.blocks, self.block_dims, self.dim_c, seed=tuple(int(v) for v in params)
-        )
+        return lw05_family_sample(self.blocks, seed=tuple(int(v) for v in params))
 
 
-def constrained_family_sample(
-    n: int,
-    blocks: int = 2,
-    dims: FamilyDims | None = None,
-    seed=0,
-    diagonal: bool = False,
-) -> tuple[MultipartyState, BlockStructure]:
-    """Draw one member of the constrained family: ConstrainedFamily's draw,
-    then its build, on the stream of `seed`.
+def constrained_family_sample(dims: FamilyDims, seed=0, diagonal: bool = False) -> MultipartyState:
+    """Draw one member of the constrained family of shape `dims`:
+    ConstrainedFamily's draw, then its build, on the stream of `seed`.
 
     Weights come from a flat simplex draw; block factors are Hilbert-Schmidt
     random densities (or random diagonal ones with `diagonal=True`, giving an
     embedded classical distribution).  Deterministic in `seed`.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if dims is not None and blocks not in (dims.n_blocks, 2):
-        raise ValueError("blocks disagrees with dims")
-    family = ConstrainedFamily(n, blocks, dims, diagonal)
-    if family.fdims.n != n:
-        raise ValueError(f"dims describe {family.fdims.n} x-parties, asked for {n}")
-    return family.build(family.draw(_rng(seed))), family.structure
+    family = ConstrainedFamily(dims, diagonal)
+    return family.build(family.draw(_rng(seed)))
 
 
-def lw05_family_sample(
-    blocks: int = 2,
-    block_dims: tuple[int, int, int] = (1, 1, 2),
-    dim_c: int = 2,
-    seed=0,
-) -> MultipartyState:
+def lw05_family_sample(blocks: int = 2, seed=0) -> MultipartyState:
     """Four-party family satisfying all three constraints of the earlier
     constrained inequality: per block k the state is a product
     chi_A^k (x) chi_B^k (x) omega_CD^k with A, B, and D all blocked, the
-    last factor joint on C and the k-th D block.
+    last factor joint on C and the k-th D block.  The block and C
+    dimensions are fixed (LW05_DIMS).
 
     I(A:C|B), I(B:C|A), and I(A:B|D) all vanish identically, while the
     C-D correlation inside omega keeps the inequality slack generically
     strictly positive.
     """
-    da, db, dd = block_dims
+    da, db, dd, dim_c = LW05_DIMS
     K = blocks
     dims = (da * K, db * K, dim_c, dd * K)
     _check_cap(math.prod(dims))
@@ -621,41 +543,40 @@ def lw05_family_sample(
 
 
 def measure_and_register(
-    state: MultipartyState, bs: BlockStructure, register_label: str = "R"
+    state: MultipartyState, party: str, sizes: Sequence[int]
 ) -> MultipartyState:
-    """Measure the block index of `bs.party` and record it in a new register.
+    """Measure which block of `party` the state is in, its dimension cut into
+    consecutive blocks of `sizes`, and record the outcome in a new register R.
 
     The input must already be block diagonal in that party (off-block mass
     below 1e-10); the output appends a dimension-K register carrying the
     outcome, leaving every marginal on the original parties unchanged.
     """
-    if register_label in state.labels:
-        raise ValueError(f"label {register_label!r} already in use")
-    pos = state.index(bs.party)
-    if bs.dim != state.dims[pos]:
-        raise ValueError(
-            f"blocks cover dimension {bs.dim}, party {bs.party!r} has {state.dims[pos]}"
-        )
-    K = bs.n_blocks
-    _check_cap(state.total_dim * K)
+    if "R" in state.labels:
+        raise ValueError("label 'R' already in use")
+    pos = state.index(party)
     dims = state.dims
+    if not sizes or min(sizes) < 1 or sum(sizes) != dims[pos]:
+        raise ValueError(f"block sizes {tuple(sizes)} must be >= 1 and add up to "
+                         f"the dimension {dims[pos]} of party {party!r}")
+    K = len(sizes)
+    _check_cap(state.total_dim * K)
     t = state.rho.reshape((math.prod(dims[:pos]), dims[pos], math.prod(dims[pos + 1:])) * 2)
     ranges = [(0, d) for d in dims]
     blocks = []
-    for start, size in bs.blocks:
+    for start, size in zip(itertools.accumulate(sizes, initial=0), sizes):
         ranges[pos] = (start, start + size)
         sl = slice(start, start + size)
         blocks.append((t[:, sl, :, :, sl, :], tuple(ranges)))
     off_mass = float(np.max(np.abs(state.rho - _place_blocks(dims, blocks))))
     if off_mass > STATE_ATOL:
         raise ValueError(
-            f"state is not block diagonal in {bs.party!r} (off-block mass {off_mass:.3e})"
+            f"state is not block diagonal in {party!r} (off-block mass {off_mass:.3e})"
         )
     sigma = _place_blocks(
         dims + (K,), [(blk, r + ((k, k + 1),)) for k, (blk, r) in enumerate(blocks)]
     )
-    return MultipartyState(state.labels + (register_label,), dims + (K,), sigma,
-                           validate=False)
+    return MultipartyState(state.labels + ("R",), dims + (K,), sigma, validate=False)
 
 
 THEOREMS = ("thm1", "thm1p", "thm2", "thm2p")
@@ -725,16 +646,17 @@ def _theorem_forms(labels: tuple[str, ...]):
 
 def check_theorem(
     state: MultipartyState,
-    bs: BlockStructure,
+    a_blocks: Sequence[int],
     which: Sequence[str] = THEOREMS,
     tol: float = 1e-8,
 ) -> TheoremReport:
     """Evaluate the four constrained inequalities on a family state and walk
     the measurement argument behind them.
 
-    The state must live on parties (A, B, C, X1..Xn).  Slacks come from the
-    entropy vector of the state itself; the proof-trace quantities come from
-    the post-measurement state with its outcome register.
+    The state must live on parties (A, B, C, X1..Xn), block diagonal in A
+    with blocks of sizes `a_blocks` (a FamilyDims's own).  Slacks come from
+    the entropy vector of the state itself; the proof-trace quantities come
+    from the post-measurement state with its outcome register R.
     """
     labels = state.labels
     n = len(labels) - 3
@@ -757,7 +679,7 @@ def check_theorem(
     }
     slacks = {name: float(forms[name].evaluate(h_rho)) for name in which}
 
-    sigma = measure_and_register(state, bs, "R")
+    sigma = measure_and_register(state, "A", a_blocks)
     h_sigma = entropy_vector(sigma, diagnostics=diag)
     sgr = h_sigma.ground
 

@@ -22,10 +22,13 @@ from .inequalities import (
     builtin,
     enumerate_instances,
     slot_mask_matrix,
+    template_from_obj,
+    template_to_obj,
 )
 from .quantum import (
     ConstrainedFamily,
     DiagonalFamily,
+    FamilyDims,
     HaarMixedFamily,
     LW05Family,
     StateFamily,
@@ -44,7 +47,7 @@ FAMILIES = ("haar-mixed", "diagonal", "constrained", "constrained-diagonal", "lw
 class SearchConfig:
     """Everything a scan or refinement needs; deterministic given `seed`."""
 
-    template: object = "ssa"  # name or InequalityTemplate
+    template: object = "ssa"  # builtin name, InequalityTemplate, or its template_to_obj dict
     n: int | None = None  # family order for parametric templates
     family: str = "haar-mixed"
     labels: tuple = ()
@@ -76,10 +79,10 @@ class SearchConfig:
 
     def summary(self) -> dict:
         """Every field, JSON-ready: `SearchConfig(**summary)` redoes the run
-        (a template object is recorded by its name)."""
+        (a template object is recorded in full, as `template_to_obj` writes it)."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        if not isinstance(self.template, str):
-            out["template"] = self.template.name
+        if isinstance(self.template, InequalityTemplate):
+            out["template"] = template_to_obj(self.template)
         out["labels"], out["dims"] = list(self.labels), list(self.dims)
         return out
 
@@ -87,6 +90,8 @@ class SearchConfig:
 def resolve_template(cfg: SearchConfig) -> InequalityTemplate:
     if isinstance(cfg.template, InequalityTemplate):
         return cfg.template
+    if isinstance(cfg.template, dict):
+        return template_from_obj(cfg.template)
     return builtin(str(cfg.template), cfg.n)
 
 
@@ -104,9 +109,8 @@ def family_for(cfg: SearchConfig, template: InequalityTemplate) -> StateFamily:
         n = cfg.n
         if n is None:
             n = sum(1 for s in template.slots if s.startswith("X"))
-        if n < 1:
-            raise ValueError("constrained family needs the order n >= 1")
-        return ConstrainedFamily(n, cfg.blocks, diagonal=(name == "constrained-diagonal"))
+        return ConstrainedFamily(FamilyDims.default(n, cfg.blocks),
+                                 diagonal=(name == "constrained-diagonal"))
     if name == "lw05":
         return LW05Family(cfg.blocks)
     raise ValueError(f"unknown family {cfg.family!r} (choose from {FAMILIES})")

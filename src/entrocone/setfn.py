@@ -8,7 +8,6 @@ comparisons use an absolute tolerance (default 1e-9).
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -389,10 +388,3 @@ def setfn_from_obj(obj) -> SetFunction:
         table[mask] = _parse_value(ent["value"])
     return SetFunction(gr, table)
 
-
-def setfn_to_json(f: SetFunction, indent: int | None = None) -> str:
-    return json.dumps(setfn_to_obj(f), indent=indent)
-
-
-def setfn_from_json(text: str) -> SetFunction:
-    return setfn_from_obj(json.loads(text))

@@ -311,10 +311,8 @@ def test_criterion_6_family_states_validate_numerically():
     for n in (1, 2, 3):
         fd = _small_dims(n)
         for t in range(trials):
-            state, bs = constrained_family_sample(
-                n, dims=fd, seed=trial_seed(20260816 + n, t)
-            )
-            rep = check_theorem(state, bs)
+            state = constrained_family_sample(fd, seed=trial_seed(20260816 + n, t))
+            rep = check_theorem(state, fd.a_blocks)
             worst_resid = max(worst_resid, *map(abs, rep.constraint_residuals.values()))
             worst_slack = min(worst_slack, *rep.slacks.values())
             if not rep.passed:

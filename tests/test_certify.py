@@ -1,5 +1,6 @@
 """Exact cone membership: certificates, simplex, Farkas extraction."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +24,8 @@ from entrocone.certify import (
     basic_generator_instances,
     cone_membership,
     independence_problem,
-    problem_from_json,
-    problem_to_json,
+    problem_from_obj,
+    problem_to_obj,
     purified_basic_problem,
     verify_certificate,
 )
@@ -372,8 +373,8 @@ def test_basic_generators_cover_ssa_and_wmo():
 
 def test_problem_json_round_trip():
     target, gens, cons, ground, meta = independence_problem(2)
-    text = problem_to_json(target, gens, cons, ground, expect="infeasible")
-    t2, g2, c2, gr2, expect = problem_from_json(text)
+    text = json.dumps(problem_to_obj(target, gens, cons, ground, "infeasible"))
+    t2, g2, c2, gr2, expect = problem_from_obj(json.loads(text))
     assert expect == "infeasible"
     assert gr2.labels == ground.labels
     assert t2.coefs == target.coefs

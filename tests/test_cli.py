@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from entrocone.certify import problem_to_obj
 from entrocone.cli import main
 from entrocone.inequalities import builtin, enumerate_instances, instantiate, template_to_obj
-from entrocone.setfn import GroundSet, SetFunction, setfn_to_json, setfn_to_obj
+from entrocone.setfn import GroundSet, SetFunction, setfn_to_obj
 from entrocone.witness import counterexample_table
 
 
@@ -24,7 +24,7 @@ def run(argv):
 @pytest.fixture()
 def etable_file(tmp_path):
     path = tmp_path / "etable.json"
-    path.write_text(setfn_to_json(counterexample_table()))
+    path.write_text(json.dumps(setfn_to_obj(counterexample_table())))
     return str(path)
 
 
@@ -68,6 +68,11 @@ def test_eval_exit_zero_when_satisfied(etable_file):
 
 def test_eval_requires_template(etable_file, capsys):
     assert run(["eval", "--values", etable_file]) == 2
+
+
+def test_search_requires_template(capsys):
+    assert run(["search", "--trials", "1"]) == 2
+    assert "--template" in capsys.readouterr().err
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):
@@ -182,7 +187,7 @@ def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeyp
 def test_coefficient_beyond_float64_evaluates_exactly(tmp_path, capsys):
     # only a float64 table needs the coefficient as a float
     values, template, out = tmp_path / "ones.json", tmp_path / "t.json", tmp_path / "r.json"
-    values.write_text(setfn_to_json(SetFunction(GroundSet(("A", "B", "C")), [1] * 8)))
+    values.write_text(json.dumps(setfn_to_obj(SetFunction(GroundSet(("A", "B", "C")), [1] * 8))))
     template.write_text(json.dumps({"name": "t", "slots": ["A"],
                                     "terms": [{"subset": ["A"], "coef": "1e400"}]}))
     assert run(["eval", "--values", str(values), "--template-file", str(template),
@@ -201,9 +206,9 @@ def test_nothing_admissible_exits_one(argv, tmp_path, capsys):
     from entrocone.setfn import GroundSet, SetFunction
 
     concave = tmp_path / "concave.json"
-    concave.write_text(setfn_to_json(SetFunction(
+    concave.write_text(json.dumps(setfn_to_obj(SetFunction(
         GroundSet(("A", "B", "C", "D")),
-        [bin(m).count("1") * (8 - bin(m).count("1")) for m in range(16)])))
+        [bin(m).count("1") * (8 - bin(m).count("1")) for m in range(16)]))))
     assert run([a.format(concave=concave) for a in argv]) == 1
     assert "no instance was admissible" in capsys.readouterr().err
 
@@ -341,18 +346,17 @@ def test_certify_builtin_purified(tmp_path):
 def test_certify_problem_file_and_expectation(tmp_path):
     from entrocone.setfn import GroundSet
     from entrocone.inequalities import builtin, enumerate_instances, instantiate
-    from entrocone.certify import problem_to_json
 
     gr = GroundSet(("a", "b", "c"))
     gens = [i.functional for i in enumerate_instances(builtin("ssa"), gr)]
     target = instantiate(builtin("mi"), gr, {"A": "a", "B": "b"}).functional
 
     ok = tmp_path / "ok.json"
-    ok.write_text(problem_to_json(target, gens, [], gr, expect="feasible"))
+    ok.write_text(json.dumps(problem_to_obj(target, gens, [], gr, "feasible")))
     assert run(["certify", "--problem", str(ok)]) == 0
 
     bad = tmp_path / "bad.json"
-    bad.write_text(problem_to_json(target, gens, [], gr, expect="infeasible"))
+    bad.write_text(json.dumps(problem_to_obj(target, gens, [], gr, "infeasible")))
     assert run(["certify", "--problem", str(bad)]) == 1
 
 

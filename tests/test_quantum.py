@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from entrocone.setfn import is_submodular, is_weakly_monotone
 from entrocone.quantum import (
-    BlockStructure,
     ConstrainedFamily,
     DiagonalFamily,
     FamilyDims,
@@ -19,9 +18,7 @@ from entrocone.quantum import (
     MultipartyState,
     check_theorem,
     constrained_family_sample,
-    default_family_dims,
     entropy_vector,
-    family_labels,
     lw05_family_sample,
     measure_and_register,
     partial_trace,
@@ -156,17 +153,24 @@ def test_purify_round_trip_and_symmetry():
 
 
 def test_family_dims_and_labels():
-    fd = default_family_dims(2)
-    assert family_labels(2) == ("A", "B", "C", "X1", "X2")
-    assert fd.n_blocks == 2
-    assert fd.dim_a == 2 and fd.dim_b == 2
+    fd = FamilyDims.default(2)
+    assert fd == FamilyDims((1, 1), (1, 1), 2, ((2, 2), (2, 2)))
+    family = ConstrainedFamily(fd)
+    assert family.labels == ("A", "B", "C", "X1", "X2")
+    assert family.dims == (2, 2, 2, 4, 4)
+    family = ConstrainedFamily(FamilyDims((1, 2), (2, 1), 3, ((2, 1), (1, 2))))
+    assert family.labels == ("A", "B", "C", "X1", "X2")
+    assert family.dims == (3, 3, 3, 2, 2)
     with pytest.raises(ValueError):
         FamilyDims(a_blocks=(1, 1), b_blocks=(1,), dim_c=2, x_halves=((2, 2),))
+    for n, blocks in ((0, 2), (1, 0)):
+        with pytest.raises(ValueError):
+            FamilyDims.default(n, blocks=blocks)
 
 
 def test_constrained_family_constraints_vanish():
     for n in (1, 2):
-        state, _ = constrained_family_sample(n, seed=trial_seed(42, n))
+        state = constrained_family_sample(FamilyDims.default(n), seed=trial_seed(42, n))
         h = entropy_vector(state)
         # I(A:C|B) and I(B:C|A) both vanish by construction
         from entrocone.setfn import cmi
@@ -213,7 +217,7 @@ def structured_states(draw):
         dim_c=draw(sizes),
         x_halves=((draw(sizes), draw(sizes)),),
     )
-    family = ConstrainedFamily(1, k, fdims, diagonal=draw(st.booleans()))
+    family = ConstrainedFamily(fdims, diagonal=draw(st.booleans()))
     return family.build(family.draw(_rng(seed)))
 
 
@@ -232,8 +236,9 @@ def test_entropy_vector_matches_marginal_by_marginal_reference(state):
 
 def test_check_theorem_passes_on_samples():
     for n, diag in ((1, False), (2, False), (1, True)):
-        state, bs = constrained_family_sample(n, seed=trial_seed(3, n), diagonal=diag)
-        rep = check_theorem(state, bs)
+        dims = FamilyDims.default(n)
+        state = constrained_family_sample(dims, seed=trial_seed(3, n), diagonal=diag)
+        rep = check_theorem(state, dims.a_blocks)
         assert rep.passed, rep.to_dict()
         assert set(rep.slacks) == {"thm1", "thm1p", "thm2", "thm2p"}
 
@@ -245,8 +250,8 @@ def test_check_theorem_passes_on_samples():
 def test_check_theorem_uses_its_stated_tol(field, value):
     # 5e-9 sits between the default 1e-8 and the CLI's 1e-9: the verdict
     # follows the report's tol, for residuals and slacks as for the rest
-    state, bs = constrained_family_sample(1, seed=trial_seed(3, 1))
-    rep = check_theorem(state, bs)
+    state = constrained_family_sample(FamilyDims.default(1), seed=trial_seed(3, 1))
+    rep = check_theorem(state, (1, 1))
     assert rep.passed
     loose = dataclasses.replace(rep, **{field: value})
     assert loose.tol == 1e-8 and loose.passed
@@ -254,8 +259,8 @@ def test_check_theorem_uses_its_stated_tol(field, value):
 
 
 def test_check_theorem_subset_of_theorems():
-    state, bs = constrained_family_sample(1, seed=1)
-    rep = check_theorem(state, bs, which=("thm1",))
+    state = constrained_family_sample(FamilyDims.default(1), seed=1)
+    rep = check_theorem(state, (1, 1), which=("thm1",))
     assert set(rep.slacks) == {"thm1"}
 
 
@@ -281,8 +286,9 @@ CONTINUOUS_FAMILIES = {
     "haar": lambda: HaarMixedFamily(("A", "B"), (2, 2)),
     "haar-rank-1": lambda: HaarMixedFamily(("A", "B"), (2, 2), rank=1),
     "diagonal": lambda: DiagonalFamily(("A", "B"), (2, 3)),
-    "constrained": lambda: ConstrainedFamily(1),
-    "constrained-diagonal": lambda: ConstrainedFamily(2, blocks=3, diagonal=True),
+    "constrained": lambda: ConstrainedFamily(FamilyDims.default(1)),
+    "constrained-diagonal": lambda: ConstrainedFamily(FamilyDims.default(2, blocks=3),
+                                                      diagonal=True),
 }
 FAMILIES = {**CONTINUOUS_FAMILIES, "lw05": LW05Family}
 
@@ -290,12 +296,12 @@ FAMILIES = {**CONTINUOUS_FAMILIES, "lw05": LW05Family}
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 2), blocks=st.integers(1, 3), diagonal=st.booleans(), seed=SEEDS)
 def test_constrained_sample_is_family_draw_then_build(n, blocks, diagonal, seed):
-    state, bs = constrained_family_sample(n, blocks=blocks, seed=seed, diagonal=diagonal)
-    family = ConstrainedFamily(n, blocks, diagonal=diagonal)
+    dims = FamilyDims.default(n, blocks)
+    state = constrained_family_sample(dims, seed=seed, diagonal=diagonal)
+    family = ConstrainedFamily(dims, diagonal=diagonal)
     built = family.build(family.draw(_rng(seed)))
     assert (state.labels, state.dims) == (built.labels, built.dims)
     assert np.array_equal(state.rho, built.rho)
-    assert bs == family.structure == BlockStructure("A", tuple((k, 1) for k in range(blocks)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -329,8 +335,9 @@ def test_zero_parameter_point_is_rejected(name):
 
 
 def test_measurement_register_properties():
-    state, bs = constrained_family_sample(2, seed=21)
-    sigma = measure_and_register(state, bs)
+    dims = FamilyDims.default(2)
+    state = constrained_family_sample(dims, seed=21)
+    sigma = measure_and_register(state, "A", dims.a_blocks)
     assert sigma.labels == state.labels + ("R",)
     h_rho = entropy_vector(state)
     h_sig = entropy_vector(sigma)
@@ -352,33 +359,35 @@ def test_measurement_rejects_non_block_states():
     rng = _rng(31)
     rho = random_density(4, rng)
     st = MultipartyState(("A", "B"), (2, 2), rho)
-    bs = BlockStructure("A", ((0, 1), (1, 1)))
-    with pytest.raises(ValueError):
-        measure_and_register(st, bs)
+    with pytest.raises(ValueError, match="not block diagonal"):
+        measure_and_register(st, "A", (1, 1))
 
 
-def test_block_structure_validation():
-    with pytest.raises(ValueError):
-        BlockStructure("A", ((0, 1), (2, 1)))  # gap
-    with pytest.raises(ValueError):
-        BlockStructure("A", ())
+def test_measurement_rejects_bad_block_sizes():
+    state = constrained_family_sample(FamilyDims.default(1), seed=5)
+    assert measure_and_register(state, "A", (1, 1)).dims == state.dims + (2,)
+    # none, too few, an empty block, too many: A has dimension 2
+    for sizes in ((), (1,), (2, 0), (1, 2)):
+        with pytest.raises(ValueError, match="block sizes"):
+            measure_and_register(state, "A", sizes)
 
 
 # ------------------------------------------------------------ sampling, io
 
 
 def test_seeded_sampling_is_reproducible():
-    s1, _ = constrained_family_sample(1, seed=trial_seed(7, 3))
-    s2, _ = constrained_family_sample(1, seed=trial_seed(7, 3))
+    dims = FamilyDims.default(1)
+    s1 = constrained_family_sample(dims, seed=trial_seed(7, 3))
+    s2 = constrained_family_sample(dims, seed=trial_seed(7, 3))
     assert np.array_equal(s1.rho, s2.rho)
-    s3, _ = constrained_family_sample(1, seed=trial_seed(7, 4))
+    s3 = constrained_family_sample(dims, seed=trial_seed(7, 4))
     assert not np.array_equal(s1.rho, s3.rho)
 
 
 def test_dimension_cap_honored(monkeypatch):
     monkeypatch.setenv("ENTROPIC_MAX_DIM", "8")
     with pytest.raises(ValueError):
-        constrained_family_sample(3, seed=0)
+        constrained_family_sample(FamilyDims.default(3), seed=0)
 
 
 def test_state_validation_catches_bad_input():

@@ -5,10 +5,12 @@ import json
 import pytest
 
 from entrocone import search
+from entrocone.inequalities import builtin, template_from_obj, template_to_obj
 from entrocone.setfn import SetFunction
 from entrocone.search import (
     ConstrainedFamily,
     DiagonalFamily,
+    FamilyDims,
     HaarMixedFamily,
     SearchConfig,
     family_for,
@@ -74,13 +76,23 @@ def test_scan_histogram_buckets_are_millibit_floors():
     assert min(rep.histogram) >= 0  # ssa slacks are nonnegative
 
 
+def _file_template(terms_of: str, name: str):
+    """A template as a file gives it: the builtin `terms_of` under `name`."""
+    return template_from_obj({**template_to_obj(builtin(terms_of)), "name": name})
+
+
 @pytest.mark.parametrize("options", [
     {},  # the natural binding: 1 instance
     {"binding": {"A": ("A",), "B": ("B",), "C": ("C",)}},  # 5 instances
     {"auto_filter": True},  # 405 instances
+    # file templates on (2,2,2): a renamed copy of ssa, and wmo's terms
+    # under the name ssa (22 instances, where the builtin ssa has 9)
+    {"template": _file_template("ssa", "my-ssa"), "family": "haar-mixed", "n": None},
+    {"template": _file_template("wmo", "ssa"), "family": "haar-mixed", "n": None},
 ])
 def test_report_config_rebuilds_the_scan(options):
-    cfg = SearchConfig(template="c_2", family="constrained", n=2, trials=2, **options)
+    cfg = SearchConfig(**{"template": "c_2", "family": "constrained", "n": 2, "trials": 2,
+                          **options})
     report = json.loads(json.dumps(random_scan(cfg).to_dict()))
     again = random_scan(SearchConfig(**report["config"]))
     assert json.loads(json.dumps(again.to_dict())) == report
@@ -200,8 +212,8 @@ def test_families_build_unit_trace_states():
         HaarMixedFamily(("A", "B"), (2, 2)),
         HaarMixedFamily(("A", "B"), (2, 2), rank=1),
         DiagonalFamily(("A", "B"), (2, 3)),
-        ConstrainedFamily(1),
-        ConstrainedFamily(1, diagonal=True),
+        ConstrainedFamily(FamilyDims.default(1)),
+        ConstrainedFamily(FamilyDims.default(1), diagonal=True),
     ):
         params = fam.draw(rng)
         assert params.shape == (fam.n_params(),)

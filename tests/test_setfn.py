@@ -21,8 +21,8 @@ from entrocone.setfn import (
     is_submodular,
     is_weakly_monotone,
     monotone_repair,
-    setfn_from_json,
-    setfn_to_json,
+    setfn_from_obj,
+    setfn_to_obj,
     submasks,
 )
 
@@ -233,7 +233,7 @@ def test_monotone_repair_idempotent_and_exact_only():
 
 def test_json_round_trip_exact():
     f = make_fn("AB", {frozenset("A"): 5, frozenset("B"): Fraction(1, 3)})
-    g = setfn_from_json(setfn_to_json(f))
+    g = setfn_from_obj(json.loads(json.dumps(setfn_to_obj(f))))
     assert g.ground.labels == f.ground.labels
     assert g.values == f.values
     assert g.domain == EXACT_RATIONAL
@@ -242,14 +242,14 @@ def test_json_round_trip_exact():
 def test_json_round_trip_float():
     gr = GroundSet(("A", "B"))
     f = SetFunction(gr, [0.0, 0.25, 1.5, 2.0])
-    g = setfn_from_json(setfn_to_json(f))
+    g = setfn_from_obj(json.loads(json.dumps(setfn_to_obj(f))))
     assert g.domain == FLOAT64
     assert g.values == f.values
 
 
 def test_json_exact_values_are_strings():
     f = make_fn("AB", {frozenset("A"): 5})
-    obj = json.loads(setfn_to_json(f))
+    obj = json.loads(json.dumps(setfn_to_obj(f)))
     vals = {tuple(e["subset"]): e["value"] for e in obj["values"]}
     assert vals[("A",)] == "5"
     assert obj["parties"] == ["A", "B"]
@@ -258,7 +258,7 @@ def test_json_exact_values_are_strings():
 def test_json_missing_subset_errors():
     obj = {"parties": ["A", "B"], "values": [{"subset": ["A"], "value": "1"}]}
     with pytest.raises(ValueError):
-        setfn_from_json(json.dumps(obj))
+        setfn_from_obj(obj)
 
 
 def test_json_rejects_empty_and_duplicate_subsets():
@@ -268,24 +268,24 @@ def test_json_rejects_empty_and_duplicate_subsets():
     }
     bad = dict(base, values=base["values"] + [{"subset": [], "value": "0"}])
     with pytest.raises(ValueError):
-        setfn_from_json(json.dumps(bad))
+        setfn_from_obj(bad)
     dup = dict(base, values=base["values"] * 2)
     with pytest.raises(ValueError):
-        setfn_from_json(json.dumps(dup))
+        setfn_from_obj(dup)
     # the same faults with one entry per nonempty subset, past the count check
     two = {"parties": ["A", "B"],
            "values": [{"subset": s, "value": "1"} for s in (["A"], ["B"], ["A", "B"])]}
     for last, msg in (([], "empty"), (["B"], "twice")):
         bad = dict(two, values=two["values"][:2] + [{"subset": last, "value": "1"}])
         with pytest.raises(ValueError, match=msg):
-            setfn_from_json(json.dumps(bad))
+            setfn_from_obj(bad)
 
 
 def test_json_label_order_is_cosmetic():
     f = make_fn("ABC", {frozenset("A"): 1, frozenset("BC"): 4, frozenset("ABC"): 2})
-    obj = json.loads(setfn_to_json(f))
+    obj = json.loads(json.dumps(setfn_to_obj(f)))
     perm = {"parties": ["C", "A", "B"], "values": obj["values"]}
-    g = setfn_from_json(json.dumps(perm))
+    g = setfn_from_obj(perm)
     for mask in f.ground.iter_masks():
         labels = f.ground.labels_of(mask)
         assert g(labels) == f(labels)
