@@ -22,6 +22,7 @@ import numpy as np
 from .setfn import GroundSet, SetFunction, FLOAT64, list_field
 from .inequalities import (
     LinearFunctional,
+    _cmi_terms,
     builtin,
     cleared_values,
     eliminate_party_pure,
@@ -437,6 +438,41 @@ def purified_basic_problem():
     ).functional
     meta = {"n_generators": len(generators), "expect": "feasible"}
     return target, generators, [], small, meta
+
+
+def proof_certificate(n: int):
+    """The exact proof of c_n from a register R that A and B can both read:
+    (target, terms, weights, hypotheses, hypothesis_weights) on the parties
+    (A, B, C, X1..Xn, R), in the order `_check_combination` takes them.
+
+    The terms, each an SSA instance or S(R|Y) >= 0 for the classical R, are
+    I(A:B|R X_i), S(R|A B X_i), I(R:X_i|A) and I(R:X_i|B) per X_i, then
+    I(X_1..X_{k-1} : X_k | R) for k = 2..n and S(R|X_1..X_n), at weight 1,
+    then I(R:C|AB) and S(R|C) at weight n - 1.  The hypotheses S(R|A),
+    S(R|B) and I(AB:C|R) vanish and weigh -n, -n and -(n - 1).  Every item
+    is listed at every n, so that a state is checked on all of them.
+    """
+    template = builtin("c_n", n)
+    ground = GroundSet(template.slots + ("R",))
+    target = instantiate(template, ground, {s: s for s in template.slots}).functional
+    a, b, c, r = 1, 2, 4, 8 << n
+    xs = [8 << i for i in range(n)]
+
+    def cond(x: int, g: int) -> dict[int, int]:  # S(x|g)
+        return {x | g: 1, g: -1}
+
+    terms = []
+    for x in xs:
+        terms += [_cmi_terms(a, b, r | x), cond(r, a | b | x),
+                  _cmi_terms(r, x, a), _cmi_terms(r, x, b)]
+    terms += [_cmi_terms(sum(xs[:k]), xs[k], r) for k in range(1, n)]
+    terms.append(cond(r, sum(xs)))
+    weights = [1] * len(terms) + [n - 1, n - 1]
+    terms += [_cmi_terms(r, c, a | b), cond(r, c)]
+    hypotheses = [cond(r, a), cond(r, b), _cmi_terms(a | b, c, r)]
+    terms, hypotheses = ([LinearFunctional._from_ints(ground, t) for t in ts]
+                         for ts in (terms, hypotheses))
+    return target, terms, weights, hypotheses, [-n, -n, -(n - 1)]
 
 
 # --- problem / result serialization ---

@@ -62,11 +62,11 @@ def _load(path: str, parse):
 
 def _template_arg(args):
     """The template a command was given: a file's template, or a builtin name."""
+    if bool(args.template) == bool(args.template_file):
+        raise ValueError("give one of --template NAME and --template-file FILE")
     if args.template_file:
         return _load(args.template_file, template_from_obj)
-    if args.template:
-        return args.template
-    raise ValueError("give --template NAME or --template-file FILE")
+    return args.template
 
 
 def _parse_binding(text: str | None):
@@ -239,13 +239,13 @@ def cmd_sample(args) -> int:
         "results": trials,
     }
     header = ("trial", "seed", "passed", "max_residual", "min_slack",
-              "aggregate_slack", "marginal_drift", "clipped_mass")
+              "min_term", "marginal_drift", "clipped_mass")
     rows = []
     for d in trials:
         resid = max((abs(v) for v in d["constraint_residuals"].values()), default=0.0)
         slack = min(d["slacks"].values())
         rows.append((d["trial"], f"{d['seed'][0]}:{d['seed'][1]}", d["passed"],
-                     f"{resid:.3e}", f"{slack:.12g}", f"{d['aggregate_slack']:.12g}",
+                     f"{resid:.3e}", f"{slack:.12g}", f"{d['min_term']:.12g}",
                      f"{d['marginal_drift']:.3e}", f"{d['clipped_mass']:.3e}"))
     _emit(args, obj, started, csv_table=(header, rows))
     print(f"sample n={args.n}: {args.trials} trials, "

@@ -595,10 +595,6 @@ def eliminate_party_pure(
 # --- builtin templates ---
 
 
-def _mi_terms(a: int, b: int) -> dict[int, int]:
-    return _cmi_terms(a, b, 0)
-
-
 def _c_family_parts(n: int):
     """Common pieces for the conditional-independence family of order n,
     with the terms every member has: sum over x of S(x) + I(A:B|x)."""
@@ -619,7 +615,7 @@ def _c_family_parts(n: int):
 def _template_c(n: int) -> InequalityTemplate:
     slots, a, b, c, x_all, t, cons, sym, empty = _c_family_parts(n)
     _add_terms(t, {x_all: -1})
-    _add_terms(t, _mi_terms(a | b, c), -(n - 1))
+    _add_terms(t, _cmi_terms(a | b, c), -(n - 1))
     return InequalityTemplate(f"c_{n}", slots, t, cons, sym, empty)
 
 
@@ -628,7 +624,7 @@ def _template_thm1p(n: int) -> InequalityTemplate:
     _add_terms(t, _cmi_terms(a, b, c | x_all))
     _add_terms(t, {a | b | c | x_all: 1})
     _add_terms(t, {a | b | c: -1})
-    _add_terms(t, _mi_terms(a | b, c), -n)
+    _add_terms(t, _cmi_terms(a | b, c), -n)
     return InequalityTemplate(f"thm1p_{n}", slots, t, cons, sym, empty)
 
 
@@ -636,7 +632,7 @@ def _template_thm2(n: int) -> InequalityTemplate:
     slots, a, b, c, x_all, t, cons, sym, empty = _c_family_parts(n)
     _add_terms(t, _cmi_terms(a, b, c))
     _add_terms(t, {c: 1, c | x_all: -1})
-    _add_terms(t, _mi_terms(a | b, c), -n)
+    _add_terms(t, _cmi_terms(a | b, c), -n)
     return InequalityTemplate(f"thm2_{n}", slots, t, cons, sym, empty)
 
 
@@ -647,7 +643,7 @@ def _template_thm2p(n: int) -> InequalityTemplate:
     _add_terms(t, _cmi_terms(a, b, c))
     _add_terms(t, {c: 1})
     _add_terms(t, {a | b: -1})
-    _add_terms(t, _mi_terms(a | b, c), -(n + 1))
+    _add_terms(t, _cmi_terms(a | b, c), -(n + 1))
     return InequalityTemplate(f"thm2p_{n}", slots, t, cons, sym, empty)
 
 
@@ -667,7 +663,7 @@ def _template_wmo() -> InequalityTemplate:
 
 def _template_mi() -> InequalityTemplate:
     return InequalityTemplate(
-        "mutual-info", ("A", "B"), _mi_terms(1, 2), symmetries=(("A", "B"),)
+        "mutual-info", ("A", "B"), _cmi_terms(1, 2), symmetries=(("A", "B"),)
     )
 
 
@@ -687,8 +683,8 @@ def _template_antimono() -> InequalityTemplate:
 def _template_lw05() -> InequalityTemplate:
     a, b, c, d = 1, 2, 4, 8
     t: dict[int, int] = {}
-    _add_terms(t, _mi_terms(c, d))
-    _add_terms(t, _mi_terms(a | b, c), -1)
+    _add_terms(t, _cmi_terms(c, d))
+    _add_terms(t, _cmi_terms(a | b, c), -1)
     cons = (_cmi_terms(a, c, b), _cmi_terms(b, c, a), _cmi_terms(a, b, d))
     return InequalityTemplate(
         "lw05", ("A", "B", "C", "D"), t, cons, symmetries=(("A", "B"),)

@@ -22,8 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .setfn import GroundSet, SetFunction, check_tol, cmi
+from .setfn import GroundSet, SetFunction, check_tol
 from .inequalities import builtin, instantiate
+from .certify import proof_certificate
 
 CLIP = 1e-12
 STATE_ATOL = 1e-10
@@ -584,34 +585,24 @@ THEOREMS = ("thm1", "thm1p", "thm2", "thm2p")
 
 @dataclass
 class TheoremReport:
-    """Numerical check of the constrained inequalities and their proof trace."""
+    """Numerical check of the constrained inequalities and of c_n's proof
+    certificate on the measured state."""
 
     n: int
     tol: float
     constraint_residuals: dict
     slacks: dict
-    register_entropy: float
-    cond_register_on_a: float
-    cond_register_on_b: float
-    min_register_monotonicity: float
-    register_vs_correlation: float
-    min_chain_slack: float
-    aggregate_slack: float
-    min_data_processing: float
+    hypotheses: dict
+    min_term: float
     marginal_drift: float
     clipped_mass: float
 
     @property
     def passed(self) -> bool:
         ok = all(abs(r) <= self.tol for r in self.constraint_residuals.values())
+        ok = ok and all(abs(h) <= self.tol for h in self.hypotheses.values())
         ok = ok and all(s >= -self.tol for s in self.slacks.values())
-        ok = ok and self.cond_register_on_a <= self.tol
-        ok = ok and self.cond_register_on_b <= self.tol
-        ok = ok and self.min_register_monotonicity >= -self.tol
-        ok = ok and self.register_vs_correlation >= -self.tol
-        ok = ok and self.min_chain_slack >= -self.tol
-        ok = ok and self.aggregate_slack >= -self.tol
-        ok = ok and self.min_data_processing >= -self.tol
+        ok = ok and self.min_term >= -self.tol
         ok = ok and self.marginal_drift <= STATE_ATOL
         return ok
 
@@ -622,14 +613,8 @@ class TheoremReport:
             "passed": self.passed,
             "constraint_residuals": dict(self.constraint_residuals),
             "slacks": dict(self.slacks),
-            "register_entropy": self.register_entropy,
-            "cond_register_on_a": self.cond_register_on_a,
-            "cond_register_on_b": self.cond_register_on_b,
-            "min_register_monotonicity": self.min_register_monotonicity,
-            "register_vs_correlation": self.register_vs_correlation,
-            "min_chain_slack": self.min_chain_slack,
-            "aggregate_slack": self.aggregate_slack,
-            "min_data_processing": self.min_data_processing,
+            "hypotheses": dict(self.hypotheses),
+            "min_term": self.min_term,
             "marginal_drift": self.marginal_drift,
             "clipped_mass": self.clipped_mass,
         }
@@ -638,10 +623,14 @@ class TheoremReport:
 @functools.cache
 def _theorem_forms(labels: tuple[str, ...]):
     """The shared constraints and each theorem's functional on the parties
-    (A, B, C, X1..Xn) bound to themselves; built once per order."""
+    (A, B, C, X1..Xn) bound to themselves, and the terms and hypotheses (by
+    `describe()`) of c_n's proof certificate on (A, B, C, X1..Xn, R); built
+    once per order."""
     gr, binding = GroundSet(labels), {s: s for s in labels}
     insts = {name: instantiate(builtin(name, len(labels) - 3), gr, binding) for name in THEOREMS}
-    return insts["thm1"].constraints, {name: i.functional for name, i in insts.items()}
+    _, terms, _, hypotheses, _ = proof_certificate(len(labels) - 3)
+    forms = {name: i.functional for name, i in insts.items()}
+    return insts["thm1"].constraints, forms, terms, {h.describe(): h for h in hypotheses}
 
 
 def check_theorem(
@@ -650,13 +639,15 @@ def check_theorem(
     which: Sequence[str] = THEOREMS,
     tol: float = 1e-8,
 ) -> TheoremReport:
-    """Evaluate the four constrained inequalities on a family state and walk
-    the measurement argument behind them.
+    """Evaluate the four constrained inequalities on a family state, and c_n's
+    proof certificate on the state measured into a register R.
 
     The state must live on parties (A, B, C, X1..Xn), block diagonal in A
     with blocks of sizes `a_blocks` (a FamilyDims's own).  Slacks come from
-    the entropy vector of the state itself; the proof-trace quantities come
-    from the post-measurement state with its outcome register R.
+    the entropy vector of the state itself.  The certificate's hypotheses and
+    terms are evaluated on the post-measurement state with its outcome
+    register R: each hypothesis should vanish and each term be nonnegative,
+    which is the proof of `certify.proof_certificate` holding on this state.
     """
     labels = state.labels
     n = len(labels) - 3
@@ -672,7 +663,7 @@ def check_theorem(
     diag: dict = {}
     h_rho = entropy_vector(state, diagnostics=diag)
 
-    constraints, forms = _theorem_forms(labels)
+    constraints, forms, terms, hyps = _theorem_forms(labels)
     residuals = {
         "I(A:C|B)": float(constraints[0].evaluate(h_rho)),
         "I(B:C|A)": float(constraints[1].evaluate(h_rho)),
@@ -681,29 +672,8 @@ def check_theorem(
 
     sigma = measure_and_register(state, "A", a_blocks)
     h_sigma = entropy_vector(sigma, diagnostics=diag)
-    sgr = h_sigma.ground
-
-    s_r = h_sigma("R")
-    cond_a = abs(h_sigma(("A", "R")) - h_sigma("A"))
-    cond_b = abs(h_sigma(("B", "R")) - h_sigma("B"))
-
-    r_bit = sgr.mask_of("R")
-    min_mono = min(
-        h_sigma.values[mask | r_bit] - h_sigma.values[mask]
-        for mask in range(1, sgr.n_subsets)
-        if not mask & r_bit
-    )
-
-    reg_vs_corr = s_r - cmi(h_sigma, ("A", "B"), "C")
-
-    chain = []
-    dp = []
-    for i in range(1, n + 1):
-        xi = f"X{i}"
-        i_ab_xi_sigma = cmi(h_sigma, "A", "B", xi)
-        chain.append(i_ab_xi_sigma - (h_sigma((xi, "R")) - h_sigma(xi)))
-        dp.append(cmi(h_rho, "A", "B", xi) - i_ab_xi_sigma)
-    aggregate = sum(chain)
+    hypotheses = {key: h.evaluate(h_sigma) for key, h in hyps.items()}
+    min_term = min(t.evaluate(h_sigma) for t in terms)
 
     drift = 0.0
     for sub in (tuple(f"X{i}" for i in range(1, n + 1)), ("A", "B", "C")):
@@ -716,15 +686,8 @@ def check_theorem(
         tol=tol,
         constraint_residuals=residuals,
         slacks=slacks,
-        register_entropy=float(s_r),
-        cond_register_on_a=float(cond_a),
-        cond_register_on_b=float(cond_b),
-        min_register_monotonicity=float(min_mono),
-        register_vs_correlation=float(reg_vs_corr),
-        min_chain_slack=float(min(chain)),
-        aggregate_slack=float(aggregate),
-        min_data_processing=float(min(dp)),
+        hypotheses=hypotheses,
+        min_term=min_term,
         marginal_drift=drift,
         clipped_mass=float(diag.get("clipped_mass", 0.0)),
     )
-

@@ -26,6 +26,7 @@ from entrocone.certify import (
     independence_problem,
     problem_from_obj,
     problem_to_obj,
+    proof_certificate,
     purified_basic_problem,
     verify_certificate,
 )
@@ -358,6 +359,31 @@ def test_purified_basic_problem_is_feasible():
     assert meta["expect"] == "feasible"
     out = cone_membership(target, gens, cons)
     assert isinstance(out, Feasible)
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 30])
+def test_proof_certificate_replays_c_n_exactly(n):
+    cert = proof_certificate(n)
+    target, terms, weights, hyps, hyp_weights = cert
+    assert certify._check_combination(*cert)
+    assert target.ground.labels == builtin("c_n", n).slots + ("R",)
+    assert len(terms) == len(weights) == 5 * n + 2
+    assert hyp_weights == [-n, -n, -(n - 1)]
+
+
+def _without(items, i):
+    return items[:i] + items[i + 1:]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_proof_certificate_needs_every_item(n):
+    target, terms, weights, hyps, hyp_weights = proof_certificate(n)
+    for i in range(len(terms)):
+        assert not certify._check_combination(
+            target, _without(terms, i), _without(weights, i), hyps, hyp_weights)
+    for i in range(len(hyps)):
+        assert not certify._check_combination(
+            target, terms, weights, _without(hyps, i), _without(hyp_weights, i))
 
 
 def test_basic_generators_cover_ssa_and_wmo():

@@ -117,6 +117,8 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["search", "--template", "ssa", "--trials", "2", "--refine", "5", "--step", "-0.1"],
     ["search", "--template", "ssa", "--trials", "2", "--refine", "-1"],
     ["search", "--template-file", "{list_coef}", "--trials", "1"],
+    ["eval", "--values", "{ones}", "--template", "ssa", "--template-file", "{wmo}"],
+    ["search", "--template", "ssa", "--template-file", "{wmo}", "--trials", "1"],
     ["counterexample", "--values", "{ones}"],
     ["search", "--template", "ssa", "--labels", "A,B,C", "--dims", "2,x,2"],
     ["eval", "--values", "{ones}", "--template-file", "{terms_not_list}"],
@@ -162,6 +164,7 @@ def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeyp
         "problem_bool_coef": {"ground": ["a"], "target": [{**term, "coef": True}],
                               "generators": [[term]]},
         "values_not_list": {"parties": ["A"], "values": 5},
+        "wmo": template_to_obj(builtin("wmo")),
     }
     template = {"name": "t", "slots": ["A"], "terms": [{"subset": ["A"], "coef": "1"}]}
     for name, change in (("terms_not_list", {"terms": 5}),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entrocone.certify import proof_certificate
 from entrocone.setfn import is_submodular, is_weakly_monotone
 from entrocone.quantum import (
     ConstrainedFamily,
@@ -241,11 +242,26 @@ def test_check_theorem_passes_on_samples():
         rep = check_theorem(state, dims.a_blocks)
         assert rep.passed, rep.to_dict()
         assert set(rep.slacks) == {"thm1", "thm1p", "thm2", "thm2p"}
+        assert list(rep.hypotheses) == [h.describe() for h in proof_certificate(n)[3]]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_check_theorem_fails_a_register_that_reads_nothing(n):
+    # one block: R is constant, so S(R|A) = S(R|B) = 0 while I(AB:C|R) is
+    # I(AB:C), which the family keeps positive; only that hypothesis fails
+    dims = FamilyDims.default(n)
+    state = constrained_family_sample(dims, seed=trial_seed(3, n))
+    rep = check_theorem(state, (2,))
+    assert not rep.passed
+    _, _, _, (_, _, i_ab_c_given_r), _ = proof_certificate(n)
+    assert rep.hypotheses[i_ab_c_given_r.describe()] > rep.tol
 
 
 @pytest.mark.parametrize("field, value", [
     ("slacks", {"thm1": -5e-9}),
     ("constraint_residuals", {"I(A:C|B)": 5e-9, "I(B:C|A)": -5e-9}),
+    ("hypotheses", {"- S{A} + S{A,R}": 5e-9, "- S{B} + S{B,R}": -5e-9}),
+    ("min_term", -5e-9),
 ])
 def test_check_theorem_uses_its_stated_tol(field, value):
     # 5e-9 sits between the default 1e-8 and the CLI's 1e-9: the verdict
