@@ -384,19 +384,19 @@ def basic_generator_instances(ground: GroundSet) -> list:
     return out
 
 
-def independence_problem(n: int, p_max: int | None = None):
+def independence_problem(n: int):
     """Membership problem asking whether the order-n constrained inequality
     follows from the basic inequalities plus the lower- and higher-order
-    family members (orders p != n up to p_max), under its two constraints.
+    family members (orders p != n up to n + 2), under its two constraints.
 
-    Returns (target, generators, constraints, ground, meta).  Infeasibility
-    of this problem is the independence statement at order n.
+    Returns (target, generators, constraints, ground, expect), the shape
+    `problem_from_obj` reads; expect is "infeasible", since infeasibility of
+    this problem is the independence statement at order n.
     """
     from .witness import standard_c_binding, witness_ground
 
     if n < 1:
         raise ValueError("family order n must be >= 1")
-    p_max = n + 2 if p_max is None else p_max
     ground = witness_ground(n)
     binding = standard_c_binding()
 
@@ -407,22 +407,22 @@ def independence_problem(n: int, p_max: int | None = None):
     )
     target, constraints = target_inst.functional, target_inst.constraints
     generators = [inst.functional for inst in basic_generator_instances(ground)]
-    for p in range(1, p_max + 1):
+    for p in range(1, n + 3):
         if p == n:
             continue
         for inst in enumerate_instances(builtin("c_n", p), ground, fixed=binding):
             if not inst.functional.is_zero():
                 generators.append(inst.functional)
-    meta = {"n": n, "p_max": p_max, "n_generators": len(generators), "expect": "infeasible"}
-    return target, generators, list(constraints), ground, meta
+    return target, generators, list(constraints), ground, "infeasible"
 
 
 def purified_basic_problem():
     """Membership of weak monotonicity on three parties in the cone of
     purified submodularity instances from a four-party extension.
 
-    Feasible with zero residual: weak monotonicity is exactly a purified
-    submodularity instance.
+    Returns (target, generators, constraints, ground, expect), expect being
+    "feasible": weak monotonicity is exactly a purified submodularity
+    instance.
     """
     big = GroundSet(("A", "B", "C", "D"))
     small = GroundSet(("A", "B", "C"))
@@ -436,8 +436,7 @@ def purified_basic_problem():
     target = instantiate(
         builtin("wmo"), small, {"A": "A", "B": "B", "C": "C"}
     ).functional
-    meta = {"n_generators": len(generators), "expect": "feasible"}
-    return target, generators, [], small, meta
+    return target, generators, [], small, "feasible"
 
 
 def proof_certificate(n: int):

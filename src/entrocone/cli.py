@@ -70,7 +70,8 @@ def _template_arg(args):
 
 
 def _parse_binding(text: str | None):
-    """Parse 'A=a,B=b,X1=x1+x2' into a slot -> label-tuple mapping."""
+    """Parse 'A=a,B=b,X1=x1+x2' into a slot -> label-tuple mapping; a slot
+    may be bound once."""
     if not text:
         return None
     binding = {}
@@ -78,8 +79,10 @@ def _parse_binding(text: str | None):
         if "=" not in part:
             raise ValueError(f"bad binding component {part!r}; expected SLOT=labels")
         slot, _, val = part.partition("=")
-        labels = tuple(v for v in val.split("+") if v)
-        binding[slot.strip()] = labels
+        slot = slot.strip()
+        if slot in binding:
+            raise ValueError(f"slot {slot!r} is bound twice in --bind")
+        binding[slot] = tuple(v for v in val.split("+") if v)
     return binding
 
 
@@ -256,19 +259,16 @@ def cmd_sample(args) -> int:
 def cmd_certify(args) -> int:
     started = _now()
     if args.problem:
-        target, generators, constraints, ground, expect = _load(args.problem, problem_from_obj)
+        problem = _load(args.problem, problem_from_obj)
     elif args.builtin == "independence":
         if args.n is None:
             raise ValueError("--builtin independence needs --n")
-        target, generators, constraints, ground, meta = independence_problem(
-            args.n, p_max=args.p_max
-        )
-        expect = meta.get("expect")
+        problem = independence_problem(args.n)
     elif args.builtin == "purified-basic":
-        target, generators, constraints, ground, meta = purified_basic_problem()
-        expect = meta.get("expect")
+        problem = purified_basic_problem()
     else:
         raise ValueError("give --problem FILE or --builtin {independence,purified-basic}")
+    target, generators, constraints, ground, expect = problem
     outcome = cone_membership(
         target, generators, constraints,
         max_generators=args.max_generators,
@@ -306,7 +306,6 @@ def cmd_search(args) -> int:
         tol=args.tol,
         binding=_parse_binding(args.bind),
         auto_filter=args.auto_filter,
-        penalty=args.penalty,
         refine_steps=args.refine,
         step_size=args.step,
     )
@@ -394,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", help="problem JSON file")
     p.add_argument("--builtin", choices=("independence", "purified-basic"))
     p.add_argument("--n", type=int, help="order for the independence problem")
-    p.add_argument("--p-max", type=int, default=None)
     p.add_argument("--max-generators", type=int, default=20000)
     p.add_argument("--no-fast-paths", action="store_true",
                    help="skip the float guide; run the exact simplex alone")
@@ -416,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine", type=int, default=0,
                    help="polish the worst point for this many steps")
     p.add_argument("--step", type=float, default=0.1)
-    p.add_argument("--penalty", type=float, default=1000.0)
     p.set_defaults(func=cmd_search)
     return parser
 

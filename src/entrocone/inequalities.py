@@ -61,10 +61,6 @@ def _cleared(terms: Iterable[tuple[int, object]]) -> tuple[dict[int, int], int]:
     return _lowest({m: int(c * den) for m, c in acc.items()}, den)
 
 
-def _fractions(nums: Mapping[int, int], den: int) -> dict[int, Fraction]:
-    return {m: Fraction(v, den) for m, v in nums.items()}
-
-
 def cleared_values(f: SetFunction) -> tuple[list[int], int]:
     """An exact set function's values as integers times one positive scale."""
     den = lcm(*(v.denominator for v in f.values))
@@ -98,7 +94,7 @@ class LinearFunctional:
 
     @property
     def coefs(self) -> dict[int, Fraction]:
-        return _fractions(self.nums, self.den)
+        return {m: Fraction(v, self.den) for m, v in self.nums.items()}
 
     def dot(self, table: Sequence) -> object:
         """sum_m nums[m] * table[m]: the value on `table` times `den`."""
@@ -178,17 +174,17 @@ def _cmi_terms(a: int, b: int, g: int = 0) -> dict[int, int]:
 
 
 class InequalityTemplate:
-    """Inequality form over named slots, with optional equality constraints.
+    """Inequality over named slots, with optional equality constraints.
 
-    `terms` maps slot-subset masks (bits in slot order) to coefficients; the
-    statement is sum >= 0 subject to each constraint form evaluating to 0.
-    `forms` holds the functional, then each constraint, as integer numerators
-    by slot mask over one positive denominator.
-    `symmetries` lists groups of interchangeable slots (used to deduplicate
-    enumeration) and `empty_ok` the slots allowed to be empty by default.
+    `ground` holds the slots as a GroundSet, and `functional` and each of
+    `constraints` are LinearFunctionals over it (slot masks, bits in slot
+    order); the statement is functional >= 0 subject to every constraint
+    vanishing.  `symmetries` lists groups of interchangeable slots (used to
+    deduplicate enumeration) and `empty_ok` the slots allowed to be empty by
+    default.
     """
 
-    __slots__ = ("name", "slots", "forms", "symmetries", "empty_ok")
+    __slots__ = ("name", "ground", "functional", "constraints", "symmetries", "empty_ok")
 
     def __init__(
         self,
@@ -200,14 +196,9 @@ class InequalityTemplate:
         empty_ok: Iterable[str] = (),
     ):
         self.name = name
-        self.slots = tuple(slots)
-        if len(set(self.slots)) != len(self.slots):
-            raise ValueError("slot names must be distinct")
-        forms = (terms, *constraints)
-        for mask in (m for form in forms for m in form):
-            if not 1 <= mask < 1 << len(self.slots):
-                raise ValueError(f"slot mask {mask} out of range")
-        self.forms = tuple(_cleared(form.items()) for form in forms)
+        self.ground = GroundSet(slots)
+        self.functional = LinearFunctional(self.ground, terms)
+        self.constraints = tuple(LinearFunctional(self.ground, c) for c in constraints)
         self.symmetries = tuple(tuple(g) for g in symmetries)
         for group in self.symmetries:
             for s in group:
@@ -219,35 +210,21 @@ class InequalityTemplate:
                 raise ValueError(f"empty_ok names unknown slot {s!r}")
 
     @property
-    def terms(self) -> dict[int, Fraction]:
-        return _fractions(*self.forms[0])
-
-    @property
-    def constraints(self) -> tuple[dict[int, Fraction], ...]:
-        return tuple(_fractions(*form) for form in self.forms[1:])
-
-    def is_balanced(self) -> bool:
-        """True when every slot's coefficients sum to zero.
-
-        Any instance of a balanced template is balanced as a functional, since
-        each assigned party sits in exactly one slot's subset.
-        """
-        nums = self.forms[0][0]
-        return all(sum(c for m, c in nums.items() if m >> i & 1) == 0
-                   for i in range(len(self.slots)))
+    def slots(self) -> tuple[str, ...]:
+        return self.ground.labels
 
     def __eq__(self, other):
         return (
             isinstance(other, InequalityTemplate)
             and self.name == other.name
-            and self.slots == other.slots
-            and self.forms == other.forms
+            and self.functional == other.functional
+            and self.constraints == other.constraints
             and self.symmetries == other.symmetries
             and self.empty_ok == other.empty_ok
         )
 
     def __hash__(self):
-        return hash((self.name, self.slots, tuple(self.forms[0][0].items())))
+        return hash((self.name, self.functional))
 
     def __repr__(self):
         return f"InequalityTemplate({self.name!r}, slots={self.slots})"
@@ -271,17 +248,16 @@ class Instance:
 
     @cached_property
     def functional(self) -> LinearFunctional:
-        return self._realize(self.template.forms[0])
+        return self._realize(self.template.functional)
 
     @cached_property
     def constraints(self) -> tuple[LinearFunctional, ...]:
-        return tuple(self._realize(form) for form in self.template.forms[1:])
+        return tuple(self._realize(form) for form in self.template.constraints)
 
-    def _realize(self, form: tuple[dict[int, int], int]) -> LinearFunctional:
-        nums, den = form
+    def _realize(self, form: LinearFunctional) -> LinearFunctional:
         masks = self.slot_masks
         out: dict[int, int] = {}
-        for smask, c in nums.items():
+        for smask, c in form.nums.items():
             pmask = 0
             while smask:  # one step per slot the term names
                 low = smask & -smask
@@ -289,7 +265,7 @@ class Instance:
                 smask ^= low
             if pmask:
                 out[pmask] = out.get(pmask, 0) + c
-        return LinearFunctional._from_ints(self.ground, out, den)
+        return LinearFunctional._from_ints(self.ground, out, form.den)
 
     def describe(self) -> str:
         binds = " ".join(
@@ -397,14 +373,14 @@ class CompiledTemplate:
     """
 
     def __init__(self, template: InequalityTemplate):
-        forms = template.forms
-        terms = sorted(set().union(*(nums for nums, _ in forms)))
+        forms = (template.functional, *template.constraints)
+        terms = sorted(set().union(*(form.nums for form in forms)))
         self.incidence = np.array(
             [[t >> i & 1 for t in terms] for i in range(len(template.slots))],
             dtype=np.int64,
         ).reshape(len(template.slots), len(terms))
-        self.denominators = [den for _, den in forms]
-        self.ints = [[nums.get(t, 0) for nums, _ in forms] for t in terms]
+        self.denominators = [form.den for form in forms]
+        self.ints = [[form.nums.get(t, 0) for form in forms] for t in terms]
         self.shape = (len(terms), len(forms))
         # the largest sum |c| of a cleared column: bounds |value| / max |f|
         self.abs_sum = max(sum(abs(row[j]) for row in self.ints) for j in range(len(forms)))
@@ -779,12 +755,12 @@ def terms_from_obj(entries, ground: GroundSet) -> LinearFunctional:
 
 
 def template_to_obj(template: InequalityTemplate) -> dict:
-    slots = GroundSet(template.slots)
+    ground = template.ground
     obj = {
         "name": template.name,
-        "slots": list(template.slots),
-        "terms": terms_to_obj(template.terms, slots),
-        "constraints": [terms_to_obj(c, slots) for c in template.constraints],
+        "slots": list(ground.labels),
+        "terms": terms_to_obj(template.functional.coefs, ground),
+        "constraints": [terms_to_obj(c.coefs, ground) for c in template.constraints],
     }
     if template.symmetries:
         obj["symmetries"] = [list(g) for g in template.symmetries]

@@ -16,7 +16,6 @@ import functools
 import itertools
 import math
 import os
-import string
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,15 +70,13 @@ class MultipartyState:
     valid by construction).
     """
 
-    __slots__ = ("labels", "dims", "rho")
+    __slots__ = ("ground", "dims", "rho")
 
     def __init__(self, labels, dims, rho, validate: bool = True):
-        self.labels = tuple(labels)
+        self.ground = GroundSet(labels)
         self.dims = tuple(int(d) for d in dims)
         if len(self.labels) != len(self.dims):
             raise ValueError("labels and dims must have equal length")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("party labels must be distinct")
         if any(d < 1 for d in self.dims):
             raise ValueError("party dimensions must be >= 1")
         rho = np.asarray(rho, dtype=np.complex128)
@@ -98,21 +95,12 @@ class MultipartyState:
                 raise ValueError(f"trace deviates from one by {tr:.3e}")
 
     @property
-    def total_dim(self) -> int:
-        return self.rho.shape[0]
+    def labels(self) -> tuple[str, ...]:
+        return self.ground.labels
 
     @property
-    def n_parties(self) -> int:
-        return len(self.labels)
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown party label {label!r}") from None
-
-    def ground(self) -> GroundSet:
-        return GroundSet(self.labels)
+    def total_dim(self) -> int:
+        return self.rho.shape[0]
 
     def __repr__(self):
         pairs = ", ".join(f"{l}:{d}" for l, d in zip(self.labels, self.dims))
@@ -123,32 +111,17 @@ def partial_trace(state: MultipartyState, keep) -> MultipartyState:
     """Marginal on `keep` (labels, original order preserved)."""
     if isinstance(keep, str):
         keep = (keep,)
-    keep_idx = sorted({state.index(l) for l in keep})
+    keep_idx = sorted({state.ground.index(l) for l in keep})
     if not keep_idx:
         raise ValueError("must keep at least one party")
-    m = state.n_parties
+    m = state.ground.size
     if len(keep_idx) == m:
         return state
-    letters = string.ascii_letters
-    row = [""] * m
-    col = [""] * m
-    nxt = 0
-    out_row = []
-    out_col = []
-    keep_set = set(keep_idx)
-    for i in range(m):
-        if i in keep_set:
-            row[i] = letters[nxt]
-            col[i] = letters[nxt + 1]
-            out_row.append(letters[nxt])
-            out_col.append(letters[nxt + 1])
-            nxt += 2
-        else:
-            row[i] = col[i] = letters[nxt]
-            nxt += 1
-    sub = "".join(row) + "".join(col) + "->" + "".join(out_row) + "".join(out_col)
+    # party i's row axis is labeled i and its column axis m + i, or i again
+    # when the party is traced out
+    cols = [m + i if i in keep_idx else i for i in range(m)]
     tensor = state.rho.reshape(state.dims + state.dims)
-    reduced = np.einsum(sub, tensor)
+    reduced = np.einsum(tensor, [*range(m), *cols], keep_idx + [m + i for i in keep_idx])
     new_dims = tuple(state.dims[i] for i in keep_idx)
     d = int(np.prod(new_dims))
     return MultipartyState(
@@ -208,7 +181,7 @@ def entropy_vector(state: MultipartyState, diagnostics: dict | None = None) -> S
     When a `diagnostics` dict is supplied, the total eigenvalue mass dropped
     by clipping is accumulated under "clipped_mass".
     """
-    gr = state.ground()
+    gr = state.ground
     m = gr.size
     values = [0.0] * gr.n_subsets
     clipped_total = 0.0
@@ -555,7 +528,7 @@ def measure_and_register(
     """
     if "R" in state.labels:
         raise ValueError("label 'R' already in use")
-    pos = state.index(party)
+    pos = state.ground.index(party)
     dims = state.dims
     if not sizes or min(sizes) < 1 or sum(sizes) != dims[pos]:
         raise ValueError(f"block sizes {tuple(sizes)} must be >= 1 and add up to "
@@ -621,14 +594,14 @@ class TheoremReport:
 
 
 @functools.cache
-def _theorem_forms(labels: tuple[str, ...]):
+def _theorem_forms(gr: GroundSet):
     """The shared constraints and each theorem's functional on the parties
     (A, B, C, X1..Xn) bound to themselves, and the terms and hypotheses (by
     `describe()`) of c_n's proof certificate on (A, B, C, X1..Xn, R); built
     once per order."""
-    gr, binding = GroundSet(labels), {s: s for s in labels}
-    insts = {name: instantiate(builtin(name, len(labels) - 3), gr, binding) for name in THEOREMS}
-    _, terms, _, hypotheses, _ = proof_certificate(len(labels) - 3)
+    n, binding = gr.size - 3, {s: s for s in gr.labels}
+    insts = {name: instantiate(builtin(name, n), gr, binding) for name in THEOREMS}
+    _, terms, _, hypotheses, _ = proof_certificate(n)
     forms = {name: i.functional for name, i in insts.items()}
     return insts["thm1"].constraints, forms, terms, {h.describe(): h for h in hypotheses}
 
@@ -663,7 +636,7 @@ def check_theorem(
     diag: dict = {}
     h_rho = entropy_vector(state, diagnostics=diag)
 
-    constraints, forms, terms, hyps = _theorem_forms(labels)
+    constraints, forms, terms, hyps = _theorem_forms(state.ground)
     residuals = {
         "I(A:C|B)": float(constraints[0].evaluate(h_rho)),
         "I(B:C|A)": float(constraints[1].evaluate(h_rho)),

@@ -41,6 +41,7 @@ from .quantum import (
 from .setfn import GroundSet, SetFunction, check_tol
 
 FAMILIES = ("haar-mixed", "diagonal", "constrained", "constrained-diagonal", "lw05")
+PENALTY = 1000.0  # local_refine's weight on the squared constraint residuals
 
 
 @dataclass
@@ -59,20 +60,17 @@ class SearchConfig:
     tol: float = 1e-9
     binding: dict | None = None
     auto_filter: bool = False
-    penalty: float = 1000.0
     refine_steps: int = 200
     step_size: float = 0.1
 
     def __post_init__(self):
-        # no trials, or a walk that cannot move (an infinite step, or a NaN
-        # or infinite penalty, makes every candidate NaN), would report "no
-        # violation" without having looked
+        # no trials, or a walk that cannot move (an infinite step makes
+        # every candidate NaN), would report "no violation" without having
+        # looked
         for name, ok, want in (("trials", self.trials >= 1, "at least 1"),
                                ("step_size", 0 < self.step_size < math.inf,
                                 "positive and finite"),
-                               ("refine_steps", self.refine_steps >= 0, "at least 0"),
-                               ("penalty", 0 <= self.penalty < math.inf,
-                                "finite and at least 0")):
+                               ("refine_steps", self.refine_steps >= 0, "at least 0")):
             if not ok:
                 raise ValueError(f"{name} must be {want}")
         check_tol(self.tol)
@@ -96,7 +94,18 @@ def resolve_template(cfg: SearchConfig) -> InequalityTemplate:
 
 
 def family_for(cfg: SearchConfig, template: InequalityTemplate) -> StateFamily:
+    """The state family `cfg` names.  A family that fixes its own parties
+    refuses `labels`, `dims` and `rank`, and `diagonal` refuses `rank`: a
+    field the family would not read is an error, not a silent default."""
     name = cfg.family
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r} (choose from {FAMILIES})")
+    is_set = {"labels": len(cfg.labels) > 0, "dims": len(cfg.dims) > 0,
+              "rank": cfg.rank is not None}
+    unread = {"haar-mixed": (), "diagonal": ("rank",)}.get(name, tuple(is_set))
+    given = [f for f in unread if is_set[f]]
+    if given:
+        raise ValueError(f"family {name!r} does not take {', '.join(given)}")
     if name == "haar-mixed" or name == "diagonal":
         labels = tuple(cfg.labels) if cfg.labels else tuple(template.slots)
         dims = tuple(cfg.dims) if cfg.dims else (2,) * len(labels)
@@ -105,15 +114,13 @@ def family_for(cfg: SearchConfig, template: InequalityTemplate) -> StateFamily:
         if name == "haar-mixed":
             return HaarMixedFamily(labels, dims, cfg.rank)
         return DiagonalFamily(labels, dims)
-    if name in ("constrained", "constrained-diagonal"):
-        n = cfg.n
-        if n is None:
-            n = sum(1 for s in template.slots if s.startswith("X"))
-        return ConstrainedFamily(FamilyDims.default(n, cfg.blocks),
-                                 diagonal=(name == "constrained-diagonal"))
     if name == "lw05":
         return LW05Family(cfg.blocks)
-    raise ValueError(f"unknown family {cfg.family!r} (choose from {FAMILIES})")
+    n = cfg.n
+    if n is None:
+        n = sum(1 for s in template.slots if s.startswith("X"))
+    return ConstrainedFamily(FamilyDims.default(n, cfg.blocks),
+                             diagonal=(name == "constrained-diagonal"))
 
 
 def _instances_for(
@@ -155,7 +162,7 @@ def _replay(family: StateFamily, params, inst: Instance, tol: float) -> dict | N
     taken apart from the scan's `entropy_vector` (a dense eigvalsh of each
     subset's `partial_trace`); the violation record if it holds, else None."""
     state = family.build(params)
-    gr = GroundSet(state.labels)
+    gr = state.ground
     h = SetFunction(gr, {m: von_neumann_entropy(partial_trace(state, gr.labels_of(m)))
                          for m in gr.iter_masks()})
     val = inst.functional.evaluate(h)
@@ -314,7 +321,7 @@ class RefineReport:
 def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
     """Coordinate-descent polish of the worst instance from a seed point.
 
-    Objective: min over instances of (slack + penalty * sum of squared
+    Objective: min over instances of (slack + PENALTY * sum of squared
     constraint residuals).  One random coordinate moves per step; the step
     size halves on failure and the walk stops below 1e-8.
     """
@@ -325,7 +332,7 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
 
     def objective(params):
         vals, cons = values(entropy_vector(family.build(params)))
-        objs = vals + cfg.penalty * (cons * cons).sum(axis=1)
+        objs = vals + PENALTY * (cons * cons).sum(axis=1)
         i = int(np.argmin(objs))
         resid = float(np.abs(cons[i]).max(initial=0.0))
         return float(objs[i]), (float(vals[i]), resid, instances[i])

@@ -252,7 +252,7 @@ def test_criterion_4_four_party_table():
 def test_criterion_5_certificates_and_lp():
     t0 = time.perf_counter()
     failures = []
-    target, gens, cons, ground, meta = independence_problem(2)
+    target, gens, cons, ground, _ = independence_problem(2)
     out = cone_membership(target, gens, cons)
     if not isinstance(out, Infeasible):
         failures.append(("independence", "expected infeasible"))
@@ -266,7 +266,7 @@ def test_criterion_5_certificates_and_lp():
     if not rep.valid or rep.target_value != -6:
         failures.append(("witness certificate", rep.to_dict()))
 
-    target2, gens2, cons2, ground2, meta2 = purified_basic_problem()
+    target2, gens2, cons2, ground2, _ = purified_basic_problem()
     out2 = cone_membership(target2, gens2, cons2)
     if not isinstance(out2, Feasible):
         failures.append(("purified problem", "expected feasible"))

@@ -331,7 +331,7 @@ def test_shortcuts_pass_the_exact_rechecks(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_lp_point_and_closed_form_both_certify_independence(n):
-    target, gens, cons, ground, meta = independence_problem(n)
+    target, gens, cons, ground, _ = independence_problem(n)
     out = cone_membership(target, gens, cons)
     assert isinstance(out, Infeasible) and out.method == "float-guided"
     for point in (out.farkas_point, make_witness_g(n)):
@@ -343,8 +343,8 @@ def test_lp_point_and_closed_form_both_certify_independence(n):
 
 
 def test_witness_validates_against_independence_problem():
-    target, gens, cons, ground, meta = independence_problem(2)
-    assert meta["expect"] == "infeasible"
+    target, gens, cons, ground, expect = independence_problem(2)
+    assert expect == "infeasible"
     g2 = make_witness_g(2)
     rep = verify_certificate(
         Certificate(point=g2, generators=tuple(gens), constraints=tuple(cons),
@@ -355,8 +355,8 @@ def test_witness_validates_against_independence_problem():
 
 
 def test_purified_basic_problem_is_feasible():
-    target, gens, cons, ground, meta = purified_basic_problem()
-    assert meta["expect"] == "feasible"
+    target, gens, cons, ground, expect = purified_basic_problem()
+    assert expect == "feasible"
     out = cone_membership(target, gens, cons)
     assert isinstance(out, Feasible)
 
@@ -398,8 +398,9 @@ def test_basic_generators_cover_ssa_and_wmo():
 
 
 def test_problem_json_round_trip():
-    target, gens, cons, ground, meta = independence_problem(2)
-    text = json.dumps(problem_to_obj(target, gens, cons, ground, "infeasible"))
+    problem = independence_problem(2)
+    target, gens, cons, ground, _ = problem
+    text = json.dumps(problem_to_obj(*problem))
     t2, g2, c2, gr2, expect = problem_from_obj(json.loads(text))
     assert expect == "infeasible"
     assert gr2.labels == ground.labels

@@ -141,6 +141,10 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["counterexample", "--tol", "1"],
     ["eval", "--values", "{ones}", "--template", "ssa", "--format", "csv"],
     ["witness", "--n", "3", "--no-scan"],
+    ["eval", "--values", "{ones}", "--template", "mi", "--bind", "A=A,A=B"],
+    ["search", "--template", "ssa", "--family", "constrained", "--n", "1", "--dims", "9,9,9",
+     "--labels", "P,Q,R", "--rank", "3", "--trials", "1"],
+    ["search", "--template", "ssa", "--family", "diagonal", "--rank", "2", "--trials", "1"],
 ])
 def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeypatch):
     """A leading "env:NAME=value" entry sets that environment variable."""

@@ -44,7 +44,7 @@ def brute_instance_value(template, assignment, f):
     total = Fraction(0)
     acc = 0.0
     is_float = f.domain == "float64"
-    for slotmask, coef in template.terms.items():
+    for slotmask, coef in template.functional.coefs.items():
         union = 0
         for i, s in enumerate(template.slots):
             if slotmask >> i & 1:
@@ -169,6 +169,17 @@ def test_symmetry_group_order_does_not_matter():
     assert listed(fwd) == listed(rev)
 
 
+@pytest.mark.parametrize("slots,terms,constraints", [
+    (("A", "A"), {1: 1}, ()),  # a slot named twice
+    (("A", "B"), {4: 1}, ()),  # a mask beyond the slots
+    (("A", "B"), {1: 1}, ({8: 1},)),  # ... in a constraint
+    (("A", "B"), {0: 1, 1: 1}, ()),  # the empty mask
+])
+def test_template_rejects_bad_slots_and_masks(slots, terms, constraints):
+    with pytest.raises(ValueError):
+        InequalityTemplate("t", slots, terms, constraints)
+
+
 # ------------------------------------------------------------ balance
 
 
@@ -180,9 +191,9 @@ def test_family_templates_are_balanced():
         binding.update({f"X{i}": f"x{i}" for i in range(1, n + 1)})
         inst = instantiate(t, gr, binding)
         assert inst.functional.is_balanced()
-        assert t.is_balanced()
-    assert not builtin("wmo").is_balanced()
-    assert not builtin("positivity").is_balanced()
+        assert t.functional.is_balanced()
+    assert not builtin("wmo").functional.is_balanced()
+    assert not builtin("positivity").functional.is_balanced()
 
 
 def test_party_sums_and_scale():
@@ -286,9 +297,9 @@ def test_satisfies_reports_minimum():
 
 def test_builtin_aliases():
     assert builtin("c_3").name == builtin("c_n", 3).name
-    assert builtin("c_3").terms == builtin("c_n", 3).terms
-    assert builtin("thm1", 2).terms == builtin("c_n", 2).terms
-    assert builtin("thm2p_1").terms == builtin("thm2p", 1).terms
+    assert builtin("c_3").functional == builtin("c_n", 3).functional
+    assert builtin("thm1", 2).functional == builtin("c_n", 2).functional
+    assert builtin("thm2p_1").functional == builtin("thm2p", 1).functional
     with pytest.raises((KeyError, ValueError)):
         builtin("no-such-template")
 

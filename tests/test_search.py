@@ -181,6 +181,17 @@ def test_refine_never_builds_a_state_that_is_not_finite(monkeypatch):
 # ------------------------------------------------------------ families
 
 
+@pytest.mark.parametrize("family,field,value", [
+    (family, field, value)
+    for family in ("constrained", "constrained-diagonal", "lw05")
+    for field, value in (("labels", ("P", "Q", "R")), ("dims", (9, 9, 9)), ("rank", 3))
+] + [("diagonal", "rank", 3)])
+def test_family_refuses_fields_it_does_not_read(family, field, value):
+    cfg = SearchConfig(template="ssa", family=family, n=1, **{field: value})
+    with pytest.raises(ValueError, match=field):
+        family_for(cfg, resolve_template(cfg))
+
+
 def test_family_resolution_and_errors():
     cfg = SearchConfig(template="ssa", family="haar-mixed",
                        labels=("A", "B"), dims=(2, 2, 2))
@@ -195,8 +206,7 @@ def test_family_resolution_and_errors():
     ("trials", 0), ("trials", -1),
     ("step_size", 0.0), ("step_size", -0.1), ("step_size", float("nan")),
     ("refine_steps", -1), ("refine_steps", -3),
-    ("step_size", float("inf")), ("penalty", float("nan")), ("penalty", float("inf")),
-    ("penalty", -1.0), ("tol", float("nan")), ("tol", -1e-9),
+    ("step_size", float("inf")), ("tol", float("nan")), ("tol", -1e-9),
 ])
 def test_config_rejects_values_that_cannot_search(field, value):
     # zero trials or an immobile walk would report "no violation" unlooked
