@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import __version__
 from .setfn import setfn_from_obj
-from .inequalities import builtin, satisfies, template_from_obj
+from .inequalities import builtin, satisfies, takes_order, template_from_obj
 from .witness import verify_counterexample, verify_witness
 from .certify import (
     Feasible,
@@ -185,6 +185,8 @@ def cmd_eval(args) -> int:
     started = _now()
     f = _load(args.values, setfn_from_obj)
     template = _template_arg(args)
+    if args.n is not None and not (isinstance(template, str) and takes_order(template)):
+        raise ValueError("--n is read only by a parametric builtin template (c_n, thm1, ...)")
     if isinstance(template, str):
         template = builtin(template, args.n)
     rep = satisfies(f, template, binding=_parse_binding(args.bind),
@@ -407,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", help="comma list of party labels")
     p.add_argument("--dims", help="comma list of local dimensions")
     p.add_argument("--rank", type=int, help="rank cap for haar-mixed draws")
-    p.add_argument("--blocks", type=int, default=2)
+    p.add_argument("--blocks", type=int,
+                   help="block count for the constrained and lw05 families (default 2)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--bind", help="slot binding, e.g. A=a,B=b,C=c")
     p.add_argument("--auto-filter", action="store_true")

@@ -730,6 +730,11 @@ def builtin(name: str, n: int | None = None) -> InequalityTemplate:
     raise ValueError(f"unknown builtin template {name!r}")
 
 
+def takes_order(name: str) -> bool:
+    """Whether `builtin(name, n)` reads n: every builtin but the fixed ones."""
+    return _canon_name(name) not in _FIXED
+
+
 # --- term lists and template serialization ---
 
 

@@ -7,7 +7,11 @@ are dropped from the log and their mass is reported, never silently ignored.
 The constrained family sampled here carries a block decomposition on two
 parties: conditioned on the block index k, the state factorizes between the
 (A, B, x-first-half) side and the (C, x-second-half) side, which makes both
-conditional-independence constraints hold identically.
+conditional-independence constraints hold identically.  The states the family
+builds keep those factors, and `entropy_vector` takes every marginal that
+meets A or B from them; every other state, and every other entropy path
+(`partial_trace`, `von_neumann_entropy`, the measured state of
+`check_theorem`), is dense.
 """
 
 from __future__ import annotations
@@ -67,13 +71,16 @@ class MultipartyState:
     The matrix is indexed row-major by the party order.  Construction checks
     shape, hermiticity, and unit trace (a NaN or infinite entry fails them);
     `validate=False` skips the last two (internal use on matrices that are
-    valid by construction).
+    valid by construction).  `factors` is None except on the states
+    ConstrainedFamily.build makes, which carry their own BlockFactors.
     """
 
-    __slots__ = ("ground", "dims", "rho")
+    __slots__ = ("ground", "dims", "rho", "factors")
 
-    def __init__(self, labels, dims, rho, validate: bool = True):
+    def __init__(self, labels, dims, rho, validate: bool = True,
+                 factors: BlockFactors | None = None):
         self.ground = GroundSet(labels)
+        self.factors = factors
         self.dims = tuple(int(d) for d in dims)
         if len(self.labels) != len(self.dims):
             raise ValueError("labels and dims must have equal length")
@@ -147,62 +154,127 @@ def von_neumann_entropy(state) -> float:
     return s
 
 
-def _trace_one(mat: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:
-    pre = int(np.prod(dims[:pos])) if pos else 1
-    dk = dims[pos]
-    post = int(np.prod(dims[pos + 1:])) if pos + 1 < len(dims) else 1
-    t = mat.reshape(pre, dk, post, pre, dk, post)
-    out = np.einsum("aibcid->abcd", t)
-    return out.reshape(pre * post, pre * post)
+def _trace_one(stack: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:
+    """Trace party `pos` of parties `dims` out of every matrix of `stack` (T, d, d)."""
+    pre, dk, post = math.prod(dims[:pos]), dims[pos], math.prod(dims[pos + 1:])
+    t = stack.reshape(-1, pre, dk, post, pre, dk, post)
+    return np.einsum("taibcid->tabcd", t).reshape(-1, pre * post, pre * post)
 
 
-def _support_entropy(mat: np.ndarray) -> tuple[float, float]:
-    """Entropy and clipped mass of the Hermitian `mat`, diagonalized on its
-    support.  A row (and, by hermiticity, its column) with no entry above
-    CLIP adds only an eigenvalue the clip drops, so it is removed first and
-    its diagonal counts as clipped mass.  Only rows whose diagonal is at
-    most CLIP are scanned, so a dense matrix goes straight to `eigvalsh`."""
-    diag = mat.diagonal().real
-    if diag.min() > CLIP:
-        return _entropy_from_eigs(np.linalg.eigvalsh(mat))
-    keep = diag > CLIP
-    low = ~keep
-    keep[low] = (np.abs(mat[low]) > CLIP).any(axis=1)
-    s, clipped = _entropy_from_eigs(np.linalg.eigvalsh(mat[np.ix_(keep, keep)]))
-    return s, clipped + float(np.abs(diag[~keep]).sum())
+def _support_entropy(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropies and clipped masses of the Hermitian matrices of `stack`
+    (T, d, d), diagonalized on their common support.  A row (and, by
+    hermiticity, its column) with no entry above CLIP in any matrix adds
+    only eigenvalues the clip drops, so it is removed first and its diagonal
+    counts as clipped mass.  Only rows whose diagonal is at most CLIP in
+    every matrix are scanned, so a dense stack goes straight to `eigvalsh`."""
+    diag = stack.diagonal(axis1=1, axis2=2).real
+    dropped = 0.0
+    if diag.min() <= CLIP:
+        keep = (diag > CLIP).any(axis=0)
+        low = ~keep
+        keep[low] = (np.abs(stack[:, low]) > CLIP).any(axis=(0, 2))
+        stack = stack[:, keep][:, :, keep]
+        dropped = np.abs(diag[:, ~keep]).sum(axis=1)
+    s, clipped = zip(*map(_entropy_from_eigs, np.linalg.eigvalsh(stack)))
+    return np.array(s), np.array(clipped) + dropped
+
+
+def _marginal_entropies(stack: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy and clipped mass of every marginal of each matrix of `stack`
+    (T, d, d) on parties of `dims`, as (T, 2^m) arrays indexed by party mask
+    (mask 0 holds zeros).
+
+    Each level's marginals are traced from the level above, one party at a
+    time.  A party of dimension 1 is never traced: a mask holding one takes
+    the values of the mask without it.
+    """
+    m = len(dims)
+    values = np.zeros((len(stack), 1 << m))
+    clipped = np.zeros_like(values)
+    live = [i for i in range(m) if dims[i] > 1]
+    full = sum(1 << i for i in live)
+    level = {full: stack}
+    for count in range(len(live), 0, -1):
+        next_level: dict[int, np.ndarray] = {}
+        for mask, mat in level.items():
+            idxs = [i for i in live if mask >> i & 1]
+            values[:, mask], clipped[:, mask] = _support_entropy(mat)
+            if count > 1:
+                sub = [dims[i] for i in idxs]
+                for pos, i in enumerate(idxs):
+                    child = mask & ~(1 << i)
+                    if child not in next_level:
+                        next_level[child] = _trace_one(mat, sub, pos)
+        level = next_level
+    masks = np.arange(1 << m) & full
+    return values[:, masks], clipped[:, masks]
+
+
+@functools.cache
+def _block_masks(n: int) -> tuple[np.ndarray, ...]:
+    """Index maps of the factored route on (A, B, C, X1..Xn): the masks that
+    meet A or B, with each one's mask on chi's parties (A, B, X first
+    halves) and on xi's (C, X second halves); then the other nonempty
+    masks, with each one's mask on (C, X1..Xn)."""
+    masks = np.arange(1, 1 << (n + 3))
+    ab, cx = masks[masks & 3 != 0], masks[masks & 3 == 0]
+    maps = (ab, (ab & 3) | (ab >> 3 << 2), ab >> 2, cx, cx >> 2)
+    for a in maps:  # shared by every caller of the cache
+        a.flags.writeable = False
+    return maps
+
+
+def _factored_entropies(state: MultipartyState) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy and clipped mass of every marginal of a constrained-family
+    state, by mask, from its block factors.
+
+    A marginal J that meets A or B keeps the blocks apart, so its spectrum is
+    the union over k of p_k spec(chi_k|J) spec(xi_k|J), and
+    S(J) = H(p) + sum_k p_k [S(chi_k|J) + S(xi_k|J)].  A block's clipped
+    mass counts at weight p_k, and a weight p_k <= CLIP is clipped whole.
+    Marginals inside C and the X's mix the blocks; they come from the dense
+    marginal on (C, X1..Xn).
+    """
+    f = state.factors
+    n = state.ground.size - 3
+    ab, chi_of, xi_of, cx, cx_of = _block_masks(n)
+    chi_s = np.zeros((f.weights.size, 1 << (n + 2)))
+    chi_c = np.zeros_like(chi_s)
+    for shape, ks, stack in f.chis:
+        chi_s[list(ks)], chi_c[list(ks)] = _marginal_entropies(stack, shape)
+    xi_s, xi_c = _marginal_entropies(f.xis, f.xi_shape)
+    sub = partial_trace(state, state.labels[2:])
+    cx_s, cx_c = _marginal_entropies(sub.rho[None], sub.dims)
+    h_p, clip_p = _entropy_from_eigs(f.weights)
+    p = np.where(f.weights > CLIP, f.weights, 0.0)
+    values = np.zeros(state.ground.n_subsets)
+    clipped = np.zeros_like(values)
+    values[ab] = h_p + p @ (chi_s[:, chi_of] + xi_s[:, xi_of])
+    clipped[ab] = clip_p + p @ (chi_c[:, chi_of] + xi_c[:, xi_of])
+    values[cx], clipped[cx] = cx_s[0, cx_of], cx_c[0, cx_of]
+    return values, clipped
 
 
 def entropy_vector(state: MultipartyState, diagnostics: dict | None = None) -> SetFunction:
     """Entropies of every nonempty marginal, as a float64 set function.
 
-    Each marginal is diagonalized on its support, so the empty index
-    combinations of a block-structured state (the constrained family's
-    mismatched A/B blocks, a measured register's other outcomes) cost nothing.
-    When a `diagnostics` dict is supplied, the total eigenvalue mass dropped
-    by clipping is accumulated under "clipped_mass".
+    A state that carries its block factors (one ConstrainedFamily.build
+    made) takes every marginal meeting A or B from them; any other state,
+    and the rest of a factored one, go through `_marginal_entropies`, which
+    diagonalizes each marginal on its support, so the empty index
+    combinations of a block-structured state (a measured register's other
+    outcomes) cost nothing.  When a `diagnostics` dict is supplied, the
+    total eigenvalue mass dropped by clipping is accumulated under
+    "clipped_mass".
     """
-    gr = state.ground
-    m = gr.size
-    values = [0.0] * gr.n_subsets
-    clipped_total = 0.0
-
-    level = {gr.full_mask: state.rho}
-    for count in range(m, 0, -1):
-        next_level: dict[int, np.ndarray] = {}
-        for mask, mat in level.items():
-            idxs = [i for i in range(m) if mask >> i & 1]
-            dims = [state.dims[i] for i in idxs]
-            values[mask], clipped = _support_entropy(mat)
-            clipped_total += clipped
-            if count > 1:
-                for pos, i in enumerate(idxs):
-                    child = mask & ~(1 << i)
-                    if child and child not in next_level:
-                        next_level[child] = _trace_one(mat, dims, pos)
-        level = next_level
+    if state.factors is None:
+        values, clipped = (a[0] for a in _marginal_entropies(state.rho[None], state.dims))
+    else:
+        values, clipped = _factored_entropies(state)
     if diagnostics is not None:
-        diagnostics["clipped_mass"] = diagnostics.get("clipped_mass", 0.0) + clipped_total
-    return SetFunction(gr, values, domain="float64")
+        diagnostics["clipped_mass"] = diagnostics.get("clipped_mass", 0.0) + float(clipped.sum())
+    return SetFunction(state.ground, values.tolist(), domain="float64")
 
 
 def purify(state: MultipartyState) -> MultipartyState:
@@ -274,6 +346,19 @@ class FamilyDims:
         if n < 1:
             raise ValueError("constrained family needs the order n >= 1")
         return cls((1,) * blocks, (1,) * blocks, 2, ((2, 2),) * n)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockFactors:
+    """A constrained-family state's own blocks, rho = sum_k weights[k]
+    chi_k (x) xi_k: the chi_k as (tensor shape, block indices, stack)
+    triples, one per shape, and every xi_k in one stack of tensor shape
+    `xi_shape`."""
+
+    weights: np.ndarray
+    chis: tuple
+    xi_shape: tuple
+    xis: np.ndarray
 
 
 # --- parameters to states ---
@@ -389,8 +474,9 @@ class ConstrainedFamily(StateFamily):
     (Ginibre reals, or diagonal amplitudes with `diagonal=True`).  The whole
     layout is derived here, once, from `dims`: the party labels and
     dimensions, each chi_k's tensor shape on (A block k, B block k, x first
-    halves), xi_k's on (C, x second halves), and the index ranges where
-    chi_k (x) xi_k sits.
+    halves), xi_k's on (C, x second halves), the index ranges where
+    chi_k (x) xi_k sits, and the blocks grouped by chi_k's shape.  `build`
+    returns the dense state with its BlockFactors attached.
     """
 
     def __init__(self, dims: FamilyDims, diagonal: bool = False):
@@ -417,6 +503,10 @@ class ConstrainedFamily(StateFamily):
         rows = [0, 1, 2 * m] + [a for i in range(n) for a in (2 + i, 2 * m + 1 + i)]
         self.axes = tuple(rows + [a + m if a < m else a + n + 1 for a in rows])
         self.factor_dims = tuple(map(math.prod, self.chi_shapes + (self.xi_shape,) * K))
+        groups: dict[tuple, list[int]] = {}
+        for k, shape in enumerate(self.chi_shapes):
+            groups.setdefault(shape, []).append(k)
+        self.chi_groups = tuple((shape, tuple(ks)) for shape, ks in groups.items())
         self.sizes = (K,) + tuple(d if diagonal else 2 * d * d for d in self.factor_dims)
 
     def n_params(self) -> int:
@@ -450,7 +540,13 @@ class ConstrainedFamily(StateFamily):
             return weights[k] * block, self.ranges[k]
 
         rho = _place_blocks(self.dims, map(part, range(K)))
-        return MultipartyState(self.labels, self.dims, rho)
+        blocks = BlockFactors(
+            weights,
+            tuple((shape, ks, np.stack([factors[k] for k in ks])) for shape, ks in self.chi_groups),
+            self.xi_shape,
+            np.stack(factors[K:]),
+        )
+        return MultipartyState(self.labels, self.dims, rho, factors=blocks)
 
 
 # lw05's fixed layout: the A, B and D dimensions of one block, then C's

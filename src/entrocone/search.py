@@ -22,6 +22,7 @@ from .inequalities import (
     builtin,
     enumerate_instances,
     slot_mask_matrix,
+    takes_order,
     template_from_obj,
     template_to_obj,
 )
@@ -54,7 +55,7 @@ class SearchConfig:
     labels: tuple = ()
     dims: tuple = ()  # per-party dims for haar-mixed / diagonal
     rank: int | None = None
-    blocks: int = 2
+    blocks: int | None = None  # block count for constrained / lw05 (default 2)
     trials: int = 100
     seed: int = 0
     tol: float = 1e-9
@@ -95,14 +96,19 @@ def resolve_template(cfg: SearchConfig) -> InequalityTemplate:
 
 def family_for(cfg: SearchConfig, template: InequalityTemplate) -> StateFamily:
     """The state family `cfg` names.  A family that fixes its own parties
-    refuses `labels`, `dims` and `rank`, and `diagonal` refuses `rank`: a
-    field the family would not read is an error, not a silent default."""
+    refuses `labels`, `dims` and `rank`, one without blocks refuses
+    `blocks`, `diagonal` refuses `rank`, and only the constrained families
+    read `n` when the template does not: a field nothing would read is an
+    error, not a silent default."""
     name = cfg.family
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r} (choose from {FAMILIES})")
     is_set = {"labels": len(cfg.labels) > 0, "dims": len(cfg.dims) > 0,
-              "rank": cfg.rank is not None}
-    unread = {"haar-mixed": (), "diagonal": ("rank",)}.get(name, tuple(is_set))
+              "rank": cfg.rank is not None, "blocks": cfg.blocks is not None,
+              "n": cfg.n is not None and not (isinstance(cfg.template, str)
+                                              and takes_order(cfg.template))}
+    unread = {"haar-mixed": ("blocks", "n"), "diagonal": ("rank", "blocks", "n"),
+              "lw05": ("labels", "dims", "rank", "n")}.get(name, ("labels", "dims", "rank"))
     given = [f for f in unread if is_set[f]]
     if given:
         raise ValueError(f"family {name!r} does not take {', '.join(given)}")
@@ -114,12 +120,13 @@ def family_for(cfg: SearchConfig, template: InequalityTemplate) -> StateFamily:
         if name == "haar-mixed":
             return HaarMixedFamily(labels, dims, cfg.rank)
         return DiagonalFamily(labels, dims)
+    blocks = 2 if cfg.blocks is None else cfg.blocks
     if name == "lw05":
-        return LW05Family(cfg.blocks)
+        return LW05Family(blocks)
     n = cfg.n
     if n is None:
         n = sum(1 for s in template.slots if s.startswith("X"))
-    return ConstrainedFamily(FamilyDims.default(n, cfg.blocks),
+    return ConstrainedFamily(FamilyDims.default(n, blocks),
                              diagonal=(name == "constrained-diagonal"))
 
 

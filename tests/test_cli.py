@@ -145,6 +145,12 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["search", "--template", "ssa", "--family", "constrained", "--n", "1", "--dims", "9,9,9",
      "--labels", "P,Q,R", "--rank", "3", "--trials", "1"],
     ["search", "--template", "ssa", "--family", "diagonal", "--rank", "2", "--trials", "1"],
+    ["search", "--template", "ssa", "--blocks", "7", "--trials", "1"],
+    ["search", "--template", "ssa", "--family", "diagonal", "--blocks", "3", "--trials", "1"],
+    ["eval", "--values", "{ones}", "--template", "ssa", "--n", "9"],
+    ["eval", "--values", "{ones}", "--template-file", "{wmo}", "--n", "2"],
+    ["search", "--template", "ssa", "--n", "4", "--trials", "1"],
+    ["search", "--template", "lw05", "--family", "lw05", "--n", "2", "--trials", "1"],
 ])
 def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeypatch):
     """A leading "env:NAME=value" entry sets that environment variable."""
@@ -326,6 +332,16 @@ def test_search_clean_scan_with_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "trial,seed,min_slack,argmin_instance,max_residual"
     assert len(lines) == 11
+
+
+def test_family_reads_n_and_blocks_of_a_fixed_template(tmp_path):
+    # ssa takes no order, but the constrained family reads --n and --blocks
+    out = tmp_path / "c.json"
+    rc = run(["search", "--template", "ssa", "--family", "constrained", "--n", "1",
+              "--blocks", "3", "--trials", "1", "--out", str(out)])
+    assert rc == 0
+    config = json.loads(out.read_text())["report"]["scan"]["config"]
+    assert (config["n"], config["blocks"]) == (1, 3)
 
 
 def test_search_refine_flag(tmp_path):

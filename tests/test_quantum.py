@@ -2,15 +2,18 @@
 
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from entrocone import quantum
 from entrocone.certify import proof_certificate
 from entrocone.setfn import is_submodular, is_weakly_monotone
 from entrocone.quantum import (
+    CLIP,
     ConstrainedFamily,
     DiagonalFamily,
     FamilyDims,
@@ -27,10 +30,12 @@ from entrocone.quantum import (
     random_density,
     trial_seed,
     von_neumann_entropy,
+    _marginal_entropies,
     _rng,
 )
 
 LOG2 = np.log(2.0)
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 def qubits(n):
@@ -201,38 +206,122 @@ def _zero_diagonal_with_live_row():
 
 @st.composite
 def structured_states(draw):
+    """A zero-padded Haar state, a non-positive matrix with a live row of zero
+    diagonal, or a constrained-family state of a random shape (n <= 3,
+    uneven A/B blocks, halves of size 1, Gram or diagonal factors, and with
+    two or more blocks possibly one weight driven below CLIP)."""
     kind = draw(st.sampled_from(("constrained", "padded-haar", "zero-diagonal")))
     if kind == "zero-diagonal":
         return _zero_diagonal_with_live_row()
-    seed = draw(st.integers(0, 2**32 - 1))
+    seed = draw(SEEDS)
     sizes = st.integers(1, 2)
     if kind == "padded-haar":
         dims = tuple(draw(st.lists(sizes, min_size=2, max_size=3)))
         pads = tuple(draw(st.lists(st.integers(0, 2), min_size=len(dims),
                                    max_size=len(dims))))
         return _zero_padded_haar(seed, dims, pads)
-    k = draw(sizes)
+    k = draw(st.integers(1, 3))
     fdims = FamilyDims(
         a_blocks=tuple(draw(sizes) for _ in range(k)),
         b_blocks=tuple(draw(sizes) for _ in range(k)),
         dim_c=draw(sizes),
-        x_halves=((draw(sizes), draw(sizes)),),
+        x_halves=tuple((draw(sizes), draw(sizes)) for _ in range(draw(st.integers(1, 3)))),
     )
     family = ConstrainedFamily(fdims, diagonal=draw(st.booleans()))
-    return family.build(family.draw(_rng(seed)))
+    assume(math.prod(family.dims) <= 256)
+    params = family.draw(_rng(seed))
+    if k > 1 and draw(st.booleans()):
+        params[draw(st.integers(0, k - 1))] = 1e-7  # weight ~1e-14 after squaring
+    return family.build(params)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(structured_states())
 def test_entropy_vector_matches_marginal_by_marginal_reference(state):
-    """Dropping rows and columns without an entry above the clip changes
-    cost, not values: every subset agrees with a dense eigvalsh of its
-    partial trace."""
+    """Dropping rows and columns without an entry above the clip, and taking
+    a constrained-family state's marginals from its factors, change cost,
+    not values: every subset agrees with a dense eigvalsh of its partial
+    trace."""
     h = entropy_vector(state)
     gr = h.ground
     for mask in gr.iter_masks():
         ref = von_neumann_entropy(partial_trace(state, gr.labels_of(mask)))
         assert abs(h.value(mask) - ref) <= 1e-10, gr.subset_str(mask)
+
+
+# ------------------------------------------------------------ factored route
+
+
+def _sparse_gram(rng, dims):
+    """A random density matrix on `dims` whose rows for a random set of basis
+    states are zero, so matrices of one stack differ in support."""
+    d = math.prod(dims)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g[rng.random(d) < 0.3] = 0
+    g[0, 0] = 1  # never all zero
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       size=st.integers(1, 4), data=st.data(), seed=SEEDS)
+def test_marginal_entropies_do_not_depend_on_the_stack(dims, size, data, seed):
+    rng = _rng(seed)
+    stack = np.stack([_sparse_gram(rng, dims) for _ in range(size)])
+    alone = _marginal_entropies(stack[:1], dims)
+    at = data.draw(st.integers(0, size - 1))
+    inside = _marginal_entropies(np.roll(stack, at, axis=0), dims)
+    for got, want in zip(inside, alone):
+        assert np.max(np.abs(got[at] - want[0])) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=st.lists(st.integers(2, 3), min_size=1, max_size=3), data=st.data(), seed=SEEDS)
+def test_dimension_one_party_leaves_every_value_unchanged(dims, data, seed):
+    family = HaarMixedFamily(tuple("ABC"[:len(dims)]), dims)
+    state = family.build(family.draw(_rng(seed)))
+    at = data.draw(st.integers(0, len(dims)))
+    labels = family.labels[:at] + ("T",) + family.labels[at:]
+    wider = MultipartyState(labels, dims[:at] + [1] + dims[at:], state.rho)
+    h, h_wide = entropy_vector(state), entropy_vector(wider)
+    for mask in h.ground.iter_masks():
+        # the mask's bits at and above `at` move up one place past T's bit
+        low = mask & ((1 << at) - 1)
+        wide = low | (mask - low) << 1
+        assert h_wide.value(wide) == h_wide.value(wide | 1 << at) == h.value(mask)
+
+
+def test_a_weight_below_clip_counts_as_clipped_mass():
+    n = 2
+    family = ConstrainedFamily(FamilyDims.default(n))
+    params = family.draw(_rng(7))
+    params[0] = 1e-7
+    state = family.build(params)
+    p0 = state.factors.weights[0]
+    assert 0 < p0 <= CLIP
+    diag, dense_diag = {}, {}
+    entropy_vector(state, diagnostics=diag)
+    entropy_vector(MultipartyState(state.labels, state.dims, state.rho), diagnostics=dense_diag)
+    # every marginal that meets A or B drops block 0 whole
+    n_ab = 2 ** (n + 3) - 2 ** (n + 1)
+    assert diag["clipped_mass"] == pytest.approx(n_ab * p0, rel=1e-6, abs=0)
+    assert diag["clipped_mass"] == pytest.approx(dense_diag["clipped_mass"], rel=1e-6, abs=0)
+
+
+def test_check_theorem_takes_two_entropy_vectors_and_measures_densely(monkeypatch):
+    calls, factored = [], []
+    real_vector, real_factored = quantum.entropy_vector, quantum._factored_entropies
+    monkeypatch.setattr(quantum, "entropy_vector",
+                        lambda st, **kw: calls.append(st.labels) or real_vector(st, **kw))
+    monkeypatch.setattr(quantum, "_factored_entropies",
+                        lambda st: factored.append(st.labels) or real_factored(st))
+    dims = FamilyDims.default(2)
+    state = constrained_family_sample(dims, seed=trial_seed(3, 2))
+    assert check_theorem(state, dims.a_blocks).passed
+    # rho by its factors, sigma (with its register R) densely
+    assert calls == [state.labels, state.labels + ("R",)]
+    assert factored == [state.labels]
 
 
 def test_check_theorem_passes_on_samples():
@@ -294,8 +383,6 @@ def test_lw05_family_has_positive_slack_and_zero_residuals():
 
 
 # ------------------------------------------------------------ family layer
-
-SEEDS = st.integers(0, 2**32 - 1)
 
 # every family whose parameters are continuous (lw05's are two seed integers)
 CONTINUOUS_FAMILIES = {

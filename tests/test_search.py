@@ -66,6 +66,40 @@ def test_replay_does_not_trust_the_scan_entropies(monkeypatch):
     assert rep.violations == []
 
 
+@pytest.mark.parametrize("cfg,cls", [
+    (SearchConfig(template="c_1", family="constrained", n=1, trials=4, seed=2,
+                  refine_steps=6), ConstrainedFamily),
+    (SearchConfig(template="anti-monotone", family="haar-mixed", labels=("A", "B"),
+                  dims=(2, 2), rank=4, trials=6, seed=0, refine_steps=6), HaarMixedFamily),
+])
+def test_one_family_build_per_trial_step_and_replay(monkeypatch, cfg, cls):
+    """The benchmark's span check counts builds with this same formula."""
+    builds = []
+    real_build = cls.build
+    monkeypatch.setattr(cls, "build", lambda fam, params: builds.append(1) or
+                        real_build(fam, params))
+    scan = random_scan(cfg)
+    assert len(builds) == scan.n_trials + len(scan.violations)
+    builds.clear()
+    refine = local_refine(cfg)
+    assert len(builds) == 1 + refine.steps + (refine.violation is not None)
+
+
+def test_replay_never_takes_the_factored_route(monkeypatch):
+    from entrocone import quantum
+
+    factored = []
+    real = quantum._factored_entropies
+    monkeypatch.setattr(quantum, "_factored_entropies",
+                        lambda state: factored.append(1) or real(state))
+    cfg = SearchConfig(template="c_1", family="constrained", n=1, trials=1)
+    _, family, instances, _ = search._setup(cfg)
+    params = family.draw(search._rng(0))
+    assert family.build(params).factors is not None
+    assert search._replay(family, params, instances[0], cfg.tol) is None
+    assert factored == []
+
+
 def test_scan_histogram_buckets_are_millibit_floors():
     cfg = SearchConfig(template="ssa", family="haar-mixed", labels=("A", "B", "C"),
                        dims=(2, 2, 2), trials=10, seed=2)
@@ -190,6 +224,27 @@ def test_family_refuses_fields_it_does_not_read(family, field, value):
     cfg = SearchConfig(template="ssa", family=family, n=1, **{field: value})
     with pytest.raises(ValueError, match=field):
         family_for(cfg, resolve_template(cfg))
+
+
+@pytest.mark.parametrize("family,field,value", [
+    ("haar-mixed", "blocks", 7), ("diagonal", "blocks", 3),
+    ("haar-mixed", "n", 4), ("diagonal", "n", 2), ("lw05", "n", 2),
+])
+def test_family_refuses_blocks_and_n_it_does_not_read(family, field, value):
+    cfg = SearchConfig(template="ssa", family=family, **{field: value})
+    with pytest.raises(ValueError, match=field):
+        family_for(cfg, resolve_template(cfg))
+
+
+def test_n_read_by_the_template_or_the_family_is_accepted():
+    haar = SearchConfig(template="c_n", family="haar-mixed", n=1)
+    assert family_for(haar, resolve_template(haar)).labels == ("A", "B", "C", "X1")
+    # three one-dimensional blocks on A, and the order n read by the family
+    cons = SearchConfig(template="ssa", family="constrained", n=2, blocks=3)
+    assert family_for(cons, resolve_template(cons)).dims == (3, 3, 2, 4, 4)
+    assert SearchConfig().blocks is None
+    lw05 = SearchConfig(template="lw05", family="lw05")
+    assert family_for(lw05, resolve_template(lw05)).blocks == 2
 
 
 def test_family_resolution_and_errors():
