@@ -47,19 +47,10 @@ class Certificate:
 class CertificateReport:
     valid: bool
     failures: list  # {"kind": "generator"|"constraint"|"target", "index", "value"}
-    target_value: object
+    target_value: Fraction
 
     def __bool__(self):
         return self.valid
-
-    def to_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "target_value": str(self.target_value),
-            "failures": [
-                {**f, "value": str(f["value"])} for f in self.failures
-            ],
-        }
 
 
 def verify_certificate(cert: Certificate) -> CertificateReport:
@@ -79,11 +70,13 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
     failures = []
     for idx, gen in enumerate(cert.generators):
         if gen.dot(table) < 0:
-            failures.append({"kind": "generator", "index": idx, "value": gen.evaluate(f)})
+            failures.append({"kind": "generator", "index": idx,
+                             "value": Fraction(gen.evaluate(f))})
     for idx, con in enumerate(cert.constraints):
         if con.dot(table) != 0:
-            failures.append({"kind": "constraint", "index": idx, "value": con.evaluate(f)})
-    tval = cert.target.evaluate(f)
+            failures.append({"kind": "constraint", "index": idx,
+                             "value": Fraction(con.evaluate(f))})
+    tval = Fraction(cert.target.evaluate(f))
     if tval >= 0:
         failures.append({"kind": "target", "index": 0, "value": tval})
     return CertificateReport(valid=not failures, failures=failures, target_value=tval)
@@ -102,15 +95,6 @@ class Feasible:
     def feasible(self) -> bool:
         return True
 
-    def to_dict(self) -> dict:
-        return {
-            "feasible": True,
-            "coefficients": [str(c) for c in self.coefficients],
-            "constraint_coefficients": [str(c) for c in self.constraint_coefficients],
-            "pivots": self.pivots,
-            "method": self.method,
-        }
-
 
 @dataclass
 class Infeasible:
@@ -123,16 +107,6 @@ class Infeasible:
     @property
     def feasible(self) -> bool:
         return False
-
-    def to_dict(self) -> dict:
-        from .setfn import setfn_to_obj
-
-        return {
-            "feasible": False,
-            "farkas_point": setfn_to_obj(self.farkas_point),
-            "pivots": self.pivots,
-            "method": self.method,
-        }
 
 
 _to_fractions = np.frompyfunc(Fraction, 1, 1)
@@ -323,7 +297,7 @@ def cone_membership(
         """The re-checked result an exact tableau over `lp_columns` supports,
         or None."""
         if sx.objective == 0 and all(v >= 0 for v in sx.b):
-            x = [0] * len(columns)
+            x = [Fraction(0)] * len(columns)
             for j, v in zip(lp_columns, sx.solution()):
                 x[j] = Fraction(v * scales[j], target.den)
             k = len(generators)

@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .setfn import setfn_from_obj
+from .setfn import setfn_from_obj, to_obj
 from .inequalities import builtin, satisfies, takes_order, template_from_obj
 from .witness import verify_counterexample, verify_witness
 from .certify import (
@@ -38,13 +38,7 @@ from .certify import (
     problem_from_obj,
     purified_basic_problem,
 )
-from .quantum import (
-    THEOREMS,
-    FamilyDims,
-    check_theorem,
-    constrained_family_sample,
-    trial_seed,
-)
+from .quantum import FamilyDims, check_theorem, constrained_family_sample, trial_seed
 from .search import FAMILIES, SearchConfig, local_refine, random_scan
 
 
@@ -129,13 +123,15 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _emit(args, report_obj, started, csv_table=None):
-    """Write the report per --out and return nothing: JSON, or CSV when the
-    command gives a `csv_table` (those that take --format) and --format asks.
+def _emit(args, report, started, csv_table=None):
+    """Write the report, as `to_obj` writes it, per --out and return
+    nothing: JSON, or CSV when the command gives a `csv_table` (those that
+    take --format) and --format asks.
 
     CSV stays byte-deterministic: the manifest never enters the CSV body; it
     goes to stdout when the CSV has a file of its own, to stderr otherwise.
     """
+    report_obj = to_obj(report)
     manifest = _manifest(args, report_obj, started)
     if csv_table is not None and args.format == "csv":
         header, rows = csv_table
@@ -160,14 +156,10 @@ def _emit(args, report_obj, started, csv_table=None):
 
 def cmd_witness(args) -> int:
     started = _now()
-    report = verify_witness(args.n, p_max=args.p_max)
-    obj = report.to_dict()
-    rows = [
-        (r["p"], r["delta"], r["count"], r["value_f"], r["value_g"], r["expected"])
-        for r in obj.get("instance_histogram", [])
-    ]
-    _emit(args, obj, started,
-          csv_table=(("p", "delta", "count", "value_f", "value_g", "expected"), rows))
+    report = verify_witness(args.n)
+    header = ("p", "delta", "count", "value_f", "value_g", "expected")
+    rows = [tuple(r[k] for k in header) for r in report.instance_histogram]
+    _emit(args, report, started, csv_table=(header, rows))
     print(f"witness n={args.n}: {'pass' if report.passed else 'FAIL'}", file=sys.stderr)
     return 0 if report.passed else 1
 
@@ -176,7 +168,7 @@ def cmd_counterexample(args) -> int:
     started = _now()
     f = _load(args.values, setfn_from_obj) if args.values else None
     report = verify_counterexample(f)
-    _emit(args, report.to_dict(), started)
+    _emit(args, report, started)
     print(f"counterexample: {'pass' if report.passed else 'FAIL'}", file=sys.stderr)
     return 0 if report.passed else 1
 
@@ -221,18 +213,14 @@ def cmd_sample(args) -> int:
     started = _now()
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    which = tuple(args.theorems.split(",")) if args.theorems else THEOREMS
     dims = FamilyDims.default(args.n, args.blocks)
     trials = []
     all_pass = True
     for t in range(args.trials):
         seed = trial_seed(args.seed, t)
         state = constrained_family_sample(dims, seed=seed, diagonal=args.diagonal)
-        rep = check_theorem(state, dims.a_blocks, which=which, tol=args.tol)
-        d = rep.to_dict()
-        d["trial"] = t
-        d["seed"] = list(seed)
-        trials.append(d)
+        rep = check_theorem(state, dims.a_blocks, tol=args.tol)
+        trials.append({**to_obj(rep), "trial": t, "seed": list(seed)})
         all_pass = all_pass and rep.passed
     obj = {
         "n": args.n,
@@ -283,7 +271,7 @@ def cmd_certify(args) -> int:
         "n_generators": len(generators),
         "n_constraints": len(constraints),
         "expect": expect,
-        "result": outcome.to_dict(),
+        "result": outcome,
     }
     _emit(args, obj, started)
     print(f"certify: {obj['outcome']} via {outcome.method}"
@@ -312,12 +300,12 @@ def cmd_search(args) -> int:
         step_size=args.step,
     )
     scan = random_scan(cfg)
-    obj = {"scan": scan.to_dict()}
+    obj = {"scan": scan}
     violated = scan.violation_found
     if args.refine > 0:
         start = tuple(scan.argmin["seed"]) if scan.argmin else None
         refine = local_refine(cfg, start_seed=start)
-        obj["refine"] = refine.to_dict()
+        obj["refine"] = refine
         violated = violated or refine.violation_found
     header = ("trial", "seed", "min_slack", "argmin_instance", "max_residual")
     rows = [
@@ -328,7 +316,7 @@ def cmd_search(args) -> int:
         for r in scan.trial_records
     ]
     _emit(args, obj, started, csv_table=(header, rows))
-    msg = f"search {scan.template_name}: min slack {scan.min_slack}"
+    msg = f"search {scan.template}: min slack {scan.min_slack}"
     if scan.n_admissible == 0:
         msg += " -- no instance was admissible"
     if violated:
@@ -361,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", parents=[out, fmt],
                        help="verify the separating witness family exactly")
     p.add_argument("--n", type=int, required=True, help="witness order (>= 2)")
-    p.add_argument("--p-max", type=int, default=None,
-                   help="largest template order to scan, at least n (default n+2)")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("counterexample", parents=[out],
@@ -387,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, default=2)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--diagonal", action="store_true", help="classical block factors")
-    p.add_argument("--theorems", help="comma list from thm1,thm1p,thm2,thm2p")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("certify", parents=[out],

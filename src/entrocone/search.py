@@ -182,37 +182,21 @@ def _replay(family: StateFamily, params, inst: Instance, tol: float) -> dict | N
 @dataclass
 class ScanReport:
     config: dict
-    template_name: str
+    template: str
     n_trials: int
     n_instances: int
     n_evaluations: int
     n_admissible: int
     min_slack: float | None
     argmin: dict | None
-    histogram: dict
+    histogram: dict  # millibit floor -> count, sorted
     violations: list  # the replays that confirmed
     n_replayed: int  # trials whose best slack crossed -tol, replayed from their seed
-    trial_records: list = field(default_factory=list)
+    trial_records: list = field(default_factory=list, metadata={"json": False})  # CSV rows
 
     @property
     def violation_found(self) -> bool:
         return bool(self.violations)
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "template": self.template_name,
-            "n_trials": self.n_trials,
-            "n_instances": self.n_instances,
-            "n_evaluations": self.n_evaluations,
-            "n_admissible": self.n_admissible,
-            "min_slack": self.min_slack,
-            "argmin": self.argmin,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "violations": self.violations,
-            "violation_found": self.violation_found,
-            "n_replayed": self.n_replayed,
-        }
 
 
 def random_scan(cfg: SearchConfig) -> ScanReport:
@@ -274,14 +258,14 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
 
     return ScanReport(
         config=cfg.summary(),
-        template_name=template.name,
+        template=template.name,
         n_trials=cfg.trials,
         n_instances=len(instances),
         n_evaluations=n_eval,
         n_admissible=n_adm,
         min_slack=min_slack,
         argmin=argmin,
-        histogram=histogram,
+        histogram=dict(sorted(histogram.items())),
         violations=violations,
         n_replayed=n_replayed,
         trial_records=records,
@@ -291,7 +275,7 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
 @dataclass
 class RefineReport:
     config: dict
-    template_name: str
+    template: str
     start_seed: list
     steps: int
     accepted: int
@@ -306,23 +290,6 @@ class RefineReport:
     @property
     def violation_found(self) -> bool:
         return self.violation is not None
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "template": self.template_name,
-            "start_seed": self.start_seed,
-            "steps": self.steps,
-            "accepted": self.accepted,
-            "start_objective": self.start_objective,
-            "final_objective": self.final_objective,
-            "final_slack": self.final_slack,
-            "final_residual": self.final_residual,
-            "final_instance": self.final_instance,
-            "trajectory": self.trajectory,
-            "violation": self.violation,
-            "violation_found": self.violation_found,
-        }
 
 
 def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
@@ -383,7 +350,7 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
         violation = _replay(family, params, final_inst, cfg.tol)
     return RefineReport(
         config=cfg.summary(),
-        template_name=template.name,
+        template=template.name,
         start_seed=list(start_seed),
         steps=steps,
         accepted=accepted,

@@ -9,7 +9,7 @@ comparisons use an absolute tolerance (default 1e-9).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -364,6 +364,30 @@ def setfn_to_obj(f: SetFunction) -> dict:
             }
         )
     return {"parties": list(f.ground.labels), "values": vals}
+
+
+def to_obj(value):
+    """The JSON form of a report: a dataclass is its fields in declaration
+    order (less those marked `metadata={"json": False}`), then its
+    properties, its verdicts; a SetFunction is `setfn_to_obj`; a Fraction,
+    an exact value, is its string; dict keys become strings and tuples
+    lists.  Everything else is written as it is."""
+    if is_dataclass(value):
+        obj = {f.name: to_obj(getattr(value, f.name))
+               for f in fields(value) if f.metadata.get("json", True)}
+        for name, attr in vars(type(value)).items():
+            if isinstance(attr, property):
+                obj[name] = to_obj(getattr(value, name))
+        return obj
+    if isinstance(value, SetFunction):
+        return setfn_to_obj(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        return {str(k): to_obj(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_obj(v) for v in value]
+    return value
 
 
 def setfn_from_obj(obj) -> SetFunction:

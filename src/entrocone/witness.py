@@ -10,6 +10,7 @@ All arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -146,7 +147,8 @@ def _special_value_checks(f: SetFunction, n: int) -> list[dict]:
         name = f"f(a:b|{gr.subset_str(alpha)})"
         checks.append((name, cmi(f, "a", "b", alpha), ab_expected))
     return [
-        {"check": name, "actual": actual, "expected": expected, "ok": actual == expected}
+        {"check": name, "actual": Fraction(actual), "expected": Fraction(expected),
+         "ok": actual == expected}
         for name, actual, expected in checks
     ]
 
@@ -156,14 +158,14 @@ class WitnessReport:
     """Full verification record for the order-n witness pair (f, g)."""
 
     n: int
-    p_max: int
+    p_max: int  # the largest order scanned, n + 2
     submodular_f: bool
     submodular_g: bool
     monotone_g: bool
     special_values: list
     zero_sum_ok: bool
     elemental_match_fg: bool
-    instance_rows: list  # {"p", "delta", "count", "value_f", "value_g", "expected"}
+    instance_histogram: list  # {"p", "delta", "count", "value_f", "value_g", "expected"}
     instances_match_f: bool
     instances_match_g: bool
     negative_classes: list
@@ -184,48 +186,19 @@ class WitnessReport:
             and self.unique_negative
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p_max": self.p_max,
-            "passed": self.passed,
-            "submodular_f": self.submodular_f,
-            "submodular_g": self.submodular_g,
-            "monotone_g": self.monotone_g,
-            "special_values": [
-                {**c, "actual": str(c["actual"]), "expected": str(c["expected"])}
-                for c in self.special_values
-            ],
-            "zero_sum_ok": self.zero_sum_ok,
-            "elemental_match_fg": self.elemental_match_fg,
-            "instance_histogram": [
-                {**row, "value_f": str(row["value_f"]), "value_g": str(row["value_g"]),
-                 "expected": str(row["expected"])}
-                for row in self.instance_rows
-            ],
-            "instances_match_f": self.instances_match_f,
-            "instances_match_g": self.instances_match_g,
-            "negative_classes": self.negative_classes,
-            "unique_negative": self.unique_negative,
-            "first_violations": self.first_violations,
-        }
 
-
-def verify_witness(n: int, p_max: int | None = None) -> WitnessReport:
+def verify_witness(n: int) -> WitnessReport:
     """Check every defining property of the order-n witness exactly.
 
     Scans all elemental submodularity triples for f and g, the pinned special
     values, additivity over disjoint x-subsets, and every instance of the
-    order-p families for p up to p_max (default n+2, at least n) against the
-    closed-form value, recording the (p, delta) histogram and confirming the
-    single negative class (p=n, delta=0).  Instances are evaluated in
+    order-p families for p up to n+2, the orders `independence_problem`
+    uses, against the closed-form value, recording the (p, delta)
+    histogram and confirming the single negative class (p=n, delta=0).  Instances are evaluated in
     compiled chunks (see `instance_batches`).
     """
     if n < 2:
         raise ValueError("witness order n must be at least 2: the construction needs two registers")
-    p_max = n + 2 if p_max is None else p_max
-    if p_max < n:
-        raise ValueError(f"p_max must be at least n = {n}: the negative class is p = n")
     f = make_witness_f(n)
     g = make_witness_g(n)
     gr = f.ground
@@ -260,7 +233,7 @@ def verify_witness(n: int, p_max: int | None = None) -> WitnessReport:
     match_f = True
     match_g = True
     binding = standard_c_binding()
-    for p in range(1, p_max + 1):
+    for p in range(1, n + 3):
         template = builtin("c_n", p)
         compiled = CompiledTemplate(template)
         on_f, on_g = compiled.bind(f), compiled.bind(g)
@@ -275,8 +248,9 @@ def verify_witness(n: int, p_max: int | None = None) -> WitnessReport:
                 row = classes.get(delta)
                 if row is None:
                     row = {"p": p, "delta": delta, "count": 0,
-                           "value_f": on_f.value(vf[sel[0]]),
-                           "value_g": on_g.value(vg[sel[0]]), "expected": expected}
+                           "value_f": Fraction(on_f.value(vf[sel[0]])),
+                           "value_g": Fraction(on_g.value(vg[sel[0]])),
+                           "expected": Fraction(expected)}
                     classes[delta] = row
                 row["count"] += len(sel)
                 match_f = match_f and bool((vf[sel] == expected * on_f.scales[0]).all())
@@ -288,14 +262,14 @@ def verify_witness(n: int, p_max: int | None = None) -> WitnessReport:
 
     return WitnessReport(
         n=n,
-        p_max=p_max,
+        p_max=n + 2,
         submodular_f=bool(sub_f),
         submodular_g=bool(sub_g),
         monotone_g=bool(mono_g),
         special_values=specials,
         zero_sum_ok=zero_sum_ok,
         elemental_match_fg=elemental_match,
-        instance_rows=rows,
+        instance_histogram=rows,
         instances_match_f=match_f,
         instances_match_g=match_g,
         negative_classes=negative_classes,
@@ -329,8 +303,8 @@ class CounterexampleReport:
     weakly_monotone: bool
     monotone: bool
     constraint_values: dict
-    prior_value: object
-    new_values: dict
+    prior_inequality_value: object
+    new_inequality_values: dict
     first_violations: list
 
     @property
@@ -339,21 +313,9 @@ class CounterexampleReport:
             self.submodular
             and self.weakly_monotone
             and all(v == 0 for v in self.constraint_values.values())
-            and self.prior_value < 0
-            and all(v >= 0 for v in self.new_values.values())
+            and self.prior_inequality_value < 0
+            and all(v >= 0 for v in self.new_inequality_values.values())
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "submodular": self.submodular,
-            "weakly_monotone": self.weakly_monotone,
-            "monotone": self.monotone,
-            "constraint_values": {k: str(v) for k, v in self.constraint_values.items()},
-            "prior_inequality_value": str(self.prior_value),
-            "new_inequality_values": {k: str(v) for k, v in self.new_values.items()},
-            "first_violations": self.first_violations,
-        }
 
 
 def verify_counterexample(f: SetFunction | None = None) -> CounterexampleReport:
@@ -376,10 +338,11 @@ def verify_counterexample(f: SetFunction | None = None) -> CounterexampleReport:
         first_viol.append({"check": "submodular", "at": sub.violation, "value": str(sub.value)})
     if not wmo:
         first_viol.append({"check": "weakly_monotone", "at": wmo.violation, "value": str(wmo.value)})
+    value = Fraction if f.is_exact else float
     constraints = {
-        f"({a}:{c}|{b})": cmi(f, a, c, b),
-        f"({b}:{c}|{a})": cmi(f, b, c, a),
-        f"({a}:{b}|{d})": cmi(f, a, b, d),
+        f"({a}:{c}|{b})": value(cmi(f, a, c, b)),
+        f"({b}:{c}|{a})": value(cmi(f, b, c, a)),
+        f"({a}:{b}|{d})": value(cmi(f, a, b, d)),
     }
     prior = instantiate(
         builtin("lw05"), f.ground, {"A": a, "B": b, "C": c, "D": d}
@@ -388,13 +351,13 @@ def verify_counterexample(f: SetFunction | None = None) -> CounterexampleReport:
     new_vals = {}
     for name in ("c_1", "thm1p_1", "thm2_1", "thm2p_1"):
         inst = instantiate(builtin(name), f.ground, binding)
-        new_vals[name] = inst.functional.evaluate(f)
+        new_vals[name] = value(inst.functional.evaluate(f))
     return CounterexampleReport(
         submodular=bool(sub),
         weakly_monotone=bool(wmo),
         monotone=bool(mono),
         constraint_values=constraints,
-        prior_value=prior,
-        new_values=new_vals,
+        prior_inequality_value=value(prior),
+        new_inequality_values=new_vals,
         first_violations=first_viol,
     )

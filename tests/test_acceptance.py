@@ -20,6 +20,7 @@ from entrocone.setfn import (
     is_submodular,
     is_weakly_monotone,
     submasks,
+    to_obj,
 )
 from entrocone.inequalities import builtin, enumerate_instances, instantiate
 from entrocone.witness import (
@@ -264,7 +265,7 @@ def test_criterion_5_certificates_and_lp():
                     target=target)
     )
     if not rep.valid or rep.target_value != -6:
-        failures.append(("witness certificate", rep.to_dict()))
+        failures.append(("witness certificate", to_obj(rep)))
 
     target2, gens2, cons2, ground2, _ = purified_basic_problem()
     out2 = cone_membership(target2, gens2, cons2)
@@ -316,7 +317,7 @@ def test_criterion_6_family_states_validate_numerically():
             worst_resid = max(worst_resid, *map(abs, rep.constraint_residuals.values()))
             worst_slack = min(worst_slack, *rep.slacks.values())
             if not rep.passed:
-                failures.append((n, t, rep.to_dict()))
+                failures.append((n, t, to_obj(rep)))
                 break
     elapsed = time.perf_counter() - t0
     if elapsed >= 600.0:

@@ -52,6 +52,20 @@ def test_counterexample_ok(capsys):
     assert "pass" in err
 
 
+def test_counterexample_on_a_float_table_writes_numbers(tmp_path):
+    # exact values are written as strings, float ones as JSON numbers
+    table = counterexample_table()
+    values, out = tmp_path / "floats.json", tmp_path / "r.json"
+    values.write_text(json.dumps(setfn_to_obj(
+        SetFunction(table.ground, [float(v) for v in table.values]))))
+    assert run(["counterexample", "--values", str(values), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())["report"]
+    assert rep["prior_inequality_value"] == -2.0
+    assert rep["new_inequality_values"] == {"c_1": 0.0, "thm1p_1": 0.0, "thm2_1": 0.0,
+                                            "thm2p_1": 2.0}
+    assert list(rep["constraint_values"].values()) == [0.0, 0.0, 0.0]
+
+
 def test_eval_exit_one_on_violation(etable_file, tmp_path):
     out = tmp_path / "r.json"
     rc = run(["eval", "--values", etable_file, "--template", "lw05",
@@ -98,12 +112,9 @@ def test_bad_binding_syntax(etable_file, capsys):
 @pytest.mark.parametrize("argv", [
     ["sample", "--n", "0"],
     ["sample", "--n", "1", "--blocks", "0"],
-    ["sample", "--n", "1", "--theorems", "bogus"],
     ["sample", "--n", "1", "--trials", "0"],
     ["search", "--template", "ssa", "--trials", "0"],
     ["certify", "--builtin", "independence", "--n", "0"],
-    ["witness", "--n", "2", "--p-max", "0"],
-    ["witness", "--n", "3", "--p-max", "2"],
     ["certify", "--builtin", "independence", "--n", "2", "--max-generators", "10"],
     ["certify", "--builtin", "purified-basic", "--max-generators", "0"],
     ["certify", "--problem", "{float_coef}"],
@@ -303,6 +314,20 @@ def test_sample_small_run(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["report"]["all_passed"] is True
     assert len(payload["report"]["results"]) == 2
+    assert set(payload["report"]["results"][0]) == {
+        "n", "tol", "constraint_residuals", "slacks", "hypotheses", "min_term",
+        "marginal_drift", "clipped_mass", "passed", "trial", "seed"}
+
+
+def test_sample_diagonal_draws_classical_states(tmp_path):
+    quantum, classical = tmp_path / "q.json", tmp_path / "c.json"
+    assert run(["sample", "--n", "1", "--trials", "2", "--out", str(quantum)]) == 0
+    assert run(["sample", "--n", "1", "--trials", "2", "--diagonal",
+                "--out", str(classical)]) == 0
+    q, c = (json.loads(p.read_text())["report"] for p in (quantum, classical))
+    assert c["diagonal"] is True and c["all_passed"] is True
+    # same seeds, other states: the flag is read
+    assert [r["slacks"] for r in c["results"]] != [r["slacks"] for r in q["results"]]
 
 
 def test_sample_csv_is_byte_deterministic(tmp_path, capsys):
@@ -353,6 +378,14 @@ def test_search_refine_flag(tmp_path):
     payload = json.loads(out.read_text())
     assert "refine" in payload["report"]
     assert payload["report"]["refine"]["violation_found"] is False
+    # trial_records are the CSV rows only
+    assert set(payload["report"]["scan"]) == {
+        "config", "template", "n_trials", "n_instances", "n_evaluations", "n_admissible",
+        "min_slack", "argmin", "histogram", "violations", "n_replayed", "violation_found"}
+    assert set(payload["report"]["refine"]) == {
+        "config", "template", "start_seed", "steps", "accepted", "start_objective",
+        "final_objective", "final_slack", "final_residual", "final_instance", "trajectory",
+        "violation", "violation_found"}
 
 
 # ------------------------------------------------------------ certify
@@ -398,6 +431,29 @@ def test_manifest_digest_stable_across_runs(tmp_path):
     db = json.loads(b.read_text())
     assert da["manifest"]["digest"] == db["manifest"]["digest"]
     assert da["report"] == db["report"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["witness", "--n", "2"],
+     "e40da34775347281c3a6d83ee5e244be0c9a01fcdfe2bbb2c07341fc8fe76301"),
+    (["witness", "--n", "3"],
+     "02bae52bc7f5cde9e0fff78d35240c66b7b077865355c1c934112370c818a6fc"),
+    (["counterexample"],
+     "4446f9ddc333f938e1e9461e9d499d1f8392bc09954ece3b0c1fe0bad712c026"),
+    (["certify", "--builtin", "purified-basic"],
+     "b9cdf27af97e5e39d48deea2b38187dffc7a790d23c02da39b027f4d0113a5ec"),
+    (["certify", "--builtin", "purified-basic", "--no-fast-paths"],
+     "58d56bc31f1be3cc4ff6b6ad2199c1b80d4eb106d52f0b6af68a189c3f3ce17b"),
+    (["certify", "--builtin", "independence", "--n", "2"],
+     "a068134e35fe67c5dc61dcaee97fd4e04cf1714462ba75c47bf0db9a0c7b98b1"),
+], ids=["witness-2", "witness-3", "counterexample", "purified", "purified-simplex",
+        "independence-2"])
+def test_exact_report_digest_is_pinned(argv, digest, tmp_path):
+    # exact reports are byte-reproducible: any change to their JSON moves
+    # these digests
+    out = tmp_path / "r.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["manifest"]["digest"] == f"sha256:{digest}"
 
 
 def test_version_flag(capsys):

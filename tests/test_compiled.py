@@ -60,7 +60,7 @@ def reference_satisfies(f, template, binding=None, auto_filter=False, tol=1e-9,
 
 
 def reference_instance_rows(n, f, g, p_max):
-    """(instance_rows, match_f, match_g) of the witness scan, per instance."""
+    """(instance_histogram, match_f, match_g) of the witness scan, per instance."""
     hist = {}
     match_f = match_g = True
     for p in range(1, p_max + 1):
@@ -193,7 +193,7 @@ def test_compiled_witness_scan_matches_reference(n):
     rep = witness.verify_witness(n)
     rows, match_f, match_g = reference_instance_rows(
         n, witness.make_witness_f(n), witness.make_witness_g(n), n + 2)
-    assert rep.instance_rows == rows
+    assert rep.instance_histogram == rows
     assert (rep.instances_match_f, rep.instances_match_g) == (match_f, match_g) == (True, True)
 
 
@@ -213,7 +213,7 @@ def test_compiled_witness_scan_sees_a_mutated_subset(monkeypatch):
     assert not rep.instances_match_f
     rows, match_f, match_g = reference_instance_rows(
         n, off_by_one(n), witness.make_witness_g(n), n + 2)
-    assert rep.instance_rows == rows
+    assert rep.instance_histogram == rows
     assert (rep.instances_match_f, rep.instances_match_g) == (match_f, match_g)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from entrocone import quantum
 from entrocone.certify import proof_certificate
-from entrocone.setfn import is_submodular, is_weakly_monotone
+from entrocone.setfn import is_submodular, is_weakly_monotone, to_obj
 from entrocone.quantum import (
     CLIP,
     ConstrainedFamily,
@@ -303,9 +303,9 @@ def test_a_weight_below_clip_counts_as_clipped_mass():
     diag, dense_diag = {}, {}
     entropy_vector(state, diagnostics=diag)
     entropy_vector(MultipartyState(state.labels, state.dims, state.rho), diagnostics=dense_diag)
-    # every marginal that meets A or B drops block 0 whole
-    n_ab = 2 ** (n + 3) - 2 ** (n + 1)
-    assert diag["clipped_mass"] == pytest.approx(n_ab * p0, rel=1e-6, abs=0)
+    # every marginal that meets A or B drops block 0 whole; the mass is the
+    # most dropped from one marginal, not a sum over them
+    assert diag["clipped_mass"] == pytest.approx(p0, rel=1e-6, abs=0)
     assert diag["clipped_mass"] == pytest.approx(dense_diag["clipped_mass"], rel=1e-6, abs=0)
 
 
@@ -329,7 +329,7 @@ def test_check_theorem_passes_on_samples():
         dims = FamilyDims.default(n)
         state = constrained_family_sample(dims, seed=trial_seed(3, n), diagonal=diag)
         rep = check_theorem(state, dims.a_blocks)
-        assert rep.passed, rep.to_dict()
+        assert rep.passed, to_obj(rep)
         assert set(rep.slacks) == {"thm1", "thm1p", "thm2", "thm2p"}
         assert list(rep.hypotheses) == [h.describe() for h in proof_certificate(n)[3]]
 
@@ -361,12 +361,6 @@ def test_check_theorem_uses_its_stated_tol(field, value):
     loose = dataclasses.replace(rep, **{field: value})
     assert loose.tol == 1e-8 and loose.passed
     assert not dataclasses.replace(loose, tol=1e-9).passed
-
-
-def test_check_theorem_subset_of_theorems():
-    state = constrained_family_sample(FamilyDims.default(1), seed=1)
-    rep = check_theorem(state, (1, 1), which=("thm1",))
-    assert set(rep.slacks) == {"thm1"}
 
 
 def test_lw05_family_has_positive_slack_and_zero_residuals():

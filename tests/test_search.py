@@ -6,7 +6,7 @@ import pytest
 
 from entrocone import search
 from entrocone.inequalities import builtin, template_from_obj, template_to_obj
-from entrocone.setfn import SetFunction
+from entrocone.setfn import SetFunction, to_obj
 from entrocone.search import (
     ConstrainedFamily,
     DiagonalFamily,
@@ -25,7 +25,7 @@ def test_scan_is_deterministic():
                        dims=(2, 2, 2), trials=12, seed=5)
     a = random_scan(cfg)
     b = random_scan(cfg)
-    assert a.to_dict() == b.to_dict()
+    assert to_obj(a) == to_obj(b)
     assert a.trial_records == b.trial_records
 
 
@@ -127,9 +127,9 @@ def _file_template(terms_of: str, name: str):
 def test_report_config_rebuilds_the_scan(options):
     cfg = SearchConfig(**{"template": "c_2", "family": "constrained", "n": 2, "trials": 2,
                           **options})
-    report = json.loads(json.dumps(random_scan(cfg).to_dict()))
+    report = json.loads(json.dumps(to_obj(random_scan(cfg))))
     again = random_scan(SearchConfig(**report["config"]))
-    assert json.loads(json.dumps(again.to_dict())) == report
+    assert json.loads(json.dumps(to_obj(again))) == report
 
 
 def test_scan_constrained_family_natural_binding():

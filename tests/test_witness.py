@@ -169,7 +169,7 @@ def test_verify_witness_n2_report():
     assert rep.negative_classes == [
         {"p": 2, "delta": 0, "value": "-6"}
     ]
-    hist = {(r["p"], r["delta"]): (r["count"], r["value_f"]) for r in rep.instance_rows}
+    hist = {(r["p"], r["delta"]): (r["count"], r["value_f"]) for r in rep.instance_histogram}
     expected = {
         (1, 0): (3, 0), (1, 1): (1, 12),
         (2, 0): (1, -6), (2, 1): (3, 6), (2, 2): (1, 18),
@@ -178,7 +178,7 @@ def test_verify_witness_n2_report():
     }
     assert hist == expected
     # every class obeys the closed form and g agrees with f throughout
-    for r in rep.instance_rows:
+    for r in rep.instance_histogram:
         assert r["value_f"] == r["value_g"] == r["expected"]
 
 
@@ -186,12 +186,6 @@ def test_verify_witness_n3():
     rep = verify_witness(3)
     assert rep.passed
     assert rep.negative_classes == [{"p": 3, "delta": 0, "value": "-12"}]
-
-
-def test_scan_below_the_negative_class_is_rejected():
-    with pytest.raises(ValueError):
-        verify_witness(3, p_max=2)
-    assert verify_witness(3, p_max=3).passed
 
 
 def test_witness_structure_small():
@@ -222,9 +216,9 @@ def test_counterexample_table_values():
 def test_counterexample_report():
     rep = verify_counterexample()
     assert rep.passed
-    assert rep.prior_value == -2
-    assert sorted(rep.new_values.values()) == [0, 0, 0, 2]
-    assert rep.new_values["thm2p_1"] == 2
+    assert rep.prior_inequality_value == -2
+    assert sorted(rep.new_inequality_values.values()) == [0, 0, 0, 2]
+    assert rep.new_inequality_values["thm2p_1"] == 2
     assert all(v == 0 for v in rep.constraint_values.values())
     assert not rep.monotone  # the table is deliberately not monotone
     assert rep.submodular and rep.weakly_monotone
