@@ -112,9 +112,12 @@ def test_bad_binding_syntax(etable_file, capsys):
 @pytest.mark.parametrize("argv", [
     ["sample", "--n", "0"],
     ["sample", "--n", "1", "--blocks", "0"],
+    ["sample", "--n", "1", "--theorems", "bogus"],
     ["sample", "--n", "1", "--trials", "0"],
     ["search", "--template", "ssa", "--trials", "0"],
     ["certify", "--builtin", "independence", "--n", "0"],
+    ["witness", "--n", "2", "--p-max", "0"],
+    ["witness", "--n", "3", "--p-max", "2"],
     ["certify", "--builtin", "independence", "--n", "2", "--max-generators", "10"],
     ["certify", "--builtin", "purified-basic", "--max-generators", "0"],
     ["certify", "--problem", "{float_coef}"],
