@@ -25,6 +25,7 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -183,18 +184,19 @@ def cmd_eval(args) -> int:
         template = builtin(template, args.n)
     rep = satisfies(f, template, binding=_parse_binding(args.bind),
                     auto_filter=args.auto_filter, tol=args.tol)
+    value = Fraction if f.is_exact else float  # to_obj writes a Fraction as its string
     obj = {
         "template": rep.template_name,
         "n_enumerated": rep.n_enumerated,
         "n_admissible": rep.n_admissible,
-        "min_value": None if rep.min_value is None else str(rep.min_value),
+        "min_value": None if rep.min_value is None else value(rep.min_value),
         "argmin": rep.argmin.describe() if rep.argmin is not None else None,
         "n_violations": rep.n_violations,
         "violations": [
-            {"instance": inst.describe(), "value": str(val)}
+            {"instance": inst.describe(), "value": value(val)}
             for inst, val in rep.violations
         ],
-        "max_constraint_residual": str(rep.max_constraint_residual),
+        "max_constraint_residual": value(rep.max_constraint_residual),
         "holds": rep.holds,
     }
     _emit(args, obj, started)
@@ -297,7 +299,6 @@ def cmd_search(args) -> int:
         binding=_parse_binding(args.bind),
         auto_filter=args.auto_filter,
         refine_steps=args.refine,
-        step_size=args.step,
     )
     scan = random_scan(cfg)
     obj = {"scan": scan}
@@ -401,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--auto-filter", action="store_true")
     p.add_argument("--refine", type=int, default=0,
                    help="polish the worst point for this many steps")
-    p.add_argument("--step", type=float, default=0.1)
     p.set_defaults(func=cmd_search)
     return parser
 

@@ -1,7 +1,8 @@
 """Finite-dimensional multiparty density matrices and their entropy vectors.
 
-Entropies are von Neumann entropies in bits (base-2 logs).  Comparisons on
-float results use absolute tolerances; eigenvalues below the clip threshold
+Entropies are von Neumann entropies in bits (base-2 logs), -sum w log2 w
+over a marginal's eigenvalues w > 0, on every route.  Comparisons on float
+results use absolute tolerances; the eigenvalues <= 0 that rounding leaves
 are dropped from the log and their mass is reported, never silently ignored.
 
 The constrained family sampled here carries a block decomposition on two
@@ -29,7 +30,7 @@ from .setfn import GroundSet, SetFunction, check_tol
 from .inequalities import builtin, instantiate
 from .certify import proof_certificate
 
-CLIP = 1e-12
+CLIP = 1e-12  # purify's rank cut
 STATE_ATOL = 1e-10
 DEFAULT_DIM_CAP = 4096
 
@@ -55,9 +56,16 @@ def _check_cap(total: int):
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, (tuple, list)):
-        return np.random.default_rng(np.random.SeedSequence(entropy=tuple(seed)))
     return np.random.default_rng(np.random.SeedSequence(entropy=seed))
+
+
+def _total_dim(labels, dims) -> int:
+    """The exact product of `dims`, one per label, each at least 1."""
+    if len(labels) != len(dims):
+        raise ValueError("labels and dims must have equal length")
+    if any(d < 1 for d in dims):
+        raise ValueError("party dimensions must be >= 1")
+    return math.prod(dims)
 
 
 def trial_seed(base_seed: int, trial: int) -> tuple[int, int]:
@@ -82,14 +90,8 @@ class MultipartyState:
         self.ground = GroundSet(labels)
         self.factors = factors
         self.dims = tuple(int(d) for d in dims)
-        if len(self.labels) != len(self.dims):
-            raise ValueError("labels and dims must have equal length")
-        if any(d < 1 for d in self.dims):
-            raise ValueError("party dimensions must be >= 1")
+        total = _total_dim(self.labels, self.dims)
         rho = np.asarray(rho, dtype=np.complex128)
-        total = 1
-        for d in self.dims:
-            total *= d
         if rho.shape != (total, total):
             raise ValueError(f"matrix shape {rho.shape} does not match total dim {total}")
         self.rho = rho
@@ -130,7 +132,7 @@ def partial_trace(state: MultipartyState, keep) -> MultipartyState:
     tensor = state.rho.reshape(state.dims + state.dims)
     reduced = np.einsum(tensor, [*range(m), *cols], keep_idx + [m + i for i in keep_idx])
     new_dims = tuple(state.dims[i] for i in keep_idx)
-    d = int(np.prod(new_dims))
+    d = math.prod(new_dims)
     return MultipartyState(
         tuple(state.labels[i] for i in keep_idx),
         new_dims,
@@ -140,8 +142,9 @@ def partial_trace(state: MultipartyState, keep) -> MultipartyState:
 
 
 def _entropy_from_eigs(w: np.ndarray) -> tuple[float, float]:
-    clipped = float(np.abs(w[w <= CLIP]).sum())
-    w = w[w > CLIP]
+    pos = w > 0.0
+    clipped = float(np.abs(w[~pos]).sum())
+    w = w[pos]
     if w.size == 0:
         return 0.0, clipped
     return float(-(w * np.log2(w)).sum()), clipped
@@ -164,20 +167,18 @@ def _trace_one(stack: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:
 def _support_entropy(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entropies and clipped masses of the Hermitian matrices of `stack`
     (T, d, d), diagonalized on their common support.  A row (and, by
-    hermiticity, its column) with no entry above CLIP in any matrix adds
-    only eigenvalues the clip drops, so it is removed first and its diagonal
-    counts as clipped mass.  Only rows whose diagonal is at most CLIP in
-    every matrix are scanned, so a dense stack goes straight to `eigvalsh`."""
-    diag = stack.diagonal(axis1=1, axis2=2).real
-    dropped = 0.0
-    if diag.min() <= CLIP:
-        keep = (diag > CLIP).any(axis=0)
+    hermiticity, its column) that is zero in every matrix adds only zero
+    eigenvalues, so it is removed first.  Only rows whose diagonal is zero
+    in every matrix are scanned, and only when some diagonal entry is zero,
+    so a dense stack goes straight to `eigvalsh`."""
+    diag = stack.diagonal(axis1=1, axis2=2)
+    if not diag.all():
+        keep = diag.any(axis=0)
         low = ~keep
-        keep[low] = (np.abs(stack[:, low]) > CLIP).any(axis=(0, 2))
+        keep[low] = stack[:, low].any(axis=(0, 2))
         stack = stack[:, keep][:, :, keep]
-        dropped = np.abs(diag[:, ~keep]).sum(axis=1)
     s, clipped = zip(*map(_entropy_from_eigs, np.linalg.eigvalsh(stack)))
-    return np.array(s), np.array(clipped) + dropped
+    return np.array(s), np.array(clipped)
 
 
 def _marginal_entropies(stack: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -231,8 +232,8 @@ def _factored_entropies(state: MultipartyState) -> tuple[np.ndarray, np.ndarray]
 
     A marginal J that meets A or B keeps the blocks apart, so its spectrum is
     the union over k of p_k spec(chi_k|J) spec(xi_k|J), and
-    S(J) = H(p) + sum_k p_k [S(chi_k|J) + S(xi_k|J)].  A block's clipped
-    mass counts at weight p_k, and a weight p_k <= CLIP is clipped whole.
+    S(J) = H(p) + sum_k p_k [S(chi_k|J) + S(xi_k|J)], the dense route's
+    value to rounding.  A block's clipped mass counts at weight p_k.
     Marginals inside C and the X's mix the blocks; they come from the dense
     marginal on (C, X1..Xn).
     """
@@ -246,8 +247,8 @@ def _factored_entropies(state: MultipartyState) -> tuple[np.ndarray, np.ndarray]
     xi_s, xi_c = _marginal_entropies(f.xis, f.xi_shape)
     sub = partial_trace(state, state.labels[2:])
     cx_s, cx_c = _marginal_entropies(sub.rho[None], sub.dims)
-    h_p, clip_p = _entropy_from_eigs(f.weights)
-    p = np.where(f.weights > CLIP, f.weights, 0.0)
+    p = f.weights
+    h_p, clip_p = _entropy_from_eigs(p)
     values = np.zeros(state.ground.n_subsets)
     clipped = np.zeros_like(values)
     values[ab] = h_p + p @ (chi_s[:, chi_of] + xi_s[:, xi_of])
@@ -265,8 +266,8 @@ def entropy_vector(state: MultipartyState, diagnostics: dict | None = None) -> S
     diagonalizes each marginal on its support, so the empty index
     combinations of a block-structured state (a measured register's other
     outcomes) cost nothing.  When a `diagnostics` dict is supplied,
-    "clipped_mass" is raised to the largest eigenvalue mass dropped by
-    clipping from any one marginal.
+    "clipped_mass" is raised to the largest mass of eigenvalues <= 0
+    (rounding) dropped from any one marginal.
     """
     if state.factors is None:
         values, clipped = (a[0] for a in _marginal_entropies(state.rho[None], state.dims))
@@ -399,14 +400,6 @@ def gram_density(params: np.ndarray, dim: int, rank: int) -> np.ndarray:
     return rho / tr
 
 
-def random_density(dim: int, rng, rank: int | None = None) -> np.ndarray:
-    """Hilbert-Schmidt-style random density matrix (Ginibre G G^dag / trace)."""
-    rank = dim if rank is None else rank
-    if not 1 <= rank:
-        raise ValueError("rank must be >= 1")
-    return gram_density(rng.standard_normal(2 * dim * rank), dim, rank)
-
-
 class StateFamily:
     """A smoothly parameterized ensemble of states: draw params, build a state."""
 
@@ -428,9 +421,7 @@ class HaarMixedFamily(StateFamily):
     def __init__(self, labels: Sequence[str], dims: Sequence[int], rank: int | None = None):
         self.labels = tuple(labels)
         self.dims = tuple(int(d) for d in dims)
-        if len(self.labels) != len(self.dims):
-            raise ValueError("labels and dims must align")
-        self.total = int(np.prod(self.dims))
+        self.total = _total_dim(self.labels, self.dims)
         _check_cap(self.total)
         self.rank = self.total if rank is None else int(rank)
         if self.rank < 1:
@@ -453,7 +444,7 @@ class DiagonalFamily(StateFamily):
     def __init__(self, labels: Sequence[str], dims: Sequence[int]):
         self.labels = tuple(labels)
         self.dims = tuple(int(d) for d in dims)
-        self.total = int(np.prod(self.dims))
+        self.total = _total_dim(self.labels, self.dims)
         _check_cap(self.total)
 
     def n_params(self) -> int:
@@ -601,10 +592,11 @@ def lw05_family_sample(blocks: int = 2, seed=0) -> MultipartyState:
     w = rng.standard_exponential(K)
     weights = w / w.sum()
 
+    def gram(d):
+        return gram_density(rng.standard_normal(2 * d * d), d, d)
+
     def part(k):
-        fa = random_density(da, rng)
-        fb = random_density(db, rng)
-        fcd = random_density(dim_c * dd, rng)
+        fa, fb, fcd = gram(da), gram(db), gram(dim_c * dd)
         ranges = ((k * da, (k + 1) * da), (k * db, (k + 1) * db), (0, dim_c),
                   (k * dd, (k + 1) * dd))
         return weights[k] * np.kron(np.kron(fa, fb), fcd), ranges

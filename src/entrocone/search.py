@@ -9,7 +9,6 @@ violation is revalidated from its recorded seed before being believed.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 
@@ -43,6 +42,7 @@ from .setfn import GroundSet, SetFunction, check_tol
 
 FAMILIES = ("haar-mixed", "diagonal", "constrained", "constrained-diagonal", "lw05")
 PENALTY = 1000.0  # local_refine's weight on the squared constraint residuals
+STEP = 0.1  # local_refine's first step size
 
 
 @dataclass
@@ -62,15 +62,11 @@ class SearchConfig:
     binding: dict | None = None
     auto_filter: bool = False
     refine_steps: int = 200
-    step_size: float = 0.1
 
     def __post_init__(self):
-        # no trials, or a walk that cannot move (an infinite step makes
-        # every candidate NaN), would report "no violation" without having
-        # looked
+        # no trials would report "no violation" without having looked, and
+        # a negative step count is no walk at all
         for name, ok, want in (("trials", self.trials >= 1, "at least 1"),
-                               ("step_size", 0 < self.step_size < math.inf,
-                                "positive and finite"),
                                ("refine_steps", self.refine_steps >= 0, "at least 0")):
             if not ok:
                 raise ValueError(f"{name} must be {want}")
@@ -115,8 +111,6 @@ def family_for(cfg: SearchConfig, template: InequalityTemplate) -> StateFamily:
     if name == "haar-mixed" or name == "diagonal":
         labels = tuple(cfg.labels) if cfg.labels else tuple(template.slots)
         dims = tuple(cfg.dims) if cfg.dims else (2,) * len(labels)
-        if len(dims) != len(labels):
-            raise ValueError("dims and labels must align")
         if name == "haar-mixed":
             return HaarMixedFamily(labels, dims, cfg.rank)
         return DiagonalFamily(labels, dims)
@@ -297,7 +291,7 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
 
     Objective: min over instances of (slack + PENALTY * sum of squared
     constraint residuals).  One random coordinate moves per step; the step
-    size halves on failure and the walk stops below 1e-8.
+    size starts at STEP, halves on failure, and the walk stops below 1e-8.
     """
     template, family, instances, values = _setup(cfg)
     if start_seed is None:
@@ -317,7 +311,7 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
     obj, parts = objective(params)
     start_obj = obj
     trajectory = [obj]
-    step = cfg.step_size
+    step = STEP
     accepted = 0
     steps = 0
     for _ in range(cfg.refine_steps):
@@ -327,9 +321,6 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
         j = int(walk_rng.integers(0, params.size))
         cand = params.copy()
         cand[j] = float(params[j]) + step * walk_rng.standard_normal()
-        if not math.isfinite(cand[j]):  # the step overflowed
-            step *= 0.5
-            continue
         try:
             cand_obj, cand_parts = objective(cand)
         except (ValueError, np.linalg.LinAlgError):

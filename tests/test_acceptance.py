@@ -46,8 +46,8 @@ from entrocone.quantum import (
     check_theorem,
     constrained_family_sample,
     entropy_vector,
+    gram_density,
     purify,
-    random_density,
     trial_seed,
     _rng,
 )
@@ -367,7 +367,7 @@ def test_criterion_7_property_suites():
                          for m in range(1, 16)],
             )
         else:
-            rho = random_density(16, rng)
+            rho = gram_density(rng.standard_normal(2 * 16 * 16), 16, 16)
             f = entropy_vector(MultipartyState(labels, dims, rho))
         if bool(is_submodular(f)) != _brute_ssa(f):
             mismatching += 1
@@ -379,7 +379,8 @@ def test_criterion_7_property_suites():
         pick = trial % 3
         pdims = ((2, 2), (2, 3), (2, 2, 2))[pick]
         plabels = ("A", "B", "C")[: len(pdims)]
-        rho = random_density(int(np.prod(pdims)), rng)
+        d = int(np.prod(pdims))
+        rho = gram_density(rng.standard_normal(2 * d * d), d, d)
         ext = purify(MultipartyState(plabels, pdims, rho))
         h = entropy_vector(ext)
         hg = h.ground

@@ -52,18 +52,36 @@ def test_counterexample_ok(capsys):
     assert "pass" in err
 
 
-def test_counterexample_on_a_float_table_writes_numbers(tmp_path):
-    # exact values are written as strings, float ones as JSON numbers
+@pytest.fixture()
+def float_table_file(tmp_path):
     table = counterexample_table()
-    values, out = tmp_path / "floats.json", tmp_path / "r.json"
-    values.write_text(json.dumps(setfn_to_obj(
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps(setfn_to_obj(
         SetFunction(table.ground, [float(v) for v in table.values]))))
-    assert run(["counterexample", "--values", str(values), "--out", str(out)]) == 0
+    return str(path)
+
+
+def test_counterexample_on_a_float_table_writes_numbers(float_table_file, tmp_path):
+    # exact values are written as strings, float ones as JSON numbers
+    out = tmp_path / "r.json"
+    assert run(["counterexample", "--values", float_table_file, "--out", str(out)]) == 0
     rep = json.loads(out.read_text())["report"]
     assert rep["prior_inequality_value"] == -2.0
     assert rep["new_inequality_values"] == {"c_1": 0.0, "thm1p_1": 0.0, "thm2_1": 0.0,
                                             "thm2p_1": 2.0}
     assert list(rep["constraint_values"].values()) == [0.0, 0.0, 0.0]
+
+
+def test_eval_on_a_float_table_writes_numbers(float_table_file, tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["eval", "--values", float_table_file, "--template", "ssa", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())["report"]
+    assert rep["min_value"] == 0.0 and rep["max_constraint_residual"] == 0.0
+    assert run(["eval", "--values", float_table_file, "--template", "lw05",
+                "--bind", "A=A,B=B,C=C,D=D", "--out", str(out)]) == 1
+    rep = json.loads(out.read_text())["report"]
+    assert rep["min_value"] == -2.0 and rep["max_constraint_residual"] == 0.0
+    assert [v["value"] for v in rep["violations"]] == [-2.0]
 
 
 def test_eval_exit_one_on_violation(etable_file, tmp_path):
@@ -209,6 +227,20 @@ def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeyp
                 for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
+
+
+@pytest.mark.parametrize("family", ["haar-mixed", "diagonal"])
+@pytest.mark.parametrize("labels, dims, message", [
+    # products that wrap around in int64 are still read in full
+    ("A,B", "4611686018427387905,4", "exceeds cap"),
+    ("A,B,C", "2097152,2097152,2097152", "exceeds cap"),
+    ("A,B,C", "2,0,2", "dimensions must be >= 1"),
+    ("A,B", "2,2,2", "labels and dims must have equal length"),
+])
+def test_family_dims_are_refused_by_name(family, labels, dims, message, capsys):
+    assert run(["search", "--template", "mi", "--family", family, "--labels", labels,
+                "--dims", dims, "--trials", "1"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_coefficient_beyond_float64_evaluates_exactly(tmp_path, capsys):

@@ -13,7 +13,6 @@ from entrocone import quantum
 from entrocone.certify import proof_certificate
 from entrocone.setfn import is_submodular, is_weakly_monotone, to_obj
 from entrocone.quantum import (
-    CLIP,
     ConstrainedFamily,
     DiagonalFamily,
     FamilyDims,
@@ -23,11 +22,11 @@ from entrocone.quantum import (
     check_theorem,
     constrained_family_sample,
     entropy_vector,
+    gram_density,
     lw05_family_sample,
     measure_and_register,
     partial_trace,
     purify,
-    random_density,
     trial_seed,
     von_neumann_entropy,
     _marginal_entropies,
@@ -36,6 +35,11 @@ from entrocone.quantum import (
 
 LOG2 = np.log(2.0)
 SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _gram(dim, rng):
+    """A full-rank Gram density matrix on `dim` from the stream of `rng`."""
+    return gram_density(rng.standard_normal(2 * dim * dim), dim, dim)
 
 
 def qubits(n):
@@ -89,8 +93,8 @@ def test_maximally_mixed_two_qubits():
 
 def test_product_state_additivity():
     rng = _rng(5)
-    a = random_density(2, rng)
-    b = random_density(3, rng)
+    a = _gram(2, rng)
+    b = _gram(3, rng)
     st = MultipartyState(("A", "B"), (2, 3), np.kron(a, b))
     h = entropy_vector(st)
     assert h(("A", "B")) == pytest.approx(h("A") + h("B"), abs=1e-10)
@@ -99,7 +103,7 @@ def test_product_state_additivity():
 def test_entropy_vector_satisfies_basic_inequalities():
     labels, dims = qubits(3)
     for seed in range(6):
-        rho = random_density(8, _rng(seed))
+        rho = _gram(8, _rng(seed))
         h = entropy_vector(MultipartyState(labels, dims, rho))
         assert is_submodular(h, tol=1e-9)
         assert is_weakly_monotone(h, tol=1e-9)
@@ -110,8 +114,8 @@ def test_entropy_vector_satisfies_basic_inequalities():
 
 def test_partial_trace_agrees_with_kron_structure():
     rng = _rng(11)
-    a = random_density(2, rng)
-    b = random_density(2, rng)
+    a = _gram(2, rng)
+    b = _gram(2, rng)
     st = MultipartyState(("A", "B"), (2, 2), np.kron(a, b))
     ra = partial_trace(st, ("A",))
     assert ra.labels == ("A",)
@@ -121,7 +125,7 @@ def test_partial_trace_agrees_with_kron_structure():
 
 def test_partial_trace_keep_order_is_declared_order():
     rng = _rng(13)
-    rho = random_density(8, rng)
+    rho = _gram(8, rng)
     st = MultipartyState(("A", "B", "C"), (2, 2, 2), rho)
     # keep order must not matter: result is in state label order
     one = partial_trace(st, ("A", "C"))
@@ -137,7 +141,7 @@ def test_purify_round_trip_and_symmetry():
     rng = _rng(17)
     for dims in ((2, 2), (2, 3)):
         labels = ("A", "B")
-        rho = random_density(int(np.prod(dims)), rng)
+        rho = _gram(int(np.prod(dims)), rng)
         st = MultipartyState(labels, dims, rho)
         ext = purify(st)
         assert ext.labels == ("A", "B", "E")
@@ -209,7 +213,7 @@ def structured_states(draw):
     """A zero-padded Haar state, a non-positive matrix with a live row of zero
     diagonal, or a constrained-family state of a random shape (n <= 3,
     uneven A/B blocks, halves of size 1, Gram or diagonal factors, and with
-    two or more blocks possibly one weight driven below CLIP)."""
+    two or more blocks possibly one weight driven to ~1e-14)."""
     kind = draw(st.sampled_from(("constrained", "padded-haar", "zero-diagonal")))
     if kind == "zero-diagonal":
         return _zero_diagonal_with_live_row()
@@ -238,15 +242,14 @@ def structured_states(draw):
 @settings(max_examples=80, deadline=None)
 @given(structured_states())
 def test_entropy_vector_matches_marginal_by_marginal_reference(state):
-    """Dropping rows and columns without an entry above the clip, and taking
-    a constrained-family state's marginals from its factors, change cost,
-    not values: every subset agrees with a dense eigvalsh of its partial
-    trace."""
+    """Dropping rows and columns that are zero, and taking a
+    constrained-family state's marginals from its factors, change cost, not
+    values: every subset agrees with a dense eigvalsh of its partial trace."""
     h = entropy_vector(state)
     gr = h.ground
     for mask in gr.iter_masks():
         ref = von_neumann_entropy(partial_trace(state, gr.labels_of(mask)))
-        assert abs(h.value(mask) - ref) <= 1e-10, gr.subset_str(mask)
+        assert abs(h.value(mask) - ref) <= 1e-12, gr.subset_str(mask)
 
 
 # ------------------------------------------------------------ factored route
@@ -292,21 +295,35 @@ def test_dimension_one_party_leaves_every_value_unchanged(dims, data, seed):
         assert h_wide.value(wide) == h_wide.value(wide | 1 << at) == h.value(mask)
 
 
-def test_a_weight_below_clip_counts_as_clipped_mass():
-    n = 2
-    family = ConstrainedFamily(FamilyDims.default(n))
+def test_a_tiny_block_weight_is_kept_by_both_routes():
+    family = ConstrainedFamily(FamilyDims.default(2))
     params = family.draw(_rng(7))
     params[0] = 1e-7
     state = family.build(params)
-    p0 = state.factors.weights[0]
-    assert 0 < p0 <= CLIP
+    assert 0 < state.factors.weights[0] < 1e-14
     diag, dense_diag = {}, {}
-    entropy_vector(state, diagnostics=diag)
-    entropy_vector(MultipartyState(state.labels, state.dims, state.rho), diagnostics=dense_diag)
-    # every marginal that meets A or B drops block 0 whole; the mass is the
-    # most dropped from one marginal, not a sum over them
-    assert diag["clipped_mass"] == pytest.approx(p0, rel=1e-6, abs=0)
-    assert diag["clipped_mass"] == pytest.approx(dense_diag["clipped_mass"], rel=1e-6, abs=0)
+    h = entropy_vector(state, diagnostics=diag)
+    dense = MultipartyState(state.labels, state.dims, state.rho)
+    h_dense = entropy_vector(dense, diagnostics=dense_diag)
+    assert np.max(np.abs(np.array(h.values) - np.array(h_dense.values))) <= 1e-12
+    # only eigenvalues that rounding leaves at or below zero are dropped
+    assert diag["clipped_mass"] <= 1e-15 and dense_diag["clipped_mass"] <= 1e-15
+
+
+def test_factored_route_is_the_dense_entropy_at_a_small_block_weight():
+    # block weight ~1.8e-11: a rule that cut the weight and the product
+    # spectrum at different places would part the routes by ~2e-10 here
+    family = ConstrainedFamily(
+        FamilyDims((1, 1), (1, 1), 1, ((2, 1), (2, 1), (2, 2))), diagonal=True)
+    params = family.draw(_rng(9))
+    params[0] = 3e-6
+    state = family.build(params)
+    assert 1e-11 < state.factors.weights[0] < 1e-10
+    h = entropy_vector(state)
+    gr = h.ground
+    for mask in gr.iter_masks():
+        ref = von_neumann_entropy(partial_trace(state, gr.labels_of(mask)))
+        assert abs(h.value(mask) - ref) <= 1e-12, gr.subset_str(mask)
 
 
 def test_check_theorem_takes_two_entropy_vectors_and_measures_densely(monkeypatch):
@@ -402,14 +419,6 @@ def test_constrained_sample_is_family_draw_then_build(n, blocks, diagonal, seed)
 
 
 @settings(max_examples=30, deadline=None)
-@given(dim=st.integers(1, 6), rank=st.none() | st.integers(1, 4), seed=SEEDS)
-def test_random_density_is_haar_family_build(dim, rank, seed):
-    family = HaarMixedFamily(("A",), (dim,), rank)
-    built = family.build(family.draw(_rng(seed)))
-    assert np.array_equal(random_density(dim, _rng(seed), rank), built.rho)
-
-
-@settings(max_examples=30, deadline=None)
 @given(name=st.sampled_from(sorted(FAMILIES)), seed=SEEDS)
 def test_build_leaves_family_unchanged(name, seed):
     family = FAMILIES[name]()
@@ -454,7 +463,7 @@ def test_measurement_register_properties():
 
 def test_measurement_rejects_non_block_states():
     rng = _rng(31)
-    rho = random_density(4, rng)
+    rho = _gram(4, rng)
     st = MultipartyState(("A", "B"), (2, 2), rho)
     with pytest.raises(ValueError, match="not block diagonal"):
         measure_and_register(st, "A", (1, 1))
