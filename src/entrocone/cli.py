@@ -25,7 +25,6 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -184,30 +183,12 @@ def cmd_eval(args) -> int:
         template = builtin(template, args.n)
     rep = satisfies(f, template, binding=_parse_binding(args.bind),
                     auto_filter=args.auto_filter, tol=args.tol)
-    value = Fraction if f.is_exact else float  # to_obj writes a Fraction as its string
-    obj = {
-        "template": rep.template_name,
-        "n_enumerated": rep.n_enumerated,
-        "n_admissible": rep.n_admissible,
-        "min_value": None if rep.min_value is None else value(rep.min_value),
-        "argmin": rep.argmin.describe() if rep.argmin is not None else None,
-        "n_violations": rep.n_violations,
-        "violations": [
-            {"instance": inst.describe(), "value": value(val)}
-            for inst, val in rep.violations
-        ],
-        "max_constraint_residual": value(rep.max_constraint_residual),
-        "holds": rep.holds,
-    }
-    _emit(args, obj, started)
+    _emit(args, rep, started)
     if rep.n_admissible == 0:
-        print(f"{rep.template_name}: no instance was admissible", file=sys.stderr)
+        print(f"{rep.template}: no instance was admissible", file=sys.stderr)
         return 1
-    print(
-        f"{rep.template_name}: min value {obj['min_value']} over "
-        f"{rep.n_admissible} admissible instances",
-        file=sys.stderr,
-    )
+    print(f"{rep.template}: min value {rep.min_value} over "
+          f"{rep.n_admissible} admissible instances", file=sys.stderr)
     return 0 if rep.holds else 1
 
 

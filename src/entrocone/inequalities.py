@@ -8,7 +8,7 @@ rationals throughout, held as integer numerators over one denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -426,10 +426,10 @@ class BoundTemplate:
         return self.table[slot_masks @ self.incidence] @ self.coefs
 
     def value(self, num, column: int = 0):
-        """A numerator as a Python value: float, or exact int / Fraction."""
+        """A numerator as a Python value: float, or an exact Fraction."""
         if not self.exact:
             return float(num)
-        return _canon_exact(Fraction(int(num), self.scales[column]))
+        return Fraction(int(num), self.scales[column])
 
 
 def slot_mask_matrix(instances: Sequence[Instance], n_slots: int) -> np.ndarray:
@@ -455,15 +455,15 @@ MAX_RECORDED = 10  # violations a SatisfiesReport lists; it counts them all
 class SatisfiesReport:
     """Scan of every admissible instance of a template on one set function."""
 
-    template_name: str
+    template: str
     n_enumerated: int
     n_admissible: int
-    min_value: object
+    min_value: object  # a Fraction on an exact f, a float on a float64 one
     argmin: Instance | None
     n_violations: int
-    violations: list
+    violations: list  # {"instance", "value"}, the first MAX_RECORDED
     max_constraint_residual: object
-    domain: str
+    domain: str = field(metadata={"json": False})
 
     @property
     def holds(self) -> bool:
@@ -525,15 +525,15 @@ def satisfies(
         bad = np.flatnonzero(vals < -zero_tol)
         n_viol += len(bad)
         for j in bad[: MAX_RECORDED - len(viols)]:
-            viols.append((chunk[keep[j]], bound.value(vals[j])))
+            viols.append({"instance": chunk[keep[j]], "value": bound.value(vals[j])})
     if bound.exact:
         max_resid = max(
-            (bound.value(m, j + 1) for j, m in enumerate(resid_nums)), default=0
+            (bound.value(m, j + 1) for j, m in enumerate(resid_nums)), default=Fraction(0)
         )
     else:
         max_resid = float(max(resid_nums, default=0.0))
     return SatisfiesReport(
-        template_name=template.name,
+        template=template.name,
         n_enumerated=n_enum,
         n_admissible=n_adm,
         min_value=None if best is None else bound.value(best),

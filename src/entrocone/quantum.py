@@ -10,9 +10,14 @@ parties: conditioned on the block index k, the state factorizes between the
 (A, B, x-first-half) side and the (C, x-second-half) side, which makes both
 conditional-independence constraints hold identically.  The states the family
 builds keep those factors, and `entropy_vector` takes every marginal that
-meets A or B from them; every other state, and every other entropy path
-(`partial_trace`, `von_neumann_entropy`, the measured state of
-`check_theorem`), is dense.
+meets A or B from them.  The state measured into the block register R
+(`measure_and_register` on A in those blocks, as `check_theorem` does)
+shares the factors, and its entropy vector is an index map over the
+spectra they already hold; its dense matrix is built only if read.  Every
+other state, and every other entropy path (`partial_trace`,
+`von_neumann_entropy`, a measurement in other blocks), is dense, and
+`check_theorem`'s `marginal_drift` compares the factors with the dense
+matrix.
 """
 
 from __future__ import annotations
@@ -80,10 +85,15 @@ class MultipartyState:
     shape, hermiticity, and unit trace (a NaN or infinite entry fails them);
     `validate=False` skips the last two (internal use on matrices that are
     valid by construction).  `factors` is None except on the states
-    ConstrainedFamily.build makes, which carry their own BlockFactors.
+    ConstrainedFamily.build makes, which carry their own BlockFactors, and on
+    the measured states `measure_and_register` makes of them, which share
+    those factors and add the register R as their last party.  `rho` may be
+    a function returning the matrix: it is called, and its result kept, on
+    the first read of `.rho` (a measured state's matrix is built only if
+    something reads it).
     """
 
-    __slots__ = ("ground", "dims", "rho", "factors")
+    __slots__ = ("ground", "dims", "factors", "_rho")
 
     def __init__(self, labels, dims, rho, validate: bool = True,
                  factors: BlockFactors | None = None):
@@ -91,10 +101,13 @@ class MultipartyState:
         self.factors = factors
         self.dims = tuple(int(d) for d in dims)
         total = _total_dim(self.labels, self.dims)
+        if callable(rho):
+            self._rho = rho
+            return
         rho = np.asarray(rho, dtype=np.complex128)
         if rho.shape != (total, total):
             raise ValueError(f"matrix shape {rho.shape} does not match total dim {total}")
-        self.rho = rho
+        self._rho = rho
         if validate:
             herm = np.max(np.abs(rho - rho.conj().T)) if total else 0.0
             if not herm <= STATE_ATOL:
@@ -104,12 +117,18 @@ class MultipartyState:
                 raise ValueError(f"trace deviates from one by {tr:.3e}")
 
     @property
+    def rho(self) -> np.ndarray:
+        if callable(self._rho):
+            self._rho = self._rho()
+        return self._rho
+
+    @property
     def labels(self) -> tuple[str, ...]:
         return self.ground.labels
 
     @property
     def total_dim(self) -> int:
-        return self.rho.shape[0]
+        return math.prod(self.dims)
 
     def __repr__(self):
         pairs = ", ".join(f"{l}:{d}" for l, d in zip(self.labels, self.dims))
@@ -214,55 +233,58 @@ def _marginal_entropies(stack: np.ndarray, dims: Sequence[int]) -> tuple[np.ndar
 
 @functools.cache
 def _block_masks(n: int) -> tuple[np.ndarray, ...]:
-    """Index maps of the factored route on (A, B, C, X1..Xn): the masks that
-    meet A or B, with each one's mask on chi's parties (A, B, X first
-    halves) and on xi's (C, X second halves); then the other nonempty
-    masks, with each one's mask on (C, X1..Xn)."""
-    masks = np.arange(1, 1 << (n + 3))
-    ab, cx = masks[masks & 3 != 0], masks[masks & 3 == 0]
-    maps = (ab, (ab & 3) | (ab >> 3 << 2), ab >> 2, cx, cx >> 2)
+    """Index maps of the factored route over every mask of (A, B, C,
+    X1..Xn): whether it meets A or B, its mask on chi's parties (A, B, X
+    first halves) and its mask on xi's (C, X second halves), which for a
+    mask inside C and the X's is also its mask on (C, X1..Xn)."""
+    masks = np.arange(1 << (n + 3))
+    maps = (masks & 3 != 0, (masks & 3) | (masks >> 3 << 2), masks >> 2)
     for a in maps:  # shared by every caller of the cache
         a.flags.writeable = False
     return maps
 
 
 def _factored_entropies(state: MultipartyState) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy and clipped mass of every marginal of a constrained-family
-    state, by mask, from its block factors.
+    """Entropy and clipped mass of every marginal of a state that carries
+    block factors, by mask, from the spectra those factors hold.
 
-    A marginal J that meets A or B keeps the blocks apart, so its spectrum is
-    the union over k of p_k spec(chi_k|J) spec(xi_k|J), and
+    For rho = sum_k p_k chi_k (x) xi_k, a marginal J that meets A or B keeps
+    the blocks apart, so its spectrum is the union over k of
+    p_k spec(chi_k|J) spec(xi_k|J), and
     S(J) = H(p) + sum_k p_k [S(chi_k|J) + S(xi_k|J)], the dense route's
     value to rounding.  A block's clipped mass counts at weight p_k.
     Marginals inside C and the X's mix the blocks; they come from the dense
     marginal on (C, X1..Xn).
+
+    The measured state sigma = sum_k p_k chi_k (x) xi_k (x) |k><k| adds R as
+    its last party.  A marginal without R is rho's.  With R, every marginal
+    keeps the blocks apart and takes the same sum: for J meeting A or B it
+    is rho's S(J), since A and B each identify the block and R adds nothing;
+    for J inside C and the X's it is a new value (H(p) for R alone).
     """
     f = state.factors
-    n = state.ground.size - 3
-    ab, chi_of, xi_of, cx, cx_of = _block_masks(n)
-    chi_s = np.zeros((f.weights.size, 1 << (n + 2)))
-    chi_c = np.zeros_like(chi_s)
-    for shape, ks, stack in f.chis:
-        chi_s[list(ks)], chi_c[list(ks)] = _marginal_entropies(stack, shape)
-    xi_s, xi_c = _marginal_entropies(f.xis, f.xi_shape)
-    sub = partial_trace(state, state.labels[2:])
-    cx_s, cx_c = _marginal_entropies(sub.rho[None], sub.dims)
+    n = len(f.xi_shape) - 1
+    blocks, chi_of, xi_of = _block_masks(n)
+    (chi_s, chi_c), (xi_s, xi_c), (cx_s, cx_c) = f.spectra
     p = f.weights
     h_p, clip_p = _entropy_from_eigs(p)
-    values = np.zeros(state.ground.n_subsets)
-    clipped = np.zeros_like(values)
-    values[ab] = h_p + p @ (chi_s[:, chi_of] + xi_s[:, xi_of])
-    clipped[ab] = clip_p + p @ (chi_c[:, chi_of] + xi_c[:, xi_of])
-    values[cx], clipped[cx] = cx_s[0, cx_of], cx_c[0, cx_of]
-    return values, clipped
+    split_s = h_p + p @ (chi_s[:, chi_of] + xi_s[:, xi_of])
+    split_c = clip_p + p @ (chi_c[:, chi_of] + xi_c[:, xi_of])
+    values = np.where(blocks, split_s, cx_s[xi_of])
+    clipped = np.where(blocks, split_c, cx_c[xi_of])
+    if state.ground.size == n + 3:
+        return values, clipped
+    return np.concatenate((values, split_s)), np.concatenate((clipped, split_c))
 
 
 def entropy_vector(state: MultipartyState, diagnostics: dict | None = None) -> SetFunction:
     """Entropies of every nonempty marginal, as a float64 set function.
 
-    A state that carries its block factors (one ConstrainedFamily.build
-    made) takes every marginal meeting A or B from them; any other state,
-    and the rest of a factored one, go through `_marginal_entropies`, which
+    A state that carries block factors (one ConstrainedFamily.build made,
+    or its measured state) takes its values from the spectra of those
+    factors, which the first such call computes and every later one, for
+    either state, reads.  Any other state, and the marginals of a factored
+    one that mix the blocks, go through `_marginal_entropies`, which
     diagonalizes each marginal on its support, so the empty index
     combinations of a block-structured state (a measured register's other
     outcomes) cost nothing.  When a `diagnostics` dict is supplied,
@@ -355,12 +377,71 @@ class BlockFactors:
     """A constrained-family state's own blocks, rho = sum_k weights[k]
     chi_k (x) xi_k: the chi_k as (tensor shape, block indices, stack)
     triples, one per shape, and every xi_k in one stack of tensor shape
-    `xi_shape`."""
+    `xi_shape`; and `cx`, rho's marginal on (C, X1..Xn), where the blocks
+    mix."""
 
     weights: np.ndarray
     chis: tuple
     xi_shape: tuple
     xis: np.ndarray
+    cx: MultipartyState
+
+    @property
+    def a_blocks(self) -> tuple[int, ...]:
+        """The dimension of each block of A, in block order."""
+        sizes = [0] * self.weights.size
+        for shape, ks, _ in self.chis:
+            for k in ks:
+                sizes[k] = shape[0]
+        return tuple(sizes)
+
+    @functools.cached_property
+    def spectra(self):
+        """(entropies, clipped masses) of every marginal, by mask, of each
+        chi_k, of each xi_k (both (K, masks)) and of `cx` (masks,): computed
+        on first read, then shared by rho and its measured state."""
+        chi_s = np.zeros((self.weights.size, 1 << (len(self.xi_shape) + 1)))
+        chi_c = np.zeros_like(chi_s)
+        for shape, ks, stack in self.chis:
+            chi_s[list(ks)], chi_c[list(ks)] = _marginal_entropies(stack, shape)
+        cx_s, cx_c = _marginal_entropies(self.cx.rho[None], self.cx.dims)
+        return (chi_s, chi_c), _marginal_entropies(self.xis, self.xi_shape), (cx_s[0], cx_c[0])
+
+    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
+        """rho's marginals on (A, B, C) and on (X1..Xn), rebuilt from the
+        blocks alone: sum_k p_k tr_X(chi_k) (x) tr_X(xi_k), placed on block
+        k of A and of B, and sum_k p_k tr_AB(chi_k) (x) tr_C(xi_k), with each
+        X's two halves brought together."""
+        K, n = self.weights.size, len(self.xi_shape) - 1
+        dim_c, x_second = self.xi_shape[0], self.xi_shape[1:]
+        xi_c, xi_x = _split_marginals(self.xis, dim_c)
+        chi_ab, chi_x, shapes = [None] * K, [None] * K, [None] * K
+        for shape, ks, stack in self.chis:
+            for k, ab, x in zip(ks, *_split_marginals(stack, shape[0] * shape[1])):
+                chi_ab[k], chi_x[k], shapes[k] = ab, x, shape
+        x_first = shapes[0][2:]
+        p = self.weights
+        a_starts = itertools.accumulate((s[0] for s in shapes), initial=0)
+        b_starts = itertools.accumulate((s[1] for s in shapes), initial=0)
+        abc = _place_blocks(
+            (sum(s[0] for s in shapes), sum(s[1] for s in shapes), dim_c),
+            [(p[k] * np.kron(chi_ab[k], xi_c[k]),
+              ((sa, sa + s[0]), (sb, sb + s[1]), (0, dim_c)))
+             for k, (s, sa, sb) in enumerate(zip(shapes, a_starts, b_starts))])
+        x = sum(p[k] * np.kron(chi_x[k], xi_x[k]) for k in range(K))
+        # axes (X first halves, X second halves) x 2 -> each X's halves together
+        rows = [a for i in range(n) for a in (i, n + i)]
+        d = x.shape[0]
+        x = x.reshape((x_first + x_second) * 2).transpose(rows + [a + 2 * n for a in rows])
+        return abc, x.reshape(d, d)
+
+
+def _split_marginals(stack: np.ndarray, d_first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix of `stack` (T, d, d) on the parties (first, rest), first of
+    dimension `d_first`: its marginals on first and on rest."""
+    d_rest = stack.shape[-1] // d_first
+    t = stack.reshape(-1, d_first, d_rest, d_first, d_rest)
+    return np.einsum("tiaja->tij", t), np.einsum("tiaib->tab", t)
 
 
 # --- parameters to states ---
@@ -426,6 +507,11 @@ class HaarMixedFamily(StateFamily):
         self.rank = self.total if rank is None else int(rank)
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+        # the draw is a total x rank matrix: no larger than the largest
+        # density matrix the cap admits
+        if self.rank > dim_cap():
+            raise ValueError(f"rank {self.rank} exceeds cap {dim_cap()} "
+                             "(set ENTROPIC_MAX_DIM to raise it)")
 
     def n_params(self) -> int:
         return 2 * self.total * self.rank
@@ -531,14 +617,15 @@ class ConstrainedFamily(StateFamily):
             block = np.tensordot(chi, xi, axes=0).transpose(self.axes)
             return weights[k] * block, self.ranges[k]
 
-        rho = _place_blocks(self.dims, map(part, range(K)))
-        blocks = BlockFactors(
+        state = MultipartyState(self.labels, self.dims, _place_blocks(self.dims, map(part, range(K))))
+        state.factors = BlockFactors(
             weights,
             tuple((shape, ks, np.stack([factors[k] for k in ks])) for shape, ks in self.chi_groups),
             self.xi_shape,
             np.stack(factors[K:]),
+            partial_trace(state, self.labels[2:]),
         )
-        return MultipartyState(self.labels, self.dims, rho, factors=blocks)
+        return state
 
 
 # lw05's fixed layout: the A, B and D dimensions of one block, then C's
@@ -614,6 +701,11 @@ def measure_and_register(
     The input must already be block diagonal in that party (off-block mass
     below 1e-10); the output appends a dimension-K register carrying the
     outcome, leaving every marginal on the original parties unchanged.
+
+    A state with block factors, measured on A in its own blocks, is block
+    diagonal there by construction: its measured state shares those factors,
+    and its matrix is built (and checked) only if something reads `.rho`.
+    Any other state, or other sizes, are measured densely here.
     """
     if "R" in state.labels:
         raise ValueError("label 'R' already in use")
@@ -622,7 +714,20 @@ def measure_and_register(
     if not sizes or min(sizes) < 1 or sum(sizes) != dims[pos]:
         raise ValueError(f"block sizes {tuple(sizes)} must be >= 1 and add up to "
                          f"the dimension {dims[pos]} of party {party!r}")
+    labels, sizes = state.labels + ("R",), tuple(sizes)
+    if state.factors is not None and party == "A" and sizes == state.factors.a_blocks:
+        return MultipartyState(labels, dims + (len(sizes),),
+                               functools.partial(_measured_matrix, state, pos, sizes),
+                               factors=state.factors)
+    return MultipartyState(labels, dims + (len(sizes),), _measured_matrix(state, pos, sizes),
+                           validate=False)
+
+
+def _measured_matrix(state: MultipartyState, pos: int, sizes: tuple[int, ...]) -> np.ndarray:
+    """The dense matrix of `measure_and_register` on the party at `pos`."""
+    dims = state.dims
     K = len(sizes)
+    party = state.labels[pos]
     _check_cap(state.total_dim * K)
     t = state.rho.reshape((math.prod(dims[:pos]), dims[pos], math.prod(dims[pos + 1:])) * 2)
     ranges = [(0, d) for d in dims]
@@ -636,10 +741,9 @@ def measure_and_register(
         raise ValueError(
             f"state is not block diagonal in {party!r} (off-block mass {off_mass:.3e})"
         )
-    sigma = _place_blocks(
+    return _place_blocks(
         dims + (K,), [(blk, r + ((k, k + 1),)) for k, (blk, r) in enumerate(blocks)]
     )
-    return MultipartyState(state.labels + ("R",), dims + (K,), sigma, validate=False)
 
 
 THEOREMS = ("thm1", "thm1p", "thm2", "thm2p")
@@ -657,6 +761,7 @@ class TheoremReport:
     hypotheses: dict
     min_term: float
     marginal_drift: float
+    sigma_route: str  # "factored" (from rho's block factors) or "dense"
     clipped_mass: float  # the most mass clipped from one marginal of rho or sigma
 
     @property
@@ -696,6 +801,13 @@ def check_theorem(
     terms are evaluated on the post-measurement state with its outcome
     register R: each hypothesis should vanish and each term be nonnegative,
     which is the proof of `certify.proof_certificate` holding on this state.
+
+    A state with block factors whose A blocks are `a_blocks` is measured on
+    the factored route (`sigma_route` "factored"): sigma's entropies are an
+    index map over rho's, and `marginal_drift` compares rho's dense marginals
+    on (A, B, C) and on (X1..Xn) with the same marginals rebuilt from the
+    factors, so factors that disagree with the matrix fail the check.  On the
+    dense route it compares those marginals of rho and of the dense sigma.
     """
     labels = state.labels
     n = len(labels) - 3
@@ -720,11 +832,13 @@ def check_theorem(
     hypotheses = {key: h.evaluate(h_sigma) for key, h in hyps.items()}
     min_term = min(t.evaluate(h_sigma) for t in terms)
 
-    drift = 0.0
-    for sub in (tuple(f"X{i}" for i in range(1, n + 1)), ("A", "B", "C")):
-        a = partial_trace(state, sub).rho
-        b = partial_trace(sigma, sub).rho
-        drift = max(drift, float(np.max(np.abs(a - b))))
+    subs = (("A", "B", "C"), tuple(f"X{i}" for i in range(1, n + 1)))
+    if sigma.factors is None:
+        rebuilt = [partial_trace(sigma, sub).rho for sub in subs]
+    else:
+        rebuilt = state.factors.marginals()
+    drift = max(float(np.max(np.abs(partial_trace(state, sub).rho - b)))
+                for sub, b in zip(subs, rebuilt))
 
     return TheoremReport(
         n=n,
@@ -734,5 +848,6 @@ def check_theorem(
         hypotheses=hypotheses,
         min_term=min_term,
         marginal_drift=drift,
+        sigma_route="dense" if sigma.factors is None else "factored",
         clipped_mass=float(diag.get("clipped_mass", 0.0)),
     )

@@ -367,11 +367,14 @@ def setfn_to_obj(f: SetFunction) -> dict:
 
 
 def to_obj(value):
-    """The JSON form of a report: a dataclass is its fields in declaration
-    order (less those marked `metadata={"json": False}`), then its
-    properties, its verdicts; a SetFunction is `setfn_to_obj`; a Fraction,
-    an exact value, is its string; dict keys become strings and tuples
-    lists.  Everything else is written as it is."""
+    """The JSON form of a report: an object with a `describe()` method (an
+    instance, a linear form) is its description; a dataclass is its fields
+    in declaration order (less those marked `metadata={"json": False}`),
+    then its properties, its verdicts; a SetFunction is `setfn_to_obj`; a
+    Fraction, an exact value, is its string; dict keys become strings and
+    tuples lists.  Everything else is written as it is."""
+    if callable(getattr(value, "describe", None)):
+        return value.describe()
     if is_dataclass(value):
         obj = {f.name: to_obj(getattr(value, f.name))
                for f in fields(value) if f.metadata.get("json", True)}

@@ -309,6 +309,7 @@ def test_criterion_6_family_states_validate_numerically():
     worst_resid = 0.0
     worst_slack = float("inf")
     trials = 500
+    factored = 0
     for n in (1, 2, 3):
         fd = _small_dims(n)
         for t in range(trials):
@@ -316,17 +317,23 @@ def test_criterion_6_family_states_validate_numerically():
             rep = check_theorem(state, fd.a_blocks)
             worst_resid = max(worst_resid, *map(abs, rep.constraint_residuals.values()))
             worst_slack = min(worst_slack, *rep.slacks.values())
+            factored += rep.sigma_route == "factored"
             if not rep.passed:
                 failures.append((n, t, to_obj(rep)))
                 break
     elapsed = time.perf_counter() - t0
     if elapsed >= 600.0:
         failures.append(("time", elapsed))
+    # the proof trace ran on sigma from the factors for every state, never
+    # the dense reference
+    if factored != 3 * trials:
+        failures.append(("factored sigma", factored))
     ok = _record(
         6,
         "1500 sampled family states pass all four inequalities and proof trace",
         not failures,
-        f"{elapsed:.1f}s, max residual {worst_resid:.2e}, min slack {worst_slack:.2e}",
+        f"{elapsed:.1f}s, {factored} of {3 * trials} sigma factored, "
+        f"max residual {worst_resid:.2e}, min slack {worst_slack:.2e}",
     )
     assert ok, failures[:1]
 

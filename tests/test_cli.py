@@ -144,7 +144,7 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["certify", "--problem", "{not_a_list}"],
     ["sample", "--n", "6", "--trials", "1"],
     ["env:ENTROPIC_MAX_DIM=abc", "sample", "--n", "1"],
-    ["env:ENTROPIC_MAX_DIM=48", "sample", "--n", "1", "--trials", "1"],
+    ["env:ENTROPIC_MAX_DIM=31", "sample", "--n", "1", "--trials", "1"],
     ["search", "--template", "ssa", "--trials", "2", "--refine", "5", "--step", "0"],
     ["search", "--template", "ssa", "--trials", "2", "--refine", "5", "--step", "-0.1"],
     ["search", "--template", "ssa", "--trials", "2", "--refine", "-1"],
@@ -183,6 +183,8 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["eval", "--values", "{ones}", "--template-file", "{wmo}", "--n", "2"],
     ["search", "--template", "ssa", "--n", "4", "--trials", "1"],
     ["search", "--template", "lw05", "--family", "lw05", "--n", "2", "--trials", "1"],
+    ["search", "--template", "mi", "--labels", "A,B", "--dims", "2,2",
+     "--rank", "1000000000000", "--trials", "1"],
 ])
 def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeypatch):
     """A leading "env:NAME=value" entry sets that environment variable."""
@@ -351,7 +353,16 @@ def test_sample_small_run(tmp_path):
     assert len(payload["report"]["results"]) == 2
     assert set(payload["report"]["results"][0]) == {
         "n", "tol", "constraint_residuals", "slacks", "hypotheses", "min_term",
-        "marginal_drift", "clipped_mass", "passed", "trial", "seed"}
+        "marginal_drift", "sigma_route", "clipped_mass", "passed", "trial", "seed"}
+    assert {r["sigma_route"] for r in payload["report"]["results"]} == {"factored"}
+
+
+def test_sample_runs_where_only_the_measured_state_is_over_the_cap(monkeypatch, tmp_path):
+    # at n=3 rho is 512 x 512; its measured state, 1024 x 1024, is never built
+    monkeypatch.setenv("ENTROPIC_MAX_DIM", "512")
+    out = tmp_path / "s.json"
+    assert run(["sample", "--n", "3", "--trials", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["report"]["all_passed"] is True
 
 
 def test_sample_diagonal_draws_classical_states(tmp_path):

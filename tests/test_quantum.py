@@ -209,21 +209,12 @@ def _zero_diagonal_with_live_row():
 
 
 @st.composite
-def structured_states(draw):
-    """A zero-padded Haar state, a non-positive matrix with a live row of zero
-    diagonal, or a constrained-family state of a random shape (n <= 3,
+def family_states(draw):
+    """A constrained-family state of a random shape (n <= 3, one to three
     uneven A/B blocks, halves of size 1, Gram or diagonal factors, and with
     two or more blocks possibly one weight driven to ~1e-14)."""
-    kind = draw(st.sampled_from(("constrained", "padded-haar", "zero-diagonal")))
-    if kind == "zero-diagonal":
-        return _zero_diagonal_with_live_row()
     seed = draw(SEEDS)
     sizes = st.integers(1, 2)
-    if kind == "padded-haar":
-        dims = tuple(draw(st.lists(sizes, min_size=2, max_size=3)))
-        pads = tuple(draw(st.lists(st.integers(0, 2), min_size=len(dims),
-                                   max_size=len(dims))))
-        return _zero_padded_haar(seed, dims, pads)
     k = draw(st.integers(1, 3))
     fdims = FamilyDims(
         a_blocks=tuple(draw(sizes) for _ in range(k)),
@@ -237,6 +228,21 @@ def structured_states(draw):
     if k > 1 and draw(st.booleans()):
         params[draw(st.integers(0, k - 1))] = 1e-7  # weight ~1e-14 after squaring
     return family.build(params)
+
+
+@st.composite
+def structured_states(draw):
+    """A zero-padded Haar state, a non-positive matrix with a live row of zero
+    diagonal, or a constrained-family state."""
+    kind = draw(st.sampled_from(("constrained", "padded-haar", "zero-diagonal")))
+    if kind == "zero-diagonal":
+        return _zero_diagonal_with_live_row()
+    if kind == "constrained":
+        return draw(family_states())
+    sizes = st.integers(1, 2)
+    dims = tuple(draw(st.lists(sizes, min_size=2, max_size=3)))
+    pads = tuple(draw(st.lists(st.integers(0, 2), min_size=len(dims), max_size=len(dims))))
+    return _zero_padded_haar(draw(SEEDS), dims, pads)
 
 
 @settings(max_examples=80, deadline=None)
@@ -326,19 +332,86 @@ def test_factored_route_is_the_dense_entropy_at_a_small_block_weight():
         assert abs(h.value(mask) - ref) <= 1e-12, gr.subset_str(mask)
 
 
-def test_check_theorem_takes_two_entropy_vectors_and_measures_densely(monkeypatch):
+def test_check_theorem_takes_two_entropy_vectors_both_factored(monkeypatch):
     calls, factored = [], []
     real_vector, real_factored = quantum.entropy_vector, quantum._factored_entropies
     monkeypatch.setattr(quantum, "entropy_vector",
                         lambda st, **kw: calls.append(st.labels) or real_vector(st, **kw))
     monkeypatch.setattr(quantum, "_factored_entropies",
                         lambda st: factored.append(st.labels) or real_factored(st))
+    monkeypatch.setattr(quantum, "_measured_matrix",
+                        lambda *a: pytest.fail("dense sigma was built"))
     dims = FamilyDims.default(2)
     state = constrained_family_sample(dims, seed=trial_seed(3, 2))
+    rep = check_theorem(state, dims.a_blocks)
+    assert rep.passed and rep.sigma_route == "factored"
+    # rho, then sigma with its register R, both by the factors
+    assert calls == factored == [state.labels, state.labels + ("R",)]
+
+
+def test_measured_state_makes_no_eigvalsh_call_of_its_own(monkeypatch):
+    dims = FamilyDims.default(3, blocks=3)
+    state = constrained_family_sample(dims, seed=trial_seed(4, 3))
+    sigma = measure_and_register(state, "A", dims.a_blocks)
+    assert sigma.factors is state.factors
+    entropy_vector(state)
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+    h = entropy_vector(sigma)
+    assert calls == [] and h.ground.labels == state.labels + ("R",)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_states())
+def test_factored_sigma_matches_the_dense_measurement(state):
+    """sigma's index map equals the entropy vector of the dense measured
+    state, and check_theorem's report equals the dense route's."""
+    a_blocks = state.factors.a_blocks
+    dense = MultipartyState(state.labels, state.dims, state.rho)
+    h = entropy_vector(measure_and_register(state, "A", a_blocks))
+    ref = entropy_vector(measure_and_register(dense, "A", a_blocks))
+    assert h.ground == ref.ground
+    for mask in h.ground.iter_masks():
+        assert abs(h.value(mask) - ref.value(mask)) <= 1e-12, h.ground.subset_str(mask)
+    got, want = to_obj(check_theorem(state, a_blocks)), to_obj(check_theorem(dense, a_blocks))
+    assert (got.pop("sigma_route"), want.pop("sigma_route")) == ("factored", "dense")
+    assert got.pop("passed") == want.pop("passed")
+    for key in ("n", "tol"):
+        assert got.pop(key) == want.pop(key)
+    for key in ("constraint_residuals", "slacks", "hypotheses"):
+        a, b = got.pop(key), want.pop(key)
+        assert list(a) == list(b) and all(abs(a[k] - b[k]) <= 1e-12 for k in a), key
+    assert got.keys() == want.keys()
+    assert all(abs(got[k] - want[k]) <= 1e-12 for k in got), got
+
+
+def test_factors_that_disagree_with_the_matrix_fail_the_drift_check():
+    dims = FamilyDims.default(2)
+    state = constrained_family_sample(dims, seed=trial_seed(3, 2))
+    assert check_theorem(state, dims.a_blocks).marginal_drift <= 1e-15
+    state = constrained_family_sample(dims, seed=trial_seed(3, 2))
+    state.factors.xis[[0, 1]] = state.factors.xis[[1, 0]]  # swap xi_0 and xi_1
+    rep = check_theorem(state, dims.a_blocks)
+    assert rep.sigma_route == "factored"
+    assert rep.marginal_drift > 1e-3 and not rep.passed
+    # every other check holds on the swapped factors: the drift alone fails
+    assert dataclasses.replace(rep, marginal_drift=0.0).passed
+
+
+def test_measured_state_builds_its_matrix_only_when_read(monkeypatch):
+    # rho at n=3 is 512 x 512 and sigma 1024 x 1024
+    dims = FamilyDims.default(3)
+    state = constrained_family_sample(dims, seed=trial_seed(5, 3))
+    want = measure_and_register(MultipartyState(state.labels, state.dims, state.rho),
+                                "A", dims.a_blocks).rho
+    assert np.array_equal(measure_and_register(state, "A", dims.a_blocks).rho, want)
+    monkeypatch.setenv("ENTROPIC_MAX_DIM", "512")
+    sigma = measure_and_register(state, "A", dims.a_blocks)
+    assert sigma.total_dim == 1024
     assert check_theorem(state, dims.a_blocks).passed
-    # rho by its factors, sigma (with its register R) densely
-    assert calls == [state.labels, state.labels + ("R",)]
-    assert factored == [state.labels]
+    with pytest.raises(ValueError, match="total dimension 1024 exceeds cap 512"):
+        sigma.rho
 
 
 def test_check_theorem_passes_on_samples():
@@ -358,7 +431,7 @@ def test_check_theorem_fails_a_register_that_reads_nothing(n):
     dims = FamilyDims.default(n)
     state = constrained_family_sample(dims, seed=trial_seed(3, n))
     rep = check_theorem(state, (2,))
-    assert not rep.passed
+    assert not rep.passed and rep.sigma_route == "dense"
     _, _, _, (_, _, i_ab_c_given_r), _ = proof_certificate(n)
     assert rep.hypotheses[i_ab_c_given_r.describe()] > rep.tol
 
@@ -425,6 +498,13 @@ def test_build_leaves_family_unchanged(name, seed):
     before = copy.deepcopy(vars(family))
     family.build(family.draw(_rng(seed)))
     assert vars(family) == before
+
+
+def test_haar_rank_above_the_cap_is_refused(monkeypatch):
+    monkeypatch.setenv("ENTROPIC_MAX_DIM", "16")
+    assert HaarMixedFamily(("A", "B"), (2, 2), rank=16).n_params() == 128
+    with pytest.raises(ValueError, match="rank 17 exceeds cap 16"):
+        HaarMixedFamily(("A", "B"), (2, 2), rank=17)
 
 
 @pytest.mark.parametrize("name", sorted(CONTINUOUS_FAMILIES))
