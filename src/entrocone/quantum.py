@@ -8,13 +8,14 @@ are dropped from the log and their mass is reported, never silently ignored.
 The constrained family sampled here carries a block decomposition on two
 parties: conditioned on the block index k, the state factorizes between the
 (A, B, x-first-half) side and the (C, x-second-half) side, which makes both
-conditional-independence constraints hold identically.  The states the family
-builds keep those factors, and `entropy_vector` takes every marginal that
-meets A or B from them.  The state measured into the block register R
+conditional-independence constraints hold identically.  A state the family
+builds is those factors and rho's (C, X1..Xn) marginal: `entropy_vector`
+reads only them, and the dense rho is placed from the blocks, and checked,
+only if something reads it.  The state measured into the block register R
 (`measure_and_register` on A in those blocks, as `check_theorem` does)
 shares the factors, and its entropy vector is an index map over the
-spectra they already hold; its dense matrix is built only if read.  Every
-other state, and every other entropy path (`partial_trace`,
+spectra they already hold; its dense matrix too is built only if read.
+Every other state, and every other entropy path (`partial_trace`,
 `von_neumann_entropy`, a measurement in other blocks), is dense, and
 `check_theorem`'s `marginal_drift` compares the factors with the dense
 matrix.
@@ -81,46 +82,49 @@ def trial_seed(base_seed: int, trial: int) -> tuple[int, int]:
 class MultipartyState:
     """Density matrix over an ordered tuple of labeled parties.
 
-    The matrix is indexed row-major by the party order.  Construction checks
+    The matrix is indexed row-major by the party order.  It is checked for
     shape, hermiticity, and unit trace (a NaN or infinite entry fails them);
     `validate=False` skips the last two (internal use on matrices that are
     valid by construction).  `factors` is None except on the states
     ConstrainedFamily.build makes, which carry their own BlockFactors, and on
     the measured states `measure_and_register` makes of them, which share
     those factors and add the register R as their last party.  `rho` may be
-    a function returning the matrix: it is called, and its result kept, on
-    the first read of `.rho` (a measured state's matrix is built only if
-    something reads it).
+    a function returning the matrix: it is called, checked and kept on the
+    first read of `.rho`, so a family state's or a measured state's matrix
+    is built only if something reads it.
     """
 
-    __slots__ = ("ground", "dims", "factors", "_rho")
+    __slots__ = ("ground", "dims", "factors", "_rho", "_validate")
 
     def __init__(self, labels, dims, rho, validate: bool = True,
                  factors: BlockFactors | None = None):
         self.ground = GroundSet(labels)
         self.factors = factors
         self.dims = tuple(int(d) for d in dims)
-        total = _total_dim(self.labels, self.dims)
-        if callable(rho):
-            self._rho = rho
-            return
+        _total_dim(self.labels, self.dims)
+        self._rho, self._validate = rho, validate
+        if not callable(rho):
+            self._rho = self._checked(rho)
+
+    @property
+    def rho(self) -> np.ndarray:
+        if callable(self._rho):
+            self._rho = self._checked(self._rho())
+        return self._rho
+
+    def _checked(self, rho) -> np.ndarray:
+        total = self.total_dim
         rho = np.asarray(rho, dtype=np.complex128)
         if rho.shape != (total, total):
             raise ValueError(f"matrix shape {rho.shape} does not match total dim {total}")
-        self._rho = rho
-        if validate:
+        if self._validate:
             herm = np.max(np.abs(rho - rho.conj().T)) if total else 0.0
             if not herm <= STATE_ATOL:
                 raise ValueError(f"matrix not hermitian (deviation {herm:.3e})")
             tr = abs(np.trace(rho) - 1.0)
             if not tr <= STATE_ATOL:
                 raise ValueError(f"trace deviates from one by {tr:.3e}")
-
-    @property
-    def rho(self) -> np.ndarray:
-        if callable(self._rho):
-            self._rho = self._rho()
-        return self._rho
+        return rho
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -554,7 +558,8 @@ class ConstrainedFamily(StateFamily):
     dimensions, each chi_k's tensor shape on (A block k, B block k, x first
     halves), xi_k's on (C, x second halves), the index ranges where
     chi_k (x) xi_k sits, and the blocks grouped by chi_k's shape.  `build`
-    returns the dense state with its BlockFactors attached.
+    returns a state that is its BlockFactors: its dense matrix is placed
+    from the blocks `build` made, and checked, on the first read of `.rho`.
     """
 
     def __init__(self, dims: FamilyDims, diagonal: bool = False):
@@ -615,17 +620,24 @@ class ConstrainedFamily(StateFamily):
             chi = factors[k].reshape(self.chi_shapes[k] * 2)
             xi = factors[K + k].reshape(self.xi_shape * 2)
             block = np.tensordot(chi, xi, axes=0).transpose(self.axes)
-            return weights[k] * block, self.ranges[k]
+            d = self.factor_dims[k] * self.factor_dims[K + k]
+            return weights[k] * block.reshape(d, d), self.ranges[k]
 
-        state = MultipartyState(self.labels, self.dims, _place_blocks(self.dims, map(part, range(K))))
-        state.factors = BlockFactors(
+        # the blocks sit on disjoint A and B ranges, so rho's (C, X) marginal
+        # is the sum of each block's own trace over its A and B
+        parts = [part(k) for k in range(K)]
+        cx = sum(_split_marginals(block[None], a * b)[1][0]
+                 for (block, _), (a, b, *_) in zip(parts, self.chi_shapes))
+        block_factors = BlockFactors(
             weights,
             tuple((shape, ks, np.stack([factors[k] for k in ks])) for shape, ks in self.chi_groups),
             self.xi_shape,
             np.stack(factors[K:]),
-            partial_trace(state, self.labels[2:]),
+            MultipartyState(self.labels[2:], self.dims[2:], cx, validate=False),
         )
-        return state
+        return MultipartyState(self.labels, self.dims,
+                               functools.partial(_place_blocks, self.dims, parts),
+                               factors=block_factors)
 
 
 # lw05's fixed layout: the A, B and D dimensions of one block, then C's
@@ -637,6 +649,8 @@ class LW05Family(StateFamily):
     constrained inequality; see lw05_family_sample."""
 
     def __init__(self, blocks: int = 2):
+        if blocks < 1:
+            raise ValueError("need at least one block")
         self.labels = ("A", "B", "C", "D")
         self.blocks = blocks
 
@@ -718,7 +732,7 @@ def measure_and_register(
     if state.factors is not None and party == "A" and sizes == state.factors.a_blocks:
         return MultipartyState(labels, dims + (len(sizes),),
                                functools.partial(_measured_matrix, state, pos, sizes),
-                               factors=state.factors)
+                               validate=False, factors=state.factors)
     return MultipartyState(labels, dims + (len(sizes),), _measured_matrix(state, pos, sizes),
                            validate=False)
 

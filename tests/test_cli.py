@@ -185,6 +185,8 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["search", "--template", "lw05", "--family", "lw05", "--n", "2", "--trials", "1"],
     ["search", "--template", "mi", "--labels", "A,B", "--dims", "2,2",
      "--rank", "1000000000000", "--trials", "1"],
+    ["search", "--template", "lw05", "--family", "lw05", "--blocks", "-1", "--trials", "1"],
+    ["search", "--template", "lw05", "--family", "lw05", "--blocks", "0", "--trials", "1"],
 ])
 def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeypatch):
     """A leading "env:NAME=value" entry sets that environment variable."""

@@ -369,6 +369,8 @@ def test_factored_sigma_matches_the_dense_measurement(state):
     state, and check_theorem's report equals the dense route's."""
     a_blocks = state.factors.a_blocks
     dense = MultipartyState(state.labels, state.dims, state.rho)
+    cx = partial_trace(dense, state.labels[2:]).rho
+    assert np.max(np.abs(state.factors.cx.rho - cx)) <= 1e-15
     h = entropy_vector(measure_and_register(state, "A", a_blocks))
     ref = entropy_vector(measure_and_register(dense, "A", a_blocks))
     assert h.ground == ref.ground
@@ -464,6 +466,12 @@ def test_lw05_family_has_positive_slack_and_zero_residuals():
         assert abs(cmi(h, "A", "B", "D")) <= 1e-9
         slack = cmi(h, "C", "D") - cmi(h, ("A", "B"), "C")
         assert slack > 1e-6
+
+
+@pytest.mark.parametrize("blocks", [0, -1])
+def test_lw05_blocks_below_one_are_refused_by_name(blocks):
+    with pytest.raises(ValueError, match="need at least one block"):
+        LW05Family(blocks)
 
 
 # ------------------------------------------------------------ family layer
@@ -582,6 +590,26 @@ def test_state_validation_catches_bad_input():
     rho = np.array([[0.9, 0.3], [0.1, 0.1]], dtype=complex)  # not hermitian
     with pytest.raises(ValueError):
         MultipartyState(("A",), (2,), rho)
+
+
+def test_function_matrix_is_checked_on_first_read():
+    calls = []
+
+    def state(matrix, **kw):
+        return MultipartyState(("A",), (2,), lambda: calls.append(1) or matrix, **kw)
+
+    for matrix, message in ((np.eye(3) / 3, "matrix shape"),
+                            (np.array([[0.9, 0.3], [0.1, 0.1]]), "not hermitian"),
+                            (np.eye(2), "trace deviates")):
+        lazy = state(matrix)
+        assert calls == []
+        with pytest.raises(ValueError, match=message):
+            lazy.rho
+        calls.clear()
+    # validate=False skips hermiticity and trace, never the shape
+    assert np.array_equal(state(np.eye(2), validate=False).rho, np.eye(2))
+    with pytest.raises(ValueError, match="matrix shape"):
+        state(np.eye(3), validate=False).rho
 
 
 def test_state_rejects_nan_matrix():

@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from entrocone import search
+from entrocone import quantum, search
 from entrocone.inequalities import builtin, template_from_obj, template_to_obj
 from entrocone.setfn import SetFunction, to_obj
 from entrocone.search import (
@@ -86,8 +87,6 @@ def test_one_family_build_per_trial_step_and_replay(monkeypatch, cfg, cls):
 
 
 def test_replay_never_takes_the_factored_route(monkeypatch):
-    from entrocone import quantum
-
     factored = []
     real = quantum._factored_entropies
     monkeypatch.setattr(quantum, "_factored_entropies",
@@ -98,6 +97,38 @@ def test_replay_never_takes_the_factored_route(monkeypatch):
     assert family.build(params).factors is not None
     assert search._replay(family, params, instances[0], cfg.tol) is None
     assert factored == []
+
+
+def test_scan_and_refine_never_place_rho(monkeypatch):
+    placed = []
+    real = quantum._place_blocks
+    monkeypatch.setattr(quantum, "_place_blocks",
+                        lambda dims, parts: placed.append(dims) or real(dims, parts))
+    cfg = SearchConfig(template="c_2", family="constrained", trials=5, seed=1, refine_steps=8)
+    scan, refine = random_scan(cfg), local_refine(cfg)
+    assert scan.n_replayed == 0 and refine.violation is None and refine.steps > 0
+    assert placed == []
+    _, family, instances, _ = search._setup(cfg)
+    assert search._replay(family, family.draw(search._rng(0)), instances[0], cfg.tol) is None
+    assert len(placed) == 1
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda block: block + np.triu(np.full(block.shape, 0.1), 1), "not hermitian"),
+    (lambda block: 1.5 * block, "trace deviates"),
+], ids=["hermiticity", "trace"])
+def test_a_bad_block_is_caught_when_rho_is_read(monkeypatch, corrupt, message):
+    real = quantum._place_blocks
+    monkeypatch.setattr(quantum, "_place_blocks", lambda dims, parts: real(
+        dims, [(corrupt(block), ranges) for block, ranges in parts]))
+    cfg = SearchConfig(template="c_1", family="constrained", n=1, trials=1)
+    _, family, instances, _ = search._setup(cfg)
+    params = family.draw(search._rng(0))
+    state = family.build(params)
+    with pytest.raises(ValueError, match=message):
+        state.rho
+    with pytest.raises(ValueError, match=message):
+        search._replay(family, params, instances[0], cfg.tol)
 
 
 def test_scan_histogram_buckets_are_millibit_floors():
