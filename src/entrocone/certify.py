@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Sequence
 
@@ -109,40 +110,38 @@ class Infeasible:
         return False
 
 
-_to_fractions = np.frompyfunc(Fraction, 1, 1)
-
-
 class _Simplex:
     """Phase-1 simplex with Bland's rule on one dense tableau.
 
     The dtype of `A` picks the arithmetic.  Integers (int64 or Python ints)
-    are lifted to Fractions, so with tol 0 the run is exact and never cycles;
-    Python ints would divide to floats.  A float64 array runs the same rule
-    with entries within `tol` of zero taken as zero; its answer is only a
-    proposal.  Rows are scaled to b >= 0 and start on the artificial basis;
-    the phase-1 objective is the sum of the artificials.
+    run exact and fraction-free: T, b and the reduced costs `red` are Python
+    ints over one denominator D > 0, and with tol 0 the run never cycles;
+    `objective`, `solution` and `dual_prices` read it as Fractions.  A float64
+    array runs the same rule with entries within `tol` of zero taken as zero;
+    its answer is only a proposal.  Rows are scaled to b >= 0 and start on the
+    artificial basis; the phase-1 objective is the sum of the artificials.
     """
 
     def __init__(self, A: np.ndarray, rhs: np.ndarray, tol: float = 0):
         m, n = A.shape
-        if A.dtype != np.float64:
-            A, rhs = _to_fractions(A), _to_fractions(rhs)
-        zero, one = (0.0, 1.0) if A.dtype == np.float64 else (Fraction(0), Fraction(1))
-        self.nrows, self.ncols, self.tol = m, n, tol
+        self.exact = A.dtype != np.float64
+        if self.exact:  # the minors a pivot forms can pass 2**63
+            A, rhs = A.astype(object), rhs.astype(object)
+        self.nrows, self.ncols, self.tol, self.D = m, n, tol, 1
         self.row_sign = np.where(rhs < 0, -1, 1)
-        self.T = np.full((m, n + m), zero, dtype=A.dtype)
+        self.T = np.zeros((m, n + m), dtype=A.dtype)
         self.T[:, :n] = A * self.row_sign[:, None]
-        self.T[np.arange(m), n + np.arange(m)] = one
+        self.T[np.arange(m), n + np.arange(m)] = 1
         self.b = rhs * self.row_sign
         self.basis = list(range(n, n + m))
-        self.red = np.full(n + m, zero, dtype=A.dtype)
+        self.red = np.zeros(n + m, dtype=A.dtype)
         if m:
             self.red[:n] = -self.T[:, :n].sum(axis=0)
         self.pivots = 0
 
     @property
     def objective(self):
-        return sum(v for v, j in zip(self.b, self.basis) if j >= self.ncols)
+        return Fraction(sum(v for v, j in zip(self.b, self.basis) if j >= self.ncols), self.D)
 
     def solve(self, max_pivots: int = 2_000_000):
         T, b, red, tol = self.T, self.b, self.red, self.tol
@@ -154,8 +153,12 @@ class _Simplex:
             rows = np.flatnonzero(T[:, enter] > tol)
             if not len(rows):
                 raise RuntimeError("phase-1 objective unbounded; should not happen")
-            ratios = b[rows] / T[rows, enter]
-            tied = rows[ratios <= ratios.min() + tol]
+            if self.exact:  # compare the ratios b_i / T_ic by cross-multiplication
+                i = min(rows, key=cmp_to_key(lambda i, j: b[i] * T[j, enter] - b[j] * T[i, enter]))
+                tied = rows[b[rows] * T[i, enter] == b[i] * T[rows, enter]]
+            else:
+                ratios = b[rows] / T[rows, enter]
+                tied = rows[ratios <= ratios.min() + tol]
             leave = min(tied, key=self.basis.__getitem__)
             self._pivot(leave, enter)
             if self.pivots > max_pivots:
@@ -176,20 +179,25 @@ class _Simplex:
     def _pivot(self, r: int, c: int):
         T, b, red = self.T, self.b, self.red
         piv = T[r, c]
-        T[r] /= piv
-        b[r] /= piv
-        row = T[r]
-        cols = np.flatnonzero(row)
-        factors = T[:, c].copy()
-        factors[r] = 0
-        rows = np.flatnonzero(factors)
-        if T.dtype == object:
-            # every Fraction operation costs: touch only the nonzero block
-            T[np.ix_(rows, cols)] -= np.outer(factors[rows], row[cols])
+        if self.exact:
+            # fraction-free (Bareiss): row r stays and every other x becomes
+            # (x * piv - x[c] * row_r) / D, exact since each entry is an
+            # integer minor; D becomes |piv|, every sign flipped if piv < 0
+            sign = 1 if piv > 0 else -1
+            d, row, col, br = sign * self.D, T[r].copy(), T[:, c].copy(), b[r]
+            T[:] = (T * piv - np.outer(col, row)) // d
+            b[:] = (b * piv - col * br) // d
+            red[:] = (red * piv - red[c] * row) // d
+            T[r], b[r] = sign * row, sign * br
+            self.D = abs(piv)
         else:
-            T -= np.outer(factors, row)
-        b[rows] -= factors[rows] * b[r]
-        red[cols] -= red[c] * row[cols]
+            T[r] /= piv
+            b[r] /= piv
+            factors = T[:, c].copy()
+            factors[r] = 0
+            T -= np.outer(factors, T[r])
+            b -= factors * b[r]
+            red -= red[c] * T[r]
         self.basis[r] = c
         self.pivots += 1
 
@@ -197,12 +205,12 @@ class _Simplex:
         x = [0] * self.ncols
         for i, var in enumerate(self.basis):
             if var < self.ncols:
-                x[var] = self.b[i]
+                x[var] = Fraction(self.b[i], self.D)
         return x
 
     def dual_prices(self) -> list:
         # y_i = c_art_i - reduced cost of artificial column i, with c_art = 1
-        return list((1 - self.red[self.ncols:]) * self.row_sign)
+        return [Fraction(v, self.D) for v in (self.D - self.red[self.ncols:]) * self.row_sign]
 
 
 _FLOAT_TOL = 1e-9  # the float guide reads entries within this of zero as zero

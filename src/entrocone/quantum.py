@@ -340,6 +340,13 @@ def _place_blocks(dims: Sequence[int], parts) -> np.ndarray:
     return rho
 
 
+def _check_blocks(blocks: int) -> int:
+    """The block count of a block family, once it is at least one."""
+    if blocks < 1:
+        raise ValueError("need at least one block")
+    return blocks
+
+
 @dataclass(frozen=True)
 class FamilyDims:
     """The shape of the constrained family, its one description;
@@ -359,8 +366,7 @@ class FamilyDims:
     def __post_init__(self):
         if len(self.a_blocks) != len(self.b_blocks):
             raise ValueError("a_blocks and b_blocks must list the same number of blocks")
-        if not self.a_blocks:
-            raise ValueError("need at least one block")
+        _check_blocks(len(self.a_blocks))
         if min(self.a_blocks) < 1 or min(self.b_blocks) < 1 or self.dim_c < 1:
             raise ValueError("dimensions must be >= 1")
         for h in self.x_halves:
@@ -649,10 +655,8 @@ class LW05Family(StateFamily):
     constrained inequality; see lw05_family_sample."""
 
     def __init__(self, blocks: int = 2):
-        if blocks < 1:
-            raise ValueError("need at least one block")
         self.labels = ("A", "B", "C", "D")
-        self.blocks = blocks
+        self.blocks = _check_blocks(blocks)
 
     def draw(self, rng) -> np.ndarray:
         # parameterization mirrors the sampler; draw here just forwards a seed
@@ -686,7 +690,7 @@ def lw05_family_sample(blocks: int = 2, seed=0) -> MultipartyState:
     strictly positive.
     """
     da, db, dd, dim_c = LW05_DIMS
-    K = blocks
+    K = _check_blocks(blocks)
     dims = (da * K, db * K, dim_c, dd * K)
     _check_cap(math.prod(dims))
     rng = _rng(seed)

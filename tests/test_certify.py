@@ -326,6 +326,134 @@ def test_shortcuts_pass_the_exact_rechecks(monkeypatch):
     assert not certify._check_combination(fn(gr, {("a",): -3}), [s_a], [Fraction(-3)], [], [])
 
 
+# ------------------------------------------------------------ exact tableau
+
+
+class _FractionTableau:
+    """The exact tableau as it ran before it went fraction-free: every entry
+    a Fraction, each pivot dividing its row, the ratio test on Fraction
+    ratios.  The integer `_Simplex` must match it pivot for pivot."""
+
+    def __init__(self, A, rhs):
+        m, n = A.shape
+        lift = np.frompyfunc(lambda v: Fraction(int(v)), 1, 1)
+        self.ncols, self.row_sign = n, np.where(rhs < 0, -1, 1)
+        self.T = lift(np.concatenate([A * self.row_sign[:, None], np.eye(m, dtype=int)], axis=1))
+        self.b = lift(rhs * self.row_sign)
+        self.red = np.concatenate([-self.T[:, :n].sum(axis=0), lift(np.zeros(m, dtype=int))])
+        self.basis = list(range(n, n + m))
+        self.pivots = 0
+
+    @property
+    def objective(self):
+        return sum(v for v, j in zip(self.b, self.basis) if j >= self.ncols)
+
+    def solve(self):
+        while len(negative := np.flatnonzero(self.red < 0)):
+            enter = negative[0]
+            rows = np.flatnonzero(self.T[:, enter] > 0)
+            ratios = self.b[rows] / self.T[rows, enter]
+            tied = rows[ratios == ratios.min()]
+            self._pivot(min(tied, key=self.basis.__getitem__), enter)
+
+    def enter(self, columns, artificial) -> bool:
+        for c in columns:
+            free = [i for i in np.flatnonzero(self.T[:, c])
+                    if i not in artificial and self.basis[i] == self.ncols + i]
+            if not free:
+                return False
+            self._pivot(free[0], c)
+        return True
+
+    def _pivot(self, r, c):
+        self.b[r] /= self.T[r, c]
+        self.T[r] /= self.T[r, c]
+        for i in range(len(self.T)):
+            if i != r:
+                self.b[i] -= self.T[i, c] * self.b[r]
+                self.T[i] -= self.T[i, c] * self.T[r]
+        self.red -= self.red[c] * self.T[r]
+        self.basis[r] = c
+        self.pivots += 1
+
+    def solution(self):
+        x = [0] * self.ncols
+        for i, var in enumerate(self.basis):
+            if var < self.ncols:
+                x[var] = self.b[i]
+        return x
+
+    def dual_prices(self):
+        return list((1 - self.red[self.ncols:]) * self.row_sign)
+
+
+def _run_traced(tableau, how, columns, artificial):
+    """Run `solve` or `enter` and return its result with the tableau's state
+    (basis, pivots, solution, duals, objective, every entry) after each pivot."""
+    def state():
+        d = getattr(tableau, "D", 1)
+        entries = [Fraction(v, d) for v in (*tableau.T.ravel(), *tableau.b, *tableau.red)]
+        return (list(tableau.basis), tableau.pivots, tableau.solution(),
+                tableau.dual_prices(), tableau.objective, entries)
+
+    states, pivot = [state()], tableau._pivot
+
+    def traced(r, c):
+        pivot(r, c)
+        states.append(state())
+
+    tableau._pivot = traced
+    result = tableau.solve() if how == "solve" else tableau.enter(columns, artificial)
+    return result, states
+
+
+def _assert_matches_fraction_tableau(A, b, how, columns=(), artificial=()):
+    sx = certify._Simplex(A, b)
+    got = _run_traced(sx, how, columns, artificial)
+    assert got == _run_traced(_FractionTableau(A, b), how, columns, artificial)
+    assert sx.D > 0
+    return sx
+
+
+@st.composite
+def integer_lps(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entries = st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n)
+    A = np.array(draw(entries), dtype=np.int64).reshape(m, n)
+    b = np.array(draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)), dtype=np.int64)
+    if draw(st.booleans()):  # Python ints, one entry beyond int64
+        A, b = A.astype(object), b.astype(object)
+        A[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([2**63, -(2**63) - 5, 3**41]))
+    return A, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_lps(), st.data())
+def test_integer_tableau_matches_fraction_tableau(lp, data):
+    A, b = lp
+    m, n = A.shape
+    how = data.draw(st.sampled_from(["solve", "enter"]))
+    columns = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=m))
+    artificial = data.draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m))
+    _assert_matches_fraction_tableau(A, b, how, columns, artificial)
+
+
+def test_enter_on_a_negative_entry_matches_fraction_tableau():
+    A, b = np.array([[-2, 1], [3, 1]]), np.array([1, 4])
+    assert certify._Simplex(A, b).T[0, 0] == -2  # enter's first pivot
+    sx = _assert_matches_fraction_tableau(A, b, "enter", [0, 1])
+    assert sx.basis == [0, 1] and sx.solution() == [Fraction(3, 5), Fraction(11, 5)]
+
+
+def test_exact_fallback_decides_independence_at_n2():
+    target, gens, cons, _, _ = independence_problem(2)
+    exact = cone_membership(target, gens, cons, use_fast_paths=False)
+    assert isinstance(exact, Infeasible) and exact.method == "simplex"
+    assert exact.pivots == 290
+    assert exact.farkas_point == cone_membership(target, gens, cons).farkas_point
+
+
 # ------------------------------------------------------------ problems
 
 

@@ -494,8 +494,10 @@ def test_manifest_digest_stable_across_runs(tmp_path):
      "58d56bc31f1be3cc4ff6b6ad2199c1b80d4eb106d52f0b6af68a189c3f3ce17b"),
     (["certify", "--builtin", "independence", "--n", "2"],
      "a068134e35fe67c5dc61dcaee97fd4e04cf1714462ba75c47bf0db9a0c7b98b1"),
+    (["certify", "--builtin", "independence", "--n", "2", "--no-fast-paths"],
+     "92ae880d3660fb311cd8248bdef70c52cedaf776ba2bb6b0458a1772595c115b"),
 ], ids=["witness-2", "witness-3", "counterexample", "purified", "purified-simplex",
-        "independence-2"])
+        "independence-2", "independence-2-simplex"])
 def test_exact_report_digest_is_pinned(argv, digest, tmp_path):
     # exact reports are byte-reproducible: any change to their JSON moves
     # these digests

@@ -470,8 +470,10 @@ def test_lw05_family_has_positive_slack_and_zero_residuals():
 
 @pytest.mark.parametrize("blocks", [0, -1])
 def test_lw05_blocks_below_one_are_refused_by_name(blocks):
-    with pytest.raises(ValueError, match="need at least one block"):
-        LW05Family(blocks)
+    # the family and the sampler share one rule
+    for make in (LW05Family, lw05_family_sample):
+        with pytest.raises(ValueError, match="need at least one block"):
+            make(blocks)
 
 
 # ------------------------------------------------------------ family layer
