@@ -301,6 +301,8 @@ def cmd_search(args) -> int:
     msg = f"search {scan.template}: min slack {scan.min_slack}"
     if scan.n_admissible == 0:
         msg += " -- no instance was admissible"
+    if "refine" in obj and obj["refine"].accepted == 0:
+        msg += " -- refinement accepted no step"
     if violated:
         msg += " -- VIOLATION"
     print(msg, file=sys.stderr)

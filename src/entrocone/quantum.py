@@ -4,12 +4,15 @@ Entropies are von Neumann entropies in bits (base-2 logs), -sum w log2 w
 over a marginal's eigenvalues w > 0, on every route.  Comparisons on float
 results use absolute tolerances; the eigenvalues <= 0 that rounding leaves
 are dropped from the log and their mass is reported, never silently ignored.
+`entropy_table` takes a batch of states of one layout in one pass (one
+`eigvalsh` call per dimension per level of marginals), and gives each state
+the values it gets alone; `entropy_vector` is its one-state case.
 
 The constrained family sampled here carries a block decomposition on two
 parties: conditioned on the block index k, the state factorizes between the
 (A, B, x-first-half) side and the (C, x-second-half) side, which makes both
 conditional-independence constraints hold identically.  A state the family
-builds is those factors and rho's (C, X1..Xn) marginal: `entropy_vector`
+builds is those factors and rho's (C, X1..Xn) marginal: `entropy_table`
 reads only them, and the dense rho is placed from the blocks, and checked,
 only if something reads it.  The state measured into the block register R
 (`measure_and_register` on A in those blocks, as `check_theorem` does)
@@ -27,7 +30,7 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -164,44 +167,45 @@ def partial_trace(state: MultipartyState, keep) -> MultipartyState:
     )
 
 
-def _entropy_from_eigs(w: np.ndarray) -> tuple[float, float]:
+def _spectrum_entropy(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy -sum w log2 w over the entries w > 0 of each row of `w`
+    (..., d), and the mass of the others (eigenvalues rounding left <= 0)."""
     pos = w > 0.0
-    clipped = float(np.abs(w[~pos]).sum())
-    w = w[pos]
-    if w.size == 0:
-        return 0.0, clipped
-    return float(-(w * np.log2(w)).sum()), clipped
+    return (-(w * np.log2(np.where(pos, w, 1.0))).sum(-1),
+            np.abs(np.where(pos, 0.0, w)).sum(-1))
 
 
 def von_neumann_entropy(state) -> float:
     """Entropy in bits of a MultipartyState or a raw density matrix."""
     rho = state.rho if isinstance(state, MultipartyState) else np.asarray(state)
-    s, _ = _entropy_from_eigs(np.linalg.eigvalsh(rho))
-    return s
+    return float(_spectrum_entropy(np.linalg.eigvalsh(rho))[0])
 
 
 def _trace_one(stack: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:
-    """Trace party `pos` of parties `dims` out of every matrix of `stack` (T, d, d)."""
+    """Trace party `pos` of parties `dims` out of every matrix of `stack` (T, d, d),
+    adding diagonal blocks in index order: no marginal depends on the stack."""
     pre, dk, post = math.prod(dims[:pos]), dims[pos], math.prod(dims[pos + 1:])
     t = stack.reshape(-1, pre, dk, post, pre, dk, post)
-    return np.einsum("taibcid->tabcd", t).reshape(-1, pre * post, pre * post)
+    out = t[:, :, 0, :, :, 0]
+    for i in range(1, dk):
+        out = out + t[:, :, i, :, :, i]
+    return out.reshape(-1, pre * post, pre * post)
 
 
-def _support_entropy(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entropies and clipped masses of the Hermitian matrices of `stack`
-    (T, d, d), diagonalized on their common support.  A row (and, by
-    hermiticity, its column) that is zero in every matrix adds only zero
-    eigenvalues, so it is removed first.  Only rows whose diagonal is zero
-    in every matrix are scanned, and only when some diagonal entry is zero,
-    so a dense stack goes straight to `eigvalsh`."""
+def _supports(stack: np.ndarray) -> list[tuple]:
+    """The matrices of `stack` (T, d, d), each cut to its own support, as
+    (rows of `stack`, cut stack) pairs, one per support.  A row (and, by
+    hermiticity, its column) that is zero adds only a zero eigenvalue, so
+    it is removed.  Only a row whose diagonal entry is zero can be, so a
+    stack with no zero on its diagonal is one pair, uncut."""
     diag = stack.diagonal(axis1=1, axis2=2)
-    if not diag.all():
-        keep = diag.any(axis=0)
-        low = ~keep
-        keep[low] = stack[:, low].any(axis=(0, 2))
-        stack = stack[:, keep][:, :, keep]
-    s, clipped = zip(*map(_entropy_from_eigs, np.linalg.eigvalsh(stack)))
-    return np.array(s), np.array(clipped)
+    if diag.all():
+        return [(slice(None), stack)]
+    keep = (diag != 0) | stack.any(axis=2)
+    rows: dict[bytes, list[int]] = {}
+    for t, row in enumerate(keep):
+        rows.setdefault(row.tobytes(), []).append(t)
+    return [(ts, stack[np.ix_(ts, keep[ts[0]], keep[ts[0]])]) for ts in rows.values()]
 
 
 def _marginal_entropies(stack: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +215,10 @@ def _marginal_entropies(stack: np.ndarray, dims: Sequence[int]) -> tuple[np.ndar
 
     Each level's marginals are traced from the level above, one party at a
     time.  A party of dimension 1 is never traced: a mask holding one takes
-    the values of the mask without it.
+    the values of the mask without it.  Every marginal of a level is cut
+    to its support, and the level makes one `eigvalsh` call per dimension
+    the cuts leave.  Each matrix's values are computed alone, whatever else
+    the stack holds.
     """
     m = len(dims)
     values = np.zeros((len(stack), 1 << m))
@@ -220,16 +227,25 @@ def _marginal_entropies(stack: np.ndarray, dims: Sequence[int]) -> tuple[np.ndar
     full = sum(1 << i for i in live)
     level = {full: stack}
     for count in range(len(live), 0, -1):
+        by_dim: dict[int, list] = {}
         next_level: dict[int, np.ndarray] = {}
         for mask, mat in level.items():
-            idxs = [i for i in live if mask >> i & 1]
-            values[:, mask], clipped[:, mask] = _support_entropy(mat)
+            for rows, cut in _supports(mat):
+                by_dim.setdefault(cut.shape[-1], []).append((mask, rows, cut))
             if count > 1:
+                idxs = [i for i in live if mask >> i & 1]
                 sub = [dims[i] for i in idxs]
                 for pos, i in enumerate(idxs):
                     child = mask & ~(1 << i)
                     if child not in next_level:
                         next_level[child] = _trace_one(mat, sub, pos)
+        for group in by_dim.values():
+            w = np.linalg.eigvalsh(np.concatenate([cut for _, _, cut in group]))
+            s, c = _spectrum_entropy(w)
+            at = 0
+            for mask, rows, cut in group:
+                values[rows, mask], clipped[rows, mask] = s[at:at + len(cut)], c[at:at + len(cut)]
+                at += len(cut)
         level = next_level
     masks = np.arange(1 << m) & full
     return values[:, masks], clipped[:, masks]
@@ -248,9 +264,10 @@ def _block_masks(n: int) -> tuple[np.ndarray, ...]:
     return maps
 
 
-def _factored_entropies(state: MultipartyState) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy and clipped mass of every marginal of a state that carries
-    block factors, by mask, from the spectra those factors hold.
+def _factored_entropies(states: Sequence[MultipartyState]) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy and clipped mass of every marginal of each of `states`, which
+    carry block factors of one layout, as (T, masks) arrays, from the
+    spectra those factors hold.
 
     For rho = sum_k p_k chi_k (x) xi_k, a marginal J that meets A or B keeps
     the blocks apart, so its spectrum is the union over k of
@@ -266,43 +283,48 @@ def _factored_entropies(state: MultipartyState) -> tuple[np.ndarray, np.ndarray]
     is rho's S(J), since A and B each identify the block and R adds nothing;
     for J inside C and the X's it is a new value (H(p) for R alone).
     """
-    f = state.factors
-    n = len(f.xi_shape) - 1
+    n = len(states[0].factors.xi_shape) - 1
     blocks, chi_of, xi_of = _block_masks(n)
-    (chi_s, chi_c), (xi_s, xi_c), (cx_s, cx_c) = f.spectra
-    p = f.weights
-    h_p, clip_p = _entropy_from_eigs(p)
-    split_s = h_p + p @ (chi_s[:, chi_of] + xi_s[:, xi_of])
-    split_c = clip_p + p @ (chi_c[:, chi_of] + xi_c[:, xi_of])
-    values = np.where(blocks, split_s, cx_s[xi_of])
-    clipped = np.where(blocks, split_c, cx_c[xi_of])
-    if state.ground.size == n + 3:
+    chi_s, chi_c, xi_s, xi_c, cx_s, cx_c = _factor_spectra([s.factors for s in states])
+    p = np.array([s.factors.weights for s in states])
+    h_p, clip_p = _spectrum_entropy(p)
+    p = p[:, :, None]  # each trial's weights on its own blocks, summed in block order
+    split_s = h_p[:, None] + (p * (chi_s[:, :, chi_of] + xi_s[:, :, xi_of])).sum(1)
+    split_c = clip_p[:, None] + (p * (chi_c[:, :, chi_of] + xi_c[:, :, xi_of])).sum(1)
+    values = np.where(blocks, split_s, cx_s[:, xi_of])
+    clipped = np.where(blocks, split_c, cx_c[:, xi_of])
+    if states[0].ground.size == n + 3:
         return values, clipped
-    return np.concatenate((values, split_s)), np.concatenate((clipped, split_c))
+    return np.hstack((values, split_s)), np.hstack((clipped, split_c))
+
+
+def entropy_table(states: Sequence[MultipartyState]) -> tuple[np.ndarray, np.ndarray]:
+    """Entropies and clipped masses of every marginal of each of `states`,
+    as (T, 2^m) float arrays indexed by party mask (mask 0 holds zeros).
+
+    The states must share parties, dims and layout, as one family's builds
+    do.  Their matrices are stacked and go through `_marginal_entropies`
+    together; states that carry block factors (ConstrainedFamily builds, or
+    their measured states) stack their factors instead, whose spectra the
+    first such call computes and every later one, for rho or its measured
+    state, reads.  Each state's values are those it gets alone.
+    """
+    if states[0].factors is None:
+        return _marginal_entropies(np.array([s.rho for s in states]), states[0].dims)
+    return _factored_entropies(states)
 
 
 def entropy_vector(state: MultipartyState, diagnostics: dict | None = None) -> SetFunction:
-    """Entropies of every nonempty marginal, as a float64 set function.
-
-    A state that carries block factors (one ConstrainedFamily.build made,
-    or its measured state) takes its values from the spectra of those
-    factors, which the first such call computes and every later one, for
-    either state, reads.  Any other state, and the marginals of a factored
-    one that mix the blocks, go through `_marginal_entropies`, which
-    diagonalizes each marginal on its support, so the empty index
-    combinations of a block-structured state (a measured register's other
-    outcomes) cost nothing.  When a `diagnostics` dict is supplied,
+    """Entropies of every nonempty marginal, as a float64 set function: the
+    one-state `entropy_table`.  When a `diagnostics` dict is supplied,
     "clipped_mass" is raised to the largest mass of eigenvalues <= 0
     (rounding) dropped from any one marginal.
     """
-    if state.factors is None:
-        values, clipped = (a[0] for a in _marginal_entropies(state.rho[None], state.dims))
-    else:
-        values, clipped = _factored_entropies(state)
+    values, clipped = entropy_table([state])
     if diagnostics is not None:
         diagnostics["clipped_mass"] = max(diagnostics.get("clipped_mass", 0.0),
                                           float(clipped.max()))
-    return SetFunction(state.ground, values.tolist(), domain="float64")
+    return SetFunction(state.ground, values[0].tolist(), domain="float64")
 
 
 def purify(state: MultipartyState) -> MultipartyState:
@@ -395,6 +417,7 @@ class BlockFactors:
     xi_shape: tuple
     xis: np.ndarray
     cx: MultipartyState
+    spectra: tuple | None = field(default=None, init=False, repr=False)  # see _factor_spectra
 
     @property
     def a_blocks(self) -> tuple[int, ...]:
@@ -404,18 +427,6 @@ class BlockFactors:
             for k in ks:
                 sizes[k] = shape[0]
         return tuple(sizes)
-
-    @functools.cached_property
-    def spectra(self):
-        """(entropies, clipped masses) of every marginal, by mask, of each
-        chi_k, of each xi_k (both (K, masks)) and of `cx` (masks,): computed
-        on first read, then shared by rho and its measured state."""
-        chi_s = np.zeros((self.weights.size, 1 << (len(self.xi_shape) + 1)))
-        chi_c = np.zeros_like(chi_s)
-        for shape, ks, stack in self.chis:
-            chi_s[list(ks)], chi_c[list(ks)] = _marginal_entropies(stack, shape)
-        cx_s, cx_c = _marginal_entropies(self.cx.rho[None], self.cx.dims)
-        return (chi_s, chi_c), _marginal_entropies(self.xis, self.xi_shape), (cx_s[0], cx_c[0])
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         """rho's marginals on (A, B, C) and on (X1..Xn), rebuilt from the
@@ -444,6 +455,26 @@ class BlockFactors:
         d = x.shape[0]
         x = x.reshape((x_first + x_second) * 2).transpose(rows + [a + 2 * n for a in rows])
         return abc, x.reshape(d, d)
+
+
+def _factor_spectra(fs: Sequence[BlockFactors]) -> list[np.ndarray]:
+    """(chi, chi clipped, xi, xi clipped, cx, cx clipped) of the block factors
+    `fs`: entropies and clipped masses by mask, (T, K, masks) for the chi_k
+    and xi_k, (T, masks) for cx.  Those not yet known are computed in one
+    pass over each stack and kept on their factors, for rho and sigma."""
+    new = [f for f in fs if f.spectra is None]
+    if new:
+        T, K, first = len(new), new[0].weights.size, new[0]
+        chi = np.zeros((2, T, K, 1 << (len(first.xi_shape) + 1)))
+        for g, (shape, ks, _) in enumerate(first.chis):
+            got = _marginal_entropies(np.concatenate([f.chis[g][2] for f in new]), shape)
+            chi[:, :, list(ks)] = np.reshape(got, (2, T, len(ks), -1))
+        xi = np.reshape(_marginal_entropies(np.concatenate([f.xis for f in new]),
+                                            first.xi_shape), (2, T, K, -1))
+        cx = _marginal_entropies(np.array([f.cx.rho for f in new]), first.cx.dims)
+        for f, row in zip(new, zip(*chi, *xi, *cx)):
+            object.__setattr__(f, "spectra", row)
+    return [np.array(a) for a in zip(*(f.spectra for f in fs))]
 
 
 def _split_marginals(stack: np.ndarray, d_first: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,8 @@
 
 A search draws states from a parameterized family (the families live in
 `quantum`), evaluates every admissible instance of a template on each
-state's entropy vector, and reports the worst slack seen.  A violation is
+state's entropies, taken for a chunk of trials in one `entropy_table`
+pass, and reports the worst slack seen.  A violation is
 only reported when the instance's constraint residuals also pass, and every
 violation is revalidated from its recorded seed before being believed.
 """
@@ -33,7 +34,7 @@ from .quantum import (
     LW05Family,
     StateFamily,
     _rng,
-    entropy_vector,
+    entropy_table,
     partial_trace,
     trial_seed,
     von_neumann_entropy,
@@ -43,6 +44,9 @@ from .setfn import GroundSet, SetFunction, check_tol
 FAMILIES = ("haar-mixed", "diagonal", "constrained", "constrained-diagonal", "lw05")
 PENALTY = 1000.0  # local_refine's weight on the squared constraint residuals
 STEP = 0.1  # local_refine's first step size
+# random_scan's chunk: trials whose largest stacked matrices fit in these
+# bytes (one trial at least), so memory stays flat in the trial count
+CHUNK_BYTES = 1 << 17
 
 
 @dataclass
@@ -138,10 +142,10 @@ def _instances_for(
 
 def _setup(cfg: SearchConfig):
     """Template, family, instances and their compiled evaluation `values`
-    of a scan or walk.
-
-    `values(h)` gives every instance's value and constraint values on the
-    entropy vector h, as one float64 matrix product.
+    of a scan or walk: each state's instance values (T, rows) and constraint
+    values (T, rows, constraints) from one `entropy_table`, the float64
+    coefficients summed over the terms in order (a BLAS product rounds by
+    memory placement, which would tie a trial's slack to its chunk).
     """
     template = resolve_template(cfg)
     family = family_for(cfg, template)
@@ -149,18 +153,27 @@ def _setup(cfg: SearchConfig):
     if not instances:
         raise ValueError("no instances to evaluate")
     compiled = CompiledTemplate(template)
-    masks = slot_mask_matrix(instances, len(template.slots))
+    terms = slot_mask_matrix(instances, len(template.slots)) @ compiled.incidence
 
-    def values(h) -> tuple[np.ndarray, np.ndarray]:
-        v = compiled.bind(h).evaluate(masks)
-        return v[:, 0], v[:, 1:]
+    def values(states) -> tuple[np.ndarray, np.ndarray]:
+        table = entropy_table(states)[0][:, terms]
+        v = np.zeros(table.shape[:2] + compiled.shape[1:])
+        for j, coefs in enumerate(compiled.floats):
+            v += table[..., j, None] * coefs
+        return v[..., 0], v[..., 1:]
 
     return template, family, instances, values
 
 
+def _state_bytes(state) -> int:
+    """The bytes of the largest matrix `entropy_table` stacks for `state`: its
+    own, or with block factors their (C, X1..Xn) marginal."""
+    return 16 * (state if state.factors is None else state.factors.cx).total_dim ** 2
+
+
 def _replay(family: StateFamily, params, inst: Instance, tol: float) -> dict | None:
     """Rebuild the state from `params` and re-evaluate `inst` on entropies
-    taken apart from the scan's `entropy_vector` (a dense eigvalsh of each
+    taken apart from the scan's `entropy_table` (a dense eigvalsh of each
     subset's `partial_trace`); the violation record if it holds, else None."""
     state = family.build(params)
     gr = state.ground
@@ -195,6 +208,8 @@ class ScanReport:
 
 def random_scan(cfg: SearchConfig) -> ScanReport:
     """Evaluate a template over `trials` random states; deterministic in seed.
+    Trials are built one at a time and evaluated a chunk (`CHUNK_BYTES`) at
+    a time, and the report does not depend on the chunk.
 
     Tracks the minimum slack over admissible instances (constraint residuals
     within tolerance); any violation is recomputed from its seed before being
@@ -210,45 +225,50 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
     n_adm = 0
     n_replayed = 0
 
+    chunk: list = []  # (trial, seed, state)
     for t in range(cfg.trials):
         seed = trial_seed(cfg.seed, t)
-        state = family.build(family.draw(_rng(seed)))
-        vals, cons = values(entropy_vector(state))
-        resid = np.abs(cons).max(axis=1, initial=0.0)
-        adm = np.flatnonzero(~(resid > cfg.tol))
-        n_eval += len(vals)
-        n_adm += len(adm)
-        best = best_inst = best_resid = None
-        if len(adm):
-            histogram.update(np.floor(vals[adm] / 1e-3).astype(np.int64).tolist())
-            i = adm[np.argmin(vals[adm])]
-            best, best_inst, best_resid = float(vals[i]), instances[i], float(resid[i])
-        records.append(
-            {
-                "trial": t,
-                "seed": f"{seed[0]}:{seed[1]}",
-                "min_slack": best,
-                "argmin_instance": best_inst.describe() if best_inst else "",
-                "max_residual": best_resid,
-            }
-        )
-        if best is None:
+        chunk.append((t, seed, family.build(family.draw(_rng(seed)))))
+        if t + 1 < cfg.trials and (len(chunk) + 1) * _state_bytes(chunk[0][2]) <= CHUNK_BYTES:
             continue
-        if min_slack is None or best < min_slack:
-            min_slack = best
-            argmin = {
-                "trial": t,
-                "seed": list(seed),
-                "instance": best_inst.describe(),
-                "value": best,
-                "residual": best_resid,
-            }
-        if best < -cfg.tol:
-            # rebuild independently from the recorded seed before reporting
-            n_replayed += 1
-            replayed = _replay(family, family.draw(_rng(seed)), best_inst, cfg.tol)
-            if replayed is not None:
-                violations.append({"trial": t, "seed": list(seed), **replayed})
+        chunk_vals, chunk_cons = values([state for *_, state in chunk])
+        chunk_resid = np.abs(chunk_cons).max(axis=2, initial=0.0)
+        for (t, seed, _), vals, resid in zip(chunk, chunk_vals, chunk_resid):
+            adm = np.flatnonzero(~(resid > cfg.tol))
+            n_eval += len(vals)
+            n_adm += len(adm)
+            best = best_inst = best_resid = None
+            if len(adm):
+                histogram.update(np.floor(vals[adm] / 1e-3).astype(np.int64).tolist())
+                i = adm[np.argmin(vals[adm])]
+                best, best_inst, best_resid = float(vals[i]), instances[i], float(resid[i])
+            records.append(
+                {
+                    "trial": t,
+                    "seed": f"{seed[0]}:{seed[1]}",
+                    "min_slack": best,
+                    "argmin_instance": best_inst.describe() if best_inst else "",
+                    "max_residual": best_resid,
+                }
+            )
+            if best is None:
+                continue
+            if min_slack is None or best < min_slack:
+                min_slack = best
+                argmin = {
+                    "trial": t,
+                    "seed": list(seed),
+                    "instance": best_inst.describe(),
+                    "value": best,
+                    "residual": best_resid,
+                }
+            if best < -cfg.tol:
+                # rebuild independently from the recorded seed before reporting
+                n_replayed += 1
+                replayed = _replay(family, family.draw(_rng(seed)), best_inst, cfg.tol)
+                if replayed is not None:
+                    violations.append({"trial": t, "seed": list(seed), **replayed})
+        chunk = []
 
     return ScanReport(
         config=cfg.summary(),
@@ -299,7 +319,7 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
     start_seed = tuple(start_seed) if isinstance(start_seed, (tuple, list)) else (start_seed,)
 
     def objective(params):
-        vals, cons = values(entropy_vector(family.build(params)))
+        vals, cons = (v[0] for v in values([family.build(params)]))
         objs = vals + PENALTY * (cons * cons).sum(axis=1)
         i = int(np.argmin(objs))
         resid = float(np.abs(cons[i]).max(initial=0.0))

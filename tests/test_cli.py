@@ -436,6 +436,19 @@ def test_search_refine_flag(tmp_path):
         "violation", "violation_found"}
 
 
+@pytest.mark.parametrize("argv, stuck", [
+    # lw05's parameters are two seeds: 24 steps, none accepted
+    (["--template", "lw05", "--family", "lw05", "--trials", "10", "--seed", "107"], True),
+    (["--template", "ssa", "--labels", "A,B,C", "--dims", "2,2,2", "--trials", "5"], False),
+], ids=["lw05", "ssa"])
+def test_search_says_when_refinement_accepts_no_step(argv, stuck, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(["search", *argv, "--refine", "40", "--out", str(out)]) == 0
+    refine = json.loads(out.read_text())["report"]["refine"]
+    assert (refine["accepted"] == 0, refine["steps"] > 0) == (stuck, True)
+    assert ("-- refinement accepted no step" in capsys.readouterr().err) == stuck
+
+
 # ------------------------------------------------------------ certify
 
 

@@ -21,7 +21,7 @@ from entrocone.inequalities import (
     satisfies,
 )
 from entrocone.quantum import _rng, entropy_vector, trial_seed
-from entrocone.setfn import FLOAT64, GroundSet, SetFunction
+from entrocone.setfn import FLOAT64, GroundSet, SetFunction, to_obj
 
 FLOAT_TOL = 1e-12
 
@@ -241,3 +241,40 @@ def test_scan_records_match_reference_loop(cfg):
             chosen = next(i for i in instances if i.describe() == rec["argmin_instance"])
             assert _close(chosen.functional.evaluate(h), best)
     assert (rep.n_evaluations, rep.n_admissible) == (n_eval, n_adm)
+
+
+SCAN_PLANS = {
+    "haar-dim-1-rank-1": dict(template="ssa", labels=("A", "B", "C"), dims=(2, 1, 3), rank=1),
+    "diagonal": dict(template="wmo", family="diagonal", labels=("A", "B", "C"), dims=(2, 2, 2)),
+    "constrained": dict(template="c_1", family="constrained", n=1),
+    "constrained-diagonal": dict(template="c_2", family="constrained-diagonal", n=2),
+    "lw05": dict(template="lw05", family="lw05"),  # block zeros: the support cut
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(plan=st.sampled_from(sorted(SCAN_PLANS)), trials=st.integers(1, 9).map(lambda k: 2 * k + 1),
+       seed=st.integers(0, 2**16))
+def test_scan_does_not_depend_on_the_chunk(plan, trials, seed):
+    """One trial a chunk, two, and the default chunk give the same report, to
+    the bit; each trial's slack is the one-state entropy vector's."""
+    cfg = search.SearchConfig(**SCAN_PLANS[plan], trials=trials, seed=seed)
+    _, family, instances, _ = search._setup(cfg)
+    size = search._state_bytes(family.build(family.draw(_rng(0))))
+    assert trials % max(search.CHUNK_BYTES // size, 1) != 0
+    reports = []
+    for budget in (1, 2 * size, search.CHUNK_BYTES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "CHUNK_BYTES", budget)
+            reports.append(search.random_scan(cfg))
+    one = reports[0]
+    for rep in reports[1:]:
+        assert rep.trial_records == one.trial_records
+        assert (rep.histogram, rep.argmin, rep.n_admissible) == (
+            one.histogram, one.argmin, one.n_admissible)
+        assert to_obj(rep) == to_obj(one)
+    for rec in one.trial_records:
+        h = entropy_vector(family.build(family.draw(_rng(trial_seed(seed, rec["trial"])))))
+        best = reference_trial(instances, h, cfg.tol)[2]
+        assert (rec["min_slack"] is None) == (best is None)
+        assert best is None or _close(rec["min_slack"], best)

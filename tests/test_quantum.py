@@ -282,7 +282,40 @@ def test_marginal_entropies_do_not_depend_on_the_stack(dims, size, data, seed):
     at = data.draw(st.integers(0, size - 1))
     inside = _marginal_entropies(np.roll(stack, at, axis=0), dims)
     for got, want in zip(inside, alone):
-        assert np.max(np.abs(got[at] - want[0])) <= 1e-12
+        assert np.array_equal(got[at], want[0])  # each matrix is cut and diagonalized alone
+
+
+def _measured(seed, zero_block=None):
+    """A dense measured state of one constrained shape (C of dimension 1):
+    block diagonal in A and in R, so rows vanish in its matrix and in every
+    marginal on A or R; with `zero_block`, that block has weight zero and
+    its rows vanish as well."""
+    dims = FamilyDims((1, 2), (2, 1), 1, ((2, 1),))
+    family = ConstrainedFamily(dims)
+    params = family.draw(_rng(seed))
+    if zero_block is not None:
+        params[zero_block] = 0.0
+    dense = MultipartyState(family.labels, family.dims, family.build(params).rho)
+    return measure_and_register(dense, "A", dims.a_blocks)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds=st.lists(SEEDS, min_size=2, max_size=4), zero=st.integers(0, 1))
+def test_grouped_kernel_matches_each_marginal(seeds, zero):
+    """One stack whose marginals cut to different dimensions (one state has
+    a block of weight zero): every value and clipped mass is that of its
+    marginal's own dense eigvalsh."""
+    states = [_measured(s) for s in seeds[1:]] + [_measured(seeds[0], zero)]
+    stack = np.stack([s.rho for s in states])
+    assert len(quantum._supports(stack)) == 2
+    values, clipped = _marginal_entropies(stack, states[0].dims)
+    gr = states[0].ground
+    for t, state in enumerate(states):
+        for mask in gr.iter_masks():
+            marginal = partial_trace(state, gr.labels_of(mask))
+            w = np.linalg.eigvalsh(marginal.rho)
+            assert abs(values[t, mask] - von_neumann_entropy(marginal)) <= 1e-12
+            assert abs(clipped[t, mask] - np.abs(w[w <= 0]).sum()) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -338,7 +371,7 @@ def test_check_theorem_takes_two_entropy_vectors_both_factored(monkeypatch):
     monkeypatch.setattr(quantum, "entropy_vector",
                         lambda st, **kw: calls.append(st.labels) or real_vector(st, **kw))
     monkeypatch.setattr(quantum, "_factored_entropies",
-                        lambda st: factored.append(st.labels) or real_factored(st))
+                        lambda sts: factored.extend(s.labels for s in sts) or real_factored(sts))
     monkeypatch.setattr(quantum, "_measured_matrix",
                         lambda *a: pytest.fail("dense sigma was built"))
     dims = FamilyDims.default(2)

@@ -7,7 +7,7 @@ import pytest
 
 from entrocone import quantum, search
 from entrocone.inequalities import builtin, template_from_obj, template_to_obj
-from entrocone.setfn import SetFunction, to_obj
+from entrocone.setfn import to_obj
 from entrocone.search import (
     ConstrainedFamily,
     DiagonalFamily,
@@ -51,15 +51,15 @@ def test_scan_finds_planted_violation_quickly():
 
 
 def test_replay_does_not_trust_the_scan_entropies(monkeypatch):
-    """A scan whose entropy vectors are wrong (negated, so every ssa slack
+    """A scan whose entropies are wrong (negated, so every ssa slack
     looks negative) must not get a violation past the replay."""
-    scan_entropy = search.entropy_vector
+    scan_entropies = search.entropy_table
 
-    def negated(state):
-        h = scan_entropy(state)
-        return SetFunction(h.ground, [-v for v in h.values], domain=h.domain)
+    def negated(states):
+        values, clipped = scan_entropies(states)
+        return -values, clipped
 
-    monkeypatch.setattr(search, "entropy_vector", negated)
+    monkeypatch.setattr(search, "entropy_table", negated)
     cfg = SearchConfig(template="ssa", family="haar-mixed", labels=("A", "B", "C"),
                        dims=(2, 2, 2), trials=5, seed=4)
     rep = random_scan(cfg)
