@@ -12,16 +12,17 @@ The constrained family sampled here carries a block decomposition on two
 parties: conditioned on the block index k, the state factorizes between the
 (A, B, x-first-half) side and the (C, x-second-half) side, which makes both
 conditional-independence constraints hold identically.  A state the family
-builds is those factors and rho's (C, X1..Xn) marginal: `entropy_table`
-reads only them, and the dense rho is placed from the blocks, and checked,
-only if something reads it.  The state measured into the block register R
-(`measure_and_register` on A in those blocks, as `check_theorem` does)
-shares the factors, and its entropy vector is an index map over the
-spectra they already hold; its dense matrix too is built only if read.
-Every other state, and every other entropy path (`partial_trace`,
-`von_neumann_entropy`, a measurement in other blocks), is dense, and
-`check_theorem`'s `marginal_drift` compares the factors with the dense
-matrix.
+builds is given as its blocks p_k chi_k (x) xi_k, with those factors and
+rho's (C, X1..Xn) marginal: `entropy_table` reads only the factors, and
+`partial_trace` traces the blocks one by one.  The state measured into the
+block register R (`measure_and_register` on A in those blocks, as
+`check_theorem` does) shares the factors and the blocks, and its entropy
+vector is an index map over the spectra the factors already hold.  So
+`check_theorem`, whose `marginal_drift` compares the blocks' marginals with
+the same marginals rebuilt from the factors, never places the dense rho or
+sigma: only a reader of `.rho` (the search replay, `purify`, a measurement
+in other blocks) places it, under the cap, and checks it.  Every other
+state, and `von_neumann_entropy`, is dense.
 """
 
 from __future__ import annotations
@@ -54,12 +55,10 @@ def dim_cap() -> int:
     return DEFAULT_DIM_CAP
 
 
-def _check_cap(total: int):
+def _check_cap(total: int, what: str = "total dimension"):
     cap = dim_cap()
     if total > cap:
-        raise ValueError(
-            f"total dimension {total} exceeds cap {cap} (set ENTROPIC_MAX_DIM to raise it)"
-        )
+        raise ValueError(f"{what} {total} exceeds cap {cap} (set ENTROPIC_MAX_DIM to raise it)")
 
 
 def _rng(seed) -> np.random.Generator:
@@ -85,35 +84,51 @@ def trial_seed(base_seed: int, trial: int) -> tuple[int, int]:
 class MultipartyState:
     """Density matrix over an ordered tuple of labeled parties.
 
-    The matrix is indexed row-major by the party order.  It is checked for
-    shape, hermiticity, and unit trace (a NaN or infinite entry fails them);
-    `validate=False` skips the last two (internal use on matrices that are
-    valid by construction).  `factors` is None except on the states
-    ConstrainedFamily.build makes, which carry their own BlockFactors, and on
-    the measured states `measure_and_register` makes of them, which share
-    those factors and add the register R as their last party.  `rho` may be
-    a function returning the matrix: it is called, checked and kept on the
-    first read of `.rho`, so a family state's or a measured state's matrix
-    is built only if something reads it.
+    The matrix is indexed row-major by the party order, and given either as
+    an array or, with `blocks`, as (block, ranges) pairs: square blocks,
+    each summed onto the row-major product of its per-party (start, stop)
+    index ranges (see `_place_blocks`).  An array is checked for shape,
+    hermiticity and unit trace when the state is made (a NaN or infinite
+    entry fails them).  Blocks are checked the same way, block by block, on
+    the first read of `.blocks`; `.rho` places them, under the cap, and
+    checks the placed matrix on its first read, so a constrained state's
+    matrix is built only if something reads `.rho`.  `validate=False`
+    skips hermiticity and trace (internal use on matrices that are valid by
+    construction), never the shape.  `factors` is None except on the
+    states ConstrainedFamily.build makes, which carry their own
+    BlockFactors, and on the measured states `measure_and_register` makes
+    of them, which share those factors and add the register R as their
+    last party.
     """
 
-    __slots__ = ("ground", "dims", "factors", "_rho", "_validate")
+    __slots__ = ("ground", "dims", "factors", "_rho", "_blocks", "_validate", "_unchecked")
 
-    def __init__(self, labels, dims, rho, validate: bool = True,
-                 factors: BlockFactors | None = None):
+    def __init__(self, labels, dims, rho=None, validate: bool = True,
+                 factors: BlockFactors | None = None, blocks=None):
         self.ground = GroundSet(labels)
         self.factors = factors
         self.dims = tuple(int(d) for d in dims)
         _total_dim(self.labels, self.dims)
-        self._rho, self._validate = rho, validate
-        if not callable(rho):
-            self._rho = self._checked(rho)
+        self._validate = validate
+        if blocks is None:
+            self._rho, self._blocks, self._unchecked = self._checked(rho), None, False
+        else:
+            self._rho, self._blocks, self._unchecked = None, tuple(blocks), True
 
     @property
     def rho(self) -> np.ndarray:
-        if callable(self._rho):
-            self._rho = self._checked(self._rho())
+        if self._rho is None:
+            self._rho = self._checked(_place_blocks(self.dims, self.blocks))
         return self._rho
+
+    @property
+    def blocks(self) -> tuple | None:
+        """The (block, ranges) pairs the matrix is placed from, or None for
+        a state given as an array."""
+        if self._unchecked:
+            self._check_blocks()
+            self._unchecked = False
+        return self._blocks
 
     def _checked(self, rho) -> np.ndarray:
         total = self.total_dim
@@ -122,12 +137,29 @@ class MultipartyState:
             raise ValueError(f"matrix shape {rho.shape} does not match total dim {total}")
         if self._validate:
             herm = np.max(np.abs(rho - rho.conj().T)) if total else 0.0
-            if not herm <= STATE_ATOL:
-                raise ValueError(f"matrix not hermitian (deviation {herm:.3e})")
-            tr = abs(np.trace(rho) - 1.0)
-            if not tr <= STATE_ATOL:
-                raise ValueError(f"trace deviates from one by {tr:.3e}")
+            _check_state(herm, np.trace(rho))
         return rho
+
+    def _check_blocks(self):
+        """The array checks, taken on the blocks.  A block sits on one index
+        set on its rows and its columns, so hermitian blocks place a
+        hermitian matrix, whose trace is their traces' sum; on disjoint
+        index sets, as a family's blocks are, the placed matrix's deviation
+        from hermiticity is the largest block's, and the checks are the
+        array checks exactly."""
+        herm, tr = 0.0, 0.0
+        for block, ranges in self._blocks:
+            fits = len(ranges) == len(self.dims) and all(
+                0 <= start < stop <= d for (start, stop), d in zip(ranges, self.dims))
+            d = math.prod(stop - start for start, stop in ranges)
+            if not fits or block.shape != (d, d):
+                raise ValueError(f"block shape {block.shape} does not match ranges {ranges} "
+                                 f"of dims {self.dims}")
+            if self._validate:
+                herm = np.maximum(herm, np.max(np.abs(block - block.conj().T)))  # keeps a NaN
+                tr = tr + np.trace(block)
+        if self._validate:
+            _check_state(herm, tr)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -142,8 +174,25 @@ class MultipartyState:
         return f"MultipartyState({pairs})"
 
 
+def _check_state(herm, trace) -> None:
+    """Refuse a matrix whose largest |rho - rho^dag| entry is `herm`, or
+    whose `trace` is not one, to STATE_ATOL (a NaN fails both)."""
+    if not herm <= STATE_ATOL:
+        raise ValueError(f"matrix not hermitian (deviation {herm:.3e})")
+    tr = abs(trace - 1.0)
+    if not tr <= STATE_ATOL:
+        raise ValueError(f"trace deviates from one by {tr:.3e}")
+
+
 def partial_trace(state: MultipartyState, keep) -> MultipartyState:
-    """Marginal on `keep` (labels, original order preserved)."""
+    """Marginal on `keep` (labels, original order preserved).
+
+    A state given as blocks is traced block by block, and the traced blocks
+    are placed on the kept parties' ranges.  A block covers the same range
+    of each party on its rows and on its columns, so tracing a party out of
+    a placed block is placing its trace: the marginal is the dense one, to
+    rounding, and the state's own matrix is never placed.
+    """
     if isinstance(keep, str):
         keep = (keep,)
     keep_idx = sorted({state.ground.index(l) for l in keep})
@@ -155,16 +204,22 @@ def partial_trace(state: MultipartyState, keep) -> MultipartyState:
     # party i's row axis is labeled i and its column axis m + i, or i again
     # when the party is traced out
     cols = [m + i if i in keep_idx else i for i in range(m)]
-    tensor = state.rho.reshape(state.dims + state.dims)
-    reduced = np.einsum(tensor, [*range(m), *cols], keep_idx + [m + i for i in keep_idx])
+    out = keep_idx + [m + i for i in keep_idx]
+
+    def trace(matrix, dims):
+        d = math.prod(dims[i] for i in keep_idx)
+        return np.einsum(matrix.reshape(dims + dims), [*range(m), *cols], out).reshape(d, d)
+
     new_dims = tuple(state.dims[i] for i in keep_idx)
-    d = math.prod(new_dims)
+    if state.blocks is None:
+        reduced = trace(state.rho, state.dims)
+    else:
+        reduced = _place_blocks(new_dims, [
+            (trace(block, tuple(stop - start for start, stop in ranges)),
+             [ranges[i] for i in keep_idx])
+            for block, ranges in state.blocks])
     return MultipartyState(
-        tuple(state.labels[i] for i in keep_idx),
-        new_dims,
-        reduced.reshape(d, d),
-        validate=False,
-    )
+        tuple(state.labels[i] for i in keep_idx), new_dims, reduced, validate=False)
 
 
 def _spectrum_entropy(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,8 +406,10 @@ def purify(state: MultipartyState) -> MultipartyState:
 def _place_blocks(dims: Sequence[int], parts) -> np.ndarray:
     """The matrix over parties of `dims` that sums `parts`, (block, ranges)
     pairs: each block, reshaped to a square matrix, sits on the row-major
-    product of its per-party (start, stop) index ranges."""
+    product of its per-party (start, stop) index ranges.  The cap binds
+    the placed matrix."""
     total = math.prod(dims)
+    _check_cap(total)
     rho = np.zeros((total, total), dtype=np.complex128)
     for block, ranges in parts:
         idx = np.zeros(1, dtype=np.int64)
@@ -595,8 +652,10 @@ class ConstrainedFamily(StateFamily):
     dimensions, each chi_k's tensor shape on (A block k, B block k, x first
     halves), xi_k's on (C, x second halves), the index ranges where
     chi_k (x) xi_k sits, and the blocks grouped by chi_k's shape.  `build`
-    returns a state that is its BlockFactors: its dense matrix is placed
-    from the blocks `build` made, and checked, on the first read of `.rho`.
+    returns a state given as the blocks it made, with its BlockFactors: the
+    dense matrix is placed, and checked, only on a read of `.rho`.  So the
+    cap binds the largest block and the (C, X1..Xn) marginal, the dense
+    matrices a build makes; a read of `.rho` meets it again on the total.
     """
 
     def __init__(self, dims: FamilyDims, diagonal: bool = False):
@@ -605,7 +664,6 @@ class ConstrainedFamily(StateFamily):
         x_dims = tuple(p * q for p, q in halves)
         self.labels = ("A", "B", "C") + tuple(f"X{i}" for i in range(1, n + 1))
         self.dims = (sum(a_blocks), sum(b_blocks), dim_c) + x_dims
-        _check_cap(math.prod(self.dims))
         self.diagonal = diagonal
         a_starts = itertools.accumulate(a_blocks, initial=0)
         b_starts = itertools.accumulate(b_blocks, initial=0)
@@ -623,6 +681,8 @@ class ConstrainedFamily(StateFamily):
         rows = [0, 1, 2 * m] + [a for i in range(n) for a in (2 + i, 2 * m + 1 + i)]
         self.axes = tuple(rows + [a + m if a < m else a + n + 1 for a in rows])
         self.factor_dims = tuple(map(math.prod, self.chi_shapes + (self.xi_shape,) * K))
+        _check_cap(max(self.factor_dims[:K]) * self.factor_dims[K], "block dimension")
+        _check_cap(math.prod(self.dims[2:]), "(C, X1..Xn) marginal dimension")
         groups: dict[tuple, list[int]] = {}
         for k, shape in enumerate(self.chi_shapes):
             groups.setdefault(shape, []).append(k)
@@ -672,9 +732,7 @@ class ConstrainedFamily(StateFamily):
             np.stack(factors[K:]),
             MultipartyState(self.labels[2:], self.dims[2:], cx, validate=False),
         )
-        return MultipartyState(self.labels, self.dims,
-                               functools.partial(_place_blocks, self.dims, parts),
-                               factors=block_factors)
+        return MultipartyState(self.labels, self.dims, blocks=parts, factors=block_factors)
 
 
 # lw05's fixed layout: the A, B and D dimensions of one block, then C's
@@ -723,7 +781,6 @@ def lw05_family_sample(blocks: int = 2, seed=0) -> MultipartyState:
     da, db, dd, dim_c = LW05_DIMS
     K = _check_blocks(blocks)
     dims = (da * K, db * K, dim_c, dd * K)
-    _check_cap(math.prod(dims))
     rng = _rng(seed)
     w = rng.standard_exponential(K)
     weights = w / w.sum()
@@ -752,9 +809,10 @@ def measure_and_register(
     outcome, leaving every marginal on the original parties unchanged.
 
     A state with block factors, measured on A in its own blocks, is block
-    diagonal there by construction: its measured state shares those factors,
-    and its matrix is built (and checked) only if something reads `.rho`.
-    Any other state, or other sizes, are measured densely here.
+    diagonal there by construction: its measured state shares those
+    factors, and its blocks are the state's, each with R's range (k, k+1)
+    appended to block k, so its matrix is placed only if something reads
+    `.rho`.  Any other state, or other sizes, are measured densely here.
     """
     if "R" in state.labels:
         raise ValueError("label 'R' already in use")
@@ -765,9 +823,10 @@ def measure_and_register(
                          f"the dimension {dims[pos]} of party {party!r}")
     labels, sizes = state.labels + ("R",), tuple(sizes)
     if state.factors is not None and party == "A" and sizes == state.factors.a_blocks:
-        return MultipartyState(labels, dims + (len(sizes),),
-                               functools.partial(_measured_matrix, state, pos, sizes),
-                               validate=False, factors=state.factors)
+        return MultipartyState(
+            labels, dims + (len(sizes),), validate=False, factors=state.factors,
+            blocks=[(block, ranges + ((k, k + 1),))
+                    for k, (block, ranges) in enumerate(state.blocks)])
     return MultipartyState(labels, dims + (len(sizes),), _measured_matrix(state, pos, sizes),
                            validate=False)
 
@@ -853,10 +912,13 @@ def check_theorem(
 
     A state with block factors whose A blocks are `a_blocks` is measured on
     the factored route (`sigma_route` "factored"): sigma's entropies are an
-    index map over rho's, and `marginal_drift` compares rho's dense marginals
-    on (A, B, C) and on (X1..Xn) with the same marginals rebuilt from the
-    factors, so factors that disagree with the matrix fail the check.  On the
-    dense route it compares those marginals of rho and of the dense sigma.
+    index map over rho's, and `marginal_drift` compares rho's marginals on
+    (A, B, C) and on (X1..Xn), traced from its blocks, with the same
+    marginals rebuilt from the factors, so factors that disagree with the
+    blocks fail the check.  The blocks are checked for hermiticity and unit
+    trace as the dense rho would be, and neither rho nor sigma is placed.
+    On the dense route `marginal_drift` compares those marginals of rho and
+    of the dense sigma.
     """
     labels = state.labels
     n = len(labels) - 3

@@ -32,6 +32,7 @@ from .quantum import (
     FamilyDims,
     HaarMixedFamily,
     LW05Family,
+    MultipartyState,
     StateFamily,
     _rng,
     entropy_table,
@@ -174,9 +175,11 @@ def _state_bytes(state) -> int:
 def _replay(family: StateFamily, params, inst: Instance, tol: float) -> dict | None:
     """Rebuild the state from `params` and re-evaluate `inst` on entropies
     taken apart from the scan's `entropy_table` (a dense eigvalsh of each
-    subset's `partial_trace`); the violation record if it holds, else None."""
-    state = family.build(params)
-    gr = state.ground
+    subset's `partial_trace` of the dense, checked matrix); the violation
+    record if it holds, else None."""
+    built = family.build(params)
+    gr = built.ground
+    state = MultipartyState(gr.labels, built.dims, built.rho, validate=False)
     h = SetFunction(gr, {m: von_neumann_entropy(partial_trace(state, gr.labels_of(m)))
                          for m in gr.iter_masks()})
     val = inst.functional.evaluate(h)

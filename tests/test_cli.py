@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from entrocone import quantum
 from entrocone.certify import problem_to_obj
 from entrocone.cli import main
 from entrocone.inequalities import builtin, enumerate_instances, instantiate, template_to_obj
@@ -144,7 +145,7 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["certify", "--problem", "{not_a_list}"],
     ["sample", "--n", "6", "--trials", "1"],
     ["env:ENTROPIC_MAX_DIM=abc", "sample", "--n", "1"],
-    ["env:ENTROPIC_MAX_DIM=31", "sample", "--n", "1", "--trials", "1"],
+    ["env:ENTROPIC_MAX_DIM=7", "sample", "--n", "1", "--trials", "1"],
     ["search", "--template", "ssa", "--trials", "2", "--refine", "5", "--step", "0"],
     ["search", "--template", "ssa", "--trials", "2", "--refine", "5", "--step", "-0.1"],
     ["search", "--template", "ssa", "--trials", "2", "--refine", "-1"],
@@ -365,6 +366,21 @@ def test_sample_runs_where_only_the_measured_state_is_over_the_cap(monkeypatch, 
     out = tmp_path / "s.json"
     assert run(["sample", "--n", "3", "--trials", "1", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["report"]["all_passed"] is True
+
+
+def test_sample_places_no_matrix_of_the_full_dims(monkeypatch, tmp_path):
+    # at n=3 rho is 512 x 512, while each block and the (C, X) marginal,
+    # the largest dense matrices sample makes, are 128 x 128
+    placed = []
+    real = quantum._place_blocks
+    monkeypatch.setattr(quantum, "_place_blocks",
+                        lambda dims, parts: placed.append(dims) or real(dims, parts))
+    monkeypatch.setenv("ENTROPIC_MAX_DIM", "128")
+    out = tmp_path / "s.json"
+    assert run(["sample", "--n", "3", "--trials", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["report"]["all_passed"] is True
+    # per state: drift's block-route (A, B, C) and (X1..X3), and the factors' (A, B, C)
+    assert sorted(placed) == [(2, 2, 2)] * 4 + [(4, 4, 4)] * 2
 
 
 def test_sample_diagonal_draws_classical_states(tmp_path):

@@ -421,6 +421,45 @@ def test_factored_sigma_matches_the_dense_measurement(state):
     assert all(abs(got[k] - want[k]) <= 1e-12 for k in got), got
 
 
+@settings(max_examples=60, deadline=None)
+@given(family_states(), st.data())
+def test_block_partial_trace_matches_the_dense_one(state, data):
+    """The block route of partial_trace, on rho and on the factored sigma,
+    equals the dense route on the placed matrix, and sigma's blocks place
+    exactly the dense measurement's matrix."""
+    a_blocks = state.factors.a_blocks
+    sigma = measure_and_register(state, "A", a_blocks)
+    assert np.array_equal(quantum._place_blocks(sigma.dims, sigma.blocks),
+                          quantum._measured_matrix(state, 0, a_blocks))
+    for s in (state, sigma):
+        keep = data.draw(st.lists(st.sampled_from(s.labels), min_size=1, unique=True))
+        got = partial_trace(s, keep)
+        want = partial_trace(MultipartyState(s.labels, s.dims, s.rho), keep)
+        assert (got.labels, got.dims) == (want.labels, want.dims)
+        assert np.max(np.abs(got.rho - want.rho)) <= 1e-15, keep
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda block: block + np.triu(np.full(block.shape, 0.1), 1), "not hermitian"),
+    (lambda block: 1.5 * block, "trace deviates"),
+], ids=["hermiticity", "trace"])
+def test_a_bad_block_fails_the_block_route(monkeypatch, corrupt, message):
+    placed = []
+    real = quantum._place_blocks
+    monkeypatch.setattr(quantum, "_place_blocks",
+                        lambda dims, parts: placed.append(dims) or real(dims, parts))
+    dims = FamilyDims.default(2)
+    good = constrained_family_sample(dims, seed=trial_seed(3, 2))
+    for run in (lambda s: check_theorem(s, dims.a_blocks),
+                lambda s: partial_trace(s, ("A", "B", "C"))):
+        bad = MultipartyState(good.labels, good.dims, factors=good.factors, blocks=[
+            (corrupt(block) if k == 0 else block, ranges)
+            for k, (block, ranges) in enumerate(good.blocks)])
+        with pytest.raises(ValueError, match=message):
+            run(bad)
+    assert placed == []
+
+
 def test_factors_that_disagree_with_the_matrix_fail_the_drift_check():
     dims = FamilyDims.default(2)
     state = constrained_family_sample(dims, seed=trial_seed(3, 2))
@@ -627,24 +666,33 @@ def test_state_validation_catches_bad_input():
         MultipartyState(("A",), (2,), rho)
 
 
-def test_function_matrix_is_checked_on_first_read():
-    calls = []
+def test_blocks_are_checked_on_first_read(monkeypatch):
+    placed = []
+    real = quantum._place_blocks
+    monkeypatch.setattr(quantum, "_place_blocks",
+                        lambda dims, parts: placed.append(dims) or real(dims, parts))
 
-    def state(matrix, **kw):
-        return MultipartyState(("A",), (2,), lambda: calls.append(1) or matrix, **kw)
+    def state(block, ranges=((0, 2),), **kw):
+        return MultipartyState(("A",), (2,), blocks=[(block, ranges)], **kw)
 
-    for matrix, message in ((np.eye(3) / 3, "matrix shape"),
-                            (np.array([[0.9, 0.3], [0.1, 0.1]]), "not hermitian"),
-                            (np.eye(2), "trace deviates")):
-        lazy = state(matrix)
-        assert calls == []
-        with pytest.raises(ValueError, match=message):
-            lazy.rho
-        calls.clear()
+    for block, ranges, message in (
+            (np.eye(3) / 3, ((0, 2),), "block shape"),
+            (np.eye(2) / 2, ((1, 3),), "block shape"),
+            (np.array([[0.9, 0.3], [0.1, 0.1]]), ((0, 2),), "not hermitian"),
+            (np.full((2, 2), np.nan), ((0, 2),), "not hermitian"),
+            (np.eye(2), ((0, 2),), "trace deviates")):
+        for read in ("blocks", "rho"):
+            lazy = state(block, ranges)
+            with pytest.raises(ValueError, match=message):
+                getattr(lazy, read)
+    assert placed == []
     # validate=False skips hermiticity and trace, never the shape
     assert np.array_equal(state(np.eye(2), validate=False).rho, np.eye(2))
-    with pytest.raises(ValueError, match="matrix shape"):
-        state(np.eye(3), validate=False).rho
+    with pytest.raises(ValueError, match="block shape"):
+        state(np.eye(3), validate=False).blocks
+    # two blocks on disjoint ranges: one trace between them
+    halves = [(np.eye(1) / 2, ((0, 1),)), (np.eye(1) / 2, ((1, 2),))]
+    assert np.array_equal(MultipartyState(("A",), (2,), blocks=halves).rho, np.eye(2) / 2)
 
 
 def test_state_rejects_nan_matrix():
