@@ -126,7 +126,7 @@ class MultipartyState:
         """The (block, ranges) pairs the matrix is placed from, or None for
         a state given as an array."""
         if self._unchecked:
-            self._check_blocks()
+            self._check_block_parts()
             self._unchecked = False
         return self._blocks
 
@@ -140,7 +140,7 @@ class MultipartyState:
             _check_state(herm, np.trace(rho))
         return rho
 
-    def _check_blocks(self):
+    def _check_block_parts(self):
         """The array checks, taken on the blocks.  A block sits on one index
         set on its rows and its columns, so hermitian blocks place a
         hermitian matrix, whose trace is their traces' sum; on disjoint
@@ -654,8 +654,9 @@ class ConstrainedFamily(StateFamily):
     chi_k (x) xi_k sits, and the blocks grouped by chi_k's shape.  `build`
     returns a state given as the blocks it made, with its BlockFactors: the
     dense matrix is placed, and checked, only on a read of `.rho`.  So the
-    cap binds the largest block and the (C, X1..Xn) marginal, the dense
-    matrices a build makes; a read of `.rho` meets it again on the total.
+    cap binds the dense matrices a build and `check_theorem` make: the
+    blocks' direct sum, and the (A, B, C) and (C, X1..Xn) marginals; a
+    read of `.rho` meets it again on the total.
     """
 
     def __init__(self, dims: FamilyDims, diagonal: bool = False):
@@ -681,7 +682,12 @@ class ConstrainedFamily(StateFamily):
         rows = [0, 1, 2 * m] + [a for i in range(n) for a in (2 + i, 2 * m + 1 + i)]
         self.axes = tuple(rows + [a + m if a < m else a + n + 1 for a in rows])
         self.factor_dims = tuple(map(math.prod, self.chi_shapes + (self.xi_shape,) * K))
-        _check_cap(max(self.factor_dims[:K]) * self.factor_dims[K], "block dimension")
+        # the blocks, together, are as large as their direct sum (which also
+        # bounds their entries, sum d_k^2 <= cap^2); the drift check places
+        # the (A, B, C) marginal, and build makes the (C, X1..Xn) one
+        _check_cap(sum(self.factor_dims[k] * self.factor_dims[K + k] for k in range(K)),
+                   "block dimension")
+        _check_cap(math.prod(self.dims[:3]), "(A, B, C) marginal dimension")
         _check_cap(math.prod(self.dims[2:]), "(C, X1..Xn) marginal dimension")
         groups: dict[tuple, list[int]] = {}
         for k, shape in enumerate(self.chi_shapes):
@@ -822,7 +828,8 @@ def measure_and_register(
         raise ValueError(f"block sizes {tuple(sizes)} must be >= 1 and add up to "
                          f"the dimension {dims[pos]} of party {party!r}")
     labels, sizes = state.labels + ("R",), tuple(sizes)
-    if state.factors is not None and party == "A" and sizes == state.factors.a_blocks:
+    if (state.factors is not None and state.blocks is not None and party == "A"
+            and sizes == state.factors.a_blocks):
         return MultipartyState(
             labels, dims + (len(sizes),), validate=False, factors=state.factors,
             blocks=[(block, ranges + ((k, k + 1),))

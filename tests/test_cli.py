@@ -146,6 +146,10 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["sample", "--n", "6", "--trials", "1"],
     ["env:ENTROPIC_MAX_DIM=abc", "sample", "--n", "1"],
     ["env:ENTROPIC_MAX_DIM=7", "sample", "--n", "1", "--trials", "1"],
+    # each 512 x 512 block is under the cap, their direct sum far above it
+    ["sample", "--n", "4", "--blocks", "2000", "--trials", "1"],
+    ["search", "--template", "ssa", "--family", "constrained", "--n", "4",
+     "--blocks", "2000", "--trials", "1"],
     ["search", "--template", "ssa", "--trials", "2", "--refine", "5", "--step", "0"],
     ["search", "--template", "ssa", "--trials", "2", "--refine", "5", "--step", "-0.1"],
     ["search", "--template", "ssa", "--trials", "2", "--refine", "-1"],
@@ -369,13 +373,14 @@ def test_sample_runs_where_only_the_measured_state_is_over_the_cap(monkeypatch, 
 
 
 def test_sample_places_no_matrix_of_the_full_dims(monkeypatch, tmp_path):
-    # at n=3 rho is 512 x 512, while each block and the (C, X) marginal,
-    # the largest dense matrices sample makes, are 128 x 128
+    # at n=3 rho is 512 x 512, while the two 128 x 128 blocks, whose direct
+    # sum is 256, and the 128 x 128 (C, X) marginal are the largest dense
+    # matrices sample makes
     placed = []
     real = quantum._place_blocks
     monkeypatch.setattr(quantum, "_place_blocks",
                         lambda dims, parts: placed.append(dims) or real(dims, parts))
-    monkeypatch.setenv("ENTROPIC_MAX_DIM", "128")
+    monkeypatch.setenv("ENTROPIC_MAX_DIM", "256")
     out = tmp_path / "s.json"
     assert run(["sample", "--n", "3", "--trials", "2", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["report"]["all_passed"] is True

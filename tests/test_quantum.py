@@ -623,6 +623,23 @@ def test_measurement_register_properties():
     assert abs(w.sum() - 1) <= 1e-10
 
 
+def test_an_array_state_with_factors_is_measured_densely():
+    dims = FamilyDims.default(2)
+    state = constrained_family_sample(dims, seed=trial_seed(5, 2))
+    dense = MultipartyState(state.labels, state.dims, state.rho, factors=state.factors)
+    sigma = measure_and_register(dense, "A", dims.a_blocks)
+    assert sigma.blocks is None
+    assert np.array_equal(sigma.rho, measure_and_register(state, "A", dims.a_blocks).rho)
+
+
+def test_block_count_is_capped_on_the_blocks_direct_sum(monkeypatch):
+    # at n=1 each block is 8 x 8: two fit under a cap of 16, three do not
+    monkeypatch.setenv("ENTROPIC_MAX_DIM", "16")
+    ConstrainedFamily(FamilyDims.default(1, blocks=2))
+    with pytest.raises(ValueError, match="block dimension 24 exceeds cap 16"):
+        ConstrainedFamily(FamilyDims.default(1, blocks=3))
+
+
 def test_measurement_rejects_non_block_states():
     rng = _rng(31)
     rho = _gram(4, rng)
