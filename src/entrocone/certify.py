@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import chain, islice
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -111,15 +112,18 @@ class Infeasible:
 
 
 class _Simplex:
-    """Phase-1 simplex with Bland's rule on one dense tableau.
+    """Phase-1 revised simplex with Bland's rule.
 
-    The dtype of `A` picks the arithmetic.  Integers (int64 or Python ints)
-    run exact and fraction-free: T, b and the reduced costs `red` are Python
-    ints over one denominator D > 0, and with tol 0 the run never cycles;
-    `objective`, `solution` and `dual_prices` read it as Fractions.  A float64
-    array runs the same rule with entries within `tol` of zero taken as zero;
-    its answer is only a proposal.  Rows are scaled to b >= 0 and start on the
-    artificial basis; the phase-1 objective is the sum of the artificials.
+    It keeps the m x m basis inverse and the basic values, not the full
+    tableau, and forms from `A` only the columns a pivot needs.  The dtype of
+    `A` picks the arithmetic.  Integers (int64 or Python ints) run exact and
+    fraction-free: `M = D * B^-1` and `b = D * x_B` are Python ints over one
+    denominator D > 0, updated as Bareiss updates a tableau, and with tol 0
+    the run never cycles; `objective`, `solution` and `dual_prices` read them
+    as Fractions.  A float64 array keeps `M = B^-1` (D stays 1) and runs the
+    same rule with entries within `tol` of zero taken as zero; its answer is
+    only a proposal.  Rows are scaled to b >= 0 and start on the artificial
+    basis; the phase-1 objective is the sum of the artificials.
     """
 
     def __init__(self, A: np.ndarray, rhs: np.ndarray, tol: float = 0):
@@ -129,38 +133,65 @@ class _Simplex:
             A, rhs = A.astype(object), rhs.astype(object)
         self.nrows, self.ncols, self.tol, self.D = m, n, tol, 1
         self.row_sign = np.where(rhs < 0, -1, 1)
-        self.T = np.zeros((m, n + m), dtype=A.dtype)
-        self.T[:, :n] = A * self.row_sign[:, None]
-        self.T[np.arange(m), n + np.arange(m)] = 1
+        self.A = A * self.row_sign[:, None]
         self.b = rhs * self.row_sign
+        self.M = np.eye(m, dtype=A.dtype)
         self.basis = list(range(n, n + m))
-        self.red = np.zeros(n + m, dtype=A.dtype)
-        if m:
-            self.red[:n] = -self.T[:, :n].sum(axis=0)
+        self.artificial = np.ones(m, dtype=bool)  # rows whose basic variable is artificial
         self.pivots = 0
+        if self.exact:  # pricing runs in int64 while max|y| * abs_sum < 2**63
+            self.abs_sum = max(np.abs(self.A).sum(axis=0), default=0)
+            self.A64 = self.A.astype(np.int64) if self.abs_sum < 2**63 else None
 
     @property
     def objective(self):
         return Fraction(sum(v for v, j in zip(self.b, self.basis) if j >= self.ncols), self.D)
 
+    def _duals(self) -> np.ndarray:
+        """y = c_B M, the phase-1 duals of the scaled rows times D."""
+        if self.exact:  # the artificial rows' sum, with no products by 0 or 1
+            return self.M[self.artificial].sum(axis=0)
+        return self.artificial @ self.M
+
+    def _entering(self):
+        """Bland's entering column: the first with reduced cost below -tol,
+        or None.  The reduced costs times D are -y A and D - y."""
+        y, tol = self._duals(), self.tol
+        if (self.exact and self.A64 is not None
+                and max(map(abs, y), default=0) * self.abs_sum < 2**63):
+            prices = y.astype(np.int64) @ self.A64
+        else:
+            prices = y @ self.A
+        hits = (prices > tol).nonzero()[0]
+        if len(hits):
+            return int(hits[0])
+        hits = (self.D - y < -tol).nonzero()[0]
+        return self.ncols + int(hits[0]) if len(hits) else None
+
+    def _column(self, c: int) -> np.ndarray:
+        """Column c of the tableau, M a_c; exact, from the nonzeros of a_c."""
+        if c >= self.ncols:
+            return self.M[:, c - self.ncols].copy()
+        if not self.exact:
+            return self.M @ self.A[:, c]
+        rows = self.A[:, c].nonzero()[0]
+        return self.M[:, rows] @ self.A[rows, c]
+
     def solve(self, max_pivots: int = 2_000_000):
-        T, b, red, tol = self.T, self.b, self.red, self.tol
-        while True:
-            negative = np.flatnonzero(red < -tol)
-            if not len(negative):
-                return
-            enter = negative[0]
-            rows = np.flatnonzero(T[:, enter] > tol)
+        b, tol = self.b, self.tol
+        while (enter := self._entering()) is not None:
+            col = self._column(enter)
+            rows = (col > tol).nonzero()[0]
             if not len(rows):
                 raise RuntimeError("phase-1 objective unbounded; should not happen")
-            if self.exact:  # compare the ratios b_i / T_ic by cross-multiplication
-                i = min(rows, key=cmp_to_key(lambda i, j: b[i] * T[j, enter] - b[j] * T[i, enter]))
-                tied = rows[b[rows] * T[i, enter] == b[i] * T[rows, enter]]
+            if self.exact:  # compare the ratios b_i / col_i by cross-multiplication
+                i = min(rows, key=cmp_to_key(lambda i, j: b[i] * col[j] - b[j] * col[i]))
+                tied = rows[b[rows] * col[i] == b[i] * col[rows]]
             else:
-                ratios = b[rows] / T[rows, enter]
+                ratios = b[rows] / col[rows]
                 tied = rows[ratios <= ratios.min() + tol]
             leave = min(tied, key=self.basis.__getitem__)
-            self._pivot(leave, enter)
+            self._pivot(leave, enter, col)
             if self.pivots > max_pivots:
                 raise RuntimeError("pivot limit exceeded")
 
@@ -169,36 +200,37 @@ class _Simplex:
         rows not in `artificial`; False when the resulting basis is singular."""
         kept = set(artificial)
         for c in columns:
-            free = [i for i in np.flatnonzero(self.T[:, c])
+            col = self._column(c)
+            free = [i for i in col.nonzero()[0]
                     if i not in kept and self.basis[i] == self.ncols + i]
             if not free:
                 return False
-            self._pivot(free[0], c)
+            self._pivot(free[0], c, col)
         return True
 
-    def _pivot(self, r: int, c: int):
-        T, b, red = self.T, self.b, self.red
-        piv = T[r, c]
+    def _pivot(self, r: int, c: int, col: np.ndarray):
+        M, b = self.M, self.b
+        piv = col[r]
         if self.exact:
-            # fraction-free (Bareiss): row r stays and every other x becomes
-            # (x * piv - x[c] * row_r) / D, exact since each entry is an
-            # integer minor; D becomes |piv|, every sign flipped if piv < 0
+            # fraction-free (Bareiss): row r stays and every other M_ij
+            # becomes (M_ij * piv - col_i * M_rj) / D, b alike, exact since
+            # each entry is an integer minor; D becomes |piv|, every sign
+            # flipped if piv < 0
             sign = 1 if piv > 0 else -1
-            d, row, col, br = sign * self.D, T[r].copy(), T[:, c].copy(), b[r]
-            T[:] = (T * piv - np.outer(col, row)) // d
+            d, row, br = sign * self.D, M[r].copy(), b[r]
+            M[:] = (M * piv - col[:, None] * row) // d
             b[:] = (b * piv - col * br) // d
-            red[:] = (red * piv - red[c] * row) // d
-            T[r], b[r] = sign * row, sign * br
+            M[r], b[r] = sign * row, sign * br
             self.D = abs(piv)
         else:
-            T[r] /= piv
+            M[r] /= piv
             b[r] /= piv
-            factors = T[:, c].copy()
+            factors = col.copy()
             factors[r] = 0
-            T -= np.outer(factors, T[r])
+            M -= factors[:, None] * M[r]
             b -= factors * b[r]
-            red -= red[c] * T[r]
         self.basis[r] = c
+        self.artificial[r] = c >= self.ncols
         self.pivots += 1
 
     def solution(self) -> list:
@@ -209,8 +241,8 @@ class _Simplex:
         return x
 
     def dual_prices(self) -> list:
-        # y_i = c_art_i - reduced cost of artificial column i, with c_art = 1
-        return [Fraction(v, self.D) for v in (self.D - self.red[self.ncols:]) * self.row_sign]
+        # the duals of the rows as given, undoing their scaling to b >= 0
+        return [Fraction(v, self.D) for v in self._duals() * self.row_sign]
 
 
 _FLOAT_TOL = 1e-9  # the float guide reads entries within this of zero as zero
@@ -354,31 +386,31 @@ def _check_combination(target, generators, lams, constraints, mus) -> bool:
 # --- problem builders ---
 
 
-def basic_generator_instances(ground: GroundSet) -> list:
-    """Every basic-inequality instance on a ground set: all submodularity
-    instances plus all weak-monotonicity instances (empty side subsets
-    included, so triangle and positivity forms appear)."""
-    out = []
-    for inst in enumerate_instances(builtin("ssa"), ground):
-        out.append(inst)
-    for inst in enumerate_instances(builtin("wmo"), ground):
-        out.append(inst)
-    return out
+def basic_generator_instances(ground: GroundSet) -> Iterator:
+    """Every basic-inequality instance on a ground set, lazily: all
+    submodularity instances, then all weak-monotonicity instances (empty
+    side subsets included, so triangle and positivity forms appear)."""
+    return chain(enumerate_instances(builtin("ssa"), ground),
+                 enumerate_instances(builtin("wmo"), ground))
 
 
-def independence_problem(n: int):
+def independence_problem(n: int, max_generators: int | None = None):
     """Membership problem asking whether the order-n constrained inequality
     follows from the basic inequalities plus the lower- and higher-order
     family members (orders p != n up to n + 2), under its two constraints.
 
     Returns (target, generators, constraints, ground, expect), the shape
     `problem_from_obj` reads; expect is "infeasible", since infeasibility of
-    this problem is the independence statement at order n.
+    this problem is the independence statement at order n.  With
+    `max_generators`, the build stops with a ValueError as soon as the list
+    passes it, so an order too large to solve is refused before it is built.
     """
     from .witness import standard_c_binding, witness_ground
 
     if n < 1:
         raise ValueError("family order n must be >= 1")
+    if max_generators is not None and max_generators < 1:
+        raise ValueError(f"max_generators must be at least 1, got {max_generators}")
     ground = witness_ground(n)
     binding = standard_c_binding()
 
@@ -388,13 +420,16 @@ def independence_problem(n: int):
         {**binding, **{f"X{i}": f"x{i}" for i in range(1, n + 1)}},
     )
     target, constraints = target_inst.functional, target_inst.constraints
-    generators = [inst.functional for inst in basic_generator_instances(ground)]
-    for p in range(1, n + 3):
-        if p == n:
-            continue
-        for inst in enumerate_instances(builtin("c_n", p), ground, fixed=binding):
-            if not inst.functional.is_zero():
-                generators.append(inst.functional)
+    family = (inst for p in range(1, n + 3) if p != n
+              for inst in enumerate_instances(builtin("c_n", p), ground, fixed=binding))
+    generators = chain(
+        (inst.functional for inst in basic_generator_instances(ground)),
+        (inst.functional for inst in family if not inst.functional.is_zero()),
+    )
+    cap = None if max_generators is None else max_generators + 1
+    generators = list(islice(generators, cap))
+    if max_generators is not None and len(generators) > max_generators:
+        raise ValueError(f"more than {max_generators} generators exceeds cap {max_generators}")
     return target, generators, list(constraints), ground, "infeasible"
 
 

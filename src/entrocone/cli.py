@@ -231,16 +231,18 @@ def cmd_sample(args) -> int:
 
 def cmd_certify(args) -> int:
     started = _now()
+    if bool(args.problem) == bool(args.builtin):
+        raise ValueError("give one of --problem FILE and --builtin {independence,purified-basic}")
+    if args.n is not None and args.builtin != "independence":
+        raise ValueError("--n is read only by --builtin independence")
     if args.problem:
         problem = _load(args.problem, problem_from_obj)
     elif args.builtin == "independence":
         if args.n is None:
             raise ValueError("--builtin independence needs --n")
-        problem = independence_problem(args.n)
-    elif args.builtin == "purified-basic":
-        problem = purified_basic_problem()
+        problem = independence_problem(args.n, max_generators=args.max_generators)
     else:
-        raise ValueError("give --problem FILE or --builtin {independence,purified-basic}")
+        problem = purified_basic_problem()
     target, generators, constraints, ground, expect = problem
     outcome = cone_membership(
         target, generators, constraints,

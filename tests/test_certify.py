@@ -330,9 +330,10 @@ def test_shortcuts_pass_the_exact_rechecks(monkeypatch):
 
 
 class _FractionTableau:
-    """The exact tableau as it ran before it went fraction-free: every entry
-    a Fraction, each pivot dividing its row, the ratio test on Fraction
-    ratios.  The integer `_Simplex` must match it pivot for pivot."""
+    """The exact simplex as it ran before it went fraction-free and revised:
+    one dense tableau, every entry a Fraction, each pivot dividing its row,
+    the ratio test on Fraction ratios.  `_Simplex` must match it pivot for
+    pivot, its inverse `M / D` equal to the tableau's artificial columns."""
 
     def __init__(self, A, rhs):
         m, n = A.shape
@@ -387,19 +388,24 @@ class _FractionTableau:
         return list((1 - self.red[self.ncols:]) * self.row_sign)
 
 
-def _run_traced(tableau, how, columns, artificial):
-    """Run `solve` or `enter` and return its result with the tableau's state
-    (basis, pivots, solution, duals, objective, every entry) after each pivot."""
-    def state():
-        d = getattr(tableau, "D", 1)
-        entries = [Fraction(v, d) for v in (*tableau.T.ravel(), *tableau.b, *tableau.red)]
+def _run_traced(tableau, how, columns=(), artificial=(), state=None):
+    """Run `solve` or `enter` and return its result with `state()` after each
+    pivot; by default the state is the basis, pivots, solution, duals,
+    objective, the basis inverse and b, every number exact."""
+    def exact_state():
+        if isinstance(tableau, _FractionTableau):
+            d, inverse = 1, tableau.T[:, tableau.ncols:]
+        else:
+            d, inverse = tableau.D, tableau.M
+        entries = [Fraction(v, d) for v in (*inverse.ravel(), *tableau.b)]
         return (list(tableau.basis), tableau.pivots, tableau.solution(),
                 tableau.dual_prices(), tableau.objective, entries)
 
+    state = state or exact_state
     states, pivot = [state()], tableau._pivot
 
-    def traced(r, c):
-        pivot(r, c)
+    def traced(*args):
+        pivot(*args)
         states.append(state())
 
     tableau._pivot = traced
@@ -416,12 +422,16 @@ def _assert_matches_fraction_tableau(A, b, how, columns=(), artificial=()):
 
 
 @st.composite
-def integer_lps(draw):
-    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+def integer_lps(draw, beyond_int64=True):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(0, 5))
     entries = st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n)
     A = np.array(draw(entries), dtype=np.int64).reshape(m, n)
     b = np.array(draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)), dtype=np.int64)
-    if draw(st.booleans()):  # Python ints, one entry beyond int64
+    if n and draw(st.booleans()):  # a zero column: a generator that is 0
+        A[:, draw(st.integers(0, n - 1))] = 0
+    if draw(st.booleans()):  # a zero target
+        b[:] = 0
+    if n and beyond_int64 and draw(st.booleans()):  # Python ints, one entry beyond int64
         A, b = A.astype(object), b.astype(object)
         A[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = draw(
             st.sampled_from([2**63, -(2**63) - 5, 3**41]))
@@ -434,24 +444,48 @@ def test_integer_tableau_matches_fraction_tableau(lp, data):
     A, b = lp
     m, n = A.shape
     how = data.draw(st.sampled_from(["solve", "enter"]))
-    columns = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=m))
+    columns = data.draw(st.lists(st.integers(0, max(n - 1, 0)), unique=True,
+                                 max_size=m if n else 0))
     artificial = data.draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m))
     _assert_matches_fraction_tableau(A, b, how, columns, artificial)
 
 
+@settings(max_examples=200, deadline=None)
+@given(integer_lps(beyond_int64=False))
+def test_float_mode_follows_fraction_tableau_bases(lp):
+    A, b = lp
+    sx = certify._Simplex(A.astype(float), b.astype(float), tol=certify._FLOAT_TOL)
+    ref = _FractionTableau(A, b)
+    bases = [_run_traced(t, "solve", state=lambda t=t: list(t.basis))[1] for t in (sx, ref)]
+    assert bases[0] == bases[1]
+    assert np.allclose(sx.b, ref.b.astype(float), rtol=0, atol=1e-9)
+
+
 def test_enter_on_a_negative_entry_matches_fraction_tableau():
+    # the start basis is the identity, so enter's first pivot entry is A[0, 0]
     A, b = np.array([[-2, 1], [3, 1]]), np.array([1, 4])
-    assert certify._Simplex(A, b).T[0, 0] == -2  # enter's first pivot
+    sx = certify._Simplex(A, b)
+    _, pivots = _run_traced(sx, "enter", [0, 1], state=lambda: sx.basis.copy())
+    assert pivots == [[2, 3], [0, 3], [0, 1]]
     sx = _assert_matches_fraction_tableau(A, b, "enter", [0, 1])
     assert sx.basis == [0, 1] and sx.solution() == [Fraction(3, 5), Fraction(11, 5)]
 
 
-def test_exact_fallback_decides_independence_at_n2():
-    target, gens, cons, _, _ = independence_problem(2)
+def _assert_exact_fallback_decides_independence(n, pivots):
+    target, gens, cons, _, _ = independence_problem(n)
     exact = cone_membership(target, gens, cons, use_fast_paths=False)
     assert isinstance(exact, Infeasible) and exact.method == "simplex"
-    assert exact.pivots == 290
+    assert exact.pivots == pivots
     assert exact.farkas_point == cone_membership(target, gens, cons).farkas_point
+    assert verify_certificate(Certificate(exact.farkas_point, tuple(gens), tuple(cons), target))
+
+
+def test_exact_fallback_decides_independence_at_n2():
+    _assert_exact_fallback_decides_independence(2, 290)
+
+
+def test_exact_fallback_decides_independence_at_n3():
+    _assert_exact_fallback_decides_independence(3, 1864)
 
 
 # ------------------------------------------------------------ problems
@@ -516,7 +550,7 @@ def test_proof_certificate_needs_every_item(n):
 
 def test_basic_generators_cover_ssa_and_wmo():
     gr = GroundSet(("a", "b", "c"))
-    gens = basic_generator_instances(gr)
+    gens = list(basic_generator_instances(gr))
     names = {inst.template.name for inst in gens}
     assert names == {"ssa", "wmo"}
     # positivity appears as a WMO degeneration with empty side slots,

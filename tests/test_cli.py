@@ -2,6 +2,7 @@
 
 import copy
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -500,6 +501,32 @@ def test_certify_problem_file_and_expectation(tmp_path):
 
 def test_certify_requires_a_problem(capsys):
     assert run(["certify"]) == 2
+
+
+def test_certify_refuses_an_oversized_order_before_building_it(capsys):
+    started = time.perf_counter()
+    assert run(["certify", "--builtin", "independence", "--n", "30"]) == 2
+    assert time.perf_counter() - started < 1
+    assert "more than 20000 generators exceeds cap 20000" in capsys.readouterr().err
+
+
+def test_certify_refuses_an_order_it_would_ignore(capsys):
+    assert run(["certify", "--builtin", "purified-basic", "--n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "--n is read only by --builtin independence" in err and "Traceback" not in err
+
+
+def test_certify_refuses_a_problem_file_and_a_builtin_together(tmp_path, capsys):
+    gr = GroundSet(("a", "b"))
+    gens = [i.functional for i in enumerate_instances(builtin("ssa"), gr)]
+    target = instantiate(builtin("mi"), gr, {"A": "a", "B": "b"}).functional
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(problem_to_obj(target, gens, [], gr, "feasible")))
+    assert run(["certify", "--problem", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["certify", "--problem", str(path), "--builtin", "purified-basic"]) == 2
+    err = capsys.readouterr().err
+    assert "give one of --problem FILE and --builtin" in err and "Traceback" not in err
 
 
 # ------------------------------------------------------------ manifests
