@@ -34,7 +34,7 @@ from .witness import verify_counterexample, verify_witness
 from .certify import (
     Feasible,
     cone_membership,
-    independence_problem,
+    independence_lp,
     problem_from_obj,
     purified_basic_problem,
 )
@@ -240,7 +240,7 @@ def cmd_certify(args) -> int:
     elif args.builtin == "independence":
         if args.n is None:
             raise ValueError("--builtin independence needs --n")
-        problem = independence_problem(args.n, max_generators=args.max_generators)
+        problem = independence_lp(args.n, max_generators=args.max_generators)
     else:
         problem = purified_basic_problem()
     target, generators, constraints, ground, expect = problem
@@ -258,7 +258,20 @@ def cmd_certify(args) -> int:
         "expect": expect,
         "result": outcome,
     }
+    failed = []
+    if args.builtin == "independence" and not feasible:
+        # the LP ran on the elemental forms: the point must also hold on
+        # every ssa and wmo instance, the full basic list
+        checks = {name: satisfies(outcome.farkas_point, builtin(name)) for name in ("ssa", "wmo")}
+        obj["rechecked"] = {name: {"instances": rep.n_enumerated, "violations": rep.n_violations}
+                            for name, rep in checks.items()}
+        failed = [f"{rep.n_violations} of {rep.n_enumerated} {name} instances"
+                  for name, rep in checks.items() if not rep.holds]
     _emit(args, obj, started)
+    if failed:
+        print(f"certify: the Farkas point is negative on {' and '.join(failed)}",
+              file=sys.stderr)
+        return 1
     print(f"certify: {obj['outcome']} via {outcome.method}"
           + (f" (expected {expect})" if expect else ""), file=sys.stderr)
     if expect is not None:

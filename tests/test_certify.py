@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from entrocone.certify import (
     Infeasible,
     basic_generator_instances,
     cone_membership,
+    elemental_forms,
+    independence_lp,
     independence_problem,
     problem_from_obj,
     problem_to_obj,
@@ -413,11 +416,22 @@ def _run_traced(tableau, how, columns=(), artificial=(), state=None):
     return result, states
 
 
+def _python_numbers(value) -> bool:
+    """Whether `value` holds only Python ints and Fractions of Python ints:
+    a numpy integer compares equal to its int, but serializes apart."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_python_numbers, value))
+    if isinstance(value, Fraction):
+        return type(value.numerator) is int and type(value.denominator) is int
+    return type(value) in (int, bool)
+
+
 def _assert_matches_fraction_tableau(A, b, how, columns=(), artificial=()):
     sx = certify._Simplex(A, b)
     got = _run_traced(sx, how, columns, artificial)
     assert got == _run_traced(_FractionTableau(A, b), how, columns, artificial)
-    assert sx.D > 0
+    assert sx.D > 0 and type(sx.D) is int
+    assert all(_python_numbers(state[:5]) for state in got[1])
     return sx
 
 
@@ -438,8 +452,21 @@ def integer_lps(draw, beyond_int64=True):
     return A, b
 
 
-@settings(max_examples=200, deadline=None)
-@given(integer_lps(), st.data())
+@st.composite
+def wide_integer_lps(draw):
+    """Integer LPs in int64 whose entries have up to 40 bits, so that the
+    minors a run forms may pass 2**63 at any pivot, or never."""
+    bits = draw(st.sampled_from([2, 16, 24, 31, 40]))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entries = st.integers(-(2**bits), 2**bits)
+    A = np.array(draw(st.lists(entries, min_size=m * n, max_size=m * n)),
+                 dtype=np.int64).reshape(m, n)
+    b = np.array(draw(st.lists(entries, min_size=m, max_size=m)), dtype=np.int64)
+    return A, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(integer_lps(), wide_integer_lps()), st.data())
 def test_integer_tableau_matches_fraction_tableau(lp, data):
     A, b = lp
     m, n = A.shape
@@ -459,6 +486,17 @@ def test_float_mode_follows_fraction_tableau_bases(lp):
     bases = [_run_traced(t, "solve", state=lambda t=t: list(t.basis))[1] for t in (sx, ref)]
     assert bases[0] == bases[1]
     assert np.allclose(sx.b, ref.b.astype(float), rtol=0, atol=1e-9)
+
+
+def test_a_failed_int64_bound_moves_the_run_to_python_ints():
+    # entries near 2**30: the first pivot stays in int64, the second would
+    # form products near 2**121
+    s = 2**30
+    A, b = np.array([[s, 3, 1], [2, s, 5], [1, 4, s]]), np.array([s + 7, s + 9, s + 11])
+    sx = certify._Simplex(A, b)
+    _, dtypes = _run_traced(sx, "solve", state=lambda: sx.M.dtype)
+    assert dtypes == [np.int64, np.int64, object, object]
+    _assert_matches_fraction_tableau(A, b, "solve")
 
 
 def test_enter_on_a_negative_entry_matches_fraction_tableau():
@@ -546,6 +584,31 @@ def test_proof_certificate_needs_every_item(n):
     for i in range(len(hyps)):
         assert not certify._check_combination(
             target, terms, weights, _without(hyps, i), _without(hyp_weights, i))
+
+
+@pytest.mark.parametrize("parties, count", [(3, 12), (4, 40), (5, 120), (6, 336)])
+def test_elemental_forms_are_distinct_basic_instances(parties, count):
+    gr = GroundSet(tuple("abcdef"[:parties]))
+    forms = list(elemental_forms(gr))
+    basic = {inst.functional for inst in basic_generator_instances(gr)}
+    assert all(form in basic for form in forms)
+    assert len(set(forms)) == len(forms)
+    assert len(forms) == count == (comb(parties, 2) + parties) * 2 ** (parties - 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_independence_lp_is_the_problem_on_elemental_columns(n):
+    target, gens, cons, ground, expect = independence_lp(n)
+    full = independence_problem(n)
+    assert (target, cons, ground, expect) == (full[0], full[2], full[3], full[4])
+    elemental = list(elemental_forms(ground))
+    basic = [inst.functional for inst in basic_generator_instances(ground)]
+    # the same c_p family columns, after the elemental forms in place of
+    # every ssa and wmo instance
+    assert gens[:len(elemental)] == elemental
+    assert full[1] == basic + gens[len(elemental):]
+    with pytest.raises(ValueError, match="more than 100 generators"):
+        independence_lp(n + 2, max_generators=100)
 
 
 def test_basic_generators_cover_ssa_and_wmo():

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, manifests, determinism, error format."""
 
 import copy
+import dataclasses
 import json
 import time
 
@@ -8,11 +9,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from entrocone import quantum
-from entrocone.certify import problem_to_obj
+from entrocone import certify, cli, quantum
+from entrocone.certify import (
+    Certificate,
+    basic_generator_instances,
+    independence_problem,
+    problem_to_obj,
+    verify_certificate,
+)
 from entrocone.cli import main
 from entrocone.inequalities import builtin, enumerate_instances, instantiate, template_to_obj
-from entrocone.setfn import GroundSet, SetFunction, setfn_to_obj
+from entrocone.setfn import GroundSet, SetFunction, setfn_from_obj, setfn_to_obj
 from entrocone.witness import counterexample_table
 
 
@@ -499,6 +506,47 @@ def test_certify_problem_file_and_expectation(tmp_path):
     assert run(["certify", "--problem", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fast", [True, False])
+def test_certify_independence_point_holds_on_the_full_list(n, fast, tmp_path):
+    # the LP ran on the elemental forms; its point must separate the full
+    # problem, and the report names the instance lists it was re-checked on
+    out = tmp_path / "r.json"
+    assert run(["certify", "--builtin", "independence", "--n", str(n), "--out", str(out)]
+               + ([] if fast else ["--no-fast-paths"])) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["result"]["method"] == ("float-guided" if fast else "simplex")
+    target, gens, cons, ground, _ = independence_problem(n)
+    point = setfn_from_obj(report["result"]["farkas_point"])
+    assert verify_certificate(Certificate(point, tuple(gens), tuple(cons), target))
+    names = [inst.template.name for inst in basic_generator_instances(ground)]
+    assert report["rechecked"] == {name: {"instances": names.count(name), "violations": 0}
+                                   for name in ("ssa", "wmo")}
+
+
+def test_certify_fails_when_the_recheck_finds_a_violation(monkeypatch, capsys):
+    def violated(f, template, **kwargs):
+        rep = cli_satisfies(f, template, **kwargs)
+        return dataclasses.replace(rep, n_violations=1) if template.name == "wmo" else rep
+
+    cli_satisfies = cli.satisfies
+    monkeypatch.setattr(cli, "satisfies", violated)
+    assert run(["certify", "--builtin", "independence", "--n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "negative on 1 of 406 wmo instances" in err
+
+
+def test_certify_exits_two_when_the_simplex_passes_its_pivot_limit(monkeypatch, capsys):
+    # the exact run's limit (2,000,000 pivots; certify --n 5 reaches it),
+    # here lowered to 10 pivots
+    solve = certify._Simplex.solve
+    monkeypatch.setattr(certify._Simplex, "solve", lambda sx, max_pivots=10: solve(sx, 10))
+    assert run(["certify", "--builtin", "independence", "--n", "2", "--no-fast-paths"]) == 2
+    err = capsys.readouterr().err
+    assert err == "the simplex did not decide within 10 pivots\n"
+
+
 def test_certify_requires_a_problem(capsys):
     assert run(["certify"]) == 2
 
@@ -554,9 +602,9 @@ def test_manifest_digest_stable_across_runs(tmp_path):
     (["certify", "--builtin", "purified-basic", "--no-fast-paths"],
      "58d56bc31f1be3cc4ff6b6ad2199c1b80d4eb106d52f0b6af68a189c3f3ce17b"),
     (["certify", "--builtin", "independence", "--n", "2"],
-     "a068134e35fe67c5dc61dcaee97fd4e04cf1714462ba75c47bf0db9a0c7b98b1"),
+     "ba47b78d9bf729ba7833949c2c07204c71d5be1f94c8adfa6889b40814ac35fa"),
     (["certify", "--builtin", "independence", "--n", "2", "--no-fast-paths"],
-     "92ae880d3660fb311cd8248bdef70c52cedaf776ba2bb6b0458a1772595c115b"),
+     "f357bfc7e3a54e430ae3153b4f7ff64266174b6447f29080da6fe167708209e6"),
 ], ids=["witness-2", "witness-3", "counterexample", "purified", "purified-simplex",
         "independence-2", "independence-2-simplex"])
 def test_exact_report_digest_is_pinned(argv, digest, tmp_path):
