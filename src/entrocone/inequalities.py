@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import islice
+from functools import cached_property, partial
+from itertools import chain, islice
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -230,17 +230,33 @@ class InequalityTemplate:
         return f"InequalityTemplate({self.name!r}, slots={self.slots})"
 
 
-@dataclass(frozen=True)
 class Instance:
     """A template bound to concrete disjoint subsets of a ground set.
 
     Only the slot masks are stored; the functional and constraints are
-    realized on first read and cached.
+    realized on first read and cached.  Two instances are equal when their
+    template, ground and slot masks are.
     """
 
-    template: InequalityTemplate
-    ground: GroundSet
-    slot_masks: tuple[int, ...]  # party mask per slot, in slot order
+    __slots__ = ("template", "ground", "slot_masks", "__dict__")
+
+    def __init__(self, template: InequalityTemplate, ground: GroundSet,
+                 slot_masks: Iterable[int]):
+        self.template = template
+        self.ground = ground
+        self.slot_masks = tuple(slot_masks)  # party mask per slot, in slot order
+
+    def _key(self):
+        return self.template, self.ground, self.slot_masks
+
+    def __eq__(self, other):
+        return isinstance(other, Instance) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Instance({self.template!r}, {self.ground!r}, {self.slot_masks!r})"
 
     @property
     def assignment(self) -> tuple[tuple[str, int], ...]:
@@ -294,6 +310,10 @@ def instantiate(
     return Instance(template, ground, tuple(masks[s] for s in template.slots))
 
 
+MAX_ENUM_PARTIES = 52  # masks and candidate counts stay inside int64
+BATCH_ROWS = 1024  # rows per enumeration block, and instances per evaluated chunk
+
+
 def enumerate_instances(
     template: InequalityTemplate,
     ground: GroundSet,
@@ -304,8 +324,13 @@ def enumerate_instances(
     `fixed` pins chosen slots; free slots range over subsets of the remaining
     parties, empty only where the template's `empty_ok` permits.  Assignments
     equal under the template's declared slot symmetries are emitted once, in
-    canonical (sorted-mask) form.
+    canonical form: inside a group, the free slots' masks strictly increase
+    in slot order, except repeated empties.  The bindings are checked here;
+    the instances are made lazily, from numpy blocks of slot-mask rows filled
+    one free slot at a time (`_fill_slot`).
     """
+    if ground.size > MAX_ENUM_PARTIES:
+        raise ValueError(f"enumeration supports at most {MAX_ENUM_PARTIES} parties")
     fixed_masks: dict[str, int] = {}
     used0 = 0  # parties of the fixed slots, closed to every free slot
     if fixed:
@@ -318,47 +343,97 @@ def enumerate_instances(
                 raise ValueError("fixed bindings overlap")
             used0 |= m
     slots = template.slots
-    n = len(slots)
-    # per slot, the index of the free slot before it in its symmetry group
-    prev_index = [-1] * n
+    # per slot, the column of the free slot before it in its symmetry group
+    floors = [-1] * len(slots)
     for group in template.symmetries:
-        group = sorted(group, key=slots.index)
-        for a, b in zip(group, group[1:]):
-            if a not in fixed_masks:
-                prev_index[slots.index(b)] = slots.index(a)
-    full = ground.full_mask
-    chosen: list[int] = []
+        cols = sorted(slots.index(s) for s in group if s not in fixed_masks)
+        for a, b in zip(cols, cols[1:]):
+            floors[b] = a
+    root = np.array([[fixed_masks.get(s, 0) for s in slots]], dtype=np.int64)
+    blocks = iter([(root, np.array([used0], dtype=np.int64))])
+    free_parties = ground.full_mask & ~used0
+    for i, slot in enumerate(slots):
+        if slot not in fixed_masks:
+            blocks = _fill_slot(blocks, i, floors[i], slot in template.empty_ok, free_parties)
+    make = partial(Instance, template, ground)
+    # instance by instance, not block by block: one next() per instance
+    return chain.from_iterable(map(make, rows.tolist()) for rows, _ in blocks)
 
-    def rec(i: int, used: int) -> Iterator[Instance]:
-        if i == n:
-            yield Instance(template, ground, tuple(chosen))
-            return
-        slot = slots[i]
-        if slot in fixed_masks:
-            chosen.append(fixed_masks[slot])
-            yield from rec(i + 1, used)
-            chosen.pop()
-            return
-        floor_mask = chosen[prev_index[i]] if prev_index[i] >= 0 else -1
-        empty_ok = slot in template.empty_ok
-        for cand in submasks(full & ~used):
-            if cand == 0 and not empty_ok:
-                continue
-            if floor_mask >= 0:
-                # canonical order inside a symmetry group: strictly increasing
-                # masks, except repeated empties
-                if cand < floor_mask or (cand == floor_mask and cand != 0):
-                    continue
-            chosen.append(cand)
-            yield from rec(i + 1, used | cand)
-            chosen.pop()
 
-    return rec(0, used0)
+# the ascending submasks of every byte value, listed byte after byte
+_BYTE_BITS = np.bitwise_count(np.arange(256)).astype(np.int64)
+_BYTE_LOW = (1 << _BYTE_BITS) - 1
+_BYTE_START = np.concatenate(([0], np.cumsum(_BYTE_LOW + 1)[:-1]))
+_BYTE_SUBMASKS = np.array([s for m in range(256) for s in submasks(m)], dtype=np.int64)
+
+
+def _deposit(index: np.ndarray, masks: np.ndarray, shifts: Sequence[int]) -> np.ndarray:
+    """Per row, the index-th submask of masks in ascending order: the low
+    bits of index deposited into the mask's bits, one byte at a time (the
+    masks' nonzero bytes start at `shifts`)."""
+    out = np.zeros_like(index)
+    for shift in shifts:
+        byte = masks >> shift & 255
+        out |= _BYTE_SUBMASKS[_BYTE_START[byte] + (index & _BYTE_LOW[byte])] << shift
+        index = index >> _BYTE_BITS[byte]
+    return out
+
+
+def _fill_slot(blocks, col: int, floor: int, empty_ok: bool, parties: int):
+    """Blocks of slot-mask rows, with column `col`, a free slot, filled.
+
+    `blocks` yields (rows, used) in lexicographic row order, `used` the
+    parties each row has bound; every row is extended by each of its
+    candidates, in order, and the result comes out in blocks of at most
+    BATCH_ROWS rows, still in lexicographic order.  A row's candidates are
+    the ascending submasks of its unused parties (among `parties`) from
+    index `lo`: 1 when the slot may not be empty, and past every submask not
+    above the mask f of the floor column.  f is disjoint from those parties,
+    so the submasks below it are the 2^k of the k unused parties under f's
+    top bit.
+    """
+    shifts = [b for b in range(0, parties.bit_length(), 8) if parties >> b & 255]
+    one = np.int64(1)
+    out: list[tuple[np.ndarray, np.ndarray]] = []
+    n_out = 0
+    for rows, used in blocks:
+        free = parties & ~used
+        lo = np.zeros_like(free)
+        if floor >= 0:
+            f = rows[:, floor]
+            top = one << np.frexp(f)[1] >> 1  # f's top bit (f < 2^52 is exact)
+            lo = np.where(f > 0, one << np.bitwise_count(free & (top - 1)), 0)
+        if not empty_ok:
+            lo = np.maximum(lo, 1)
+        size = one << np.bitwise_count(free)
+        ends = np.cumsum(size - lo)
+        offset = size - ends  # a pair's candidate index, less the pair's position
+        start, total = 0, int(ends[-1])
+        while start < total:
+            stop = min(total, start + BATCH_ROWS - n_out)
+            pairs = np.arange(start, stop)
+            row = np.searchsorted(ends, pairs, side="right")
+            cand = _deposit(pairs + offset[row], free[row], shifts)
+            child = rows.take(row, axis=0)
+            child[:, col] = cand
+            out.append((child, used[row] | cand))
+            n_out += stop - start
+            start = stop
+            if n_out == BATCH_ROWS:
+                yield _joined(out)
+                out, n_out = [], 0
+    if out:
+        yield _joined(out)
+
+
+def _joined(pieces):
+    """One (rows, used) block from consecutive pieces; a lone piece is not copied."""
+    if len(pieces) == 1:
+        return pieces[0]
+    return tuple(map(np.concatenate, zip(*pieces)))
 
 
 # --- compiled batches ---
-
-BATCH_ROWS = 1024  # instances per chunk of a compiled batch evaluation
 
 
 class CompiledTemplate:
@@ -434,8 +509,8 @@ class BoundTemplate:
 
 def slot_mask_matrix(instances: Sequence[Instance], n_slots: int) -> np.ndarray:
     """The instances' slot masks as an int64 (rows, slots) matrix."""
-    masks = np.array([inst.slot_masks for inst in instances], dtype=np.int64)
-    return masks.reshape(len(instances), n_slots)
+    masks = chain.from_iterable(inst.slot_masks for inst in instances)
+    return np.fromiter(masks, np.int64, len(instances) * n_slots).reshape(-1, n_slots)
 
 
 def instance_batches(
