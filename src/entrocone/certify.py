@@ -6,8 +6,7 @@ lambda_i >= 0 and mu_j free.  Every answer is exact and re-checked in
 rational arithmetic: a feasible answer returns the multipliers, an
 infeasible one returns an exact separating point (a set function nonnegative
 on every generator, zero on every constraint, strictly negative on the
-target).  A float64 run of the LP may propose where to look; it never
-decides.
+target).  One exact phase-1 simplex decides.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ class Feasible:
     coefficients: tuple[Fraction, ...]
     constraint_coefficients: tuple[Fraction, ...]
     pivots: int = 0
-    method: str = "simplex"  # "float-guided" or "simplex"
+    method: str = "simplex"
 
     @property
     def feasible(self) -> bool:
@@ -103,7 +102,7 @@ class Infeasible:
 
     farkas_point: SetFunction
     pivots: int = 0
-    method: str = "simplex"  # "float-guided" or "simplex"
+    method: str = "simplex"
 
     @property
     def feasible(self) -> bool:
@@ -111,29 +110,24 @@ class Infeasible:
 
 
 class _Simplex:
-    """Phase-1 revised simplex with Bland's rule.
+    """Phase-1 revised simplex with Bland's rule, exact and fraction-free.
 
     It keeps the m x m basis inverse and the basic values, not the full
-    tableau, and forms from `A` only the columns a pivot needs.  The dtype of
-    `A` picks the arithmetic.  Integers (int64 or Python ints) run exact and
-    fraction-free: `M = D * B^-1` and `b = D * x_B` over one denominator
-    D > 0, updated as Bareiss updates a tableau, and with tol 0 the run never
-    cycles; `objective`, `solution` and `dual_prices` read them as Python
-    ints and Fractions of them.  `M`, `b` and A's nonzeros are int64 while
-    each value a step forms (the duals and prices, the column M a_c, the
-    Bareiss products) is checked to stay below 2**63; the first check that
-    fails moves them to Python ints for the rest of the run, as does an `A`
-    or `rhs` that is not int64.  A float64 array keeps `M = B^-1` (D stays
-    1) and runs the same rule with entries within `tol` of zero taken as
-    zero; its answer is only a proposal.  Rows are scaled to b >= 0 and
-    start on the artificial basis; the phase-1 objective is the sum of the
-    artificials.
+    tableau, and forms from the integer `A` only the columns a pivot needs:
+    `M = D * B^-1` and `b = D * x_B` over one denominator D > 0, updated as
+    Bareiss updates a tableau; in exact arithmetic Bland's rule never
+    cycles.  `objective`, `solution` and `dual_prices` read them as Python
+    ints and Fractions of them.  `M`, `b` and A's nonzeros are int64 while each value a step forms
+    (the duals and prices, the column M a_c, the Bareiss products) is checked
+    to stay below 2**63; the first check that fails moves them to Python
+    ints for the rest of the run, as does an `A` or `rhs` that is not int64.
+    Rows are scaled to b >= 0 and start on the artificial basis; the phase-1
+    objective is the sum of the artificials.
     """
 
-    def __init__(self, A: np.ndarray, rhs: np.ndarray, tol: float = 0):
+    def __init__(self, A: np.ndarray, rhs: np.ndarray):
         m, n = A.shape
-        self.exact = A.dtype != np.float64
-        self.nrows, self.ncols, self.tol, self.D = m, n, tol, 1
+        self.nrows, self.ncols, self.D = m, n, 1
         self.row_sign = np.where(rhs < 0, -1, 1)
         self.A = A * self.row_sign[:, None]
         self.b = rhs * self.row_sign
@@ -141,19 +135,18 @@ class _Simplex:
         self.basis = list(range(n, n + m))
         self.artificial = np.ones(m, dtype=bool)  # rows whose basic variable is artificial
         self.pivots = 0
-        if self.exact:
-            # A's nonzeros column by column: column c is vals[starts[c]:starts[c + 1]]
-            # in the rows rows[starts[c]:starts[c + 1]]
-            cols, self.rows = self.A.T.nonzero()
-            self.vals = self.A[self.rows, cols]
-            self.starts = np.searchsorted(cols, np.arange(n + 1))
-            self.nonzero_cols = np.flatnonzero(np.diff(self.starts))
-            self.nonzero_starts = self.starts[self.nonzero_cols]
-            self.abs_sum = max(np.abs(self.A).sum(axis=0, dtype=object), default=0)
-            self.peak = max([1, *np.abs(self.b).tolist()])  # bounds |M| and |b|
-            self.wide = False
-            if self.A.dtype != np.int64 or self.b.dtype != np.int64:
-                self._int64(2**63)
+        # A's nonzeros column by column: column c is vals[starts[c]:starts[c + 1]]
+        # in the rows rows[starts[c]:starts[c + 1]]
+        cols, self.rows = self.A.T.nonzero()
+        self.vals = self.A[self.rows, cols]
+        self.starts = np.searchsorted(cols, np.arange(n + 1))
+        self.nonzero_cols = np.flatnonzero(np.diff(self.starts))
+        self.nonzero_starts = self.starts[self.nonzero_cols]
+        self.abs_sum = max(np.abs(self.A).sum(axis=0, dtype=object), default=0)
+        self.peak = max([1, *np.abs(self.b).tolist()])  # bounds |M| and |b|
+        self.wide = False
+        if self.A.dtype != np.int64 or self.b.dtype != np.int64:
+            self._int64(2**63)
 
     def _int64(self, bound: int) -> bool:
         """Whether a step whose values are at most `bound` in absolute value
@@ -171,49 +164,39 @@ class _Simplex:
 
     def _duals(self) -> np.ndarray:
         """y = c_B M, the phase-1 duals of the scaled rows times D."""
-        if not self.exact:
-            return self.artificial @ self.M
         self._int64(self.nrows * self.peak)
         return self.M[self.artificial].sum(axis=0)  # no products by 0 or 1
 
     def _entering(self):
-        """Bland's entering column: the first with reduced cost below -tol,
-        or None.  The reduced costs times D are -y A and D - y."""
-        y, tol = self._duals(), self.tol
-        if self.exact:  # y A from A's nonzeros
-            if not self._int64(int(np.abs(y).max(initial=0)) * self.abs_sum):
-                y = y.astype(object)
-            prices = np.zeros(self.ncols, dtype=y.dtype)
-            if len(self.nonzero_cols):
-                prices[self.nonzero_cols] = np.add.reduceat(
-                    y[self.rows] * self.vals, self.nonzero_starts)
-        else:
-            prices = y @ self.A
-        hits = (prices > tol).nonzero()[0]
+        """Bland's entering column: the first with a negative reduced cost,
+        or None.  The reduced costs times D are -y A, from A's nonzeros, and
+        D - y."""
+        y = self._duals()
+        if not self._int64(int(np.abs(y).max(initial=0)) * self.abs_sum):
+            y = y.astype(object)
+        prices = np.zeros(self.ncols, dtype=y.dtype)
+        if len(self.nonzero_cols):
+            prices[self.nonzero_cols] = np.add.reduceat(
+                y[self.rows] * self.vals, self.nonzero_starts)
+        hits = (prices > 0).nonzero()[0]
         if len(hits):
             return int(hits[0])
-        hits = (self.D - y < -tol).nonzero()[0]
+        hits = (self.D - y < 0).nonzero()[0]
         return self.ncols + int(hits[0]) if len(hits) else None
 
     def _column(self, c: int) -> np.ndarray:
-        """Column c of the tableau, M a_c; exact, from the nonzeros of a_c."""
+        """Column c of the tableau, M a_c, from the nonzeros of a_c."""
         if c >= self.ncols:
             return self.M[:, c - self.ncols].copy()
-        if not self.exact:
-            return self.M @ self.A[:, c]
         self._int64(self.peak * self.abs_sum)
         nz = slice(self.starts[c], self.starts[c + 1])
         return self.M[:, self.rows[nz]] @ self.vals[nz]
 
     def _leaving(self, col: np.ndarray, rows: np.ndarray) -> int:
         """The ratio test: the row of least b_i / col_i over `rows`, ties
-        to the lowest basic index.  Exact ratios are compared by
+        to the lowest basic index.  Ratios are compared by
         cross-multiplication in Python ints."""
         b, basis = self.b, self.basis
-        if not self.exact:
-            ratios = b[rows] / col[rows]
-            tied = rows[ratios <= ratios.min() + self.tol]
-            return min(tied, key=basis.__getitem__)
         leave, bl, cl = None, 0, 1
         for i, bi, ci in zip(rows.tolist(), b[rows].tolist(), col[rows].tolist()):
             cross = bi * cl - bl * ci
@@ -224,57 +207,35 @@ class _Simplex:
     def solve(self, max_pivots: int = 2_000_000):
         """Pivot to an optimal basis; a ValueError past `max_pivots`, as a
         problem too large to decide."""
-        while (enter := self._entering()) is not None:
-            col = self._column(enter)
-            rows = (col > self.tol).nonzero()[0]
+        while (c := self._entering()) is not None:
+            col = self._column(c)
+            rows = (col > 0).nonzero()[0]
             if not len(rows):
                 raise RuntimeError("phase-1 objective unbounded; should not happen")
-            self._pivot(self._leaving(col, rows), enter, col)
+            self._pivot(self._leaving(col, rows), c, col)
             if self.pivots > max_pivots:
                 raise ValueError(f"the simplex did not decide within {max_pivots} pivots")
 
-    def enter(self, columns, artificial) -> bool:
-        """Pivot `columns` into the basis in place of the artificials of the
-        rows not in `artificial`; False when the resulting basis is singular."""
-        kept = set(artificial)
-        for c in columns:
-            col = self._column(c)
-            free = [i for i in col.nonzero()[0]
-                    if i not in kept and self.basis[i] == self.ncols + i]
-            if not free:
-                return False
-            self._pivot(free[0], c, col)
-        return True
-
     def _pivot(self, r: int, c: int, col: np.ndarray):
-        if self.exact:
-            # fraction-free (Bareiss): row r stays and every other M_ij
-            # becomes (M_ij * piv - col_i * M_rj) / D, b alike, exact since
-            # each entry is an integer minor; D becomes |piv|, every sign
-            # flipped if piv < 0.  Each product is at most peak * max|col|.
-            if not self._int64(2 * self.peak * int(np.abs(col).max())):
-                col = col.astype(object)
-            M, b, piv = self.M, self.b, col[r]
-            sign = 1 if piv > 0 else -1
-            d, row, br = sign * self.D, M[r].copy(), b[r]
-            M *= piv
-            M -= np.multiply.outer(col, row)
-            M //= d
-            b *= piv
-            b -= col * br
-            b //= d
-            M[r], b[r] = sign * row, sign * br
-            self.D = int(abs(piv))
-            if not self.wide:
-                self.peak = max(int(np.abs(M).max()), int(np.abs(b).max()), 1)
-        else:
-            M, b, piv = self.M, self.b, col[r]
-            M[r] /= piv
-            b[r] /= piv
-            factors = col.copy()
-            factors[r] = 0
-            M -= factors[:, None] * M[r]
-            b -= factors * b[r]
+        # fraction-free (Bareiss): row r stays and every other M_ij becomes
+        # (M_ij * piv - col_i * M_rj) / D, b alike, exact since each entry
+        # is an integer minor; D becomes |piv|, every sign flipped if
+        # piv < 0.  Each product is at most peak * max|col|.
+        if not self._int64(2 * self.peak * int(np.abs(col).max())):
+            col = col.astype(object)
+        M, b, piv = self.M, self.b, col[r]
+        sign = 1 if piv > 0 else -1
+        d, row, br = sign * self.D, M[r].copy(), b[r]
+        M *= piv
+        M -= np.multiply.outer(col, row)
+        M //= d
+        b *= piv
+        b -= col * br
+        b //= d
+        M[r], b[r] = sign * row, sign * br
+        self.D = int(abs(piv))
+        if not self.wide:
+            self.peak = max(int(np.abs(M).max()), int(np.abs(b).max()), 1)
         self.basis[r] = c
         self.artificial[r] = c >= self.ncols
         self.pivots += 1
@@ -291,63 +252,20 @@ class _Simplex:
         return [Fraction(v, self.D) for v in (self._duals() * self.row_sign).tolist()]
 
 
-_FLOAT_TOL = 1e-9  # the float guide reads entries within this of zero as zero
-
-
-def _float_basis(A: np.ndarray, rhs: np.ndarray):
-    """Run the phase-1 LP in float64 and propose its final basis.
-
-    Returns (basis, pivots), or None when the float run hits its pivot cap,
-    finds no positive ratio or meets a value float64 cannot hold.  Nothing
-    it returns is trusted: the caller re-solves the basis exactly and
-    re-checks.
-    """
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            sx = _Simplex(A.astype(float), rhs.astype(float), tol=_FLOAT_TOL)
-            sx.solve(max_pivots=10 * (sx.nrows + sx.ncols))
-    except (ValueError, RuntimeError, FloatingPointError, OverflowError):
-        return None
-    return sx.basis, sx.pivots
-
-
-def _feasible(target, generators, constraints, lams, mus, method, pivots):
-    """Feasible, once the multipliers replay the target exactly; else None."""
-    if not _check_combination(target, generators, lams, constraints, mus):
-        return None
-    return Feasible(tuple(lams), tuple(mus), pivots=pivots, method=method)
-
-
-def _infeasible(target, generators, constraints, values, method, pivots):
-    """Infeasible, once the separating point (values on the nonempty subsets,
-    cleared to coprime integers) passes verify_certificate; else None."""
-    denom_lcm = lcm(*(v.denominator for v in values))
-    ints = [int(v * denom_lcm) for v in values]
-    content = gcd(*ints) or 1  # 0 only when every value is 0
-    point = SetFunction(target.ground, [0] + [v // content for v in ints])
-    report = verify_certificate(
-        Certificate(point, tuple(generators), tuple(constraints), target)
-    )
-    if not report.valid:
-        return None
-    return Infeasible(farkas_point=point, pivots=pivots, method=method)
-
-
 def cone_membership(
     target: LinearFunctional,
     generators: Sequence[LinearFunctional],
     constraints: Sequence[LinearFunctional] = (),
     max_generators: int = 20000,
-    use_fast_paths: bool = True,
 ):
     """Decide exactly whether target lies in cone(generators) + span(constraints).
 
     Returns Feasible (with multipliers) or Infeasible (with a separating set
-    function scaled to integers); its `method` names the LP run that decided
-    it.  With fast paths on, a float64 run of the phase-1 LP proposes a basis
-    that one exact solve turns into a claim.  Every claim is re-checked
-    exactly; a rejected one falls through to the exact Bland simplex, which
-    raises a ValueError when it does not decide within 2,000,000 pivots.
+    function scaled to integers), from one exact Bland simplex run over the
+    phase-1 LP; `pivots` counts its pivots.  The run raises a ValueError
+    when it does not decide within 2,000,000 pivots.  Every answer is
+    re-checked exactly before it is returned, multipliers by
+    `_check_combination` and a separating point by `verify_certificate`.
     """
     ground = target.ground
     for item in list(generators) + list(constraints):
@@ -357,7 +275,6 @@ def cone_membership(
         raise ValueError(f"max_generators must be at least 1, got {max_generators}")
     if len(generators) > max_generators:
         raise ValueError(f"{len(generators)} generators exceeds cap {max_generators}")
-    problem = (target, generators, constraints)
 
     # LP columns: one per generator, a +/- pair per constraint (a free
     # multiplier), each the item's numerators, so column j is scales[j] times
@@ -380,36 +297,25 @@ def cone_membership(
     for mask, c in target.nums.items():
         b[mask - 1] = c
 
-    def claim(sx: _Simplex, lp_columns, method: str, pivots: int):
-        """The re-checked result an exact tableau over `lp_columns` supports,
-        or None."""
-        if sx.objective == 0 and all(v >= 0 for v in sx.b):
-            x = [Fraction(0)] * len(columns)
-            for j, v in zip(lp_columns, sx.solution()):
-                x[j] = Fraction(v * scales[j], target.den)
-            k = len(generators)
-            mus = [x[pos] - x[pos + 1] for pos in range(k, len(x), 2)]
-            return _feasible(*problem, x[:k], mus, method, pivots)
-        return _infeasible(*problem, [-y for y in sx.dual_prices()], method, pivots)
-
-    if use_fast_paths:
-        proposal = _float_basis(A, b)
-        if proposal is not None:
-            basis, float_pivots = proposal
-            basic = [j for j in basis if j < len(columns)]
-            artificial = [j - len(columns) for j in basis if j >= len(columns)]
-            sx = _Simplex(A[:, basic], b)
-            if sx.enter(range(len(basic)), artificial):
-                result = claim(sx, basic, "float-guided", float_pivots)
-                if result is not None:
-                    return result
-
     sx = _Simplex(A, b)
     sx.solve()
-    result = claim(sx, range(len(columns)), "simplex", sx.pivots)
-    if result is None:
-        raise RuntimeError("internal error: the simplex's exact answer fails re-check")
-    return result
+    if sx.objective == 0:
+        x = [Fraction(v * scale, target.den) for v, scale in zip(sx.solution(), scales)]
+        k = len(generators)
+        lams, mus = x[:k], [x[pos] - x[pos + 1] for pos in range(k, len(x), 2)]
+        if _check_combination(target, generators, lams, constraints, mus):
+            return Feasible(tuple(lams), tuple(mus), pivots=sx.pivots)
+    else:
+        # the separating point: minus the duals, on the nonempty subsets,
+        # cleared to coprime integers
+        values = [-y for y in sx.dual_prices()]
+        denom_lcm = lcm(*(v.denominator for v in values))
+        ints = [int(v * denom_lcm) for v in values]
+        content = gcd(*ints) or 1  # 0 only when every value is 0
+        point = SetFunction(ground, [0] + [v // content for v in ints])
+        if verify_certificate(Certificate(point, tuple(generators), tuple(constraints), target)):
+            return Infeasible(farkas_point=point, pivots=sx.pivots)
+    raise RuntimeError("internal error: the simplex's exact answer fails re-check")
 
 
 def _check_combination(target, generators, lams, constraints, mus) -> bool:

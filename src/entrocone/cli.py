@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -244,11 +245,8 @@ def cmd_certify(args) -> int:
     else:
         problem = purified_basic_problem()
     target, generators, constraints, ground, expect = problem
-    outcome = cone_membership(
-        target, generators, constraints,
-        max_generators=args.max_generators,
-        use_fast_paths=not args.no_fast_paths,
-    )
+    outcome = cone_membership(target, generators, constraints,
+                              max_generators=args.max_generators)
     feasible = isinstance(outcome, Feasible)
     obj = {
         "outcome": "feasible" if feasible else "infeasible",
@@ -328,7 +326,11 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and kept for the process:
+    `parse_args` returns a fresh namespace each call, so nothing carries over
+    from one `main` call to the next."""
     # each command takes only the shared flags it reads: every one takes
     # --out, and --format, --seed and --tol go where a command uses them
     out, fmt, seed, tol = (argparse.ArgumentParser(add_help=False) for _ in range(4))
@@ -381,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="order for the independence problem")
     p.add_argument("--max-generators", type=int, default=20000)
     p.add_argument("--no-fast-paths", action="store_true",
-                   help="skip the float guide; run the exact simplex alone")
+                   help="ignored: the exact simplex is the only LP run")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("search", parents=[out, fmt, seed, tol],

@@ -257,8 +257,8 @@ def test_criterion_5_certificates_and_lp():
     out = cone_membership(target, gens, cons)
     if not isinstance(out, Infeasible):
         failures.append(("independence", "expected infeasible"))
-    if out.method != "float-guided":
-        failures.append(("independence", f"decided by {out.method}"))
+    if (out.method, out.pivots) != ("simplex", 290):
+        failures.append(("independence", f"decided by {out.method} in {out.pivots} pivots"))
     g2 = make_witness_g(2)
     rep = verify_certificate(
         Certificate(point=g2, generators=tuple(gens), constraints=tuple(cons),

@@ -105,7 +105,7 @@ def test_membership_lp_reproduces_target_exactly():
     gr = GroundSet(("a", "b", "c"))
     gens = [inst.functional for inst in enumerate_instances(builtin("ssa"), gr)]
     target = instantiate(builtin("mi"), gr, {"A": "a", "B": "b"}).functional
-    out = cone_membership(target, gens, [], use_fast_paths=False)
+    out = cone_membership(target, gens, [])
     assert isinstance(out, Feasible)
     acc: dict = {}
     for c, g in zip(out.coefficients, gens):
@@ -172,7 +172,7 @@ def test_membership_random_problems_are_internally_consistent():
             target = LinearFunctional(
                 gr, {m: Fraction(int(rng.integers(-3, 4))) for m in gr.iter_masks()}
             )
-        out = cone_membership(target, gens, [], use_fast_paths=False)
+        out = cone_membership(target, gens, [])
         if isinstance(out, Feasible):
             n_feasible += 1
             acc: dict = {}
@@ -260,41 +260,13 @@ def membership_problems(draw):
 @given(membership_problems())
 def test_fast_paths_agree_with_exact_simplex(problem):
     target, gens, cons = problem
-    fast = cone_membership(target, gens, cons)
-    exact = cone_membership(target, gens, cons, use_fast_paths=False)
-    assert fast.feasible == exact.feasible
-    assert fast.method in ("float-guided", "simplex")
-    assert exact.method == "simplex"
-    for out in (fast, exact):
-        _assert_replays(out, target, gens, cons)
-
-
-@pytest.mark.parametrize("wrong", ["artificial", "repeated"])
-def test_rejected_float_basis_falls_back_to_simplex(wrong, monkeypatch):
-    # the float guide proposes its starting basis, or a singular one: the
-    # exact re-checks reject either and the Bland simplex decides
-    def propose(A, b):
-        m, n = A.shape
-        return (list(range(n, n + m)) if wrong == "artificial" else [0] * m), 7
-
-    monkeypatch.setattr(certify, "_float_basis", propose)
-    gr = GroundSet(("a", "b"))
-    s_a, s_b = fn(gr, {("a",): 1}), fn(gr, {("b",): 1})
-    cases = [
-        (fn(gr, {("a",): 1, ("b",): 1}), [s_a, s_b]),  # feasible
-        (fn(gr, {("a",): -2, ("b",): 1}), [s_a, fn(gr, {("a",): -1, ("b",): 1})]),
-    ]
-    for target, gens in cases:
-        exact = cone_membership(target, gens, [], use_fast_paths=False)
-        out = cone_membership(target, gens, [])
-        assert out.method == "simplex"
-        assert out.feasible == exact.feasible and out.pivots == exact.pivots
-        _assert_replays(out, target, gens, [])
-    assert [cone_membership(t, g, []).feasible for t, g in cases] == [True, False]
+    out = cone_membership(target, gens, cons)
+    assert out.method == "simplex"
+    _assert_replays(out, target, gens, cons)
 
 
 def test_float_overflow_falls_back_to_simplex():
-    # 10**400 has no float64 value: the float run cannot start
+    # 10**400 is beyond int64: the run decides in Python ints
     gr = GroundSet(("a", "b"))
     gens = [fn(gr, {("a",): 10**400}), fn(gr, {("b",): 1})]
     out = cone_membership(fn(gr, {("a",): 1, ("b",): 1}), gens, [])
@@ -305,7 +277,7 @@ def test_float_overflow_falls_back_to_simplex():
 def test_shortcuts_pass_the_exact_rechecks(monkeypatch):
     # a target with a coefficient on a subset no generator touches, and a
     # target that is a multiple of a listed generator: the LP decides both,
-    # on either path, and each answer goes through the exact re-checks
+    # and each answer goes through the exact re-checks
     gr = GroundSet(("a", "b"))
     s_a = fn(gr, {("a",): 1})
     zero_row_target, listed_target = fn(gr, {("a",): 1, ("b",): 2}), fn(gr, {("a",): 3})
@@ -314,15 +286,13 @@ def test_shortcuts_pass_the_exact_rechecks(monkeypatch):
         real = getattr(certify, name)
         monkeypatch.setattr(certify, name,
                             lambda *a, real=real: checked.append(real) or real(*a))
-    for fast, method in ((True, "float-guided"), (False, "simplex")):
-        zero_row = cone_membership(zero_row_target, [s_a], [], use_fast_paths=fast)
-        assert isinstance(zero_row, Infeasible) and zero_row.method == method
-        _assert_replays(zero_row, zero_row_target, [s_a], [])
-        listed = cone_membership(listed_target, [s_a], [], use_fast_paths=fast)
-        assert isinstance(listed, Feasible) and listed.method == method
-        assert listed.coefficients == (Fraction(3),)
-        assert [f.__name__ for f in checked] == ["verify_certificate", "_check_combination"]
-        checked.clear()
+    zero_row = cone_membership(zero_row_target, [s_a], [])
+    assert isinstance(zero_row, Infeasible) and zero_row.method == "simplex"
+    _assert_replays(zero_row, zero_row_target, [s_a], [])
+    listed = cone_membership(listed_target, [s_a], [])
+    assert isinstance(listed, Feasible) and listed.method == "simplex"
+    assert listed.coefficients == (Fraction(3),)
+    assert [f.__name__ for f in checked] == ["verify_certificate", "_check_combination"]
     three_a = fn(gr, {("a",): 3})
     assert certify._check_combination(three_a, [s_a], [Fraction(3)], [], [])
     assert not certify._check_combination(three_a, [s_a], [Fraction(2)], [], [])
@@ -360,15 +330,6 @@ class _FractionTableau:
             tied = rows[ratios == ratios.min()]
             self._pivot(min(tied, key=self.basis.__getitem__), enter)
 
-    def enter(self, columns, artificial) -> bool:
-        for c in columns:
-            free = [i for i in np.flatnonzero(self.T[:, c])
-                    if i not in artificial and self.basis[i] == self.ncols + i]
-            if not free:
-                return False
-            self._pivot(free[0], c)
-        return True
-
     def _pivot(self, r, c):
         self.b[r] /= self.T[r, c]
         self.T[r] /= self.T[r, c]
@@ -391,10 +352,10 @@ class _FractionTableau:
         return list((1 - self.red[self.ncols:]) * self.row_sign)
 
 
-def _run_traced(tableau, how, columns=(), artificial=(), state=None):
-    """Run `solve` or `enter` and return its result with `state()` after each
-    pivot; by default the state is the basis, pivots, solution, duals,
-    objective, the basis inverse and b, every number exact."""
+def _run_traced(tableau, state=None):
+    """Run `solve` and return its result with `state()` after each pivot; by
+    default the state is the basis, pivots, solution, duals, objective, the
+    basis inverse and b, every number exact."""
     def exact_state():
         if isinstance(tableau, _FractionTableau):
             d, inverse = 1, tableau.T[:, tableau.ncols:]
@@ -412,8 +373,7 @@ def _run_traced(tableau, how, columns=(), artificial=(), state=None):
         states.append(state())
 
     tableau._pivot = traced
-    result = tableau.solve() if how == "solve" else tableau.enter(columns, artificial)
-    return result, states
+    return tableau.solve(), states
 
 
 def _python_numbers(value) -> bool:
@@ -426,17 +386,17 @@ def _python_numbers(value) -> bool:
     return type(value) in (int, bool)
 
 
-def _assert_matches_fraction_tableau(A, b, how, columns=(), artificial=()):
+def _assert_matches_fraction_tableau(A, b):
     sx = certify._Simplex(A, b)
-    got = _run_traced(sx, how, columns, artificial)
-    assert got == _run_traced(_FractionTableau(A, b), how, columns, artificial)
+    got = _run_traced(sx)
+    assert got == _run_traced(_FractionTableau(A, b))
     assert sx.D > 0 and type(sx.D) is int
     assert all(_python_numbers(state[:5]) for state in got[1])
     return sx
 
 
 @st.composite
-def integer_lps(draw, beyond_int64=True):
+def integer_lps(draw):
     m, n = draw(st.integers(1, 4)), draw(st.integers(0, 5))
     entries = st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n)
     A = np.array(draw(entries), dtype=np.int64).reshape(m, n)
@@ -445,7 +405,7 @@ def integer_lps(draw, beyond_int64=True):
         A[:, draw(st.integers(0, n - 1))] = 0
     if draw(st.booleans()):  # a zero target
         b[:] = 0
-    if n and beyond_int64 and draw(st.booleans()):  # Python ints, one entry beyond int64
+    if n and draw(st.booleans()):  # Python ints, one entry beyond int64
         A, b = A.astype(object), b.astype(object)
         A[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = draw(
             st.sampled_from([2**63, -(2**63) - 5, 3**41]))
@@ -466,26 +426,9 @@ def wide_integer_lps(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(integer_lps(), wide_integer_lps()), st.data())
-def test_integer_tableau_matches_fraction_tableau(lp, data):
-    A, b = lp
-    m, n = A.shape
-    how = data.draw(st.sampled_from(["solve", "enter"]))
-    columns = data.draw(st.lists(st.integers(0, max(n - 1, 0)), unique=True,
-                                 max_size=m if n else 0))
-    artificial = data.draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m))
-    _assert_matches_fraction_tableau(A, b, how, columns, artificial)
-
-
-@settings(max_examples=200, deadline=None)
-@given(integer_lps(beyond_int64=False))
-def test_float_mode_follows_fraction_tableau_bases(lp):
-    A, b = lp
-    sx = certify._Simplex(A.astype(float), b.astype(float), tol=certify._FLOAT_TOL)
-    ref = _FractionTableau(A, b)
-    bases = [_run_traced(t, "solve", state=lambda t=t: list(t.basis))[1] for t in (sx, ref)]
-    assert bases[0] == bases[1]
-    assert np.allclose(sx.b, ref.b.astype(float), rtol=0, atol=1e-9)
+@given(st.one_of(integer_lps(), wide_integer_lps()))
+def test_integer_tableau_matches_fraction_tableau(lp):
+    _assert_matches_fraction_tableau(*lp)
 
 
 def test_a_failed_int64_bound_moves_the_run_to_python_ints():
@@ -494,27 +437,16 @@ def test_a_failed_int64_bound_moves_the_run_to_python_ints():
     s = 2**30
     A, b = np.array([[s, 3, 1], [2, s, 5], [1, 4, s]]), np.array([s + 7, s + 9, s + 11])
     sx = certify._Simplex(A, b)
-    _, dtypes = _run_traced(sx, "solve", state=lambda: sx.M.dtype)
+    _, dtypes = _run_traced(sx, state=lambda: sx.M.dtype)
     assert dtypes == [np.int64, np.int64, object, object]
-    _assert_matches_fraction_tableau(A, b, "solve")
-
-
-def test_enter_on_a_negative_entry_matches_fraction_tableau():
-    # the start basis is the identity, so enter's first pivot entry is A[0, 0]
-    A, b = np.array([[-2, 1], [3, 1]]), np.array([1, 4])
-    sx = certify._Simplex(A, b)
-    _, pivots = _run_traced(sx, "enter", [0, 1], state=lambda: sx.basis.copy())
-    assert pivots == [[2, 3], [0, 3], [0, 1]]
-    sx = _assert_matches_fraction_tableau(A, b, "enter", [0, 1])
-    assert sx.basis == [0, 1] and sx.solution() == [Fraction(3, 5), Fraction(11, 5)]
+    _assert_matches_fraction_tableau(A, b)
 
 
 def _assert_exact_fallback_decides_independence(n, pivots):
     target, gens, cons, _, _ = independence_problem(n)
-    exact = cone_membership(target, gens, cons, use_fast_paths=False)
+    exact = cone_membership(target, gens, cons)
     assert isinstance(exact, Infeasible) and exact.method == "simplex"
     assert exact.pivots == pivots
-    assert exact.farkas_point == cone_membership(target, gens, cons).farkas_point
     assert verify_certificate(Certificate(exact.farkas_point, tuple(gens), tuple(cons), target))
 
 
@@ -533,7 +465,8 @@ def test_exact_fallback_decides_independence_at_n3():
 def test_lp_point_and_closed_form_both_certify_independence(n):
     target, gens, cons, ground, _ = independence_problem(n)
     out = cone_membership(target, gens, cons)
-    assert isinstance(out, Infeasible) and out.method == "float-guided"
+    assert isinstance(out, Infeasible) and out.method == "simplex"
+    assert out.pivots == {2: 290, 3: 1864}[n]
     for point in (out.farkas_point, make_witness_g(n)):
         rep = verify_certificate(
             Certificate(point=point, generators=tuple(gens), constraints=tuple(cons),

@@ -507,15 +507,13 @@ def test_certify_problem_file_and_expectation(tmp_path):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("fast", [True, False])
-def test_certify_independence_point_holds_on_the_full_list(n, fast, tmp_path):
+def test_certify_independence_point_holds_on_the_full_list(n, tmp_path):
     # the LP ran on the elemental forms; its point must separate the full
     # problem, and the report names the instance lists it was re-checked on
     out = tmp_path / "r.json"
-    assert run(["certify", "--builtin", "independence", "--n", str(n), "--out", str(out)]
-               + ([] if fast else ["--no-fast-paths"])) == 0
+    assert run(["certify", "--builtin", "independence", "--n", str(n), "--out", str(out)]) == 0
     report = json.loads(out.read_text())["report"]
-    assert report["result"]["method"] == ("float-guided" if fast else "simplex")
+    assert report["result"]["method"] == "simplex"
     target, gens, cons, ground, _ = independence_problem(n)
     point = setfn_from_obj(report["result"]["farkas_point"])
     assert verify_certificate(Certificate(point, tuple(gens), tuple(cons), target))
@@ -542,7 +540,7 @@ def test_certify_exits_two_when_the_simplex_passes_its_pivot_limit(monkeypatch, 
     # here lowered to 10 pivots
     solve = certify._Simplex.solve
     monkeypatch.setattr(certify._Simplex, "solve", lambda sx, max_pivots=10: solve(sx, 10))
-    assert run(["certify", "--builtin", "independence", "--n", "2", "--no-fast-paths"]) == 2
+    assert run(["certify", "--builtin", "independence", "--n", "2"]) == 2
     err = capsys.readouterr().err
     assert err == "the simplex did not decide within 10 pivots\n"
 
@@ -598,11 +596,11 @@ def test_manifest_digest_stable_across_runs(tmp_path):
     (["counterexample"],
      "4446f9ddc333f938e1e9461e9d499d1f8392bc09954ece3b0c1fe0bad712c026"),
     (["certify", "--builtin", "purified-basic"],
-     "b9cdf27af97e5e39d48deea2b38187dffc7a790d23c02da39b027f4d0113a5ec"),
+     "58d56bc31f1be3cc4ff6b6ad2199c1b80d4eb106d52f0b6af68a189c3f3ce17b"),
     (["certify", "--builtin", "purified-basic", "--no-fast-paths"],
      "58d56bc31f1be3cc4ff6b6ad2199c1b80d4eb106d52f0b6af68a189c3f3ce17b"),
     (["certify", "--builtin", "independence", "--n", "2"],
-     "ba47b78d9bf729ba7833949c2c07204c71d5be1f94c8adfa6889b40814ac35fa"),
+     "f357bfc7e3a54e430ae3153b4f7ff64266174b6447f29080da6fe167708209e6"),
     (["certify", "--builtin", "independence", "--n", "2", "--no-fast-paths"],
      "f357bfc7e3a54e430ae3153b4f7ff64266174b6447f29080da6fe167708209e6"),
 ], ids=["witness-2", "witness-3", "counterexample", "purified", "purified-simplex",
@@ -613,6 +611,21 @@ def test_exact_report_digest_is_pinned(argv, digest, tmp_path):
     out = tmp_path / "r.json"
     assert run(argv + ["--out", str(out)]) == 0
     assert json.loads(out.read_text())["manifest"]["digest"] == f"sha256:{digest}"
+
+
+def test_a_main_call_carries_nothing_into_the_next(tmp_path, capsys):
+    # the parser is built once per process; each call parses its own argv
+    argv = ["search", "--template", "ssa", "--trials", "3", "--labels", "A,B,C",
+            "--dims", "2,2,2"]
+    out = tmp_path / "r.json"
+    assert run(argv + ["--refine", "2", "--out", str(out)]) == 0
+    assert "refine" in json.loads(out.read_text())["report"]
+    capsys.readouterr()
+    assert run(argv) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert "refine" not in second["report"]
+    assert second["manifest"]["args"]["refine"] == 0 and "out" not in second["manifest"]["args"]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_version_flag(capsys):
