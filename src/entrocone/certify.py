@@ -32,6 +32,10 @@ from .inequalities import (
     terms_to_obj,
 )
 
+# the largest ground cone_membership takes: its LP has a row per nonempty
+# subset, and at 12 parties the 4,095 x 4,095 basis inverse alone is 134 MB
+MAX_LP_PARTIES = 12
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -262,15 +266,19 @@ def cone_membership(
 
     Returns Feasible (with multipliers) or Infeasible (with a separating set
     function scaled to integers), from one exact Bland simplex run over the
-    phase-1 LP; `pivots` counts its pivots.  The run raises a ValueError
-    when it does not decide within 2,000,000 pivots.  Every answer is
-    re-checked exactly before it is returned, multipliers by
-    `_check_combination` and a separating point by `verify_certificate`.
+    phase-1 LP; `pivots` counts its pivots.  A ground above MAX_LP_PARTIES
+    parties is refused, and the run raises a ValueError when it does not
+    decide within 2,000,000 pivots.  Every answer is re-checked exactly
+    before it is returned, multipliers by `_check_combination` and a
+    separating point by `verify_certificate`.
     """
     ground = target.ground
     for item in list(generators) + list(constraints):
         if item.ground != ground:
             raise ValueError("all functionals must share one ground set")
+    if ground.size > MAX_LP_PARTIES:
+        raise ValueError(f"a ground of {ground.size} parties exceeds the LP cap of "
+                         f"{MAX_LP_PARTIES}")
     if max_generators < 1:
         raise ValueError(f"max_generators must be at least 1, got {max_generators}")
     if len(generators) > max_generators:

@@ -444,7 +444,7 @@ class CompiledTemplate:
     cleared by the lcm of its denominators (`denominators`), `floats` (built
     on first use) the coefficients as float64.  An instance's slot masks are
     disjoint, so the party mask of every term is the slot-mask row times
-    `incidence`.
+    `incidence` (`terms`).
     """
 
     def __init__(self, template: InequalityTemplate):
@@ -468,8 +468,24 @@ class CompiledTemplate:
             raise ValueError("a template coefficient is beyond float64") from None
         return np.array(rows, dtype=np.float64).reshape(self.shape)
 
+    def terms(self, slot_masks: np.ndarray) -> np.ndarray:
+        """(rows, terms) party masks of the terms for a (rows, slots) mask
+        matrix: one product, which every set function bound here reads."""
+        return slot_masks @ self.incidence
+
     def bind(self, f: SetFunction) -> "BoundTemplate":
         return BoundTemplate(self, f)
+
+
+def float_values(table: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """(..., forms) values of the term values `table` (..., terms) under the
+    (terms, forms) float64 coefficients, adding the terms in order: a BLAS
+    product rounds by memory placement, which would tie a row's value to
+    the rows evaluated with it."""
+    v = np.zeros(table.shape[:-1] + coefs.shape[1:])
+    for j, c in enumerate(coefs):
+        v += table[..., j, None] * c
+    return v
 
 
 class BoundTemplate:
@@ -482,7 +498,6 @@ class BoundTemplate:
     """
 
     def __init__(self, compiled: CompiledTemplate, f: SetFunction):
-        self.incidence = compiled.incidence
         self.exact = f.domain != FLOAT64
         if not self.exact:
             self.table = np.array(f.values, dtype=np.float64)
@@ -496,9 +511,13 @@ class BoundTemplate:
         self.coefs = np.array(compiled.ints, dtype=dtype).reshape(compiled.shape)
         self.scales = [d * den for d in compiled.denominators]
 
-    def evaluate(self, slot_masks: np.ndarray) -> np.ndarray:
-        """(rows, 1 + constraints) numerators for a (rows, slots) mask matrix."""
-        return self.table[slot_masks @ self.incidence] @ self.coefs
+    def evaluate(self, terms: np.ndarray) -> np.ndarray:
+        """(rows, 1 + constraints) numerators for (rows, terms) term masks
+        (`CompiledTemplate.terms`); a float row's values do not depend on
+        the other rows."""
+        if not self.exact:
+            return float_values(self.table[terms], self.coefs)
+        return self.table[terms] @ self.coefs
 
     def value(self, num, column: int = 0):
         """A numerator as a Python value: float, or an exact Fraction."""
@@ -566,7 +585,8 @@ def satisfies(
         raise ValueError(
             "constrained template: pass an explicit binding or auto_filter=True"
         )
-    bound = CompiledTemplate(template).bind(f)
+    compiled = CompiledTemplate(template)
+    bound = compiled.bind(f)
     zero_tol = 0 if bound.exact else tol
     n_enum = 0
     n_adm = 0
@@ -579,7 +599,7 @@ def satisfies(
         n_enum += len(chunk)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                nums = bound.evaluate(masks)
+                nums = bound.evaluate(compiled.terms(masks))
         except FloatingPointError:
             # a sum of finite values beyond float64 would read as inf or nan
             raise ValueError(f"{template.name} overflows float64 on these values") from None

@@ -247,22 +247,6 @@ def _trace_one(stack: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:
     return out.reshape(-1, pre * post, pre * post)
 
 
-def _supports(stack: np.ndarray) -> list[tuple]:
-    """The matrices of `stack` (T, d, d), each cut to its own support, as
-    (rows of `stack`, cut stack) pairs, one per support.  A row (and, by
-    hermiticity, its column) that is zero adds only a zero eigenvalue, so
-    it is removed.  Only a row whose diagonal entry is zero can be, so a
-    stack with no zero on its diagonal is one pair, uncut."""
-    diag = stack.diagonal(axis1=1, axis2=2)
-    if diag.all():
-        return [(slice(None), stack)]
-    keep = (diag != 0) | stack.any(axis=2)
-    rows: dict[bytes, list[int]] = {}
-    for t, row in enumerate(keep):
-        rows.setdefault(row.tobytes(), []).append(t)
-    return [(ts, stack[np.ix_(ts, keep[ts[0]], keep[ts[0]])]) for ts in rows.values()]
-
-
 def _marginal_entropies(stack: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Entropy and clipped mass of every marginal of each matrix of `stack`
     (T, d, d) on parties of `dims`, as (T, 2^m) arrays indexed by party mask
@@ -270,10 +254,9 @@ def _marginal_entropies(stack: np.ndarray, dims: Sequence[int]) -> tuple[np.ndar
 
     Each level's marginals are traced from the level above, one party at a
     time.  A party of dimension 1 is never traced: a mask holding one takes
-    the values of the mask without it.  Every marginal of a level is cut
-    to its support, and the level makes one `eigvalsh` call per dimension
-    the cuts leave.  Each matrix's values are computed alone, whatever else
-    the stack holds.
+    the values of the mask without it.  Each level makes one `eigvalsh`
+    call per dimension of its marginals.  Each matrix's values are computed
+    alone, whatever else the stack holds.
     """
     m = len(dims)
     values = np.zeros((len(stack), 1 << m))
@@ -282,11 +265,10 @@ def _marginal_entropies(stack: np.ndarray, dims: Sequence[int]) -> tuple[np.ndar
     full = sum(1 << i for i in live)
     level = {full: stack}
     for count in range(len(live), 0, -1):
-        by_dim: dict[int, list] = {}
+        by_dim: dict[int, list[int]] = {}
         next_level: dict[int, np.ndarray] = {}
         for mask, mat in level.items():
-            for rows, cut in _supports(mat):
-                by_dim.setdefault(cut.shape[-1], []).append((mask, rows, cut))
+            by_dim.setdefault(mat.shape[-1], []).append(mask)
             if count > 1:
                 idxs = [i for i in live if mask >> i & 1]
                 sub = [dims[i] for i in idxs]
@@ -295,12 +277,9 @@ def _marginal_entropies(stack: np.ndarray, dims: Sequence[int]) -> tuple[np.ndar
                     if child not in next_level:
                         next_level[child] = _trace_one(mat, sub, pos)
         for group in by_dim.values():
-            w = np.linalg.eigvalsh(np.concatenate([cut for _, _, cut in group]))
-            s, c = _spectrum_entropy(w)
-            at = 0
-            for mask, rows, cut in group:
-                values[rows, mask], clipped[rows, mask] = s[at:at + len(cut)], c[at:at + len(cut)]
-                at += len(cut)
+            w = np.linalg.eigvalsh(np.concatenate([level[mask] for mask in group]))
+            s, c = _spectrum_entropy(w.reshape(len(group), len(stack), -1))
+            values[:, group], clipped[:, group] = s.T, c.T
         level = next_level
     masks = np.arange(1 << m) & full
     return values[:, masks], clipped[:, masks]
@@ -492,10 +471,12 @@ class BlockFactors:
         X's two halves brought together."""
         K, n = self.weights.size, len(self.xi_shape) - 1
         dim_c, x_second = self.xi_shape[0], self.xi_shape[1:]
-        xi_c, xi_x = _split_marginals(self.xis, dim_c)
+        split = (dim_c, math.prod(x_second))
+        xi_c, xi_x = _trace_one(self.xis, split, 1), _trace_one(self.xis, split, 0)
         chi_ab, chi_x, shapes = [None] * K, [None] * K, [None] * K
         for shape, ks, stack in self.chis:
-            for k, ab, x in zip(ks, *_split_marginals(stack, shape[0] * shape[1])):
+            split = (shape[0] * shape[1], math.prod(shape[2:]))
+            for k, ab, x in zip(ks, _trace_one(stack, split, 1), _trace_one(stack, split, 0)):
                 chi_ab[k], chi_x[k], shapes[k] = ab, x, shape
         x_first = shapes[0][2:]
         p = self.weights
@@ -532,14 +513,6 @@ def _factor_spectra(fs: Sequence[BlockFactors]) -> list[np.ndarray]:
         for f, row in zip(new, zip(*chi, *xi, *cx)):
             object.__setattr__(f, "spectra", row)
     return [np.array(a) for a in zip(*(f.spectra for f in fs))]
-
-
-def _split_marginals(stack: np.ndarray, d_first: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each matrix of `stack` (T, d, d) on the parties (first, rest), first of
-    dimension `d_first`: its marginals on first and on rest."""
-    d_rest = stack.shape[-1] // d_first
-    t = stack.reshape(-1, d_first, d_rest, d_first, d_rest)
-    return np.einsum("tiaja->tij", t), np.einsum("tiaib->tab", t)
 
 
 # --- parameters to states ---
@@ -729,7 +702,7 @@ class ConstrainedFamily(StateFamily):
         # the blocks sit on disjoint A and B ranges, so rho's (C, X) marginal
         # is the sum of each block's own trace over its A and B
         parts = [part(k) for k in range(K)]
-        cx = sum(_split_marginals(block[None], a * b)[1][0]
+        cx = sum(_trace_one(block[None], (a * b, len(block) // (a * b)), 0)[0]
                  for (block, _), (a, b, *_) in zip(parts, self.chi_shapes))
         block_factors = BlockFactors(
             weights,

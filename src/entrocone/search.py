@@ -21,6 +21,7 @@ from .inequalities import (
     Instance,
     builtin,
     enumerate_instances,
+    float_values,
     slot_mask_matrix,
     takes_order,
     template_from_obj,
@@ -144,9 +145,8 @@ def _instances_for(
 def _setup(cfg: SearchConfig):
     """Template, family, instances and their compiled evaluation `values`
     of a scan or walk: each state's instance values (T, rows) and constraint
-    values (T, rows, constraints) from one `entropy_table`, the float64
-    coefficients summed over the terms in order (a BLAS product rounds by
-    memory placement, which would tie a trial's slack to its chunk).
+    values (T, rows, constraints) from one `entropy_table`, through
+    `float_values`, so a trial's slack does not depend on its chunk.
     """
     template = resolve_template(cfg)
     family = family_for(cfg, template)
@@ -154,13 +154,10 @@ def _setup(cfg: SearchConfig):
     if not instances:
         raise ValueError("no instances to evaluate")
     compiled = CompiledTemplate(template)
-    terms = slot_mask_matrix(instances, len(template.slots)) @ compiled.incidence
+    terms = compiled.terms(slot_mask_matrix(instances, len(template.slots)))
 
     def values(states) -> tuple[np.ndarray, np.ndarray]:
-        table = entropy_table(states)[0][:, terms]
-        v = np.zeros(table.shape[:2] + compiled.shape[1:])
-        for j, coefs in enumerate(compiled.floats):
-            v += table[..., j, None] * coefs
+        v = float_values(entropy_table(states)[0][:, terms], compiled.floats)
         return v[..., 0], v[..., 1:]
 
     return template, family, instances, values

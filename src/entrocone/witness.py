@@ -241,7 +241,8 @@ def verify_witness(n: int) -> WitnessReport:
         classes: dict[int, dict] = {}
         for _, masks in instance_batches(template, gr, fixed=binding):
             deltas = (masks[:, is_x] == 0).sum(axis=1)
-            vf, vg = on_f.evaluate(masks)[:, 0], on_g.evaluate(masks)[:, 0]
+            terms = compiled.terms(masks)
+            vf, vg = on_f.evaluate(terms)[:, 0], on_g.evaluate(terms)[:, 0]
             for delta in np.flatnonzero(np.bincount(deltas)).tolist():
                 sel = np.flatnonzero(deltas == delta)
                 expected = closed_form_value(n, p, delta)

@@ -200,6 +200,7 @@ def test_bad_binding_syntax(etable_file, capsys):
      "--rank", "1000000000000", "--trials", "1"],
     ["search", "--template", "lw05", "--family", "lw05", "--blocks", "-1", "--trials", "1"],
     ["search", "--template", "lw05", "--family", "lw05", "--blocks", "0", "--trials", "1"],
+    ["certify", "--problem", "{forty_parties}"],
 ])
 def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeypatch):
     """A leading "env:NAME=value" entry sets that environment variable."""
@@ -214,6 +215,10 @@ def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeyp
         "unknown_label": {"ground": ["a"], "target": [{**term, "subset": ["z"]}],
                           "generators": [[term]]},
         "not_a_list": {"ground": ["a"], "target": 5, "generators": [[term]]},
+        # its LP would have 2^40 - 1 rows: refused before anything is allocated
+        "forty_parties": {"ground": [f"p{i}" for i in range(40)],
+                          "target": [{**term, "subset": ["p0"]}],
+                          "generators": [[{**term, "subset": ["p0"]}]]},
         "list_coef": {"name": "t", "slots": ["A"], "terms": [{**term, "subset": ["A"],
                                                             "coef": [1]}]},
         "problem_constraints_not_list": {"ground": ["a"], "target": [term],

@@ -19,8 +19,9 @@ from entrocone.inequalities import (
     builtin,
     enumerate_instances,
     satisfies,
+    slot_mask_matrix,
 )
-from entrocone.quantum import _rng, entropy_vector, trial_seed
+from entrocone.quantum import HaarMixedFamily, _rng, entropy_vector, trial_seed
 from entrocone.setfn import FLOAT64, GroundSet, SetFunction, to_obj
 
 FLOAT_TOL = 1e-12
@@ -175,6 +176,22 @@ def test_compiled_satisfies_matches_reference(template, parties, domain, seed, b
     assert _close(got.max_constraint_residual, want["max_constraint_residual"])
 
 
+@pytest.mark.parametrize("name", ["ssa", "wmo"])
+def test_each_float_row_has_its_bits_alone(name):
+    """A float row of a block evaluates to the bits it gets alone; a BLAS
+    product would round it by the rows beside it."""
+    family = HaarMixedFamily(tuple("ABCDEF"), (2,) * 6)
+    h = entropy_vector(family.build(family.draw(_rng(3))))
+    template = builtin(name)
+    compiled = CompiledTemplate(template)
+    bound = compiled.bind(h)
+    instances = list(enumerate_instances(template, h.ground))
+    terms = compiled.terms(slot_mask_matrix(instances, len(template.slots)))
+    block = bound.evaluate(terms)
+    for t, row in enumerate(terms):
+        assert np.array_equal(bound.evaluate(row[None]), block[t:t + 1])
+
+
 def test_int64_path_is_taken_below_the_bound():
     t = builtin("ssa")
     gr = GroundSet(("a", "b", "c"))
@@ -248,7 +265,7 @@ SCAN_PLANS = {
     "diagonal": dict(template="wmo", family="diagonal", labels=("A", "B", "C"), dims=(2, 2, 2)),
     "constrained": dict(template="c_1", family="constrained", n=1),
     "constrained-diagonal": dict(template="c_2", family="constrained-diagonal", n=2),
-    "lw05": dict(template="lw05", family="lw05"),  # block zeros: the support cut
+    "lw05": dict(template="lw05", family="lw05"),  # block zeros: rows that vanish
 }
 
 

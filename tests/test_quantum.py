@@ -31,6 +31,7 @@ from entrocone.quantum import (
     von_neumann_entropy,
     _marginal_entropies,
     _rng,
+    _trace_one,
 )
 
 LOG2 = np.log(2.0)
@@ -132,6 +133,22 @@ def test_partial_trace_keep_order_is_declared_order():
     two = partial_trace(st, ("C", "A"))
     assert one.labels == two.labels == ("A", "C")
     assert np.allclose(one.rho, two.rho)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.tuples(st.integers(1, 5), st.integers(1, 5)), size=st.integers(1, 3),
+       seed=SEEDS)
+def test_trace_one_matches_partial_trace_on_a_bipartite_split(dims, size, seed):
+    """`_trace_one`, which takes the constrained family's (C, X1..Xn)
+    marginal and the block factors' splits, gives each matrix of a stack
+    the marginals of `partial_trace`'s einsum."""
+    rng = _rng(seed)
+    stack = np.stack([_gram(math.prod(dims), rng) for _ in range(size)])
+    for pos, keep in ((1, "P"), (0, "Q")):
+        got = _trace_one(stack, dims, pos)
+        for t, rho in enumerate(stack):
+            want = partial_trace(MultipartyState(("P", "Q"), dims, rho), keep).rho
+            assert np.abs(got[t] - want).max() <= 1e-12
 
 
 # ------------------------------------------------------------ purification
@@ -282,7 +299,7 @@ def test_marginal_entropies_do_not_depend_on_the_stack(dims, size, data, seed):
     at = data.draw(st.integers(0, size - 1))
     inside = _marginal_entropies(np.roll(stack, at, axis=0), dims)
     for got, want in zip(inside, alone):
-        assert np.array_equal(got[at], want[0])  # each matrix is cut and diagonalized alone
+        assert np.array_equal(got[at], want[0])  # each matrix is diagonalized alone
 
 
 def _measured(seed, zero_block=None):
@@ -302,12 +319,11 @@ def _measured(seed, zero_block=None):
 @settings(max_examples=20, deadline=None)
 @given(seeds=st.lists(SEEDS, min_size=2, max_size=4), zero=st.integers(0, 1))
 def test_grouped_kernel_matches_each_marginal(seeds, zero):
-    """One stack whose marginals cut to different dimensions (one state has
-    a block of weight zero): every value and clipped mass is that of its
-    marginal's own dense eigvalsh."""
+    """One stack whose marginals have zero rows, in different places when one
+    state has a block of weight zero: every value and clipped mass is that
+    of its marginal's own dense eigvalsh."""
     states = [_measured(s) for s in seeds[1:]] + [_measured(seeds[0], zero)]
     stack = np.stack([s.rho for s in states])
-    assert len(quantum._supports(stack)) == 2
     values, clipped = _marginal_entropies(stack, states[0].dims)
     gr = states[0].ground
     for t, state in enumerate(states):
