@@ -37,7 +37,6 @@ from .certify import (
     Feasible,
     Infeasible,
     cone_membership,
-    independence_lp,
     independence_problem,
     purified_basic_problem,
     verify_certificate,
@@ -84,7 +83,6 @@ __all__ = [
     "Feasible",
     "Infeasible",
     "cone_membership",
-    "independence_lp",
     "independence_problem",
     "purified_basic_problem",
     "verify_certificate",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, lcm
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,9 +32,9 @@ from .inequalities import (
     terms_to_obj,
 )
 
-# the largest ground cone_membership takes: its LP has a row per nonempty
-# subset, and at 12 parties the 4,095 x 4,095 basis inverse alone is 134 MB
-MAX_LP_PARTIES = 12
+# the most rows cone_membership takes: a row per nonempty subset of a
+# 12-party ground, whose 4,095 x 4,095 basis inverse alone is 134 MB
+MAX_LP_ROWS = 4095
 
 
 @dataclass(frozen=True)
@@ -266,19 +266,21 @@ def cone_membership(
 
     Returns Feasible (with multipliers) or Infeasible (with a separating set
     function scaled to integers), from one exact Bland simplex run over the
-    phase-1 LP; `pivots` counts its pivots.  A ground above MAX_LP_PARTIES
-    parties is refused, and the run raises a ValueError when it does not
-    decide within 2,000,000 pivots.  Every answer is re-checked exactly
-    before it is returned, multipliers by `_check_combination` and a
-    separating point by `verify_certificate`.
+    phase-1 LP; `pivots` counts its pivots.  The LP has a row per nonempty
+    subset of the ground (or per nonempty type of an `orbits.TypeSpace`);
+    more than MAX_LP_ROWS rows are refused before anything is allocated,
+    and the run raises a ValueError when it does not decide within
+    2,000,000 pivots.  Every answer is re-checked exactly before it is
+    returned, multipliers by `_check_combination` and a separating point by
+    `verify_certificate`.
     """
     ground = target.ground
     for item in list(generators) + list(constraints):
         if item.ground != ground:
             raise ValueError("all functionals must share one ground set")
-    if ground.size > MAX_LP_PARTIES:
-        raise ValueError(f"a ground of {ground.size} parties exceeds the LP cap of "
-                         f"{MAX_LP_PARTIES}")
+    dim = ground.n_subsets - 1
+    if dim > MAX_LP_ROWS:
+        raise ValueError(f"an LP of {dim} rows exceeds the cap of {MAX_LP_ROWS} rows")
     if max_generators < 1:
         raise ValueError(f"max_generators must be at least 1, got {max_generators}")
     if len(generators) > max_generators:
@@ -290,7 +292,6 @@ def cone_membership(
     # times it.  Under Bland's rule a zero column never enters, nor does a
     # repeated ray: its first copy has a lower index and a reduced cost of
     # the same sign.
-    dim = ground.n_subsets - 1
     columns = [g.nums for g in generators]
     scales = [g.den for g in generators]
     for con in constraints:
@@ -376,35 +377,18 @@ def elemental_forms(ground: GroundSet) -> Iterator[LinearFunctional]:
                 yield LinearFunctional._from_ints(ground, {m: c for m, c in terms.items() if m})
 
 
-def _independence(n: int, basic, max_generators: int | None):
-    """The order-n independence problem over the generators `basic(ground)`
-    followed by the c_p family columns; see `independence_problem`."""
-    from .witness import standard_c_binding, witness_ground
-
-    if n < 1:
-        raise ValueError("family order n must be >= 1")
-    if max_generators is not None and max_generators < 1:
+def capped_list(items: Iterable, max_generators: int | None) -> list:
+    """`items` as a list, with a ValueError as soon as it passes
+    `max_generators` (None: no cap), so a list too long to solve is refused
+    before it is built."""
+    if max_generators is None:
+        return list(items)
+    if max_generators < 1:
         raise ValueError(f"max_generators must be at least 1, got {max_generators}")
-    ground = witness_ground(n)
-    binding = standard_c_binding()
-
-    target_inst = instantiate(
-        builtin("c_n", n),
-        ground,
-        {**binding, **{f"X{i}": f"x{i}" for i in range(1, n + 1)}},
-    )
-    target, constraints = target_inst.functional, target_inst.constraints
-    family = (inst for p in range(1, n + 3) if p != n
-              for inst in enumerate_instances(builtin("c_n", p), ground, fixed=binding))
-    generators = chain(
-        basic(ground),
-        (inst.functional for inst in family if not inst.functional.is_zero()),
-    )
-    cap = None if max_generators is None else max_generators + 1
-    generators = list(islice(generators, cap))
-    if max_generators is not None and len(generators) > max_generators:
+    items = list(islice(items, max_generators + 1))
+    if len(items) > max_generators:
         raise ValueError(f"more than {max_generators} generators exceeds cap {max_generators}")
-    return target, generators, list(constraints), ground, "infeasible"
+    return items
 
 
 def independence_problem(n: int, max_generators: int | None = None):
@@ -419,18 +403,26 @@ def independence_problem(n: int, max_generators: int | None = None):
     `max_generators`, the build stops with a ValueError as soon as the list
     passes it, so an order too large to solve is refused before it is built.
     """
-    return _independence(
-        n, lambda ground: (inst.functional for inst in basic_generator_instances(ground)),
-        max_generators)
+    from .witness import standard_c_binding, witness_ground
 
+    if n < 1:
+        raise ValueError("family order n must be >= 1")
+    ground = witness_ground(n)
+    binding = standard_c_binding()
 
-def independence_lp(n: int, max_generators: int | None = None):
-    """`independence_problem(n)` with the basic inequalities given by their
-    elemental forms: the same target, constraints and cone in far fewer
-    columns (at n = 4, 1,108 against 13,443).  A separating point of this
-    problem separates the full one; `certify` re-checks it on every ssa and
-    wmo instance."""
-    return _independence(n, elemental_forms, max_generators)
+    target_inst = instantiate(
+        builtin("c_n", n),
+        ground,
+        {**binding, **{f"X{i}": f"x{i}" for i in range(1, n + 1)}},
+    )
+    family = (inst for p in range(1, n + 3) if p != n
+              for inst in enumerate_instances(builtin("c_n", p), ground, fixed=binding))
+    generators = chain(
+        (inst.functional for inst in basic_generator_instances(ground)),
+        (inst.functional for inst in family if not inst.functional.is_zero()),
+    )
+    return (target_inst.functional, capped_list(generators, max_generators),
+            list(target_inst.constraints), ground, "infeasible")
 
 
 def purified_basic_problem():

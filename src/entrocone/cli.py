@@ -25,17 +25,19 @@ import json
 import os
 import sys
 import tempfile
+import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .setfn import setfn_from_obj, to_obj
-from .inequalities import builtin, satisfies, takes_order, template_from_obj
-from .witness import verify_counterexample, verify_witness
+from .inequalities import builtin, instantiate, satisfies, takes_order, template_from_obj
+from .witness import standard_c_binding, verify_counterexample, verify_witness
 from .certify import (
+    MAX_LP_ROWS,
     Feasible,
     cone_membership,
-    independence_lp,
     problem_from_obj,
     purified_basic_problem,
 )
@@ -124,16 +126,19 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _emit(args, report, started, csv_table=None):
+def _emit(args, report, started, csv_table=None, stats=None):
     """Write the report, as `to_obj` writes it, per --out and return
     nothing: JSON, or CSV when the command gives a `csv_table` (those that
-    take --format) and --format asks.
+    take --format) and --format asks.  `stats` (counts and phase times)
+    go in the manifest as `stats`, outside the digest.
 
     CSV stays byte-deterministic: the manifest never enters the CSV body; it
     goes to stdout when the CSV has a file of its own, to stderr otherwise.
     """
     report_obj = to_obj(report)
     manifest = _manifest(args, report_obj, started)
+    if stats is not None:
+        manifest["stats"] = stats
     if csv_table is not None and args.format == "csv":
         header, rows = csv_table
         text = _csv_text(header, rows)
@@ -230,8 +235,34 @@ def cmd_sample(args) -> int:
     return 0 if all_pass else 1
 
 
+def _recheck_independence(point, n: int) -> tuple[dict, list]:
+    """The lifted Farkas point of order n on the full ground, by paths that
+    do not read the type coordinates: `satisfies` on every ssa and wmo
+    instance and on every c_p family instance (p != n up to n + 2, the
+    standard binding, no filter), then the instantiated target (< 0) and
+    its constraints (= 0).  Returns the report's `rechecked` and the
+    failures, each as the clause "the Farkas point is ..." ends with."""
+    binding = standard_c_binding()
+    checks = {name: satisfies(point, builtin(name)) for name in ("ssa", "wmo")}
+    checks.update({f"c_{p}": satisfies(point, builtin("c_n", p), binding=binding)
+                   for p in range(1, n + 3) if p != n})
+    rechecked = {name: {"instances": rep.n_enumerated, "violations": rep.n_violations}
+                 for name, rep in checks.items()}
+    failed = [f"negative on {rep.n_violations} of {rep.n_enumerated} {name} instances"
+              for name, rep in checks.items() if not rep.holds]
+    target = instantiate(builtin("c_n", n), point.ground,
+                         {**binding, **{f"X{i}": f"x{i}" for i in range(1, n + 1)}})
+    value = target.functional.evaluate(point)
+    residuals = [con.evaluate(point) for con in target.constraints]
+    rechecked.update(target=value, constraints=residuals)
+    if value >= 0:
+        failed.append(f"{value} on the target, not negative")
+    failed += [f"{r} on constraint {i}, not 0" for i, r in enumerate(residuals) if r]
+    return rechecked, failed
+
+
 def cmd_certify(args) -> int:
-    started = _now()
+    started, t0 = _now(), time.perf_counter()
     if bool(args.problem) == bool(args.builtin):
         raise ValueError("give one of --problem FILE and --builtin {independence,purified-basic}")
     if args.n is not None and args.builtin != "independence":
@@ -241,13 +272,29 @@ def cmd_certify(args) -> int:
     elif args.builtin == "independence":
         if args.n is None:
             raise ValueError("--builtin independence needs --n")
-        problem = independence_lp(args.n, max_generators=args.max_generators)
+        from .orbits import independence_orbits  # here, so no other command loads it
+
+        problem = independence_orbits(args.n, max_generators=args.max_generators)
+        rows = problem[3].ground.n_subsets - 1
+        if rows > MAX_LP_ROWS:
+            raise ValueError(f"order {args.n}: the re-check on {rows} subsets of the full "
+                             f"ground exceeds the cap of {MAX_LP_ROWS} rows")
     else:
         problem = purified_basic_problem()
     target, generators, constraints, ground, expect = problem
+    built = time.perf_counter()
     outcome = cone_membership(target, generators, constraints,
                               max_generators=args.max_generators)
+    solved = time.perf_counter()
     feasible = isinstance(outcome, Feasible)
+    rechecked, failed = None, []
+    if args.builtin == "independence":
+        # the LP ran on the types of the full ground: the report gives that
+        # ground and the point lifted to it, re-checked there
+        space, ground = ground, ground.ground
+        if not feasible:
+            outcome = replace(outcome, farkas_point=space.lift(outcome.farkas_point))
+            rechecked, failed = _recheck_independence(outcome.farkas_point, args.n)
     obj = {
         "outcome": "feasible" if feasible else "infeasible",
         "ground": list(ground.labels),
@@ -256,19 +303,16 @@ def cmd_certify(args) -> int:
         "expect": expect,
         "result": outcome,
     }
-    failed = []
-    if args.builtin == "independence" and not feasible:
-        # the LP ran on the elemental forms: the point must also hold on
-        # every ssa and wmo instance, the full basic list
-        checks = {name: satisfies(outcome.farkas_point, builtin(name)) for name in ("ssa", "wmo")}
-        obj["rechecked"] = {name: {"instances": rep.n_enumerated, "violations": rep.n_violations}
-                            for name, rep in checks.items()}
-        failed = [f"{rep.n_violations} of {rep.n_enumerated} {name} instances"
-                  for name, rep in checks.items() if not rep.holds]
-    _emit(args, obj, started)
+    if rechecked is not None:
+        obj["rechecked"] = rechecked
+    stats = {"lp_rows": target.ground.n_subsets - 1,
+             "lp_columns": len(generators) + 2 * len(constraints),
+             "pivots": outcome.pivots,
+             "build_s": built - t0, "solve_s": solved - built,
+             "recheck_s": time.perf_counter() - solved}
+    _emit(args, obj, started, stats=stats)
     if failed:
-        print(f"certify: the Farkas point is negative on {' and '.join(failed)}",
-              file=sys.stderr)
+        print(f"certify: the Farkas point is {' and '.join(failed)}", file=sys.stderr)
         return 1
     print(f"certify: {obj['outcome']} via {outcome.method}"
           + (f" (expected {expect})" if expect else ""), file=sys.stderr)
@@ -381,7 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", help="problem JSON file")
     p.add_argument("--builtin", choices=("independence", "purified-basic"))
     p.add_argument("--n", type=int, help="order for the independence problem")
-    p.add_argument("--max-generators", type=int, default=20000)
+    p.add_argument("--max-generators", type=int, default=20000,
+                   help="cap on the generators: a --problem file's, or the orbit "
+                        "columns of --builtin independence, counted as they are built")
     p.add_argument("--no-fast-paths", action="store_true",
                    help="ignored: the exact simplex is the only LP run")
     p.set_defaults(func=cmd_certify)

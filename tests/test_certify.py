@@ -25,7 +25,6 @@ from entrocone.certify import (
     basic_generator_instances,
     cone_membership,
     elemental_forms,
-    independence_lp,
     independence_problem,
     problem_from_obj,
     problem_to_obj,
@@ -529,19 +528,9 @@ def test_elemental_forms_are_distinct_basic_instances(parties, count):
     assert len(forms) == count == (comb(parties, 2) + parties) * 2 ** (parties - 2)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_independence_lp_is_the_problem_on_elemental_columns(n):
-    target, gens, cons, ground, expect = independence_lp(n)
-    full = independence_problem(n)
-    assert (target, cons, ground, expect) == (full[0], full[2], full[3], full[4])
-    elemental = list(elemental_forms(ground))
-    basic = [inst.functional for inst in basic_generator_instances(ground)]
-    # the same c_p family columns, after the elemental forms in place of
-    # every ssa and wmo instance
-    assert gens[:len(elemental)] == elemental
-    assert full[1] == basic + gens[len(elemental):]
+def test_independence_problem_stops_at_its_cap():
     with pytest.raises(ValueError, match="more than 100 generators"):
-        independence_lp(n + 2, max_generators=100)
+        independence_problem(3, max_generators=100)
 
 
 def test_basic_generators_cover_ssa_and_wmo():

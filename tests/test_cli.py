@@ -201,6 +201,8 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["search", "--template", "lw05", "--family", "lw05", "--blocks", "-1", "--trials", "1"],
     ["search", "--template", "lw05", "--family", "lw05", "--blocks", "0", "--trials", "1"],
     ["certify", "--problem", "{forty_parties}"],
+    # the orbit LP fits, the re-check on the full ground of 13 parties does not
+    ["certify", "--builtin", "independence", "--n", "10"],
 ])
 def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeypatch):
     """A leading "env:NAME=value" entry sets that environment variable."""
@@ -511,20 +513,43 @@ def test_certify_problem_file_and_expectation(tmp_path):
     assert run(["certify", "--problem", str(bad)]) == 1
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_certify_independence_point_holds_on_the_full_list(n, tmp_path):
-    # the LP ran on the elemental forms; its point must separate the full
-    # problem, and the report names the instance lists it was re-checked on
+    # the LP ran on the types; its point, lifted to the full ground, must
+    # separate the full problem, and the report names the instance lists it
+    # was re-checked on (n = 5 did not decide on the full ground)
     out = tmp_path / "r.json"
     assert run(["certify", "--builtin", "independence", "--n", str(n), "--out", str(out)]) == 0
     report = json.loads(out.read_text())["report"]
     assert report["result"]["method"] == "simplex"
     target, gens, cons, ground, _ = independence_problem(n)
+    assert report["ground"] == list(ground.labels)
     point = setfn_from_obj(report["result"]["farkas_point"])
-    assert verify_certificate(Certificate(point, tuple(gens), tuple(cons), target))
+    cert = verify_certificate(Certificate(point, tuple(gens), tuple(cons), target))
+    assert cert
     names = [inst.template.name for inst in basic_generator_instances(ground)]
-    assert report["rechecked"] == {name: {"instances": names.count(name), "violations": 0}
-                                   for name in ("ssa", "wmo")}
+    family = {f"c_{p}": sum(1 for _ in enumerate_instances(builtin("c_n", p), ground,
+                                                          fixed={"A": "a", "B": "b", "C": "c"}))
+              for p in range(1, n + 3) if p != n}
+    assert report["rechecked"] == {
+        **{name: {"instances": names.count(name), "violations": 0} for name in ("ssa", "wmo")},
+        **{name: {"instances": count, "violations": 0} for name, count in family.items()},
+        "target": cert.target_value, "constraints": [0, 0]}
+
+
+def test_certify_stats_stay_outside_the_digest(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (a, b):
+        assert run(["certify", "--builtin", "independence", "--n", "2", "--out", str(path)]) == 0
+    first, second = json.loads(a.read_text()), json.loads(b.read_text())
+    stats = first["manifest"]["stats"]
+    assert stats["lp_rows"] == 23 == 8 * (2 + 1) - 1
+    assert stats["lp_columns"] == first["report"]["n_generators"] + 2 * 2
+    assert stats["pivots"] == first["report"]["result"]["pivots"]
+    assert all(stats[phase] >= 0 for phase in ("build_s", "solve_s", "recheck_s"))
+    assert first["manifest"]["digest"] == second["manifest"]["digest"]
+    assert first["report"] == second["report"]
+    assert "stats" not in json.dumps(first["report"])
 
 
 def test_certify_fails_when_the_recheck_finds_a_violation(monkeypatch, capsys):
@@ -538,6 +563,22 @@ def test_certify_fails_when_the_recheck_finds_a_violation(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "negative on 1 of 406 wmo instances" in err
+
+
+@pytest.mark.parametrize("value, message", [
+    (lambda mask: 0, "0 on the target, not negative"),
+    # 1 on supersets of {a, c}: I(a:c|b) reads -1
+    (lambda mask: int(mask & 5 == 5), "-1 on constraint 0, not 0"),
+])
+def test_certify_fails_when_the_lifted_point_misses_the_target_or_a_constraint(
+        value, message, monkeypatch, capsys):
+    from entrocone.orbits import TypeSpace
+
+    monkeypatch.setattr(TypeSpace, "lift", lambda space, point: SetFunction(
+        space.ground, [value(m) for m in range(space.ground.n_subsets)]))
+    assert run(["certify", "--builtin", "independence", "--n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err and message in err
 
 
 def test_certify_exits_two_when_the_simplex_passes_its_pivot_limit(monkeypatch, capsys):
@@ -605,9 +646,9 @@ def test_manifest_digest_stable_across_runs(tmp_path):
     (["certify", "--builtin", "purified-basic", "--no-fast-paths"],
      "58d56bc31f1be3cc4ff6b6ad2199c1b80d4eb106d52f0b6af68a189c3f3ce17b"),
     (["certify", "--builtin", "independence", "--n", "2"],
-     "f357bfc7e3a54e430ae3153b4f7ff64266174b6447f29080da6fe167708209e6"),
+     "df49766e0f8d978134af9e26df21616e9f227ac792576ec7921ff1a344e69546"),
     (["certify", "--builtin", "independence", "--n", "2", "--no-fast-paths"],
-     "f357bfc7e3a54e430ae3153b4f7ff64266174b6447f29080da6fe167708209e6"),
+     "df49766e0f8d978134af9e26df21616e9f227ac792576ec7921ff1a344e69546"),
 ], ids=["witness-2", "witness-3", "counterexample", "purified", "purified-simplex",
         "independence-2", "independence-2-simplex"])
 def test_exact_report_digest_is_pinned(argv, digest, tmp_path):
