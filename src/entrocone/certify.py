@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +35,8 @@ from .inequalities import (
 # the most rows cone_membership takes: a row per nonempty subset of a
 # 12-party ground, whose 4,095 x 4,095 basis inverse alone is 134 MB
 MAX_LP_ROWS = 4095
+# the most generators it takes: an LP column each
+MAX_GENERATORS = 20000
 
 
 @dataclass(frozen=True)
@@ -260,7 +262,6 @@ def cone_membership(
     target: LinearFunctional,
     generators: Sequence[LinearFunctional],
     constraints: Sequence[LinearFunctional] = (),
-    max_generators: int = 20000,
 ):
     """Decide exactly whether target lies in cone(generators) + span(constraints).
 
@@ -268,9 +269,9 @@ def cone_membership(
     function scaled to integers), from one exact Bland simplex run over the
     phase-1 LP; `pivots` counts its pivots.  The LP has a row per nonempty
     subset of the ground (or per nonempty type of an `orbits.TypeSpace`);
-    more than MAX_LP_ROWS rows are refused before anything is allocated,
-    and the run raises a ValueError when it does not decide within
-    2,000,000 pivots.  Every answer is re-checked exactly before it is
+    more than MAX_LP_ROWS rows or MAX_GENERATORS generators are refused
+    before anything is allocated, and the run raises a ValueError when it
+    does not decide within 2,000,000 pivots.  Every answer is re-checked exactly before it is
     returned, multipliers by `_check_combination` and a separating point by
     `verify_certificate`.
     """
@@ -281,10 +282,8 @@ def cone_membership(
     dim = ground.n_subsets - 1
     if dim > MAX_LP_ROWS:
         raise ValueError(f"an LP of {dim} rows exceeds the cap of {MAX_LP_ROWS} rows")
-    if max_generators < 1:
-        raise ValueError(f"max_generators must be at least 1, got {max_generators}")
-    if len(generators) > max_generators:
-        raise ValueError(f"{len(generators)} generators exceeds cap {max_generators}")
+    if len(generators) > MAX_GENERATORS:
+        raise ValueError(f"{len(generators)} generators exceeds cap {MAX_GENERATORS}")
 
     # LP columns: one per generator, a +/- pair per constraint (a free
     # multiplier), each the item's numerators, so column j is scales[j] times
@@ -377,52 +376,32 @@ def elemental_forms(ground: GroundSet) -> Iterator[LinearFunctional]:
                 yield LinearFunctional._from_ints(ground, {m: c for m, c in terms.items() if m})
 
 
-def capped_list(items: Iterable, max_generators: int | None) -> list:
-    """`items` as a list, with a ValueError as soon as it passes
-    `max_generators` (None: no cap), so a list too long to solve is refused
-    before it is built."""
-    if max_generators is None:
-        return list(items)
-    if max_generators < 1:
-        raise ValueError(f"max_generators must be at least 1, got {max_generators}")
-    items = list(islice(items, max_generators + 1))
-    if len(items) > max_generators:
-        raise ValueError(f"more than {max_generators} generators exceeds cap {max_generators}")
-    return items
+def family_orders(n: int) -> list[int]:
+    """The orders p of the c_p generators in the order-n independence
+    problem: every p != n up to n + 2."""
+    return [p for p in range(1, n + 3) if p != n]
 
 
-def independence_problem(n: int, max_generators: int | None = None):
+def independence_problem(n: int):
     """Membership problem asking whether the order-n constrained inequality
-    follows from the basic inequalities (every ssa and wmo instance) plus
-    the lower- and higher-order family members (orders p != n up to n + 2),
-    under its two constraints.
+    (the standard instance, X_i = {x_i}) follows from the basic
+    inequalities (every ssa and wmo instance) plus the c_p family members
+    of `family_orders(n)`, under its two constraints.
 
     Returns (target, generators, constraints, ground, expect), the shape
     `problem_from_obj` reads; expect is "infeasible", since infeasibility of
-    this problem is the independence statement at order n.  With
-    `max_generators`, the build stops with a ValueError as soon as the list
-    passes it, so an order too large to solve is refused before it is built.
+    this problem is the independence statement at order n.
     """
-    from .witness import standard_c_binding, witness_ground
+    from .witness import standard_c_binding, standard_instance
 
-    if n < 1:
-        raise ValueError("family order n must be >= 1")
-    ground = witness_ground(n)
-    binding = standard_c_binding()
-
-    target_inst = instantiate(
-        builtin("c_n", n),
-        ground,
-        {**binding, **{f"X{i}": f"x{i}" for i in range(1, n + 1)}},
-    )
-    family = (inst for p in range(1, n + 3) if p != n
-              for inst in enumerate_instances(builtin("c_n", p), ground, fixed=binding))
-    generators = chain(
-        (inst.functional for inst in basic_generator_instances(ground)),
-        (inst.functional for inst in family if not inst.functional.is_zero()),
-    )
-    return (target_inst.functional, capped_list(generators, max_generators),
-            list(target_inst.constraints), ground, "infeasible")
+    target = standard_instance(n, n)
+    ground = target.functional.ground
+    generators = [inst.functional for inst in basic_generator_instances(ground)]
+    generators += [inst.functional for p in family_orders(n)
+                   for inst in enumerate_instances(builtin("c_n", p), ground,
+                                                   fixed=standard_c_binding())
+                   if not inst.functional.is_zero()]
+    return target.functional, generators, list(target.constraints), ground, "infeasible"
 
 
 def purified_basic_problem():

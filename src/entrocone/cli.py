@@ -32,12 +32,19 @@ from pathlib import Path
 
 from . import __version__
 from .setfn import setfn_from_obj, to_obj
-from .inequalities import builtin, instantiate, satisfies, takes_order, template_from_obj
-from .witness import standard_c_binding, verify_counterexample, verify_witness
+from .inequalities import builtin, satisfies, takes_order, template_from_obj
+from .witness import (
+    standard_c_binding,
+    standard_instance,
+    verify_counterexample,
+    verify_witness,
+    witness_ground,
+)
 from .certify import (
     MAX_LP_ROWS,
     Feasible,
     cone_membership,
+    family_orders,
     problem_from_obj,
     purified_basic_problem,
 )
@@ -161,11 +168,13 @@ def _emit(args, report, started, csv_table=None, stats=None):
 
 
 def cmd_witness(args) -> int:
-    started = _now()
+    started, t0 = _now(), time.perf_counter()
     report = verify_witness(args.n)
+    stats = {"instances": sum(r["count"] for r in report.instance_histogram),
+             "verify_s": time.perf_counter() - t0}
     header = ("p", "delta", "count", "value_f", "value_g", "expected")
     rows = [tuple(r[k] for k in header) for r in report.instance_histogram]
-    _emit(args, report, started, csv_table=(header, rows))
+    _emit(args, report, started, csv_table=(header, rows), stats=stats)
     print(f"witness n={args.n}: {'pass' if report.passed else 'FAIL'}", file=sys.stderr)
     return 0 if report.passed else 1
 
@@ -238,20 +247,18 @@ def cmd_sample(args) -> int:
 def _recheck_independence(point, n: int) -> tuple[dict, list]:
     """The lifted Farkas point of order n on the full ground, by paths that
     do not read the type coordinates: `satisfies` on every ssa and wmo
-    instance and on every c_p family instance (p != n up to n + 2, the
-    standard binding, no filter), then the instantiated target (< 0) and
+    instance and on every c_p family instance (p in `family_orders(n)`, the
+    standard binding, no filter), then the standard instance (< 0) and
     its constraints (= 0).  Returns the report's `rechecked` and the
     failures, each as the clause "the Farkas point is ..." ends with."""
-    binding = standard_c_binding()
     checks = {name: satisfies(point, builtin(name)) for name in ("ssa", "wmo")}
-    checks.update({f"c_{p}": satisfies(point, builtin("c_n", p), binding=binding)
-                   for p in range(1, n + 3) if p != n})
+    checks.update({f"c_{p}": satisfies(point, builtin("c_n", p), binding=standard_c_binding())
+                   for p in family_orders(n)})
     rechecked = {name: {"instances": rep.n_enumerated, "violations": rep.n_violations}
                  for name, rep in checks.items()}
     failed = [f"negative on {rep.n_violations} of {rep.n_enumerated} {name} instances"
               for name, rep in checks.items() if not rep.holds]
-    target = instantiate(builtin("c_n", n), point.ground,
-                         {**binding, **{f"X{i}": f"x{i}" for i in range(1, n + 1)}})
+    target = standard_instance(n, n)
     value = target.functional.evaluate(point)
     residuals = [con.evaluate(point) for con in target.constraints]
     rechecked.update(target=value, constraints=residuals)
@@ -272,19 +279,22 @@ def cmd_certify(args) -> int:
     elif args.builtin == "independence":
         if args.n is None:
             raise ValueError("--builtin independence needs --n")
-        from .orbits import independence_orbits  # here, so no other command loads it
-
-        problem = independence_orbits(args.n, max_generators=args.max_generators)
-        rows = problem[3].ground.n_subsets - 1
+        if args.n < 2:
+            raise ValueError("--builtin independence needs --n of at least 2: c_1 is "
+                             "I(A:B|X1) >= 0, itself an ssa instance, so order 1 makes no "
+                             "independence claim")
+        rows = witness_ground(args.n).n_subsets - 1
         if rows > MAX_LP_ROWS:
             raise ValueError(f"order {args.n}: the re-check on {rows} subsets of the full "
                              f"ground exceeds the cap of {MAX_LP_ROWS} rows")
+        from .orbits import independence_orbits  # here, so no other command loads it
+
+        problem = independence_orbits(args.n)
     else:
         problem = purified_basic_problem()
     target, generators, constraints, ground, expect = problem
     built = time.perf_counter()
-    outcome = cone_membership(target, generators, constraints,
-                              max_generators=args.max_generators)
+    outcome = cone_membership(target, generators, constraints)
     solved = time.perf_counter()
     feasible = isinstance(outcome, Feasible)
     rechecked, failed = None, []
@@ -425,9 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", help="problem JSON file")
     p.add_argument("--builtin", choices=("independence", "purified-basic"))
     p.add_argument("--n", type=int, help="order for the independence problem")
-    p.add_argument("--max-generators", type=int, default=20000,
-                   help="cap on the generators: a --problem file's, or the orbit "
-                        "columns of --builtin independence, counted as they are built")
     p.add_argument("--no-fast-paths", action="store_true",
                    help="ignored: the exact simplex is the only LP run")
     p.set_defaults(func=cmd_certify)

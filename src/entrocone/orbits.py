@@ -24,9 +24,9 @@ from itertools import chain, combinations
 from typing import Iterator
 
 from .setfn import GroundSet, SetFunction, submasks
-from .inequalities import LinearFunctional, builtin, instantiate
-from .witness import standard_c_binding
-from .certify import capped_list
+from .inequalities import LinearFunctional, builtin
+from .witness import standard_instance
+from .certify import family_orders
 
 
 @dataclass(frozen=True)
@@ -164,25 +164,20 @@ def family_orbits(space: TypeSpace, p: int) -> Iterator[LinearFunctional]:
         yield LinearFunctional._from_ints(space, nums)
 
 
-def independence_orbits(n: int, max_generators: int | None = None):
+def independence_orbits(n: int):
     """`independence_problem(n)` on the types of (a, b, c, x1..xn): the
     projected target and constraints, and one column per orbit of its
-    cone, zero and repeated columns dropped: the c_p profiles for p != n up
-    to n + 2, then the elemental orbits (in that order Bland's rule took
-    101 to 1,614 pivots at n = 2..8, against 107 to 3,787 the other way
-    round).  Returns (target, generators, constraints, space,
-    "infeasible").  With `max_generators`, the build stops with a
-    ValueError as soon as the columns pass it."""
-    if n < 1:
-        raise ValueError("family order n must be >= 1")
+    cone, zero and repeated columns dropped: the c_p profiles for the
+    orders of `family_orders(n)`, then the elemental orbits (in that order
+    Bland's rule took 101 to 1,614 pivots at n = 2..8, against 107 to 3,787
+    the other way round).  Returns (target, generators, constraints, space,
+    "infeasible")."""
+    target = standard_instance(n, n)
     space = TypeSpace(("a", "b", "c"), n)
-    binding = {**standard_c_binding(), **{f"X{i}": f"x{i}" for i in range(1, n + 1)}}
-    inst = instantiate(builtin("c_n", n), space.ground, binding)
-    columns = chain(*(family_orbits(space, p) for p in range(1, n + 3) if p != n),
+    columns = chain(*(family_orbits(space, p) for p in family_orders(n)),
                     elemental_orbits(space))
-    generators = capped_list(_distinct(columns), max_generators)
-    return (space.project(inst.functional), generators,
-            [space.project(c) for c in inst.constraints], space, "infeasible")
+    return (space.project(target.functional), list(_distinct(columns)),
+            [space.project(c) for c in target.constraints], space, "infeasible")
 
 
 def _distinct(columns: Iterator[LinearFunctional]) -> Iterator[LinearFunctional]:

@@ -528,9 +528,16 @@ def test_elemental_forms_are_distinct_basic_instances(parties, count):
     assert len(forms) == count == (comb(parties, 2) + parties) * 2 ** (parties - 2)
 
 
-def test_independence_problem_stops_at_its_cap():
-    with pytest.raises(ValueError, match="more than 100 generators"):
-        independence_problem(3, max_generators=100)
+def test_cone_membership_refuses_generators_past_its_cap(monkeypatch):
+    def built(*args):
+        raise AssertionError("the LP was built")
+
+    monkeypatch.setattr(certify, "_Simplex", built)
+    gr = GroundSet(("a",))
+    s_a = fn(gr, {("a",): 1})
+    with pytest.raises(ValueError, match=f"^{certify.MAX_GENERATORS + 1} generators "
+                                         f"exceeds cap {certify.MAX_GENERATORS}$"):
+        cone_membership(s_a, [s_a] * (certify.MAX_GENERATORS + 1))
 
 
 def test_basic_generators_cover_ssa_and_wmo():

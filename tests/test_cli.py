@@ -55,6 +55,20 @@ def test_witness_passes_structural_run(tmp_path, capsys):
     assert payload["manifest"]["digest"].startswith("sha256:")
 
 
+def test_witness_stats_stay_outside_the_digest(tmp_path):
+    out = tmp_path / "w.json"
+    assert run(["witness", "--n", "2", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    stats = payload["manifest"]["stats"]
+    assert stats["instances"] == 19 == sum(r["count"] for r in
+                                           payload["report"]["instance_histogram"])
+    assert stats["verify_s"] >= 0
+    # the digest pinned in test_exact_report_digest_is_pinned
+    assert payload["manifest"]["digest"] == (
+        "sha256:e40da34775347281c3a6d83ee5e244be0c9a01fcdfe2bbb2c07341fc8fe76301")
+    assert "stats" not in json.dumps(payload["report"])
+
+
 def test_counterexample_ok(capsys):
     assert run(["counterexample"]) == 0
     err = capsys.readouterr().err
@@ -139,14 +153,16 @@ def test_bad_binding_syntax(etable_file, capsys):
 @pytest.mark.parametrize("argv", [
     ["sample", "--n", "0"],
     ["sample", "--n", "1", "--blocks", "0"],
-    ["sample", "--n", "1", "--theorems", "bogus"],
+    ["certify", "--builtin", "independence"],
     ["sample", "--n", "1", "--trials", "0"],
     ["search", "--template", "ssa", "--trials", "0"],
     ["certify", "--builtin", "independence", "--n", "0"],
-    ["witness", "--n", "2", "--p-max", "0"],
-    ["witness", "--n", "3", "--p-max", "2"],
-    ["certify", "--builtin", "independence", "--n", "2", "--max-generators", "10"],
-    ["certify", "--builtin", "purified-basic", "--max-generators", "0"],
+    ["search", "--template", "c_n", "--trials", "1"],
+    # c_1 is itself an ssa instance: order 1 makes no independence claim
+    ["certify", "--builtin", "independence", "--n", "1"],
+    # one generator past MAX_GENERATORS, refused before the simplex is built
+    ["certify", "--problem", "{too_many_generators}"],
+    ["search", "--template", "ssa", "--trials", "1", "--rank", "0"],
     ["certify", "--problem", "{float_coef}"],
     ["certify", "--problem", "{missing_key}"],
     ["certify", "--problem", "{unknown_label}"],
@@ -158,8 +174,8 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["sample", "--n", "4", "--blocks", "2000", "--trials", "1"],
     ["search", "--template", "ssa", "--family", "constrained", "--n", "4",
      "--blocks", "2000", "--trials", "1"],
-    ["search", "--template", "ssa", "--trials", "2", "--refine", "5", "--step", "0"],
-    ["search", "--template", "ssa", "--trials", "2", "--refine", "5", "--step", "-0.1"],
+    ["search", "--template", "ssa", "--trials", "1", "--dims", "2,2,0"],
+    ["search", "--template", "ssa", "--trials", "2", "--refine", "5", "--tol", "-1"],
     ["search", "--template", "ssa", "--trials", "2", "--refine", "-1"],
     ["search", "--template-file", "{list_coef}", "--trials", "1"],
     ["eval", "--values", "{ones}", "--template", "ssa", "--template-file", "{wmo}"],
@@ -221,6 +237,8 @@ def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeyp
         "forty_parties": {"ground": [f"p{i}" for i in range(40)],
                           "target": [{**term, "subset": ["p0"]}],
                           "generators": [[{**term, "subset": ["p0"]}]]},
+        "too_many_generators": {"ground": ["a"], "target": [term],
+                                "generators": [[term]] * (certify.MAX_GENERATORS + 1)},
         "list_coef": {"name": "t", "slots": ["A"], "terms": [{**term, "subset": ["A"],
                                                             "coef": [1]}]},
         "problem_constraints_not_list": {"ground": ["a"], "target": [term],
@@ -599,7 +617,7 @@ def test_certify_refuses_an_oversized_order_before_building_it(capsys):
     started = time.perf_counter()
     assert run(["certify", "--builtin", "independence", "--n", "30"]) == 2
     assert time.perf_counter() - started < 1
-    assert "more than 20000 generators exceeds cap 20000" in capsys.readouterr().err
+    assert "exceeds the cap of 4095 rows" in capsys.readouterr().err
 
 
 def test_certify_refuses_an_order_it_would_ignore(capsys):
