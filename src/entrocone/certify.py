@@ -33,10 +33,13 @@ from .inequalities import (
 )
 
 # the most rows cone_membership takes: a row per nonempty subset of a
-# 12-party ground, whose 4,095 x 4,095 basis inverse alone is 134 MB
+# 12-party ground.  The LP holds its m x m basis inverse (134 MB at 4,095
+# rows) and its columns' nonzeros, never a dense rows x columns matrix
 MAX_LP_ROWS = 4095
 # the most generators it takes: an LP column each
 MAX_GENERATORS = 20000
+# the most pivots one run takes before it gives up as too large to decide
+MAX_PIVOTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -118,41 +121,45 @@ class Infeasible:
 class _Simplex:
     """Phase-1 revised simplex with Bland's rule, exact and fraction-free.
 
-    It keeps the m x m basis inverse and the basic values, not the full
-    tableau, and forms from the integer `A` only the columns a pivot needs:
+    The LP is held sparse: column c is the dict `columns[c]` (mask -> int,
+    in row mask - 1 of `nrows`), the right-hand side the dict `rhs`.  It
+    keeps the m x m basis inverse and the basic values, not the tableau,
+    and forms from the columns' nonzeros only the columns a pivot needs:
     `M = D * B^-1` and `b = D * x_B` over one denominator D > 0, updated as
     Bareiss updates a tableau; in exact arithmetic Bland's rule never
     cycles.  `objective`, `solution` and `dual_prices` read them as Python
-    ints and Fractions of them.  `M`, `b` and A's nonzeros are int64 while each value a step forms
-    (the duals and prices, the column M a_c, the Bareiss products) is checked
-    to stay below 2**63; the first check that fails moves them to Python
-    ints for the rest of the run, as does an `A` or `rhs` that is not int64.
-    Rows are scaled to b >= 0 and start on the artificial basis; the phase-1
-    objective is the sum of the artificials.
+    ints and Fractions of them.  `M`, `b` and the nonzeros are int64 while
+    each value a step forms (the duals and prices, the column M a_c, the
+    Bareiss products) is checked to stay below 2**63; the first check that
+    fails moves them to Python ints for the rest of the run, as does an
+    entry of 2**63 or more.  Rows are scaled to b >= 0 and start on the
+    artificial basis; the phase-1 objective is the sum of the artificials.
     """
 
-    def __init__(self, A: np.ndarray, rhs: np.ndarray):
-        m, n = A.shape
+    def __init__(self, columns: Sequence[dict], rhs: dict, nrows: int):
+        m, n = nrows, len(columns)
         self.nrows, self.ncols, self.D = m, n, 1
-        self.row_sign = np.where(rhs < 0, -1, 1)
-        self.A = A * self.row_sign[:, None]
-        self.b = rhs * self.row_sign
-        self.M = np.eye(m, dtype=self.A.dtype)
+        self.wide = any(abs(c) >= 2**63 for nums in [rhs, *columns] for c in nums.values())
+        dtype = object if self.wide else np.int64
+        b = np.zeros(m, dtype=dtype)
+        for mask, c in rhs.items():
+            b[mask - 1] = c
+        self.row_sign = np.where(b < 0, -1, 1)
+        self.b = b * self.row_sign
+        self.M = np.eye(m, dtype=dtype)
         self.basis = list(range(n, n + m))
         self.artificial = np.ones(m, dtype=bool)  # rows whose basic variable is artificial
         self.pivots = 0
-        # A's nonzeros column by column: column c is vals[starts[c]:starts[c + 1]]
+        # the nonzeros column by column: column c is vals[starts[c]:starts[c + 1]]
         # in the rows rows[starts[c]:starts[c + 1]]
-        cols, self.rows = self.A.T.nonzero()
-        self.vals = self.A[self.rows, cols]
-        self.starts = np.searchsorted(cols, np.arange(n + 1))
+        self.starts = np.cumsum([0, *map(len, columns)])
+        self.rows = np.array([mask - 1 for nums in columns for mask in nums], dtype=np.intp)
+        self.vals = np.array([c for nums in columns for c in nums.values()],
+                             dtype=dtype) * self.row_sign[self.rows]
         self.nonzero_cols = np.flatnonzero(np.diff(self.starts))
         self.nonzero_starts = self.starts[self.nonzero_cols]
-        self.abs_sum = max(np.abs(self.A).sum(axis=0, dtype=object), default=0)
+        self.abs_sum = max((sum(map(abs, nums.values())) for nums in columns), default=0)
         self.peak = max([1, *np.abs(self.b).tolist()])  # bounds |M| and |b|
-        self.wide = False
-        if self.A.dtype != np.int64 or self.b.dtype != np.int64:
-            self._int64(2**63)
 
     def _int64(self, bound: int) -> bool:
         """Whether a step whose values are at most `bound` in absolute value
@@ -210,8 +217,8 @@ class _Simplex:
                 leave, bl, cl = i, bi, ci
         return leave
 
-    def solve(self, max_pivots: int = 2_000_000):
-        """Pivot to an optimal basis; a ValueError past `max_pivots`, as a
+    def solve(self):
+        """Pivot to an optimal basis; a ValueError past MAX_PIVOTS, as a
         problem too large to decide."""
         while (c := self._entering()) is not None:
             col = self._column(c)
@@ -219,8 +226,8 @@ class _Simplex:
             if not len(rows):
                 raise RuntimeError("phase-1 objective unbounded; should not happen")
             self._pivot(self._leaving(col, rows), c, col)
-            if self.pivots > max_pivots:
-                raise ValueError(f"the simplex did not decide within {max_pivots} pivots")
+            if self.pivots > MAX_PIVOTS:
+                raise ValueError(f"the simplex did not decide within {MAX_PIVOTS} pivots")
 
     def _pivot(self, r: int, c: int, col: np.ndarray):
         # fraction-free (Bareiss): row r stays and every other M_ij becomes
@@ -268,12 +275,13 @@ def cone_membership(
     Returns Feasible (with multipliers) or Infeasible (with a separating set
     function scaled to integers), from one exact Bland simplex run over the
     phase-1 LP; `pivots` counts its pivots.  The LP has a row per nonempty
-    subset of the ground (or per nonempty type of an `orbits.TypeSpace`);
-    more than MAX_LP_ROWS rows or MAX_GENERATORS generators are refused
-    before anything is allocated, and the run raises a ValueError when it
-    does not decide within 2,000,000 pivots.  Every answer is re-checked exactly before it is
-    returned, multipliers by `_check_combination` and a separating point by
-    `verify_certificate`.
+    subset of the ground (or per nonempty type of an `orbits.TypeSpace`),
+    and its columns are the items' numerator dicts, held sparse; more than
+    MAX_LP_ROWS rows or MAX_GENERATORS generators are refused before
+    anything is allocated, and the run raises a ValueError when it does not
+    decide within MAX_PIVOTS pivots.  Every answer is re-checked exactly
+    before it is returned, multipliers by `_check_combination` and a
+    separating point by `verify_certificate`.
     """
     ground = target.ground
     for item in list(generators) + list(constraints):
@@ -296,16 +304,7 @@ def cone_membership(
     for con in constraints:
         columns += [con.nums, {m: -c for m, c in con.nums.items()}]
         scales += [con.den, con.den]
-    fits = all(abs(c) < 2**63 for nums in [target.nums, *columns] for c in nums.values())
-    A = np.zeros((dim, len(columns)), dtype=np.int64 if fits else object)
-    for j, nums in enumerate(columns):
-        for mask, c in nums.items():
-            A[mask - 1, j] = c
-    b = np.zeros(dim, dtype=A.dtype)
-    for mask, c in target.nums.items():
-        b[mask - 1] = c
-
-    sx = _Simplex(A, b)
+    sx = _Simplex(columns, target.nums, dim)
     sx.solve()
     if sx.objective == 0:
         x = [Fraction(v * scale, target.den) for v, scale in zip(sx.solution(), scales)]

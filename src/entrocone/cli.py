@@ -196,9 +196,12 @@ def cmd_eval(args) -> int:
         raise ValueError("--n is read only by a parametric builtin template (c_n, thm1, ...)")
     if isinstance(template, str):
         template = builtin(template, args.n)
+    t0 = time.perf_counter()
     rep = satisfies(f, template, binding=_parse_binding(args.bind),
                     auto_filter=args.auto_filter, tol=args.tol)
-    _emit(args, rep, started)
+    stats = {"instances": rep.n_enumerated, "admissible": rep.n_admissible,
+             "scan_s": time.perf_counter() - t0}
+    _emit(args, rep, started, stats=stats)
     if rep.n_admissible == 0:
         print(f"{rep.template}: no instance was admissible", file=sys.stderr)
         return 1
@@ -317,6 +320,8 @@ def cmd_certify(args) -> int:
         obj["rechecked"] = rechecked
     stats = {"lp_rows": target.ground.n_subsets - 1,
              "lp_columns": len(generators) + 2 * len(constraints),
+             "lp_nonzeros": sum(len(item.nums) for item in generators)
+                            + 2 * sum(len(con.nums) for con in constraints),
              "pivots": outcome.pivots,
              "build_s": built - t0, "solve_s": solved - built,
              "recheck_s": time.perf_counter() - solved}

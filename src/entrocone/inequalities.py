@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain, islice
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -800,17 +800,20 @@ def builtin(name: str, n: int | None = None) -> InequalityTemplate:
     """Look up a builtin template; the parametric families require n >= 1.
 
     Parametric names also accept an embedded order, e.g. 'c_3' or 'thm2p_1'.
+    A template is made once per template function and order and shared
+    (`builtin("c_3") is builtin("c_n", 3)`, for the 64 pairs used last),
+    so no caller may mutate it.
     """
     key = _canon_name(name)
     if key in _FIXED:
-        return _FIXED[key]()
+        return _built(_FIXED[key])
     m = key.replace("-", "_")
     if m in _PARAMETRIC:
         if n is None:
             raise ValueError(f"template {name!r} needs the family order n")
         if n < 1:
             raise ValueError("family order n must be >= 1")
-        return _PARAMETRIC[m](n)
+        return _built(_PARAMETRIC[m], n)
     if "_" in m:
         base, _, tail = m.rpartition("_")
         if base == "c":
@@ -821,8 +824,13 @@ def builtin(name: str, n: int | None = None) -> InequalityTemplate:
                 raise ValueError(f"conflicting orders {name!r} vs n={n}")
             if order < 1:
                 raise ValueError("family order n must be >= 1")
-            return _PARAMETRIC[base](order)
+            return _built(_PARAMETRIC[base], order)
     raise ValueError(f"unknown builtin template {name!r}")
+
+
+@lru_cache(maxsize=64)  # far more (function, order) pairs than a run uses
+def _built(make, *order) -> InequalityTemplate:
+    return make(*order)
 
 
 def takes_order(name: str) -> bool:

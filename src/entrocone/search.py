@@ -176,7 +176,7 @@ def _replay(family: StateFamily, params, inst: Instance, tol: float) -> dict | N
     record if it holds, else None."""
     built = family.build(params)
     gr = built.ground
-    state = MultipartyState(gr.labels, built.dims, built.rho, validate=False)
+    state = MultipartyState(gr.labels, built.dims, built.rho)
     h = SetFunction(gr, {m: von_neumann_entropy(partial_trace(state, gr.labels_of(m)))
                          for m in gr.iter_masks()})
     val = inst.functional.evaluate(h)

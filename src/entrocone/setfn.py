@@ -291,11 +291,14 @@ def complement_transform(f: SetFunction) -> SetFunction:
 
 
 def monotone_repair(f: SetFunction) -> SetFunction:
-    """Add c per element, with the single smallest exact c making f monotone.
+    """Add c per element, with c the largest drop f(a) - f(b) over a <= b.
 
     g(a) = f(a) + |a| * c where c = max(0, max over a <= b of f(a) - f(b)).
-    Adding a multiple of cardinality preserves submodularity and the value of
-    every balanced functional.  Exact domains only.
+    That c makes g monotone (a proper superset gains at least c), but it is
+    not in general the smallest c that does: on the chain f = (0, -1, -1,
+    -2) over {a, b} it is 2 where 1 suffices.  Adding a multiple of
+    cardinality preserves submodularity and the value of every balanced
+    functional.  Exact domains only.
     """
     if f.domain == FLOAT64:
         raise ValueError("monotone repair requires an exact numeric domain")

@@ -563,8 +563,28 @@ def test_certify_stats_stay_outside_the_digest(tmp_path):
     stats = first["manifest"]["stats"]
     assert stats["lp_rows"] == 23 == 8 * (2 + 1) - 1
     assert stats["lp_columns"] == first["report"]["n_generators"] + 2 * 2
+    from entrocone.orbits import independence_orbits
+
+    _, generators, constraints, _, _ = independence_orbits(2)
+    assert stats["lp_nonzeros"] == 365 == (sum(len(g.nums) for g in generators)
+                                           + 2 * sum(len(c.nums) for c in constraints))
     assert stats["pivots"] == first["report"]["result"]["pivots"]
     assert all(stats[phase] >= 0 for phase in ("build_s", "solve_s", "recheck_s"))
+    assert first["manifest"]["digest"] == second["manifest"]["digest"]
+    assert first["report"] == second["report"]
+    assert "stats" not in json.dumps(first["report"])
+
+
+def test_eval_stats_stay_outside_the_digest(etable_file, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (a, b):
+        assert run(["eval", "--values", etable_file, "--template", "c_n", "--n", "1",
+                    "--auto-filter", "--out", str(path)]) == 0
+    first, second = json.loads(a.read_text()), json.loads(b.read_text())
+    stats, report = first["manifest"]["stats"], first["report"]
+    assert (stats["instances"], stats["admissible"]) == (42, 8) == (
+        report["n_enumerated"], report["n_admissible"])
+    assert stats["scan_s"] >= 0
     assert first["manifest"]["digest"] == second["manifest"]["digest"]
     assert first["report"] == second["report"]
     assert "stats" not in json.dumps(first["report"])
@@ -600,10 +620,8 @@ def test_certify_fails_when_the_lifted_point_misses_the_target_or_a_constraint(
 
 
 def test_certify_exits_two_when_the_simplex_passes_its_pivot_limit(monkeypatch, capsys):
-    # the exact run's limit (2,000,000 pivots; certify --n 5 reaches it),
-    # here lowered to 10 pivots
-    solve = certify._Simplex.solve
-    monkeypatch.setattr(certify._Simplex, "solve", lambda sx, max_pivots=10: solve(sx, 10))
+    # the exact run's limit, MAX_PIVOTS, here lowered to 10 pivots
+    monkeypatch.setattr(certify, "MAX_PIVOTS", 10)
     assert run(["certify", "--builtin", "independence", "--n", "2"]) == 2
     err = capsys.readouterr().err
     assert err == "the simplex did not decide within 10 pivots\n"

@@ -304,6 +304,12 @@ def test_builtin_aliases():
         builtin("no-such-template")
 
 
+def test_builtin_builds_each_template_once():
+    assert builtin("c_3") is builtin("c_n", 3) is builtin("thm1", 3) is builtin("C-N", n=3)
+    assert builtin("ssa") is builtin("SSA") and builtin("mi") is builtin("mutual-info")
+    assert builtin("c_2") is not builtin("c_3")
+
+
 def test_template_json_round_trip():
     for name, n in (("ssa", None), ("wmo", None), ("lw05", None),
                     ("c_n", 2), ("thm1p", 2), ("thm2", 2), ("thm2p", 2)):

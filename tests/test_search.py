@@ -131,6 +131,23 @@ def test_a_bad_block_is_caught_when_rho_is_read(monkeypatch, corrupt, message):
         search._replay(family, params, instances[0], cfg.tol)
 
 
+def test_replay_checks_the_matrix_it_confirms_on():
+    """A family that builds unchecked matrices (as haar-mixed and diagonal
+    do) gets no violation confirmed on a matrix that is not a state."""
+    class Skewed(HaarMixedFamily):
+        def build(self, params):
+            rho = super().build(params).rho
+            return quantum.MultipartyState(self.labels, self.dims, rho + np.triu(
+                np.full(rho.shape, 0.1), 1), validate=False)
+
+    cfg = SearchConfig(template="anti-monotone", family="haar-mixed", labels=("A", "B"),
+                       dims=(2, 2), trials=1)
+    _, family, instances, _ = search._setup(cfg)
+    skewed = Skewed(family.labels, family.dims)
+    with pytest.raises(ValueError, match="matrix not hermitian"):
+        search._replay(skewed, skewed.draw(search._rng(0)), instances[0], cfg.tol)
+
+
 def test_scan_histogram_buckets_are_millibit_floors():
     cfg = SearchConfig(template="ssa", family="haar-mixed", labels=("A", "B", "C"),
                        dims=(2, 2, 2), trials=10, seed=2)

@@ -228,6 +228,16 @@ def test_monotone_repair_idempotent_and_exact_only():
         monotone_repair(SetFunction(gr, [0.0, 1.0]))
 
 
+def test_monotone_repair_adds_the_largest_drop_not_the_smallest_c():
+    # the largest drop is f(empty) - f(ab) = 2, though c = 1 would make f
+    # monotone; the witness g and its digests rest on this c
+    f = SetFunction(GroundSet(("a", "b")), [0, -1, -1, -2])
+    g = monotone_repair(f)
+    assert g.values == (0, 1, 1, 2) and is_monotone(g)
+    assert is_monotone(SetFunction(f.ground, [v + bin(m).count("1")
+                                              for m, v in enumerate(f.values)]))
+
+
 # ------------------------------------------------------------ serialization
 
 
