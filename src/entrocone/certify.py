@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .setfn import GroundSet, SetFunction, FLOAT64, list_field, submasks
+from .setfn import GroundSet, SetFunction, FLOAT64, list_field, size_str, submasks
 from .inequalities import (
     LinearFunctional,
     _cmi_terms,
@@ -31,6 +31,7 @@ from .inequalities import (
     terms_from_obj,
     terms_to_obj,
 )
+from .witness import standard_c_binding, standard_instance
 
 # the most rows cone_membership takes: a row per nonempty subset of a
 # 12-party ground.  The LP holds its m x m basis inverse (134 MB at 4,095
@@ -275,7 +276,7 @@ def cone_membership(
     Returns Feasible (with multipliers) or Infeasible (with a separating set
     function scaled to integers), from one exact Bland simplex run over the
     phase-1 LP; `pivots` counts its pivots.  The LP has a row per nonempty
-    subset of the ground (or per nonempty type of an `orbits.TypeSpace`),
+    subset of the ground (or per nonempty type of a `setfn.TypeSpace`),
     and its columns are the items' numerator dicts, held sparse; more than
     MAX_LP_ROWS rows or MAX_GENERATORS generators are refused before
     anything is allocated, and the run raises a ValueError when it does not
@@ -289,7 +290,7 @@ def cone_membership(
             raise ValueError("all functionals must share one ground set")
     dim = ground.n_subsets - 1
     if dim > MAX_LP_ROWS:
-        raise ValueError(f"an LP of {dim} rows exceeds the cap of {MAX_LP_ROWS} rows")
+        raise ValueError(f"an LP of {size_str(dim)} rows exceeds the cap of {MAX_LP_ROWS} rows")
     if len(generators) > MAX_GENERATORS:
         raise ValueError(f"{len(generators)} generators exceeds cap {MAX_GENERATORS}")
 
@@ -391,8 +392,6 @@ def independence_problem(n: int):
     `problem_from_obj` reads; expect is "infeasible", since infeasibility of
     this problem is the independence statement at order n.
     """
-    from .witness import standard_c_binding, standard_instance
-
     target = standard_instance(n, n)
     ground = target.functional.ground
     generators = [inst.functional for inst in basic_generator_instances(ground)]

@@ -38,7 +38,6 @@ from .witness import (
     standard_instance,
     verify_counterexample,
     verify_witness,
-    witness_ground,
 )
 from .certify import (
     MAX_LP_ROWS,
@@ -286,10 +285,12 @@ def cmd_certify(args) -> int:
             raise ValueError("--builtin independence needs --n of at least 2: c_1 is "
                              "I(A:B|X1) >= 0, itself an ssa instance, so order 1 makes no "
                              "independence claim")
-        rows = witness_ground(args.n).n_subsets - 1
-        if rows > MAX_LP_ROWS:
-            raise ValueError(f"order {args.n}: the re-check on {rows} subsets of the full "
-                             f"ground exceeds the cap of {MAX_LP_ROWS} rows")
+        # the k + 3 parties of the full ground, against the most whose
+        # nonempty subsets fit in MAX_LP_ROWS rows, before any ground is built
+        parties = args.n + 3
+        if parties > (MAX_LP_ROWS + 1).bit_length() - 1:
+            raise ValueError(f"order {args.n}: the re-check on the 2^{parties} - 1 subsets of "
+                             f"the full ground exceeds the cap of {MAX_LP_ROWS} rows")
         from .orbits import independence_orbits  # here, so no other command loads it
 
         problem = independence_orbits(args.n)

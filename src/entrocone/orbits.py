@@ -1,90 +1,24 @@
-"""Type coordinates: set functions invariant under permutations of x1..xn.
+"""Orbit columns: the order-n independence problem on the types of
+`witness_space(n)` (`setfn.TypeSpace`).
 
-On a ground of k fixed parties followed by x1..xn (`witness_ground` lists
-a, b, c, x1..xn), a subset S has the type (K, j): K is S's part among the
-fixed parties, a k-bit mask, and j = |S ∩ {x1..xn}|.  Its type index is
-K + j * 2^k, so the empty set is type 0 and the index of a disjoint union
-is the sum of the indices.
-
-A point constant on types takes, on any functional, the value its
-type-space point takes on the functional's projection (the sum of its
-coefficients per type).  The order-n independence problem is invariant
-under permutations of x1..xn: target, constraints and generator list.  So
-it is infeasible exactly when its projection is, and any separating point
-averages to one constant on types (Gatermann & Parrilo, J. Pure Appl.
-Algebra 192, 2004).  `independence_orbits(n)` builds that projection
-directly, one column per orbit, on (n + 1) 2^k - 1 rows; `TypeSpace.lift`
-turns its separating point back into a set function on the full ground.
+The problem is invariant under permutations of x1..xn: target,
+constraints and generator list.  So it is infeasible exactly when its
+projection onto the types is, and any separating point averages to one
+constant on types (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).
+`independence_orbits(n)` builds that projection directly, one column per
+orbit, on (n + 1) 2^k - 1 rows; `TypeSpace.lift` turns its separating
+point back into a set function on the full ground.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterator
 
-from .setfn import GroundSet, SetFunction, submasks
+from .setfn import TypeSpace
 from .inequalities import LinearFunctional, builtin
-from .witness import standard_instance
+from .witness import standard_instance, witness_space
 from .certify import family_orders
-
-
-@dataclass(frozen=True)
-class TypeSpace:
-    """The types of the subsets of (fixed parties, x1..xn), indexed as the
-    module docstring says.  It stands where `LinearFunctional`,
-    `SetFunction` and `cone_membership` take a ground: `n_subsets`
-    coordinates, coordinate 0 the empty set."""
-
-    fixed: tuple[str, ...]
-    n: int
-
-    @property
-    def ground(self) -> GroundSet:
-        """The full ground: the fixed parties, then x1..xn."""
-        return GroundSet(self.fixed + tuple(f"x{i}" for i in range(1, self.n + 1)))
-
-    @property
-    def n_subsets(self) -> int:
-        return (self.n + 1) << len(self.fixed)
-
-    def type_of(self, mask: int) -> int:
-        """The type index of a subset of the full ground."""
-        k = len(self.fixed)
-        return (mask & ((1 << k) - 1)) + ((mask >> k).bit_count() << k)
-
-    def subset_str(self, t: int) -> str:
-        """A type as `LinearFunctional.describe` writes it, e.g. {a,c,2x}."""
-        k = len(self.fixed)
-        fixed = [lab for i, lab in enumerate(self.fixed) if t >> i & 1]
-        return "{" + ",".join(fixed + ([f"{t >> k}x"] if t >> k else [])) + "}"
-
-    def project(self, functional: LinearFunctional) -> LinearFunctional:
-        """A functional on the full ground as a functional on the types:
-        the sum of its coefficients per type."""
-        if functional.ground != self.ground:
-            raise ValueError("the functional is not on the type space's ground")
-        nums: dict[int, int] = {}
-        for mask, c in functional.nums.items():
-            t = self.type_of(mask)
-            nums[t] = nums.get(t, 0) + c
-        return LinearFunctional._from_ints(self, nums, functional.den)
-
-    def lift(self, point: SetFunction) -> SetFunction:
-        """A point on the types as the set function y(S) = point(type of S)
-        on the full ground."""
-        if point.ground != self:
-            raise ValueError("the point is not on this type space")
-        ground = self.ground
-        return SetFunction(ground, [point.values[self.type_of(m)]
-                                    for m in range(ground.n_subsets)])
-
-    def subtypes(self, used: int) -> list[int]:
-        """The types of the subsets of the parties outside a set of type
-        `used`."""
-        k = len(self.fixed)
-        free = ((1 << k) - 1) & ~used
-        return [f + (m << k) for m in range(self.n - (used >> k) + 1) for f in submasks(free)]
 
 
 def _form(space: TypeSpace, terms) -> LinearFunctional:
@@ -102,15 +36,14 @@ def elemental_orbits(space: TypeSpace) -> Iterator[LinearFunctional]:
     for each orbit of (i, {K, L}).  A party is its type, any x being 2^k.
     On three fixed parties there are 36n + 4 orbits."""
     k = len(space.fixed)
-    x = 1 << k
+    x, full = 1 << k, space.full_mask
     parties = [1 << i for i in range(k)] + [x] * (space.n >= 1)
     pairs = list(combinations(parties, 2)) + [(x, x)] * (space.n >= 2)
     for i, j in pairs:
-        for g in space.subtypes(i + j):
+        for g in space.below(full - i - j):
             yield _form(space, ((i + g, 1), (j + g, 1), (g, -1), (i + j + g, -1)))
-    full = (1 << k) - 1 + (space.n << k)
     for i in parties:
-        for a in space.subtypes(i):
+        for a in space.below(full - i):
             b = full - i - a
             if a <= b:  # the split {a, b} once
                 yield _form(space, ((i + a, 1), (i + b, 1), (a, -1), (b, -1)))
@@ -172,8 +105,8 @@ def independence_orbits(n: int):
     Bland's rule took 101 to 1,614 pivots at n = 2..8, against 107 to 3,787
     the other way round).  Returns (target, generators, constraints, space,
     "infeasible")."""
+    space = witness_space(n)
     target = standard_instance(n, n)
-    space = TypeSpace(("a", "b", "c"), n)
     columns = chain(*(family_orbits(space, p) for p in family_orders(n)),
                     elemental_orbits(space))
     return (space.project(target.functional), list(_distinct(columns)),

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .setfn import GroundSet, SetFunction, check_tol
+from .setfn import GroundSet, SetFunction, check_tol, size_str
 from .inequalities import builtin, instantiate
 from .certify import proof_certificate
 
@@ -58,7 +58,8 @@ def dim_cap() -> int:
 def _check_cap(total: int, what: str = "total dimension"):
     cap = dim_cap()
     if total > cap:
-        raise ValueError(f"{what} {total} exceeds cap {cap} (set ENTROPIC_MAX_DIM to raise it)")
+        raise ValueError(f"{what} {size_str(total)} exceeds cap {cap} "
+                         "(set ENTROPIC_MAX_DIM to raise it)")
 
 
 def _rng(seed) -> np.random.Generator:
@@ -581,7 +582,7 @@ class HaarMixedFamily(StateFamily):
         # the draw is a total x rank matrix: no larger than the largest
         # density matrix the cap admits
         if self.rank > dim_cap():
-            raise ValueError(f"rank {self.rank} exceeds cap {dim_cap()} "
+            raise ValueError(f"rank {size_str(self.rank)} exceeds cap {dim_cap()} "
                              "(set ENTROPIC_MAX_DIM to raise it)")
 
     def n_params(self) -> int:

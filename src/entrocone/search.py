@@ -173,10 +173,11 @@ def _replay(family: StateFamily, params, inst: Instance, tol: float) -> dict | N
     """Rebuild the state from `params` and re-evaluate `inst` on entropies
     taken apart from the scan's `entropy_table` (a dense eigvalsh of each
     subset's `partial_trace` of the dense, checked matrix); the violation
-    record if it holds, else None."""
+    record if it holds, else None.  A state given as blocks is checked when
+    `.rho` places them, so only an array state is checked here."""
     built = family.build(params)
     gr = built.ground
-    state = MultipartyState(gr.labels, built.dims, built.rho)
+    state = MultipartyState(gr.labels, built.dims, built.rho, validate=built.blocks is None)
     h = SetFunction(gr, {m: von_neumann_entropy(partial_trace(state, gr.labels_of(m)))
                          for m in gr.iter_masks()})
     val = inst.functional.evaluate(h)

@@ -30,6 +30,14 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and at least 0, got {tol}")
 
 
+def size_str(size: int) -> str:
+    """A size for an error message: its digits, or past 20 digits the power
+    of two below it, so that a message on a huge size stays one short line."""
+    if size < 10**20:
+        return str(size)
+    return f"at least 2^{size.bit_length() - 1}"
+
+
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of `mask` in ascending order, including 0 and mask."""
     s = 0
@@ -101,8 +109,93 @@ class GroundSet:
         """The nonempty subsets' masks, ascending."""
         return iter(range(1, self.n_subsets))
 
+    def below(self, mask: int) -> Iterator[int]:
+        """The subsets of a subset, ascending."""
+        return submasks(mask)
+
+    def size_of(self, mask: int) -> int:
+        """The number of parties in a subset."""
+        return mask.bit_count()
+
     def subset_str(self, mask: int) -> str:
         return "{" + ",".join(self.labels_of(mask)) + "}"
+
+
+@dataclass(frozen=True)
+class TypeSpace:
+    """The types of the subsets of a ground of k fixed parties followed by
+    x1..xn: a subset S has the type (K, j), K its part among the fixed
+    parties, a k-bit mask, and j = |S ∩ {x1..xn}|.  Its type index is
+    K + j * 2^k, so the empty set is type 0, the index of a disjoint union
+    is the sum of the indices, and `full_mask` is the full set's type.
+
+    A set function invariant under permutations of x1..xn is a function of
+    the type, so a type space stands where `SetFunction`, `LinearFunctional`
+    and `cone_membership` take a ground: `n_subsets` coordinates,
+    coordinate 0 the empty set.  `lift` gives such a point back on the full
+    ground, and `project` a functional on the types, the sum of its
+    coefficients per type: the value of a functional on a lifted point is
+    its projection's value on the type point."""
+
+    fixed: tuple[str, ...]
+    n: int
+
+    @property
+    def ground(self) -> GroundSet:
+        """The full ground: the fixed parties, then x1..xn."""
+        return GroundSet(self.fixed + tuple(f"x{i}" for i in range(1, self.n + 1)))
+
+    @property
+    def n_subsets(self) -> int:
+        return (self.n + 1) << len(self.fixed)
+
+    @property
+    def full_mask(self) -> int:
+        return (1 << len(self.fixed)) - 1 + (self.n << len(self.fixed))
+
+    def type_of(self, mask: int) -> int:
+        """The type index of a subset of the full ground."""
+        k = len(self.fixed)
+        return (mask & ((1 << k) - 1)) + ((mask >> k).bit_count() << k)
+
+    def below(self, t: int) -> list[int]:
+        """The types (K', j') of the subsets of a set of type (K, j): K' ⊆ K
+        and j' <= j, by j' and then K' ascending."""
+        k = len(self.fixed)
+        return [f + (m << k) for m in range((t >> k) + 1) for f in submasks(t & ((1 << k) - 1))]
+
+    def size_of(self, t: int) -> int:
+        """The number of parties in a set of type (K, j): |K| + j."""
+        k = len(self.fixed)
+        return (t & ((1 << k) - 1)).bit_count() + (t >> k)
+
+    def subset_str(self, t: int) -> str:
+        """A type as `LinearFunctional.describe` writes it, e.g. {a,c,2x}."""
+        k = len(self.fixed)
+        fixed = [lab for i, lab in enumerate(self.fixed) if t >> i & 1]
+        return "{" + ",".join(fixed + ([f"{t >> k}x"] if t >> k else [])) + "}"
+
+    def project(self, functional):
+        """A functional on the full ground as a functional, of the same
+        class, on the types: the sum of its coefficients per type."""
+        if functional.ground != self.ground:
+            raise ValueError("the functional is not on the type space's ground")
+        nums: dict[int, int] = {}
+        for mask, c in functional.nums.items():
+            t = self.type_of(mask)
+            nums[t] = nums.get(t, 0) + c
+        return type(functional)._from_ints(self, nums, functional.den)
+
+    def lift(self, point: SetFunction) -> SetFunction:
+        """A point on the types as the set function y(S) = point(type of S)
+        on the full ground."""
+        if point.ground != self:
+            raise ValueError("the point is not on this type space")
+        # a mask is K + (x-part << k): by x-part, each row the values of its j
+        k = len(self.fixed)
+        rows = [point.values[j << k:(j + 1) << k] for j in range(self.n + 1)]
+        return SetFunction(self.ground, [v for x in range(1 << self.n) for v in rows[x.bit_count()]],
+                           point.domain)
 
 
 def _classify(values) -> str:
@@ -177,7 +270,7 @@ class SetFunction:
         return hash((self.ground, self.values))
 
     def __repr__(self):
-        return f"SetFunction({self.ground.labels}, domain={self.domain})"
+        return f"SetFunction({self.ground}, domain={self.domain})"
 
 
 @dataclass(frozen=True)
@@ -298,21 +391,23 @@ def monotone_repair(f: SetFunction) -> SetFunction:
     not in general the smallest c that does: on the chain f = (0, -1, -1,
     -2) over {a, b} it is 2 where 1 suffices.  Adding a multiple of
     cardinality preserves submodularity and the value of every balanced
-    functional.  Exact domains only.
+    functional.  On a `TypeSpace` the pairs are the types below one another
+    and |a| is the size of a type, so the repair of a point on the types
+    lifts to the repair of its lift.  Exact domains only.
     """
     if f.domain == FLOAT64:
         raise ValueError("monotone repair requires an exact numeric domain")
-    gr = f.ground
+    ground = f.ground
     v = f.values
     c = 0
-    for b in range(gr.n_subsets):
+    for b in range(ground.n_subsets):
         fb = v[b]
-        for a in submasks(b):
+        for a in ground.below(b):
             d = v[a] - fb
             if d > c:
                 c = d
-    table = [v[mask] + bin(mask).count("1") * c for mask in range(gr.n_subsets)]
-    return SetFunction(gr, table)
+    table = [v[s] + ground.size_of(s) * c for s in range(ground.n_subsets)]
+    return SetFunction(ground, table)
 
 
 # --- serialization ---

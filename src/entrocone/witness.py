@@ -1,10 +1,12 @@
 """Exact integer witness functions for independence of the constrained family,
 and the four-party table separating the constrained inequalities.
 
-The order-n witness lives on parties (a, b, c, x1..xn) and is built from
-three integer tables indexed by the (a,b,c)-part of a subset: a base value,
-a per-x-element slope, and a correction supported on {a} and {a,b} alone.
-All arithmetic is exact.
+The order-n witness lives on parties (a, b, c, x1..xn) and is symmetric in
+x1..xn, so it is a table over the types of `witness_space(n)`: a subset
+with (a,b,c)-part K and j x's takes a base value theta[K], plus j times a
+per-x-element slope lam[K], minus a correction mu[K] supported on {a} and
+{a,b} alone.  f and its monotone repair g are that table and its repair,
+lifted to the full ground.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from .setfn import (
     GroundSet,
     SetFunction,
+    TypeSpace,
     cmi,
     is_monotone,
     is_submodular,
@@ -26,11 +29,20 @@ from .setfn import (
 )
 from .inequalities import CompiledTemplate, builtin, instance_batches, instantiate
 
+# the largest order f and g are built at: the full ground of 24 parties has
+# 2^24 subsets, a value each
+MAX_WITNESS_ORDER = 21
 
-def witness_ground(n: int) -> GroundSet:
+
+def witness_space(n: int) -> TypeSpace:
+    """The types of the subsets of (a, b, c, x1..xn)."""
     if n < 1:
         raise ValueError("witness order n must be >= 1")
-    return GroundSet(("a", "b", "c") + tuple(f"x{i}" for i in range(1, n + 1)))
+    return TypeSpace(("a", "b", "c"), n)
+
+
+def witness_ground(n: int) -> GroundSet:
+    return witness_space(n).ground
 
 
 @dataclass(frozen=True)
@@ -75,27 +87,33 @@ def witness_params(n: int) -> WitnessParams:
     return WitnessParams(n=n, theta=theta, lam=lam, mu=mu)
 
 
+def _witness_types(n: int) -> SetFunction:
+    """The order-n witness as a point on `witness_space(n)`: the value of
+    type (K, j) is theta[K] + j * lam[K], less mu[K] when j = 0."""
+    if n > MAX_WITNESS_ORDER:
+        raise ValueError(f"witness order {n} exceeds the cap of {MAX_WITNESS_ORDER}: its "
+                         f"ground of {n + 3} parties has 2^{n + 3} subsets")
+    params = witness_params(n)
+    space = witness_space(n)
+    keys = [frozenset(lab for i, lab in enumerate(space.fixed) if K >> i & 1) for K in range(8)]
+    return SetFunction(space, [params.theta[key] + j * params.lam[key]
+                               - (0 if j else params.mu.get(key, 0))
+                               for j in range(n + 1) for key in keys])
+
+
 def make_witness_f(n: int) -> SetFunction:
     """The order-n witness: exact integers, submodular, vanishing constraints,
     and a strictly negative value on the standard order-n instance."""
-    params = witness_params(n)
-    gr = witness_ground(n)
-    abc_mask = gr.mask_of(("a", "b", "c"))
-    table = [0] * gr.n_subsets
-    for mask in range(1, gr.n_subsets):
-        k = frozenset(gr.labels_of(mask & abc_mask))
-        j_size = bin(mask & ~abc_mask).count("1")
-        v = params.theta[k] + j_size * params.lam[k]
-        if j_size == 0 and k in params.mu:
-            v -= params.mu[k]
-        table[mask] = v
-    return SetFunction(gr, table)
+    types = _witness_types(n)
+    return types.ground.lift(types)
 
 
 def make_witness_g(n: int) -> SetFunction:
     """Monotone repair of the order-n witness; still submodular, still a
-    witness (instance values are unchanged on balanced forms)."""
-    return monotone_repair(make_witness_f(n))
+    witness (instance values are unchanged on balanced forms).  The repair
+    is taken on the types and lifted."""
+    types = _witness_types(n)
+    return types.ground.lift(monotone_repair(types))
 
 
 def closed_form_value(n: int, p: int, delta: int) -> int:
@@ -190,12 +208,15 @@ class WitnessReport:
 def verify_witness(n: int) -> WitnessReport:
     """Check every defining property of the order-n witness exactly.
 
-    Scans all elemental submodularity triples for f and g, the pinned special
-    values, additivity over disjoint x-subsets, and every instance of the
-    order-p families for p up to n+2, the orders `independence_problem`
-    uses, against the closed-form value, recording the (p, delta)
-    histogram and confirming the single negative class (p=n, delta=0).  Instances are evaluated in
-    compiled chunks (see `instance_batches`).
+    f and g are built from the witness's table over the types and lifted
+    (`make_witness_f`, `make_witness_g`); every check reads them on the
+    full ground, not the types.  Scans all elemental submodularity triples
+    for f and g, the pinned special values, additivity over disjoint
+    x-subsets, and every instance of the order-p families for p up to n+2,
+    the orders `independence_problem` uses, against the closed-form value,
+    recording the (p, delta) histogram and confirming the single negative
+    class (p=n, delta=0).  Instances are evaluated in compiled chunks (see
+    `instance_batches`).
     """
     if n < 2:
         raise ValueError("witness order n must be at least 2: the construction needs two registers")

@@ -219,6 +219,14 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["certify", "--problem", "{forty_parties}"],
     # the orbit LP fits, the re-check on the full ground of 13 parties does not
     ["certify", "--builtin", "independence", "--n", "10"],
+    # sizes far past the caps, refused in one short line before anything is built
+    ["certify", "--builtin", "independence", "--n", "1000000"],
+    ["certify", "--builtin", "independence", "--n", "3000000"],
+    ["certify", "--problem", "{parties_13000}"],
+    ["certify", "--problem", "{parties_15000}"],
+    ["sample", "--n", "5000"],
+    ["sample", "--n", "8000"],
+    ["search", "--template", "ssa", "--family", "constrained", "--n", "5000", "--trials", "1"],
 ])
 def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeypatch):
     """A leading "env:NAME=value" entry sets that environment variable."""
@@ -237,6 +245,10 @@ def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeyp
         "forty_parties": {"ground": [f"p{i}" for i in range(40)],
                           "target": [{**term, "subset": ["p0"]}],
                           "generators": [[{**term, "subset": ["p0"]}]]},
+        **{f"parties_{n}": {"ground": [f"p{i}" for i in range(n)],
+                            "target": [{**term, "subset": ["p0"]}],
+                            "generators": [[{**term, "subset": ["p0"]}]]}
+           for n in (13000, 15000)},
         "too_many_generators": {"ground": ["a"], "target": [term],
                                 "generators": [[term]] * (certify.MAX_GENERATORS + 1)},
         "list_coef": {"name": "t", "slots": ["A"], "terms": [{**term, "subset": ["A"],
@@ -269,6 +281,9 @@ def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeyp
                 for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
+    # one short line; argparse's own refusals lead with its usage lines
+    lines = err.splitlines()
+    assert len(lines[-1]) < 300 and (len(lines) == 1 or lines[0].startswith("usage:")), err
 
 
 @pytest.mark.parametrize("family", ["haar-mixed", "diagonal"])
@@ -610,7 +625,7 @@ def test_certify_fails_when_the_recheck_finds_a_violation(monkeypatch, capsys):
 ])
 def test_certify_fails_when_the_lifted_point_misses_the_target_or_a_constraint(
         value, message, monkeypatch, capsys):
-    from entrocone.orbits import TypeSpace
+    from entrocone.setfn import TypeSpace
 
     monkeypatch.setattr(TypeSpace, "lift", lambda space, point: SetFunction(
         space.ground, [value(m) for m in range(space.ground.n_subsets)]))
@@ -631,11 +646,20 @@ def test_certify_requires_a_problem(capsys):
     assert run(["certify"]) == 2
 
 
-def test_certify_refuses_an_oversized_order_before_building_it(capsys):
+@pytest.mark.parametrize("n", ["30", "1000000"])
+def test_certify_refuses_an_oversized_order_before_building_it(n, capsys):
     started = time.perf_counter()
-    assert run(["certify", "--builtin", "independence", "--n", "30"]) == 2
+    assert run(["certify", "--builtin", "independence", "--n", n]) == 2
     assert time.perf_counter() - started < 1
     assert "exceeds the cap of 4095 rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["22", "1000000"])
+def test_witness_refuses_an_oversized_order_before_building_it(n, capsys):
+    started = time.perf_counter()
+    assert run(["witness", "--n", n]) == 2
+    assert time.perf_counter() - started < 1
+    assert f"witness order {n} exceeds the cap of 21" in capsys.readouterr().err
 
 
 def test_certify_refuses_an_order_it_would_ignore(capsys):

@@ -12,18 +12,9 @@ from entrocone.certify import (
     verify_certificate,
 )
 from entrocone.inequalities import LinearFunctional, builtin, enumerate_instances
-from entrocone.orbits import (
-    TypeSpace,
-    elemental_orbits,
-    family_orbits,
-    independence_orbits,
-)
-from entrocone.setfn import SetFunction
-from entrocone.witness import standard_c_binding
-
-
-def _abc(n):
-    return TypeSpace(("a", "b", "c"), n)
+from entrocone.orbits import elemental_orbits, family_orbits, independence_orbits
+from entrocone.setfn import SetFunction, TypeSpace
+from entrocone.witness import standard_c_binding, witness_space
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -33,7 +24,7 @@ def test_orbit_columns_are_the_projected_full_list(n, data):
     # the reference: every elemental form and every c_p family column of
     # independence_problem(n), each projected, with the x's relabelled by a
     # drawn permutation first (the projection must not see it)
-    space = _abc(n)
+    space = witness_space(n)
     perm = data.draw(st.permutations(range(n)))
 
     def relabelled(form):
@@ -62,7 +53,7 @@ def test_projection_and_lift_are_adjoint(data):
     # a functional's value on a lifted point is its projection's value on
     # the type point, exactly
     n = data.draw(st.integers(1, 4))
-    space = _abc(n)
+    space = witness_space(n)
     masks = st.integers(1, space.ground.full_mask)
     form = LinearFunctional._from_ints(
         space.ground, data.draw(st.dictionaries(masks, st.integers(-5, 5), max_size=12)),
@@ -75,7 +66,7 @@ def test_projection_and_lift_are_adjoint(data):
 def test_family_orbits_count_the_profiles():
     # c_1 at n = 3: one X slot of size 0..3; c_2: pairs of sizes summing to
     # at most 3
-    space = _abc(3)
+    space = witness_space(3)
     assert len(list(family_orbits(space, 1))) == 4
     assert len(list(family_orbits(space, 2))) == 6
     assert len(list(family_orbits(space, 5))) == sum(

@@ -113,6 +113,28 @@ def test_scan_and_refine_never_place_rho(monkeypatch):
     assert len(placed) == 1
 
 
+@pytest.mark.parametrize("cfg", [
+    SearchConfig(template="c_2", family="constrained", trials=1),
+    SearchConfig(template="ssa", family="haar-mixed", labels=("A", "B", "C"), dims=(2, 2, 2),
+                 trials=1),
+], ids=["constrained", "haar-mixed"])
+def test_replay_checks_the_matrix_once(monkeypatch, cfg):
+    # a constrained state is checked, blocks and placed matrix, when .rho
+    # is read; a haar-mixed build is not checked, so the replay checks it
+    checks = []
+    real = quantum._check_state
+    monkeypatch.setattr(quantum, "_check_state",
+                        lambda herm, trace: checks.append(1) or real(herm, trace))
+    _, family, instances, _ = search._setup(cfg)
+    params = family.draw(search._rng(0))
+    family.build(params).rho
+    one_read = len(checks)
+    checks.clear()
+    search._replay(family, params, instances[0], cfg.tol)
+    assert len(checks) == (one_read if cfg.family == "constrained" else 1)
+    assert one_read == (2 if cfg.family == "constrained" else 0)
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda block: block + np.triu(np.full(block.shape, 0.1), 1), "not hermitian"),
     (lambda block: 1.5 * block, "trace deviates"),

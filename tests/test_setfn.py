@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrocone.setfn import (
@@ -15,6 +15,7 @@ from entrocone.setfn import (
     GroundSet,
     PredicateReport,
     SetFunction,
+    TypeSpace,
     cmi,
     complement_transform,
     is_monotone,
@@ -226,6 +227,41 @@ def test_monotone_repair_idempotent_and_exact_only():
     gr = GroundSet(("A",))
     with pytest.raises(ValueError):
         monotone_repair(SetFunction(gr, [0.0, 1.0]))
+
+
+@st.composite
+def type_tables(draw):
+    """An integer table over the types of 1-4 fixed parties and n = 0..5
+    x's, most of them not monotone."""
+    space = TypeSpace(tuple("abcd"[:draw(st.integers(1, 4))]), draw(st.integers(0, 5)))
+    size = space.n_subsets - 1
+    return space, [0] + draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(type_tables())
+@example((TypeSpace(("a",), 1), [0, 5, 3, 1]))  # a drop of 4 from {a} to {a,x1}
+def test_type_space_repair_lifts_to_the_ground_repair(case):
+    space, values = case
+    point = SetFunction(space, values)
+    ground = space.ground
+    assert ground.n_subsets == 1 << (len(space.fixed) + space.n)
+    assert repr(point).startswith("SetFunction(TypeSpace(")
+    assert space.lift(monotone_repair(point)) == monotone_repair(space.lift(point))
+    # below and size_of are the types and sizes of the full ground's submasks
+    for mask in range(ground.n_subsets):
+        t = space.type_of(mask)
+        below = space.below(t)
+        assert len(below) == len(set(below))
+        assert set(below) == {space.type_of(a) for a in ground.below(mask)}
+        assert space.size_of(t) == ground.size_of(mask) == len(ground.labels_of(mask))
+    # below the complement of a type: the types of the subsets of the
+    # parties outside it, x-count first
+    k, full = len(space.fixed), space.full_mask
+    for used in range(space.n_subsets):
+        free = ((1 << k) - 1) & ~used
+        assert space.below(full - used) == [f + (m << k) for m in range(space.n - (used >> k) + 1)
+                                            for f in submasks(free)]
 
 
 def test_monotone_repair_adds_the_largest_drop_not_the_smallest_c():

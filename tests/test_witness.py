@@ -1,9 +1,20 @@
 """Exact witness family and the four-party counterexample table."""
 
+import time
+
 import pytest
 
-from entrocone.setfn import cmi, is_monotone, is_submodular, is_weakly_monotone
+from entrocone.inequalities import builtin, satisfies
+from entrocone.setfn import (
+    SetFunction,
+    cmi,
+    is_monotone,
+    is_submodular,
+    is_weakly_monotone,
+    monotone_repair,
+)
 from entrocone.witness import (
+    MAX_WITNESS_ORDER,
     closed_form_value,
     counterexample_table,
     make_witness_f,
@@ -111,6 +122,50 @@ def test_params_require_two_registers():
         witness_params(1)
     with pytest.raises(ValueError):
         make_witness_f(0)
+
+
+def per_mask_witness(n):
+    """f built subset by subset on the full ground, from the (a,b,c)-part
+    and the x count of each mask."""
+    params = witness_params(n)
+    gr = witness_ground(n)
+    table = [0] * gr.n_subsets
+    for mask in range(1, gr.n_subsets):
+        k = frozenset(gr.labels_of(mask & 7))
+        j = bin(mask >> 3).count("1")
+        table[mask] = params.theta[k] + j * params.lam[k] - (params.mu.get(k, 0) if j == 0 else 0)
+    return SetFunction(gr, table)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_witness_lifted_from_types_is_the_per_mask_witness(n):
+    f = per_mask_witness(n)
+    assert make_witness_f(n) == f
+    assert make_witness_g(n) == monotone_repair(f)
+
+
+@pytest.mark.parametrize("n", [MAX_WITNESS_ORDER + 1, 1_000_000])
+def test_witness_refuses_a_large_order_before_building_it(n):
+    for make in (make_witness_f, make_witness_g):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"witness order {n} exceeds the cap of 21"):
+            make(n)
+        assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("n, admissible", [(2, (15, 405)), (3, (60, 3420)), (4, (946, 27468))])
+def test_g_violates_c_n_on_the_standard_binding_alone(n, admissible):
+    # every binding the constraints admit on g, at every order the
+    # independence problem uses: the one violation is X_i = {x_i} at p = n
+    g = make_witness_g(n)
+    for p in range(1, n + 3):
+        rep = satisfies(g, builtin("c_n", p), auto_filter=True)
+        if p != n:
+            assert rep.n_violations == 0
+        else:
+            assert (rep.n_admissible, rep.n_enumerated) == admissible
+            assert rep.n_violations == 1
+            assert rep.violations[0]["instance"] == standard_instance(n, n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -228,19 +283,19 @@ def test_counterexample_report():
 def test_elemental_match_tracks_g_minus_f(monkeypatch, bump, match):
     # a cardinality bump keeps g - f modular; one bumped value breaks it
     from entrocone import witness
-    from entrocone.setfn import SetFunction
 
-    repair = witness.monotone_repair
+    true_g = witness.make_witness_g
 
-    def bumped(f):
-        values = list(repair(f).values)
+    def bumped(k):
+        g = true_g(k)
+        values = list(g.values)
         if bump == "cardinality":
             values = [v + bin(m).count("1") for m, v in enumerate(values)]
         else:
             values[-1] += 1
-        return SetFunction(f.ground, values)
+        return SetFunction(g.ground, values)
 
-    monkeypatch.setattr(witness, "monotone_repair", bumped)
+    monkeypatch.setattr(witness, "make_witness_g", bumped)
     rep = verify_witness(3)
     assert rep.elemental_match_fg is match
 
@@ -251,7 +306,6 @@ def test_elemental_match_tracks_g_minus_f(monkeypatch, bump, match):
 def test_zero_sum_check_sees_one_bumped_x_value(monkeypatch, subset, ok):
     # additivity over disjoint x-subsets reads the x-only values alone
     from entrocone import witness
-    from entrocone.setfn import SetFunction
 
     true_f = witness.make_witness_f
 
