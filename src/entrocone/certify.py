@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .inequalities import (
     builtin,
     cleared_values,
     eliminate_party_pure,
-    enumerate_instances,
+    instance_functionals,
     instantiate,
     terms_from_obj,
     terms_to_obj,
@@ -63,29 +63,61 @@ class CertificateReport:
         return self.valid
 
 
+def _on_ground(ground, items: Iterable[LinearFunctional]) -> bool:
+    """Whether every item is on `ground`, each distinct ground object
+    compared once: a problem's items share a few ground objects."""
+    distinct = {id(item.ground): item.ground for item in items}
+    return all(g == ground for g in distinct.values())
+
+
+def _nonzeros(columns: Sequence[dict], dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns' nonzeros, flat and in `dtype`: column c holds the values
+    vals[starts[c]:starts[c + 1]] at the masks masks[starts[c]:starts[c + 1]]."""
+    starts = np.zeros(len(columns) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, columns), np.intp, len(columns)), out=starts[1:])
+    masks = np.fromiter(chain.from_iterable(columns), np.intp, starts[-1])
+    vals = np.fromiter(chain.from_iterable(map(dict.values, columns)), dtype, starts[-1])
+    return starts, masks, vals
+
+
 def verify_certificate(cert: Certificate) -> CertificateReport:
     """Exactly re-evaluate a separating point against every item.
 
     Valid means: >= 0 on each generator, == 0 on each constraint, < 0 on the
-    target.  The point must be exact; float points are rejected.
+    target.  The point must be exact; float points are rejected.  The
+    generators and constraints are evaluated in one gather over their flat
+    nonzeros (`_nonzeros`), table[masks] * vals summed per item, with the
+    point cleared to integers: the values times a positive integer, so the
+    same signs.  That runs in int64 when max |table| * max |c| * (the most
+    terms of an item), a bound on max |table| * (the largest sum |c| of an
+    item), is below 2^63, else in Python integers.
     """
     f = cert.point
     if f.domain == FLOAT64:
         raise ValueError("certificate point must be exact (integer or rational)")
-    if any(item.ground != f.ground for item in (*cert.generators, *cert.constraints)):
+    items = [*cert.generators, *cert.constraints]
+    if not _on_ground(f.ground, items):
         raise ValueError("ground sets do not match")
-    # dot products with f cleared to integers: the values times a positive
-    # integer, so the same signs, in integer arithmetic
     table, _ = cleared_values(f)
-    failures = []
-    for idx, gen in enumerate(cert.generators):
-        if gen.dot(table) < 0:
-            failures.append({"kind": "generator", "index": idx,
-                             "value": Fraction(gen.evaluate(f))})
-    for idx, con in enumerate(cert.constraints):
-        if con.dot(table) != 0:
-            failures.append({"kind": "constraint", "index": idx,
-                             "value": Fraction(con.evaluate(f))})
+    columns = [item.nums for item in items]
+    try:
+        starts, masks, vals = _nonzeros(columns, np.int64)
+    except OverflowError:  # a coefficient of 2^63 or more
+        starts, masks, vals = _nonzeros(columns, object)
+    top = max(int(vals.max(initial=0)), -int(vals.min(initial=0)))
+    if max(map(abs, table)) * top * int(np.diff(starts).max(initial=0)) >= 2**63:
+        vals = vals.astype(object)
+    dots = np.zeros(len(items), dtype=vals.dtype)
+    full = np.flatnonzero(np.diff(starts))  # reduceat would give an empty item the next value
+    if len(full):
+        vals *= np.array(table, dtype=vals.dtype)[masks]
+        dots[full] = np.add.reduceat(vals, starts[full])
+    k = len(cert.generators)
+    failures = [{"kind": "generator", "index": i, "value": Fraction(items[i].evaluate(f))}
+                for i in np.flatnonzero(dots[:k] < 0).tolist()]
+    failures += [{"kind": "constraint", "index": i,
+                  "value": Fraction(cert.constraints[i].evaluate(f))}
+                 for i in np.flatnonzero(dots[k:] != 0).tolist()]
     tval = Fraction(cert.target.evaluate(f))
     if tval >= 0:
         failures.append({"kind": "target", "index": 0, "value": tval})
@@ -153,10 +185,9 @@ class _Simplex:
         self.pivots = 0
         # the nonzeros column by column: column c is vals[starts[c]:starts[c + 1]]
         # in the rows rows[starts[c]:starts[c + 1]]
-        self.starts = np.cumsum([0, *map(len, columns)])
-        self.rows = np.array([mask - 1 for nums in columns for mask in nums], dtype=np.intp)
-        self.vals = np.array([c for nums in columns for c in nums.values()],
-                             dtype=dtype) * self.row_sign[self.rows]
+        self.starts, masks, vals = _nonzeros(columns, dtype)
+        self.rows = masks - 1
+        self.vals = vals * self.row_sign[self.rows]
         self.nonzero_cols = np.flatnonzero(np.diff(self.starts))
         self.nonzero_starts = self.starts[self.nonzero_cols]
         self.abs_sum = max((sum(map(abs, nums.values())) for nums in columns), default=0)
@@ -285,9 +316,8 @@ def cone_membership(
     separating point by `verify_certificate`.
     """
     ground = target.ground
-    for item in list(generators) + list(constraints):
-        if item.ground != ground:
-            raise ValueError("all functionals must share one ground set")
+    if not _on_ground(ground, chain(generators, constraints)):
+        raise ValueError("all functionals must share one ground set")
     dim = ground.n_subsets - 1
     if dim > MAX_LP_ROWS:
         raise ValueError(f"an LP of {size_str(dim)} rows exceeds the cap of {MAX_LP_ROWS} rows")
@@ -347,14 +377,6 @@ def _check_combination(target, generators, lams, constraints, mus) -> bool:
 # --- problem builders ---
 
 
-def basic_generator_instances(ground: GroundSet) -> Iterator:
-    """Every basic-inequality instance on a ground set, lazily: all
-    submodularity instances, then all weak-monotonicity instances (empty
-    side subsets included, so triangle and positivity forms appear)."""
-    return chain(enumerate_instances(builtin("ssa"), ground),
-                 enumerate_instances(builtin("wmo"), ground))
-
-
 def elemental_forms(ground: GroundSet) -> Iterator[LinearFunctional]:
     """Pippenger's quantum elemental forms on a ground set, lazily: every
     I(i:j|K) >= 0 for parties i < j, then every S(iK) + S(iL) >= S(K) + S(L)
@@ -393,12 +415,13 @@ def independence_problem(n: int):
     this problem is the independence statement at order n.
     """
     target = standard_instance(n, n)
-    ground = target.functional.ground
-    generators = [inst.functional for inst in basic_generator_instances(ground)]
-    generators += [inst.functional for p in family_orders(n)
-                   for inst in enumerate_instances(builtin("c_n", p), ground,
-                                                   fixed=standard_c_binding())
-                   if not inst.functional.is_zero()]
+    ground = target.ground
+    generators = [*instance_functionals(builtin("ssa"), ground),
+                  *instance_functionals(builtin("wmo"), ground)]
+    generators += [form for p in family_orders(n)
+                   for form in instance_functionals(builtin("c_n", p), ground,
+                                                    fixed=standard_c_binding())
+                   if not form.is_zero()]
     return target.functional, generators, list(target.constraints), ground, "infeasible"
 
 
@@ -414,8 +437,8 @@ def purified_basic_problem():
     small = GroundSet(("A", "B", "C"))
     generators = []
     seen = set()
-    for inst in enumerate_instances(builtin("ssa"), big):
-        reduced = eliminate_party_pure(inst.functional, "D")
+    for form in instance_functionals(builtin("ssa"), big):
+        reduced = eliminate_party_pure(form, "D")
         if not reduced.is_zero() and reduced not in seen:
             seen.add(reduced)
             generators.append(reduced)
@@ -483,6 +506,10 @@ def problem_from_obj(obj):
         raise ValueError("'expect' must be \"feasible\" or \"infeasible\"")
     ground = GroundSet(list_field(obj, "ground"))
     target = terms_from_obj(list_field(obj, "target"), ground)
+    if target.is_zero():
+        # 0 is in every cone, so the answer would be "feasible" whatever the generators
+        raise ValueError("the target is zero (no terms, or terms that cancel): "
+                         "it lies in every cone")
     generators = [terms_from_obj(g, ground) for g in list_field(obj, "generators")]
     constraints = [terms_from_obj(c, ground) for c in list_field(obj, "constraints")]
     return target, generators, constraints, ground, obj["expect"]

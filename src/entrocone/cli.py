@@ -181,8 +181,12 @@ def cmd_witness(args) -> int:
 def cmd_counterexample(args) -> int:
     started = _now()
     f = _load(args.values, setfn_from_obj) if args.values else None
+    t0 = time.perf_counter()
     report = verify_counterexample(f)
-    _emit(args, report, started)
+    # the lw05 instance and one instance of each order-1 form
+    stats = {"instances": 1 + len(report.new_inequality_values),
+             "verify_s": time.perf_counter() - t0}
+    _emit(args, report, started, stats=stats)
     print(f"counterexample: {'pass' if report.passed else 'FAIL'}", file=sys.stderr)
     return 0 if report.passed else 1
 
@@ -216,10 +220,13 @@ def cmd_sample(args) -> int:
     dims = FamilyDims.default(args.n, args.blocks)
     trials = []
     all_pass = True
+    check_s = 0.0
     for t in range(args.trials):
         seed = trial_seed(args.seed, t)
         state = constrained_family_sample(dims, seed=seed, diagonal=args.diagonal)
+        t0 = time.perf_counter()
         rep = check_theorem(state, dims.a_blocks, tol=args.tol)
+        check_s += time.perf_counter() - t0
         trials.append({**to_obj(rep), "trial": t, "seed": list(seed)})
         all_pass = all_pass and rep.passed
     obj = {
@@ -240,7 +247,8 @@ def cmd_sample(args) -> int:
         rows.append((d["trial"], f"{d['seed'][0]}:{d['seed'][1]}", d["passed"],
                      f"{resid:.3e}", f"{slack:.12g}", f"{d['min_term']:.12g}",
                      f"{d['marginal_drift']:.3e}", f"{d['clipped_mass']:.3e}"))
-    _emit(args, obj, started, csv_table=(header, rows))
+    _emit(args, obj, started, csv_table=(header, rows),
+          stats={"states": len(trials), "check_s": check_s})
     print(f"sample n={args.n}: {args.trials} trials, "
           f"{'all pass' if all_pass else 'FAILURES'}", file=sys.stderr)
     return 0 if all_pass else 1
@@ -354,12 +362,16 @@ def cmd_search(args) -> int:
         auto_filter=args.auto_filter,
         refine_steps=args.refine,
     )
+    t0 = time.perf_counter()
     scan = random_scan(cfg)
+    stats = {"scan_s": time.perf_counter() - t0}
     obj = {"scan": scan}
     violated = scan.violation_found
     if args.refine > 0:
         start = tuple(scan.argmin["seed"]) if scan.argmin else None
+        t0 = time.perf_counter()
         refine = local_refine(cfg, start_seed=start)
+        stats.update(refine_s=time.perf_counter() - t0, refine_steps=refine.steps)
         obj["refine"] = refine
         violated = violated or refine.violation_found
     header = ("trial", "seed", "min_slack", "argmin_instance", "max_residual")
@@ -370,7 +382,7 @@ def cmd_search(args) -> int:
          None if r["max_residual"] is None else f"{r['max_residual']:.3e}")
         for r in scan.trial_records
     ]
-    _emit(args, obj, started, csv_table=(header, rows))
+    _emit(args, obj, started, csv_table=(header, rows), stats=stats)
     msg = f"search {scan.template}: min slack {scan.min_slack}"
     if scan.n_admissible == 0:
         msg += " -- no instance was admissible"

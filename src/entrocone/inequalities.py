@@ -87,9 +87,13 @@ class LinearFunctional:
     @classmethod
     def _from_ints(cls, ground: GroundSet, nums: Mapping[int, int], den: int = 1):
         """sum_m nums[m] / den * f(m), for nonempty masks m and den > 0."""
+        return cls._from_lowest(ground, *_lowest(nums, den))
+
+    @classmethod
+    def _from_lowest(cls, ground: GroundSet, nums: dict[int, int], den: int):
+        """The functional of numerators already as `_lowest` leaves them."""
         self = cls.__new__(cls)
-        self.ground = ground
-        self.nums, self.den = _lowest(nums, den)
+        self.ground, self.nums, self.den = ground, nums, den
         return self
 
     @property
@@ -184,7 +188,8 @@ class InequalityTemplate:
     default.
     """
 
-    __slots__ = ("name", "ground", "functional", "constraints", "symmetries", "empty_ok")
+    __slots__ = ("name", "ground", "functional", "constraints", "symmetries", "empty_ok",
+                 "__dict__")
 
     def __init__(
         self,
@@ -213,6 +218,12 @@ class InequalityTemplate:
     def slots(self) -> tuple[str, ...]:
         return self.ground.labels
 
+    @cached_property
+    def compiled(self) -> "CompiledTemplate":
+        """The template's `CompiledTemplate`, made on first read; instances
+        realize their functionals through it."""
+        return CompiledTemplate(self)
+
     def __eq__(self, other):
         return (
             isinstance(other, InequalityTemplate)
@@ -234,8 +245,9 @@ class Instance:
     """A template bound to concrete disjoint subsets of a ground set.
 
     Only the slot masks are stored; the functional and constraints are
-    realized on first read and cached.  Two instances are equal when their
-    template, ground and slot masks are.
+    realized on first read, as a one-row block (`CompiledTemplate.realize`),
+    and cached.  Two instances are equal when their template, ground and
+    slot masks are.
     """
 
     __slots__ = ("template", "ground", "slot_masks", "__dict__")
@@ -264,24 +276,16 @@ class Instance:
 
     @cached_property
     def functional(self) -> LinearFunctional:
-        return self._realize(self.template.functional)
+        return self._realize(0)
 
     @cached_property
     def constraints(self) -> tuple[LinearFunctional, ...]:
-        return tuple(self._realize(form) for form in self.template.constraints)
+        return tuple(self._realize(j) for j in range(1, 1 + len(self.template.constraints)))
 
-    def _realize(self, form: LinearFunctional) -> LinearFunctional:
-        masks = self.slot_masks
-        out: dict[int, int] = {}
-        for smask, c in form.nums.items():
-            pmask = 0
-            while smask:  # one step per slot the term names
-                low = smask & -smask
-                pmask |= masks[low.bit_length() - 1]
-                smask ^= low
-            if pmask:
-                out[pmask] = out.get(pmask, 0) + c
-        return LinearFunctional._from_ints(self.ground, out, form.den)
+    def _realize(self, column: int) -> LinearFunctional:
+        # a ground past 63 parties has masks beyond int64
+        row = np.array([self.slot_masks], dtype=np.int64 if self.ground.size < 64 else object)
+        return self.template.compiled.realize(row, self.ground, column)[0]
 
     def describe(self) -> str:
         binds = " ".join(
@@ -314,20 +318,21 @@ MAX_ENUM_PARTIES = 52  # masks and candidate counts stay inside int64
 BATCH_ROWS = 1024  # rows per enumeration block, and instances per evaluated chunk
 
 
-def enumerate_instances(
+def slot_blocks(
     template: InequalityTemplate,
     ground: GroundSet,
     fixed: Mapping[str, Subset] | None = None,
-) -> Iterator[Instance]:
-    """All assignments of pairwise-disjoint subsets to slots, lexicographic.
+) -> Iterator[np.ndarray]:
+    """All assignments of pairwise-disjoint subsets to slots, lexicographic,
+    as int64 (rows, slots) blocks of party masks of at most BATCH_ROWS rows.
 
     `fixed` pins chosen slots; free slots range over subsets of the remaining
     parties, empty only where the template's `empty_ok` permits.  Assignments
     equal under the template's declared slot symmetries are emitted once, in
     canonical form: inside a group, the free slots' masks strictly increase
-    in slot order, except repeated empties.  The bindings are checked here;
-    the instances are made lazily, from numpy blocks of slot-mask rows filled
-    one free slot at a time (`_fill_slot`).
+    in slot order, except repeated empties.  The bindings are checked here,
+    on the call; the blocks are filled lazily, one free slot at a time
+    (`_fill_slot`).
     """
     if ground.size > MAX_ENUM_PARTIES:
         raise ValueError(f"enumeration supports at most {MAX_ENUM_PARTIES} parties")
@@ -355,9 +360,31 @@ def enumerate_instances(
     for i, slot in enumerate(slots):
         if slot not in fixed_masks:
             blocks = _fill_slot(blocks, i, floors[i], slot in template.empty_ok, free_parties)
+    return (rows for rows, _ in blocks)
+
+
+def enumerate_instances(
+    template: InequalityTemplate,
+    ground: GroundSet,
+    fixed: Mapping[str, Subset] | None = None,
+) -> Iterator[Instance]:
+    """The assignments of `slot_blocks`, in its order, as lazy `Instance`s:
+    one per `next()`, so a caller can stop anywhere."""
     make = partial(Instance, template, ground)
-    # instance by instance, not block by block: one next() per instance
-    return chain.from_iterable(map(make, rows.tolist()) for rows, _ in blocks)
+    return chain.from_iterable(map(make, rows.tolist())
+                               for rows in slot_blocks(template, ground, fixed))
+
+
+def instance_functionals(
+    template: InequalityTemplate,
+    ground: GroundSet,
+    fixed: Mapping[str, Subset] | None = None,
+) -> Iterator[LinearFunctional]:
+    """The functional of each instance `enumerate_instances` yields, in its
+    order, realized a block at a time (`CompiledTemplate.realize`) with no
+    `Instance` made.  The bindings are checked on the call."""
+    realize = partial(template.compiled.realize, ground=ground)
+    return chain.from_iterable(map(realize, slot_blocks(template, ground, fixed)))
 
 
 # the ascending submasks of every byte value, listed byte after byte
@@ -459,6 +486,14 @@ class CompiledTemplate:
         self.shape = (len(terms), len(forms))
         # the largest sum |c| of a cleared column: bounds |value| / max |f|
         self.abs_sum = max(sum(abs(row[j]) for row in self.ints) for j in range(len(forms)))
+        # per form, for `realize`: the incidence of the terms it uses, their
+        # numerators (int64 while they and den stay below 2^63), and den
+        self._forms = []
+        for j, form in enumerate(forms):
+            used = [t for t, row in enumerate(self.ints) if row[j]]
+            dtype = np.int64 if max(self.abs_sum, form.den) < 2**63 else object
+            self._forms.append((self.incidence[:, used],
+                                np.array([self.ints[t][j] for t in used], dtype=dtype), form.den))
 
     @cached_property
     def floats(self) -> np.ndarray:
@@ -475,6 +510,41 @@ class CompiledTemplate:
 
     def bind(self, f: SetFunction) -> "BoundTemplate":
         return BoundTemplate(self, f)
+
+    def realize(self, slot_masks: np.ndarray, ground: GroundSet,
+                column: int = 0) -> list[LinearFunctional]:
+        """The form of `column` (0 the functional, j the j-th constraint) for
+        each row of a (rows, slots) mask matrix, as a LinearFunctional on
+        `ground`: per row, the party masks of the form's terms (`terms`)
+        sorted, the empty set dropped, equal masks summed and zero sums
+        dropped, over the form's denominator divided by the row's gcd, all
+        in numpy; then one `dict` per row.  Integer arithmetic in int64
+        while sum |c| < 2^63, else in Python integers."""
+        incidence, coefs, den = self._forms[column]
+        n_rows, width = len(slot_masks), len(coefs)
+        masks = slot_masks @ incidence
+        order = masks.argsort(axis=1)  # the order np.sort puts masks in, up to ties
+        masks = np.sort(masks, axis=1)
+        # a run of equal masks inside a row is one term, summed from its first place
+        first = np.ones(masks.shape, dtype=bool)
+        first[:, 1:] = masks[:, 1:] != masks[:, :-1]
+        at = first.ravel().nonzero()[0]
+        masks, sums = masks.ravel()[at], np.add.reduceat(coefs[order].ravel(), at)
+        keep = (masks != 0) & (sums != 0)
+        masks, sums, row_of = masks[keep], sums[keep], at[keep] // width
+        bounds = np.searchsorted(row_of, np.arange(n_rows + 1))
+        # per row, gcd(den, numerators), as `_lowest` takes it: den on a row
+        # with no term (reduceat would read the next row's first numerator)
+        g = np.full(n_rows, den, dtype=coefs.dtype)
+        if den != 1:
+            full = (bounds[1:] > bounds[:-1]).nonzero()[0]
+            if len(full):
+                g[full] = np.gcd(den, np.gcd.reduceat(sums, bounds[full]))
+                sums //= g[row_of]
+        masks, sums, bounds = masks.tolist(), sums.tolist(), bounds.tolist()
+        make = LinearFunctional._from_lowest
+        return [make(ground, dict(zip(masks[a:b], sums[a:b])), den // d)
+                for a, b, d in zip(bounds, bounds[1:], g.tolist())]
 
 
 def float_values(table: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -585,7 +655,7 @@ def satisfies(
         raise ValueError(
             "constrained template: pass an explicit binding or auto_filter=True"
         )
-    compiled = CompiledTemplate(template)
+    compiled = template.compiled
     bound = compiled.bind(f)
     zero_tol = 0 if bound.exact else tol
     n_enum = 0

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .inequalities import (
-    CompiledTemplate,
     InequalityTemplate,
     Instance,
     builtin,
@@ -153,7 +152,7 @@ def _setup(cfg: SearchConfig):
     instances = _instances_for(template, GroundSet(family.labels), cfg)
     if not instances:
         raise ValueError("no instances to evaluate")
-    compiled = CompiledTemplate(template)
+    compiled = template.compiled
     terms = compiled.terms(slot_mask_matrix(instances, len(template.slots)))
 
     def values(states) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,7 @@ from .setfn import (
     monotone_repair,
     submasks,
 )
-from .inequalities import CompiledTemplate, builtin, instance_batches, instantiate
+from .inequalities import builtin, instance_batches, instantiate
 
 # the largest order f and g are built at: the full ground of 24 parties has
 # 2^24 subsets, a value each
@@ -256,7 +256,7 @@ def verify_witness(n: int) -> WitnessReport:
     binding = standard_c_binding()
     for p in range(1, n + 3):
         template = builtin("c_n", p)
-        compiled = CompiledTemplate(template)
+        compiled = template.compiled
         on_f, on_g = compiled.bind(f), compiled.bind(g)
         is_x = np.array([slot.startswith("X") for slot in template.slots])
         classes: dict[int, dict] = {}

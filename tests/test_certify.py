@@ -1,14 +1,15 @@
 """Exact cone membership: certificates, simplex, Farkas extraction."""
 
+import hashlib
 import json
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrocone import certify
@@ -16,6 +17,7 @@ from entrocone.setfn import GroundSet, SetFunction
 from entrocone.inequalities import (
     LinearFunctional,
     builtin,
+    cleared_values,
     enumerate_instances,
     instantiate,
 )
@@ -24,7 +26,6 @@ from entrocone.certify import (
     Certificate,
     Feasible,
     Infeasible,
-    basic_generator_instances,
     cone_membership,
     elemental_forms,
     independence_problem,
@@ -34,6 +35,12 @@ from entrocone.certify import (
     purified_basic_problem,
     verify_certificate,
 )
+
+
+def basic_instances(gr):
+    """Every ssa instance on a ground, then every wmo instance (empty side
+    slots included): the basic generators `independence_problem` lists."""
+    return chain(enumerate_instances(builtin("ssa"), gr), enumerate_instances(builtin("wmo"), gr))
 
 
 def fn(gr, coefs):
@@ -86,6 +93,79 @@ def test_certificate_rejects_float_points():
                        target=fn(gr, {("a",): -1}))
     with pytest.raises(ValueError):
         verify_certificate(cert)
+
+
+def reference_verify(cert):
+    """(valid, failures, target value) item by item, as `verify_certificate`
+    did before its one gather: each item's integer dot product with the
+    cleared point."""
+    f = cert.point
+    table, _ = cleared_values(f)
+    failures = [{"kind": "generator", "index": i, "value": Fraction(g.evaluate(f))}
+                for i, g in enumerate(cert.generators) if g.dot(table) < 0]
+    failures += [{"kind": "constraint", "index": i, "value": Fraction(c.evaluate(f))}
+                 for i, c in enumerate(cert.constraints) if c.dot(table) != 0]
+    tval = Fraction(cert.target.evaluate(f))
+    if tval >= 0:
+        failures.append({"kind": "target", "index": 0, "value": tval})
+    return not failures, failures, tval
+
+
+@st.composite
+def certificates(draw):
+    """Items on 1-3 parties, zero items among them, with coefficients and
+    point values that may pass 2^63 or be fractions."""
+    gr = GroundSet(tuple("abc"[:draw(st.integers(1, 3))]))
+    size = st.sampled_from([1, 1, 1, 2**40, 2**62, 3**41])
+    value = st.builds(lambda a, b, s: Fraction(a * s, b), st.integers(-3, 3),
+                      st.sampled_from([1, 1, 2, 3]), size)
+    masks = st.integers(1, gr.full_mask)
+    item = st.dictionaries(masks, value.filter(bool), max_size=4).map(
+        lambda coefs: LinearFunctional(gr, coefs))
+    point = SetFunction(gr, [0] + draw(st.lists(value, min_size=gr.full_mask,
+                                                max_size=gr.full_mask)))
+    return Certificate(point, tuple(draw(st.lists(item, max_size=6))),
+                       tuple(draw(st.lists(item, max_size=3))), draw(item))
+
+
+_GR = GroundSet(("a", "b"))
+
+
+@settings(max_examples=250, deadline=None)
+@given(certificates())
+# zero items around a failing one: reduceat gives an empty segment the
+# next element, so a zero generator must not read its neighbour's value
+@example(Certificate(SetFunction(_GR, [0, 1, 1, 1]),
+                     (fn(_GR, {}), fn(_GR, {("a",): -1}), fn(_GR, {})),
+                     (fn(_GR, {}), fn(_GR, {("b",): 1})), fn(_GR, {("a", "b"): -1})))
+# a point past 2^63 on a generator whose value is negative only exactly
+@example(Certificate(SetFunction(_GR, [0, 2**63, 2**63 + 1, 1]),
+                     (fn(_GR, {("a",): 1, ("b",): -1}),), (), fn(_GR, {("a",): -1})))
+# a point past 2^63 and no nonzero item: nothing is gathered
+@example(Certificate(SetFunction(_GR, [0, 2**64, 1, 1]), (fn(_GR, {}),), (),
+                     fn(_GR, {("a",): -1})))
+def test_gathered_check_matches_the_per_item_reference(cert):
+    rep = verify_certificate(cert)
+    assert (rep.valid, rep.failures, rep.target_value) == reference_verify(cert)
+    assert all(type(f["value"]) is Fraction for f in rep.failures)
+
+
+def test_one_foreign_ground_among_thousands_of_equal_ones_is_refused():
+    # the items' grounds are compared object by object, once each: equal
+    # grounds that are other objects pass, one foreign ground does not
+    target, gens, cons, ground, _ = independence_problem(2)
+    point = make_witness_g(2)
+    assert point.ground == ground and point.ground is not ground
+    copies = [LinearFunctional._from_ints(GroundSet(ground.labels), g.nums, g.den)
+              for g in gens]
+    assert verify_certificate(Certificate(point, tuple(copies), tuple(cons), target))
+    foreign = GroundSet(ground.labels[:-1] + ("y",))
+    odd = copies[:]
+    odd[len(odd) // 2] = LinearFunctional._from_ints(foreign, gens[0].nums, gens[0].den)
+    with pytest.raises(ValueError, match="^ground sets do not match$"):
+        verify_certificate(Certificate(point, tuple(odd), tuple(cons), target))
+    with pytest.raises(ValueError, match="^all functionals must share one ground set$"):
+        cone_membership(target, odd, cons)
 
 
 # ------------------------------------------------------------ membership
@@ -550,7 +630,7 @@ def test_proof_certificate_needs_every_item(n):
 def test_elemental_forms_are_distinct_basic_instances(parties, count):
     gr = GroundSet(tuple("abcdef"[:parties]))
     forms = list(elemental_forms(gr))
-    basic = {inst.functional for inst in basic_generator_instances(gr)}
+    basic = {inst.functional for inst in basic_instances(gr)}
     assert all(form in basic for form in forms)
     assert len(set(forms)) == len(forms)
     assert len(forms) == count == (comb(parties, 2) + parties) * 2 ** (parties - 2)
@@ -570,13 +650,28 @@ def test_cone_membership_refuses_generators_past_its_cap(monkeypatch):
 
 def test_basic_generators_cover_ssa_and_wmo():
     gr = GroundSet(("a", "b", "c"))
-    gens = list(basic_generator_instances(gr))
+    gens = list(basic_instances(gr))
     names = {inst.template.name for inst in gens}
     assert names == {"ssa", "wmo"}
     # positivity appears as a WMO degeneration with empty side slots,
     # as the ray 2 S(a)
     pos = instantiate(builtin("positivity"), gr, {"A": "a"}).functional
     assert any(inst.functional == pos.scale(2) for inst in gens)
+
+
+# sha256 of problem_to_obj(...) as json.dumps writes it: the generators'
+# order is the LP's column order, which Bland's rule follows
+@pytest.mark.parametrize("build, digest", [
+    (lambda: independence_problem(2),
+     "45569cbdcfba9721e4ec8f9e5264c80dae0286cc3b64774559242fb647cbdb01"),
+    (lambda: independence_problem(3),
+     "0c2103a1874621b2967b8613f57162f930fa3cfba6c7864db496f7986bff1ae3"),
+    (purified_basic_problem,
+     "9c7977b0195f9f5e2d0da76864019e9bc78bfd4a41d928ef20cf50d2b32a9a72"),
+], ids=["independence-2", "independence-3", "purified-basic"])
+def test_problem_columns_keep_their_order(build, digest):
+    text = json.dumps(problem_to_obj(*build()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_problem_json_round_trip():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from entrocone import certify, cli, quantum
 from entrocone.certify import (
     Certificate,
-    basic_generator_instances,
     independence_problem,
     problem_to_obj,
     verify_certificate,
@@ -227,6 +226,9 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["sample", "--n", "5000"],
     ["sample", "--n", "8000"],
     ["search", "--template", "ssa", "--family", "constrained", "--n", "5000", "--trials", "1"],
+    # a zero target lies in every cone: "feasible" would claim nothing
+    ["certify", "--problem", "{empty_target}"],
+    ["certify", "--problem", "{cancelled_target}"],
 ])
 def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeypatch):
     """A leading "env:NAME=value" entry sets that environment variable."""
@@ -260,6 +262,9 @@ def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeyp
         "problem_bool_coef": {"ground": ["a"], "target": [{**term, "coef": True}],
                               "generators": [[term]]},
         "values_not_list": {"parties": ["A"], "values": 5},
+        "empty_target": {"ground": ["a"], "target": [], "generators": [[term]]},
+        "cancelled_target": {"ground": ["a"], "target": [term, {**term, "coef": "-1"}],
+                             "generators": [[term]]},
         "wmo": template_to_obj(builtin("wmo")),
     }
     template = {"name": "t", "slots": ["A"], "terms": [{"subset": ["A"], "coef": "1"}]}
@@ -560,7 +565,8 @@ def test_certify_independence_point_holds_on_the_full_list(n, tmp_path):
     point = setfn_from_obj(report["result"]["farkas_point"])
     cert = verify_certificate(Certificate(point, tuple(gens), tuple(cons), target))
     assert cert
-    names = [inst.template.name for inst in basic_generator_instances(ground)]
+    names = [name for name in ("ssa", "wmo")
+             for _ in enumerate_instances(builtin(name), ground)]
     family = {f"c_{p}": sum(1 for _ in enumerate_instances(builtin("c_n", p), ground,
                                                           fixed={"A": "a", "B": "b", "C": "c"}))
               for p in range(1, n + 3) if p != n}
@@ -603,6 +609,36 @@ def test_eval_stats_stay_outside_the_digest(etable_file, tmp_path):
     assert first["manifest"]["digest"] == second["manifest"]["digest"]
     assert first["report"] == second["report"]
     assert "stats" not in json.dumps(first["report"])
+
+
+@pytest.mark.parametrize("argv, counts", [
+    (["counterexample"], {"instances": 5, "verify_s": None}),
+    (["sample", "--n", "1", "--trials", "3"], {"states": 3, "check_s": None}),
+    (["search", "--template", "ssa", "--trials", "4", "--labels", "A,B,C",
+      "--dims", "2,2,2", "--refine", "3"], {"scan_s": None, "refine_s": None,
+                                            "refine_steps": None}),
+    (["search", "--template", "ssa", "--trials", "2", "--labels", "A,B,C",
+      "--dims", "2,2,2"], {"scan_s": None}),
+], ids=["counterexample", "sample", "search-refine", "search"])
+def test_stats_of_counterexample_sample_and_search(argv, counts, tmp_path):
+    # known counts: the lw05 instance and four order-1 forms, one state per
+    # trial, and the refine walk's steps as the report gives them; None
+    # marks a phase time
+    paths = tmp_path / "a.json", tmp_path / "b.json"
+    for path in paths:
+        assert run(argv + ["--out", str(path)]) == 0
+    first, second = (json.loads(path.read_text()) for path in paths)
+    stats, report = first["manifest"]["stats"], first["report"]
+    assert set(stats) == set(counts)
+    for key, want in counts.items():
+        assert stats[key] >= 0 if want is None else stats[key] == want
+    if argv[0] == "sample":
+        assert stats["states"] == report["trials"] == len(report["results"])
+    if "refine" in report:
+        assert stats["refine_steps"] == report["refine"]["steps"] > 0
+    assert first["manifest"]["digest"] == second["manifest"]["digest"]
+    assert first["report"] == second["report"]
+    assert "stats" not in json.dumps(report)
 
 
 def test_certify_fails_when_the_recheck_finds_a_violation(monkeypatch, capsys):

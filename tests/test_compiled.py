@@ -9,16 +9,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrocone import search, witness
 from entrocone.inequalities import (
     CompiledTemplate,
     InequalityTemplate,
+    LinearFunctional,
     builtin,
     enumerate_instances,
+    instance_functionals,
+    instantiate,
     satisfies,
+    slot_blocks,
     slot_mask_matrix,
 )
 from entrocone.quantum import HaarMixedFamily, _rng, entropy_vector, trial_seed
@@ -295,3 +299,90 @@ def test_scan_does_not_depend_on_the_chunk(plan, trials, seed):
         best = reference_trial(instances, h, cfg.tol)[2]
         assert (rec["min_slack"] is None) == (best is None)
         assert best is None or _close(rec["min_slack"], best)
+
+
+# ------------------------------------------------------------ block realization
+
+
+def reference_realize(inst, form):
+    """An instance's form realized term by term, as `Instance` did before
+    block realization: each term's party mask is the union of the slot masks
+    it names, the empty set drops, equal masks add."""
+    out = {}
+    for smask, c in form.nums.items():
+        pmask = 0
+        while smask:  # one step per slot the term names
+            low = smask & -smask
+            pmask |= inst.slot_masks[low.bit_length() - 1]
+            smask ^= low
+        if pmask:
+            out[pmask] = out.get(pmask, 0) + c
+    return LinearFunctional._from_ints(inst.ground, out, form.den)
+
+
+def _as_listed(form):
+    """A functional as its numerators in key order, and its denominator."""
+    return list(form.nums.items()), form.den
+
+
+@st.composite
+def realization_cases(draw):
+    """A builtin template (ssa, wmo, c_p, the theorem forms, lw05) or a
+    random one, whose coefficients may be fractions or pass 2^63, on a
+    ground of 1-6 parties, with some slots bound to random parties."""
+    builtins = [builtin(name) for name in ("ssa", "wmo", "c_1", "c_2", "c_3", "thm1p_2",
+                                           "thm2_1", "thm2p_2", "lw05", "mutual-info")]
+    template = draw(st.one_of(st.sampled_from(builtins), templates()))
+    if draw(st.integers(0, 4)) == 0:  # a coefficient beyond int64
+        terms = {**template.functional.coefs, 1: 3**41 * draw(st.sampled_from([1, -1]))}
+        template = InequalityTemplate("wide", template.slots, terms,
+                                      [c.coefs for c in template.constraints],
+                                      template.symmetries, template.empty_ok)
+    ground = GroundSet(tuple(f"p{i}" for i in range(draw(st.integers(1, 6)))))
+    owner = draw(st.lists(st.integers(-1, len(template.slots) - 1),
+                          min_size=ground.size, max_size=ground.size))
+    pinned = [s for s in template.slots if draw(st.integers(0, 3)) == 0]
+    fixed = {s: tuple(lab for lab, o in zip(ground.labels, owner)
+                      if o == template.slots.index(s)) for s in pinned}
+    return template, ground, fixed
+
+
+@settings(max_examples=150, deadline=None)
+@given(realization_cases())
+# wmo with B = C = {}: the two S(a) terms merge and the empty terms drop
+@example((builtin("wmo"), GroundSet(("a", "b")), {"A": "a", "B": (), "C": ()}))
+# a form with no terms next to one over denominator 2
+@example((InequalityTemplate("t", ("A", "B"), {1: Fraction(1, 2), 3: -1}, [{}]),
+          GroundSet(("a", "b", "c")), {}))
+def test_block_realization_matches_the_per_instance_reference(case):
+    template, ground, fixed = case
+    instances = list(enumerate_instances(template, ground, fixed=fixed))
+    forms = (template.functional, *template.constraints)
+    want = [[_as_listed(reference_realize(inst, form)) for form in forms] for inst in instances]
+    # block by block, every form: the same numerators, key order and denominator
+    got = [[] for _ in instances]
+    row = 0
+    for rows in slot_blocks(template, ground, fixed):
+        for j in range(len(forms)):
+            for i, form in enumerate(template.compiled.realize(rows, ground, j)):
+                assert form.ground is ground
+                got[row + i].append(_as_listed(form))
+        row += len(rows)
+    assert got == want
+    assert [_as_listed(f) for f in instance_functionals(template, ground, fixed)] == [
+        w[0] for w in want]
+    # an instance reads the same routine on its one row
+    for inst, w in zip(instances, want):
+        assert [_as_listed(f) for f in (inst.functional, *inst.constraints)] == w
+
+
+def test_an_instance_past_63_parties_realizes_in_python_integers():
+    # masks beyond int64: the one-row block is held as Python integers
+    gr = GroundSet(tuple(f"p{i}" for i in range(70)))
+    inst = instantiate(builtin("c_2"), gr, {"A": "p69", "B": "p0", "C": ("p64", "p3"),
+                                            "X1": "p65", "X2": ()})
+    template = builtin("c_2")
+    for form, ref in zip((inst.functional, *inst.constraints),
+                         (template.functional, *template.constraints)):
+        assert _as_listed(form) == _as_listed(reference_realize(inst, ref))
+    assert max(inst.functional.nums) >= 2**69

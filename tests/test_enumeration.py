@@ -13,7 +13,9 @@ from entrocone.inequalities import (
     Instance,
     builtin,
     enumerate_instances,
+    instance_functionals,
     instantiate,
+    slot_blocks,
 )
 from entrocone.setfn import GroundSet, submasks
 
@@ -140,6 +142,12 @@ def test_a_free_slot_with_no_party_left():
 def test_bad_fixed_binding_raises_at_the_call(fixed, message):
     with pytest.raises(ValueError, match=message):
         enumerate_instances(builtin("ssa"), GroundSet(("a", "b", "c")), fixed=fixed)
+
+
+@pytest.mark.parametrize("enumerate_", [slot_blocks, instance_functionals])
+def test_block_enumerators_check_bindings_at_the_call(enumerate_):
+    with pytest.raises(ValueError, match="overlap"):
+        enumerate_(builtin("ssa"), GroundSet(("a", "b", "c")), fixed={"A": "a", "B": ("a", "b")})
 
 
 def test_a_ground_beyond_the_party_cap_is_refused():
