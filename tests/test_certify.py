@@ -153,9 +153,9 @@ def test_gathered_check_matches_the_per_item_reference(cert):
 def test_one_foreign_ground_among_thousands_of_equal_ones_is_refused():
     # the items' grounds are compared object by object, once each: equal
     # grounds that are other objects pass, one foreign ground does not
-    target, gens, cons, ground, _ = independence_problem(2)
-    point = make_witness_g(2)
-    assert point.ground == ground and point.ground is not ground
+    target, gens, cons, ground, _ = independence_problem(3)
+    point = make_witness_g(3)
+    assert point.ground == ground and point.ground is not ground and len(gens) == 3118
     copies = [LinearFunctional._from_ints(GroundSet(ground.labels), g.nums, g.den)
               for g in gens]
     assert verify_certificate(Certificate(point, tuple(copies), tuple(cons), target))
