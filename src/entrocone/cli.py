@@ -254,13 +254,13 @@ def cmd_sample(args) -> int:
     return 0 if all_pass else 1
 
 
-def _recheck_independence(point, n: int) -> tuple[dict, list]:
+def _recheck_independence(point, n: int, target) -> tuple[dict, list]:
     """The lifted Farkas point of order n on the full ground, by paths that
     do not read the type coordinates: `satisfies` on every ssa and wmo
     instance and on every c_p family instance (p in `family_orders(n)`, the
-    standard binding, no filter), then the standard instance (< 0) and
-    its constraints (= 0).  Returns the report's `rechecked` and the
-    failures, each as the clause "the Farkas point is ..." ends with."""
+    standard binding, no filter), then `target`, the standard instance
+    (< 0), and its constraints (= 0).  Returns the report's `rechecked` and
+    the failures, each as the clause "the Farkas point is ..." ends with."""
     checks = {name: satisfies(point, builtin(name)) for name in ("ssa", "wmo")}
     checks.update({f"c_{p}": satisfies(point, builtin("c_n", p), binding=standard_c_binding())
                    for p in family_orders(n)})
@@ -268,7 +268,6 @@ def _recheck_independence(point, n: int) -> tuple[dict, list]:
                  for name, rep in checks.items()}
     failed = [f"negative on {rep.n_violations} of {rep.n_enumerated} {name} instances"
               for name, rep in checks.items() if not rep.holds]
-    target = standard_instance(n, n)
     value = target.functional.evaluate(point)
     residuals = [con.evaluate(point) for con in target.constraints]
     rechecked.update(target=value, constraints=residuals)
@@ -301,7 +300,8 @@ def cmd_certify(args) -> int:
                              f"the full ground exceeds the cap of {MAX_LP_ROWS} rows")
         from .orbits import independence_orbits  # here, so no other command loads it
 
-        problem = independence_orbits(args.n)
+        standard = standard_instance(args.n, args.n)  # the LP's target and the re-check's
+        problem = independence_orbits(args.n, standard)
     else:
         problem = purified_basic_problem()
     target, generators, constraints, ground, expect = problem
@@ -316,7 +316,7 @@ def cmd_certify(args) -> int:
         space, ground = ground, ground.ground
         if not feasible:
             outcome = replace(outcome, farkas_point=space.lift(outcome.farkas_point))
-            rechecked, failed = _recheck_independence(outcome.farkas_point, args.n)
+            rechecked, failed = _recheck_independence(outcome.farkas_point, args.n, standard)
     obj = {
         "outcome": "feasible" if feasible else "infeasible",
         "ground": list(ground.labels),
@@ -364,7 +364,7 @@ def cmd_search(args) -> int:
     )
     t0 = time.perf_counter()
     scan = random_scan(cfg)
-    stats = {"scan_s": time.perf_counter() - t0}
+    stats = {"scan_s": time.perf_counter() - t0, "marginals": scan.marginals}
     obj = {"scan": scan}
     violated = scan.violation_found
     if args.refine > 0:

@@ -16,7 +16,7 @@ from itertools import chain, combinations
 from typing import Iterator
 
 from .setfn import TypeSpace
-from .inequalities import LinearFunctional, builtin
+from .inequalities import Instance, LinearFunctional, builtin
 from .witness import standard_instance, witness_space
 from .certify import family_orders
 
@@ -97,16 +97,18 @@ def family_orbits(space: TypeSpace, p: int) -> Iterator[LinearFunctional]:
         yield LinearFunctional._from_ints(space, nums)
 
 
-def independence_orbits(n: int):
+def independence_orbits(n: int, target: Instance | None = None):
     """`independence_problem(n)` on the types of (a, b, c, x1..xn): the
     projected target and constraints, and one column per orbit of its
     cone, zero and repeated columns dropped: the c_p profiles for the
     orders of `family_orders(n)`, then the elemental orbits (in that order
     Bland's rule took 101 to 1,614 pivots at n = 2..8, against 107 to 3,787
-    the other way round).  Returns (target, generators, constraints, space,
-    "infeasible")."""
+    the other way round).  `target` is `standard_instance(n, n)`, built
+    here unless the caller has it.  Returns (target, generators,
+    constraints, space, "infeasible")."""
     space = witness_space(n)
-    target = standard_instance(n, n)
+    if target is None:
+        target = standard_instance(n, n)
     columns = chain(*(family_orbits(space, p) for p in family_orders(n)),
                     elemental_orbits(space))
     return (space.project(target.functional), list(_distinct(columns)),

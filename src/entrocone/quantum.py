@@ -248,42 +248,66 @@ def _trace_one(stack: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:
     return out.reshape(-1, pre * post, pre * post)
 
 
-def _marginal_entropies(stack: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy and clipped mass of every marginal of each matrix of `stack`
-    (T, d, d) on parties of `dims`, as (T, 2^m) arrays indexed by party mask
-    (mask 0 holds zeros).
+@functools.cache
+def _trace_plan(dims: tuple[int, ...]) -> tuple:
+    """The marginals of parties `dims`, level by level from the mask of
+    every party of dimension above 1 down to single parties, in the order
+    `_marginal_entropies` visits them: each as (mask, parent, parent's
+    dims, pos), traced from `parent` (None at the top) by its `pos`-th
+    party of dimension above 1, the first parent to reach it.  A party of
+    dimension 1 is never traced."""
+    live = [i for i in range(len(dims)) if dims[i] > 1]
+    levels = [((sum(1 << i for i in live), None, (), 0),)] if live else []
+    for _ in live[1:]:
+        children: dict[int, tuple] = {}
+        for mask, *_ in levels[-1]:
+            idxs = [i for i in live if mask >> i & 1]
+            sub = tuple(dims[i] for i in idxs)
+            for pos, i in enumerate(idxs):
+                children.setdefault(mask & ~(1 << i), (mask, sub, pos))
+        levels.append(tuple((child, *how) for child, how in children.items()))
+    return tuple(levels)
+
+
+def _marginal_entropies(stack: np.ndarray, dims: Sequence[int],
+                        masks=None) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy and clipped mass of the marginals on `masks` (every party
+    mask by default) of each matrix of `stack` (T, d, d) on parties of
+    `dims`, as (T, len(masks)) arrays in the order of `masks` (mask 0
+    holds zeros).
 
     Each level's marginals are traced from the level above, one party at a
-    time.  A party of dimension 1 is never traced: a mask holding one takes
-    the values of the mask without it.  Each level makes one `eigvalsh`
-    call per dimension of its marginals.  Each matrix's values are computed
-    alone, whatever else the stack holds.
+    time, along `_trace_plan(dims)`; only the masks asked for and the
+    marginals they are traced from are traced, so each takes the path it
+    takes in the full table.  A party of dimension 1 is never traced: a
+    mask holding one takes the values of the mask without it.  Each level
+    makes one `eigvalsh` call per dimension of its marginals asked for,
+    and is dropped once its children are traced.  Each matrix's values are
+    computed alone, whatever else the stack holds.
     """
     m = len(dims)
-    values = np.zeros((len(stack), 1 << m))
-    clipped = np.zeros_like(values)
-    live = [i for i in range(m) if dims[i] > 1]
-    full = sum(1 << i for i in live)
+    full = sum(1 << i for i in range(m) if dims[i] > 1)
+    want = (np.arange(1 << m) if masks is None else masks) & full
+    plan = _trace_plan(tuple(dims))
+    asked = set(want.tolist())
+    traced = set(asked)
+    for entries in reversed(plan[1:]):
+        traced.update(parent for mask, parent, *_ in entries if mask in traced)
+    values = np.zeros((2, len(stack), 1 << m))
     level = {full: stack}
-    for count in range(len(live), 0, -1):
+    for depth, entries in enumerate(plan):
+        if depth:  # the top level is the stack itself
+            level = {mask: _trace_one(level[parent], sub, pos)
+                     for mask, parent, sub, pos in entries if mask in traced}
         by_dim: dict[int, list[int]] = {}
-        next_level: dict[int, np.ndarray] = {}
         for mask, mat in level.items():
-            by_dim.setdefault(mat.shape[-1], []).append(mask)
-            if count > 1:
-                idxs = [i for i in live if mask >> i & 1]
-                sub = [dims[i] for i in idxs]
-                for pos, i in enumerate(idxs):
-                    child = mask & ~(1 << i)
-                    if child not in next_level:
-                        next_level[child] = _trace_one(mat, sub, pos)
+            if mask in asked:
+                by_dim.setdefault(mat.shape[-1], []).append(mask)
         for group in by_dim.values():
             w = np.linalg.eigvalsh(np.concatenate([level[mask] for mask in group]))
             s, c = _spectrum_entropy(w.reshape(len(group), len(stack), -1))
-            values[:, group], clipped[:, group] = s.T, c.T
-        level = next_level
-    masks = np.arange(1 << m) & full
-    return values[:, masks], clipped[:, masks]
+            values[0][:, group], values[1][:, group] = s.T, c.T
+    return values[0][:, want], values[1][:, want]
 
 
 @functools.cache
@@ -299,10 +323,11 @@ def _block_masks(n: int) -> tuple[np.ndarray, ...]:
     return maps
 
 
-def _factored_entropies(states: Sequence[MultipartyState]) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy and clipped mass of every marginal of each of `states`, which
-    carry block factors of one layout, as (T, masks) arrays, from the
-    spectra those factors hold.
+def _factored_entropies(states: Sequence[MultipartyState],
+                        masks=None) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy and clipped mass of the marginals on `masks` (every mask by
+    default) of each of `states`, which carry block factors of one layout,
+    as (T, len(masks)) arrays, from the spectra of those factors.
 
     For rho = sum_k p_k chi_k (x) xi_k, a marginal J that meets A or B keeps
     the blocks apart, so its spectrum is the union over k of
@@ -317,36 +342,62 @@ def _factored_entropies(states: Sequence[MultipartyState]) -> tuple[np.ndarray, 
     keeps the blocks apart and takes the same sum: for J meeting A or B it
     is rho's S(J), since A and B each identify the block and R adds nothing;
     for J inside C and the X's it is a new value (H(p) for R alone).
+
+    The full table reads the spectra the factors keep (`_factor_spectra`);
+    a list of masks takes only the factor marginals it maps to.
     """
     n = len(states[0].factors.xi_shape) - 1
     blocks, chi_of, xi_of = _block_masks(n)
-    chi_s, chi_c, xi_s, xi_c, cx_s, cx_c = _factor_spectra([s.factors for s in states])
+    rho_masks = 1 << (n + 3)
+    every = masks is None
+    if every:
+        masks = np.arange(rho_masks << (states[0].ground.size - n - 3))
+    low = masks & (rho_masks - 1)
+    split = blocks[low] | (masks >= rho_masks)  # with R, every marginal keeps the blocks apart
+    cols = [chi_of[low[split]], xi_of[low[split]], xi_of[low[~split]]]
+    fs = [s.factors for s in states]
+    if every:
+        spectra = _factor_spectra(fs)
+    else:
+        # sorted distinct masks; np.unique's first call imports numpy.ma (1.7 MB)
+        wanted = [np.array(sorted(set(c.tolist())), dtype=np.int64) for c in cols]
+        spectra = _factor_spectra(fs, wanted)
+        cols = [np.searchsorted(w, c) for w, c in zip(wanted, cols)]
+    chi_s, chi_c, xi_s, xi_c, cx_s, cx_c = spectra
+    chi, xi, cx = cols
     p = np.array([s.factors.weights for s in states])
     h_p, clip_p = _spectrum_entropy(p)
     p = p[:, :, None]  # each trial's weights on its own blocks, summed in block order
-    split_s = h_p[:, None] + (p * (chi_s[:, :, chi_of] + xi_s[:, :, xi_of])).sum(1)
-    split_c = clip_p[:, None] + (p * (chi_c[:, :, chi_of] + xi_c[:, :, xi_of])).sum(1)
-    values = np.where(blocks, split_s, cx_s[:, xi_of])
-    clipped = np.where(blocks, split_c, cx_c[:, xi_of])
-    if states[0].ground.size == n + 3:
-        return values, clipped
-    return np.hstack((values, split_s)), np.hstack((clipped, split_c))
+    values, clipped = np.empty((2, len(states), len(masks)))
+    values[:, split] = h_p[:, None] + (p * (chi_s[:, :, chi] + xi_s[:, :, xi])).sum(1)
+    clipped[:, split] = clip_p[:, None] + (p * (chi_c[:, :, chi] + xi_c[:, :, xi])).sum(1)
+    values[:, ~split], clipped[:, ~split] = cx_s[:, cx], cx_c[:, cx]
+    return values, clipped
 
 
-def entropy_table(states: Sequence[MultipartyState]) -> tuple[np.ndarray, np.ndarray]:
-    """Entropies and clipped masses of every marginal of each of `states`,
-    as (T, 2^m) float arrays indexed by party mask (mask 0 holds zeros).
+def entropy_table(states: Sequence[MultipartyState], masks=None) -> tuple[np.ndarray, np.ndarray]:
+    """Entropies and clipped masses of the marginals on `masks` of each of
+    `states`, as (T, len(masks)) float arrays in the order of `masks`; by
+    default every marginal, (T, 2^m) indexed by party mask.  Mask 0 holds
+    zeros.
 
     The states must share parties, dims and layout, as one family's builds
     do.  Their matrices are stacked and go through `_marginal_entropies`
     together; states that carry block factors (ConstrainedFamily builds, or
-    their measured states) stack their factors instead, whose spectra the
-    first such call computes and every later one, for rho or its measured
-    state, reads.  Each state's values are those it gets alone.
+    their measured states) stack their factors instead.  The full table
+    reads their spectra, which the first full call computes and every later
+    one, for rho or its measured state, reads; a list of masks computes the
+    factor marginals it needs and keeps nothing.  Each state's values are
+    those it gets alone, and a list of masks gives the full table's columns
+    to the bit.  A mask outside 0..2^m - 1 raises ValueError.
     """
+    if masks is not None:
+        masks, m = np.asarray(masks, dtype=np.int64), states[0].ground.size
+        if masks.size and not 0 <= masks.min() <= masks.max() < 1 << m:
+            raise ValueError(f"a mask of {m} parties lies in 0..{(1 << m) - 1}")
     if states[0].factors is None:
-        return _marginal_entropies(np.array([s.rho for s in states]), states[0].dims)
-    return _factored_entropies(states)
+        return _marginal_entropies(np.array([s.rho for s in states]), states[0].dims, masks)
+    return _factored_entropies(states, masks)
 
 
 def entropy_vector(state: MultipartyState, diagnostics: dict | None = None) -> SetFunction:
@@ -496,21 +547,32 @@ class BlockFactors:
         return abc, x.reshape(d, d)
 
 
-def _factor_spectra(fs: Sequence[BlockFactors]) -> list[np.ndarray]:
+def _factor_spectra(fs: Sequence[BlockFactors], wanted=None) -> list[np.ndarray]:
     """(chi, chi clipped, xi, xi clipped, cx, cx clipped) of the block factors
-    `fs`: entropies and clipped masses by mask, (T, K, masks) for the chi_k
-    and xi_k, (T, masks) for cx.  Those not yet known are computed in one
-    pass over each stack and kept on their factors, for rho and sigma."""
-    new = [f for f in fs if f.spectra is None]
+    `fs`: entropies and clipped masses, (T, K, masks) for the chi_k and
+    xi_k, (T, masks) for cx.  By default every mask: those not yet known
+    are computed in one pass over each stack and kept on their factors,
+    for rho and sigma.  With `wanted`, (chi masks, xi masks, cx masks),
+    only those columns, in that order, computed for every factor and not
+    kept."""
+    new = fs if wanted is not None else [f for f in fs if f.spectra is None]
     if new:
         T, K, first = len(new), new[0].weights.size, new[0]
-        chi = np.zeros((2, T, K, 1 << (len(first.xi_shape) + 1)))
+        if wanted is None:  # chi_k's parties are xi_k's, less C, plus A and B
+            chi_m = xi_m = cx_m = None
+            chi_w, xi_w = 1 << (len(first.xi_shape) + 1), 1 << len(first.xi_shape)
+        else:
+            chi_m, xi_m, cx_m = wanted
+            chi_w, xi_w = len(chi_m), len(xi_m)
+        chi = np.zeros((2, T, K, chi_w))
         for g, (shape, ks, _) in enumerate(first.chis):
-            got = _marginal_entropies(np.concatenate([f.chis[g][2] for f in new]), shape)
-            chi[:, :, list(ks)] = np.reshape(got, (2, T, len(ks), -1))
+            got = _marginal_entropies(np.concatenate([f.chis[g][2] for f in new]), shape, chi_m)
+            chi[:, :, list(ks)] = np.reshape(got, (2, T, len(ks), chi_w))
         xi = np.reshape(_marginal_entropies(np.concatenate([f.xis for f in new]),
-                                            first.xi_shape), (2, T, K, -1))
-        cx = _marginal_entropies(np.array([f.cx.rho for f in new]), first.cx.dims)
+                                            first.xi_shape, xi_m), (2, T, K, xi_w))
+        cx = _marginal_entropies(np.array([f.cx.rho for f in new]), first.cx.dims, cx_m)
+        if wanted is not None:
+            return [*chi, *xi, *cx]
         for f, row in zip(new, zip(*chi, *xi, *cx)):
             object.__setattr__(f, "spectra", row)
     return [np.array(a) for a in zip(*(f.spectra for f in fs))]

@@ -3,9 +3,10 @@
 A search draws states from a parameterized family (the families live in
 `quantum`), evaluates every admissible instance of a template on each
 state's entropies, taken for a chunk of trials in one `entropy_table`
-pass, and reports the worst slack seen.  A violation is
-only reported when the instance's constraint residuals also pass, and every
-violation is revalidated from its recorded seed before being believed.
+pass on the marginals the instances read, and reports the worst slack
+seen.  A violation is only reported when the instance's constraint
+residuals also pass, and every violation is revalidated from its
+recorded seed before being believed.
 """
 
 from __future__ import annotations
@@ -142,10 +143,12 @@ def _instances_for(
 
 
 def _setup(cfg: SearchConfig):
-    """Template, family, instances and their compiled evaluation `values`
-    of a scan or walk: each state's instance values (T, rows) and constraint
-    values (T, rows, constraints) from one `entropy_table`, through
-    `float_values`, so a trial's slack does not depend on its chunk.
+    """Template, family, instances, their compiled evaluation `values` and
+    the party masks it reads, of a scan or walk.  `values` gives each
+    state's instance values (T, rows) and constraint values
+    (T, rows, constraints) from one `entropy_table` on the distinct masks
+    of the instances' terms, through `float_values`, so a trial's slack
+    does not depend on its chunk.
     """
     template = resolve_template(cfg)
     family = family_for(cfg, template)
@@ -154,12 +157,15 @@ def _setup(cfg: SearchConfig):
         raise ValueError("no instances to evaluate")
     compiled = template.compiled
     terms = compiled.terms(slot_mask_matrix(instances, len(template.slots)))
+    # sorted distinct masks; np.unique's first call imports numpy.ma (1.7 MB)
+    masks = np.array(sorted(set(terms.ravel().tolist())), dtype=np.int64)
+    cols = np.searchsorted(masks, terms)  # each term's column of the table
 
     def values(states) -> tuple[np.ndarray, np.ndarray]:
-        v = float_values(entropy_table(states)[0][:, terms], compiled.floats)
+        v = float_values(entropy_table(states, masks)[0][:, cols], compiled.floats)
         return v[..., 0], v[..., 1:]
 
-    return template, family, instances, values
+    return template, family, instances, values, masks
 
 
 def _state_bytes(state) -> int:
@@ -200,6 +206,8 @@ class ScanReport:
     violations: list  # the replays that confirmed
     n_replayed: int  # trials whose best slack crossed -tol, replayed from their seed
     trial_records: list = field(default_factory=list, metadata={"json": False})  # CSV rows
+    # [nonzero masks taken per state, 2^m - 1]
+    marginals: list = field(default_factory=list, metadata={"json": False})
 
     @property
     def violation_found(self) -> bool:
@@ -215,7 +223,7 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
     within tolerance); any violation is recomputed from its seed before being
     reported.
     """
-    template, family, instances, values = _setup(cfg)
+    template, family, instances, values, masks = _setup(cfg)
     min_slack = None
     argmin = None
     histogram: Counter = Counter()  # millibit floors of the admissible slacks
@@ -283,6 +291,7 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
         violations=violations,
         n_replayed=n_replayed,
         trial_records=records,
+        marginals=[int(np.count_nonzero(masks)), (1 << len(family.labels)) - 1],
     )
 
 
@@ -313,7 +322,7 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
     constraint residuals).  One random coordinate moves per step; the step
     size starts at STEP, halves on failure, and the walk stops below 1e-8.
     """
-    template, family, instances, values = _setup(cfg)
+    template, family, instances, values, _ = _setup(cfg)
     if start_seed is None:
         start_seed = trial_seed(cfg.seed, 0)
     start_seed = tuple(start_seed) if isinstance(start_seed, (tuple, list)) else (start_seed,)

@@ -616,14 +616,17 @@ def test_eval_stats_stay_outside_the_digest(etable_file, tmp_path):
     (["sample", "--n", "1", "--trials", "3"], {"states": 3, "check_s": None}),
     (["search", "--template", "ssa", "--trials", "4", "--labels", "A,B,C",
       "--dims", "2,2,2", "--refine", "3"], {"scan_s": None, "refine_s": None,
-                                            "refine_steps": None}),
+                                            "refine_steps": None, "marginals": [7, 7]}),
     (["search", "--template", "ssa", "--trials", "2", "--labels", "A,B,C",
-      "--dims", "2,2,2"], {"scan_s": None}),
-], ids=["counterexample", "sample", "search-refine", "search"])
+      "--dims", "2,2,2"], {"scan_s": None, "marginals": [7, 7]}),
+    (["search", "--template", "c_2", "--family", "constrained", "--n", "2", "--trials", "2"],
+     {"scan_s": None, "marginals": [14, 31]}),
+], ids=["counterexample", "sample", "search-refine", "search", "search-c_2"])
 def test_stats_of_counterexample_sample_and_search(argv, counts, tmp_path):
     # known counts: the lw05 instance and four order-1 forms, one state per
-    # trial, and the refine walk's steps as the report gives them; None
-    # marks a phase time
+    # trial, the refine walk's steps as the report gives them, and the
+    # nonzero masks a search takes per state against 2^m - 1 (c_2 reads 14
+    # of its 31 marginals); None marks a phase time
     paths = tmp_path / "a.json", tmp_path / "b.json"
     for path in paths:
         assert run(argv + ["--out", str(path)]) == 0
@@ -639,6 +642,19 @@ def test_stats_of_counterexample_sample_and_search(argv, counts, tmp_path):
     assert first["manifest"]["digest"] == second["manifest"]["digest"]
     assert first["report"] == second["report"]
     assert "stats" not in json.dumps(report)
+
+
+def test_certify_builds_the_standard_instance_once_per_verdict(monkeypatch):
+    # the LP's target and the re-check's are one Instance
+    from entrocone import orbits
+
+    built = []
+    real = cli.standard_instance
+    for module in (cli, orbits):
+        monkeypatch.setattr(module, "standard_instance",
+                            lambda n, p: built.append((n, p)) or real(n, p))
+    assert run(["certify", "--builtin", "independence", "--n", "2"]) == 0
+    assert built == [(2, 2)]
 
 
 def test_certify_fails_when_the_recheck_finds_a_violation(monkeypatch, capsys):

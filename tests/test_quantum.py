@@ -350,6 +350,60 @@ def test_dimension_one_party_leaves_every_value_unchanged(dims, data, seed):
         assert h_wide.value(wide) == h_wide.value(wide | 1 << at) == h.value(mask)
 
 
+@st.composite
+def table_stacks(draw):
+    """1-4 states of one layout, and the dims of their parties: Haar-mixed
+    states with parties of dimension 1, ConstrainedFamily builds, or their
+    states measured into R on their own A blocks (ground n + 4)."""
+    kind = draw(st.sampled_from(("haar", "constrained", "measured")))
+    seeds = draw(st.lists(SEEDS, min_size=1, max_size=4))
+    if kind == "haar":
+        dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)
+                    .filter(lambda ds: math.prod(ds) <= 36))
+        family = HaarMixedFamily(tuple("ABCD"[:len(dims)]), dims)
+        return [family.build(family.draw(_rng(s))) for s in seeds], tuple(dims)
+    sizes = st.integers(1, 2)
+    k = draw(st.integers(1, 3))
+    fdims = FamilyDims(tuple(draw(sizes) for _ in range(k)), tuple(draw(sizes) for _ in range(k)),
+                       draw(sizes), tuple((draw(sizes), draw(sizes))
+                                          for _ in range(draw(st.integers(1, 2)))))
+    family = ConstrainedFamily(fdims, diagonal=draw(st.booleans()))
+    states = [family.build(family.draw(_rng(s))) for s in seeds]
+    if kind == "measured":
+        states = [measure_and_register(s, "A", fdims.a_blocks) for s in states]
+    return states, states[0].dims
+
+
+@settings(max_examples=80, deadline=None)
+@given(stack=table_stacks(), data=st.data())
+def test_a_mask_list_takes_the_full_tables_columns(stack, data):
+    """`entropy_table(states, masks)` is the full table's columns on `masks`,
+    to the bit, on both outputs; it keeps no spectra on the factors."""
+    states, dims = stack
+    m = len(dims)
+    masks = data.draw(st.lists(st.integers(0, (1 << m) - 1), unique=True, max_size=1 << m))
+    if data.draw(st.booleans()):  # mask 0, and the parties of dimension 1 alone
+        masks += [0, sum(1 << i for i, d in enumerate(dims) if d == 1)]
+    got = quantum.entropy_table(states, masks)
+    assert all(s.factors is None or s.factors.spectra is None for s in states)
+    full = quantum.entropy_table(states)
+    for part, whole in zip(got, full):
+        assert part.shape == (len(states), len(masks))
+        assert np.array_equal(part, whole[:, masks])
+
+
+@pytest.mark.parametrize("factored", [False, True], ids=["dense", "factored"])
+def test_a_mask_outside_the_ground_is_refused(factored):
+    # four parties, masks 0..15: neither -1 nor 16 may alias another column
+    if factored:
+        state = constrained_family_sample(FamilyDims.default(1))
+    else:
+        state = MultipartyState(*qubits(4), np.eye(16) / 16)
+    for mask in (-1, 16):
+        with pytest.raises(ValueError, match="lies in 0..15"):
+            quantum.entropy_table([state], [1, mask])
+
+
 def test_a_tiny_block_weight_is_kept_by_both_routes():
     family = ConstrainedFamily(FamilyDims.default(2))
     params = family.draw(_rng(7))
@@ -387,7 +441,8 @@ def test_check_theorem_takes_two_entropy_vectors_both_factored(monkeypatch):
     monkeypatch.setattr(quantum, "entropy_vector",
                         lambda st, **kw: calls.append(st.labels) or real_vector(st, **kw))
     monkeypatch.setattr(quantum, "_factored_entropies",
-                        lambda sts: factored.extend(s.labels for s in sts) or real_factored(sts))
+                        lambda sts, masks=None: factored.extend(s.labels for s in sts)
+                        or real_factored(sts, masks))
     monkeypatch.setattr(quantum, "_measured_matrix",
                         lambda *a: pytest.fail("dense sigma was built"))
     dims = FamilyDims.default(2)

@@ -55,8 +55,8 @@ def test_replay_does_not_trust_the_scan_entropies(monkeypatch):
     looks negative) must not get a violation past the replay."""
     scan_entropies = search.entropy_table
 
-    def negated(states):
-        values, clipped = scan_entropies(states)
+    def negated(states, masks=None):
+        values, clipped = scan_entropies(states, masks)
         return -values, clipped
 
     monkeypatch.setattr(search, "entropy_table", negated)
@@ -92,11 +92,28 @@ def test_replay_never_takes_the_factored_route(monkeypatch):
     monkeypatch.setattr(quantum, "_factored_entropies",
                         lambda state: factored.append(1) or real(state))
     cfg = SearchConfig(template="c_1", family="constrained", n=1, trials=1)
-    _, family, instances, _ = search._setup(cfg)
+    _, family, instances, *_ = search._setup(cfg)
     params = family.draw(search._rng(0))
     assert family.build(params).factors is not None
     assert search._replay(family, params, instances[0], cfg.tol) is None
     assert factored == []
+
+
+def test_scan_diagonalizes_only_the_marginals_c_2_reads(monkeypatch):
+    """One c_2 state at n = 2 through the scan's `values`: 4 `eigvalsh`
+    calls on its 14 masks, against 10 for the full table of 31."""
+    cfg = SearchConfig(template="c_2", family="constrained", n=2, trials=1)
+    _, family, _, values, masks = search._setup(cfg)
+    assert np.count_nonzero(masks) == 14
+    params = family.draw(search._rng(0))
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+    values([family.build(params)])
+    taken = len(calls)
+    calls.clear()
+    quantum.entropy_table([family.build(params)])
+    assert (taken, len(calls)) == (4, 10)
 
 
 def test_scan_and_refine_never_place_rho(monkeypatch):
@@ -108,7 +125,7 @@ def test_scan_and_refine_never_place_rho(monkeypatch):
     scan, refine = random_scan(cfg), local_refine(cfg)
     assert scan.n_replayed == 0 and refine.violation is None and refine.steps > 0
     assert placed == []
-    _, family, instances, _ = search._setup(cfg)
+    _, family, instances, *_ = search._setup(cfg)
     assert search._replay(family, family.draw(search._rng(0)), instances[0], cfg.tol) is None
     assert len(placed) == 1
 
@@ -125,7 +142,7 @@ def test_replay_checks_the_matrix_once(monkeypatch, cfg):
     real = quantum._check_state
     monkeypatch.setattr(quantum, "_check_state",
                         lambda herm, trace: checks.append(1) or real(herm, trace))
-    _, family, instances, _ = search._setup(cfg)
+    _, family, instances, *_ = search._setup(cfg)
     params = family.draw(search._rng(0))
     family.build(params).rho
     one_read = len(checks)
@@ -144,7 +161,7 @@ def test_a_bad_block_is_caught_when_rho_is_read(monkeypatch, corrupt, message):
     monkeypatch.setattr(quantum, "_place_blocks", lambda dims, parts: real(
         dims, [(corrupt(block), ranges) for block, ranges in parts]))
     cfg = SearchConfig(template="c_1", family="constrained", n=1, trials=1)
-    _, family, instances, _ = search._setup(cfg)
+    _, family, instances, *_ = search._setup(cfg)
     params = family.draw(search._rng(0))
     state = family.build(params)
     with pytest.raises(ValueError, match=message):
@@ -164,7 +181,7 @@ def test_replay_checks_the_matrix_it_confirms_on():
 
     cfg = SearchConfig(template="anti-monotone", family="haar-mixed", labels=("A", "B"),
                        dims=(2, 2), trials=1)
-    _, family, instances, _ = search._setup(cfg)
+    _, family, instances, *_ = search._setup(cfg)
     skewed = Skewed(family.labels, family.dims)
     with pytest.raises(ValueError, match="matrix not hermitian"):
         search._replay(skewed, skewed.draw(search._rng(0)), instances[0], cfg.tol)
