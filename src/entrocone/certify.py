@@ -13,15 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .setfn import GroundSet, SetFunction, FLOAT64, list_field, size_str, submasks
+from .setfn import GroundSet, SetFunction, TypeSpace, FLOAT64, list_field, size_str
 from .inequalities import (
+    Instance,
     LinearFunctional,
+    _add_terms,
     _cmi_terms,
     builtin,
     cleared_values,
@@ -31,7 +33,7 @@ from .inequalities import (
     terms_from_obj,
     terms_to_obj,
 )
-from .witness import standard_c_binding, standard_instance
+from .witness import standard_c_binding, standard_instance, witness_space
 
 # the most rows cone_membership takes: a row per nonempty subset of a
 # 12-party ground.  The LP holds its m x m basis inverse (134 MB at 4,095
@@ -377,25 +379,27 @@ def _check_combination(target, generators, lams, constraints, mus) -> bool:
 # --- problem builders ---
 
 
-def elemental_forms(ground: GroundSet) -> Iterator[LinearFunctional]:
+def elemental_forms(ground: GroundSet | TypeSpace) -> Iterator[LinearFunctional]:
     """Pippenger's quantum elemental forms on a ground set, lazily: every
     I(i:j|K) >= 0 for parties i < j, then every S(iK) + S(iL) >= S(K) + S(L)
     over the unordered splits K, L of the parties other than i.  They
     generate the cone of every ssa and wmo instance (Pippenger, IEEE Trans.
     IT 49, 2003); each is one of those instances.  On N parties there are
-    C(N,2) 2^(N-2) + N 2^(N-2) of them."""
-    full, bits = ground.full_mask, [1 << i for i in range(len(ground.labels))]
-    for k, i in enumerate(bits):
-        for j in bits[k + 1:]:
-            for rest in submasks(full & ~(i | j)):
-                yield LinearFunctional._from_ints(ground, _cmi_terms(i, j, rest))
-    for i in bits:
-        others = full & ~i
-        for k in submasks(others):
-            split = others & ~k
-            if k < split:
-                terms = {i | k: 1, i | split: 1, k: -1, split: -1}
-                yield LinearFunctional._from_ints(ground, {m: c for m, c in terms.items() if m})
+    C(N,2) 2^(N-2) + N 2^(N-2) of them.  On a `TypeSpace` the parties are
+    types (`TypeSpace.parties`), so this lists the projections of the forms
+    on its full ground, one per orbit: 36n + 4 on three fixed parties."""
+    full, parties = ground.full_mask, ground.parties
+    for i, j in dict.fromkeys(combinations(parties, 2)):
+        for rest in ground.below(full - i - j):
+            yield LinearFunctional._from_ints(ground, _cmi_terms(i, j, rest))
+    for i in dict.fromkeys(parties):
+        others = full - i
+        for k in ground.below(others) if others else ():  # i alone has no split
+            split = others - k
+            if k <= split:  # the split {k, split} once; its halves may share a type
+                nums = _add_terms({i + k: 1, k: -1}, {i + split: 1, split: -1})
+                nums.pop(0, None)  # the empty set
+                yield LinearFunctional._from_ints(ground, nums)
 
 
 def family_orders(n: int) -> list[int]:
@@ -423,6 +427,56 @@ def independence_problem(n: int):
                                                     fixed=standard_c_binding())
                    if not form.is_zero()]
     return target.functional, generators, list(target.constraints), ground, "infeasible"
+
+
+def _profiles(slots: int, total: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """The non-increasing tuples of `slots` sizes in 0..largest summing to
+    at most `total`: by the largest size, descending, then by how many
+    times it repeats, ascending."""
+    if not slots:
+        yield ()
+        return
+    for m in range(min(total, largest), -1, -1):
+        for r in range(1, slots + 1):
+            if m * r > total:
+                break
+            for rest in _profiles(slots - r, total - m * r, m - 1):
+                yield (m,) * r + rest
+
+
+def family_orbits(space: TypeSpace, p: int) -> list[LinearFunctional]:
+    """The projections of the c_p instances `independence_problem` lists,
+    one per orbit.  X1..Xp are interchangeable, so a projection depends
+    only on the multiset of their sizes: one row of slot types per profile,
+    A, B and C the types of a, b and c and X_i a set of m_i x's.  A union's
+    type is the sum of its parts' types, so `realize` reads those rows as
+    it reads slot masks."""
+    x = 1 << len(space.fixed)
+    rows = [(1, 2, 4, *(m * x for m in sizes)) for sizes in _profiles(p, space.n, space.n)]
+    return builtin("c_n", p).compiled.realize(np.array(rows, dtype=np.int64), space)
+
+
+def independence_orbits(n: int, target: Instance | None = None):
+    """`independence_problem(n)` on the types of (a, b, c, x1..xn)
+    (`witness_space(n)`).  The problem is invariant under permutations of
+    x1..xn, so it is infeasible exactly when its projection onto the types
+    is, and any separating point averages to one constant on types
+    (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004); `TypeSpace.lift`
+    turns that point back into a set function on the full ground.  This is
+    the projected target and constraints, and one column per orbit of the
+    cone, zero and repeated columns dropped: the c_p profiles for the
+    orders of `family_orders(n)`, then the elemental orbits (in that order
+    Bland's rule took 101 to 1,614 pivots at n = 2..8, against 107 to 3,787
+    the other way round).  `target` is `standard_instance(n, n)`, built
+    here unless the caller has it.  Returns (target, generators,
+    constraints, space, "infeasible")."""
+    space = witness_space(n)
+    if target is None:
+        target = standard_instance(n, n)
+    columns = chain(*(family_orbits(space, p) for p in family_orders(n)), elemental_forms(space))
+    return (space.project(target.functional),
+            list(dict.fromkeys(c for c in columns if not c.is_zero())),
+            [space.project(c) for c in target.constraints], space, "infeasible")
 
 
 def purified_basic_problem():

@@ -44,6 +44,7 @@ from .certify import (
     Feasible,
     cone_membership,
     family_orders,
+    independence_orbits,
     problem_from_obj,
     purified_basic_problem,
 )
@@ -298,8 +299,6 @@ def cmd_certify(args) -> int:
         if parties > (MAX_LP_ROWS + 1).bit_length() - 1:
             raise ValueError(f"order {args.n}: the re-check on the 2^{parties} - 1 subsets of "
                              f"the full ground exceeds the cap of {MAX_LP_ROWS} rows")
-        from .orbits import independence_orbits  # here, so no other command loads it
-
         standard = standard_instance(args.n, args.n)  # the LP's target and the re-check's
         problem = independence_orbits(args.n, standard)
     else:

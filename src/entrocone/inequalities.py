@@ -170,8 +170,9 @@ def _add_terms(dst: dict, src: Mapping[int, int], scale: int = 1):
 
 
 def _cmi_terms(a: int, b: int, g: int = 0) -> dict[int, int]:
+    """I(a:b|g): a, b and g are disjoint, so their masks (or types) add."""
     out: dict[int, int] = {}
-    for mask, s in ((a | g, 1), (b | g, 1), (g, -1), (a | b | g, -1)):
+    for mask, s in ((a + g, 1), (b + g, 1), (g, -1), (a + b + g, -1)):
         if mask:
             _add_terms(out, {mask: s})
     return out

@@ -643,9 +643,7 @@ class HaarMixedFamily(StateFamily):
             raise ValueError("rank must be >= 1")
         # the draw is a total x rank matrix: no larger than the largest
         # density matrix the cap admits
-        if self.rank > dim_cap():
-            raise ValueError(f"rank {size_str(self.rank)} exceeds cap {dim_cap()} "
-                             "(set ENTROPIC_MAX_DIM to raise it)")
+        _check_cap(self.rank, "rank")
 
     def n_params(self) -> int:
         return 2 * self.total * self.rank

@@ -109,6 +109,11 @@ class GroundSet:
         """The nonempty subsets' masks, ascending."""
         return iter(range(1, self.n_subsets))
 
+    @property
+    def parties(self) -> tuple[int, ...]:
+        """Each party's mask."""
+        return tuple(1 << i for i in range(len(self.labels)))
+
     def below(self, mask: int) -> Iterator[int]:
         """The subsets of a subset, ascending."""
         return submasks(mask)
@@ -130,12 +135,12 @@ class TypeSpace:
     is the sum of the indices, and `full_mask` is the full set's type.
 
     A set function invariant under permutations of x1..xn is a function of
-    the type, so a type space stands where `SetFunction`, `LinearFunctional`
-    and `cone_membership` take a ground: `n_subsets` coordinates,
-    coordinate 0 the empty set.  `lift` gives such a point back on the full
-    ground, and `project` a functional on the types, the sum of its
-    coefficients per type: the value of a functional on a lifted point is
-    its projection's value on the type point."""
+    the type, so a type space stands where `SetFunction`, `LinearFunctional`,
+    `cone_membership` and `elemental_forms` take a ground: `n_subsets`
+    coordinates, coordinate 0 the empty set.  `lift` gives such a point back
+    on the full ground, and `project` a functional on the types, the sum of
+    its coefficients per type: the value of a functional on a lifted point
+    is its projection's value on the type point."""
 
     fixed: tuple[str, ...]
     n: int
@@ -152,6 +157,13 @@ class TypeSpace:
     @property
     def full_mask(self) -> int:
         return (1 << len(self.fixed)) - 1 + (self.n << len(self.fixed))
+
+    @property
+    def parties(self) -> tuple[int, ...]:
+        """Each fixed party's type, then the x type, twice when n >= 2 so
+        that two distinct x's can pair."""
+        k = len(self.fixed)
+        return tuple(1 << i for i in range(k)) + (1 << k,) * min(self.n, 2)
 
     def type_of(self, mask: int) -> int:
         """The type index of a subset of the full ground."""

@@ -28,6 +28,7 @@ from entrocone.certify import (
     Infeasible,
     cone_membership,
     elemental_forms,
+    independence_orbits,
     independence_problem,
     problem_from_obj,
     problem_to_obj,
@@ -671,6 +672,20 @@ def test_basic_generators_cover_ssa_and_wmo():
 ], ids=["independence-2", "independence-3", "purified-basic"])
 def test_problem_columns_keep_their_order(build, digest):
     text = json.dumps(problem_to_obj(*build()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# the same for the orbit LP, whose ground `problem_to_obj` cannot write: the
+# numerators and denominator of the target, each column and each constraint
+@pytest.mark.parametrize("n, count, digest", [
+    (2, 84, "6af0a69184d0392fb459f95dd6a3d444d1dda98913d0d6889068f6d3ec8c0671"),
+    (5, 268, "8deba4a417ad7a7fdef8e6cef2f0f8144b536ca57a0cfbd79c9820e47fe985a4"),
+    (8, 735, "622d4b51b7c7b469218181d89af0edd23d9de97c28490afe67c4964257689f1c"),
+])
+def test_orbit_columns_keep_their_order(n, count, digest):
+    target, columns, constraints, _, _ = independence_orbits(n)
+    assert len(columns) == count
+    text = json.dumps([[list(c.nums.items()), c.den] for c in (target, *columns, *constraints)])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

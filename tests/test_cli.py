@@ -584,7 +584,7 @@ def test_certify_stats_stay_outside_the_digest(tmp_path):
     stats = first["manifest"]["stats"]
     assert stats["lp_rows"] == 23 == 8 * (2 + 1) - 1
     assert stats["lp_columns"] == first["report"]["n_generators"] + 2 * 2
-    from entrocone.orbits import independence_orbits
+    from entrocone.certify import independence_orbits
 
     _, generators, constraints, _, _ = independence_orbits(2)
     assert stats["lp_nonzeros"] == 365 == (sum(len(g.nums) for g in generators)
@@ -646,11 +646,11 @@ def test_stats_of_counterexample_sample_and_search(argv, counts, tmp_path):
 
 def test_certify_builds_the_standard_instance_once_per_verdict(monkeypatch):
     # the LP's target and the re-check's are one Instance
-    from entrocone import orbits
+    from entrocone import certify
 
     built = []
     real = cli.standard_instance
-    for module in (cli, orbits):
+    for module in (cli, certify):
         monkeypatch.setattr(module, "standard_instance",
                             lambda n, p: built.append((n, p)) or real(n, p))
     assert run(["certify", "--builtin", "independence", "--n", "2"]) == 0

@@ -9,11 +9,12 @@ from entrocone.certify import (
     Infeasible,
     cone_membership,
     elemental_forms,
+    family_orbits,
+    independence_orbits,
     verify_certificate,
 )
 from entrocone.inequalities import LinearFunctional, builtin, enumerate_instances
-from entrocone.orbits import elemental_orbits, family_orbits, independence_orbits
-from entrocone.setfn import SetFunction, TypeSpace
+from entrocone.setfn import GroundSet, SetFunction, TypeSpace
 from entrocone.witness import standard_c_binding, witness_space
 
 
@@ -43,7 +44,7 @@ def test_orbit_columns_are_the_projected_full_list(n, data):
     target, columns, constraints, got_space, expect = independence_orbits(n)
     assert (got_space, expect) == (space, "infeasible")
     assert set(columns) == reference and len(columns) == len(reference)
-    assert len(list(elemental_orbits(space))) == 36 * n + 4
+    assert len(list(elemental_forms(space))) == 36 * n + 4
     assert space.n_subsets - 1 == 8 * (n + 1) - 1
 
 
@@ -107,4 +108,14 @@ def test_elemental_orbits_are_the_projected_forms_on_any_fixed_parties(fixed, n)
     # x's on each side: its two halves share a type
     space = TypeSpace(fixed, n)
     reference = {space.project(form) for form in elemental_forms(space.ground)}
-    assert set(elemental_orbits(space)) == reference
+    assert set(elemental_forms(space)) == reference
+
+
+def test_a_split_whose_halves_share_a_type_keeps_its_summed_form():
+    # a lone party has no split, on either ground; on one fixed party the
+    # split {x1}, {x2} of the other parties has two halves of type x (2):
+    # S(ax) + S(ax) - S(x) - S(x), with a = 1 and ax = 3
+    assert list(elemental_forms(GroundSet(("a",)))) == []
+    assert list(elemental_forms(TypeSpace(("a",), 0))) == []
+    space = TypeSpace(("a",), 2)
+    assert LinearFunctional._from_ints(space, {3: 2, 2: -2}) in list(elemental_forms(space))
