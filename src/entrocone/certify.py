@@ -408,11 +408,19 @@ def family_orders(n: int) -> list[int]:
     return [p for p in range(1, n + 3) if p != n]
 
 
+def independence_templates(n: int) -> list[tuple]:
+    """The generators of the order-n independence problem, as (template,
+    fixed binding) pairs: every ssa and wmo instance, then the c_p instances
+    under `standard_c_binding()` for each p of `family_orders(n)`."""
+    return [(builtin("ssa"), None), (builtin("wmo"), None),
+            *((builtin("c_n", p), standard_c_binding()) for p in family_orders(n))]
+
+
 def independence_problem(n: int):
     """Membership problem asking whether the order-n constrained inequality
-    (the standard instance, X_i = {x_i}) follows from the basic
-    inequalities (every ssa and wmo instance) plus the c_p family members
-    of `family_orders(n)`, under its two constraints.
+    (the standard instance, X_i = {x_i}) follows from the instances of
+    `independence_templates(n)`, zero forms dropped, under its two
+    constraints.
 
     Returns (target, generators, constraints, ground, expect), the shape
     `problem_from_obj` reads; expect is "infeasible", since infeasibility of
@@ -420,12 +428,9 @@ def independence_problem(n: int):
     """
     target = standard_instance(n, n)
     ground = target.ground
-    generators = [*instance_functionals(builtin("ssa"), ground),
-                  *instance_functionals(builtin("wmo"), ground)]
-    generators += [form for p in family_orders(n)
-                   for form in instance_functionals(builtin("c_n", p), ground,
-                                                    fixed=standard_c_binding())
-                   if not form.is_zero()]
+    generators = [form for template, fixed in independence_templates(n)
+                  for form in instance_functionals(template, ground, fixed=fixed)
+                  if not form.is_zero()]
     return target.functional, generators, list(target.constraints), ground, "infeasible"
 
 

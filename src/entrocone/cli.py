@@ -34,7 +34,6 @@ from . import __version__
 from .setfn import setfn_from_obj, to_obj
 from .inequalities import builtin, satisfies, takes_order, template_from_obj
 from .witness import (
-    standard_c_binding,
     standard_instance,
     verify_counterexample,
     verify_witness,
@@ -43,8 +42,8 @@ from .certify import (
     MAX_LP_ROWS,
     Feasible,
     cone_membership,
-    family_orders,
     independence_orbits,
+    independence_templates,
     problem_from_obj,
     purified_basic_problem,
 )
@@ -91,16 +90,19 @@ def _parse_binding(text: str | None):
 
 
 def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    """`text` to `path` through a temporary file beside it, gone when the
+    call returns; an OSError becomes a ValueError naming the path, as in `_load`."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _canonical(obj) -> str:
@@ -257,14 +259,13 @@ def cmd_sample(args) -> int:
 
 def _recheck_independence(point, n: int, target) -> tuple[dict, list]:
     """The lifted Farkas point of order n on the full ground, by paths that
-    do not read the type coordinates: `satisfies` on every ssa and wmo
-    instance and on every c_p family instance (p in `family_orders(n)`, the
-    standard binding, no filter), then `target`, the standard instance
-    (< 0), and its constraints (= 0).  Returns the report's `rechecked` and
-    the failures, each as the clause "the Farkas point is ..." ends with."""
-    checks = {name: satisfies(point, builtin(name)) for name in ("ssa", "wmo")}
-    checks.update({f"c_{p}": satisfies(point, builtin("c_n", p), binding=standard_c_binding())
-                   for p in family_orders(n)})
+    do not read the type coordinates: `satisfies` on every instance of
+    `independence_templates(n)` (no filter), then `target`, the standard
+    instance (< 0), and its constraints (= 0).  Returns the report's
+    `rechecked` and the failures, each as the clause "the Farkas point
+    is ..." ends with."""
+    checks = {template.name: satisfies(point, template, binding=fixed)
+              for template, fixed in independence_templates(n)}
     rechecked = {name: {"instances": rep.n_enumerated, "violations": rep.n_violations}
                  for name, rep in checks.items()}
     failed = [f"negative on {rep.n_violations} of {rep.n_enumerated} {name} instances"

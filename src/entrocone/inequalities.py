@@ -8,7 +8,7 @@ rationals throughout, held as integer numerators over one denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import chain, islice
@@ -628,7 +628,6 @@ class SatisfiesReport:
     n_violations: int
     violations: list  # {"instance", "value"}, the first MAX_RECORDED
     max_constraint_residual: object
-    domain: str = field(metadata={"json": False})
 
     @property
     def holds(self) -> bool:
@@ -707,7 +706,6 @@ def satisfies(
         n_violations=n_viol,
         violations=viols,
         max_constraint_residual=max_resid,
-        domain=f.domain,
     )
 
 

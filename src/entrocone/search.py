@@ -20,9 +20,8 @@ from .inequalities import (
     InequalityTemplate,
     Instance,
     builtin,
-    enumerate_instances,
     float_values,
-    slot_mask_matrix,
+    slot_blocks,
     takes_order,
     template_from_obj,
     template_to_obj,
@@ -130,33 +129,30 @@ def family_for(cfg: SearchConfig, template: InequalityTemplate) -> StateFamily:
                              diagonal=(name == "constrained-diagonal"))
 
 
-def _instances_for(
-    template: InequalityTemplate, ground, cfg: SearchConfig
-) -> list[Instance]:
+def _setup(cfg: SearchConfig):
+    """Template, family, ground, instance rows (its `slot_blocks` as one
+    int64 (rows, slots) matrix; an `Instance` is made only for a row a
+    report names), their compiled evaluation `values` and the party masks
+    it reads, of a scan or walk.  `values` gives each state's instance
+    values (T, rows) and constraint values (T, rows, constraints) from one
+    `entropy_table` on the distinct masks of the rows' terms, through
+    `float_values`, so a trial's slack does not depend on its chunk.
+    """
+    template = resolve_template(cfg)
+    family = family_for(cfg, template)
+    ground = GroundSet(family.labels)
     binding = cfg.binding
     if binding is None and template.constraints and not cfg.auto_filter:
         # natural binding: slots named after parties bind to themselves
         if not all(s in ground.labels for s in template.slots):
             raise ValueError("constrained template: give a binding or set auto_filter=True")
         binding = {s: s for s in template.slots}
-    return list(enumerate_instances(template, ground, fixed=binding))
-
-
-def _setup(cfg: SearchConfig):
-    """Template, family, instances, their compiled evaluation `values` and
-    the party masks it reads, of a scan or walk.  `values` gives each
-    state's instance values (T, rows) and constraint values
-    (T, rows, constraints) from one `entropy_table` on the distinct masks
-    of the instances' terms, through `float_values`, so a trial's slack
-    does not depend on its chunk.
-    """
-    template = resolve_template(cfg)
-    family = family_for(cfg, template)
-    instances = _instances_for(template, GroundSet(family.labels), cfg)
-    if not instances:
+    rows = np.concatenate([np.empty((0, len(template.slots)), np.int64),
+                           *slot_blocks(template, ground, fixed=binding)])
+    if not len(rows):
         raise ValueError("no instances to evaluate")
     compiled = template.compiled
-    terms = compiled.terms(slot_mask_matrix(instances, len(template.slots)))
+    terms = compiled.terms(rows)
     # sorted distinct masks; np.unique's first call imports numpy.ma (1.7 MB)
     masks = np.array(sorted(set(terms.ravel().tolist())), dtype=np.int64)
     cols = np.searchsorted(masks, terms)  # each term's column of the table
@@ -165,7 +161,7 @@ def _setup(cfg: SearchConfig):
         v = float_values(entropy_table(states, masks)[0][:, cols], compiled.floats)
         return v[..., 0], v[..., 1:]
 
-    return template, family, instances, values, masks
+    return template, family, ground, rows, values, masks
 
 
 def _state_bytes(state) -> int:
@@ -223,7 +219,7 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
     within tolerance); any violation is recomputed from its seed before being
     reported.
     """
-    template, family, instances, values, masks = _setup(cfg)
+    template, family, ground, rows, values, masks = _setup(cfg)
     min_slack = None
     argmin = None
     histogram: Counter = Counter()  # millibit floors of the admissible slacks
@@ -249,7 +245,8 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
             if len(adm):
                 histogram.update(np.floor(vals[adm] / 1e-3).astype(np.int64).tolist())
                 i = adm[np.argmin(vals[adm])]
-                best, best_inst, best_resid = float(vals[i]), instances[i], float(resid[i])
+                best, best_resid = float(vals[i]), float(resid[i])
+                best_inst = Instance(template, ground, rows[i].tolist())
             records.append(
                 {
                     "trial": t,
@@ -282,7 +279,7 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
         config=cfg.summary(),
         template=template.name,
         n_trials=cfg.trials,
-        n_instances=len(instances),
+        n_instances=len(rows),
         n_evaluations=n_eval,
         n_admissible=n_adm,
         min_slack=min_slack,
@@ -322,7 +319,7 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
     constraint residuals).  One random coordinate moves per step; the step
     size starts at STEP, halves on failure, and the walk stops below 1e-8.
     """
-    template, family, instances, values, _ = _setup(cfg)
+    template, family, ground, rows, values, _ = _setup(cfg)
     if start_seed is None:
         start_seed = trial_seed(cfg.seed, 0)
     start_seed = tuple(start_seed) if isinstance(start_seed, (tuple, list)) else (start_seed,)
@@ -332,7 +329,7 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
         objs = vals + PENALTY * (cons * cons).sum(axis=1)
         i = int(np.argmin(objs))
         resid = float(np.abs(cons[i]).max(initial=0.0))
-        return float(objs[i]), (float(vals[i]), resid, instances[i])
+        return float(objs[i]), (float(vals[i]), resid, i)
 
     rng = _rng(start_seed)
     params = family.draw(rng)
@@ -363,7 +360,8 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
         else:
             step *= 0.5
 
-    final_slack, final_resid, final_inst = parts
+    final_slack, final_resid, final_row = parts
+    final_inst = Instance(template, ground, rows[final_row].tolist())
     violation = None
     if final_slack < -cfg.tol and final_resid <= cfg.tol:
         # revalidate from scratch on the final parameter point

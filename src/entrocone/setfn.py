@@ -425,10 +425,6 @@ def monotone_repair(f: SetFunction) -> SetFunction:
 # --- serialization ---
 
 
-def _format_exact(v) -> str:
-    return str(v)
-
-
 def list_field(obj: Mapping, key: str) -> list:
     """obj[key] of a JSON object read from a file, which must be a list."""
     if key not in obj:
@@ -470,7 +466,7 @@ def setfn_to_obj(f: SetFunction) -> dict:
         vals.append(
             {
                 "subset": list(f.ground.labels_of(mask)),
-                "value": _format_exact(v) if f.is_exact else v,
+                "value": str(v) if f.is_exact else v,
             }
         )
     return {"parties": list(f.ground.labels), "values": vals}

@@ -229,6 +229,18 @@ def test_bad_binding_syntax(etable_file, capsys):
     # a zero target lies in every cone: "feasible" would claim nothing
     ["certify", "--problem", "{empty_target}"],
     ["certify", "--problem", "{cancelled_target}"],
+    ["certify", "--problem", "{expect_maybe}"],
+    ["eval", "--values", "{abc_value}", "--template", "ssa"],
+    ["eval", "--values", "{no_parties}", "--template", "ssa"],
+    ["eval", "--values", "{label_twice}", "--template", "ssa"],
+    ["eval", "--values", "{ones}", "--template", "c_3", "--n", "2"],
+    ["eval", "--values", "{ones}", "--template", "c_n", "--n", "0"],
+    ["search", "--template", "c_0"],
+    # one party: no two disjoint nonempty subsets to bind
+    ["search", "--template", "mi", "--labels", "A", "--dims", "2"],
+    # a report that cannot be written leaves no temporary file behind
+    ["witness", "--n", "2", "--out", "{no_dir}/r.json"],
+    ["witness", "--n", "2", "--out", "{a_dir}"],
 ])
 def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeypatch):
     """A leading "env:NAME=value" entry sets that environment variable."""
@@ -262,6 +274,9 @@ def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeyp
         "problem_bool_coef": {"ground": ["a"], "target": [{**term, "coef": True}],
                               "generators": [[term]]},
         "values_not_list": {"parties": ["A"], "values": 5},
+        "no_parties": {"parties": [], "values": []},
+        "expect_maybe": {"ground": ["a"], "target": [term], "generators": [[term]],
+                         "expect": "maybe"},
         "empty_target": {"ground": ["a"], "target": [], "generators": [[term]]},
         "cancelled_target": {"ground": ["a"], "target": [term, {**term, "coef": "-1"}],
                              "generators": [[term]]},
@@ -279,11 +294,19 @@ def test_usage_errors_exit_two_without_traceback(argv, tmp_path, capsys, monkeyp
     # overflows
     for name, v in (("ones", 1), ("halves", 0.5), ("nans", float("nan")), ("huge", 1.7e308)):
         problems[name] = setfn_to_obj(SetFunction(GroundSet(("A", "B", "C")), [v] * 8))
+    first, second, third, *rest = problems["ones"]["values"]
+    problems["abc_value"] = {**problems["ones"],
+                             "values": [{**first, "value": "abc"}, second, third, *rest]}
+    problems["label_twice"] = {**problems["ones"],
+                               "values": [first, second, {**third, "subset": ["A", "A"]}, *rest]}
     problems["deep"] = "[" * 100_000 + "]" * 100_000  # past the JSON decoder's recursion
     for name, obj in problems.items():
         (tmp_path / f"{name}.json").write_text(obj if isinstance(obj, str) else json.dumps(obj))
-    assert run([a.format(**{k: tmp_path / f"{k}.json" for k in problems})
+    (tmp_path / "a_dir").mkdir()
+    paths = {k: tmp_path / f"{k}.json" for k in problems}
+    assert run([a.format(**paths, no_dir=tmp_path / "no_dir", a_dir=tmp_path / "a_dir")
                 for a in argv]) == 2
+    assert not list(tmp_path.rglob(".tmp-*"))
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
     # one short line; argparse's own refusals lead with its usage lines
@@ -462,6 +485,10 @@ def test_sample_csv_is_byte_deterministic(tmp_path, capsys):
     # manifest goes to stdout, not into the csv
     assert "sha256:" in capsys.readouterr().out
     assert b"sha256" not in a.read_bytes()
+    # without --out the csv goes to stdout and the manifest to stderr
+    assert run(["sample", "--n", "1", "--trials", "3", "--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert out.encode() == a.read_bytes() and "sha256:" in err
 
 
 def test_search_violation_exit_code(tmp_path):
@@ -549,6 +576,29 @@ def test_certify_problem_file_and_expectation(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(problem_to_obj(target, gens, [], gr, "infeasible")))
     assert run(["certify", "--problem", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("coef, code", [("1", 0), ("-1", 1)], ids=["feasible", "infeasible"])
+def test_certify_problem_without_expectation_exits_on_the_answer(coef, code, tmp_path):
+    term = {"subset": ["a"], "coef": "1"}
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"ground": ["a"], "target": [{**term, "coef": coef}],
+                                   "generators": [[term]]}))
+    assert run(["certify", "--problem", str(problem)]) == code
+
+
+@pytest.mark.parametrize("values, check", [
+    ([0, 1, 4, 9, 16], "submodular"),  # |S|^2
+    ([0, 2, 2, 1, 0], "weakly_monotone"),  # submodular, falls to 0 on the full set
+], ids=["square", "falling"])
+def test_counterexample_names_the_first_violation(values, check, tmp_path):
+    gr = GroundSet(("A", "B", "C", "D"))
+    table, out = tmp_path / "f.json", tmp_path / "r.json"
+    table.write_text(json.dumps(setfn_to_obj(SetFunction(
+        gr, [values[gr.size_of(m)] for m in range(gr.n_subsets)]))))
+    assert run(["counterexample", "--values", str(table), "--out", str(out)]) == 1
+    violations = json.loads(out.read_text())["report"]["first_violations"]
+    assert [v["check"] for v in violations] == [check]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

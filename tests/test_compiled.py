@@ -16,6 +16,7 @@ from entrocone import search, witness
 from entrocone.inequalities import (
     CompiledTemplate,
     InequalityTemplate,
+    Instance,
     LinearFunctional,
     builtin,
     enumerate_instances,
@@ -250,7 +251,8 @@ def test_compiled_witness_scan_sees_a_mutated_subset(monkeypatch):
 ], ids=["ssa-222", "ssa-5-qubits", "c_2-constrained"])
 def test_scan_records_match_reference_loop(cfg):
     rep = search.random_scan(cfg)
-    _, family, instances, *_ = search._setup(cfg)
+    template, family, ground, rows, *_ = search._setup(cfg)
+    instances = [Instance(template, ground, r) for r in rows.tolist()]
     n_eval = n_adm = 0
     for rec in rep.trial_records:
         seed = trial_seed(cfg.seed, rec["trial"])
@@ -280,7 +282,8 @@ def test_scan_does_not_depend_on_the_chunk(plan, trials, seed):
     """One trial a chunk, two, and the default chunk give the same report, to
     the bit; each trial's slack is the one-state entropy vector's."""
     cfg = search.SearchConfig(**SCAN_PLANS[plan], trials=trials, seed=seed)
-    _, family, instances, *_ = search._setup(cfg)
+    template, family, ground, rows, *_ = search._setup(cfg)
+    instances = [Instance(template, ground, r) for r in rows.tolist()]
     size = search._state_bytes(family.build(family.draw(_rng(0))))
     assert trials % max(search.CHUNK_BYTES // size, 1) != 0
     reports = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from entrocone import quantum, search
-from entrocone.inequalities import builtin, template_from_obj, template_to_obj
+from entrocone.inequalities import Instance, builtin, template_from_obj, template_to_obj
 from entrocone.setfn import to_obj
 from entrocone.search import (
     ConstrainedFamily,
@@ -92,7 +92,8 @@ def test_replay_never_takes_the_factored_route(monkeypatch):
     monkeypatch.setattr(quantum, "_factored_entropies",
                         lambda state: factored.append(1) or real(state))
     cfg = SearchConfig(template="c_1", family="constrained", n=1, trials=1)
-    _, family, instances, *_ = search._setup(cfg)
+    template, family, ground, rows, *_ = search._setup(cfg)
+    instances = [Instance(template, ground, r) for r in rows.tolist()]
     params = family.draw(search._rng(0))
     assert family.build(params).factors is not None
     assert search._replay(family, params, instances[0], cfg.tol) is None
@@ -103,7 +104,7 @@ def test_scan_diagonalizes_only_the_marginals_c_2_reads(monkeypatch):
     """One c_2 state at n = 2 through the scan's `values`: 4 `eigvalsh`
     calls on its 14 masks, against 10 for the full table of 31."""
     cfg = SearchConfig(template="c_2", family="constrained", n=2, trials=1)
-    _, family, _, values, masks = search._setup(cfg)
+    _, family, _, _, values, masks = search._setup(cfg)
     assert np.count_nonzero(masks) == 14
     params = family.draw(search._rng(0))
     calls = []
@@ -125,7 +126,8 @@ def test_scan_and_refine_never_place_rho(monkeypatch):
     scan, refine = random_scan(cfg), local_refine(cfg)
     assert scan.n_replayed == 0 and refine.violation is None and refine.steps > 0
     assert placed == []
-    _, family, instances, *_ = search._setup(cfg)
+    template, family, ground, rows, *_ = search._setup(cfg)
+    instances = [Instance(template, ground, r) for r in rows.tolist()]
     assert search._replay(family, family.draw(search._rng(0)), instances[0], cfg.tol) is None
     assert len(placed) == 1
 
@@ -142,7 +144,8 @@ def test_replay_checks_the_matrix_once(monkeypatch, cfg):
     real = quantum._check_state
     monkeypatch.setattr(quantum, "_check_state",
                         lambda herm, trace: checks.append(1) or real(herm, trace))
-    _, family, instances, *_ = search._setup(cfg)
+    template, family, ground, rows, *_ = search._setup(cfg)
+    instances = [Instance(template, ground, r) for r in rows.tolist()]
     params = family.draw(search._rng(0))
     family.build(params).rho
     one_read = len(checks)
@@ -161,7 +164,8 @@ def test_a_bad_block_is_caught_when_rho_is_read(monkeypatch, corrupt, message):
     monkeypatch.setattr(quantum, "_place_blocks", lambda dims, parts: real(
         dims, [(corrupt(block), ranges) for block, ranges in parts]))
     cfg = SearchConfig(template="c_1", family="constrained", n=1, trials=1)
-    _, family, instances, *_ = search._setup(cfg)
+    template, family, ground, rows, *_ = search._setup(cfg)
+    instances = [Instance(template, ground, r) for r in rows.tolist()]
     params = family.draw(search._rng(0))
     state = family.build(params)
     with pytest.raises(ValueError, match=message):
@@ -181,7 +185,8 @@ def test_replay_checks_the_matrix_it_confirms_on():
 
     cfg = SearchConfig(template="anti-monotone", family="haar-mixed", labels=("A", "B"),
                        dims=(2, 2), trials=1)
-    _, family, instances, *_ = search._setup(cfg)
+    template, family, ground, rows, *_ = search._setup(cfg)
+    instances = [Instance(template, ground, r) for r in rows.tolist()]
     skewed = Skewed(family.labels, family.dims)
     with pytest.raises(ValueError, match="matrix not hermitian"):
         search._replay(skewed, skewed.draw(search._rng(0)), instances[0], cfg.tol)

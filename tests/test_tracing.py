@@ -37,3 +37,22 @@ def test_traced_witness_counts_every_instance_and_uninstalls(capsys):
     counted = sum(row["count"] for row in report["instance_histogram"])
     assert counted == tracer.counts["inequalities.enumerate.instances"] == 19
     assert all(vars(sys.modules[name])["enumerate_instances"] is original for name in bound_in)
+
+
+def test_traced_search_enumerates_no_instances(capsys):
+    """The search evaluates its instances as one slot-row matrix: it makes
+    no `next()` call on `enumerate_instances`."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["search", "--template", "ssa", "--labels", "A,B,C", "--dims", "2,2,2",
+                         "--trials", "2", "--refine", "2"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert tracer.counts["search.evaluations"] == report["scan"]["n_evaluations"] > 0
+    assert tracer.counts["inequalities.enumerate.instances"] == 0
