@@ -364,14 +364,17 @@ def cmd_search(args) -> int:
     )
     t0 = time.perf_counter()
     scan = random_scan(cfg)
-    stats = {"scan_s": time.perf_counter() - t0, "marginals": scan.marginals}
+    stats = {"scan_s": time.perf_counter() - t0, "marginals": scan.marginals,
+             "replays": scan.n_replayed, "clipped_mass": scan.clipped_mass}
     obj = {"scan": scan}
     violated = scan.violation_found
     if args.refine > 0:
         start = tuple(scan.argmin["seed"]) if scan.argmin else None
         t0 = time.perf_counter()
         refine = local_refine(cfg, start_seed=start)
-        stats.update(refine_s=time.perf_counter() - t0, refine_steps=refine.steps)
+        stats.update(refine_s=time.perf_counter() - t0, refine_steps=refine.steps,
+                     replays=scan.n_replayed + refine.n_replayed,
+                     clipped_mass=max(scan.clipped_mass, refine.clipped_mass))
         obj["refine"] = refine
         violated = violated or refine.violation_found
     header = ("trial", "seed", "min_slack", "argmin_instance", "max_residual")

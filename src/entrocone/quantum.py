@@ -269,8 +269,56 @@ def _trace_plan(dims: tuple[int, ...]) -> tuple:
     return tuple(levels)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, read-only: a cached plan's arrays are shared by every caller."""
+    a.flags.writeable = False
+    return a
+
+
+def _mask_array(masks: tuple[int, ...] | None, m: int) -> np.ndarray:
+    """`masks` as an int64 array, every party mask of `m` parties for None;
+    a mask outside 0..2^m - 1 raises ValueError."""
+    if masks is None:
+        return np.arange(1 << m)
+    a = np.array(masks, dtype=np.int64)
+    if a.size and not 0 <= a.min() <= a.max() < 1 << m:
+        raise ValueError(f"a mask of {m} parties lies in 0..{(1 << m) - 1}")
+    return a
+
+
+@functools.cache
+def _marginal_plan(dims: tuple[int, ...], masks: tuple[int, ...] | None) -> tuple:
+    """What `_marginal_entropies` does on parties `dims` for `masks`,
+    resolved once: the masks' columns of the full table (a mask holding a
+    party of dimension 1 reads the mask without it), and level by level
+    the `_trace_plan` entries of the masks asked for and the marginals they
+    are traced from, with the masks asked for grouped by dimension, one
+    `eigvalsh` call a group.  The levels stop at the first with nothing to
+    trace."""
+    m = len(dims)
+    full = sum(1 << i for i in range(m) if dims[i] > 1)
+    want = _frozen(_mask_array(masks, m) & full)
+    asked = set(want.tolist())
+    traced = set(asked)
+    plan = _trace_plan(dims)
+    for entries in reversed(plan[1:]):
+        traced.update(parent for mask, parent, *_ in entries if mask in traced)
+    levels = []
+    for entries in plan:
+        entries = tuple(e for e in entries if e[0] in traced)
+        if not entries:
+            break
+        by_dim: dict[int, list[int]] = {}
+        for mask, *_ in entries:
+            if mask in asked:
+                dim = math.prod(dims[i] for i in range(m) if mask >> i & 1)
+                by_dim.setdefault(dim, []).append(mask)
+        levels.append((entries, tuple(map(tuple, by_dim.values()))))
+    return want, tuple(levels)
+
+
 def _marginal_entropies(stack: np.ndarray, dims: Sequence[int],
-                        masks=None) -> tuple[np.ndarray, np.ndarray]:
+                        masks: tuple[int, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Entropy and clipped mass of the marginals on `masks` (every party
     mask by default) of each matrix of `stack` (T, d, d) on parties of
     `dims`, as (T, len(masks)) arrays in the order of `masks` (mask 0
@@ -282,28 +330,17 @@ def _marginal_entropies(stack: np.ndarray, dims: Sequence[int],
     takes in the full table.  A party of dimension 1 is never traced: a
     mask holding one takes the values of the mask without it.  Each level
     makes one `eigvalsh` call per dimension of its marginals asked for,
-    and is dropped once its children are traced.  Each matrix's values are
-    computed alone, whatever else the stack holds.
+    and is dropped once its children are traced.  Which marginals those
+    are is `_marginal_plan`'s, resolved once per (dims, masks).  Each
+    matrix's values are computed alone, whatever else the stack holds.
     """
-    m = len(dims)
-    full = sum(1 << i for i in range(m) if dims[i] > 1)
-    want = (np.arange(1 << m) if masks is None else masks) & full
-    plan = _trace_plan(tuple(dims))
-    asked = set(want.tolist())
-    traced = set(asked)
-    for entries in reversed(plan[1:]):
-        traced.update(parent for mask, parent, *_ in entries if mask in traced)
-    values = np.zeros((2, len(stack), 1 << m))
-    level = {full: stack}
-    for depth, entries in enumerate(plan):
-        if depth:  # the top level is the stack itself
-            level = {mask: _trace_one(level[parent], sub, pos)
-                     for mask, parent, sub, pos in entries if mask in traced}
-        by_dim: dict[int, list[int]] = {}
-        for mask, mat in level.items():
-            if mask in asked:
-                by_dim.setdefault(mat.shape[-1], []).append(mask)
-        for group in by_dim.values():
+    want, levels = _marginal_plan(tuple(dims), masks)
+    values = np.zeros((2, len(stack), 1 << len(dims)))
+    level: dict[int, np.ndarray] = {}
+    for entries, groups in levels:
+        level = {mask: stack if parent is None else _trace_one(level[parent], sub, pos)
+                 for mask, parent, sub, pos in entries}
+        for group in groups:
             w = np.linalg.eigvalsh(np.concatenate([level[mask] for mask in group]))
             s, c = _spectrum_entropy(w.reshape(len(group), len(stack), -1))
             values[0][:, group], values[1][:, group] = s.T, c.T
@@ -311,20 +348,33 @@ def _marginal_entropies(stack: np.ndarray, dims: Sequence[int],
 
 
 @functools.cache
-def _block_masks(n: int) -> tuple[np.ndarray, ...]:
-    """Index maps of the factored route over every mask of (A, B, C,
-    X1..Xn): whether it meets A or B, its mask on chi's parties (A, B, X
-    first halves) and its mask on xi's (C, X second halves), which for a
-    mask inside C and the X's is also its mask on (C, X1..Xn)."""
-    masks = np.arange(1 << (n + 3))
-    maps = (masks & 3 != 0, (masks & 3) | (masks >> 3 << 2), masks >> 2)
-    for a in maps:  # shared by every caller of the cache
-        a.flags.writeable = False
-    return maps
+def _factored_plan(n: int, m: int, masks: tuple[int, ...] | None) -> tuple:
+    """How the factored route reads `masks` (every mask for None) of
+    (A, B, C, X1..Xn), with R when `m` = n + 4, resolved once: the mask
+    count, the positions of the masks that keep the blocks apart (those
+    meeting A or B, or holding R) and of the others, and the factor
+    columns each reads, on chi's parties (A, B, X first halves) and xi's
+    (C, X second halves) for the first, on (C, X1..Xn) for the others.
+    For a list of masks `wanted` holds each factor's sorted distinct masks
+    and the columns index into them; for None, `wanted` is None and the
+    columns are factor masks."""
+    every, masks = masks is None, _mask_array(masks, m)
+    low = masks & ((1 << (n + 3)) - 1)
+    # with R, every marginal keeps the blocks apart
+    split = (low & 3 != 0) | (masks >= 1 << (n + 3))
+    chi_of, xi_of = (low & 3) | (low >> 3 << 2), low >> 2
+    cols = [chi_of[split], xi_of[split], xi_of[~split]]
+    wanted = None
+    if not every:
+        # sorted distinct masks; np.unique's first call imports numpy.ma (1.7 MB)
+        wanted = tuple(tuple(sorted(set(c.tolist()))) for c in cols)
+        cols = [np.searchsorted(w, c) for w, c in zip(wanted, cols)]
+    return (len(masks), _frozen(np.flatnonzero(split)), _frozen(np.flatnonzero(~split)),
+            wanted, tuple(map(_frozen, cols)))
 
 
 def _factored_entropies(states: Sequence[MultipartyState],
-                        masks=None) -> tuple[np.ndarray, np.ndarray]:
+                        masks: tuple[int, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Entropy and clipped mass of the marginals on `masks` (every mask by
     default) of each of `states`, which carry block factors of one layout,
     as (T, len(masks)) arrays, from the spectra of those factors.
@@ -344,34 +394,19 @@ def _factored_entropies(states: Sequence[MultipartyState],
     for J inside C and the X's it is a new value (H(p) for R alone).
 
     The full table reads the spectra the factors keep (`_factor_spectra`);
-    a list of masks takes only the factor marginals it maps to.
+    a list of masks takes only the factor marginals it maps to.  Which
+    those are is `_factored_plan`'s, resolved once per (layout, masks).
     """
     n = len(states[0].factors.xi_shape) - 1
-    blocks, chi_of, xi_of = _block_masks(n)
-    rho_masks = 1 << (n + 3)
-    every = masks is None
-    if every:
-        masks = np.arange(rho_masks << (states[0].ground.size - n - 3))
-    low = masks & (rho_masks - 1)
-    split = blocks[low] | (masks >= rho_masks)  # with R, every marginal keeps the blocks apart
-    cols = [chi_of[low[split]], xi_of[low[split]], xi_of[low[~split]]]
-    fs = [s.factors for s in states]
-    if every:
-        spectra = _factor_spectra(fs)
-    else:
-        # sorted distinct masks; np.unique's first call imports numpy.ma (1.7 MB)
-        wanted = [np.array(sorted(set(c.tolist())), dtype=np.int64) for c in cols]
-        spectra = _factor_spectra(fs, wanted)
-        cols = [np.searchsorted(w, c) for w, c in zip(wanted, cols)]
-    chi_s, chi_c, xi_s, xi_c, cx_s, cx_c = spectra
-    chi, xi, cx = cols
+    size, split, rest, wanted, (chi, xi, cx) = _factored_plan(n, states[0].ground.size, masks)
+    chi_s, chi_c, xi_s, xi_c, cx_s, cx_c = _factor_spectra([s.factors for s in states], wanted)
     p = np.array([s.factors.weights for s in states])
     h_p, clip_p = _spectrum_entropy(p)
     p = p[:, :, None]  # each trial's weights on its own blocks, summed in block order
-    values, clipped = np.empty((2, len(states), len(masks)))
+    values, clipped = np.empty((2, len(states), size))
     values[:, split] = h_p[:, None] + (p * (chi_s[:, :, chi] + xi_s[:, :, xi])).sum(1)
     clipped[:, split] = clip_p[:, None] + (p * (chi_c[:, :, chi] + xi_c[:, :, xi])).sum(1)
-    values[:, ~split], clipped[:, ~split] = cx_s[:, cx], cx_c[:, cx]
+    values[:, rest], clipped[:, rest] = cx_s[:, cx], cx_c[:, cx]
     return values, clipped
 
 
@@ -389,12 +424,12 @@ def entropy_table(states: Sequence[MultipartyState], masks=None) -> tuple[np.nda
     one, for rho or its measured state, reads; a list of masks computes the
     factor marginals it needs and keeps nothing.  Each state's values are
     those it gets alone, and a list of masks gives the full table's columns
-    to the bit.  A mask outside 0..2^m - 1 raises ValueError.
+    to the bit.  A mask outside 0..2^m - 1 raises ValueError.  What a list
+    of masks reads is resolved once per layout and list (`_marginal_plan`,
+    `_factored_plan`), so a call only traces, diagonalizes and gathers.
     """
     if masks is not None:
-        masks, m = np.asarray(masks, dtype=np.int64), states[0].ground.size
-        if masks.size and not 0 <= masks.min() <= masks.max() < 1 << m:
-            raise ValueError(f"a mask of {m} parties lies in 0..{(1 << m) - 1}")
+        masks = tuple(np.asarray(masks, dtype=np.int64).tolist())
     if states[0].factors is None:
         return _marginal_entropies(np.array([s.rho for s in states]), states[0].dims, masks)
     return _factored_entropies(states, masks)
@@ -552,9 +587,9 @@ def _factor_spectra(fs: Sequence[BlockFactors], wanted=None) -> list[np.ndarray]
     `fs`: entropies and clipped masses, (T, K, masks) for the chi_k and
     xi_k, (T, masks) for cx.  By default every mask: those not yet known
     are computed in one pass over each stack and kept on their factors,
-    for rho and sigma.  With `wanted`, (chi masks, xi masks, cx masks),
-    only those columns, in that order, computed for every factor and not
-    kept."""
+    for rho and sigma.  With `wanted`, (chi masks, xi masks, cx masks)
+    tuples, only those columns, in that order, computed for every factor
+    and not kept."""
     new = fs if wanted is not None else [f for f in fs if f.spectra is None]
     if new:
         T, K, first = len(new), new[0].weights.size, new[0]
@@ -582,35 +617,42 @@ def _factor_spectra(fs: Sequence[BlockFactors], wanted=None) -> list[np.ndarray]
 
 
 def _check_trace(tr) -> None:
-    """Refuse a parameter point whose trace is zero, or overflowed to inf or
-    NaN (the builders compute it with float warnings off, so this error
-    comes first)."""
-    if not 0 < tr < np.inf:
+    """Refuse a parameter point any of whose traces `tr` is zero, or
+    overflowed to inf or NaN (the builders compute them with float warnings
+    off, so this error comes first)."""
+    if not np.all((0 < tr) & (tr < np.inf)):
         raise ValueError("degenerate parameter point (trace zero or not finite)")
 
 
 def simplex_weights(params: np.ndarray) -> np.ndarray:
-    """Probability vector x_i^2 / sum_j x_j^2."""
+    """Probability vector x_i^2 / sum_j x_j^2 of each row of `params` (..., d)."""
     with np.errstate(over="ignore", invalid="ignore"):
         p = params * params
-        s = p.sum()
+        s = p.sum(-1, keepdims=True)
     _check_trace(s)
     return p / s
 
 
 def diagonal_density(params: np.ndarray) -> np.ndarray:
-    """A classical distribution embedded diagonally: diag(simplex_weights(params))."""
-    return np.diag(simplex_weights(params)).astype(np.complex128)
+    """A classical distribution embedded diagonally: diag(simplex_weights(row))
+    for each row of `params` (..., d), as (..., d, d)."""
+    w = simplex_weights(params)
+    d = w.shape[-1]
+    rho = np.zeros(w.shape + (d,), dtype=np.complex128)
+    rho.reshape(w.shape[:-1] + (d * d,))[..., ::d + 1] = w
+    return rho
 
 
 def gram_density(params: np.ndarray, dim: int, rank: int) -> np.ndarray:
-    """G G^dag / trace, with the dim x rank Ginibre matrix G read from
-    2*dim*rank reals: all real parts first, then all imaginary parts."""
+    """G G^dag / trace for each row of `params` (..., 2*dim*rank), as
+    (..., dim, dim), with the dim x rank Ginibre matrix G read from the
+    row's reals: all real parts first, then all imaginary parts.  Every
+    trace is checked."""
     half = dim * rank
     with np.errstate(over="ignore", invalid="ignore"):
-        g = (params[:half] + 1j * params[half:]).reshape(dim, rank)
-        rho = g @ g.conj().T
-        tr = np.trace(rho).real
+        g = (params[..., :half] + 1j * params[..., half:]).reshape(params.shape[:-1] + (dim, rank))
+        rho = g @ g.conj().swapaxes(-1, -2)
+        tr = np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
     _check_trace(tr)
     return rho / tr
 
@@ -675,6 +717,12 @@ class DiagonalFamily(StateFamily):
         return MultipartyState(self.labels, self.dims, diagonal_density(params), validate=False)
 
 
+@functools.cache
+def _param_rows(starts: tuple[int, ...], size: int) -> np.ndarray:
+    """The indices of params[s:s + size] for each s of `starts`, as rows."""
+    return _frozen(np.add.outer(starts, np.arange(size)))
+
+
 class ConstrainedFamily(StateFamily):
     """The block-decomposed family on (A, B, C, X1..Xn) of shape `dims`; both
     conditional independence constraints hold identically for every
@@ -709,12 +757,14 @@ class ConstrainedFamily(StateFamily):
             ((sa, sa + a), (sb, sb + b), (0, dim_c)) + tuple((0, d) for d in x_dims)
             for sa, a, sb, b in zip(a_starts, a_blocks, b_starts, b_blocks)
         )
-        # chi_k (x) xi_k has axes (chi rows, chi cols, xi rows, xi cols); in
-        # state order the rows run A, B, C, then each X's first half and its
-        # second, and each column axis sits m (chi) or n + 1 (xi) past its row
+        # a stack of blocks chi_k (x) xi_k has axes (block, then chi rows, chi
+        # cols, xi rows, xi cols, counted from 0 here); in state order the
+        # rows run A, B, C, then each X's first half and its second, and each
+        # column axis sits m (chi) or n + 1 (xi) past its row
         m = 2 + n
         rows = [0, 1, 2 * m] + [a for i in range(n) for a in (2 + i, 2 * m + 1 + i)]
-        self.axes = tuple(rows + [a + m if a < m else a + n + 1 for a in rows])
+        cols = [a + m if a < m else a + n + 1 for a in rows]
+        self.axes = (0,) + tuple(a + 1 for a in rows + cols)
         self.factor_dims = tuple(map(math.prod, self.chi_shapes + (self.xi_shape,) * K))
         # the blocks, together, are as large as their direct sum (which also
         # bounds their entries, sum d_k^2 <= cap^2); the drift check places
@@ -728,6 +778,11 @@ class ConstrainedFamily(StateFamily):
             groups.setdefault(shape, []).append(k)
         self.chi_groups = tuple((shape, tuple(ks)) for shape, ks in groups.items())
         self.sizes = (K,) + tuple(d if diagonal else 2 * d * d for d in self.factor_dims)
+        # each chi group's parameters: where each of its blocks' starts, and
+        # their common size
+        starts = tuple(itertools.accumulate(self.sizes))
+        self.chi_params = tuple((tuple(starts[k] for k in ks), self.sizes[1 + ks[0]])
+                                for _, ks in self.chi_groups)
 
     def n_params(self) -> int:
         return sum(self.sizes)
@@ -741,38 +796,41 @@ class ConstrainedFamily(StateFamily):
                 parts.append(rng.standard_normal(size))
         return np.concatenate(parts)
 
+    def _densities(self, raw: np.ndarray, dim: int) -> np.ndarray:
+        """The factors of parameter rows `raw` (G, size), (G, dim, dim)."""
+        return diagonal_density(raw) if self.diagonal else gram_density(raw, dim, dim)
+
     def build(self, params: np.ndarray) -> MultipartyState:
-        """sum_k p_k chi_k (x) xi_k; I(A:C|B) and I(B:C|A) vanish identically."""
+        """sum_k p_k chi_k (x) xi_k; I(A:C|B) and I(B:C|A) vanish identically.
+
+        Each factor kind is made in one stacked call: every xi_k, then the
+        chi_k of each shape group, whose blocks come from one stacked outer
+        product and whose traces over A and B from one `_trace_one`."""
         if params.size != self.n_params():
             raise ValueError("parameter vector has the wrong length")
-        pieces = np.split(params, np.cumsum(self.sizes)[:-1])
-        if self.diagonal:
-            factors = [diagonal_density(raw) for raw in pieces[1:]]
-        else:
-            factors = [gram_density(raw, d, d) for raw, d in zip(pieces[1:], self.factor_dims)]
         K = self.sizes[0]
-        weights = simplex_weights(pieces[0])
-
-        def part(k):
-            chi = factors[k].reshape(self.chi_shapes[k] * 2)
-            xi = factors[K + k].reshape(self.xi_shape * 2)
-            block = np.tensordot(chi, xi, axes=0).transpose(self.axes)
-            d = self.factor_dims[k] * self.factor_dims[K + k]
-            return weights[k] * block.reshape(d, d), self.ranges[k]
-
-        # the blocks sit on disjoint A and B ranges, so rho's (C, X) marginal
-        # is the sum of each block's own trace over its A and B
-        parts = [part(k) for k in range(K)]
-        cx = sum(_trace_one(block[None], (a * b, len(block) // (a * b)), 0)[0]
-                 for (block, _), (a, b, *_) in zip(parts, self.chi_shapes))
+        weights = simplex_weights(params[:K])
+        xis = self._densities(params[-K * self.sizes[-1]:].reshape(K, -1), self.factor_dims[-1])
+        blocks, traced, chis = [None] * K, [None] * K, []
+        for (shape, ks), take in zip(self.chi_groups, self.chi_params):
+            chi = self._densities(params[_param_rows(*take)], math.prod(shape))
+            G, at, ab = len(ks), list(ks), shape[0] * shape[1]
+            # the outer product as a stacked matmul: a plain complex product
+            # per entry (a broadcast multiply rounds differently)
+            d = self.factor_dims[ks[0]] * self.factor_dims[-1]
+            stack = (chi.reshape(G, -1, 1) @ xis[at].reshape(G, 1, -1)).reshape(
+                (G,) + shape * 2 + self.xi_shape * 2).transpose(self.axes).reshape(G, d, d)
+            stack *= weights[at, None, None]
+            # the blocks sit on disjoint A and B ranges, so rho's (C, X)
+            # marginal is the sum of each block's own trace over its A and B
+            for k, block, cx in zip(ks, stack, _trace_one(stack, (ab, d // ab), 0)):
+                blocks[k], traced[k] = block, cx
+            chis.append((shape, ks, chi))
         block_factors = BlockFactors(
-            weights,
-            tuple((shape, ks, np.stack([factors[k] for k in ks])) for shape, ks in self.chi_groups),
-            self.xi_shape,
-            np.stack(factors[K:]),
-            MultipartyState(self.labels[2:], self.dims[2:], cx, validate=False),
-        )
-        return MultipartyState(self.labels, self.dims, blocks=parts, factors=block_factors)
+            weights, tuple(chis), self.xi_shape, xis,
+            MultipartyState(self.labels[2:], self.dims[2:], sum(traced), validate=False))
+        return MultipartyState(self.labels, self.dims, blocks=zip(blocks, self.ranges),
+                               factors=block_factors)
 
 
 # lw05's fixed layout: the A, B and D dimensions of one block, then C's

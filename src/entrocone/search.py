@@ -136,7 +136,8 @@ def _setup(cfg: SearchConfig):
     it reads, of a scan or walk.  `values` gives each state's instance
     values (T, rows) and constraint values (T, rows, constraints) from one
     `entropy_table` on the distinct masks of the rows' terms, through
-    `float_values`, so a trial's slack does not depend on its chunk.
+    `float_values`, so a trial's slack does not depend on its chunk, and
+    the largest eigenvalue mass that table clipped from one marginal.
     """
     template = resolve_template(cfg)
     family = family_for(cfg, template)
@@ -157,9 +158,10 @@ def _setup(cfg: SearchConfig):
     masks = np.array(sorted(set(terms.ravel().tolist())), dtype=np.int64)
     cols = np.searchsorted(masks, terms)  # each term's column of the table
 
-    def values(states) -> tuple[np.ndarray, np.ndarray]:
-        v = float_values(entropy_table(states, masks)[0][:, cols], compiled.floats)
-        return v[..., 0], v[..., 1:]
+    def values(states) -> tuple[np.ndarray, np.ndarray, float]:
+        table, clipped = entropy_table(states, masks)
+        v = float_values(table[:, cols], compiled.floats)
+        return v[..., 0], v[..., 1:], float(clipped.max())
 
     return template, family, ground, rows, values, masks
 
@@ -204,6 +206,8 @@ class ScanReport:
     trial_records: list = field(default_factory=list, metadata={"json": False})  # CSV rows
     # [nonzero masks taken per state, 2^m - 1]
     marginals: list = field(default_factory=list, metadata={"json": False})
+    # the largest eigenvalue mass clipped from one marginal of any trial
+    clipped_mass: float = field(default=0.0, metadata={"json": False})
 
     @property
     def violation_found(self) -> bool:
@@ -228,6 +232,7 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
     n_eval = 0
     n_adm = 0
     n_replayed = 0
+    clipped_mass = 0.0
 
     chunk: list = []  # (trial, seed, state)
     for t in range(cfg.trials):
@@ -235,7 +240,8 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
         chunk.append((t, seed, family.build(family.draw(_rng(seed)))))
         if t + 1 < cfg.trials and (len(chunk) + 1) * _state_bytes(chunk[0][2]) <= CHUNK_BYTES:
             continue
-        chunk_vals, chunk_cons = values([state for *_, state in chunk])
+        chunk_vals, chunk_cons, clipped = values([state for *_, state in chunk])
+        clipped_mass = max(clipped_mass, clipped)
         chunk_resid = np.abs(chunk_cons).max(axis=2, initial=0.0)
         for (t, seed, _), vals, resid in zip(chunk, chunk_vals, chunk_resid):
             adm = np.flatnonzero(~(resid > cfg.tol))
@@ -289,6 +295,7 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
         n_replayed=n_replayed,
         trial_records=records,
         marginals=[int(np.count_nonzero(masks)), (1 << len(family.labels)) - 1],
+        clipped_mass=clipped_mass,
     )
 
 
@@ -306,6 +313,10 @@ class RefineReport:
     final_instance: str
     trajectory: list
     violation: dict | None
+    # 1 if the final point was rebuilt and replayed, else 0
+    n_replayed: int = field(default=0, metadata={"json": False})
+    # the largest eigenvalue mass clipped from one marginal of any state the walk evaluated
+    clipped_mass: float = field(default=0.0, metadata={"json": False})
 
     @property
     def violation_found(self) -> bool:
@@ -324,8 +335,12 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
         start_seed = trial_seed(cfg.seed, 0)
     start_seed = tuple(start_seed) if isinstance(start_seed, (tuple, list)) else (start_seed,)
 
+    clipped_mass = 0.0
+
     def objective(params):
-        vals, cons = (v[0] for v in values([family.build(params)]))
+        nonlocal clipped_mass
+        vals, cons, clipped = values([family.build(params)])
+        vals, cons, clipped_mass = vals[0], cons[0], max(clipped_mass, clipped)
         objs = vals + PENALTY * (cons * cons).sum(axis=1)
         i = int(np.argmin(objs))
         resid = float(np.abs(cons[i]).max(initial=0.0))
@@ -363,7 +378,8 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
     final_slack, final_resid, final_row = parts
     final_inst = Instance(template, ground, rows[final_row].tolist())
     violation = None
-    if final_slack < -cfg.tol and final_resid <= cfg.tol:
+    replayed = final_slack < -cfg.tol and final_resid <= cfg.tol
+    if replayed:
         # revalidate from scratch on the final parameter point
         violation = _replay(family, params, final_inst, cfg.tol)
     return RefineReport(
@@ -379,4 +395,6 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
         final_instance=final_inst.describe(),
         trajectory=[float(v) for v in trajectory],
         violation=violation,
+        n_replayed=int(replayed),
+        clipped_mass=clipped_mass,
     )

@@ -3,7 +3,11 @@
 import copy
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -666,17 +670,20 @@ def test_eval_stats_stay_outside_the_digest(etable_file, tmp_path):
     (["sample", "--n", "1", "--trials", "3"], {"states": 3, "check_s": None}),
     (["search", "--template", "ssa", "--trials", "4", "--labels", "A,B,C",
       "--dims", "2,2,2", "--refine", "3"], {"scan_s": None, "refine_s": None,
-                                            "refine_steps": None, "marginals": [7, 7]}),
+                                            "refine_steps": None, "marginals": [7, 7],
+                                            "replays": 0, "clipped_mass": None}),
     (["search", "--template", "ssa", "--trials", "2", "--labels", "A,B,C",
-      "--dims", "2,2,2"], {"scan_s": None, "marginals": [7, 7]}),
+      "--dims", "2,2,2"], {"scan_s": None, "marginals": [7, 7], "replays": 0,
+                           "clipped_mass": None}),
     (["search", "--template", "c_2", "--family", "constrained", "--n", "2", "--trials", "2"],
-     {"scan_s": None, "marginals": [14, 31]}),
+     {"scan_s": None, "marginals": [14, 31], "replays": 0, "clipped_mass": None}),
 ], ids=["counterexample", "sample", "search-refine", "search", "search-c_2"])
 def test_stats_of_counterexample_sample_and_search(argv, counts, tmp_path):
     # known counts: the lw05 instance and four order-1 forms, one state per
-    # trial, the refine walk's steps as the report gives them, and the
-    # nonzero masks a search takes per state against 2^m - 1 (c_2 reads 14
-    # of its 31 marginals); None marks a phase time
+    # trial, the refine walk's steps as the report gives them, the nonzero
+    # masks a search takes per state against 2^m - 1 (c_2 reads 14 of its
+    # 31 marginals) and its replays; None marks a phase time or a clipped
+    # mass (at least 0)
     paths = tmp_path / "a.json", tmp_path / "b.json"
     for path in paths:
         assert run(argv + ["--out", str(path)]) == 0
@@ -692,6 +699,28 @@ def test_stats_of_counterexample_sample_and_search(argv, counts, tmp_path):
     assert first["manifest"]["digest"] == second["manifest"]["digest"]
     assert first["report"] == second["report"]
     assert "stats" not in json.dumps(report)
+
+
+def test_search_stats_count_the_scan_and_refine_replays(tmp_path):
+    # the planted defect: every scan trial and the walk's end point replay
+    out = tmp_path / "a.json"
+    assert run(["search", "--template", "anti-monotone", "--labels", "A,B", "--dims", "2,2",
+                "--trials", "3", "--refine", "5", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    stats, report = doc["manifest"]["stats"], doc["report"]
+    assert report["scan"]["n_replayed"] == 3 and report["refine"]["violation"] is not None
+    assert stats["replays"] == 4 and stats["clipped_mass"] >= 0
+
+
+def test_python_dash_m_runs_the_command():
+    # a checkout without the console script: `python -m entrocone`
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-m", "entrocone", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: entrocone")
 
 
 def test_certify_builds_the_standard_instance_once_per_verdict(monkeypatch):

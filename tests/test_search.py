@@ -83,7 +83,7 @@ def test_one_family_build_per_trial_step_and_replay(monkeypatch, cfg, cls):
     assert len(builds) == scan.n_trials + len(scan.violations)
     builds.clear()
     refine = local_refine(cfg)
-    assert len(builds) == 1 + refine.steps + (refine.violation is not None)
+    assert len(builds) == 1 + refine.steps + refine.n_replayed
 
 
 def test_replay_never_takes_the_factored_route(monkeypatch):
@@ -366,3 +366,48 @@ def test_default_labels_come_from_template_slots():
     rep = random_scan(cfg)
     assert not rep.violation_found
     assert rep.config["labels"] == []
+
+
+def test_c_2_scan_and_refine_reproduce_their_pins():
+    # c_2 on the constrained family at n = 2, seed 103: the scan's minimum
+    # slack and histogram, and the refine walk from its argmin, as the
+    # per-block build and the per-call mask bookkeeping gave them
+    slack = 0.6126784985378544
+    histogram = dict.fromkeys([
+        612, 700, 1119, 1222, 1365, 1411, 1471, 1542, 1549, 1555, 1623, 1700, 1793,
+        1801, 1803, 1806, 1812, 1870, 1898, 1973, 2008, 2039, 2078, 2095, 2103, 2131,
+        2132, 2143, 2175, 2373,
+    ], 1)
+    trajectory = [
+        0.6126784985378544, 0.6116871998568549, 0.6116445813545592,
+        0.6116272278646684, 0.6116179082259601, 0.6116178417471736,
+        0.6116172605235644, 0.6116168166105709, 0.6116067496843054,
+        0.6116067020149334, 0.6116066646899556, 0.6116060606544367,
+        0.6116060461820894, 0.6116052032603063, 0.6116051668082201,
+        0.6116051402748526, 0.6116051371524018, 0.6116048575809718,
+        0.6116048536069205, 0.6116047809048064, 0.6116047603555033,
+        0.6116047351129263, 0.6116047348141227, 0.6116047347052209,
+    ]
+    cfg = SearchConfig(template="c_2", family="constrained", n=2, trials=30, seed=103,
+                       refine_steps=40)
+    scan = random_scan(cfg)
+    refine = local_refine(cfg, start_seed=scan.argmin["seed"])
+    assert scan.min_slack == slack
+    assert scan.histogram == histogram
+    assert refine.trajectory == trajectory
+    assert (refine.steps, refine.accepted) == (40, 23)
+
+
+def test_replays_and_clipped_mass_cover_the_scan_and_the_walk():
+    cfg = SearchConfig(template="anti-monotone", family="haar-mixed", labels=("A", "B"),
+                       dims=(2, 2), trials=3, seed=0, refine_steps=5)
+    scan, refine = random_scan(cfg), local_refine(cfg)
+    assert scan.n_replayed == len(scan.violations) == 3
+    assert refine.n_replayed == 1 and refine.violation is not None
+    # rank-deficient states: rounding leaves eigenvalues <= 0 on a marginal
+    cfg = SearchConfig(template="ssa", family="haar-mixed", labels=("A", "B", "C"),
+                       dims=(2, 2, 2), rank=1, trials=4, seed=1, refine_steps=3)
+    scan, refine = random_scan(cfg), local_refine(cfg)
+    assert (scan.n_replayed, refine.n_replayed) == (0, 0)
+    assert scan.clipped_mass > 0 and refine.clipped_mass > 0
+    assert "clipped_mass" not in json.dumps(to_obj(scan)) + json.dumps(to_obj(refine))
