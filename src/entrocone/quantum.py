@@ -717,12 +717,6 @@ class DiagonalFamily(StateFamily):
         return MultipartyState(self.labels, self.dims, diagonal_density(params), validate=False)
 
 
-@functools.cache
-def _param_rows(starts: tuple[int, ...], size: int) -> np.ndarray:
-    """The indices of params[s:s + size] for each s of `starts`, as rows."""
-    return _frozen(np.add.outer(starts, np.arange(size)))
-
-
 class ConstrainedFamily(StateFamily):
     """The block-decomposed family on (A, B, C, X1..Xn) of shape `dims`; both
     conditional independence constraints hold identically for every
@@ -778,11 +772,11 @@ class ConstrainedFamily(StateFamily):
             groups.setdefault(shape, []).append(k)
         self.chi_groups = tuple((shape, tuple(ks)) for shape, ks in groups.items())
         self.sizes = (K,) + tuple(d if diagonal else 2 * d * d for d in self.factor_dims)
-        # each chi group's parameters: where each of its blocks' starts, and
-        # their common size
+        # each chi group's parameter indices, one row per block of the group
         starts = tuple(itertools.accumulate(self.sizes))
-        self.chi_params = tuple((tuple(starts[k] for k in ks), self.sizes[1 + ks[0]])
-                                for _, ks in self.chi_groups)
+        self.chi_rows = tuple(
+            np.add.outer([starts[k] for k in ks], np.arange(self.sizes[1 + ks[0]]))
+            for _, ks in self.chi_groups)
 
     def n_params(self) -> int:
         return sum(self.sizes)
@@ -805,15 +799,22 @@ class ConstrainedFamily(StateFamily):
 
         Each factor kind is made in one stacked call: every xi_k, then the
         chi_k of each shape group, whose blocks come from one stacked outer
-        product and whose traces over A and B from one `_trace_one`."""
+        product and whose traces over A and B from one `_trace_one`.
+
+        The weights and factors equal a per-block construction (one
+        `tensordot` outer product per block) to the bit, and so do the blocks
+        and the (C, X1..Xn) marginal at an even xi size and with diagonal
+        factors.  With Gram factors at an odd xi size they agree only to
+        rounding (about 1e-16): the `tensordot` rounds the last column of its
+        outer product with fused multiply-adds, the matmul here does not."""
         if params.size != self.n_params():
             raise ValueError("parameter vector has the wrong length")
         K = self.sizes[0]
         weights = simplex_weights(params[:K])
         xis = self._densities(params[-K * self.sizes[-1]:].reshape(K, -1), self.factor_dims[-1])
         blocks, traced, chis = [None] * K, [None] * K, []
-        for (shape, ks), take in zip(self.chi_groups, self.chi_params):
-            chi = self._densities(params[_param_rows(*take)], math.prod(shape))
+        for (shape, ks), rows in zip(self.chi_groups, self.chi_rows):
+            chi = self._densities(params[rows], math.prod(shape))
             G, at, ab = len(ks), list(ks), shape[0] * shape[1]
             # the outer product as a stacked matmul: a plain complex product
             # per entry (a broadcast multiply rounds differently)

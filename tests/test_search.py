@@ -83,7 +83,8 @@ def test_one_family_build_per_trial_step_and_replay(monkeypatch, cfg, cls):
     assert len(builds) == scan.n_trials + len(scan.violations)
     builds.clear()
     refine = local_refine(cfg)
-    assert len(builds) == 1 + refine.steps + refine.n_replayed
+    assert len(builds) == 1 + refine.steps + (refine.violation is not None)
+    assert refine.n_replayed == (refine.violation is not None)
 
 
 def test_replay_never_takes_the_factored_route(monkeypatch):
