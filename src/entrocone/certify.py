@@ -11,16 +11,17 @@ target).  One exact phase-1 simplex decides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .setfn import GroundSet, SetFunction, TypeSpace, FLOAT64, list_field, size_str
 from .inequalities import (
+    Forms,
     Instance,
     LinearFunctional,
     _add_terms,
@@ -28,6 +29,7 @@ from .inequalities import (
     builtin,
     cleared_values,
     eliminate_party_pure,
+    instance_forms,
     instance_functionals,
     instantiate,
     terms_from_obj,
@@ -65,21 +67,14 @@ class CertificateReport:
         return self.valid
 
 
-def _on_ground(ground, items: Iterable[LinearFunctional]) -> bool:
-    """Whether every item is on `ground`, each distinct ground object
-    compared once: a problem's items share a few ground objects."""
-    distinct = {id(item.ground): item.ground for item in items}
-    return all(g == ground for g in distinct.values())
-
-
-def _nonzeros(columns: Sequence[dict], dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The columns' nonzeros, flat and in `dtype`: column c holds the values
-    vals[starts[c]:starts[c + 1]] at the masks masks[starts[c]:starts[c + 1]]."""
-    starts = np.zeros(len(columns) + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, columns), np.intp, len(columns)), out=starts[1:])
-    masks = np.fromiter(chain.from_iterable(columns), np.intp, starts[-1])
-    vals = np.fromiter(chain.from_iterable(map(dict.values, columns)), dtype, starts[-1])
-    return starts, masks, vals
+def _magnitude(runs: Sequence[Forms]) -> tuple[int, int]:
+    """The largest |numerator| of the batches' forms, and the most terms of one."""
+    top = width = 0
+    for forms in runs:
+        nums = forms.nums
+        top = max(top, int(nums.max(initial=0)), -int(nums.min(initial=0)))
+        width = max(width, int(np.diff(forms.starts).max(initial=0)))
+    return top, width
 
 
 def verify_certificate(cert: Certificate) -> CertificateReport:
@@ -87,33 +82,35 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
 
     Valid means: >= 0 on each generator, == 0 on each constraint, < 0 on the
     target.  The point must be exact; float points are rejected.  The
-    generators and constraints are evaluated in one gather over their flat
-    nonzeros (`_nonzeros`), table[masks] * vals summed per item, with the
-    point cleared to integers: the values times a positive integer, so the
-    same signs.  That runs in int64 when max |table| * max |c| * (the most
-    terms of an item), a bound on max |table| * (the largest sum |c| of an
-    item), is below 2^63, else in Python integers.
+    generators and constraints are packed (`Forms.runs`) and evaluated a
+    run at a time, in one gather over the run's flat nonzeros: the point's
+    values at the masks, multiplied in place by the numerators and summed
+    per item, with the point cleared to integers (the values times a
+    positive integer, so the same signs).  That runs in int64 when
+    max |table| * max |c| * (the most terms of an item), each factor at
+    least 1, is below 2^63: it bounds the table, the numerators and
+    max |table| * (the largest sum |c| of an item).  Else it runs in
+    Python integers.
     """
     f = cert.point
     if f.domain == FLOAT64:
         raise ValueError("certificate point must be exact (integer or rational)")
     items = [*cert.generators, *cert.constraints]
-    if not _on_ground(f.ground, items):
-        raise ValueError("ground sets do not match")
+    runs = Forms.runs(f.ground, items)  # refuses an item on another ground
     table, _ = cleared_values(f)
-    columns = [item.nums for item in items]
-    try:
-        starts, masks, vals = _nonzeros(columns, np.int64)
-    except OverflowError:  # a coefficient of 2^63 or more
-        starts, masks, vals = _nonzeros(columns, object)
-    top = max(int(vals.max(initial=0)), -int(vals.min(initial=0)))
-    if max(map(abs, table)) * top * int(np.diff(starts).max(initial=0)) >= 2**63:
-        vals = vals.astype(object)
-    dots = np.zeros(len(items), dtype=vals.dtype)
-    full = np.flatnonzero(np.diff(starts))  # reduceat would give an empty item the next value
-    if len(full):
-        vals *= np.array(table, dtype=vals.dtype)[masks]
-        dots[full] = np.add.reduceat(vals, starts[full])
+    top, width = _magnitude(runs)
+    bound = max(1, *map(abs, table)) * max(top, 1) * max(width, 1)
+    dtype = np.int64 if bound < 2**63 else object
+    values = np.array(table, dtype=dtype)
+    dots = np.zeros(len(items), dtype=dtype)
+    at = 0  # the first item of the run
+    for forms in runs:
+        full = np.flatnonzero(np.diff(forms.starts))  # reduceat would give an empty item the next value
+        if len(full):
+            terms = values.take(forms.masks)
+            terms *= forms.nums.astype(dtype, copy=False)
+            dots[at + full] = np.add.reduceat(terms, forms.starts[full])
+        at += len(forms)
     k = len(cert.generators)
     failures = [{"kind": "generator", "index": i, "value": Fraction(items[i].evaluate(f))}
                 for i in np.flatnonzero(dots[:k] < 0).tolist()]
@@ -134,6 +131,8 @@ class Feasible:
     constraint_coefficients: tuple[Fraction, ...]
     pivots: int = 0
     method: str = "simplex"
+    # the entries of the LP's packed columns, for the report's stats
+    nonzeros: int = field(default=0, metadata={"json": False})
 
     @property
     def feasible(self) -> bool:
@@ -147,6 +146,7 @@ class Infeasible:
     farkas_point: SetFunction
     pivots: int = 0
     method: str = "simplex"
+    nonzeros: int = field(default=0, metadata={"json": False})  # as Feasible's
 
     @property
     def feasible(self) -> bool:
@@ -156,8 +156,9 @@ class Infeasible:
 class _Simplex:
     """Phase-1 revised simplex with Bland's rule, exact and fraction-free.
 
-    The LP is held sparse: column c is the dict `columns[c]` (mask -> int,
-    in row mask - 1 of `nrows`), the right-hand side the dict `rhs`.  It
+    The LP is held sparse: its columns are the forms of `columns` (a
+    column's mask m in row m - 1 of `nrows`, its denominator not read),
+    the right-hand side the dict `rhs`.  It
     keeps the m x m basis inverse and the basic values, not the tableau,
     and forms from the columns' nonzeros only the columns a pivot needs:
     `M = D * B^-1` and `b = D * x_B` over one denominator D > 0, updated as
@@ -171,10 +172,11 @@ class _Simplex:
     artificial basis; the phase-1 objective is the sum of the artificials.
     """
 
-    def __init__(self, columns: Sequence[dict], rhs: dict, nrows: int):
+    def __init__(self, columns: Forms, rhs: dict, nrows: int):
         m, n = nrows, len(columns)
         self.nrows, self.ncols, self.D = m, n, 1
-        self.wide = any(abs(c) >= 2**63 for nums in [rhs, *columns] for c in nums.values())
+        top, width = _magnitude([columns])
+        self.wide = max(top, *map(abs, rhs.values()), 0) >= 2**63
         dtype = object if self.wide else np.int64
         b = np.zeros(m, dtype=dtype)
         for mask, c in rhs.items():
@@ -187,12 +189,16 @@ class _Simplex:
         self.pivots = 0
         # the nonzeros column by column: column c is vals[starts[c]:starts[c + 1]]
         # in the rows rows[starts[c]:starts[c + 1]]
-        self.starts, masks, vals = _nonzeros(columns, dtype)
-        self.rows = masks - 1
-        self.vals = vals * self.row_sign[self.rows]
+        self.starts = columns.starts
+        self.rows = columns.masks.astype(np.intp) - 1
+        self.vals = columns.nums.astype(dtype) * self.row_sign[self.rows]
         self.nonzero_cols = np.flatnonzero(np.diff(self.starts))
         self.nonzero_starts = self.starts[self.nonzero_cols]
-        self.abs_sum = max((sum(map(abs, nums.values())) for nums in columns), default=0)
+        # the largest sum |c| of a column, in Python ints where int64 could overflow
+        mags = np.abs(columns.nums.astype(np.int64 if top * width < 2**63 else object,
+                                          copy=False))
+        self.abs_sum = (int(np.add.reduceat(mags, self.nonzero_starts).max())
+                        if len(self.nonzero_cols) else 0)
         self.peak = max([1, *np.abs(self.b).tolist()])  # bounds |M| and |b|
 
     def _int64(self, bound: int) -> bool:
@@ -308,18 +314,17 @@ def cone_membership(
 
     Returns Feasible (with multipliers) or Infeasible (with a separating set
     function scaled to integers), from one exact Bland simplex run over the
-    phase-1 LP; `pivots` counts its pivots.  The LP has a row per nonempty
-    subset of the ground (or per nonempty type of a `setfn.TypeSpace`),
-    and its columns are the items' numerator dicts, held sparse; more than
-    MAX_LP_ROWS rows or MAX_GENERATORS generators are refused before
-    anything is allocated, and the run raises a ValueError when it does not
-    decide within MAX_PIVOTS pivots.  Every answer is re-checked exactly
-    before it is returned, multipliers by `_check_combination` and a
-    separating point by `verify_certificate`.
+    phase-1 LP; `pivots` counts its pivots and `nonzeros` its columns'
+    entries.  The LP has a row per nonempty subset of the ground (or per
+    nonempty type of a `setfn.TypeSpace`), and its columns are the items'
+    numerators, packed (`Forms.of`); more than MAX_LP_ROWS rows or
+    MAX_GENERATORS generators are refused before anything is allocated, an
+    item on another ground when they are packed, and the run raises a
+    ValueError when it does not decide within MAX_PIVOTS pivots.  Every
+    answer is re-checked exactly before it is returned, multipliers by
+    `_check_combination` and a separating point by `verify_certificate`.
     """
     ground = target.ground
-    if not _on_ground(ground, chain(generators, constraints)):
-        raise ValueError("all functionals must share one ground set")
     dim = ground.n_subsets - 1
     if dim > MAX_LP_ROWS:
         raise ValueError(f"an LP of {size_str(dim)} rows exceeds the cap of {MAX_LP_ROWS} rows")
@@ -332,19 +337,21 @@ def cone_membership(
     # times it.  Under Bland's rule a zero column never enters, nor does a
     # repeated ray: its first copy has a lower index and a reduced cost of
     # the same sign.
-    columns = [g.nums for g in generators]
-    scales = [g.den for g in generators]
-    for con in constraints:
-        columns += [con.nums, {m: -c for m, c in con.nums.items()}]
-        scales += [con.den, con.den]
+    try:
+        columns = Forms.of(ground, [*generators, *chain.from_iterable(
+            (con, con.scale(-1)) for con in constraints)])
+    except ValueError:
+        raise ValueError("all functionals must share one ground set") from None
     sx = _Simplex(columns, target.nums, dim)
     sx.solve()
     if sx.objective == 0:
-        x = [Fraction(v * scale, target.den) for v, scale in zip(sx.solution(), scales)]
+        x = [Fraction(v * scale, target.den)
+             for v, scale in zip(sx.solution(), columns.dens.tolist())]
         k = len(generators)
         lams, mus = x[:k], [x[pos] - x[pos + 1] for pos in range(k, len(x), 2)]
         if _check_combination(target, generators, lams, constraints, mus):
-            return Feasible(tuple(lams), tuple(mus), pivots=sx.pivots)
+            return Feasible(tuple(lams), tuple(mus), pivots=sx.pivots,
+                            nonzeros=len(columns.masks))
     else:
         # the separating point: minus the duals, on the nonempty subsets,
         # cleared to coprime integers
@@ -354,7 +361,8 @@ def cone_membership(
         content = gcd(*ints) or 1  # 0 only when every value is 0
         point = SetFunction(ground, [0] + [v // content for v in ints])
         if verify_certificate(Certificate(point, tuple(generators), tuple(constraints), target)):
-            return Infeasible(farkas_point=point, pivots=sx.pivots)
+            return Infeasible(farkas_point=point, pivots=sx.pivots,
+                              nonzeros=len(columns.masks))
     raise RuntimeError("internal error: the simplex's exact answer fails re-check")
 
 
@@ -429,8 +437,8 @@ def independence_problem(n: int):
     target = standard_instance(n, n)
     ground = target.ground
     generators = [form for template, fixed in independence_templates(n)
-                  for form in instance_functionals(template, ground, fixed=fixed)
-                  if not form.is_zero()]
+                  for forms in instance_forms(template, ground, fixed=fixed)
+                  for form in forms.nonzero()]
     return target.functional, generators, list(target.constraints), ground, "infeasible"
 
 
@@ -458,7 +466,7 @@ def family_orbits(space: TypeSpace, p: int) -> list[LinearFunctional]:
     it reads slot masks."""
     x = 1 << len(space.fixed)
     rows = [(1, 2, 4, *(m * x for m in sizes)) for sizes in _profiles(p, space.n, space.n)]
-    return builtin("c_n", p).compiled.realize(np.array(rows, dtype=np.int64), space)
+    return builtin("c_n", p).compiled.realize(np.array(rows, dtype=np.int64), space).rows()
 
 
 def independence_orbits(n: int, target: Instance | None = None):

@@ -329,8 +329,7 @@ def cmd_certify(args) -> int:
         obj["rechecked"] = rechecked
     stats = {"lp_rows": target.ground.n_subsets - 1,
              "lp_columns": len(generators) + 2 * len(constraints),
-             "lp_nonzeros": sum(len(item.nums) for item in generators)
-                            + 2 * sum(len(con.nums) for con in constraints),
+             "lp_nonzeros": outcome.nonzeros,
              "pivots": outcome.pivots,
              "build_s": built - t0, "solve_s": solved - built,
              "recheck_s": time.perf_counter() - solved}

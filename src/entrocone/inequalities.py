@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import chain, islice
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -72,10 +72,13 @@ class LinearFunctional:
 
     Stored as integer numerators `nums` (mask -> int, masks ascending) over
     one positive denominator `den`, in lowest terms.  `coefs` gives the
-    coefficients as Fractions.
+    coefficients as Fractions.  A functional is built from its `nums` dict
+    and keeps it, or is a row of a packed `Forms` batch (`_Row`), whose
+    `nums` dict is made on its first read and kept.
     """
 
     __slots__ = ("ground", "nums", "den")
+    _forms = None  # the batch of a `_Row` whose dict is not made yet
 
     def __init__(self, ground: GroundSet, coefs: Mapping[Subset, object]):
         masks = [ground.mask_of(key) for key in coefs]
@@ -154,6 +157,169 @@ class LinearFunctional:
             coef = "" if mag == 1 else f"{mag}*"
             parts.append(f"{sign} {coef}S{self.ground.subset_str(mask)}")
         return " ".join(parts).lstrip("+ ")
+
+
+_NUMS = LinearFunctional.nums  # the `nums` slot, which a `_Row` fills on first read
+
+
+class _Row(LinearFunctional):
+    """Form `_row` of the `Forms` batch `_forms`, as a LinearFunctional.
+    Its `nums` dict is made on the first read and kept, and the row then
+    lets go of its batch (`_forms` becomes None): from there on it is a
+    functional built from its dict."""
+
+    __slots__ = ("_forms", "_row")
+
+    @property
+    def nums(self) -> dict[int, int]:
+        if self._forms is not None:
+            _NUMS.__set__(self, self._forms.nums_of(self._row))
+            self._forms = None
+        return _NUMS.__get__(self)
+
+    @classmethod
+    def _from_lowest(cls, ground, nums: dict[int, int], den: int) -> LinearFunctional:
+        # a functional made from a row's numerators is built from its dict
+        return LinearFunctional._from_lowest(ground, nums, den)
+
+
+def _ints(values: Callable[[], Iterable[int]], count: int) -> np.ndarray:
+    """The `count` Python ints `values()` yields as an int64 array, or an
+    object one past int64."""
+    try:
+        return np.fromiter(values(), np.int64, count)
+    except OverflowError:
+        return np.fromiter(values(), object, count)
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each of consecutive runs of `counts` entries starts, then the
+    total: the `starts` of forms of `counts` terms."""
+    starts = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=starts[1:])
+    return starts
+
+
+class Forms:
+    """An immutable batch of linear forms on one ground, packed flat.
+
+    Form i has the numerators nums[starts[i]:starts[i + 1]] at the masks
+    masks[starts[i]:starts[i + 1]] (ascending, each nonzero) over the
+    positive denominator dens[i], in lowest terms, as a LinearFunctional
+    holds them.  The arrays are int64, or object past int64, and read-only.
+    Iteration and `rows` give the forms as LinearFunctional rows, each made
+    when it is asked for and reading its `nums` dict from here on its first
+    read; a batch keeps no row, and the Python lists of its arrays only
+    once a row's dict is read.
+    """
+
+    __slots__ = ("ground", "masks", "nums", "starts", "dens", "_lists")
+
+    def __init__(self, ground, masks: np.ndarray, nums: np.ndarray, starts: np.ndarray,
+                 dens: np.ndarray):
+        self.ground, self.masks, self.nums, self.starts, self.dens = (
+            ground, masks, nums, starts, dens)
+        for a in (masks, nums, starts, dens):
+            a.setflags(write=False)
+        self._lists = None  # masks, nums and starts as lists, once a dict is read
+
+    def __len__(self) -> int:
+        return len(self.dens)
+
+    def __iter__(self) -> Iterator[LinearFunctional]:
+        return iter(self.rows())
+
+    def rows(self, index: Sequence[int] | None = None) -> list[LinearFunctional]:
+        """The forms at `index` (every form by default) as LinearFunctionals."""
+        if index is None:
+            index, dens = range(len(self)), self.dens.tolist()
+        else:
+            dens = self.dens[index].tolist()
+        make, ground, out = _Row.__new__, self.ground, []
+        for i, den in zip(index, dens):
+            row = make(_Row)
+            row.ground = ground
+            row.den = den
+            row._forms = self
+            row._row = i
+            out.append(row)
+        return out
+
+    def nonzero(self) -> list[LinearFunctional]:
+        """The forms with a term, as `rows`: zero forms dropped by `starts`."""
+        keep = np.flatnonzero(np.diff(self.starts))
+        return self.rows(None if len(keep) == len(self) else keep.tolist())
+
+    def nums_of(self, i: int) -> dict[int, int]:
+        """Form i's numerators as a LinearFunctional holds them.  The first
+        call lists the batch's arrays, once for every row's dict."""
+        if self._lists is None:
+            self._lists = self.masks.tolist(), self.nums.tolist(), self.starts.tolist()
+        masks, nums, starts = self._lists
+        return dict(zip(masks[starts[i]:starts[i + 1]], nums[starts[i]:starts[i + 1]]))
+
+    @classmethod
+    def of(cls, ground, items: Sequence[LinearFunctional]) -> "Forms":
+        """The items packed in one batch, in order: the batches of `runs`
+        joined (one run is returned as it is)."""
+        runs = cls.runs(ground, items) or [cls._packed(ground, [])]
+        if len(runs) == 1:
+            return runs[0]
+        masks, nums, counts, dens = (np.concatenate(part) for part in zip(*(
+            (run.masks, run.nums, np.diff(run.starts), run.dens) for run in runs)))
+        return cls(ground, masks, nums, _starts(counts), dens)
+
+    @classmethod
+    def runs(cls, ground, items: Sequence[LinearFunctional]) -> list["Forms"]:
+        """The items packed, in order, on `ground`, as consecutive batches
+        (none for no item); a ValueError when an item is on another ground,
+        each distinct ground object compared once.  Each run of consecutive
+        rows of one batch is a view of its arrays, with no dict read (the
+        whole batch when the run is), and each run of other items (rows
+        whose dict is made among them) is packed from their dicts."""
+        runs: list = []  # (batch, first row, stop), or a list of other items
+        equal = set()  # the ids of other ground objects found equal to `ground`
+        batch = loose = None  # the open run: rows batch[first:stop], or other items
+        for item in items:
+            src = item._forms
+            if src is not None and src is batch and item._row == stop:
+                stop += 1
+                continue
+            if batch is not None:
+                runs.append((batch, first, stop))
+                batch = None
+            if item.ground is not ground and id(item.ground) not in equal:
+                if item.ground != ground:
+                    raise ValueError("ground sets do not match")
+                equal.add(id(item.ground))
+            if src is not None:
+                batch, first, stop, loose = src, item._row, item._row + 1, None
+            elif loose is not None:
+                loose.append(item)
+            else:
+                loose = [item]
+                runs.append(loose)
+        if batch is not None:
+            runs.append((batch, first, stop))
+        return [cls._packed(ground, run) if type(run) is list else run[0]._view(*run[1:])
+                for run in runs]
+
+    def _view(self, a: int, b: int) -> "Forms":
+        """Forms a..b - 1, viewing this batch's arrays."""
+        if (a, b) == (0, len(self)):
+            return self
+        lo, hi = self.starts[a], self.starts[b]
+        return Forms(self.ground, self.masks[lo:hi], self.nums[lo:hi],
+                     self.starts[a:b + 1] - lo, self.dens[a:b])
+
+    @classmethod
+    def _packed(cls, ground, items: Sequence[LinearFunctional]) -> "Forms":
+        """Functionals packed from their `nums` dicts."""
+        nums = [item.nums for item in items]
+        starts = _starts(np.fromiter(map(len, nums), np.intp, len(nums)))
+        return cls(ground, _ints(lambda: chain.from_iterable(nums), starts[-1]),
+                   _ints(lambda: chain.from_iterable(map(dict.values, nums)), starts[-1]),
+                   starts, _ints(lambda: (item.den for item in items), len(items)))
 
 
 # --- templates ---
@@ -286,7 +452,7 @@ class Instance:
     def _realize(self, column: int) -> LinearFunctional:
         # a ground past 63 parties has masks beyond int64
         row = np.array([self.slot_masks], dtype=np.int64 if self.ground.size < 64 else object)
-        return self.template.compiled.realize(row, self.ground, column)[0]
+        return self.template.compiled.realize(row, self.ground, column).rows()[0]
 
     def describe(self) -> str:
         binds = " ".join(
@@ -376,16 +542,26 @@ def enumerate_instances(
                                for rows in slot_blocks(template, ground, fixed))
 
 
+def instance_forms(
+    template: InequalityTemplate,
+    ground: GroundSet,
+    fixed: Mapping[str, Subset] | None = None,
+) -> Iterator[Forms]:
+    """The functionals of the instances `enumerate_instances` yields, in its
+    order, one `Forms` per `slot_blocks` block (`CompiledTemplate.realize`),
+    with no `Instance` made.  The bindings are checked on the call."""
+    realize = partial(template.compiled.realize, ground=ground)
+    return map(realize, slot_blocks(template, ground, fixed))
+
+
 def instance_functionals(
     template: InequalityTemplate,
     ground: GroundSet,
     fixed: Mapping[str, Subset] | None = None,
 ) -> Iterator[LinearFunctional]:
     """The functional of each instance `enumerate_instances` yields, in its
-    order, realized a block at a time (`CompiledTemplate.realize`) with no
-    `Instance` made.  The bindings are checked on the call."""
-    realize = partial(template.compiled.realize, ground=ground)
-    return chain.from_iterable(map(realize, slot_blocks(template, ground, fixed)))
+    order: the rows of `instance_forms`."""
+    return chain.from_iterable(instance_forms(template, ground, fixed))
 
 
 # the ascending submasks of every byte value, listed byte after byte
@@ -512,15 +688,14 @@ class CompiledTemplate:
     def bind(self, f: SetFunction) -> "BoundTemplate":
         return BoundTemplate(self, f)
 
-    def realize(self, slot_masks: np.ndarray, ground: GroundSet,
-                column: int = 0) -> list[LinearFunctional]:
+    def realize(self, slot_masks: np.ndarray, ground: GroundSet, column: int = 0) -> Forms:
         """The form of `column` (0 the functional, j the j-th constraint) for
-        each row of a (rows, slots) mask matrix, as a LinearFunctional on
+        each row of a (rows, slots) mask matrix, as a `Forms` batch on
         `ground`: per row, the party masks of the form's terms (`terms`)
         sorted, the empty set dropped, equal masks summed and zero sums
         dropped, over the form's denominator divided by the row's gcd, all
-        in numpy; then one `dict` per row.  Integer arithmetic in int64
-        while sum |c| < 2^63, else in Python integers."""
+        in numpy.  Integer arithmetic in int64 while sum |c| < 2^63, else
+        in Python integers."""
         incidence, coefs, den = self._forms[column]
         n_rows, width = len(slot_masks), len(coefs)
         masks = slot_masks @ incidence
@@ -542,10 +717,7 @@ class CompiledTemplate:
             if len(full):
                 g[full] = np.gcd(den, np.gcd.reduceat(sums, bounds[full]))
                 sums //= g[row_of]
-        masks, sums, bounds = masks.tolist(), sums.tolist(), bounds.tolist()
-        make = LinearFunctional._from_lowest
-        return [make(ground, dict(zip(masks[a:b], sums[a:b])), den // d)
-                for a, b, d in zip(bounds, bounds[1:], g.tolist())]
+        return Forms(ground, masks, sums, bounds, den // g)
 
 
 def float_values(table: np.ndarray, coefs: np.ndarray) -> np.ndarray:

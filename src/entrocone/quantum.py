@@ -91,9 +91,11 @@ class MultipartyState:
     index ranges (see `_place_blocks`).  An array is checked for shape,
     hermiticity and unit trace when the state is made (a NaN or infinite
     entry fails them).  Blocks are checked the same way, block by block, on
-    the first read of `.blocks`; `.rho` places them, under the cap, and
-    checks the placed matrix on its first read, so a constrained state's
-    matrix is built only if something reads `.rho`.  `validate=False`
+    the first read of `.blocks`; `.rho` places them, under the cap, on its
+    first read, so a constrained state's matrix is built only if something
+    reads `.rho`.  It checks the placed matrix again only when the blocks
+    overlap: on disjoint index sets the block checks are the array checks
+    (`_check_block_parts`).  `validate=False`
     skips hermiticity and trace (internal use on matrices that are valid by
     construction), never the shape.  `factors` is None except on the
     states ConstrainedFamily.build makes, which carry their own
@@ -119,7 +121,9 @@ class MultipartyState:
     @property
     def rho(self) -> np.ndarray:
         if self._rho is None:
-            self._rho = self._checked(_place_blocks(self.dims, self.blocks))
+            # blocks on disjoint index sets passed the array checks as parts
+            self._rho = self._checked(_place_blocks(self.dims, self.blocks),
+                                      dense=not _disjoint(self._blocks))
         return self._rho
 
     @property
@@ -131,12 +135,14 @@ class MultipartyState:
             self._unchecked = False
         return self._blocks
 
-    def _checked(self, rho) -> np.ndarray:
+    def _checked(self, rho, dense: bool = True) -> np.ndarray:
+        """`rho` as a complex matrix of the state's shape; hermitian and of
+        unit trace too, where it validates and `dense` asks for the checks."""
         total = self.total_dim
         rho = np.asarray(rho, dtype=np.complex128)
         if rho.shape != (total, total):
             raise ValueError(f"matrix shape {rho.shape} does not match total dim {total}")
-        if self._validate:
+        if self._validate and dense:
             herm = np.max(np.abs(rho - rho.conj().T)) if total else 0.0
             _check_state(herm, np.trace(rho))
         return rho
@@ -173,6 +179,14 @@ class MultipartyState:
     def __repr__(self):
         pairs = ", ".join(f"{l}:{d}" for l, d in zip(self.labels, self.dims))
         return f"MultipartyState({pairs})"
+
+
+def _disjoint(parts) -> bool:
+    """Whether the (block, ranges) pairs sit on pairwise disjoint index
+    sets: every two of them have a party whose ranges do not meet."""
+    return all(any(a_stop <= b_start or b_stop <= a_start
+                   for (a_start, a_stop), (b_start, b_stop) in zip(a, b))
+               for (_, a), (_, b) in itertools.combinations(parts, 2))
 
 
 def _check_state(herm, trace) -> None:

@@ -176,8 +176,9 @@ def _replay(family: StateFamily, params, inst: Instance, tol: float) -> dict | N
     """Rebuild the state from `params` and re-evaluate `inst` on entropies
     taken apart from the scan's `entropy_table` (a dense eigvalsh of each
     subset's `partial_trace` of the dense, checked matrix); the violation
-    record if it holds, else None.  A state given as blocks is checked when
-    `.rho` places them, so only an array state is checked here."""
+    record if it holds, else None.  A state given as blocks is checked, block
+    by block, when `.rho` places them, so only an array state is checked
+    here."""
     built = family.build(params)
     gr = built.ground
     state = MultipartyState(gr.labels, built.dims, built.rho, validate=built.blocks is None)

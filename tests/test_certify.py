@@ -15,11 +15,14 @@ from hypothesis import strategies as st
 from entrocone import certify
 from entrocone.setfn import GroundSet, SetFunction
 from entrocone.inequalities import (
+    Forms,
+    InequalityTemplate,
     LinearFunctional,
     builtin,
     cleared_values,
     enumerate_instances,
     instantiate,
+    slot_blocks,
 )
 from entrocone.witness import counterexample_table, make_witness_g
 from entrocone.certify import (
@@ -149,6 +152,77 @@ def test_gathered_check_matches_the_per_item_reference(cert):
     rep = verify_certificate(cert)
     assert (rep.valid, rep.failures, rep.target_value) == reference_verify(cert)
     assert all(type(f["value"]) is Fraction for f in rep.failures)
+
+
+# zero at A = B = {}: both terms are on the empty set, so the row has no term
+_ZERO_AT_EMPTY = InequalityTemplate("zero-at-empty", ("A", "B"), {1: 1, 2: -1},
+                                    empty_ok=("A", "B"))
+
+
+def _wide(template):
+    """The template with a coefficient of 3^41, beyond int64."""
+    return InequalityTemplate("wide", template.slots, {**template.functional.coefs, 1: 3**41},
+                              symmetries=template.symmetries, empty_ok=template.empty_ok)
+
+
+def _batches(gr, templates):
+    """The first realized block of each template on `gr`, as its rows."""
+    return [list(t.compiled.realize(next(slot_blocks(t, gr)), gr)) for t in templates]
+
+
+@st.composite
+def interleaved_certificates(draw):
+    """Items that interleave runs of rows of two realized batches (out of
+    order, repeated, across the two) with functionals built from dicts,
+    zero rows and zero dicts among them, on 2-3 parties; a batch's
+    numerators pass 2^63 one time in four, and point values may too."""
+    gr = GroundSet(tuple("abc"[:draw(st.integers(2, 3))]))
+    templates = draw(st.permutations([builtin("ssa"), builtin("wmo"), _ZERO_AT_EMPTY]))[:2]
+    if draw(st.integers(0, 3)) == 0:
+        templates[0] = _wide(templates[0])
+    pool = [row for rows in _batches(gr, templates) for row in rows]
+    run = st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 6)).map(
+        lambda t: pool[t[0]:t[0] + t[1]])
+    size = st.sampled_from([1, 1, 1, 2**40, 2**62, 3**41])
+    value = st.builds(lambda a, b, s: Fraction(a * s, b), st.integers(-3, 3),
+                      st.sampled_from([1, 1, 2, 3]), size)
+    loose = st.dictionaries(st.integers(1, gr.full_mask), value.filter(bool), max_size=4).map(
+        lambda coefs: [LinearFunctional(gr, coefs)])
+    items = st.lists(st.one_of(run, loose), max_size=8).map(lambda runs: sum(runs, []))
+    point = SetFunction(gr, [0] + draw(st.lists(value, min_size=gr.full_mask,
+                                                max_size=gr.full_mask)))
+    return Certificate(point, tuple(draw(items)), tuple(draw(items))[:3],
+                       draw(st.one_of(st.sampled_from(pool), loose.map(lambda l: l[0]))))
+
+
+def _assert_packed_check_matches_the_reference(cert):
+    # packed first: reading a row's dict lets its batch go
+    rep = verify_certificate(cert)
+    items = [*cert.generators, *cert.constraints]
+    packed = Forms.of(cert.point.ground, items)
+    assert (rep.valid, rep.failures, rep.target_value) == reference_verify(cert)
+    assert [packed.nums_of(i) for i in range(len(items))] == [item.nums for item in items]
+    assert packed.dens.tolist() == [item.den for item in items]
+
+
+@settings(max_examples=250, deadline=None)
+@given(interleaved_certificates())
+def test_packed_check_of_interleaved_rows_matches_the_per_item_reference(cert):
+    _assert_packed_check_matches_the_reference(cert)
+
+
+def test_packed_check_past_int64_matches_the_per_item_reference():
+    # numerators of 3^41 in one batch and point values past 2^63: the runs
+    # pack to Python integers, and so does the gather
+    gr = GroundSet(("a", "b", "c"))
+    wide, plain = _batches(gr, [_wide(builtin("ssa")), builtin("wmo")])
+    assert wide[0]._forms.nums.dtype == object and plain[0]._forms.nums.dtype == np.int64
+    gens = (*plain[3:7], *wide[5:9], fn(gr, {("a",): 2**70}), *wide[:2], plain[0], fn(gr, {}))
+    point = SetFunction(gr, [0, 2**63 + 1, 2**64, 3, 5, 7, 2**65, 11])
+    cert = Certificate(point, gens, (wide[2], plain[9]), plain[1])
+    assert Forms.of(gr, [*gens, *cert.constraints]).nums.dtype == object
+    _assert_packed_check_matches_the_reference(cert)
+    assert not verify_certificate(cert).valid
 
 
 def test_one_foreign_ground_among_thousands_of_equal_ones_is_refused():
@@ -469,12 +543,14 @@ def _python_numbers(value) -> bool:
 
 
 def _sparse(A, b):
-    """A dense (A, b) as `_Simplex` takes it: a {row + 1: entry} dict per
-    column of A, one for b, and the row count."""
+    """A dense (A, b) as `_Simplex` takes it: the columns of A packed as
+    forms of {row + 1: entry}, a dict of b's, and the row count."""
     def nonzeros(vector):
         return {i + 1: v for i, v in enumerate(vector.tolist()) if v}
 
-    return [nonzeros(col) for col in A.T], nonzeros(b), len(b)
+    gr = GroundSet(("a", "b", "c"))  # masks 1..7 name rows 0..6
+    columns = [LinearFunctional._from_lowest(gr, nonzeros(col), 1) for col in A.T]
+    return Forms.of(gr, columns), nonzeros(b), len(b)
 
 
 def _assert_matches_fraction_tableau(A, b):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from entrocone import search, witness
 from entrocone.inequalities import (
     CompiledTemplate,
+    Forms,
     InequalityTemplate,
     Instance,
     LinearFunctional,
@@ -389,3 +390,53 @@ def test_an_instance_past_63_parties_realizes_in_python_integers():
                          (template.functional, *template.constraints)):
         assert _as_listed(form) == _as_listed(reference_realize(inst, ref))
     assert max(inst.functional.nums) >= 2**69
+
+
+@st.composite
+def packed_cases(draw):
+    """ssa, wmo or c_1..c_3, with a coefficient beyond int64 one time in
+    four, on a ground of 1-6 parties, with some slots bound to random
+    parties and the others free."""
+    template = draw(st.sampled_from([builtin(name) for name in ("ssa", "wmo", "c_1", "c_2", "c_3")]))
+    if draw(st.integers(0, 3)) == 0:
+        terms = {**template.functional.coefs, 1: 3**41 * draw(st.sampled_from([1, -1]))}
+        template = InequalityTemplate("wide", template.slots, terms,
+                                      [c.coefs for c in template.constraints],
+                                      template.symmetries, template.empty_ok)
+    ground = GroundSet(tuple(f"p{i}" for i in range(draw(st.integers(1, 6)))))
+    owner = draw(st.lists(st.integers(-1, len(template.slots) - 1),
+                          min_size=ground.size, max_size=ground.size))
+    pinned = [s for s in template.slots if draw(st.integers(0, 2)) == 0]
+    fixed = {s: tuple(lab for lab, o in zip(ground.labels, owner)
+                      if o == template.slots.index(s)) for s in pinned}
+    return template, ground, fixed
+
+
+@settings(max_examples=120, deadline=None)
+@given(packed_cases())
+def test_packed_rows_match_the_functionals_from_ints(case):
+    """Every row of `realize`'s batch holds, in its arrays and as a row,
+    the numerators (in order) and the denominator `_from_ints` makes of the
+    instance's terms; `Forms.of` packs the rows back to the same batch, or
+    in reverse to the same forms."""
+    template, ground, fixed = case
+    forms = (template.functional, *template.constraints)
+    for rows in slot_blocks(template, ground, fixed):
+        instances = [Instance(template, ground, r) for r in rows.tolist()]
+        for j, form in enumerate(forms):
+            packed = template.compiled.realize(rows, ground, j)
+            got = list(packed)
+            assert len(packed) == len(got) == len(instances)
+            assert not packed.masks.flags.writeable and not packed.nums.flags.writeable
+            assert Forms.of(ground, got) is packed
+            back = Forms.of(ground, got[::-1])
+            assert [back.nums_of(i) for i in range(len(back))] == [
+                packed.nums_of(i) for i in reversed(range(len(packed)))]
+            for i, inst in enumerate(instances):
+                want = reference_realize(inst, form)
+                at = slice(packed.starts[i], packed.starts[i + 1])
+                assert packed.masks[at].tolist() == list(want.nums)
+                assert packed.nums[at].tolist() == list(want.nums.values())
+                assert packed.dens[i] == want.den
+                assert got[i].ground is ground and _as_listed(got[i]) == _as_listed(want)
+                assert got[i]._forms is None  # the dict is made: the batch is let go

@@ -139,8 +139,9 @@ def test_scan_and_refine_never_place_rho(monkeypatch):
                  trials=1),
 ], ids=["constrained", "haar-mixed"])
 def test_replay_checks_the_matrix_once(monkeypatch, cfg):
-    # a constrained state is checked, blocks and placed matrix, when .rho
-    # is read; a haar-mixed build is not checked, so the replay checks it
+    # a constrained state's blocks are checked when .rho is read, and the
+    # placed matrix is not checked again (its blocks are disjoint); a
+    # haar-mixed build is not checked, so the replay checks it
     checks = []
     real = quantum._check_state
     monkeypatch.setattr(quantum, "_check_state",
@@ -153,7 +154,7 @@ def test_replay_checks_the_matrix_once(monkeypatch, cfg):
     checks.clear()
     search._replay(family, params, instances[0], cfg.tol)
     assert len(checks) == (one_read if cfg.family == "constrained" else 1)
-    assert one_read == (2 if cfg.family == "constrained" else 0)
+    assert one_read == (1 if cfg.family == "constrained" else 0)
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -161,9 +162,17 @@ def test_replay_checks_the_matrix_once(monkeypatch, cfg):
     (lambda block: 1.5 * block, "trace deviates"),
 ], ids=["hermiticity", "trace"])
 def test_a_bad_block_is_caught_when_rho_is_read(monkeypatch, corrupt, message):
-    real = quantum._place_blocks
-    monkeypatch.setattr(quantum, "_place_blocks", lambda dims, parts: real(
-        dims, [(corrupt(block), ranges) for block, ranges in parts]))
+    # the first block of every state the family builds is corrupted: the
+    # block checks catch it, though the placed matrix is not checked again
+    real = ConstrainedFamily.build
+
+    def build(self, params):
+        state = real(self, params)
+        return quantum.MultipartyState(state.labels, state.dims, factors=state.factors, blocks=[
+            (corrupt(block) if k == 0 else block, ranges)
+            for k, (block, ranges) in enumerate(state._blocks)])
+
+    monkeypatch.setattr(ConstrainedFamily, "build", build)
     cfg = SearchConfig(template="c_1", family="constrained", n=1, trials=1)
     template, family, ground, rows, *_ = search._setup(cfg)
     instances = [Instance(template, ground, r) for r in rows.tolist()]
@@ -173,6 +182,19 @@ def test_a_bad_block_is_caught_when_rho_is_read(monkeypatch, corrupt, message):
         state.rho
     with pytest.raises(ValueError, match=message):
         search._replay(family, params, instances[0], cfg.tol)
+
+
+def test_overlapping_blocks_are_checked_again_when_placed():
+    # each block deviates from hermiticity by 0.6 of the tolerance, so each
+    # passes alone; they overlap, and the placed matrix deviates by 1.2
+    skew = np.zeros((2, 2), dtype=complex)
+    skew[0, 1] = 0.6 * quantum.STATE_ATOL
+    half = np.eye(2) / 4 + skew
+    state = quantum.MultipartyState(("A", "B"), (2, 2), blocks=[
+        (half, ((0, 1), (0, 2))), (half, ((0, 1), (0, 2)))])
+    assert state.blocks is not None  # the block checks pass
+    with pytest.raises(ValueError, match="not hermitian"):
+        state.rho
 
 
 def test_replay_checks_the_matrix_it_confirms_on():
