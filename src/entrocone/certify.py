@@ -161,14 +161,15 @@ class _Simplex:
     the right-hand side the dict `rhs`.  It
     keeps the m x m basis inverse and the basic values, not the tableau,
     and forms from the columns' nonzeros only the columns a pivot needs:
-    `M = D * B^-1` and `b = D * x_B` over one denominator D > 0, updated as
-    Bareiss updates a tableau; in exact arithmetic Bland's rule never
-    cycles.  `objective`, `solution` and `dual_prices` read them as Python
-    ints and Fractions of them.  `M`, `b` and the nonzeros are int64 while
-    each value a step forms (the duals and prices, the column M a_c, the
-    Bareiss products) is checked to stay below 2**63; the first check that
-    fails moves them to Python ints for the rest of the run, as does an
-    entry of 2**63 or more.  Rows are scaled to b >= 0 and start on the
+    `M = D * B^-1` and `b = D * x_B` over one denominator D > 0, the views
+    of one (m, m + 1) array `T = [M | b]`, updated as Bareiss updates a
+    tableau; in exact arithmetic Bland's rule never cycles.  `objective`,
+    `solution` and `dual_prices` read them as Python ints and Fractions of
+    them.  `T` and the nonzeros are int64 while each value a step forms
+    (the duals and prices, the column M a_c, the Bareiss products) is
+    checked to stay below 2**63; the first check that fails moves them to
+    Python ints for the rest of the run, as does an entry of 2**63 or
+    more.  Rows are scaled to b >= 0 and start on the
     artificial basis; the phase-1 objective is the sum of the artificials.
     """
 
@@ -182,8 +183,8 @@ class _Simplex:
         for mask, c in rhs.items():
             b[mask - 1] = c
         self.row_sign = np.where(b < 0, -1, 1)
-        self.b = b * self.row_sign
-        self.M = np.eye(m, dtype=dtype)
+        self.T = np.eye(m, m + 1, dtype=dtype)
+        self.T[:, m] = b * self.row_sign
         self.basis = list(range(n, n + m))
         self.artificial = np.ones(m, dtype=bool)  # rows whose basic variable is artificial
         self.pivots = 0
@@ -199,7 +200,15 @@ class _Simplex:
                                           copy=False))
         self.abs_sum = (int(np.add.reduceat(mags, self.nonzero_starts).max())
                         if len(self.nonzero_cols) else 0)
-        self.peak = max([1, *np.abs(self.b).tolist()])  # bounds |M| and |b|
+        self.peak = max([1, *np.abs(self.b).tolist()])  # bounds |T|
+
+    @property
+    def M(self) -> np.ndarray:
+        return self.T[:, :-1]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.T[:, -1]
 
     def _int64(self, bound: int) -> bool:
         """Whether a step whose values are at most `bound` in absolute value
@@ -207,7 +216,7 @@ class _Simplex:
         for good."""
         if not self.wide and bound >= 2**63:
             self.wide = True
-            self.M, self.b, self.vals = (v.astype(object) for v in (self.M, self.b, self.vals))
+            self.T, self.vals = self.T.astype(object), self.vals.astype(object)
         return not self.wide
 
     @property
@@ -270,25 +279,22 @@ class _Simplex:
                 raise ValueError(f"the simplex did not decide within {MAX_PIVOTS} pivots")
 
     def _pivot(self, r: int, c: int, col: np.ndarray):
-        # fraction-free (Bareiss): row r stays and every other M_ij becomes
-        # (M_ij * piv - col_i * M_rj) / D, b alike, exact since each entry
-        # is an integer minor; D becomes |piv|, every sign flipped if
-        # piv < 0.  Each product is at most peak * max|col|.
+        # fraction-free (Bareiss): row r stays and every other T_ij becomes
+        # (T_ij * piv - col_i * T_rj) / D, exact since each entry is an
+        # integer minor; D becomes |piv|, every sign flipped if piv < 0.
+        # Each product is at most peak * max|col|.
         if not self._int64(2 * self.peak * int(np.abs(col).max())):
             col = col.astype(object)
-        M, b, piv = self.M, self.b, col[r]
+        T, piv = self.T, col[r]
         sign = 1 if piv > 0 else -1
-        d, row, br = sign * self.D, M[r].copy(), b[r]
-        M *= piv
-        M -= np.multiply.outer(col, row)
-        M //= d
-        b *= piv
-        b -= col * br
-        b //= d
-        M[r], b[r] = sign * row, sign * br
+        d, row = sign * self.D, T[r].copy()
+        T *= piv
+        T -= np.multiply.outer(col, row)
+        T //= d
+        T[r] = sign * row
         self.D = int(abs(piv))
         if not self.wide:
-            self.peak = max(int(np.abs(M).max()), int(np.abs(b).max()), 1)
+            self.peak = max(int(np.abs(T).max()), 1)
         self.basis[r] = c
         self.artificial[r] = c >= self.ncols
         self.pivots += 1

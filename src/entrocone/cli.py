@@ -31,15 +31,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .setfn import setfn_from_obj, to_obj
-from .inequalities import builtin, satisfies, takes_order, template_from_obj
+from .setfn import SetFunction, setfn_from_obj, to_obj
+from .inequalities import builtin, satisfies, takes_order, template_from_obj, type_blocks
 from .witness import (
     standard_instance,
     verify_counterexample,
     verify_witness,
 )
 from .certify import (
-    MAX_LP_ROWS,
     Feasible,
     cone_membership,
     independence_orbits,
@@ -49,6 +48,11 @@ from .certify import (
 )
 from .quantum import FamilyDims, check_theorem, constrained_family_sample, trial_seed
 from .search import FAMILIES, SearchConfig, local_refine, random_scan
+
+# the largest order `certify --builtin independence` takes: its report holds
+# the Farkas point lifted to the full ground, 2^(k + 3) - 1 values (32,767 in
+# a 7.9 MB report at k = 12)
+MAX_INDEPENDENCE_ORDER = 12
 
 
 def _load(path: str, parse):
@@ -257,26 +261,37 @@ def cmd_sample(args) -> int:
     return 0 if all_pass else 1
 
 
-def _recheck_independence(point, n: int, target) -> tuple[dict, list]:
-    """The lifted Farkas point of order n on the full ground, by paths that
-    do not read the type coordinates: `satisfies` on every instance of
-    `independence_templates(n)` (no filter), then `target`, the standard
-    instance (< 0), and its constraints (= 0).  Returns the report's
-    `rechecked` and the failures, each as the clause "the Farkas point
-    is ..." ends with."""
-    checks = {template.name: satisfies(point, template, binding=fixed)
-              for template, fixed in independence_templates(n)}
-    rechecked = {name: {"instances": rep.n_enumerated, "violations": rep.n_violations}
-                 for name, rep in checks.items()}
-    failed = [f"negative on {rep.n_violations} of {rep.n_enumerated} {name} instances"
-              for name, rep in checks.items() if not rep.holds]
+def _recheck_independence(point, space, target) -> tuple[dict, list, int]:
+    """The Farkas point lifted from `space`, re-checked on slot types: its
+    value on each type, read off the lifted point itself at K ∪ {x1..xj},
+    on every `type_blocks` row of each of `independence_templates(space.n)`,
+    each negative row counting its instances; then `target`, the standard
+    instance (< 0), and its constraints (= 0) on the full ground.  Returns
+    the report's `rechecked`, the failures, each as the clause "the Farkas
+    point is ..." ends with, and the type rows evaluated."""
+    k = len(space.fixed)
+    types = SetFunction(space, [point.values[(t & ((1 << k) - 1)) + (((1 << (t >> k)) - 1) << k)]
+                                for t in range(space.n_subsets)])
+    rechecked, failed, n_rows = {}, [], 0
+    for template, fixed in independence_templates(space.n):
+        compiled = template.compiled
+        bound = compiled.bind(types)
+        instances = violations = 0
+        for rows, counts in type_blocks(template, space, fixed):
+            negative = bound.evaluate(compiled.terms(rows))[:, 0] < 0
+            instances += int(counts.sum())
+            violations += int(counts[negative].sum())
+            n_rows += len(rows)
+        rechecked[template.name] = {"instances": instances, "violations": violations}
+        if violations:
+            failed.append(f"negative on {violations} of {instances} {template.name} instances")
     value = target.functional.evaluate(point)
     residuals = [con.evaluate(point) for con in target.constraints]
     rechecked.update(target=value, constraints=residuals)
     if value >= 0:
         failed.append(f"{value} on the target, not negative")
     failed += [f"{r} on constraint {i}, not 0" for i, r in enumerate(residuals) if r]
-    return rechecked, failed
+    return rechecked, failed, n_rows
 
 
 def cmd_certify(args) -> int:
@@ -294,12 +309,10 @@ def cmd_certify(args) -> int:
             raise ValueError("--builtin independence needs --n of at least 2: c_1 is "
                              "I(A:B|X1) >= 0, itself an ssa instance, so order 1 makes no "
                              "independence claim")
-        # the k + 3 parties of the full ground, against the most whose
-        # nonempty subsets fit in MAX_LP_ROWS rows, before any ground is built
-        parties = args.n + 3
-        if parties > (MAX_LP_ROWS + 1).bit_length() - 1:
-            raise ValueError(f"order {args.n}: the re-check on the 2^{parties} - 1 subsets of "
-                             f"the full ground exceeds the cap of {MAX_LP_ROWS} rows")
+        if args.n > MAX_INDEPENDENCE_ORDER:
+            raise ValueError(f"order {args.n} exceeds the cap of {MAX_INDEPENDENCE_ORDER}: the "
+                             f"report lifts the Farkas point to the 2^{args.n + 3} - 1 subsets "
+                             "of the full ground")
         standard = standard_instance(args.n, args.n)  # the LP's target and the re-check's
         problem = independence_orbits(args.n, standard)
     else:
@@ -309,14 +322,15 @@ def cmd_certify(args) -> int:
     outcome = cone_membership(target, generators, constraints)
     solved = time.perf_counter()
     feasible = isinstance(outcome, Feasible)
-    rechecked, failed = None, []
+    rechecked, failed, recheck_rows = None, [], 0
     if args.builtin == "independence":
         # the LP ran on the types of the full ground: the report gives that
-        # ground and the point lifted to it, re-checked there
+        # ground and the point lifted to it, re-checked on slot types
         space, ground = ground, ground.ground
         if not feasible:
             outcome = replace(outcome, farkas_point=space.lift(outcome.farkas_point))
-            rechecked, failed = _recheck_independence(outcome.farkas_point, args.n, standard)
+            rechecked, failed, recheck_rows = _recheck_independence(
+                outcome.farkas_point, space, standard)
     obj = {
         "outcome": "feasible" if feasible else "infeasible",
         "ground": list(ground.labels),
@@ -332,7 +346,7 @@ def cmd_certify(args) -> int:
              "lp_nonzeros": outcome.nonzeros,
              "pivots": outcome.pivots,
              "build_s": built - t0, "solve_s": solved - built,
-             "recheck_s": time.perf_counter() - solved}
+             "recheck_s": time.perf_counter() - solved, "recheck_rows": recheck_rows}
     _emit(args, obj, started, stats=stats)
     if failed:
         print(f"certify: the Farkas point is {' and '.join(failed)}", file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import chain, islice
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ from .setfn import (
     GroundSet,
     SetFunction,
     Subset,
+    TypeSpace,
     _canon_exact,
     check_tol,
     list_field,
@@ -503,31 +504,114 @@ def slot_blocks(
     """
     if ground.size > MAX_ENUM_PARTIES:
         raise ValueError(f"enumeration supports at most {MAX_ENUM_PARTIES} parties")
-    fixed_masks: dict[str, int] = {}
-    used0 = 0  # parties of the fixed slots, closed to every free slot
-    if fixed:
-        for slot, sub in fixed.items():
-            if slot not in template.slots:
-                raise ValueError(f"fixed binding names unknown slot {slot!r}")
-            fixed_masks[slot] = ground.mask_of(sub)
-        for m in fixed_masks.values():
-            if used0 & m:
-                raise ValueError("fixed bindings overlap")
-            used0 |= m
-    slots = template.slots
-    # per slot, the column of the free slot before it in its symmetry group
-    floors = [-1] * len(slots)
-    for group in template.symmetries:
-        cols = sorted(slots.index(s) for s in group if s not in fixed_masks)
-        for a, b in zip(cols, cols[1:]):
-            floors[b] = a
-    root = np.array([[fixed_masks.get(s, 0) for s in slots]], dtype=np.int64)
+    root, used0, groups = _bindings(template, ground, fixed)
+    floors = _floors(len(template.slots), groups)
     blocks = iter([(root, np.array([used0], dtype=np.int64))])
     free_parties = ground.full_mask & ~used0
-    for i, slot in enumerate(slots):
-        if slot not in fixed_masks:
+    for i, slot in enumerate(template.slots):
+        if fixed is None or slot not in fixed:
             blocks = _fill_slot(blocks, i, floors[i], slot in template.empty_ok, free_parties)
     return (rows for rows, _ in blocks)
+
+
+def _bindings(template: InequalityTemplate, ground, fixed) -> tuple[np.ndarray, int, list]:
+    """The checks of a fixed binding on `ground`: the (1, slots) row of the
+    fixed slots' masks (0 on a free slot), their union, and each symmetry
+    group's free columns, ascending."""
+    slots, fixed = template.slots, fixed or {}
+    root, used0 = np.zeros((1, len(slots)), np.int64), 0
+    for slot, sub in fixed.items():
+        if slot not in slots:
+            raise ValueError(f"fixed binding names unknown slot {slot!r}")
+        root[0, slots.index(slot)] = ground.mask_of(sub)
+    for m in root[0].tolist():
+        if used0 & m:
+            raise ValueError("fixed bindings overlap")
+        used0 |= m
+    groups = [sorted(slots.index(s) for s in group if s not in fixed)
+              for group in template.symmetries]
+    return root, used0, groups
+
+
+def _floors(n_slots: int, groups: list) -> list[int]:
+    """Per slot, the column of the free slot before it in its symmetry group, or -1."""
+    floors = [-1] * n_slots
+    for cols in groups:
+        for a, b in zip(cols, cols[1:]):
+            floors[b] = a
+    return floors
+
+
+def type_blocks(
+    template: InequalityTemplate,
+    space: TypeSpace,
+    fixed: Mapping[str, Subset] | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The instances of `slot_blocks` on `space.ground`, one row per type:
+    (types, counts) blocks of at most BATCH_ROWS rows, `types` int64
+    (rows, slots) of slot types K + j * 2^k (`TypeSpace`), `counts` the
+    number of instances of each row's type.
+
+    In a row the K parts are pairwise disjoint and the j sum to at most n;
+    inside a symmetry group the free slots' types do not decrease, and a
+    slot is empty (type 0) only where `empty_ok` permits.  A row stands for
+    the n! / ((n - sum j)! prod j!) ways to give its slots disjoint sets of
+    j x's, over r! for each run of r equal nonempty types in a group, which
+    `slot_blocks` lists once.  Counts are int64 while n! < 2^63, else
+    Python ints.  `fixed` binds slots to fixed parties only.  The type of a
+    disjoint union is the sum of its parts' types, so `CompiledTemplate`'s
+    `terms`, `bind` and `evaluate` read these rows, on a point on `space`,
+    as they read slot masks on its full ground: the functional's value on a
+    row is its value on each instance the row counts (a constraint's may be
+    that of a permuted instance, as A <-> B swaps c_p's two).  The bindings
+    are checked on the call.
+    """
+    k, n = len(space.fixed), space.n
+    root, used0, groups = _bindings(template, space.ground, fixed)
+    if used0 >> k:
+        raise ValueError(f"a type space binds slots to its fixed parties {space.fixed} only")
+    types = np.arange(space.n_subsets, dtype=np.int64)
+    floors = _floors(len(template.slots), groups)
+    blocks = iter([root])
+    for i, slot in enumerate(template.slots):
+        if fixed is None or slot not in fixed:
+            blocks = _fill_type(blocks, i, floors[i], slot in template.empty_ok, types, k, n)
+    return _counted(blocks, groups, k, n)
+
+
+def _counted(blocks, groups: list, k: int, n: int):
+    """Each block of type rows with its counts, as `type_blocks` gives them."""
+    fact = [factorial(m) for m in range(n + 1)]
+    fact = np.array(fact, dtype=np.int64 if fact[-1] < 2**63 else object)
+    for rows in blocks:
+        j = rows >> k
+        counts = fact[n] // fact[n - j.sum(axis=1)] // fact[j].prod(axis=1)
+        for cols in groups:  # the r! of each run of r equal nonempty types
+            run = np.ones(len(rows), dtype=fact.dtype)
+            for a, b in zip(cols, cols[1:]):
+                same = rows[:, b] == rows[:, a]
+                run = np.where(same, run + 1, 1)
+                counts //= np.where(same & (rows[:, b] != 0), run, 1)
+        yield rows, counts
+
+
+def _fill_type(blocks, col: int, floor: int, empty_ok: bool, types: np.ndarray, k: int, n: int):
+    """Blocks of slot-type rows with column `col`, a free slot, filled: each
+    row extended by every type whose fixed part is disjoint from the row's,
+    whose j fits in what the row leaves of n, at least the floor column's
+    type, and nonempty unless `empty_ok`; in blocks of at most BATCH_ROWS."""
+    low = (1 << k) - 1
+    for rows in blocks:
+        fits = (types & np.bitwise_or.reduce(rows & low, axis=1)[:, None]) == 0
+        fits &= (types >> k) <= n - (rows >> k).sum(axis=1)[:, None]
+        if floor >= 0:
+            fits &= types >= rows[:, floor, None]
+        fits[:, 0] &= empty_ok
+        row, cand = fits.nonzero()
+        for at in range(0, len(row), BATCH_ROWS):
+            child = rows.take(row[at:at + BATCH_ROWS], axis=0)
+            child[:, col] = cand[at:at + BATCH_ROWS]
+            yield child
 
 
 def enumerate_instances(

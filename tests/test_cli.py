@@ -1,7 +1,6 @@
 """Command line behavior: exit codes, manifests, determinism, error format."""
 
 import copy
-import dataclasses
 import json
 import os
 import subprocess
@@ -16,14 +15,24 @@ from hypothesis import strategies as st
 from entrocone import certify, cli, quantum
 from entrocone.certify import (
     Certificate,
+    cone_membership,
+    independence_orbits,
     independence_problem,
+    independence_templates,
     problem_to_obj,
     verify_certificate,
 )
 from entrocone.cli import main
-from entrocone.inequalities import builtin, enumerate_instances, instantiate, template_to_obj
+from entrocone.inequalities import (
+    builtin,
+    enumerate_instances,
+    instantiate,
+    satisfies,
+    template_to_obj,
+    type_blocks,
+)
 from entrocone.setfn import GroundSet, SetFunction, setfn_from_obj, setfn_to_obj
-from entrocone.witness import counterexample_table
+from entrocone.witness import counterexample_table, standard_instance, witness_space
 
 
 def run(argv):
@@ -220,8 +229,8 @@ def test_bad_binding_syntax(etable_file, capsys):
     ["search", "--template", "lw05", "--family", "lw05", "--blocks", "-1", "--trials", "1"],
     ["search", "--template", "lw05", "--family", "lw05", "--blocks", "0", "--trials", "1"],
     ["certify", "--problem", "{forty_parties}"],
-    # the orbit LP fits, the re-check on the full ground of 13 parties does not
-    ["certify", "--builtin", "independence", "--n", "10"],
+    # one past the largest order whose report (the lifted point) is written
+    ["certify", "--builtin", "independence", "--n", "13"],
     # sizes far past the caps, refused in one short line before anything is built
     ["certify", "--builtin", "independence", "--n", "1000000"],
     ["certify", "--builtin", "independence", "--n", "3000000"],
@@ -645,6 +654,10 @@ def test_certify_stats_stay_outside_the_digest(tmp_path):
                                            + 2 * sum(len(c.nums) for c in constraints))
     assert stats["pivots"] == first["report"]["result"]["pivots"]
     assert all(stats[phase] >= 0 for phase in ("build_s", "solve_s", "recheck_s"))
+    # the type rows of ssa, wmo and c_1, c_3, c_4 the re-check evaluates
+    assert stats["recheck_rows"] == 439 == sum(
+        len(rows) for template, fixed in independence_templates(2)
+        for rows, _ in type_blocks(template, witness_space(2), fixed))
     assert first["manifest"]["digest"] == second["manifest"]["digest"]
     assert first["report"] == second["report"]
     assert "stats" not in json.dumps(first["report"])
@@ -737,16 +750,65 @@ def test_certify_builds_the_standard_instance_once_per_verdict(monkeypatch):
 
 
 def test_certify_fails_when_the_recheck_finds_a_violation(monkeypatch, capsys):
-    def violated(f, template, **kwargs):
-        rep = cli_satisfies(f, template, **kwargs)
-        return dataclasses.replace(rep, n_violations=1) if template.name == "wmo" else rep
+    # the LP's point less 1 on the full set's type: negative on 12 wmo
+    # instances, and still on the target and the constraints as it was
+    from entrocone.setfn import TypeSpace
 
-    cli_satisfies = cli.satisfies
-    monkeypatch.setattr(cli, "satisfies", violated)
+    lift = TypeSpace.lift
+    monkeypatch.setattr(TypeSpace, "lift", lambda space, point: lift(space, SetFunction(
+        space, [v - (t == space.full_mask) for t, v in enumerate(point.values)])))
     assert run(["certify", "--builtin", "independence", "--n", "2"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert "negative on 1 of 406 wmo instances" in err
+    assert err == "certify: the Farkas point is negative on 12 of 406 wmo instances\n"
+
+
+def _recheck_on_the_full_ground(point, n: int, target) -> tuple[dict, list]:
+    """The re-check `cli._recheck_independence` makes on types, on the full
+    ground: `satisfies` on every instance of `independence_templates(n)`
+    (no filter), then the target (< 0) and its constraints (= 0)."""
+    checks = {template.name: satisfies(point, template, binding=fixed)
+              for template, fixed in independence_templates(n)}
+    rechecked = {name: {"instances": rep.n_enumerated, "violations": rep.n_violations}
+                 for name, rep in checks.items()}
+    failed = [f"negative on {rep.n_violations} of {rep.n_enumerated} {name} instances"
+              for name, rep in checks.items() if not rep.holds]
+    value = target.functional.evaluate(point)
+    residuals = [con.evaluate(point) for con in target.constraints]
+    rechecked.update(target=value, constraints=residuals)
+    if value >= 0:
+        failed.append(f"{value} on the target, not negative")
+    failed += [f"{r} on constraint {i}, not 0" for i, r in enumerate(residuals) if r]
+    return rechecked, failed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_type_recheck_matches_the_full_ground(n):
+    # on the LP's point, and on it less 1 on the type {a, x}: the same
+    # counts, and on the lowered point the same nonzero violation counts
+    target = standard_instance(n, n)
+    problem, generators, constraints, space, _ = independence_orbits(n, target)
+    point = cone_membership(problem, generators, constraints).farkas_point
+    lowered = SetFunction(space, [v - (t == 9) for t, v in enumerate(point.values)])
+    for types, violated in ((point, False), (lowered, True)):
+        lifted = space.lift(types)
+        rechecked, failed, rows = cli._recheck_independence(lifted, space, target)
+        assert (rechecked, failed) == _recheck_on_the_full_ground(lifted, n, target)
+        assert rows > 0
+        counts = [rechecked[t.name]["violations"] for t, _ in independence_templates(n)]
+        assert any(counts) == violated
+
+
+def test_certify_decides_order_10(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["certify", "--builtin", "independence", "--n", "10", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["report"]["outcome"] == "infeasible" == doc["report"]["expect"]
+    rechecked = doc["report"]["rechecked"]
+    assert (rechecked["ssa"], rechecked["wmo"]) == (
+        {"instances": (4**13 - 2 * 3**13 + 2**13) // 2, "violations": 0},
+        {"instances": (4**13 - 3**13 + 2**13 - 1) // 2, "violations": 0})
+    assert doc["manifest"]["stats"]["pivots"] == 2819
 
 
 @pytest.mark.parametrize("value, message", [
@@ -777,12 +839,14 @@ def test_certify_requires_a_problem(capsys):
     assert run(["certify"]) == 2
 
 
-@pytest.mark.parametrize("n", ["30", "1000000"])
+@pytest.mark.parametrize("n", ["13", "30", "1000000"])
 def test_certify_refuses_an_oversized_order_before_building_it(n, capsys):
     started = time.perf_counter()
     assert run(["certify", "--builtin", "independence", "--n", n]) == 2
     assert time.perf_counter() - started < 1
-    assert "exceeds the cap of 4095 rows" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"order {n} exceeds the cap of 12: the report lifts the Farkas point to the "
+        f"2^{int(n) + 3} - 1 subsets of the full ground\n")
 
 
 @pytest.mark.parametrize("n", ["22", "1000000"])

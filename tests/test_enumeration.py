@@ -3,11 +3,15 @@ value."""
 
 from __future__ import annotations
 
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrocone.inequalities import (
+    BATCH_ROWS,
     MAX_ENUM_PARTIES,
     InequalityTemplate,
     Instance,
@@ -16,8 +20,9 @@ from entrocone.inequalities import (
     instance_functionals,
     instantiate,
     slot_blocks,
+    type_blocks,
 )
-from entrocone.setfn import GroundSet, submasks
+from entrocone.setfn import GroundSet, SetFunction, TypeSpace, submasks
 
 
 def reference_instances(template, ground, fixed=None):
@@ -170,3 +175,88 @@ def test_instance_is_a_value():
     assert one.functional is one.functional  # realized once, then cached
     assert one.constraints is one.constraints
     assert one.describe() == "ssa[A={a} B={b} C={c}]"
+
+
+# ------------------------------------------------------------ slot types
+
+
+@st.composite
+def type_cases(draw):
+    """ssa, wmo, c_p or thm1p_p (p <= 3) on (a, b, c, x1..xn), n <= 5, free
+    or with some slots bound to a, b and c, on a ground small enough for
+    the full enumeration (at most about 3^10 slot assignments), and a
+    random integer table on the types."""
+    name = draw(st.sampled_from(["ssa", "wmo", "c_n", "thm1p"]))
+    template = builtin(name, draw(st.integers(1, 3)) if name in ("c_n", "thm1p") else None)
+    slots = template.slots
+    owner = draw(st.lists(st.integers(-1, len(slots) - 1), min_size=3, max_size=3))
+    pinned = [s for s in slots if draw(st.booleans())]
+    fixed = {s: tuple(lab for lab, o in zip("abc", owner) if o == slots.index(s))
+             for s in pinned}
+    free = len(slots) - len(fixed) + 1  # the places a party not bound may go
+    n = draw(st.integers(1, max([m for m in range(1, 6) if free ** (m + 3) <= 3**10],
+                                default=1)))
+    space = TypeSpace(("a", "b", "c"), n)
+    table = draw(st.lists(st.integers(-9, 9), min_size=space.n_subsets,
+                          max_size=space.n_subsets))
+    return template, space, fixed, SetFunction(space, table)
+
+
+def _types_of(rows, groups):
+    """Slot masks on (a, b, c, x1..xn) as types, sorted inside each group."""
+    types = (rows & 7) + (np.bitwise_count(rows >> 3).astype(np.int64) << 3)
+    for cols in groups:
+        types[:, cols] = np.sort(types[:, cols], axis=1)
+    return types
+
+
+@settings(max_examples=60, deadline=None)
+@given(type_cases())
+@example((builtin("c_3"), TypeSpace(("a", "b", "c"), 5), {"A": "a", "B": "b", "C": "c"},
+          SetFunction(TypeSpace(("a", "b", "c"), 5), list(range(48)))))
+@example((builtin("thm1p_2"), TypeSpace(("a", "b", "c"), 2), {"A": (), "C": ("b", "c")},
+          SetFunction(TypeSpace(("a", "b", "c"), 2), [3] * 24)))
+def test_type_blocks_are_the_enumeration_grouped_by_type(case):
+    """Each type row counts the instances of its type, and the functional
+    takes on each of them the row's value on the table (the constraints
+    need not: swapping c_p's A and B swaps its two)."""
+    template, space, fixed, table = case
+    compiled = template.compiled
+    groups = [[template.slots.index(s) for s in g if s not in fixed]
+              for g in template.symmetries]
+    on_ground, on_types = compiled.bind(space.lift(table)), compiled.bind(table)
+    want, values = Counter(), {}
+    for rows in slot_blocks(template, space.ground, fixed):
+        nums = on_ground.evaluate(compiled.terms(rows))[:, 0]
+        for key, row in zip(map(tuple, _types_of(rows, groups).tolist()), nums.tolist()):
+            want[key] += 1
+            assert values.setdefault(key, row) == row
+    got = {}
+    for rows, counts in type_blocks(template, space, fixed):
+        assert rows.dtype == counts.dtype == np.int64 and 0 < len(rows) <= BATCH_ROWS
+        nums = on_types.evaluate(compiled.terms(rows))[:, 0]
+        for key, count, row in zip(map(tuple, rows.tolist()), counts.tolist(), nums.tolist()):
+            assert key not in got and row == values[key]
+            got[key] = count
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [2, 9, 25])
+def test_type_counts_sum_to_the_instance_counts(n):
+    # N parties, ssa: A < B nonempty, C any; wmo: A nonempty, B, C
+    # unordered, both empty only together.  Past n = 20 the counts are
+    # Python ints (n! >= 2^63)
+    space, N = TypeSpace(("a", "b", "c"), n), n + 3
+    want = {"ssa": (4**N - 2 * 3**N + 2**N) // 2, "wmo": (4**N - 3**N + 2**N - 1) // 2}
+    for name, total in want.items():
+        blocks = list(type_blocks(builtin(name), space))
+        assert sum(int(c) for _, counts in blocks for c in counts) == total
+        assert {counts.dtype for _, counts in blocks} == {np.dtype(object if n > 20 else np.int64)}
+
+
+def test_type_blocks_bind_only_fixed_parties():
+    space = TypeSpace(("a", "b", "c"), 3)
+    with pytest.raises(ValueError, match="fixed parties"):
+        type_blocks(builtin("c_2"), space, {"A": "a", "X1": "x1"})
+    with pytest.raises(ValueError, match="overlap"):
+        type_blocks(builtin("ssa"), space, {"A": "a", "B": ("a", "b")})
