@@ -21,17 +21,16 @@ import numpy as np
 
 from .setfn import GroundSet, SetFunction, TypeSpace, FLOAT64, list_field, size_str
 from .inequalities import (
+    BATCH_ROWS,
     Forms,
     Instance,
     LinearFunctional,
-    _add_terms,
     _cmi_terms,
     builtin,
     cleared_values,
-    eliminate_party_pure,
     instance_forms,
-    instance_functionals,
     instantiate,
+    slot_blocks,
     terms_from_obj,
     terms_to_obj,
 )
@@ -49,11 +48,11 @@ MAX_PIVOTS = 2_000_000
 
 @dataclass(frozen=True)
 class Certificate:
-    """A claimed separating point for a membership problem."""
+    """A claimed separating point; the generators and constraints may each be a `Forms`."""
 
     point: SetFunction
-    generators: tuple[LinearFunctional, ...]
-    constraints: tuple[LinearFunctional, ...]
+    generators: Sequence[LinearFunctional]
+    constraints: Sequence[LinearFunctional]
     target: LinearFunctional
 
 
@@ -67,14 +66,11 @@ class CertificateReport:
         return self.valid
 
 
-def _magnitude(runs: Sequence[Forms]) -> tuple[int, int]:
-    """The largest |numerator| of the batches' forms, and the most terms of one."""
-    top = width = 0
-    for forms in runs:
-        nums = forms.nums
-        top = max(top, int(nums.max(initial=0)), -int(nums.min(initial=0)))
-        width = max(width, int(np.diff(forms.starts).max(initial=0)))
-    return top, width
+def _magnitude(forms: Forms) -> tuple[int, int]:
+    """The largest |numerator| of the batch's forms, and the most terms of one."""
+    nums = forms.nums
+    return (max(int(nums.max(initial=0)), -int(nums.min(initial=0))),
+            int(np.diff(forms.starts).max(initial=0)))
 
 
 def verify_certificate(cert: Certificate) -> CertificateReport:
@@ -82,11 +78,12 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
 
     Valid means: >= 0 on each generator, == 0 on each constraint, < 0 on the
     target.  The point must be exact; float points are rejected.  The
-    generators and constraints are packed (`Forms.runs`) and evaluated a
-    run at a time, in one gather over the run's flat nonzeros: the point's
-    values at the masks, multiplied in place by the numerators and summed
-    per item, with the point cleared to integers (the values times a
-    positive integer, so the same signs).  That runs in int64 when
+    generators and the constraints are each one batch (`Forms.of`), and
+    each batch is evaluated BATCH_ROWS items at a time (a bounded buffer),
+    in one gather over their flat nonzeros: the point's values at the
+    masks, multiplied in place by the numerators and summed per item, with
+    the point cleared to integers (the values times a positive integer, so
+    the same signs).  That runs in int64 when
     max |table| * max |c| * (the most terms of an item), each factor at
     least 1, is below 2^63: it bounds the table, the numerators and
     max |table| * (the largest sum |c| of an item).  Else it runs in
@@ -95,28 +92,25 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
     f = cert.point
     if f.domain == FLOAT64:
         raise ValueError("certificate point must be exact (integer or rational)")
-    items = [*cert.generators, *cert.constraints]
-    runs = Forms.runs(f.ground, items)  # refuses an item on another ground
+    kinds = (("generator", cert.generators, np.less),
+             ("constraint", cert.constraints, np.not_equal))
+    batches = [Forms.of(f.ground, items) for _, items, _ in kinds]  # refuses a foreign ground
     table, _ = cleared_values(f)
-    top, width = _magnitude(runs)
+    top, width = map(max, zip(*map(_magnitude, batches)))
     bound = max(1, *map(abs, table)) * max(top, 1) * max(width, 1)
-    dtype = np.int64 if bound < 2**63 else object
-    values = np.array(table, dtype=dtype)
-    dots = np.zeros(len(items), dtype=dtype)
-    at = 0  # the first item of the run
-    for forms in runs:
+    values = np.array(table, dtype=np.int64 if bound < 2**63 else object)
+    failures = []
+    for (kind, items, fails), forms in zip(kinds, batches):
+        dots = np.zeros(len(forms), dtype=values.dtype)
         full = np.flatnonzero(np.diff(forms.starts))  # reduceat would give an empty item the next value
-        if len(full):
-            terms = values.take(forms.masks)
-            terms *= forms.nums.astype(dtype, copy=False)
-            dots[at + full] = np.add.reduceat(terms, forms.starts[full])
-        at += len(forms)
-    k = len(cert.generators)
-    failures = [{"kind": "generator", "index": i, "value": Fraction(items[i].evaluate(f))}
-                for i in np.flatnonzero(dots[:k] < 0).tolist()]
-    failures += [{"kind": "constraint", "index": i,
-                  "value": Fraction(cert.constraints[i].evaluate(f))}
-                 for i in np.flatnonzero(dots[k:] != 0).tolist()]
+        for at in range(0, len(full), BATCH_ROWS):
+            rows = full[at:at + BATCH_ROWS]
+            lo, hi = forms.starts[rows[0]], forms.starts[rows[-1] + 1]
+            terms = values.take(forms.masks[lo:hi])
+            terms *= forms.nums[lo:hi].astype(values.dtype, copy=False)
+            dots[rows] = np.add.reduceat(terms, forms.starts[rows] - lo)
+        failures += [{"kind": kind, "index": i, "value": Fraction(items[i].evaluate(f))}
+                     for i in np.flatnonzero(fails(dots, 0)).tolist()]
     tval = Fraction(cert.target.evaluate(f))
     if tval >= 0:
         failures.append({"kind": "target", "index": 0, "value": tval})
@@ -176,7 +170,7 @@ class _Simplex:
     def __init__(self, columns: Forms, rhs: dict, nrows: int):
         m, n = nrows, len(columns)
         self.nrows, self.ncols, self.D = m, n, 1
-        top, width = _magnitude([columns])
+        top, width = _magnitude(columns)
         self.wide = max(top, *map(abs, rhs.values()), 0) >= 2**63
         dtype = object if self.wide else np.int64
         b = np.zeros(m, dtype=dtype)
@@ -322,13 +316,15 @@ def cone_membership(
     function scaled to integers), from one exact Bland simplex run over the
     phase-1 LP; `pivots` counts its pivots and `nonzeros` its columns'
     entries.  The LP has a row per nonempty subset of the ground (or per
-    nonempty type of a `setfn.TypeSpace`), and its columns are the items'
-    numerators, packed (`Forms.of`); more than MAX_LP_ROWS rows or
-    MAX_GENERATORS generators are refused before anything is allocated, an
-    item on another ground when they are packed, and the run raises a
-    ValueError when it does not decide within MAX_PIVOTS pivots.  Every
-    answer is re-checked exactly before it is returned, multipliers by
-    `_check_combination` and a separating point by `verify_certificate`.
+    nonempty type of a `setfn.TypeSpace`), and its columns are the
+    generators' batch (`Forms.of`; either argument may be a `Forms`), then
+    each constraint beside its negation, packed from their dicts; more than
+    MAX_LP_ROWS rows or MAX_GENERATORS generators are refused before
+    anything is allocated, an item on another ground when they are packed,
+    and the run raises a ValueError when it does not decide within
+    MAX_PIVOTS pivots.  Every answer is re-checked exactly before it is
+    returned, multipliers by `_check_combination` and a separating point by
+    `verify_certificate` on the generators' and constraints' batches.
     """
     ground = target.ground
     dim = ground.n_subsets - 1
@@ -344,16 +340,17 @@ def cone_membership(
     # repeated ray: its first copy has a lower index and a reduced cost of
     # the same sign.
     try:
-        columns = Forms.of(ground, [*generators, *chain.from_iterable(
-            (con, con.scale(-1)) for con in constraints)])
+        gens, cons = Forms.of(ground, generators), Forms.of(ground, constraints)
     except ValueError:
         raise ValueError("all functionals must share one ground set") from None
+    columns = Forms.concat([gens, Forms.of(ground, [
+        *chain.from_iterable((con, con.scale(-1)) for con in constraints)])])
     sx = _Simplex(columns, target.nums, dim)
     sx.solve()
     if sx.objective == 0:
         x = [Fraction(v * scale, target.den)
              for v, scale in zip(sx.solution(), columns.dens.tolist())]
-        k = len(generators)
+        k = len(gens)
         lams, mus = x[:k], [x[pos] - x[pos + 1] for pos in range(k, len(x), 2)]
         if _check_combination(target, generators, lams, constraints, mus):
             return Feasible(tuple(lams), tuple(mus), pivots=sx.pivots,
@@ -366,7 +363,7 @@ def cone_membership(
         ints = [int(v * denom_lcm) for v in values]
         content = gcd(*ints) or 1  # 0 only when every value is 0
         point = SetFunction(ground, [0] + [v // content for v in ints])
-        if verify_certificate(Certificate(point, tuple(generators), tuple(constraints), target)):
+        if verify_certificate(Certificate(point, gens, cons, target)):
             return Infeasible(farkas_point=point, pivots=sx.pivots,
                               nonzeros=len(columns.masks))
     raise RuntimeError("internal error: the simplex's exact answer fails re-check")
@@ -393,27 +390,26 @@ def _check_combination(target, generators, lams, constraints, mus) -> bool:
 # --- problem builders ---
 
 
-def elemental_forms(ground: GroundSet | TypeSpace) -> Iterator[LinearFunctional]:
-    """Pippenger's quantum elemental forms on a ground set, lazily: every
-    I(i:j|K) >= 0 for parties i < j, then every S(iK) + S(iL) >= S(K) + S(L)
-    over the unordered splits K, L of the parties other than i.  They
-    generate the cone of every ssa and wmo instance (Pippenger, IEEE Trans.
-    IT 49, 2003); each is one of those instances.  On N parties there are
-    C(N,2) 2^(N-2) + N 2^(N-2) of them.  On a `TypeSpace` the parties are
-    types (`TypeSpace.parties`), so this lists the projections of the forms
-    on its full ground, one per orbit: 36n + 4 on three fixed parties."""
+def elemental_forms(ground: GroundSet | TypeSpace) -> Forms:
+    """Pippenger's quantum elemental forms on a ground set, as one batch:
+    every I(i:j|K) >= 0 for parties i < j (ssa rows (i, j, K)), then every
+    S(iK) + S(iL) >= S(K) + S(L) over the unordered splits K, L of the
+    parties other than i (wmo rows (i, K, L)), both realized by
+    `CompiledTemplate.realize`.  They generate the cone of every ssa and
+    wmo instance (Pippenger, IEEE Trans. IT 49, 2003); each is one of those
+    instances.  On N parties there are C(N,2) 2^(N-2) + N 2^(N-2) of them.
+    On a `TypeSpace` the parties are types (`TypeSpace.parties`), so this
+    lists the projections of the forms on its full ground, one per orbit:
+    36n + 4 on three fixed parties."""
     full, parties = ground.full_mask, ground.parties
-    for i, j in dict.fromkeys(combinations(parties, 2)):
-        for rest in ground.below(full - i - j):
-            yield LinearFunctional._from_ints(ground, _cmi_terms(i, j, rest))
-    for i in dict.fromkeys(parties):
-        others = full - i
-        for k in ground.below(others) if others else ():  # i alone has no split
-            split = others - k
-            if k <= split:  # the split {k, split} once; its halves may share a type
-                nums = _add_terms({i + k: 1, k: -1}, {i + split: 1, split: -1})
-                nums.pop(0, None)  # the empty set
-                yield LinearFunctional._from_ints(ground, nums)
+    ssa = [(i, j, rest) for i, j in sorted(set(combinations(parties, 2)))
+           for rest in ground.below(full - i - j)]
+    # the split {K, L} once; its halves may share a type.  i alone has no split
+    wmo = [(i, k, full - i - k) for i in sorted(set(parties)) if full - i
+           for k in ground.below(full - i) if 2 * k <= full - i]
+    return Forms.concat([
+        builtin(name).compiled.realize(np.array(rows, dtype=np.int64).reshape(-1, 3), ground)
+        for name, rows in (("ssa", ssa), ("wmo", wmo))])
 
 
 def family_orders(n: int) -> list[int]:
@@ -437,15 +433,19 @@ def independence_problem(n: int):
     constraints.
 
     Returns (target, generators, constraints, ground, expect), the shape
-    `problem_from_obj` reads; expect is "infeasible", since infeasibility of
-    this problem is the independence statement at order n.
+    `problem_from_obj` reads, with one `Forms` batch each of generators and
+    constraints; expect is "infeasible", since infeasibility of this
+    problem is the independence statement at order n.
     """
     target = standard_instance(n, n)
     ground = target.ground
-    generators = [form for template, fixed in independence_templates(n)
-                  for forms in instance_forms(template, ground, fixed=fixed)
-                  for form in forms.nonzero()]
-    return target.functional, generators, list(target.constraints), ground, "infeasible"
+    forms = Forms.concat([batch for template, fixed in independence_templates(n)
+                          for batch in instance_forms(template, ground, fixed=fixed)])
+    full = np.diff(forms.starts) > 0  # a zero form holds no entry: drop its start
+    generators = Forms(ground, forms.masks, forms.nums,
+                       np.append(forms.starts[:-1][full], forms.starts[-1]), forms.dens[full])
+    return (target.functional, generators, Forms.of(ground, target.constraints), ground,
+            "infeasible")
 
 
 def _profiles(slots: int, total: int, largest: int) -> Iterator[tuple[int, ...]]:
@@ -463,7 +463,7 @@ def _profiles(slots: int, total: int, largest: int) -> Iterator[tuple[int, ...]]
                 yield (m,) * r + rest
 
 
-def family_orbits(space: TypeSpace, p: int) -> list[LinearFunctional]:
+def family_orbits(space: TypeSpace, p: int) -> Forms:
     """The projections of the c_p instances `independence_problem` lists,
     one per orbit.  X1..Xp are interchangeable, so a projection depends
     only on the multiset of their sizes: one row of slot types per profile,
@@ -472,7 +472,7 @@ def family_orbits(space: TypeSpace, p: int) -> list[LinearFunctional]:
     it reads slot masks."""
     x = 1 << len(space.fixed)
     rows = [(1, 2, 4, *(m * x for m in sizes)) for sizes in _profiles(p, space.n, space.n)]
-    return builtin("c_n", p).compiled.realize(np.array(rows, dtype=np.int64), space).rows()
+    return builtin("c_n", p).compiled.realize(np.array(rows, dtype=np.int64), space)
 
 
 def independence_orbits(n: int, target: Instance | None = None):
@@ -483,42 +483,45 @@ def independence_orbits(n: int, target: Instance | None = None):
     (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004); `TypeSpace.lift`
     turns that point back into a set function on the full ground.  This is
     the projected target and constraints, and one column per orbit of the
-    cone, zero and repeated columns dropped: the c_p profiles for the
-    orders of `family_orders(n)`, then the elemental orbits (in that order
-    Bland's rule took 101 to 1,614 pivots at n = 2..8, against 107 to 3,787
-    the other way round).  `target` is `standard_instance(n, n)`, built
-    here unless the caller has it.  Returns (target, generators,
-    constraints, space, "infeasible")."""
+    cone, zero and repeated columns dropped (`Forms.distinct`): the c_p
+    profiles for the orders of `family_orders(n)`, then the elemental
+    orbits (in that order Bland's rule took 101 to 1,614 pivots at
+    n = 2..8, against 107 to 3,787 the other way round).  `target` is
+    `standard_instance(n, n)`, built here unless the caller has it.
+    Returns (target, generators, constraints, space, "infeasible"), the
+    generators and the constraints each one `Forms` batch."""
     space = witness_space(n)
     if target is None:
         target = standard_instance(n, n)
-    columns = chain(*(family_orbits(space, p) for p in family_orders(n)), elemental_forms(space))
-    return (space.project(target.functional),
-            list(dict.fromkeys(c for c in columns if not c.is_zero())),
-            [space.project(c) for c in target.constraints], space, "infeasible")
+    columns = Forms.concat([*(family_orbits(space, p) for p in family_orders(n)),
+                            elemental_forms(space)])
+    return (space.project(target.functional), columns.distinct(),
+            Forms.of(space, [space.project(c) for c in target.constraints]), space,
+            "infeasible")
 
 
 def purified_basic_problem():
     """Membership of weak monotonicity on three parties in the cone of
     purified submodularity instances from a four-party extension.
 
-    Returns (target, generators, constraints, ground, expect), expect being
-    "feasible": weak monotonicity is exactly a purified submodularity
+    Returns (target, generators, constraints, ground, expect), the
+    generators (`eliminate_party_pure` of each ssa instance, zero and
+    repeated forms dropped) and the constraints (none) as `Forms`; expect
+    is "feasible": weak monotonicity is exactly a purified submodularity
     instance.
     """
     big = GroundSet(("A", "B", "C", "D"))
     small = GroundSet(("A", "B", "C"))
-    generators = []
-    seen = set()
-    for form in instance_functionals(builtin("ssa"), big):
-        reduced = eliminate_party_pure(form, "D")
-        if not reduced.is_zero() and reduced not in seen:
-            seen.add(reduced)
-            generators.append(reduced)
+    ssa = builtin("ssa")
+    terms = np.concatenate([ssa.compiled.terms(rows) for rows in slot_blocks(ssa, big)])
+    # S(Y) = S(ABCD - Y) on a pure state: a term on D (bit 8) moves to its complement
+    terms = np.where(terms & 8, big.full_mask - terms, terms)
+    coefs = np.array(ssa.compiled.ints, dtype=np.int64)[:, 0]
+    generators = Forms.from_terms(small, terms, coefs, ssa.functional.den).distinct()
     target = instantiate(
         builtin("wmo"), small, {"A": "A", "B": "B", "C": "C"}
     ).functional
-    return target, generators, [], small, "feasible"
+    return target, generators, Forms.of(small, []), small, "feasible"
 
 
 def proof_certificate(n: int):

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import chain, islice
 from math import factorial, gcd, lcm
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -74,8 +75,8 @@ class LinearFunctional:
     Stored as integer numerators `nums` (mask -> int, masks ascending) over
     one positive denominator `den`, in lowest terms.  `coefs` gives the
     coefficients as Fractions.  A functional is built from its `nums` dict
-    and keeps it, or is a row of a packed `Forms` batch (`_Row`), whose
-    `nums` dict is made on its first read and kept.
+    and keeps it, or is a form that indexing or iterating a `Forms` batch
+    gives (`_Row`), whose `nums` dict is made on its first read and kept.
     """
 
     __slots__ = ("ground", "nums", "den")
@@ -208,10 +209,11 @@ class Forms:
     masks[starts[i]:starts[i + 1]] (ascending, each nonzero) over the
     positive denominator dens[i], in lowest terms, as a LinearFunctional
     holds them.  The arrays are int64, or object past int64, and read-only.
-    Iteration and `rows` give the forms as LinearFunctional rows, each made
-    when it is asked for and reading its `nums` dict from here on its first
-    read; a batch keeps no row, and the Python lists of its arrays only
-    once a row's dict is read.
+    Indexing and iteration give the forms as LinearFunctional rows, each
+    made when it is asked for and reading its `nums` dict from here on its
+    first read; a batch keeps no row, and the Python lists of its arrays
+    only once a row's dict is read.  `take`, `concat` and `distinct` work
+    on the arrays.
     """
 
     __slots__ = ("ground", "masks", "nums", "starts", "dens", "_lists")
@@ -227,29 +229,23 @@ class Forms:
     def __len__(self) -> int:
         return len(self.dens)
 
-    def __iter__(self) -> Iterator[LinearFunctional]:
-        return iter(self.rows())
+    def __getitem__(self, i: int) -> LinearFunctional:
+        i = range(len(self))[i]
+        return next(self._rows([i], [int(self.dens[i])]))
 
-    def rows(self, index: Sequence[int] | None = None) -> list[LinearFunctional]:
-        """The forms at `index` (every form by default) as LinearFunctionals."""
-        if index is None:
-            index, dens = range(len(self)), self.dens.tolist()
-        else:
-            dens = self.dens[index].tolist()
-        make, ground, out = _Row.__new__, self.ground, []
+    def __iter__(self) -> Iterator[LinearFunctional]:
+        return self._rows(range(len(self)), self.dens.tolist())
+
+    def _rows(self, index: Iterable[int], dens: Iterable[int]) -> Iterator[LinearFunctional]:
+        make, ground, rows = _Row.__new__, self.ground, []
         for i, den in zip(index, dens):
             row = make(_Row)
             row.ground = ground
             row.den = den
             row._forms = self
             row._row = i
-            out.append(row)
-        return out
-
-    def nonzero(self) -> list[LinearFunctional]:
-        """The forms with a term, as `rows`: zero forms dropped by `starts`."""
-        keep = np.flatnonzero(np.diff(self.starts))
-        return self.rows(None if len(keep) == len(self) else keep.tolist())
+            rows.append(row)
+        return iter(rows)
 
     def nums_of(self, i: int) -> dict[int, int]:
         """Form i's numerators as a LinearFunctional holds them.  The first
@@ -259,59 +255,72 @@ class Forms:
         masks, nums, starts = self._lists
         return dict(zip(masks[starts[i]:starts[i + 1]], nums[starts[i]:starts[i + 1]]))
 
+    def take(self, index: Sequence[int]) -> "Forms":
+        """The forms at `index`, in its order, as a new batch."""
+        index = np.asarray(index, dtype=np.intp)
+        counts = np.diff(self.starts)[index]
+        starts = _starts(counts)
+        at = np.repeat(self.starts[index] - starts[:-1], counts) + np.arange(starts[-1])
+        return Forms(self.ground, self.masks[at], self.nums[at], starts, self.dens[index])
+
+    def distinct(self) -> "Forms":
+        """The forms with a term, each once, at its first place (the batch
+        itself when that is every form)."""
+        masks, nums, starts = self.masks.tolist(), self.nums.tolist(), self.starts.tolist()
+        first: dict = {}
+        for i, (a, b, den) in enumerate(zip(starts, starts[1:], self.dens.tolist())):
+            if a < b:
+                first.setdefault((den, *masks[a:b], *nums[a:b]), i)
+        return self if len(first) == len(self) else self.take(list(first.values()))
+
+    @classmethod
+    def from_terms(cls, ground, masks: np.ndarray, coefs: np.ndarray, den: int) -> "Forms":
+        """The forms sum_t coefs[t] / den * f(masks[r, t]), one per row r of a
+        (rows, terms) mask matrix, as a batch on `ground`: per row the masks
+        sorted, the empty set dropped, equal masks summed and zero sums
+        dropped, over den divided by the row's gcd, all in numpy.  Integer
+        arithmetic in int64 while sum |c| < 2^63, else in Python integers."""
+        n_rows, width = masks.shape
+        order = masks.argsort(axis=1)  # the order np.sort puts masks in, up to ties
+        masks = np.sort(masks, axis=1)
+        # a run of equal masks inside a row is one term, summed from its first place
+        first = np.ones(masks.shape, dtype=bool)
+        first[:, 1:] = masks[:, 1:] != masks[:, :-1]
+        at = first.ravel().nonzero()[0]
+        masks, sums = masks.ravel()[at], np.add.reduceat(coefs[order].ravel(), at)
+        keep = (masks != 0) & (sums != 0)
+        masks, sums, row_of = masks[keep], sums[keep], at[keep] // width
+        bounds = np.searchsorted(row_of, np.arange(n_rows + 1))
+        # per row, gcd(den, numerators), as `_lowest` takes it: den on a row
+        # with no term (reduceat would read the next row's first numerator)
+        g = np.full(n_rows, den, dtype=coefs.dtype)
+        if den != 1:
+            full = (bounds[1:] > bounds[:-1]).nonzero()[0]
+            if len(full):
+                g[full] = np.gcd(den, np.gcd.reduceat(sums, bounds[full]))
+                sums //= g[row_of]
+        return cls(ground, masks, sums, bounds, den // g)
+
+    @staticmethod
+    def concat(batches: Sequence["Forms"]) -> "Forms":
+        """The forms of one or more batches on one ground, in order, as one
+        batch."""
+        masks, nums, counts, dens = (np.concatenate(part) for part in zip(*(
+            (forms.masks, forms.nums, np.diff(forms.starts), forms.dens) for forms in batches)))
+        return Forms(batches[0].ground, masks, nums, _starts(counts), dens)
+
     @classmethod
     def of(cls, ground, items: Sequence[LinearFunctional]) -> "Forms":
-        """The items packed in one batch, in order: the batches of `runs`
-        joined (one run is returned as it is)."""
-        runs = cls.runs(ground, items) or [cls._packed(ground, [])]
-        if len(runs) == 1:
-            return runs[0]
-        masks, nums, counts, dens = (np.concatenate(part) for part in zip(*(
-            (run.masks, run.nums, np.diff(run.starts), run.dens) for run in runs)))
-        return cls(ground, masks, nums, _starts(counts), dens)
-
-    @classmethod
-    def runs(cls, ground, items: Sequence[LinearFunctional]) -> list["Forms"]:
-        """The items packed, in order, on `ground`, as consecutive batches
-        (none for no item); a ValueError when an item is on another ground,
-        each distinct ground object compared once.  Each run of consecutive
-        rows of one batch is a view of its arrays, with no dict read (the
-        whole batch when the run is), and each run of other items (rows
-        whose dict is made among them) is packed from their dicts."""
-        runs: list = []  # (batch, first row, stop), or a list of other items
-        equal = set()  # the ids of other ground objects found equal to `ground`
-        batch = loose = None  # the open run: rows batch[first:stop], or other items
-        for item in items:
-            src = item._forms
-            if src is not None and src is batch and item._row == stop:
-                stop += 1
-                continue
-            if batch is not None:
-                runs.append((batch, first, stop))
-                batch = None
-            if item.ground is not ground and id(item.ground) not in equal:
-                if item.ground != ground:
-                    raise ValueError("ground sets do not match")
-                equal.add(id(item.ground))
-            if src is not None:
-                batch, first, stop, loose = src, item._row, item._row + 1, None
-            elif loose is not None:
-                loose.append(item)
-            else:
-                loose = [item]
-                runs.append(loose)
-        if batch is not None:
-            runs.append((batch, first, stop))
-        return [cls._packed(ground, run) if type(run) is list else run[0]._view(*run[1:])
-                for run in runs]
-
-    def _view(self, a: int, b: int) -> "Forms":
-        """Forms a..b - 1, viewing this batch's arrays."""
-        if (a, b) == (0, len(self)):
-            return self
-        lo, hi = self.starts[a], self.starts[b]
-        return Forms(self.ground, self.masks[lo:hi], self.nums[lo:hi],
-                     self.starts[a:b + 1] - lo, self.dens[a:b])
+        """The items as one batch on `ground`, in order: a `Forms` as it is,
+        the rows of one whole batch, in order, as that batch, and any other
+        items packed from their dicts.  A ValueError when an item is on
+        another ground, each distinct ground object compared once."""
+        whole = items if isinstance(items, Forms) else _whole(items)
+        grounds = ([whole.ground] if whole is not None
+                   else {id(item.ground): item.ground for item in items}.values())
+        if any(other is not ground and other != ground for other in grounds):
+            raise ValueError("ground sets do not match")
+        return whole if whole is not None else cls._packed(ground, items)
 
     @classmethod
     def _packed(cls, ground, items: Sequence[LinearFunctional]) -> "Forms":
@@ -321,6 +330,16 @@ class Forms:
         return cls(ground, _ints(lambda: chain.from_iterable(nums), starts[-1]),
                    _ints(lambda: chain.from_iterable(map(dict.values, nums)), starts[-1]),
                    starts, _ints(lambda: (item.den for item in items), len(items)))
+
+
+def _whole(items: Sequence[LinearFunctional]) -> Forms | None:
+    """The batch whose rows, every one in order, the items are, or None."""
+    n = len(items)
+    whole = items[0]._forms if n else None
+    if (whole is not None and len(whole) == n and [item._forms for item in items].count(whole) == n
+            and (np.fromiter(map(attrgetter("_row"), items), np.intp, n) == np.arange(n)).all()):
+        return whole
+    return None
 
 
 # --- templates ---
@@ -453,7 +472,7 @@ class Instance:
     def _realize(self, column: int) -> LinearFunctional:
         # a ground past 63 parties has masks beyond int64
         row = np.array([self.slot_masks], dtype=np.int64 if self.ground.size < 64 else object)
-        return self.template.compiled.realize(row, self.ground, column).rows()[0]
+        return self.template.compiled.realize(row, self.ground, column)[0]
 
     def describe(self) -> str:
         binds = " ".join(
@@ -775,33 +794,10 @@ class CompiledTemplate:
     def realize(self, slot_masks: np.ndarray, ground: GroundSet, column: int = 0) -> Forms:
         """The form of `column` (0 the functional, j the j-th constraint) for
         each row of a (rows, slots) mask matrix, as a `Forms` batch on
-        `ground`: per row, the party masks of the form's terms (`terms`)
-        sorted, the empty set dropped, equal masks summed and zero sums
-        dropped, over the form's denominator divided by the row's gcd, all
-        in numpy.  Integer arithmetic in int64 while sum |c| < 2^63, else
-        in Python integers."""
+        `ground` (`Forms.from_terms` of the party masks of the form's terms,
+        `terms`)."""
         incidence, coefs, den = self._forms[column]
-        n_rows, width = len(slot_masks), len(coefs)
-        masks = slot_masks @ incidence
-        order = masks.argsort(axis=1)  # the order np.sort puts masks in, up to ties
-        masks = np.sort(masks, axis=1)
-        # a run of equal masks inside a row is one term, summed from its first place
-        first = np.ones(masks.shape, dtype=bool)
-        first[:, 1:] = masks[:, 1:] != masks[:, :-1]
-        at = first.ravel().nonzero()[0]
-        masks, sums = masks.ravel()[at], np.add.reduceat(coefs[order].ravel(), at)
-        keep = (masks != 0) & (sums != 0)
-        masks, sums, row_of = masks[keep], sums[keep], at[keep] // width
-        bounds = np.searchsorted(row_of, np.arange(n_rows + 1))
-        # per row, gcd(den, numerators), as `_lowest` takes it: den on a row
-        # with no term (reduceat would read the next row's first numerator)
-        g = np.full(n_rows, den, dtype=coefs.dtype)
-        if den != 1:
-            full = (bounds[1:] > bounds[:-1]).nonzero()[0]
-            if len(full):
-                g[full] = np.gcd(den, np.gcd.reduceat(sums, bounds[full]))
-                sums //= g[row_of]
-        return Forms(ground, masks, sums, bounds, den // g)
+        return Forms.from_terms(ground, slot_masks @ incidence, coefs, den)
 
 
 def float_values(table: np.ndarray, coefs: np.ndarray) -> np.ndarray:

@@ -243,6 +243,45 @@ def test_one_foreign_ground_among_thousands_of_equal_ones_is_refused():
         cone_membership(target, odd, cons)
 
 
+def test_a_batch_longer_than_one_gather_matches_the_per_item_reference():
+    # 3,118 generators are gathered BATCH_ROWS at a time: minus the witness
+    # fails on generators in every one of those gathers, as a batch and as
+    # items packed from their dicts with a zero form among them
+    target, gens, cons, ground, _ = independence_problem(3)
+    point = SetFunction(ground, [-v for v in make_witness_g(3).values])
+    items = [*list(gens)[:2000], fn(ground, {}), *list(gens)[2000:]]
+    for generators in (gens, items):
+        cert = Certificate(point, generators, cons, target)
+        rep = verify_certificate(cert)
+        assert (rep.valid, rep.failures, rep.target_value) == reference_verify(cert)
+        assert {f["index"] // certify.BATCH_ROWS for f in rep.failures
+                if f["kind"] == "generator"} == {0, 1, 2, 3}
+
+
+def test_whole_batches_are_checked_as_they_are(monkeypatch):
+    """The rows of a built problem's batches, whole and in order, are those
+    batches: the re-check packs nothing from dicts and reads no row dict,
+    and the orbit LP packs only its constraint pairs from dicts.  A whole
+    batch on another ground is still refused."""
+    target, gens, cons, ground, _ = independence_problem(3)
+    assert target.nums  # the target is one functional, evaluated on its dict
+    point = make_witness_g(3)
+    problem = independence_orbits(2)
+    packed, read = [], []
+    pack, nums_of = Forms._packed.__func__, Forms.nums_of
+    monkeypatch.setattr(Forms, "_packed", classmethod(
+        lambda cls, ground, items: packed.append(len(items)) or pack(cls, ground, items)))
+    monkeypatch.setattr(Forms, "nums_of", lambda self, i: read.append(i) or nums_of(self, i))
+    assert verify_certificate(Certificate(point, tuple(gens), cons, target))
+    assert packed == [] and read == []
+    assert isinstance(cone_membership(*problem[:3]), Infeasible)
+    assert packed == [2 * len(problem[2])]
+    foreign = make_witness_g(2)
+    for items in (gens, tuple(gens)):
+        with pytest.raises(ValueError, match="^ground sets do not match$"):
+            verify_certificate(Certificate(foreign, items, (), target))
+
+
 # ------------------------------------------------------------ membership
 
 

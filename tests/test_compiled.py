@@ -440,3 +440,59 @@ def test_packed_rows_match_the_functionals_from_ints(case):
                 assert packed.dens[i] == want.den
                 assert got[i].ground is ground and _as_listed(got[i]) == _as_listed(want)
                 assert got[i]._forms is None  # the dict is made: the batch is let go
+
+
+@st.composite
+def packed_batches(draw):
+    """A batch packed from functionals on 1-3 parties, drawn with repeats
+    from a small pool with zero forms in it and a form beside its half
+    (often the same numerators over twice the denominator), numerators
+    past 2^63 one time in four, and now and then no form at all; with its
+    items."""
+    gr = GroundSet(tuple("abc"[:draw(st.integers(1, 3))]))
+    size = 3**41 if draw(st.integers(0, 3)) == 0 else 1
+    coef = st.builds(lambda a, b: Fraction(a * size, b), st.integers(-3, 3).filter(bool),
+                     st.sampled_from([1, 2, 3]))
+    pool = draw(st.lists(st.dictionaries(st.integers(1, gr.full_mask), coef, max_size=3).map(
+        lambda coefs: LinearFunctional(gr, coefs)), min_size=1, max_size=4))
+    pool.append(pool[0].scale(Fraction(1, 2)))
+    items = draw(st.lists(st.sampled_from(pool), max_size=8))
+    return Forms.of(gr, items), items
+
+
+def _listed(forms):
+    """A batch's forms as `_as_listed` gives each."""
+    return [_as_listed(form) for form in forms]
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_batches(), st.data())
+def test_take_concat_and_distinct_match_lists_of_rows(case, data):
+    """`take` is list indexing and slicing of the rows, `concat` list
+    concatenation and `distinct` `dict.fromkeys` over the rows with a term,
+    on int64, object and empty batches, with no row dict read on the way."""
+    forms, items = case
+    rows = [_as_listed(item) for item in items]
+    assert forms.nums.dtype == (object if any(abs(c) >= 2**63 for item in items
+                                              for c in item.nums.values()) else np.int64)
+    index = data.draw(st.lists(st.integers(0, len(items) - 1), max_size=10) if items
+                      else st.just([]))
+    a, b = sorted(data.draw(st.lists(st.integers(0, len(items)), min_size=2, max_size=2)))
+    cut = data.draw(st.integers(0, len(items)))
+    taken, sliced = forms.take(index), forms.take(range(a, b))
+    joined = Forms.concat([Forms.of(forms.ground, items[:cut]),
+                           Forms.of(forms.ground, items[cut:])])
+    distinct = forms.distinct()
+    for batch in (taken, sliced, joined, distinct):
+        assert batch.ground is forms.ground and batch.nums.dtype == forms.nums.dtype
+        assert not batch.nums.flags.writeable and forms._lists is None
+    assert _listed(taken) == [rows[i] for i in index]
+    assert _listed(sliced) == rows[a:b]
+    assert _listed(joined) == rows
+    assert _listed(distinct) == [(list(k[1]), k[0]) for k in dict.fromkeys(
+        (den, tuple(nums)) for nums, den in rows if nums)]
+    assert (distinct is forms) == (len(distinct) == len(forms))
+    if items:
+        assert _as_listed(forms[-1]) == rows[-1] and _as_listed(forms[0]) == rows[0]
+    with pytest.raises(IndexError):
+        forms[len(items)]

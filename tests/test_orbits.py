@@ -1,5 +1,7 @@
 """Type coordinates: orbit columns, projection and lift against the full ground."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,13 @@ from entrocone.certify import (
     independence_orbits,
     verify_certificate,
 )
-from entrocone.inequalities import LinearFunctional, builtin, enumerate_instances
+from entrocone.inequalities import (
+    LinearFunctional,
+    _add_terms,
+    _cmi_terms,
+    builtin,
+    enumerate_instances,
+)
 from entrocone.setfn import GroundSet, SetFunction, TypeSpace
 from entrocone.witness import standard_c_binding, witness_space
 
@@ -119,3 +127,35 @@ def test_a_split_whose_halves_share_a_type_keeps_its_summed_form():
     assert list(elemental_forms(TypeSpace(("a",), 0))) == []
     space = TypeSpace(("a",), 2)
     assert LinearFunctional._from_ints(space, {3: 2, 2: -2}) in list(elemental_forms(space))
+
+
+def reference_elemental_forms(ground):
+    """The elemental forms built one dict at a time, as `elemental_forms`
+    did before it realized ssa and wmo rows: every I(i:j|K), then every
+    S(iK) + S(iL) - S(K) - S(L) over the unordered splits K, L of the
+    parties other than i, equal pairs and parties (two x types) once."""
+    full, parties = ground.full_mask, ground.parties
+    for i, j in dict.fromkeys(combinations(parties, 2)):
+        for rest in ground.below(full - i - j):
+            yield LinearFunctional._from_ints(ground, _cmi_terms(i, j, rest))
+    for i in dict.fromkeys(parties):
+        others = full - i
+        for k in ground.below(others) if others else ():
+            split = others - k
+            if k <= split:
+                nums = _add_terms({i + k: 1, k: -1}, {i + split: 1, split: -1})
+                nums.pop(0, None)
+                yield LinearFunctional._from_ints(ground, nums)
+
+
+@pytest.mark.parametrize("ground", [
+    *(GroundSet(tuple("abcdef"[:size])) for size in range(1, 7)),
+    *(TypeSpace(("a", "b", "c"), n) for n in range(13)),
+    *(TypeSpace(fixed, n) for fixed in (("a",), ("a", "b")) for n in range(5)),
+], ids=repr)
+def test_elemental_forms_match_the_dict_built_reference_in_order(ground):
+    forms = elemental_forms(ground)
+    want = list(reference_elemental_forms(ground))
+    assert len(forms) == len(want)
+    assert [(form.ground, list(form.nums.items()), form.den) for form in forms] == [
+        (form.ground, list(form.nums.items()), form.den) for form in want]
