@@ -26,6 +26,7 @@ import os
 import sys
 import tempfile
 import time
+from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -228,12 +229,14 @@ def cmd_sample(args) -> int:
     trials = []
     all_pass = True
     check_s = 0.0
+    eigvalsh: Counter = Counter()
     for t in range(args.trials):
         seed = trial_seed(args.seed, t)
         state = constrained_family_sample(dims, seed=seed, diagonal=args.diagonal)
         t0 = time.perf_counter()
         rep = check_theorem(state, dims.a_blocks, tol=args.tol)
         check_s += time.perf_counter() - t0
+        eigvalsh.update(rep.eigvalsh)
         trials.append({**to_obj(rep), "trial": t, "seed": list(seed)})
         all_pass = all_pass and rep.passed
     obj = {
@@ -255,7 +258,8 @@ def cmd_sample(args) -> int:
                      f"{resid:.3e}", f"{slack:.12g}", f"{d['min_term']:.12g}",
                      f"{d['marginal_drift']:.3e}", f"{d['clipped_mass']:.3e}"))
     _emit(args, obj, started, csv_table=(header, rows),
-          stats={"states": len(trials), "check_s": check_s})
+          stats={"states": len(trials), "check_s": check_s,
+                 "eigvalsh": dict(sorted(eigvalsh.items()))})
     print(f"sample n={args.n}: {args.trials} trials, "
           f"{'all pass' if all_pass else 'FAILURES'}", file=sys.stderr)
     return 0 if all_pass else 1
@@ -378,7 +382,8 @@ def cmd_search(args) -> int:
     t0 = time.perf_counter()
     scan = random_scan(cfg)
     stats = {"scan_s": time.perf_counter() - t0, "marginals": scan.marginals,
-             "replays": scan.n_replayed, "clipped_mass": scan.clipped_mass}
+             "replays": scan.n_replayed, "clipped_mass": scan.clipped_mass,
+             "eigvalsh": dict(sorted(scan.eigvalsh.items()))}
     obj = {"scan": scan}
     violated = scan.violation_found
     if args.refine > 0:
@@ -387,7 +392,8 @@ def cmd_search(args) -> int:
         refine = local_refine(cfg, start_seed=start)
         stats.update(refine_s=time.perf_counter() - t0, refine_steps=refine.steps,
                      replays=scan.n_replayed + refine.n_replayed,
-                     clipped_mass=max(scan.clipped_mass, refine.clipped_mass))
+                     clipped_mass=max(scan.clipped_mass, refine.clipped_mass),
+                     eigvalsh=dict(sorted((scan.eigvalsh + refine.eigvalsh).items())))
         obj["refine"] = refine
         violated = violated or refine.violation_found
     header = ("trial", "seed", "min_slack", "argmin_instance", "max_residual")

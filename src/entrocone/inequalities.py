@@ -802,13 +802,13 @@ class CompiledTemplate:
 
 def float_values(table: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     """(..., forms) values of the term values `table` (..., terms) under the
-    (terms, forms) float64 coefficients, adding the terms in order: a BLAS
+    (terms, forms) float64 coefficients, adding the terms in order from
+    +0.0 (a sequential `np.add.accumulate` after a zero row): a BLAS
     product rounds by memory placement, which would tie a row's value to
     the rows evaluated with it."""
-    v = np.zeros(table.shape[:-1] + coefs.shape[1:])
-    for j, c in enumerate(coefs):
-        v += table[..., j, None] * c
-    return v
+    products = np.zeros(table.shape[:-1] + (table.shape[-1] + 1,) + coefs.shape[1:])
+    np.multiply(table[..., None], coefs, out=products[..., 1:, :])
+    return np.add.accumulate(products, axis=-2)[..., -1, :]
 
 
 class BoundTemplate:

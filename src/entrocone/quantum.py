@@ -5,8 +5,9 @@ over a marginal's eigenvalues w > 0, on every route.  Comparisons on float
 results use absolute tolerances; the eigenvalues <= 0 that rounding leaves
 are dropped from the log and their mass is reported, never silently ignored.
 `entropy_table` takes a batch of states of one layout in one pass (one
-`eigvalsh` call per dimension per level of marginals), and gives each state
-the values it gets alone; `entropy_vector` is its one-state case.
+`eigvalsh` call per dimension per level of marginals, across every stack of
+factors a state holds), and gives each state the values it gets alone;
+`entropy_vector` is its one-state case.
 
 The constrained family sampled here carries a block decomposition on two
 parties: conditioned on the block index k, the state factorizes between the
@@ -31,6 +32,7 @@ import functools
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -266,7 +268,7 @@ def _trace_one(stack: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:
 def _trace_plan(dims: tuple[int, ...]) -> tuple:
     """The marginals of parties `dims`, level by level from the mask of
     every party of dimension above 1 down to single parties, in the order
-    `_marginal_entropies` visits them: each as (mask, parent, parent's
+    `_entropy_program` steps through them: each as (mask, parent, parent's
     dims, pos), traced from `parent` (None at the top) by its `pos`-th
     party of dimension above 1, the first parent to reach it.  A party of
     dimension 1 is never traced."""
@@ -301,64 +303,72 @@ def _mask_array(masks: tuple[int, ...] | None, m: int) -> np.ndarray:
 
 
 @functools.cache
-def _marginal_plan(dims: tuple[int, ...], masks: tuple[int, ...] | None) -> tuple:
-    """What `_marginal_entropies` does on parties `dims` for `masks`,
-    resolved once: the masks' columns of the full table (a mask holding a
-    party of dimension 1 reads the mask without it), and level by level
-    the `_trace_plan` entries of the masks asked for and the marginals they
-    are traced from, with the masks asked for grouped by dimension, one
-    `eigvalsh` call a group.  The levels stop at the first with nothing to
-    trace."""
-    m = len(dims)
-    full = sum(1 << i for i in range(m) if dims[i] > 1)
-    want = _frozen(_mask_array(masks, m) & full)
-    asked = set(want.tolist())
-    traced = set(asked)
-    plan = _trace_plan(dims)
-    for entries in reversed(plan[1:]):
-        traced.update(parent for mask, parent, *_ in entries if mask in traced)
-    levels = []
-    for entries in plan:
-        entries = tuple(e for e in entries if e[0] in traced)
-        if not entries:
-            break
-        by_dim: dict[int, list[int]] = {}
-        for mask, *_ in entries:
-            if mask in asked:
-                dim = math.prod(dims[i] for i in range(m) if mask >> i & 1)
-                by_dim.setdefault(dim, []).append(mask)
-        levels.append((entries, tuple(map(tuple, by_dim.values()))))
-    return want, tuple(levels)
+def _entropy_program(stacks: tuple) -> tuple:
+    """How `_run_program` takes the marginals on `masks` (every mask for
+    None; a party of dimension 1 is dropped from a mask) of input stacks
+    of `stacks`, (dims, masks, copies) triples, each holding `copies`
+    matrices a state: resolved once.  Each is traced along
+    `_trace_plan(dims)` with the marginals it is traced from, and the
+    stacks go down in lockstep by party count.  A level is its steps,
+    (slot of the level above, sub, pos), or (stack, None, 0) for a stack's
+    own matrices, and its groups, (slots, columns, dimension), one per
+    dimension across stacks.  Returns (levels, width, calls by dimension)
+    and each stack's (copies, masks) columns; column 0 is mask 0's."""
+    todo, wants = [], []
+    for dims, masks, _ in stacks:
+        want = _mask_array(masks, len(dims)) & sum(1 << i for i, d in enumerate(dims) if d > 1)
+        traced, plan = set(want.tolist()), _trace_plan(dims)
+        for entries in reversed(plan[1:]):
+            traced.update(parent for mask, parent, *_ in entries if mask in traced)
+        todo.append({len(plan) - i: [e for e in entries if e[0] in traced]
+                     for i, entries in enumerate(plan)})
+        wants.append(want)
+    levels, width, cols, above = [], 1, {}, {}
+    for count in range(max(map(len, todo), default=0), 0, -1):
+        steps, slot, by_dim = [], {}, {}
+        for s, ((dims, _, _), want) in enumerate(zip(stacks, wants)):
+            for mask, parent, sub, pos in todo[s].get(count, ()):
+                slot[s, mask] = len(steps)
+                steps.append((s, None, 0) if parent is None else (above[s, parent], sub, pos))
+                if mask in want:
+                    dim = math.prod(d for i, d in enumerate(dims) if mask >> i & 1)
+                    by_dim.setdefault(dim, []).append((s, mask))
+        groups = []
+        for dim, members in by_dim.items():
+            start = width
+            for s, mask in members:
+                cols[s, mask], width = width, width + stacks[s][2]
+            groups.append((tuple(slot[key] for key in members), slice(start, width), dim))
+        if steps:
+            levels.append((tuple(steps), tuple(groups)))
+        above = slot
+    gathers = tuple(_frozen(np.array([[cols[s, mask] + i if mask else 0 for mask in want.tolist()]
+                                      for i in range(copies)], dtype=np.int64))
+                    for s, ((_, _, copies), want) in enumerate(zip(stacks, wants)))
+    calls = Counter(dim for _, groups in levels for *_, dim in groups)
+    return (tuple(levels), width, calls), gathers
 
 
-def _marginal_entropies(stack: np.ndarray, dims: Sequence[int],
-                        masks: tuple[int, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy and clipped mass of the marginals on `masks` (every party
-    mask by default) of each matrix of `stack` (T, d, d) on parties of
-    `dims`, as (T, len(masks)) arrays in the order of `masks` (mask 0
-    holds zeros).
-
-    Each level's marginals are traced from the level above, one party at a
-    time, along `_trace_plan(dims)`; only the masks asked for and the
-    marginals they are traced from are traced, so each takes the path it
-    takes in the full table.  A party of dimension 1 is never traced: a
-    mask holding one takes the values of the mask without it.  Each level
-    makes one `eigvalsh` call per dimension of its marginals asked for,
-    and is dropped once its children are traced.  Which marginals those
-    are is `_marginal_plan`'s, resolved once per (dims, masks).  Each
-    matrix's values are computed alone, whatever else the stack holds.
-    """
-    want, levels = _marginal_plan(tuple(dims), masks)
-    values = np.zeros((2, len(stack), 1 << len(dims)))
-    level: dict[int, np.ndarray] = {}
-    for entries, groups in levels:
-        level = {mask: stack if parent is None else _trace_one(level[parent], sub, pos)
-                 for mask, parent, sub, pos in entries}
-        for group in groups:
-            w = np.linalg.eigvalsh(np.concatenate([level[mask] for mask in group]))
-            s, c = _spectrum_entropy(w.reshape(len(group), len(stack), -1))
-            values[0][:, group], values[1][:, group] = s.T, c.T
-    return values[0][:, want], values[1][:, want]
+def _run_program(program: tuple, stacks: Sequence[np.ndarray], T: int,
+                 diagnostics: dict | None = None) -> np.ndarray:
+    """Entropies and clipped masses (2, T, width) of `program`'s marginals
+    of input `stacks` of T states: one `eigvalsh` call and one
+    `_spectrum_entropy` per group, and each level is dropped once the next
+    is traced.  Each matrix's values are its own, whatever the stacks hold.
+    A `diagnostics` dict's "eigvalsh" Counter gains the calls by dimension."""
+    levels, width, calls = program
+    out = np.zeros((2, T, width))
+    level: list = []
+    for steps, groups in levels:
+        level = [stacks[src] if sub is None else _trace_one(level[src], sub, pos)
+                 for src, sub, pos in steps]
+        for slots, columns, dim in groups:
+            w = np.linalg.eigvalsh(np.concatenate(
+                [level[i].reshape(T, -1, dim, dim) for i in slots], axis=1))
+            out[:, :, columns] = _spectrum_entropy(w)
+    if diagnostics is not None:
+        diagnostics.setdefault("eigvalsh", Counter()).update(calls)
+    return out
 
 
 @functools.cache
@@ -387,8 +397,8 @@ def _factored_plan(n: int, m: int, masks: tuple[int, ...] | None) -> tuple:
             wanted, tuple(map(_frozen, cols)))
 
 
-def _factored_entropies(states: Sequence[MultipartyState],
-                        masks: tuple[int, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _factored_entropies(states: Sequence[MultipartyState], masks: tuple[int, ...] | None = None,
+                        diagnostics: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Entropy and clipped mass of the marginals on `masks` (every mask by
     default) of each of `states`, which carry block factors of one layout,
     as (T, len(masks)) arrays, from the spectra of those factors.
@@ -413,7 +423,8 @@ def _factored_entropies(states: Sequence[MultipartyState],
     """
     n = len(states[0].factors.xi_shape) - 1
     size, split, rest, wanted, (chi, xi, cx) = _factored_plan(n, states[0].ground.size, masks)
-    chi_s, chi_c, xi_s, xi_c, cx_s, cx_c = _factor_spectra([s.factors for s in states], wanted)
+    fs = [s.factors for s in states]
+    chi_s, chi_c, xi_s, xi_c, cx_s, cx_c = _factor_spectra(fs, wanted, diagnostics)
     p = np.array([s.factors.weights for s in states])
     h_p, clip_p = _spectrum_entropy(p)
     p = p[:, :, None]  # each trial's weights on its own blocks, summed in block order
@@ -424,41 +435,45 @@ def _factored_entropies(states: Sequence[MultipartyState],
     return values, clipped
 
 
-def entropy_table(states: Sequence[MultipartyState], masks=None) -> tuple[np.ndarray, np.ndarray]:
+def entropy_table(states: Sequence[MultipartyState], masks=None,
+                  diagnostics: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Entropies and clipped masses of the marginals on `masks` of each of
     `states`, as (T, len(masks)) float arrays in the order of `masks`; by
     default every marginal, (T, 2^m) indexed by party mask.  Mask 0 holds
     zeros.
 
     The states must share parties, dims and layout, as one family's builds
-    do.  Their matrices are stacked and go through `_marginal_entropies`
-    together; states that carry block factors (ConstrainedFamily builds, or
-    their measured states) stack their factors instead.  The full table
-    reads their spectra, which the first full call computes and every later
-    one, for rho or its measured state, reads; a list of masks computes the
-    factor marginals it needs and keeps nothing.  Each state's values are
-    those it gets alone, and a list of masks gives the full table's columns
-    to the bit.  A mask outside 0..2^m - 1 raises ValueError.  What a list
-    of masks reads is resolved once per layout and list (`_marginal_plan`,
-    `_factored_plan`), so a call only traces, diagonalizes and gathers.
+    do.  Their matrices are stacked and go through one `_run_program` pass;
+    states that carry block factors (ConstrainedFamily builds, or their
+    measured states) stack their factors instead, all in one pass.  The
+    full table reads their spectra, which the first full call computes and
+    every later one, for rho or its measured state, reads; a list of masks
+    computes the factor marginals it needs and keeps nothing.  Each state's
+    values are those it gets alone, and a list of masks gives the full
+    table's columns to the bit.  A mask outside 0..2^m - 1 raises
+    ValueError.  What a list of masks reads is resolved once per layout and
+    list.  A `diagnostics` dict's "clipped_mass" is raised to the largest
+    mass of eigenvalues <= 0 (rounding) dropped from one marginal, and its
+    "eigvalsh" Counter gains the calls made, by matrix dimension.
     """
     if masks is not None:
         masks = tuple(np.asarray(masks, dtype=np.int64).tolist())
     if states[0].factors is None:
-        return _marginal_entropies(np.array([s.rho for s in states]), states[0].dims, masks)
-    return _factored_entropies(states, masks)
+        program, (cols,) = _entropy_program(((states[0].dims, masks, 1),))
+        out = _run_program(program, [np.array([s.rho for s in states])], len(states), diagnostics)
+        values, clipped = out[:, :, cols[0]]
+    else:
+        values, clipped = _factored_entropies(states, masks, diagnostics)
+    if diagnostics is not None and clipped.size:
+        diagnostics["clipped_mass"] = max(diagnostics.get("clipped_mass", 0.0),
+                                          float(clipped.max()))
+    return values, clipped
 
 
 def entropy_vector(state: MultipartyState, diagnostics: dict | None = None) -> SetFunction:
     """Entropies of every nonempty marginal, as a float64 set function: the
-    one-state `entropy_table`.  When a `diagnostics` dict is supplied,
-    "clipped_mass" is raised to the largest mass of eigenvalues <= 0
-    (rounding) dropped from any one marginal.
-    """
-    values, clipped = entropy_table([state])
-    if diagnostics is not None:
-        diagnostics["clipped_mass"] = max(diagnostics.get("clipped_mass", 0.0),
-                                          float(clipped.max()))
+    one-state `entropy_table`, which updates `diagnostics`."""
+    values, _ = entropy_table([state], diagnostics=diagnostics)
     return SetFunction(state.ground, values[0].tolist(), domain="float64")
 
 
@@ -596,33 +611,40 @@ class BlockFactors:
         return abc, x.reshape(d, d)
 
 
-def _factor_spectra(fs: Sequence[BlockFactors], wanted=None) -> list[np.ndarray]:
+@functools.cache
+def _factor_program(chis: tuple, xi_shape: tuple, cx_dims: tuple, wanted) -> tuple:
+    """The `_entropy_program` of the stacks of each chi shape group (`chis`,
+    (shape, blocks) pairs), the xi_k and cx, on `wanted` (`_factor_spectra`),
+    and its columns: chi (K, masks) in block order, xi (K, masks), cx."""
+    chi_m, xi_m, cx_m = wanted or (None, None, None)
+    K = sum(len(ks) for _, ks in chis)
+    program, gathers = _entropy_program(tuple((shape, chi_m, len(ks)) for shape, ks in chis)
+                                        + ((xi_shape, xi_m, K), (cx_dims, cx_m, 1)))
+    chi = np.concatenate(gathers[:-2])[np.argsort([k for _, ks in chis for k in ks])]
+    return program, (_frozen(chi), gathers[-2], gathers[-1][0])
+
+
+def _factor_spectra(fs: Sequence[BlockFactors], wanted=None,
+                    diagnostics: dict | None = None) -> list[np.ndarray]:
     """(chi, chi clipped, xi, xi clipped, cx, cx clipped) of the block factors
     `fs`: entropies and clipped masses, (T, K, masks) for the chi_k and
     xi_k, (T, masks) for cx.  By default every mask: those not yet known
-    are computed in one pass over each stack and kept on their factors,
-    for rho and sigma.  With `wanted`, (chi masks, xi masks, cx masks)
-    tuples, only those columns, in that order, computed for every factor
-    and not kept."""
+    are computed in one pass over the factor stacks and kept on their
+    factors, for rho and sigma.  With `wanted`, (chi masks, xi masks, cx
+    masks) tuples, only those columns, in that order, computed for every
+    factor and not kept."""
     new = fs if wanted is not None else [f for f in fs if f.spectra is None]
     if new:
-        T, K, first = len(new), new[0].weights.size, new[0]
-        if wanted is None:  # chi_k's parties are xi_k's, less C, plus A and B
-            chi_m = xi_m = cx_m = None
-            chi_w, xi_w = 1 << (len(first.xi_shape) + 1), 1 << len(first.xi_shape)
-        else:
-            chi_m, xi_m, cx_m = wanted
-            chi_w, xi_w = len(chi_m), len(xi_m)
-        chi = np.zeros((2, T, K, chi_w))
-        for g, (shape, ks, _) in enumerate(first.chis):
-            got = _marginal_entropies(np.concatenate([f.chis[g][2] for f in new]), shape, chi_m)
-            chi[:, :, list(ks)] = np.reshape(got, (2, T, len(ks), chi_w))
-        xi = np.reshape(_marginal_entropies(np.concatenate([f.xis for f in new]),
-                                            first.xi_shape, xi_m), (2, T, K, xi_w))
-        cx = _marginal_entropies(np.array([f.cx.rho for f in new]), first.cx.dims, cx_m)
+        first = new[0]
+        program, cols = _factor_program(tuple((shape, ks) for shape, ks, _ in first.chis),
+                                        first.xi_shape, first.cx.dims, wanted)
+        stacks = [np.concatenate([f.chis[g][2] for f in new]) for g in range(len(first.chis))]
+        stacks += [np.concatenate([f.xis for f in new]), np.array([f.cx.rho for f in new])]
+        out = _run_program(program, stacks, len(new), diagnostics)
+        parts = [a for c in cols for a in out[:, :, c]]
         if wanted is not None:
-            return [*chi, *xi, *cx]
-        for f, row in zip(new, zip(*chi, *xi, *cx)):
+            return parts
+        for f, row in zip(new, zip(*parts)):
             object.__setattr__(f, "spectra", row)
     return [np.array(a) for a in zip(*(f.spectra for f in fs))]
 
@@ -890,6 +912,9 @@ def lw05_family_sample(blocks: int = 2, seed=0) -> MultipartyState:
     I(A:C|B), I(B:C|A), and I(A:B|D) all vanish identically, while the
     C-D correlation inside omega keeps the inequality slack generically
     strictly positive.
+
+    One draw and one stacked `gram_density` per factor kind give the
+    per-block construction's state (one `np.kron` per block) to the bit.
     """
     da, db, dd, dim_c = LW05_DIMS
     K = _check_blocks(blocks)
@@ -897,17 +922,19 @@ def lw05_family_sample(blocks: int = 2, seed=0) -> MultipartyState:
     rng = _rng(seed)
     w = rng.standard_exponential(K)
     weights = w / w.sum()
-
-    def gram(d):
-        return gram_density(rng.standard_normal(2 * d * d), d, d)
-
-    def part(k):
-        fa, fb, fcd = gram(da), gram(db), gram(dim_c * dd)
-        ranges = ((k * da, (k + 1) * da), (k * db, (k + 1) * db), (0, dim_c),
-                  (k * dd, (k + 1) * dd))
-        return weights[k] * np.kron(np.kron(fa, fb), fcd), ranges
-
-    rho = _place_blocks(dims, map(part, range(K)))
+    kinds = (da, db, dim_c * dd)
+    sizes = [2 * d * d for d in kinds]
+    # every block's A, B and CD Ginibre reals from one draw, block by block
+    raw = np.split(rng.standard_normal((K, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
+    fa, fb, fcd = map(gram_density, raw, kinds, kinds)
+    # each block's np.kron, the broadcast product it computes
+    ab = (fa[:, :, None, :, None] * fb[:, None, :, None, :]).reshape(K, da * db, -1)
+    abcd = (ab[:, :, None, :, None] * fcd[:, None, :, None, :]).reshape(K, da * db * dim_c * dd, -1)
+    stack = weights[:, None, None] * abcd
+    rho = _place_blocks(dims, [
+        (block, ((k * da, (k + 1) * da), (k * db, (k + 1) * db), (0, dim_c),
+                 (k * dd, (k + 1) * dd)))
+        for k, block in enumerate(stack)])
     return MultipartyState(("A", "B", "C", "D"), dims, rho)
 
 
@@ -985,6 +1012,8 @@ class TheoremReport:
     marginal_drift: float
     sigma_route: str  # "factored" (from rho's block factors) or "dense"
     clipped_mass: float  # the most mass clipped from one marginal of rho or sigma
+    # `eigvalsh` calls by matrix dimension, for rho and sigma; not in reports
+    eigvalsh: Counter = field(default_factory=Counter, compare=False, metadata={"json": False})
 
     @property
     def passed(self) -> bool:
@@ -1075,4 +1104,5 @@ def check_theorem(
         marginal_drift=drift,
         sigma_route="dense" if sigma.factors is None else "factored",
         clipped_mass=float(diag.get("clipped_mass", 0.0)),
+        eigvalsh=diag.get("eigvalsh", Counter()),
     )

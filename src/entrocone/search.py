@@ -137,7 +137,7 @@ def _setup(cfg: SearchConfig):
     values (T, rows) and constraint values (T, rows, constraints) from one
     `entropy_table` on the distinct masks of the rows' terms, through
     `float_values`, so a trial's slack does not depend on its chunk, and
-    the largest eigenvalue mass that table clipped from one marginal.
+    updates a `diagnostics` dict as `entropy_table` does.
     """
     template = resolve_template(cfg)
     family = family_for(cfg, template)
@@ -158,10 +158,10 @@ def _setup(cfg: SearchConfig):
     masks = np.array(sorted(set(terms.ravel().tolist())), dtype=np.int64)
     cols = np.searchsorted(masks, terms)  # each term's column of the table
 
-    def values(states) -> tuple[np.ndarray, np.ndarray, float]:
-        table, clipped = entropy_table(states, masks)
+    def values(states, diagnostics: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+        table, _ = entropy_table(states, masks, diagnostics)
         v = float_values(table[:, cols], compiled.floats)
-        return v[..., 0], v[..., 1:], float(clipped.max())
+        return v[..., 0], v[..., 1:]
 
     return template, family, ground, rows, values, masks
 
@@ -209,6 +209,8 @@ class ScanReport:
     marginals: list = field(default_factory=list, metadata={"json": False})
     # the largest eigenvalue mass clipped from one marginal of any trial
     clipped_mass: float = field(default=0.0, metadata={"json": False})
+    # `entropy_table`'s `eigvalsh` calls by matrix dimension
+    eigvalsh: Counter = field(default_factory=Counter, metadata={"json": False})
 
     @property
     def violation_found(self) -> bool:
@@ -233,7 +235,7 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
     n_eval = 0
     n_adm = 0
     n_replayed = 0
-    clipped_mass = 0.0
+    diag: dict = {}
 
     chunk: list = []  # (trial, seed, state)
     for t in range(cfg.trials):
@@ -241,8 +243,7 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
         chunk.append((t, seed, family.build(family.draw(_rng(seed)))))
         if t + 1 < cfg.trials and (len(chunk) + 1) * _state_bytes(chunk[0][2]) <= CHUNK_BYTES:
             continue
-        chunk_vals, chunk_cons, clipped = values([state for *_, state in chunk])
-        clipped_mass = max(clipped_mass, clipped)
+        chunk_vals, chunk_cons = values([state for *_, state in chunk], diag)
         chunk_resid = np.abs(chunk_cons).max(axis=2, initial=0.0)
         for (t, seed, _), vals, resid in zip(chunk, chunk_vals, chunk_resid):
             adm = np.flatnonzero(~(resid > cfg.tol))
@@ -296,7 +297,8 @@ def random_scan(cfg: SearchConfig) -> ScanReport:
         n_replayed=n_replayed,
         trial_records=records,
         marginals=[int(np.count_nonzero(masks)), (1 << len(family.labels)) - 1],
-        clipped_mass=clipped_mass,
+        clipped_mass=diag.get("clipped_mass", 0.0),
+        eigvalsh=diag.get("eigvalsh", Counter()),
     )
 
 
@@ -318,6 +320,8 @@ class RefineReport:
     n_replayed: int = field(default=0, metadata={"json": False})
     # the largest eigenvalue mass clipped from one marginal of any state the walk evaluated
     clipped_mass: float = field(default=0.0, metadata={"json": False})
+    # `entropy_table`'s `eigvalsh` calls by matrix dimension
+    eigvalsh: Counter = field(default_factory=Counter, metadata={"json": False})
 
     @property
     def violation_found(self) -> bool:
@@ -336,12 +340,11 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
         start_seed = trial_seed(cfg.seed, 0)
     start_seed = tuple(start_seed) if isinstance(start_seed, (tuple, list)) else (start_seed,)
 
-    clipped_mass = 0.0
+    diag: dict = {}
 
     def objective(params):
-        nonlocal clipped_mass
-        vals, cons, clipped = values([family.build(params)])
-        vals, cons, clipped_mass = vals[0], cons[0], max(clipped_mass, clipped)
+        vals, cons = values([family.build(params)], diag)
+        vals, cons = vals[0], cons[0]
         objs = vals + PENALTY * (cons * cons).sum(axis=1)
         i = int(np.argmin(objs))
         resid = float(np.abs(cons[i]).max(initial=0.0))
@@ -397,5 +400,6 @@ def local_refine(cfg: SearchConfig, start_seed=None) -> RefineReport:
         trajectory=[float(v) for v in trajectory],
         violation=violation,
         n_replayed=int(replayed),
-        clipped_mass=clipped_mass,
+        clipped_mass=diag.get("clipped_mass", 0.0),
+        eigvalsh=diag.get("eigvalsh", Counter()),
     )

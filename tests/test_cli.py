@@ -680,23 +680,28 @@ def test_eval_stats_stay_outside_the_digest(etable_file, tmp_path):
 
 @pytest.mark.parametrize("argv, counts", [
     (["counterexample"], {"instances": 5, "verify_s": None}),
-    (["sample", "--n", "1", "--trials", "3"], {"states": 3, "check_s": None}),
+    (["sample", "--n", "1", "--trials", "3"],
+     {"states": 3, "check_s": None, "eigvalsh": {"2": 3, "4": 6, "8": 3}}),
     (["search", "--template", "ssa", "--trials", "4", "--labels", "A,B,C",
       "--dims", "2,2,2", "--refine", "3"], {"scan_s": None, "refine_s": None,
                                             "refine_steps": None, "marginals": [7, 7],
-                                            "replays": 0, "clipped_mass": None}),
+                                            "replays": 0, "clipped_mass": None,
+                                            "eigvalsh": {"2": 5, "4": 5, "8": 5}}),
     (["search", "--template", "ssa", "--trials", "2", "--labels", "A,B,C",
       "--dims", "2,2,2"], {"scan_s": None, "marginals": [7, 7], "replays": 0,
-                           "clipped_mass": None}),
+                           "clipped_mass": None, "eigvalsh": {"2": 1, "4": 1, "8": 1}}),
     (["search", "--template", "c_2", "--family", "constrained", "--n", "2", "--trials", "2"],
-     {"scan_s": None, "marginals": [14, 31], "replays": 0, "clipped_mass": None}),
+     {"scan_s": None, "marginals": [14, 31], "replays": 0, "clipped_mass": None,
+      "eigvalsh": {"2": 1, "16": 1}}),
 ], ids=["counterexample", "sample", "search-refine", "search", "search-c_2"])
 def test_stats_of_counterexample_sample_and_search(argv, counts, tmp_path):
     # known counts: the lw05 instance and four order-1 forms, one state per
     # trial, the refine walk's steps as the report gives them, the nonzero
     # masks a search takes per state against 2^m - 1 (c_2 reads 14 of its
-    # 31 marginals) and its replays; None marks a phase time or a clipped
-    # mass (at least 0)
+    # 31 marginals), its replays, and the `eigvalsh` calls by dimension (one
+    # entropy table for the scan's chunk and one per refine state; one per
+    # level and dimension of the marginals it reads, across factor stacks);
+    # None marks a phase time or a clipped mass (at least 0)
     paths = tmp_path / "a.json", tmp_path / "b.json"
     for path in paths:
         assert run(argv + ["--out", str(path)]) == 0
@@ -712,6 +717,36 @@ def test_stats_of_counterexample_sample_and_search(argv, counts, tmp_path):
     assert first["manifest"]["digest"] == second["manifest"]["digest"]
     assert first["report"] == second["report"]
     assert "stats" not in json.dumps(report)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["search", "--template", "c_2", "--family", "constrained", "--n", "2", "--trials", "4",
+      "--refine", "3"], "adb07a2b1f9d1a9f2463911b2de19b4dd097a11ae0679d0126745979a56711ff"),
+    (["search", "--template", "ssa", "--labels", "A,B,C,D", "--dims", "2,2,2,2", "--trials", "3",
+      "--refine", "2"], "2accfdb1b61fc9bb3cf9027bb568347d2af6ad437657b34563fbd2f4436e7194"),
+    (["search", "--template", "lw05", "--family", "lw05", "--trials", "3", "--refine", "2"],
+     "a739e434a22a5b1d6f64a0814e44ee81de7791b33079c2e8ec316c95a1a2c8a3"),
+    (["sample", "--n", "2", "--trials", "2"],
+     "61956bbf5fc116150dfdf6946e734e4a2b28ef40079f6773ca3d5cdc162b55f9"),
+], ids=["search-c_2", "search-ssa", "search-lw05", "sample"])
+def test_eigvalsh_stats_are_the_calls_made(argv, digest, monkeypatch, tmp_path):
+    """`manifest.stats.eigvalsh` counts the `eigvalsh` calls the run made,
+    by dimension (these runs replay nothing, so every call is the entropy
+    program's), and leaves the report's digest where the per-stack passes
+    had it (pinned from them)."""
+    calls = {}
+    real = quantum.np.linalg.eigvalsh
+
+    def counted(a):
+        calls[str(a.shape[-1])] = calls.get(str(a.shape[-1]), 0) + 1
+        return real(a)
+
+    monkeypatch.setattr(quantum.np.linalg, "eigvalsh", counted)
+    out = tmp_path / "a.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    manifest = json.loads(out.read_text())["manifest"]
+    assert manifest["stats"]["eigvalsh"] == dict(sorted(calls.items(), key=lambda kv: int(kv[0])))
+    assert manifest["digest"] == f"sha256:{digest}"
 
 
 def test_search_stats_count_the_scan_and_refine_replays(tmp_path):

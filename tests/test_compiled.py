@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from entrocone import search, witness
 from entrocone.inequalities import (
@@ -21,6 +22,7 @@ from entrocone.inequalities import (
     LinearFunctional,
     builtin,
     enumerate_instances,
+    float_values,
     instance_functionals,
     instantiate,
     satisfies,
@@ -496,3 +498,39 @@ def test_take_concat_and_distinct_match_lists_of_rows(case, data):
         assert _as_listed(forms[-1]) == rows[-1] and _as_listed(forms[0]) == rows[0]
     with pytest.raises(IndexError):
         forms[len(items)]
+
+
+def reference_float_values(table, coefs):
+    """`float_values` as a loop over the terms, adding each term's products
+    in order onto zeros."""
+    v = np.zeros(table.shape[:-1] + coefs.shape[1:])
+    for j, c in enumerate(coefs):
+        v += table[..., j, None] * c
+    return v
+
+
+FLOATS = st.one_of(st.floats(width=64), st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead=st.lists(st.integers(0, 3), max_size=2), terms=st.integers(0, 6),
+       forms=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_float_values_is_the_loop_over_terms_to_the_bit(lead, terms, forms, seed, data):
+    # drawn floats with signed zeros, infinities and NaNs (-0.0 products
+    # summed from +0.0 stay +0.0 on both sides; inf * 0 and inf - inf give
+    # NaN on both), and Gaussian ones, whose sums round by the term order.
+    # A NaN's sign bit is not compared: the loop's own `+=` leaves it set
+    # on some entries and clear on others of one call (it differs by SIMD
+    # lane when two NaNs meet), so every other entry is compared to the
+    # bit and the NaNs by position.
+    rng = np.random.default_rng(seed)
+    cases = [(data.draw(arrays(np.float64, (*lead, terms), elements=FLOATS)),
+              data.draw(arrays(np.float64, (terms, forms), elements=FLOATS))),
+             (rng.standard_normal((*lead, terms)), rng.standard_normal((terms, forms)))]
+    for table, coefs in cases:
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = float_values(table, coefs), reference_float_values(table, coefs)
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()

@@ -29,7 +29,6 @@ from entrocone.quantum import (
     purify,
     trial_seed,
     von_neumann_entropy,
-    _marginal_entropies,
     _rng,
     _trace_one,
 )
@@ -289,6 +288,65 @@ def _sparse_gram(rng, dims):
     return rho / np.trace(rho).real
 
 
+def _marginal_entropies(stack, dims, masks=None):
+    """The program's entropies and clipped masses of the marginals on
+    `masks` of each matrix of one stack (T, d, d) on parties of `dims`."""
+    program, (cols,) = quantum._entropy_program(((tuple(dims), masks, 1),))
+    return quantum._run_program(program, [stack], len(stack))[:, :, cols[0]]
+
+
+def reference_marginal_entropies(stack, dims, masks=None):
+    """The per-stack reference: one stack on its own, level by level along
+    `_trace_plan(dims)`, with one `eigvalsh` call per dimension of each
+    level's marginals asked for, as the library took each factor stack
+    before its stacks went through one program."""
+    dims = tuple(dims)
+    m = len(dims)
+    full = sum(1 << i for i in range(m) if dims[i] > 1)
+    want = quantum._mask_array(masks, m) & full
+    asked = set(want.tolist())
+    traced = set(asked)
+    plan = quantum._trace_plan(dims)
+    for entries in reversed(plan[1:]):
+        traced.update(parent for mask, parent, *_ in entries if mask in traced)
+    values = np.zeros((2, len(stack), 1 << m))
+    level = {}
+    for entries in plan:
+        entries = tuple(e for e in entries if e[0] in traced)
+        if not entries:
+            break
+        by_dim = {}
+        for mask, *_ in entries:
+            if mask in asked:
+                dim = math.prod(dims[i] for i in range(m) if mask >> i & 1)
+                by_dim.setdefault(dim, []).append(mask)
+        level = {mask: stack if parent is None else _trace_one(level[parent], sub, pos)
+                 for mask, parent, sub, pos in entries}
+        for group in by_dim.values():
+            w = np.linalg.eigvalsh(np.concatenate([level[mask] for mask in group]))
+            s, c = quantum._spectrum_entropy(w.reshape(len(group), len(stack), -1))
+            values[0][:, group], values[1][:, group] = s.T, c.T
+    return values[0][:, want], values[1][:, want]
+
+
+def reference_factor_spectra(fs, wanted=None):
+    """`_factor_spectra` of the block factors `fs` on the per-stack
+    reference: each chi shape group, the xi_k and the (C, X1..Xn) marginals
+    in their own passes; nothing is kept."""
+    T, K, first = len(fs), fs[0].weights.size, fs[0]
+    chi_m, xi_m, cx_m = wanted or (None, None, None)
+    chi_w = 1 << (len(first.xi_shape) + 1) if wanted is None else len(chi_m)
+    xi_w = 1 << len(first.xi_shape) if wanted is None else len(xi_m)
+    chi = np.zeros((2, T, K, chi_w))
+    for g, (shape, ks, _) in enumerate(first.chis):
+        got = reference_marginal_entropies(np.concatenate([f.chis[g][2] for f in fs]), shape, chi_m)
+        chi[:, :, list(ks)] = np.reshape(got, (2, T, len(ks), chi_w))
+    xi = np.reshape(reference_marginal_entropies(np.concatenate([f.xis for f in fs]),
+                                                 first.xi_shape, xi_m), (2, T, K, xi_w))
+    cx = reference_marginal_entropies(np.array([f.cx.rho for f in fs]), first.cx.dims, cx_m)
+    return [*chi, *xi, *cx]
+
+
 @settings(max_examples=40, deadline=None)
 @given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
        size=st.integers(1, 4), data=st.data(), seed=SEEDS)
@@ -374,16 +432,57 @@ def table_stacks(draw):
     return states, states[0].dims
 
 
+def _mask_list(dims, data):
+    """A list of distinct masks of parties `dims`, and possibly mask 0 and
+    the mask of the parties of dimension 1 alone."""
+    m = len(dims)
+    masks = data.draw(st.lists(st.integers(0, (1 << m) - 1), unique=True, max_size=1 << m))
+    if data.draw(st.booleans()):
+        masks += [0, sum(1 << i for i, d in enumerate(dims) if d == 1)]
+    return masks
+
+
+@st.composite
+def two_chi_groups(draw):
+    """1-4 builds of one layout whose chi_k fall in two shape groups."""
+    family = ConstrainedFamily(FamilyDims((1, 2, 1), (2, 1, 2), 2, ((2, 1), (1, 2))),
+                               diagonal=draw(st.booleans()))
+    assert len(family.chi_groups) == 2
+    seeds = draw(st.lists(SEEDS, min_size=1, max_size=4))
+    states = [family.build(family.draw(_rng(s))) for s in seeds]
+    return states, states[0].dims
+
+
+@settings(max_examples=80, deadline=None)
+@given(stack=st.one_of(table_stacks(), two_chi_groups()), data=st.data())
+def test_one_program_matches_the_per_stack_reference(stack, data):
+    """The program over every stack of a layout gives, to the bit, the
+    values and clipped masses of each stack taken on its own, on a list of
+    masks and on the full table, at T = 1..4: a dense stack's marginals,
+    or the factor marginals a factored state's masks read."""
+    states, dims = stack
+    masks = None if data.draw(st.booleans()) else tuple(_mask_list(dims, data))
+    if states[0].factors is None:
+        stacked = np.array([s.rho for s in states])
+        got = _marginal_entropies(stacked, dims, masks)
+        want = reference_marginal_entropies(stacked, dims, masks)
+    else:
+        fs = [s.factors for s in states]
+        wanted = quantum._factored_plan(len(fs[0].xi_shape) - 1, len(dims), masks)[3]
+        want = reference_factor_spectra(fs, wanted)
+        got = quantum._factor_spectra(fs, wanted)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(stack=table_stacks(), data=st.data())
 def test_a_mask_list_takes_the_full_tables_columns(stack, data):
     """`entropy_table(states, masks)` is the full table's columns on `masks`,
     to the bit, on both outputs; it keeps no spectra on the factors."""
     states, dims = stack
-    m = len(dims)
-    masks = data.draw(st.lists(st.integers(0, (1 << m) - 1), unique=True, max_size=1 << m))
-    if data.draw(st.booleans()):  # mask 0, and the parties of dimension 1 alone
-        masks += [0, sum(1 << i for i, d in enumerate(dims) if d == 1)]
+    masks = _mask_list(dims, data)
     got = quantum.entropy_table(states, masks)
     assert all(s.factors is None or s.factors.spectra is None for s in states)
     full = quantum.entropy_table(states)
@@ -441,8 +540,8 @@ def test_check_theorem_takes_two_entropy_vectors_both_factored(monkeypatch):
     monkeypatch.setattr(quantum, "entropy_vector",
                         lambda st, **kw: calls.append(st.labels) or real_vector(st, **kw))
     monkeypatch.setattr(quantum, "_factored_entropies",
-                        lambda sts, masks=None: factored.extend(s.labels for s in sts)
-                        or real_factored(sts, masks))
+                        lambda sts, *args: factored.extend(s.labels for s in sts)
+                        or real_factored(sts, *args))
     monkeypatch.setattr(quantum, "_measured_matrix",
                         lambda *a: pytest.fail("dense sigma was built"))
     dims = FamilyDims.default(2)
@@ -619,6 +718,34 @@ def test_lw05_blocks_below_one_are_refused_by_name(blocks):
             make(blocks)
 
 
+def reference_lw05(blocks, seed):
+    """`lw05_family_sample`'s matrix block by block: three Ginibre draws and
+    one `np.kron` per block, each block placed on its own ranges."""
+    da, db, dd, dim_c = quantum.LW05_DIMS
+    rng = _rng(seed)
+    w = rng.standard_exponential(blocks)
+    weights = w / w.sum()
+
+    def gram(d):
+        return gram_density(rng.standard_normal(2 * d * d), d, d)
+
+    def part(k):
+        fa, fb, fcd = gram(da), gram(db), gram(dim_c * dd)
+        ranges = ((k * da, (k + 1) * da), (k * db, (k + 1) * db), (0, dim_c),
+                  (k * dd, (k + 1) * dd))
+        return weights[k] * np.kron(np.kron(fa, fb), fcd), ranges
+
+    return quantum._place_blocks((da * blocks, db * blocks, dim_c, dd * blocks),
+                                 map(part, range(blocks)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks=st.integers(1, 3), seed=SEEDS)
+def test_lw05_stacked_build_matches_the_per_block_reference(blocks, seed):
+    state = lw05_family_sample(blocks, seed=seed)
+    assert _same_bits(state.rho, reference_lw05(blocks, seed))
+
+
 # ------------------------------------------------------------ family layer
 
 # every family whose parameters are continuous (lw05's are two seed integers)
@@ -777,7 +904,7 @@ def test_cached_plans_serve_interleaved_mask_lists():
         ([haar.build(haar.draw(_rng(s))) for s in (3, 4)], [[1, 3, 5], [7, 0, 2], [6]]),
     ]
     full = [quantum.entropy_table(states) for states, _ in layouts]
-    plans = (quantum._marginal_plan, quantum._factored_plan)
+    plans = (quantum._entropy_program, quantum._factor_program, quantum._factored_plan)
     for round_ in range(2):
         misses = [plan.cache_info().misses for plan in plans]
         for i in range(4):  # one list of each layout in turn
@@ -788,7 +915,7 @@ def test_cached_plans_serve_interleaved_mask_lists():
         if round_:
             assert [plan.cache_info().misses for plan in plans] == misses
     arrays = _plan_arrays(quantum._factored_plan(2, 5, (1, 3, 5, 30)))
-    arrays += _plan_arrays(quantum._marginal_plan((2, 3, 2), (1, 3, 5)))
+    arrays += _plan_arrays(quantum._entropy_program((((2, 3, 2), (1, 3, 5), 1),)))
     assert arrays and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         arrays[0][...] = 0

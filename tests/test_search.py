@@ -55,8 +55,8 @@ def test_replay_does_not_trust_the_scan_entropies(monkeypatch):
     looks negative) must not get a violation past the replay."""
     scan_entropies = search.entropy_table
 
-    def negated(states, masks=None):
-        values, clipped = scan_entropies(states, masks)
+    def negated(states, masks=None, diagnostics=None):
+        values, clipped = scan_entropies(states, masks, diagnostics)
         return -values, clipped
 
     monkeypatch.setattr(search, "entropy_table", negated)
@@ -102,8 +102,9 @@ def test_replay_never_takes_the_factored_route(monkeypatch):
 
 
 def test_scan_diagonalizes_only_the_marginals_c_2_reads(monkeypatch):
-    """One c_2 state at n = 2 through the scan's `values`: 4 `eigvalsh`
-    calls on its 14 masks, against 10 for the full table of 31."""
+    """One c_2 state at n = 2 through the scan's `values`: 2 `eigvalsh`
+    calls on its 14 masks, against 7 for the full table of 31, one per
+    level and dimension across the factor stacks."""
     cfg = SearchConfig(template="c_2", family="constrained", n=2, trials=1)
     _, family, _, _, values, masks = search._setup(cfg)
     assert np.count_nonzero(masks) == 14
@@ -115,7 +116,7 @@ def test_scan_diagonalizes_only_the_marginals_c_2_reads(monkeypatch):
     taken = len(calls)
     calls.clear()
     quantum.entropy_table([family.build(params)])
-    assert (taken, len(calls)) == (4, 10)
+    assert (taken, len(calls)) == (2, 7)
 
 
 def test_scan_and_refine_never_place_rho(monkeypatch):
