@@ -28,7 +28,6 @@ from .inequalities import (
     _cmi_terms,
     builtin,
     cleared_values,
-    instance_forms,
     instantiate,
     slot_blocks,
     terms_from_obj,
@@ -439,8 +438,9 @@ def independence_problem(n: int):
     """
     target = standard_instance(n, n)
     ground = target.ground
-    forms = Forms.concat([batch for template, fixed in independence_templates(n)
-                          for batch in instance_forms(template, ground, fixed=fixed)])
+    forms = Forms.concat([template.compiled.realize(rows, ground)
+                          for template, fixed in independence_templates(n)
+                          for rows in slot_blocks(template, ground, fixed)])
     full = np.diff(forms.starts) > 0  # a zero form holds no entry: drop its start
     generators = Forms(ground, forms.masks, forms.nums,
                        np.append(forms.starts[:-1][full], forms.starts[-1]), forms.dens[full])

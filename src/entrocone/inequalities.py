@@ -645,28 +645,6 @@ def enumerate_instances(
                                for rows in slot_blocks(template, ground, fixed))
 
 
-def instance_forms(
-    template: InequalityTemplate,
-    ground: GroundSet,
-    fixed: Mapping[str, Subset] | None = None,
-) -> Iterator[Forms]:
-    """The functionals of the instances `enumerate_instances` yields, in its
-    order, one `Forms` per `slot_blocks` block (`CompiledTemplate.realize`),
-    with no `Instance` made.  The bindings are checked on the call."""
-    realize = partial(template.compiled.realize, ground=ground)
-    return map(realize, slot_blocks(template, ground, fixed))
-
-
-def instance_functionals(
-    template: InequalityTemplate,
-    ground: GroundSet,
-    fixed: Mapping[str, Subset] | None = None,
-) -> Iterator[LinearFunctional]:
-    """The functional of each instance `enumerate_instances` yields, in its
-    order: the rows of `instance_forms`."""
-    return chain.from_iterable(instance_forms(template, ground, fixed))
-
-
 # the ascending submasks of every byte value, listed byte after byte
 _BYTE_BITS = np.bitwise_count(np.arange(256)).astype(np.int64)
 _BYTE_LOW = (1 << _BYTE_BITS) - 1

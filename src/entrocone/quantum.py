@@ -7,7 +7,9 @@ are dropped from the log and their mass is reported, never silently ignored.
 `entropy_table` takes a batch of states of one layout in one pass (one
 `eigvalsh` call per dimension per level of marginals, across every stack of
 factors a state holds), and gives each state the values it gets alone;
-`entropy_vector` is its one-state case.
+`entropy_vector` is its one-state case.  On the factored route one cached
+plan maps the masks to the factor marginals and their columns, and the full
+table keeps one output row per state on its factors.
 
 The constrained family sampled here carries a block decomposition on two
 parties: conditioned on the block index k, the state factorizes between the
@@ -372,29 +374,34 @@ def _run_program(program: tuple, stacks: Sequence[np.ndarray], T: int,
 
 
 @functools.cache
-def _factored_plan(n: int, m: int, masks: tuple[int, ...] | None) -> tuple:
+def _factored_plan(layout: tuple, m: int, masks: tuple[int, ...] | None) -> tuple:
     """How the factored route reads `masks` (every mask for None) of
-    (A, B, C, X1..Xn), with R when `m` = n + 4, resolved once: the mask
-    count, the positions of the masks that keep the blocks apart (those
-    meeting A or B, or holding R) and of the others, and the factor
-    columns each reads, on chi's parties (A, B, X first halves) and xi's
-    (C, X second halves) for the first, on (C, X1..Xn) for the others.
-    For a list of masks `wanted` holds each factor's sorted distinct masks
-    and the columns index into them; for None, `wanted` is None and the
-    columns are factor masks."""
+    (A, B, C, X1..Xn), with R when `m` = n + 4, from block factors of
+    `layout` (`BlockFactors.layout`), resolved once: the mask count, the
+    positions of the masks that keep the blocks apart (those meeting A or
+    B, or holding R) and of the others, the `_entropy_program` of the
+    factor marginals they read, and its output columns for each: chi
+    (K, masks) in block order and xi (K, masks), on chi's parties (A, B, X
+    first halves) and xi's (C, X second halves), for the first; cx (masks)
+    on (C, X1..Xn) for the others.  For None the program takes every factor
+    mask, so rho's and sigma's full tables share it."""
+    chis, xi_shape, cx_dims = layout
+    n, K = len(xi_shape) - 1, sum(len(ks) for _, ks in chis)
     every, masks = masks is None, _mask_array(masks, m)
     low = masks & ((1 << (n + 3)) - 1)
     # with R, every marginal keeps the blocks apart
     split = (low & 3 != 0) | (masks >= 1 << (n + 3))
     chi_of, xi_of = (low & 3) | (low >> 3 << 2), low >> 2
     cols = [chi_of[split], xi_of[split], xi_of[~split]]
-    wanted = None
-    if not every:
-        # sorted distinct masks; np.unique's first call imports numpy.ma (1.7 MB)
-        wanted = tuple(tuple(sorted(set(c.tolist()))) for c in cols)
-        cols = [np.searchsorted(w, c) for w, c in zip(wanted, cols)]
+    chi_m, xi_m, cx_m = (None,) * 3 if every else (tuple(c.tolist()) for c in cols)
+    program, gathers = _entropy_program(tuple((shape, chi_m, len(ks)) for shape, ks in chis)
+                                        + ((xi_shape, xi_m, K), (cx_dims, cx_m, 1)))
+    chi = np.concatenate(gathers[:-2])[np.argsort([k for _, ks in chis for k in ks])]
+    found = [chi, gathers[-2], gathers[-1][0]]
+    if every:
+        found = [f[..., c] for f, c in zip(found, cols)]
     return (len(masks), _frozen(np.flatnonzero(split)), _frozen(np.flatnonzero(~split)),
-            wanted, tuple(map(_frozen, cols)))
+            program, tuple(map(_frozen, found)))
 
 
 def _factored_entropies(states: Sequence[MultipartyState], masks: tuple[int, ...] | None = None,
@@ -417,22 +424,34 @@ def _factored_entropies(states: Sequence[MultipartyState], masks: tuple[int, ...
     is rho's S(J), since A and B each identify the block and R adds nothing;
     for J inside C and the X's it is a new value (H(p) for R alone).
 
-    The full table reads the spectra the factors keep (`_factor_spectra`);
-    a list of masks takes only the factor marginals it maps to.  Which
-    those are is `_factored_plan`'s, resolved once per (layout, masks).
+    One plan, `_factored_plan`, resolved once per (layout, masks), maps the
+    masks to the factor marginals and their columns.  The factors are
+    stacked and go through its program in one `_run_program` pass, and the
+    columns are gathered once.  The full table keeps each state's output
+    row on its factors (`BlockFactors.spectra`), for rho and sigma alike,
+    and computes only the rows not yet kept; a list of masks computes the
+    factor marginals it reads and keeps nothing.
     """
-    n = len(states[0].factors.xi_shape) - 1
-    size, split, rest, wanted, (chi, xi, cx) = _factored_plan(n, states[0].ground.size, masks)
     fs = [s.factors for s in states]
-    chi_s, chi_c, xi_s, xi_c, cx_s, cx_c = _factor_spectra(fs, wanted, diagnostics)
-    p = np.array([s.factors.weights for s in states])
-    h_p, clip_p = _spectrum_entropy(p)
-    p = p[:, :, None]  # each trial's weights on its own blocks, summed in block order
-    values, clipped = np.empty((2, len(states), size))
-    values[:, split] = h_p[:, None] + (p * (chi_s[:, :, chi] + xi_s[:, :, xi])).sum(1)
-    clipped[:, split] = clip_p[:, None] + (p * (chi_c[:, :, chi] + xi_c[:, :, xi])).sum(1)
-    values[:, rest], clipped[:, rest] = cx_s[:, cx], cx_c[:, cx]
-    return values, clipped
+    size, split, rest, program, (chi, xi, cx) = _factored_plan(fs[0].layout, states[0].ground.size,
+                                                               masks)
+    new = fs if masks is not None else [f for f in fs if f.spectra is None]
+    if new:
+        stacks = [np.concatenate([f.chis[g][2] for f in new]) for g in range(len(new[0].chis))]
+        stacks += [np.concatenate([f.xis for f in new]), np.array([f.cx.rho for f in new])]
+        out = _run_program(program, stacks, len(new), diagnostics)
+        if masks is None:
+            for f, row in zip(new, out.swapaxes(0, 1)):
+                object.__setattr__(f, "spectra", row)
+    if masks is None:
+        out = np.stack([f.spectra for f in fs], axis=1)
+    p = np.array([f.weights for f in fs])
+    h_p = np.array(_spectrum_entropy(p))
+    table = np.empty((2, len(states), size))
+    # each trial's weights on its own blocks, summed in block order
+    table[:, :, split] = h_p[:, :, None] + (p[:, :, None] * (out[:, :, chi] + out[:, :, xi])).sum(2)
+    table[:, :, rest] = out[:, :, cx]
+    return table[0], table[1]
 
 
 def entropy_table(states: Sequence[MultipartyState], masks=None,
@@ -445,9 +464,10 @@ def entropy_table(states: Sequence[MultipartyState], masks=None,
     The states must share parties, dims and layout, as one family's builds
     do.  Their matrices are stacked and go through one `_run_program` pass;
     states that carry block factors (ConstrainedFamily builds, or their
-    measured states) stack their factors instead, all in one pass.  The
-    full table reads their spectra, which the first full call computes and
-    every later one, for rho or its measured state, reads; a list of masks
+    measured states) stack their factors instead, through one plan and one
+    pass (`_factored_entropies`).  The full table keeps each state's one
+    output row on its factors, which the first full call computes and every
+    later one, for rho or its measured state, reads; a list of masks
     computes the factor marginals it needs and keeps nothing.  Each state's
     values are those it gets alone, and a list of masks gives the full
     table's columns to the bit.  A mask outside 0..2^m - 1 raises
@@ -488,12 +508,9 @@ def purify(state: MultipartyState) -> MultipartyState:
     if w.size == 0:
         raise ValueError("state has no eigenvalue above the clip threshold")
     r = w.size
-    d = state.total_dim
-    _check_cap(d * r)
+    _check_cap(state.total_dim * r)
     # |psi> = sum_i sqrt(w_i) |v_i> |i>, laid out with the new party last
-    vec = np.zeros(d * r, dtype=np.complex128)
-    for i in range(w.size):
-        vec[i::r] = np.sqrt(w[i]) * v[:, i]
+    vec = (v * np.sqrt(w)).reshape(-1)
     rho = np.outer(vec, vec.conj())
     return MultipartyState(state.labels + ("E",), state.dims + (r,), rho, validate=False)
 
@@ -562,14 +579,22 @@ class BlockFactors:
     chi_k (x) xi_k: the chi_k as (tensor shape, block indices, stack)
     triples, one per shape, and every xi_k in one stack of tensor shape
     `xi_shape`; and `cx`, rho's marginal on (C, X1..Xn), where the blocks
-    mix."""
+    mix.  `spectra` is None until the first full `entropy_table` of rho or
+    its measured state keeps the factors' one output row, (2, width)
+    entropies and clipped masses of every factor marginal, for both."""
 
     weights: np.ndarray
     chis: tuple
     xi_shape: tuple
     xis: np.ndarray
     cx: MultipartyState
-    spectra: tuple | None = field(default=None, init=False, repr=False)  # see _factor_spectra
+    spectra: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def layout(self) -> tuple:
+        """What `_factored_plan` reads: the chi shape groups, as (shape,
+        blocks) pairs, xi's shape and cx's dims."""
+        return tuple((shape, ks) for shape, ks, _ in self.chis), self.xi_shape, self.cx.dims
 
     @property
     def a_blocks(self) -> tuple[int, ...]:
@@ -609,44 +634,6 @@ class BlockFactors:
         d = x.shape[0]
         x = x.reshape((x_first + x_second) * 2).transpose(rows + [a + 2 * n for a in rows])
         return abc, x.reshape(d, d)
-
-
-@functools.cache
-def _factor_program(chis: tuple, xi_shape: tuple, cx_dims: tuple, wanted) -> tuple:
-    """The `_entropy_program` of the stacks of each chi shape group (`chis`,
-    (shape, blocks) pairs), the xi_k and cx, on `wanted` (`_factor_spectra`),
-    and its columns: chi (K, masks) in block order, xi (K, masks), cx."""
-    chi_m, xi_m, cx_m = wanted or (None, None, None)
-    K = sum(len(ks) for _, ks in chis)
-    program, gathers = _entropy_program(tuple((shape, chi_m, len(ks)) for shape, ks in chis)
-                                        + ((xi_shape, xi_m, K), (cx_dims, cx_m, 1)))
-    chi = np.concatenate(gathers[:-2])[np.argsort([k for _, ks in chis for k in ks])]
-    return program, (_frozen(chi), gathers[-2], gathers[-1][0])
-
-
-def _factor_spectra(fs: Sequence[BlockFactors], wanted=None,
-                    diagnostics: dict | None = None) -> list[np.ndarray]:
-    """(chi, chi clipped, xi, xi clipped, cx, cx clipped) of the block factors
-    `fs`: entropies and clipped masses, (T, K, masks) for the chi_k and
-    xi_k, (T, masks) for cx.  By default every mask: those not yet known
-    are computed in one pass over the factor stacks and kept on their
-    factors, for rho and sigma.  With `wanted`, (chi masks, xi masks, cx
-    masks) tuples, only those columns, in that order, computed for every
-    factor and not kept."""
-    new = fs if wanted is not None else [f for f in fs if f.spectra is None]
-    if new:
-        first = new[0]
-        program, cols = _factor_program(tuple((shape, ks) for shape, ks, _ in first.chis),
-                                        first.xi_shape, first.cx.dims, wanted)
-        stacks = [np.concatenate([f.chis[g][2] for f in new]) for g in range(len(first.chis))]
-        stacks += [np.concatenate([f.xis for f in new]), np.array([f.cx.rho for f in new])]
-        out = _run_program(program, stacks, len(new), diagnostics)
-        parts = [a for c in cols for a in out[:, :, c]]
-        if wanted is not None:
-            return parts
-        for f, row in zip(new, zip(*parts)):
-            object.__setattr__(f, "spectra", row)
-    return [np.array(a) for a in zip(*(f.spectra for f in fs))]
 
 
 # --- parameters to states ---

@@ -25,8 +25,8 @@ from entrocone.setfn import (
 from entrocone.inequalities import (
     builtin,
     enumerate_instances,
-    instance_functionals,
     instantiate,
+    slot_blocks,
 )
 from entrocone.witness import (
     closed_form_value,
@@ -188,7 +188,9 @@ def test_criterion_3_monotone_repair_preserves_instances():
         diff = SetFunction(gr, d)
         for p in range(1, n + 3):
             t = builtin("c_n", p)
-            for i, form in enumerate(instance_functionals(t, gr, fixed=standard_c_binding())):
+            forms = (form for rows in slot_blocks(t, gr, standard_c_binding())
+                     for form in t.compiled.realize(rows, gr))
+            for i, form in enumerate(forms):
                 if form.evaluate(diff) != 0:
                     failures.append((n, p, "family drift", i))
                     break

@@ -175,6 +175,25 @@ def test_purify_round_trip_and_symmetry():
         assert worst <= 1e-8
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_purify_places_the_per_eigenvalue_vector(seed):
+    """purify's vector is, to the bit, the one each kept eigenvalue writes
+    in turn, sqrt(w_i) v_i on every r-th entry from i, rank-deficient or not."""
+    rng = _rng(seed)
+    dims = tuple(rng.integers(1, 4, size=2))
+    family = HaarMixedFamily(("A", "B"), dims, rank=int(rng.integers(1, math.prod(dims) + 1)))
+    state = family.build(family.draw(rng))
+    w, v = np.linalg.eigh(state.rho)
+    keep = w > quantum.CLIP
+    w, v, r = w[keep], v[:, keep], keep.sum()
+    vec = np.zeros(state.total_dim * r, dtype=np.complex128)
+    for i in range(r):
+        vec[i::r] = np.sqrt(w[i]) * v[:, i]
+    ext = purify(state)
+    assert ext.dims == dims + (r,)
+    assert np.array_equal(ext.rho, np.outer(vec, vec.conj()))
+
+
 # ------------------------------------------------------------ family
 
 
@@ -329,10 +348,39 @@ def reference_marginal_entropies(stack, dims, masks=None):
     return values[0][:, want], values[1][:, want]
 
 
+def reference_factored_table(states, masks=None):
+    """`entropy_table` of `states`, which carry block factors, on the
+    per-stack reference: `reference_factor_spectra` on the sorted distinct
+    factor masks that `masks` read (every factor mask for None), gathered
+    into each factor's columns and combined as `_factored_entropies` does."""
+    n, m = len(states[0].factors.xi_shape) - 1, states[0].ground.size
+    every, masks = masks is None, quantum._mask_array(masks, m)
+    low = masks & ((1 << (n + 3)) - 1)
+    split = (low & 3 != 0) | (masks >= 1 << (n + 3))
+    chi_of, xi_of = (low & 3) | (low >> 3 << 2), low >> 2
+    cols = [chi_of[split], xi_of[split], xi_of[~split]]
+    wanted = None if every else tuple(tuple(sorted(set(c.tolist()))) for c in cols)
+    if not every:
+        cols = [np.searchsorted(w, c) for w, c in zip(wanted, cols)]
+    chi, xi, cx = cols
+    chi_s, chi_c, xi_s, xi_c, cx_s, cx_c = reference_factor_spectra(
+        [s.factors for s in states], wanted)
+    p = np.array([s.factors.weights for s in states])
+    h_p, clip_p = quantum._spectrum_entropy(p)
+    p = p[:, :, None]
+    values, clipped = np.empty((2, len(states), len(masks)))
+    values[:, split] = h_p[:, None] + (p * (chi_s[:, :, chi] + xi_s[:, :, xi])).sum(1)
+    clipped[:, split] = clip_p[:, None] + (p * (chi_c[:, :, chi] + xi_c[:, :, xi])).sum(1)
+    values[:, ~split], clipped[:, ~split] = cx_s[:, cx], cx_c[:, cx]
+    return values, clipped
+
+
 def reference_factor_spectra(fs, wanted=None):
-    """`_factor_spectra` of the block factors `fs` on the per-stack
-    reference: each chi shape group, the xi_k and the (C, X1..Xn) marginals
-    in their own passes; nothing is kept."""
+    """(chi, chi clipped, xi, xi clipped, cx, cx clipped) entropies and
+    clipped masses of the block factors `fs` on `wanted`, (chi masks, xi
+    masks, cx masks), every mask for None: (T, K, masks) for the chi_k and
+    xi_k, (T, masks) for cx.  Each chi shape group, the xi_k and the
+    (C, X1..Xn) marginals go through the per-stack reference on their own."""
     T, K, first = len(fs), fs[0].weights.size, fs[0]
     chi_m, xi_m, cx_m = wanted or (None, None, None)
     chi_w = 1 << (len(first.xi_shape) + 1) if wanted is None else len(chi_m)
@@ -459,7 +507,7 @@ def test_one_program_matches_the_per_stack_reference(stack, data):
     """The program over every stack of a layout gives, to the bit, the
     values and clipped masses of each stack taken on its own, on a list of
     masks and on the full table, at T = 1..4: a dense stack's marginals,
-    or the factor marginals a factored state's masks read."""
+    or a factored state's `entropy_table` from its factor marginals."""
     states, dims = stack
     masks = None if data.draw(st.booleans()) else tuple(_mask_list(dims, data))
     if states[0].factors is None:
@@ -467,10 +515,8 @@ def test_one_program_matches_the_per_stack_reference(stack, data):
         got = _marginal_entropies(stacked, dims, masks)
         want = reference_marginal_entropies(stacked, dims, masks)
     else:
-        fs = [s.factors for s in states]
-        wanted = quantum._factored_plan(len(fs[0].xi_shape) - 1, len(dims), masks)[3]
-        want = reference_factor_spectra(fs, wanted)
-        got = quantum._factor_spectra(fs, wanted)
+        want = reference_factored_table(states, masks)
+        got = quantum.entropy_table(states, masks)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -904,7 +950,7 @@ def test_cached_plans_serve_interleaved_mask_lists():
         ([haar.build(haar.draw(_rng(s))) for s in (3, 4)], [[1, 3, 5], [7, 0, 2], [6]]),
     ]
     full = [quantum.entropy_table(states) for states, _ in layouts]
-    plans = (quantum._entropy_program, quantum._factor_program, quantum._factored_plan)
+    plans = (quantum._entropy_program, quantum._factored_plan)
     for round_ in range(2):
         misses = [plan.cache_info().misses for plan in plans]
         for i in range(4):  # one list of each layout in turn
@@ -914,7 +960,7 @@ def test_cached_plans_serve_interleaved_mask_lists():
                     assert np.array_equal(part, table[:, masks])
         if round_:
             assert [plan.cache_info().misses for plan in plans] == misses
-    arrays = _plan_arrays(quantum._factored_plan(2, 5, (1, 3, 5, 30)))
+    arrays = _plan_arrays(quantum._factored_plan(constrained[0].factors.layout, 5, (1, 3, 5, 30)))
     arrays += _plan_arrays(quantum._entropy_program((((2, 3, 2), (1, 3, 5), 1),)))
     assert arrays and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
