@@ -393,8 +393,8 @@ def elemental_forms(ground: GroundSet | TypeSpace) -> Forms:
     """Pippenger's quantum elemental forms on a ground set, as one batch:
     every I(i:j|K) >= 0 for parties i < j (ssa rows (i, j, K)), then every
     S(iK) + S(iL) >= S(K) + S(L) over the unordered splits K, L of the
-    parties other than i (wmo rows (i, K, L)), both realized by
-    `CompiledTemplate.realize`.  They generate the cone of every ssa and
+    parties other than i (wmo rows (i, K, L)), both realized by the
+    template's `realize`.  They generate the cone of every ssa and
     wmo instance (Pippenger, IEEE Trans. IT 49, 2003); each is one of those
     instances.  On N parties there are C(N,2) 2^(N-2) + N 2^(N-2) of them.
     On a `TypeSpace` the parties are types (`TypeSpace.parties`), so this
@@ -407,7 +407,7 @@ def elemental_forms(ground: GroundSet | TypeSpace) -> Forms:
     wmo = [(i, k, full - i - k) for i in sorted(set(parties)) if full - i
            for k in ground.below(full - i) if 2 * k <= full - i]
     return Forms.concat([
-        builtin(name).compiled.realize(np.array(rows, dtype=np.int64).reshape(-1, 3), ground)
+        builtin(name).realize(np.array(rows, dtype=np.int64).reshape(-1, 3), ground)
         for name, rows in (("ssa", ssa), ("wmo", wmo))])
 
 
@@ -438,7 +438,7 @@ def independence_problem(n: int):
     """
     target = standard_instance(n, n)
     ground = target.ground
-    forms = Forms.concat([template.compiled.realize(rows, ground)
+    forms = Forms.concat([template.realize(rows, ground)
                           for template, fixed in independence_templates(n)
                           for rows in slot_blocks(template, ground, fixed)])
     full = np.diff(forms.starts) > 0  # a zero form holds no entry: drop its start
@@ -472,7 +472,7 @@ def family_orbits(space: TypeSpace, p: int) -> Forms:
     it reads slot masks."""
     x = 1 << len(space.fixed)
     rows = [(1, 2, 4, *(m * x for m in sizes)) for sizes in _profiles(p, space.n, space.n)]
-    return builtin("c_n", p).compiled.realize(np.array(rows, dtype=np.int64), space)
+    return builtin("c_n", p).realize(np.array(rows, dtype=np.int64), space)
 
 
 def independence_orbits(n: int, target: Instance | None = None):
@@ -513,10 +513,10 @@ def purified_basic_problem():
     big = GroundSet(("A", "B", "C", "D"))
     small = GroundSet(("A", "B", "C"))
     ssa = builtin("ssa")
-    terms = np.concatenate([ssa.compiled.terms(rows) for rows in slot_blocks(ssa, big)])
+    terms = np.concatenate([ssa.terms(rows) for rows in slot_blocks(ssa, big)])
     # S(Y) = S(ABCD - Y) on a pure state: a term on D (bit 8) moves to its complement
     terms = np.where(terms & 8, big.full_mask - terms, terms)
-    coefs = np.array(ssa.compiled.ints, dtype=np.int64)[:, 0]
+    coefs = np.array(ssa.ints, dtype=np.int64)[:, 0]
     generators = Forms.from_terms(small, terms, coefs, ssa.functional.den).distinct()
     target = instantiate(
         builtin("wmo"), small, {"A": "A", "B": "B", "C": "C"}

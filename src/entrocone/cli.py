@@ -278,11 +278,10 @@ def _recheck_independence(point, space, target) -> tuple[dict, list, int]:
                                 for t in range(space.n_subsets)])
     rechecked, failed, n_rows = {}, [], 0
     for template, fixed in independence_templates(space.n):
-        compiled = template.compiled
-        bound = compiled.bind(types)
+        bound = template.bind(types)
         instances = violations = 0
         for rows, counts in type_blocks(template, space, fixed):
-            negative = bound.evaluate(compiled.terms(rows))[:, 0] < 0
+            negative = bound.evaluate(template.terms(rows))[:, 0] < 0
             instances += int(counts.sum())
             violations += int(counts[negative].sum())
             n_rows += len(rows)

@@ -211,12 +211,11 @@ class Forms:
     holds them.  The arrays are int64, or object past int64, and read-only.
     Indexing and iteration give the forms as LinearFunctional rows, each
     made when it is asked for and reading its `nums` dict from here on its
-    first read; a batch keeps no row, and the Python lists of its arrays
-    only once a row's dict is read.  `take`, `concat` and `distinct` work
+    first read; a batch keeps no row.  `take`, `concat` and `distinct` work
     on the arrays.
     """
 
-    __slots__ = ("ground", "masks", "nums", "starts", "dens", "_lists")
+    __slots__ = ("ground", "masks", "nums", "starts", "dens")
 
     def __init__(self, ground, masks: np.ndarray, nums: np.ndarray, starts: np.ndarray,
                  dens: np.ndarray):
@@ -224,7 +223,6 @@ class Forms:
             ground, masks, nums, starts, dens)
         for a in (masks, nums, starts, dens):
             a.setflags(write=False)
-        self._lists = None  # masks, nums and starts as lists, once a dict is read
 
     def __len__(self) -> int:
         return len(self.dens)
@@ -248,12 +246,9 @@ class Forms:
         return iter(rows)
 
     def nums_of(self, i: int) -> dict[int, int]:
-        """Form i's numerators as a LinearFunctional holds them.  The first
-        call lists the batch's arrays, once for every row's dict."""
-        if self._lists is None:
-            self._lists = self.masks.tolist(), self.nums.tolist(), self.starts.tolist()
-        masks, nums, starts = self._lists
-        return dict(zip(masks[starts[i]:starts[i + 1]], nums[starts[i]:starts[i + 1]]))
+        """Form i's numerators as a LinearFunctional holds them."""
+        at = slice(self.starts[i], self.starts[i + 1])
+        return dict(zip(self.masks[at].tolist(), self.nums[at].tolist()))
 
     def take(self, index: Sequence[int]) -> "Forms":
         """The forms at `index`, in its order, as a new batch."""
@@ -373,10 +368,20 @@ class InequalityTemplate:
     vanishing.  `symmetries` lists groups of interchangeable slots (used to
     deduplicate enumeration) and `empty_ok` the slots allowed to be empty by
     default.
+
+    A template is compiled when it is made: its forms as one coefficient
+    matrix whose rows are the distinct slot subsets the forms use, column 0
+    the functional and column j the j-th constraint.  `ints` holds each
+    column cleared by the lcm of its denominators (`denominators`), `floats`
+    (made on first read, so a coefficient beyond float64 is refused only
+    where a float is needed) the coefficients as float64.  An instance's
+    slot masks are disjoint, so the party mask of every term is the
+    slot-mask row times `incidence` (`terms`); `bind` pairs the matrix with
+    a set function and `realize` turns slot-mask rows into forms.
     """
 
     __slots__ = ("name", "ground", "functional", "constraints", "symmetries", "empty_ok",
-                 "__dict__")
+                 "incidence", "denominators", "ints", "shape", "abs_sum", "_forms", "__dict__")
 
     def __init__(
         self,
@@ -400,16 +405,53 @@ class InequalityTemplate:
         for s in self.empty_ok:
             if s not in self.slots:
                 raise ValueError(f"empty_ok names unknown slot {s!r}")
+        forms = (self.functional, *self.constraints)
+        subsets = sorted(set().union(*(form.nums for form in forms)))
+        n_slots = len(self.slots)
+        self.incidence = np.array(
+            [[t >> i & 1 for t in subsets] for i in range(n_slots)], dtype=np.int64,
+        ).reshape(n_slots, len(subsets))
+        self.denominators = [form.den for form in forms]
+        self.ints = [[form.nums.get(t, 0) for form in forms] for t in subsets]
+        self.shape = (len(subsets), len(forms))
+        # the largest sum |c| of a cleared column: bounds |value| / max |f|
+        self.abs_sum = max(sum(abs(row[j]) for row in self.ints) for j in range(len(forms)))
+        # per form, for `realize`: the incidence of the terms it uses, their
+        # numerators (int64 while they and den stay below 2^63), and den
+        self._forms = []
+        for j, form in enumerate(forms):
+            used = [t for t, row in enumerate(self.ints) if row[j]]
+            dtype = np.int64 if max(self.abs_sum, form.den) < 2**63 else object
+            self._forms.append((self.incidence[:, used],
+                                np.array([self.ints[t][j] for t in used], dtype=dtype), form.den))
 
     @property
     def slots(self) -> tuple[str, ...]:
         return self.ground.labels
 
     @cached_property
-    def compiled(self) -> "CompiledTemplate":
-        """The template's `CompiledTemplate`, made on first read; instances
-        realize their functionals through it."""
-        return CompiledTemplate(self)
+    def floats(self) -> np.ndarray:
+        try:
+            rows = [[c / den for c, den in zip(row, self.denominators)] for row in self.ints]
+        except OverflowError:
+            raise ValueError("a template coefficient is beyond float64") from None
+        return np.array(rows, dtype=np.float64).reshape(self.shape)
+
+    def terms(self, slot_masks: np.ndarray) -> np.ndarray:
+        """(rows, terms) party masks of the terms for a (rows, slots) mask
+        matrix: one product, which every set function bound here reads."""
+        return slot_masks @ self.incidence
+
+    def bind(self, f: SetFunction) -> "BoundTemplate":
+        return BoundTemplate(self, f)
+
+    def realize(self, slot_masks: np.ndarray, ground: GroundSet, column: int = 0) -> Forms:
+        """The form of `column` (0 the functional, j the j-th constraint) for
+        each row of a (rows, slots) mask matrix, as a `Forms` batch on
+        `ground` (`Forms.from_terms` of the party masks of the form's terms,
+        `terms`)."""
+        incidence, coefs, den = self._forms[column]
+        return Forms.from_terms(ground, slot_masks @ incidence, coefs, den)
 
     def __eq__(self, other):
         return (
@@ -432,7 +474,7 @@ class Instance:
     """A template bound to concrete disjoint subsets of a ground set.
 
     Only the slot masks are stored; the functional and constraints are
-    realized on first read, as a one-row block (`CompiledTemplate.realize`),
+    realized on first read, as a one-row block (`InequalityTemplate.realize`),
     and cached.  Two instances are equal when their template, ground and
     slot masks are.
     """
@@ -472,7 +514,7 @@ class Instance:
     def _realize(self, column: int) -> LinearFunctional:
         # a ground past 63 parties has masks beyond int64
         row = np.array([self.slot_masks], dtype=np.int64 if self.ground.size < 64 else object)
-        return self.template.compiled.realize(row, self.ground, column)[0]
+        return self.template.realize(row, self.ground, column)[0]
 
     def describe(self) -> str:
         binds = " ".join(
@@ -484,21 +526,13 @@ class Instance:
 def instantiate(
     template: InequalityTemplate, ground: GroundSet, assignment: Mapping[str, Subset]
 ) -> Instance:
-    """Bind every slot to a subset (pairwise disjoint; empty allowed explicitly)."""
-    masks: dict[str, int] = {}
+    """Bind every slot to a subset (pairwise disjoint; empty allowed
+    explicitly), checked as `_bindings` checks a fixed binding."""
     for slot in template.slots:
         if slot not in assignment:
             raise ValueError(f"assignment missing slot {slot!r}")
-        masks[slot] = ground.mask_of(assignment[slot])
-    extra = set(assignment) - set(template.slots)
-    if extra:
-        raise ValueError(f"assignment names unknown slots {sorted(extra)}")
-    used = 0
-    for slot, m in masks.items():
-        if used & m:
-            raise ValueError(f"slot {slot!r} overlaps a previously assigned subset")
-        used |= m
-    return Instance(template, ground, tuple(masks[s] for s in template.slots))
+    root, _, _ = _bindings(template, ground, assignment)
+    return Instance(template, ground, root[0].tolist())
 
 
 MAX_ENUM_PARTIES = 52  # masks and candidate counts stay inside int64
@@ -535,17 +569,19 @@ def slot_blocks(
 
 def _bindings(template: InequalityTemplate, ground, fixed) -> tuple[np.ndarray, int, list]:
     """The checks of a fixed binding on `ground`: the (1, slots) row of the
-    fixed slots' masks (0 on a free slot), their union, and each symmetry
-    group's free columns, ascending."""
+    fixed slots' masks (0 on a free slot; int64, or object past 63
+    parties), their union, and each symmetry group's free columns,
+    ascending."""
     slots, fixed = template.slots, fixed or {}
-    root, used0 = np.zeros((1, len(slots)), np.int64), 0
+    root = np.zeros((1, len(slots)), np.int64 if ground.size < 64 else object)
+    used0 = 0
     for slot, sub in fixed.items():
         if slot not in slots:
-            raise ValueError(f"fixed binding names unknown slot {slot!r}")
+            raise ValueError(f"binding names unknown slot {slot!r}")
         root[0, slots.index(slot)] = ground.mask_of(sub)
     for m in root[0].tolist():
         if used0 & m:
-            raise ValueError("fixed bindings overlap")
+            raise ValueError("bound slots overlap")
         used0 |= m
     groups = [sorted(slots.index(s) for s in group if s not in fixed)
               for group in template.symmetries]
@@ -578,12 +614,13 @@ def type_blocks(
     j x's, over r! for each run of r equal nonempty types in a group, which
     `slot_blocks` lists once.  Counts are int64 while n! < 2^63, else
     Python ints.  `fixed` binds slots to fixed parties only.  The type of a
-    disjoint union is the sum of its parts' types, so `CompiledTemplate`'s
-    `terms`, `bind` and `evaluate` read these rows, on a point on `space`,
-    as they read slot masks on its full ground: the functional's value on a
-    row is its value on each instance the row counts (a constraint's may be
-    that of a permuted instance, as A <-> B swaps c_p's two).  The bindings
-    are checked on the call.
+    disjoint union is the sum of its parts' types, so the template's
+    `terms` and `bind` and `BoundTemplate.evaluate` read these rows, on a
+    point on `space`, as they read slot masks on its full ground: the
+    functional's value on a row is its value on each instance the row
+    counts (a constraint's may be that of a permuted instance, as A <-> B
+    swaps c_p's two).  The bindings are checked on the call, as
+    `slot_blocks` and `instantiate` check theirs (`_bindings`).
     """
     k, n = len(space.fixed), space.n
     root, used0, groups = _bindings(template, space.ground, fixed)
@@ -718,64 +755,7 @@ def _joined(pieces):
     return tuple(map(np.concatenate, zip(*pieces)))
 
 
-# --- compiled batches ---
-
-
-class CompiledTemplate:
-    """A template's functional and constraints as one coefficient matrix.
-
-    Rows are the distinct slot subsets the forms use, column 0 is the
-    functional and column j the j-th constraint.  `ints` holds each column
-    cleared by the lcm of its denominators (`denominators`), `floats` (built
-    on first use) the coefficients as float64.  An instance's slot masks are
-    disjoint, so the party mask of every term is the slot-mask row times
-    `incidence` (`terms`).
-    """
-
-    def __init__(self, template: InequalityTemplate):
-        forms = (template.functional, *template.constraints)
-        terms = sorted(set().union(*(form.nums for form in forms)))
-        self.incidence = np.array(
-            [[t >> i & 1 for t in terms] for i in range(len(template.slots))],
-            dtype=np.int64,
-        ).reshape(len(template.slots), len(terms))
-        self.denominators = [form.den for form in forms]
-        self.ints = [[form.nums.get(t, 0) for form in forms] for t in terms]
-        self.shape = (len(terms), len(forms))
-        # the largest sum |c| of a cleared column: bounds |value| / max |f|
-        self.abs_sum = max(sum(abs(row[j]) for row in self.ints) for j in range(len(forms)))
-        # per form, for `realize`: the incidence of the terms it uses, their
-        # numerators (int64 while they and den stay below 2^63), and den
-        self._forms = []
-        for j, form in enumerate(forms):
-            used = [t for t, row in enumerate(self.ints) if row[j]]
-            dtype = np.int64 if max(self.abs_sum, form.den) < 2**63 else object
-            self._forms.append((self.incidence[:, used],
-                                np.array([self.ints[t][j] for t in used], dtype=dtype), form.den))
-
-    @cached_property
-    def floats(self) -> np.ndarray:
-        try:
-            rows = [[c / den for c, den in zip(row, self.denominators)] for row in self.ints]
-        except OverflowError:
-            raise ValueError("a template coefficient is beyond float64") from None
-        return np.array(rows, dtype=np.float64).reshape(self.shape)
-
-    def terms(self, slot_masks: np.ndarray) -> np.ndarray:
-        """(rows, terms) party masks of the terms for a (rows, slots) mask
-        matrix: one product, which every set function bound here reads."""
-        return slot_masks @ self.incidence
-
-    def bind(self, f: SetFunction) -> "BoundTemplate":
-        return BoundTemplate(self, f)
-
-    def realize(self, slot_masks: np.ndarray, ground: GroundSet, column: int = 0) -> Forms:
-        """The form of `column` (0 the functional, j the j-th constraint) for
-        each row of a (rows, slots) mask matrix, as a `Forms` batch on
-        `ground` (`Forms.from_terms` of the party masks of the form's terms,
-        `terms`)."""
-        incidence, coefs, den = self._forms[column]
-        return Forms.from_terms(ground, slot_masks @ incidence, coefs, den)
+# --- batch evaluation ---
 
 
 def float_values(table: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -790,7 +770,9 @@ def float_values(table: np.ndarray, coefs: np.ndarray) -> np.ndarray:
 
 
 class BoundTemplate:
-    """A compiled template paired with one set function.
+    """A template's coefficient matrix paired with one set function: the
+    template's `ints` against f's cleared table, or its `floats` against a
+    float64 f's.
 
     `evaluate` returns numerators: float values for a float64 f; for an exact
     f, integers whose value is numerator / `scales[column]`.  Exact f is
@@ -798,23 +780,23 @@ class BoundTemplate:
     sum |c| * max |f| < 2^63, else in Python integers (object dtype).
     """
 
-    def __init__(self, compiled: CompiledTemplate, f: SetFunction):
+    def __init__(self, template: InequalityTemplate, f: SetFunction):
         self.exact = f.domain != FLOAT64
         if not self.exact:
             self.table = np.array(f.values, dtype=np.float64)
-            self.coefs = compiled.floats
+            self.coefs = template.floats
             self.scales = None
             return
         table, den = cleared_values(f)
-        fits = max(map(abs, table)) * max(compiled.abs_sum, 1) < 2**63
+        fits = max(map(abs, table)) * max(template.abs_sum, 1) < 2**63
         dtype = np.int64 if fits else object
         self.table = np.array(table, dtype=dtype)
-        self.coefs = np.array(compiled.ints, dtype=dtype).reshape(compiled.shape)
-        self.scales = [d * den for d in compiled.denominators]
+        self.coefs = np.array(template.ints, dtype=dtype).reshape(template.shape)
+        self.scales = [d * den for d in template.denominators]
 
     def evaluate(self, terms: np.ndarray) -> np.ndarray:
         """(rows, 1 + constraints) numerators for (rows, terms) term masks
-        (`CompiledTemplate.terms`); a float row's values do not depend on
+        (`InequalityTemplate.terms`); a float row's values do not depend on
         the other rows."""
         if not self.exact:
             return float_values(self.table[terms], self.coefs)
@@ -876,17 +858,18 @@ def satisfies(
 ) -> SatisfiesReport:
     """Evaluate a template over its instances on f, a chunk at a time.
 
-    Constrained templates need either an explicit `binding` of the constrained
-    slots or `auto_filter=True`, which keeps only instances whose realized
-    constraints vanish on f (within `tol` for float64 inputs).
+    An instance is admissible when every constraint vanishes on it (within
+    `tol` for float64 inputs), with or without a `binding`; only admissible
+    instances are scored, as `random_scan` scores them.  A constrained
+    template needs an explicit `binding` of some slots or `auto_filter=True`,
+    which lets it scan every instance with none.
     """
     check_tol(tol)
     if template.constraints and binding is None and not auto_filter:
         raise ValueError(
             "constrained template: pass an explicit binding or auto_filter=True"
         )
-    compiled = template.compiled
-    bound = compiled.bind(f)
+    bound = template.bind(f)
     zero_tol = 0 if bound.exact else tol
     n_enum = 0
     n_adm = 0
@@ -899,15 +882,12 @@ def satisfies(
         n_enum += len(chunk)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                nums = bound.evaluate(compiled.terms(masks))
+                nums = bound.evaluate(template.terms(masks))
         except FloatingPointError:
             # a sum of finite values beyond float64 would read as inf or nan
             raise ValueError(f"{template.name} overflows float64 on these values") from None
         resid = abs(nums[:, 1:])
-        if auto_filter:
-            keep = np.flatnonzero(~(resid > zero_tol).any(axis=1))
-        else:
-            keep = np.arange(len(chunk))
+        keep = np.flatnonzero(~(resid > zero_tol).any(axis=1))
         vals, resid = nums[keep, 0], resid[keep]
         n_adm += len(keep)
         if not len(keep):

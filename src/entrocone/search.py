@@ -132,12 +132,13 @@ def family_for(cfg: SearchConfig, template: InequalityTemplate) -> StateFamily:
 def _setup(cfg: SearchConfig):
     """Template, family, ground, instance rows (its `slot_blocks` as one
     int64 (rows, slots) matrix; an `Instance` is made only for a row a
-    report names), their compiled evaluation `values` and the party masks
-    it reads, of a scan or walk.  `values` gives each state's instance
-    values (T, rows) and constraint values (T, rows, constraints) from one
-    `entropy_table` on the distinct masks of the rows' terms, through
-    `float_values`, so a trial's slack does not depend on its chunk, and
-    updates a `diagnostics` dict as `entropy_table` does.
+    report names), their evaluation `values` and the party masks it reads,
+    of a scan or walk.  `values` gives each state's instance values
+    (T, rows) and constraint values (T, rows, constraints) from one
+    `entropy_table` on the distinct masks of the rows' terms (the
+    template's `terms`), through `float_values` on the template's
+    `floats`, so a trial's slack does not depend on its chunk, and updates
+    a `diagnostics` dict as `entropy_table` does.
     """
     template = resolve_template(cfg)
     family = family_for(cfg, template)
@@ -152,15 +153,14 @@ def _setup(cfg: SearchConfig):
                            *slot_blocks(template, ground, fixed=binding)])
     if not len(rows):
         raise ValueError("no instances to evaluate")
-    compiled = template.compiled
-    terms = compiled.terms(rows)
+    terms = template.terms(rows)
     # sorted distinct masks; np.unique's first call imports numpy.ma (1.7 MB)
     masks = np.array(sorted(set(terms.ravel().tolist())), dtype=np.int64)
     cols = np.searchsorted(masks, terms)  # each term's column of the table
 
     def values(states, diagnostics: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
         table, _ = entropy_table(states, masks, diagnostics)
-        v = float_values(table[:, cols], compiled.floats)
+        v = float_values(table[:, cols], template.floats)
         return v[..., 0], v[..., 1:]
 
     return template, family, ground, rows, values, masks

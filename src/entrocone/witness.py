@@ -215,8 +215,8 @@ def verify_witness(n: int) -> WitnessReport:
     x-subsets, and every instance of the order-p families for p up to n+2,
     the orders `independence_problem` uses, against the closed-form value,
     recording the (p, delta) histogram and confirming the single negative
-    class (p=n, delta=0).  Instances are evaluated in compiled chunks (see
-    `instance_batches`).
+    class (p=n, delta=0).  Instances are evaluated in chunks (see
+    `instance_batches`), each against f and g through the template's `bind`.
     """
     if n < 2:
         raise ValueError("witness order n must be at least 2: the construction needs two registers")
@@ -256,13 +256,12 @@ def verify_witness(n: int) -> WitnessReport:
     binding = standard_c_binding()
     for p in range(1, n + 3):
         template = builtin("c_n", p)
-        compiled = template.compiled
-        on_f, on_g = compiled.bind(f), compiled.bind(g)
+        on_f, on_g = template.bind(f), template.bind(g)
         is_x = np.array([slot.startswith("X") for slot in template.slots])
         classes: dict[int, dict] = {}
         for _, masks in instance_batches(template, gr, fixed=binding):
             deltas = (masks[:, is_x] == 0).sum(axis=1)
-            terms = compiled.terms(masks)
+            terms = template.terms(masks)
             vf, vg = on_f.evaluate(terms)[:, 0], on_g.evaluate(terms)[:, 0]
             for delta in np.flatnonzero(np.bincount(deltas)).tolist():
                 sel = np.flatnonzero(deltas == delta)

@@ -189,7 +189,7 @@ def test_criterion_3_monotone_repair_preserves_instances():
         for p in range(1, n + 3):
             t = builtin("c_n", p)
             forms = (form for rows in slot_blocks(t, gr, standard_c_binding())
-                     for form in t.compiled.realize(rows, gr))
+                     for form in t.realize(rows, gr))
             for i, form in enumerate(forms):
                 if form.evaluate(diff) != 0:
                     failures.append((n, p, "family drift", i))

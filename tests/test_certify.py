@@ -167,7 +167,7 @@ def _wide(template):
 
 def _batches(gr, templates):
     """The first realized block of each template on `gr`, as its rows."""
-    return [list(t.compiled.realize(next(slot_blocks(t, gr)), gr)) for t in templates]
+    return [list(t.realize(next(slot_blocks(t, gr)), gr)) for t in templates]
 
 
 @st.composite

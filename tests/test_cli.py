@@ -32,7 +32,12 @@ from entrocone.inequalities import (
     type_blocks,
 )
 from entrocone.setfn import GroundSet, SetFunction, setfn_from_obj, setfn_to_obj
-from entrocone.witness import counterexample_table, standard_instance, witness_space
+from entrocone.witness import (
+    counterexample_table,
+    make_witness_g,
+    standard_instance,
+    witness_space,
+)
 
 
 def run(argv):
@@ -131,6 +136,20 @@ def test_eval_exit_one_on_violation(etable_file, tmp_path):
 
 def test_eval_exit_zero_when_satisfied(etable_file):
     assert run(["eval", "--values", etable_file, "--template", "ssa"]) == 0
+
+
+@pytest.mark.parametrize("bind, counts", [("A=a", (750, 14)), ("X1=x1", (375, 4))])
+def test_eval_scores_only_instances_whose_constraints_vanish(bind, counts, tmp_path):
+    # a binding of one slot leaves c_2's constraints nonzero on most of its
+    # instances on g at order 3; c_2 holds on the few where both vanish
+    values, out = tmp_path / "g3.json", tmp_path / "r.json"
+    values.write_text(json.dumps(setfn_to_obj(make_witness_g(3))))
+    assert run(["eval", "--values", str(values), "--template", "c_2", "--bind", bind,
+                "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())["report"]
+    assert (rep["n_enumerated"], rep["n_admissible"]) == counts
+    assert rep["n_violations"] == 0
+    assert rep["min_value"] == rep["max_constraint_residual"] == "0"
 
 
 def test_eval_requires_template(etable_file, capsys):

@@ -6,6 +6,7 @@ evaluated on its own.
 """
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 
 from entrocone import search, witness
 from entrocone.inequalities import (
-    CompiledTemplate,
     Forms,
     InequalityTemplate,
     Instance,
@@ -37,8 +37,7 @@ FLOAT_TOL = 1e-12
 # ------------------------------------------------------------ references
 
 
-def reference_satisfies(f, template, binding=None, auto_filter=False, tol=1e-9,
-                        max_recorded=10):
+def reference_satisfies(f, template, binding=None, tol=1e-9, max_recorded=10):
     is_float = f.domain == FLOAT64
     zero_tol = tol if is_float else 0
     n_enum = n_adm = n_viol = 0
@@ -50,7 +49,7 @@ def reference_satisfies(f, template, binding=None, auto_filter=False, tol=1e-9,
         resid = None
         if inst.constraints:
             resid = max(abs(c.evaluate(f)) for c in inst.constraints)
-        if auto_filter and resid is not None and resid > zero_tol:
+        if resid is not None and resid > zero_tol:
             continue
         n_adm += 1
         if resid is not None and resid > max_resid:
@@ -155,9 +154,9 @@ def test_compiled_satisfies_matches_reference(template, parties, domain, seed, b
         auto_filter = True
     tol = 0.5 if domain == "float" else 1e-9  # lets some float instances through
     got = satisfies(f, template, binding=binding, auto_filter=auto_filter, tol=tol)
-    want = reference_satisfies(f, template, binding=binding, auto_filter=auto_filter, tol=tol)
+    want = reference_satisfies(f, template, binding=binding, tol=tol)
     if domain == "big":
-        assert CompiledTemplate(template).bind(f).table.dtype == object
+        assert template.bind(f).table.dtype == object
 
     assert got.n_enumerated == want["n_enumerated"]
     assert got.n_admissible == want["n_admissible"]
@@ -190,10 +189,9 @@ def test_each_float_row_has_its_bits_alone(name):
     family = HaarMixedFamily(tuple("ABCDEF"), (2,) * 6)
     h = entropy_vector(family.build(family.draw(_rng(3))))
     template = builtin(name)
-    compiled = CompiledTemplate(template)
-    bound = compiled.bind(h)
+    bound = template.bind(h)
     instances = list(enumerate_instances(template, h.ground))
-    terms = compiled.terms(slot_mask_matrix(instances, len(template.slots)))
+    terms = template.terms(slot_mask_matrix(instances, len(template.slots)))
     block = bound.evaluate(terms)
     for t, row in enumerate(terms):
         assert np.array_equal(bound.evaluate(row[None]), block[t:t + 1])
@@ -204,8 +202,8 @@ def test_int64_path_is_taken_below_the_bound():
     gr = GroundSet(("a", "b", "c"))
     small = SetFunction(gr, [0] + [2**60] * 7)
     huge = SetFunction(gr, [0] + [2**61] * 7)  # 4 terms of |c| = 1: 2^63
-    assert CompiledTemplate(t).bind(small).table.dtype == np.int64
-    assert CompiledTemplate(t).bind(huge).table.dtype == object
+    assert t.bind(small).table.dtype == np.int64
+    assert t.bind(huge).table.dtype == object
     assert satisfies(huge, t).min_value == reference_satisfies(huge, t)["min_value"]
 
 
@@ -369,7 +367,7 @@ def test_block_realization_matches_the_per_instance_reference(case):
     row = 0
     for rows in slot_blocks(template, ground, fixed):
         for j in range(len(forms)):
-            for i, form in enumerate(template.compiled.realize(rows, ground, j)):
+            for i, form in enumerate(template.realize(rows, ground, j)):
                 assert form.ground is ground
                 got[row + i].append(_as_listed(form))
         row += len(rows)
@@ -423,7 +421,7 @@ def test_packed_rows_match_the_functionals_from_ints(case):
     for rows in slot_blocks(template, ground, fixed):
         instances = [Instance(template, ground, r) for r in rows.tolist()]
         for j, form in enumerate(forms):
-            packed = template.compiled.realize(rows, ground, j)
+            packed = template.realize(rows, ground, j)
             got = list(packed)
             assert len(packed) == len(got) == len(instances)
             assert not packed.masks.flags.writeable and not packed.nums.flags.writeable
@@ -478,13 +476,15 @@ def test_take_concat_and_distinct_match_lists_of_rows(case, data):
                       else st.just([]))
     a, b = sorted(data.draw(st.lists(st.integers(0, len(items)), min_size=2, max_size=2)))
     cut = data.draw(st.integers(0, len(items)))
-    taken, sliced = forms.take(index), forms.take(range(a, b))
-    joined = Forms.concat([Forms.of(forms.ground, items[:cut]),
-                           Forms.of(forms.ground, items[cut:])])
-    distinct = forms.distinct()
+    with patch.object(Forms, "nums_of", autospec=True, side_effect=Forms.nums_of) as nums_of:
+        taken, sliced = forms.take(index), forms.take(range(a, b))
+        joined = Forms.concat([Forms.of(forms.ground, items[:cut]),
+                               Forms.of(forms.ground, items[cut:])])
+        distinct = forms.distinct()
+    assert nums_of.call_count == 0
     for batch in (taken, sliced, joined, distinct):
         assert batch.ground is forms.ground and batch.nums.dtype == forms.nums.dtype
-        assert not batch.nums.flags.writeable and forms._lists is None
+        assert not batch.nums.flags.writeable
     assert _listed(taken) == [rows[i] for i in index]
     assert _listed(sliced) == rows[a:b]
     assert _listed(joined) == rows

@@ -219,20 +219,19 @@ def test_type_blocks_are_the_enumeration_grouped_by_type(case):
     takes on each of them the row's value on the table (the constraints
     need not: swapping c_p's A and B swaps its two)."""
     template, space, fixed, table = case
-    compiled = template.compiled
     groups = [[template.slots.index(s) for s in g if s not in fixed]
               for g in template.symmetries]
-    on_ground, on_types = compiled.bind(space.lift(table)), compiled.bind(table)
+    on_ground, on_types = template.bind(space.lift(table)), template.bind(table)
     want, values = Counter(), {}
     for rows in slot_blocks(template, space.ground, fixed):
-        nums = on_ground.evaluate(compiled.terms(rows))[:, 0]
+        nums = on_ground.evaluate(template.terms(rows))[:, 0]
         for key, row in zip(map(tuple, _types_of(rows, groups).tolist()), nums.tolist()):
             want[key] += 1
             assert values.setdefault(key, row) == row
     got = {}
     for rows, counts in type_blocks(template, space, fixed):
         assert rows.dtype == counts.dtype == np.int64 and 0 < len(rows) <= BATCH_ROWS
-        nums = on_types.evaluate(compiled.terms(rows))[:, 0]
+        nums = on_types.evaluate(template.terms(rows))[:, 0]
         for key, count, row in zip(map(tuple, rows.tolist()), counts.tolist(), nums.tolist()):
             assert key not in got and row == values[key]
             got[key] = count

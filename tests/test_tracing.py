@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 
 from entrocone import cli, inequalities
+from entrocone.setfn import setfn_to_obj
+from entrocone.witness import make_witness_g
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -84,3 +86,15 @@ def test_traced_search_enumerates_no_instances(capsys):
     assert code == 0
     assert tracer.counts["search.evaluations"] == report["scan"]["n_evaluations"] > 0
     assert tracer.counts["inequalities.enumerate.instances"] == 0
+
+
+def test_traced_eval_counts_every_enumerated_instance(capsys, tmp_path):
+    """`satisfies` takes its instances from `enumerate_instances` one
+    `next()` at a time: the tracer counts each one the report enumerates."""
+    values = tmp_path / "g3.json"
+    values.write_text(json.dumps(setfn_to_obj(make_witness_g(3))))
+    tracer, code, report = _traced(["eval", "--values", str(values), "--template", "ssa"],
+                                   capsys)
+    assert code == 0
+    assert tracer.counts["inequalities.enumerate.instances"] == report["n_enumerated"] == 1351
+    assert _calls(tracer, "inequalities.satisfies") == 1
