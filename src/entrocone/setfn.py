@@ -11,7 +11,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence, Union
+
+import numpy as np
 
 Subset = Union[int, str, Iterable[str]]
 Value = Union[int, Fraction, float]
@@ -136,11 +139,12 @@ class TypeSpace:
 
     A set function invariant under permutations of x1..xn is a function of
     the type, so a type space stands where `SetFunction`, `LinearFunctional`,
-    `cone_membership` and `elemental_forms` take a ground: `n_subsets`
-    coordinates, coordinate 0 the empty set.  `lift` gives such a point back
-    on the full ground, and `project` a functional on the types, the sum of
-    its coefficients per type: the value of a functional on a lifted point
-    is its projection's value on the type point."""
+    `cone_membership`, `elemental_forms`, `monotone_repair` and the
+    predicates (`is_submodular`, ...) take a ground: `n_subsets` coordinates,
+    coordinate 0 the empty set.  `lift` gives such a point back on the full
+    ground, and `project` a functional on the types, the sum of its
+    coefficients per type: the value of a functional on a lifted point is
+    its projection's value on the type point."""
 
     fixed: tuple[str, ...]
     n: int
@@ -170,6 +174,11 @@ class TypeSpace:
         k = len(self.fixed)
         return (mask & ((1 << k) - 1)) + ((mask >> k).bit_count() << k)
 
+    def types_of(self, masks: np.ndarray) -> np.ndarray:
+        """`type_of` of each entry of an int64 array of subset masks."""
+        k = len(self.fixed)
+        return (masks & ((1 << k) - 1)) + (np.bitwise_count(masks >> k).astype(np.int64) << k)
+
     def below(self, t: int) -> list[int]:
         """The types (K', j') of the subsets of a set of type (K, j): K' ⊆ K
         and j' <= j, by j' and then K' ascending."""
@@ -181,11 +190,15 @@ class TypeSpace:
         k = len(self.fixed)
         return (t & ((1 << k) - 1)).bit_count() + (t >> k)
 
+    def labels_of(self, t: int) -> tuple[str, ...]:
+        """A type's fixed parties, then its j as "jx" when j > 0: ("a", "c", "2x")."""
+        k = len(self.fixed)
+        fixed = tuple(lab for i, lab in enumerate(self.fixed) if t >> i & 1)
+        return fixed + ((f"{t >> k}x",) if t >> k else ())
+
     def subset_str(self, t: int) -> str:
         """A type as `LinearFunctional.describe` writes it, e.g. {a,c,2x}."""
-        k = len(self.fixed)
-        fixed = [lab for i, lab in enumerate(self.fixed) if t >> i & 1]
-        return "{" + ",".join(fixed + ([f"{t >> k}x"] if t >> k else [])) + "}"
+        return "{" + ",".join(self.labels_of(t)) + "}"
 
     def project(self, functional):
         """A functional on the full ground as a functional, of the same
@@ -314,43 +327,43 @@ def is_submodular(f: SetFunction, tol: float = DEFAULT_TOL) -> PredicateReport:
     """Check all elemental triples f(i:j|a) >= 0, i != j, a disjoint from both.
 
     Equivalent to nonnegativity of every instantiated conditional mutual
-    information; the first violating triple (i, j, a) is reported.
+    information; the first violating triple (i, j, a) is reported.  On a
+    `TypeSpace` the triples are types, one per orbit of the lift's triples.
     """
     gr = f.ground
     v = f.values
     thresh = -tol if f.domain == FLOAT64 else 0
-    m = gr.size
-    for i in range(m):
-        bi = 1 << i
-        for j in range(i + 1, m):
-            bj = 1 << j
-            comp = gr.full_mask & ~(bi | bj)
-            for a in submasks(comp):
-                val = v[bi | a] + v[bj | a] - v[a] - v[bi | bj | a]
-                if val < thresh:
-                    return PredicateReport(
-                        False,
-                        (gr.labels_of(bi), gr.labels_of(bj), gr.labels_of(a)),
-                        val,
-                    )
+    for i, j in sorted(set(combinations(gr.parties, 2))):
+        for a in gr.below(gr.full_mask - i - j):
+            val = v[i + a] + v[j + a] - v[a] - v[i + j + a]
+            if val < thresh:
+                return PredicateReport(
+                    False, (gr.labels_of(i), gr.labels_of(j), gr.labels_of(a)), val)
     return PredicateReport(True)
 
 
+def extensions(ground) -> Iterator[tuple[int, int]]:
+    """Each pair (a, i) of a subset a and a party i outside it, by a and
+    then i ascending: those where a + i, their union, has one party more
+    (were i in a, the sum would carry), on a ground or a `TypeSpace`."""
+    parties = sorted(set(ground.parties))
+    for a in range(ground.n_subsets):
+        size = ground.size_of(a) + 1
+        for i in parties:
+            if a + i < ground.n_subsets and ground.size_of(a + i) == size:
+                yield a, i
+
+
 def is_monotone(f: SetFunction, tol: float = DEFAULT_TOL) -> PredicateReport:
-    """Check f(a) <= f(a + i) for every subset a and party i outside it."""
+    """Check f(a) <= f(a + i) for every subset a and party i outside it
+    (`extensions`); on a `TypeSpace`, one pair per orbit of its lift."""
     gr = f.ground
     v = f.values
     thresh = -tol if f.domain == FLOAT64 else 0
-    for a in range(gr.n_subsets):
-        rest = gr.full_mask & ~a
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            val = v[a | bit] - v[a]
-            if val < thresh:
-                return PredicateReport(
-                    False, (gr.labels_of(a), gr.labels_of(a | bit)), val
-                )
+    for a, i in extensions(gr):
+        val = v[a + i] - v[a]
+        if val < thresh:
+            return PredicateReport(False, (gr.labels_of(a), gr.labels_of(a + i)), val)
     return PredicateReport(True)
 
 
@@ -363,21 +376,14 @@ def is_weakly_monotone(f: SetFunction, tol: float = DEFAULT_TOL) -> PredicateRep
     v = f.values
     thresh = -tol if f.domain == FLOAT64 else 0
     for b in range(gr.n_subsets):
-        compb = gr.full_mask & ~b
-        for c in submasks(compb):
+        for c in gr.below(gr.full_mask - b):
             if c < b:
                 continue
-            compbc = compb & ~c
-            for a in submasks(compbc):
-                if a == 0:
-                    continue
-                val = v[a | b] + v[a | c] - v[b] - v[c]
-                if val < thresh:
+            for a in gr.below(gr.full_mask - b - c):
+                val = v[a + b] + v[a + c] - v[b] - v[c]
+                if a and val < thresh:
                     return PredicateReport(
-                        False,
-                        (gr.labels_of(a), gr.labels_of(b), gr.labels_of(c)),
-                        val,
-                    )
+                        False, (gr.labels_of(a), gr.labels_of(b), gr.labels_of(c)), val)
     return PredicateReport(True)
 
 

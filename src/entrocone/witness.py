@@ -5,8 +5,9 @@ The order-n witness lives on parties (a, b, c, x1..xn) and is symmetric in
 x1..xn, so it is a table over the types of `witness_space(n)`: a subset
 with (a,b,c)-part K and j x's takes a base value theta[K], plus j times a
 per-x-element slope lam[K], minus a correction mu[K] supported on {a} and
-{a,b} alone.  f and its monotone repair g are that table and its repair,
-lifted to the full ground.  All arithmetic is exact.
+{a,b} alone.  `verify_witness` checks f and its monotone repair g on that
+table and its repair; `make_witness_f` and `make_witness_g` lift them to
+the full ground for callers that want it.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .setfn import (
     SetFunction,
     TypeSpace,
     cmi,
+    extensions,
     is_monotone,
     is_submodular,
     is_weakly_monotone,
@@ -95,7 +97,7 @@ def _witness_types(n: int) -> SetFunction:
                          f"ground of {n + 3} parties has 2^{n + 3} subsets")
     params = witness_params(n)
     space = witness_space(n)
-    keys = [frozenset(lab for i, lab in enumerate(space.fixed) if K >> i & 1) for K in range(8)]
+    keys = [frozenset(space.labels_of(K)) for K in range(8)]
     return SetFunction(space, [params.theta[key] + j * params.lam[key]
                                - (0 if j else params.mu.get(key, 0))
                                for j in range(n + 1) for key in keys])
@@ -144,26 +146,27 @@ def standard_instance(n: int, p: int):
 
 
 def _special_value_checks(f: SetFunction, n: int) -> list[dict]:
-    gr = f.ground
+    space, v = f.ground, f.values
+    gr = space.ground
+
+    def cmi_of(a, b, g=0):  # on the types, which add up over disjoint sets
+        a, b, g = (space.type_of(gr.mask_of(s)) for s in (a, b, g))
+        return v[a + g] + v[b + g] - v[g] - v[a + b + g]
+
     checks = [
-        ("f(b:c|a)", cmi(f, "b", "c", "a"), 0),
-        ("f(a:c|b)", cmi(f, "a", "c", "b"), 0),
-        ("f(a:c)", cmi(f, "a", "c"), n * (n + 1) * (n - 1)),
-        ("f(a:b)", cmi(f, "a", "b"), n**2 * (n + 1)),
-        ("f(ab:c)", cmi(f, ("a", "b"), "c"), n * (n + 1) * (n - 1)),
+        ("f(b:c|a)", cmi_of("b", "c", "a"), 0),
+        ("f(a:c|b)", cmi_of("a", "c", "b"), 0),
+        ("f(a:c)", cmi_of("a", "c"), n * (n + 1) * (n - 1)),
+        ("f(a:b)", cmi_of("a", "b"), n**2 * (n + 1)),
+        ("f(ab:c)", cmi_of(("a", "b"), "c"), n * (n + 1) * (n - 1)),
     ]
-    for i in range(1, n + 1):
-        xi = f"x{i}"
-        checks.append((f"f(b:{xi}|a)", cmi(f, "b", xi, "a"), (n + 1) * (n - 1)))
-        checks.append((f"f(a:{xi}|b)", cmi(f, "a", xi, "b"), 0))
-        checks.append((f"f(a:{xi})", cmi(f, "a", xi), 2 * n * (n + 1)))
+    for xi in (f"x{i}" for i in range(1, n + 1)):
+        checks += [(f"f(b:{xi}|a)", cmi_of("b", xi, "a"), (n + 1) * (n - 1)),
+                   (f"f(a:{xi}|b)", cmi_of("a", xi, "b"), 0),
+                   (f"f(a:{xi})", cmi_of("a", xi), 2 * n * (n + 1))]
     x_pool = gr.mask_of(tuple(f"x{i}" for i in range(1, n + 1)))
-    ab_expected = n * (n + 1) * (n - 2)
-    for alpha in submasks(x_pool):
-        if alpha == 0:
-            continue
-        name = f"f(a:b|{gr.subset_str(alpha)})"
-        checks.append((name, cmi(f, "a", "b", alpha), ab_expected))
+    checks += [(f"f(a:b|{gr.subset_str(alpha)})", cmi_of("a", "b", alpha), n * (n + 1) * (n - 2))
+               for alpha in submasks(x_pool) if alpha]
     return [
         {"check": name, "actual": Fraction(actual), "expected": Fraction(expected),
          "ok": actual == expected}
@@ -208,71 +211,61 @@ class WitnessReport:
 def verify_witness(n: int) -> WitnessReport:
     """Check every defining property of the order-n witness exactly.
 
-    f and g are built from the witness's table over the types and lifted
-    (`make_witness_f`, `make_witness_g`); every check reads them on the
-    full ground, not the types.  Scans all elemental submodularity triples
-    for f and g, the pinned special values, additivity over disjoint
-    x-subsets, and every instance of the order-p families for p up to n+2,
-    the orders `independence_problem` uses, against the closed-form value,
-    recording the (p, delta) histogram and confirming the single negative
-    class (p=n, delta=0).  Instances are evaluated in chunks (see
-    `instance_batches`), each against f and g through the template's `bind`.
+    f and g are the witness's table over the types of `witness_space(n)`
+    and its `monotone_repair`; every check reads them on the types, and
+    none lifts them to the full ground.  Scans the elemental triples of f
+    and g and the monotonicity pairs of g, one per orbit, the pinned special
+    values, additivity over disjoint x-subsets, and every instance of the
+    order-p families for p up to n+2, the orders `independence_problem`
+    uses, against the closed-form value, recording the (p, delta) histogram
+    and confirming the single negative class (p=n, delta=0).  The instances
+    come in chunks (`instance_batches`), their slot masks mapped to slot
+    types (`TypeSpace.types_of`) that the template's `bind` reads on f and g.
     """
     if n < 2:
         raise ValueError("witness order n must be at least 2: the construction needs two registers")
-    f = make_witness_f(n)
-    g = make_witness_g(n)
-    gr = f.ground
+    f = _witness_types(n)
+    g = monotone_repair(f)
+    space = f.ground
 
     sub_f = is_submodular(f)
     sub_g = is_submodular(g)
     mono_g = is_monotone(g)
-    first_viol = []
-    if not sub_f:
-        first_viol.append({"function": "f", "triple": sub_f.violation, "value": str(sub_f.value)})
-    if not sub_g:
-        first_viol.append({"function": "g", "triple": sub_g.violation, "value": str(sub_g.value)})
-    if not mono_g:
-        first_viol.append({"function": "g", "pair": mono_g.violation, "value": str(mono_g.value)})
+    first_viol = [{"function": name, at: rep.violation, "value": str(rep.value)}
+                  for name, at, rep in (("f", "triple", sub_f), ("g", "triple", sub_g),
+                                        ("g", "pair", mono_g)) if not rep]
 
     specials = _special_value_checks(f, n)
 
     # additivity over disjoint nonempty x-subsets, sum f(a_i) = f(union a_i).
     # With f(empty) = 0 that holds exactly when f is modular on the x-subsets:
-    # f(S) = f(S minus its lowest element) + f(that element).
-    x_pool = gr.mask_of(tuple(f"x{i}" for i in range(1, n + 1)))
-    zero_sum_ok = all(f.values[m] == f.values[m & (m - 1)] + f.values[m & -m]
-                      for m in submasks(x_pool) if m)
+    # a set of j x's takes j times the value of one.
+    x = space.type_of(space.ground.mask_of("x1"))
+    zero_sum_ok = all(f.values[j * x] == j * f.values[x] for j in range(n + 1))
 
     # elemental forms agree on f and g, so every balanced instance will too.
     # Both vanish on the empty set, so that holds exactly when g - f is
-    # modular: d(S) = d(S minus its lowest element) + d(that element).
+    # modular: adding a party i outside a set adds d(i).
     d = [vg - vf for vf, vg in zip(f.values, g.values)]
-    elemental_match = all(d[m] == d[m & (m - 1)] + d[m & -m] for m in range(1, gr.n_subsets))
+    elemental_match = all(d[a + i] == d[a] + d[i] for a, i in extensions(space))
 
-    rows: list[dict] = []
-    match_f = True
-    match_g = True
+    rows, match_f, match_g = [], True, True
     binding = standard_c_binding()
     for p in range(1, n + 3):
         template = builtin("c_n", p)
         on_f, on_g = template.bind(f), template.bind(g)
         is_x = np.array([slot.startswith("X") for slot in template.slots])
         classes: dict[int, dict] = {}
-        for _, masks in instance_batches(template, gr, fixed=binding):
+        for _, masks in instance_batches(template, space.ground, fixed=binding):
             deltas = (masks[:, is_x] == 0).sum(axis=1)
-            terms = template.terms(masks)
+            terms = template.terms(space.types_of(masks))
             vf, vg = on_f.evaluate(terms)[:, 0], on_g.evaluate(terms)[:, 0]
             for delta in np.flatnonzero(np.bincount(deltas)).tolist():
                 sel = np.flatnonzero(deltas == delta)
                 expected = closed_form_value(n, p, delta)
-                row = classes.get(delta)
-                if row is None:
-                    row = {"p": p, "delta": delta, "count": 0,
-                           "value_f": Fraction(on_f.value(vf[sel[0]])),
-                           "value_g": Fraction(on_g.value(vg[sel[0]])),
-                           "expected": Fraction(expected)}
-                    classes[delta] = row
+                row = classes.setdefault(delta, {
+                    "p": p, "delta": delta, "count": 0, "value_f": on_f.value(vf[sel[0]]),
+                    "value_g": on_g.value(vg[sel[0]]), "expected": Fraction(expected)})
                 row["count"] += len(sel)
                 match_f = match_f and bool((vf[sel] == expected * on_f.scales[0]).all())
                 match_g = match_g and bool((vg[sel] == expected * on_g.scales[0]).all())

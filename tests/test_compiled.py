@@ -29,7 +29,7 @@ from entrocone.inequalities import (
     slot_mask_matrix,
 )
 from entrocone.quantum import HaarMixedFamily, _rng, entropy_vector, trial_seed
-from entrocone.setfn import FLOAT64, GroundSet, SetFunction, to_obj
+from entrocone.setfn import FLOAT64, GroundSet, SetFunction, monotone_repair, to_obj
 
 FLOAT_TOL = 1e-12
 
@@ -221,20 +221,25 @@ def test_compiled_witness_scan_matches_reference(n):
 
 def test_compiled_witness_scan_sees_a_mutated_subset(monkeypatch):
     n = 3
-    true_f = witness.make_witness_f
+    space = witness.witness_space(n)
+    true_types = witness._witness_types
+    # the type {a,2x}: read only by instances that come after the first of
+    # their class, so the histogram's values stay and the match must fail
+    mutated = space.type_of(space.ground.mask_of(("a", "x1", "x3")))
 
     def off_by_one(k):
-        f = true_f(k)
+        f = true_types(k)
         vals = list(f.values)
-        # read only by instances that come after the first of their class
-        vals[f.ground.mask_of(("x1", "x3"))] += 1
+        vals[mutated] += 1
         return SetFunction(f.ground, vals)
 
-    monkeypatch.setattr(witness, "make_witness_f", off_by_one)
+    monkeypatch.setattr(witness, "_witness_types", off_by_one)
     rep = witness.verify_witness(n)
     assert not rep.instances_match_f
+    f = off_by_one(n)
     rows, match_f, match_g = reference_instance_rows(
-        n, off_by_one(n), witness.make_witness_g(n), n + 2)
+        n, space.lift(f), space.lift(monotone_repair(f)), n + 2)
+    assert all(row["value_f"] == row["expected"] for row in rows)
     assert rep.instance_histogram == rows
     assert (rep.instances_match_f, rep.instances_match_g) == (match_f, match_g)
 

@@ -292,6 +292,22 @@ def test_satisfies_reports_minimum():
     assert rep.n_enumerated == rep.n_admissible
 
 
+def test_triangle_is_one_unconstrained_form_and_satisfies_scans_it():
+    from entrocone.witness import make_witness_g
+
+    t = builtin("triangle")
+    assert t.slots == ("A", "B") and t.constraints == ()
+    assert t.functional == LinearFunctional(t.ground, {("A", "B"): 1, "A": 1, "B": -1})
+    # g is monotone and vanishes on the empty set, so S(AB) >= S(B) and S(A) >= 0
+    rep = satisfies(make_witness_g(2), t)
+    assert rep.holds and rep.n_enumerated == rep.n_admissible > 0 and rep.min_value > 0
+    # S(XY) + S(X) - S(Y) = 1 + 1 - 5 at A = X, B = Y; every other instance holds
+    gr = GroundSet(("X", "Y"))
+    rep = satisfies(SetFunction(gr, {"X": 1, "Y": 5, ("X", "Y"): 1}), t)
+    assert (rep.n_enumerated, rep.n_violations, rep.min_value) == (2, 1, -3)
+    assert rep.violations[0]["instance"] == instantiate(t, gr, {"A": "X", "B": "Y"})
+
+
 # ------------------------------------------------------------ naming, json
 
 

@@ -26,6 +26,7 @@ from entrocone.setfn import (
     setfn_to_obj,
     submasks,
 )
+from entrocone.witness import _witness_types, witness_space
 
 
 def make_fn(labels, assign):
@@ -272,6 +273,115 @@ def test_monotone_repair_adds_the_largest_drop_not_the_smallest_c():
     assert g.values == (0, 1, 1, 2) and is_monotone(g)
     assert is_monotone(SetFunction(f.ground, [v + bin(m).count("1")
                                               for m, v in enumerate(f.values)]))
+
+
+# the per-mask loops the predicates ran before they read `parties` and
+# `below`, as the reference for their reports on a GroundSet
+
+
+def reference_is_submodular(f, tol=1e-9):
+    gr = f.ground
+    v = f.values
+    thresh = -tol if f.domain == FLOAT64 else 0
+    m = gr.size
+    for i in range(m):
+        bi = 1 << i
+        for j in range(i + 1, m):
+            bj = 1 << j
+            comp = gr.full_mask & ~(bi | bj)
+            for a in submasks(comp):
+                val = v[bi | a] + v[bj | a] - v[a] - v[bi | bj | a]
+                if val < thresh:
+                    return PredicateReport(
+                        False,
+                        (gr.labels_of(bi), gr.labels_of(bj), gr.labels_of(a)),
+                        val,
+                    )
+    return PredicateReport(True)
+
+
+def reference_is_monotone(f, tol=1e-9):
+    gr = f.ground
+    v = f.values
+    thresh = -tol if f.domain == FLOAT64 else 0
+    for a in range(gr.n_subsets):
+        rest = gr.full_mask & ~a
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            val = v[a | bit] - v[a]
+            if val < thresh:
+                return PredicateReport(
+                    False, (gr.labels_of(a), gr.labels_of(a | bit)), val
+                )
+    return PredicateReport(True)
+
+
+def reference_is_weakly_monotone(f, tol=1e-9):
+    gr = f.ground
+    v = f.values
+    thresh = -tol if f.domain == FLOAT64 else 0
+    for b in range(gr.n_subsets):
+        compb = gr.full_mask & ~b
+        for c in submasks(compb):
+            if c < b:
+                continue
+            compbc = compb & ~c
+            for a in submasks(compbc):
+                if a == 0:
+                    continue
+                val = v[a | b] + v[a | c] - v[b] - v[c]
+                if val < thresh:
+                    return PredicateReport(
+                        False,
+                        (gr.labels_of(a), gr.labels_of(b), gr.labels_of(c)),
+                        val,
+                    )
+    return PredicateReport(True)
+
+
+@st.composite
+def near_submodular(draw, ground):
+    """s(2m - s) of each subset's size s, concave, plus small bumps, exact
+    or as float64 nudged around the tolerance: submodular and monotone in
+    some draws, neither in others."""
+    m = draw(st.integers(0, 4))
+    size = ground.n_subsets
+    bumps = draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, -3)), min_size=size, max_size=size))
+    values = [s * (2 * m - s) + b for s, b in zip(map(ground.size_of, range(size)), bumps)]
+    if draw(st.booleans()):
+        nudges = st.sampled_from((0.0, 4e-10, -4e-10, -3e-9))
+        values = [v + draw(nudges) for v in values]
+    return SetFunction(ground, values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda k: near_submodular(GroundSet(tuple("ABCD"[:k])))))
+def test_predicates_report_as_the_per_mask_loops(f):
+    assert is_submodular(f) == reference_is_submodular(f)
+    assert is_monotone(f) == reference_is_monotone(f)
+    assert is_weakly_monotone(f) == reference_is_weakly_monotone(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([TypeSpace(("a", "b"), n) for n in range(4)] + [witness_space(2)])
+       .flatmap(near_submodular))
+@example(_witness_types(2))  # submodular, not monotone
+@example(monotone_repair(_witness_types(2)))  # both
+def test_predicates_on_types_decide_as_on_the_lift(point):
+    lifted = point.ground.lift(point)
+    for predicate in (is_submodular, is_monotone, is_weakly_monotone):
+        assert bool(predicate(point)) == bool(predicate(lifted))
+
+
+def test_a_type_violation_is_named_by_its_types():
+    # f(x1) = -4 < f(empty): the first drop, on the types as on the ground
+    f = _witness_types(2)
+    assert is_monotone(f) == PredicateReport(False, ((), ("1x",)), -4)
+    assert is_monotone(f.ground.lift(f)) == PredicateReport(False, ((), ("x1",)), -4)
+    space = TypeSpace(("a", "b"), 2)
+    assert space.labels_of(space.full_mask) == ("a", "b", "2x")
+    assert space.subset_str(space.full_mask) == "{a,b,2x}"
 
 
 # ------------------------------------------------------------ serialization

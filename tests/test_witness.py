@@ -7,6 +7,7 @@ import pytest
 from entrocone.inequalities import builtin, satisfies
 from entrocone.setfn import (
     SetFunction,
+    TypeSpace,
     cmi,
     is_monotone,
     is_submodular,
@@ -243,6 +244,32 @@ def test_verify_witness_n3():
     assert rep.negative_classes == [{"p": 3, "delta": 0, "value": "-12"}]
 
 
+def test_verify_witness_reads_the_type_table_and_never_lifts(monkeypatch):
+    from entrocone import witness
+
+    calls = []
+
+    def counted(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(TypeSpace, "lift", counted("lift", TypeSpace.lift))
+    for name in ("make_witness_f", "make_witness_g"):
+        monkeypatch.setattr(witness, name, counted(name, getattr(witness, name)))
+    # and every table made on the way is one over the types
+    grounds = []
+    init = SetFunction.__init__
+    monkeypatch.setattr(SetFunction, "__init__",
+                        lambda self, ground, *rest: grounds.append(ground) or init(self, ground, *rest))
+    rep = verify_witness(6)
+    assert rep.passed
+    assert sum(row["count"] for row in rep.instance_histogram) == 5506
+    assert calls == []
+    assert grounds and all(isinstance(ground, TypeSpace) for ground in grounds)
+
+
 def test_witness_structure_small():
     for n in (2, 3):
         f = make_witness_f(n)
@@ -281,21 +308,22 @@ def test_counterexample_report():
 
 @pytest.mark.parametrize("bump, match", [("cardinality", True), ("one value", False)])
 def test_elemental_match_tracks_g_minus_f(monkeypatch, bump, match):
-    # a cardinality bump keeps g - f modular; one bumped value breaks it
+    # verify_witness repairs f on its type table: a cardinality bump of the
+    # repair keeps g - f modular; one bumped type, the full set's, breaks it
     from entrocone import witness
 
-    true_g = witness.make_witness_g
+    true_repair = witness.monotone_repair
 
-    def bumped(k):
-        g = true_g(k)
+    def bumped(f):
+        g = true_repair(f)
         values = list(g.values)
         if bump == "cardinality":
-            values = [v + bin(m).count("1") for m, v in enumerate(values)]
+            values = [v + g.ground.size_of(t) for t, v in enumerate(values)]
         else:
             values[-1] += 1
         return SetFunction(g.ground, values)
 
-    monkeypatch.setattr(witness, "make_witness_g", bumped)
+    monkeypatch.setattr(witness, "monotone_repair", bumped)
     rep = verify_witness(3)
     assert rep.elemental_match_fg is match
 
@@ -304,16 +332,17 @@ def test_elemental_match_tracks_g_minus_f(monkeypatch, bump, match):
     (("x1",), False), (("x2", "x3"), False), (("x1", "x2", "x3"), False), (("a", "x1"), True),
 ])
 def test_zero_sum_check_sees_one_bumped_x_value(monkeypatch, subset, ok):
-    # additivity over disjoint x-subsets reads the x-only values alone
+    # additivity over disjoint x-subsets reads the x-only types alone: bump
+    # the type of `subset`, (empty, j) or (a, 1x), on f's type table
     from entrocone import witness
 
-    true_f = witness.make_witness_f
+    true_types = witness._witness_types
 
     def bumped(k):
-        f = true_f(k)
+        f = true_types(k)
         values = list(f.values)
-        values[f.ground.mask_of(subset)] += 1
+        values[f.ground.type_of(f.ground.ground.mask_of(subset))] += 1
         return SetFunction(f.ground, values)
 
-    monkeypatch.setattr(witness, "make_witness_f", bumped)
+    monkeypatch.setattr(witness, "_witness_types", bumped)
     assert verify_witness(3).zero_sum_ok is ok
