@@ -516,8 +516,7 @@ def purified_basic_problem():
     terms = np.concatenate([ssa.terms(rows) for rows in slot_blocks(ssa, big)])
     # S(Y) = S(ABCD - Y) on a pure state: a term on D (bit 8) moves to its complement
     terms = np.where(terms & 8, big.full_mask - terms, terms)
-    coefs = np.array(ssa.ints, dtype=np.int64)[:, 0]
-    generators = Forms.from_terms(small, terms, coefs, ssa.functional.den).distinct()
+    generators = Forms.from_terms(small, terms, ssa.ints[:, 0], ssa.functional.den).distinct()
     target = instantiate(
         builtin("wmo"), small, {"A": "A", "B": "B", "C": "C"}
     ).functional

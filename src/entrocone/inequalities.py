@@ -371,17 +371,18 @@ class InequalityTemplate:
 
     A template is compiled when it is made: its forms as one coefficient
     matrix whose rows are the distinct slot subsets the forms use, column 0
-    the functional and column j the j-th constraint.  `ints` holds each
-    column cleared by the lcm of its denominators (`denominators`), `floats`
-    (made on first read, so a coefficient beyond float64 is refused only
-    where a float is needed) the coefficients as float64.  An instance's
-    slot masks are disjoint, so the party mask of every term is the
-    slot-mask row times `incidence` (`terms`); `bind` pairs the matrix with
-    a set function and `realize` turns slot-mask rows into forms.
+    the functional and column j the j-th constraint.  `ints` is that matrix,
+    each column cleared by the lcm of its denominators (`denominators`),
+    int64 while `abs_sum` (the largest sum |c| of a column) is below 2^63;
+    `floats` (made on first read, so a coefficient beyond float64 is refused
+    only where a float is needed) holds it as float64.  An instance's slot
+    masks are disjoint, so the party mask of every term is the slot-mask row
+    times `incidence` (`terms`); `bind` pairs the matrix with a set function
+    and `realize` turns slot-mask rows into the forms of a column.
     """
 
     __slots__ = ("name", "ground", "functional", "constraints", "symmetries", "empty_ok",
-                 "incidence", "denominators", "ints", "shape", "abs_sum", "_forms", "__dict__")
+                 "incidence", "denominators", "ints", "abs_sum", "__dict__")
 
     def __init__(
         self,
@@ -412,18 +413,12 @@ class InequalityTemplate:
             [[t >> i & 1 for t in subsets] for i in range(n_slots)], dtype=np.int64,
         ).reshape(n_slots, len(subsets))
         self.denominators = [form.den for form in forms]
-        self.ints = [[form.nums.get(t, 0) for form in forms] for t in subsets]
-        self.shape = (len(subsets), len(forms))
         # the largest sum |c| of a cleared column: bounds |value| / max |f|
-        self.abs_sum = max(sum(abs(row[j]) for row in self.ints) for j in range(len(forms)))
-        # per form, for `realize`: the incidence of the terms it uses, their
-        # numerators (int64 while they and den stay below 2^63), and den
-        self._forms = []
-        for j, form in enumerate(forms):
-            used = [t for t, row in enumerate(self.ints) if row[j]]
-            dtype = np.int64 if max(self.abs_sum, form.den) < 2**63 else object
-            self._forms.append((self.incidence[:, used],
-                                np.array([self.ints[t][j] for t in used], dtype=dtype), form.den))
+        self.abs_sum = max(sum(map(abs, form.nums.values())) for form in forms)
+        self.ints = np.array([[form.nums.get(t, 0) for form in forms] for t in subsets],
+                             dtype=np.int64 if self.abs_sum < 2**63 else object,
+                             ).reshape(len(subsets), len(forms))
+        self.ints.setflags(write=False)
 
     @property
     def slots(self) -> tuple[str, ...]:
@@ -432,10 +427,10 @@ class InequalityTemplate:
     @cached_property
     def floats(self) -> np.ndarray:
         try:
-            rows = [[c / den for c, den in zip(row, self.denominators)] for row in self.ints]
+            rows = [[c / d for c, d in zip(row, self.denominators)] for row in self.ints.tolist()]
         except OverflowError:
             raise ValueError("a template coefficient is beyond float64") from None
-        return np.array(rows, dtype=np.float64).reshape(self.shape)
+        return np.array(rows, dtype=np.float64).reshape(self.ints.shape)
 
     def terms(self, slot_masks: np.ndarray) -> np.ndarray:
         """(rows, terms) party masks of the terms for a (rows, slots) mask
@@ -448,10 +443,12 @@ class InequalityTemplate:
     def realize(self, slot_masks: np.ndarray, ground: GroundSet, column: int = 0) -> Forms:
         """The form of `column` (0 the functional, j the j-th constraint) for
         each row of a (rows, slots) mask matrix, as a `Forms` batch on
-        `ground` (`Forms.from_terms` of the party masks of the form's terms,
-        `terms`)."""
-        incidence, coefs, den = self._forms[column]
-        return Forms.from_terms(ground, slot_masks @ incidence, coefs, den)
+        `ground`: `Forms.from_terms` of every term's party masks (`terms`)
+        under the column of `ints`, whose zeros it drops; int64 while
+        `abs_sum` and the column's denominator are below 2^63."""
+        den = self.denominators[column]
+        coefs = self.ints[:, column].astype(np.int64 if max(self.abs_sum, den) < 2**63 else object)
+        return Forms.from_terms(ground, self.terms(slot_masks), coefs, den)
 
     def __eq__(self, other):
         return (
@@ -545,7 +542,7 @@ def slot_blocks(
     fixed: Mapping[str, Subset] | None = None,
 ) -> Iterator[np.ndarray]:
     """All assignments of pairwise-disjoint subsets to slots, lexicographic,
-    as int64 (rows, slots) blocks of party masks of at most BATCH_ROWS rows.
+    as nonempty int64 (rows, slots) blocks of party masks, at most BATCH_ROWS.
 
     `fixed` pins chosen slots; free slots range over subsets of the remaining
     parties, empty only where the template's `empty_ok` permits.  Assignments
@@ -553,7 +550,8 @@ def slot_blocks(
     canonical form: inside a group, the free slots' masks strictly increase
     in slot order, except repeated empties.  The bindings are checked here,
     on the call; the blocks are filled lazily, one free slot at a time
-    (`_fill_slot`).
+    (`_fill_slot`), each block from one block of the slot before, so any
+    block may run short: `instance_batches` gives full chunks.
     """
     if ground.size > MAX_ENUM_PARTIES:
         raise ValueError(f"enumeration supports at most {MAX_ENUM_PARTIES} parties")
@@ -706,18 +704,17 @@ def _fill_slot(blocks, col: int, floor: int, empty_ok: bool, parties: int):
 
     `blocks` yields (rows, used) in lexicographic row order, `used` the
     parties each row has bound; every row is extended by each of its
-    candidates, in order, and the result comes out in blocks of at most
-    BATCH_ROWS rows, still in lexicographic order.  A row's candidates are
-    the ascending submasks of its unused parties (among `parties`) from
-    index `lo`: 1 when the slot may not be empty, and past every submask not
-    above the mask f of the floor column.  f is disjoint from those parties,
-    so the submasks below it are the 2^k of the k unused parties under f's
-    top bit.
+    candidates, in order, and each input block's result comes out in
+    blocks of at most BATCH_ROWS rows, as `_fill_type` gives its own, so
+    the output stays in lexicographic order.  A row's candidates are the
+    ascending submasks of its unused parties (among `parties`) from index
+    `lo`: 1 when the slot may not be empty, and past every submask not
+    above the mask f of the floor column.  f is disjoint from those
+    parties, so the submasks below it are the 2^k of the k unused parties
+    under f's top bit.
     """
     shifts = [b for b in range(0, parties.bit_length(), 8) if parties >> b & 255]
     one = np.int64(1)
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    n_out = 0
     for rows, used in blocks:
         free = parties & ~used
         lo = np.zeros_like(free)
@@ -730,29 +727,14 @@ def _fill_slot(blocks, col: int, floor: int, empty_ok: bool, parties: int):
         size = one << np.bitwise_count(free)
         ends = np.cumsum(size - lo)
         offset = size - ends  # a pair's candidate index, less the pair's position
-        start, total = 0, int(ends[-1])
-        while start < total:
-            stop = min(total, start + BATCH_ROWS - n_out)
-            pairs = np.arange(start, stop)
+        total = int(ends[-1])
+        for start in range(0, total, BATCH_ROWS):
+            pairs = np.arange(start, min(total, start + BATCH_ROWS))
             row = np.searchsorted(ends, pairs, side="right")
             cand = _deposit(pairs + offset[row], free[row], shifts)
             child = rows.take(row, axis=0)
             child[:, col] = cand
-            out.append((child, used[row] | cand))
-            n_out += stop - start
-            start = stop
-            if n_out == BATCH_ROWS:
-                yield _joined(out)
-                out, n_out = [], 0
-    if out:
-        yield _joined(out)
-
-
-def _joined(pieces):
-    """One (rows, used) block from consecutive pieces; a lone piece is not copied."""
-    if len(pieces) == 1:
-        return pieces[0]
-    return tuple(map(np.concatenate, zip(*pieces)))
+            yield child, used[row] | cand
 
 
 # --- batch evaluation ---
@@ -776,8 +758,8 @@ class BoundTemplate:
 
     `evaluate` returns numerators: float values for a float64 f; for an exact
     f, integers whose value is numerator / `scales[column]`.  Exact f is
-    cleared by the lcm of its denominators and runs in int64 when
-    sum |c| * max |f| < 2^63, else in Python integers (object dtype).
+    cleared by the lcm of its denominators and runs, table and `ints` alike,
+    in int64 when sum |c| * max |f| < 2^63, else in Python integers.
     """
 
     def __init__(self, template: InequalityTemplate, f: SetFunction):
@@ -791,7 +773,7 @@ class BoundTemplate:
         fits = max(map(abs, table)) * max(template.abs_sum, 1) < 2**63
         dtype = np.int64 if fits else object
         self.table = np.array(table, dtype=dtype)
-        self.coefs = np.array(template.ints, dtype=dtype).reshape(template.shape)
+        self.coefs = template.ints.astype(dtype)
         self.scales = [d * den for d in template.denominators]
 
     def evaluate(self, terms: np.ndarray) -> np.ndarray:
@@ -866,9 +848,8 @@ def satisfies(
     """
     check_tol(tol)
     if template.constraints and binding is None and not auto_filter:
-        raise ValueError(
-            "constrained template: pass an explicit binding or auto_filter=True"
-        )
+        raise ValueError("constrained template: pass an explicit binding (--bind) or "
+                         "auto_filter=True (--auto-filter)")
     bound = template.bind(f)
     zero_tol = 0 if bound.exact else tol
     n_enum = 0

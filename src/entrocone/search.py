@@ -147,7 +147,8 @@ def _setup(cfg: SearchConfig):
     if binding is None and template.constraints and not cfg.auto_filter:
         # natural binding: slots named after parties bind to themselves
         if not all(s in ground.labels for s in template.slots):
-            raise ValueError("constrained template: give a binding or set auto_filter=True")
+            raise ValueError("constrained template: give a binding (--bind) or set "
+                             "auto_filter=True (--auto-filter)")
         binding = {s: s for s in template.slots}
     rows = np.concatenate([np.empty((0, len(template.slots)), np.int64),
                            *slot_blocks(template, ground, fixed=binding)])

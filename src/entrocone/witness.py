@@ -6,8 +6,8 @@ x1..xn, so it is a table over the types of `witness_space(n)`: a subset
 with (a,b,c)-part K and j x's takes a base value theta[K], plus j times a
 per-x-element slope lam[K], minus a correction mu[K] supported on {a} and
 {a,b} alone.  `verify_witness` checks f and its monotone repair g on that
-table and its repair; `make_witness_f` and `make_witness_g` lift them to
-the full ground for callers that want it.  All arithmetic is exact.
+table, the c_p instances' slot masks read as types; `make_witness_f` and
+`make_witness_g` lift f and g to the full ground.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from .setfn import (
     is_submodular,
     is_weakly_monotone,
     monotone_repair,
-    submasks,
 )
 from .inequalities import builtin, instance_batches, instantiate
 
-# the largest order f and g are built at: the full ground of 24 parties has
-# 2^24 subsets, a value each
+# the largest order the witness is built at: it bounds the lifts of f and g
+# (2^24 values) and the c_p scan on the full ground, which lists more still
 MAX_WITNESS_ORDER = 21
 
 
@@ -93,8 +92,8 @@ def _witness_types(n: int) -> SetFunction:
     """The order-n witness as a point on `witness_space(n)`: the value of
     type (K, j) is theta[K] + j * lam[K], less mu[K] when j = 0."""
     if n > MAX_WITNESS_ORDER:
-        raise ValueError(f"witness order {n} exceeds the cap of {MAX_WITNESS_ORDER}: its "
-                         f"ground of {n + 3} parties has 2^{n + 3} subsets")
+        raise ValueError(f"witness order {n} exceeds the cap of {MAX_WITNESS_ORDER}: its lifts "
+                         f"hold 2^{n + 3} values and its c_p scan more instances still")
     params = witness_params(n)
     space = witness_space(n)
     keys = [frozenset(space.labels_of(K)) for K in range(8)]
@@ -146,27 +145,27 @@ def standard_instance(n: int, p: int):
 
 
 def _special_value_checks(f: SetFunction, n: int) -> list[dict]:
+    """The pinned conditional mutual informations of the witness f, once per
+    type, as f reads them: five on a, b and c, three on a, b and one x, and
+    f(a:b|{jx}) on a set of j x's for j = 1..n, 8 + n entries."""
     space, v = f.ground, f.values
-    gr = space.ground
+    a, b, c, x = space.parties[:4]
 
-    def cmi_of(a, b, g=0):  # on the types, which add up over disjoint sets
-        a, b, g = (space.type_of(gr.mask_of(s)) for s in (a, b, g))
-        return v[a + g] + v[b + g] - v[g] - v[a + b + g]
+    def cmi_of(s, t, g=0):  # on the types, which add up over disjoint sets
+        return v[s + g] + v[t + g] - v[g] - v[s + t + g]
 
     checks = [
-        ("f(b:c|a)", cmi_of("b", "c", "a"), 0),
-        ("f(a:c|b)", cmi_of("a", "c", "b"), 0),
-        ("f(a:c)", cmi_of("a", "c"), n * (n + 1) * (n - 1)),
-        ("f(a:b)", cmi_of("a", "b"), n**2 * (n + 1)),
-        ("f(ab:c)", cmi_of(("a", "b"), "c"), n * (n + 1) * (n - 1)),
+        ("f(b:c|a)", cmi_of(b, c, a), 0),
+        ("f(a:c|b)", cmi_of(a, c, b), 0),
+        ("f(a:c)", cmi_of(a, c), n * (n + 1) * (n - 1)),
+        ("f(a:b)", cmi_of(a, b), n**2 * (n + 1)),
+        ("f(ab:c)", cmi_of(a + b, c), n * (n + 1) * (n - 1)),
+        ("f(b:x|a)", cmi_of(b, x, a), (n + 1) * (n - 1)),
+        ("f(a:x|b)", cmi_of(a, x, b), 0),
+        ("f(a:x)", cmi_of(a, x), 2 * n * (n + 1)),
     ]
-    for xi in (f"x{i}" for i in range(1, n + 1)):
-        checks += [(f"f(b:{xi}|a)", cmi_of("b", xi, "a"), (n + 1) * (n - 1)),
-                   (f"f(a:{xi}|b)", cmi_of("a", xi, "b"), 0),
-                   (f"f(a:{xi})", cmi_of("a", xi), 2 * n * (n + 1))]
-    x_pool = gr.mask_of(tuple(f"x{i}" for i in range(1, n + 1)))
-    checks += [(f"f(a:b|{gr.subset_str(alpha)})", cmi_of("a", "b", alpha), n * (n + 1) * (n - 2))
-               for alpha in submasks(x_pool) if alpha]
+    checks += [(f"f(a:b|{space.subset_str(j * x)})", cmi_of(a, b, j * x), n * (n + 1) * (n - 2))
+               for j in range(1, n + 1)]
     return [
         {"check": name, "actual": Fraction(actual), "expected": Fraction(expected),
          "ok": actual == expected}

@@ -82,7 +82,7 @@ def test_witness_stats_stay_outside_the_digest(tmp_path):
     assert stats["verify_s"] >= 0
     # the digest pinned in test_exact_report_digest_is_pinned
     assert payload["manifest"]["digest"] == (
-        "sha256:e40da34775347281c3a6d83ee5e244be0c9a01fcdfe2bbb2c07341fc8fe76301")
+        "sha256:fd38483c8e3e1e436b103e31384e91491cd21413589ba961c347bae0efb2d6b8")
     assert "stats" not in json.dumps(payload["report"])
 
 
@@ -945,9 +945,9 @@ def test_manifest_digest_stable_across_runs(tmp_path):
 
 @pytest.mark.parametrize("argv, digest", [
     (["witness", "--n", "2"],
-     "e40da34775347281c3a6d83ee5e244be0c9a01fcdfe2bbb2c07341fc8fe76301"),
+     "fd38483c8e3e1e436b103e31384e91491cd21413589ba961c347bae0efb2d6b8"),
     (["witness", "--n", "3"],
-     "02bae52bc7f5cde9e0fff78d35240c66b7b077865355c1c934112370c818a6fc"),
+     "c0dc11c2d07983f673aeb0a51f0588b4445739c56e24d77b50a4a3d51374cb19"),
     (["counterexample"],
      "4446f9ddc333f938e1e9461e9d499d1f8392bc09954ece3b0c1fe0bad712c026"),
     (["certify", "--builtin", "purified-basic"],

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from entrocone import search, witness
 from entrocone.inequalities import (
+    _FIXED,
     Forms,
     InequalityTemplate,
     Instance,
@@ -442,6 +443,56 @@ def test_packed_rows_match_the_functionals_from_ints(case):
                 assert packed.dens[i] == want.den
                 assert got[i].ground is ground and _as_listed(got[i]) == _as_listed(want)
                 assert got[i]._forms is None  # the dict is made: the batch is let go
+
+
+def reference_column_realize(template, rows, ground, column):
+    """`realize` from a copy per form: the incidence of the terms the form
+    uses and their numerators, int64 while the template's largest column
+    sum |c| and the form's denominator are below 2^63."""
+    forms = (template.functional, *template.constraints)
+    subsets = sorted(set().union(*(form.nums for form in forms)))
+    abs_sum = max(sum(abs(form.nums.get(t, 0)) for t in subsets) for form in forms)
+    form = forms[column]
+    used = [t for t in subsets if form.nums.get(t, 0)]
+    incidence = np.array([[t >> i & 1 for t in used] for i in range(len(template.slots))],
+                         dtype=np.int64).reshape(len(template.slots), len(used))
+    coefs = np.array([form.nums[t] for t in used],
+                     dtype=np.int64 if max(abs_sum, form.den) < 2**63 else object)
+    return Forms.from_terms(ground, rows @ incidence, coefs, form.den)
+
+
+def _realize_cases():
+    """Every builtin template, then one whose numerators pass int64 and one
+    whose constraint's denominator passes 2^63 beside a small functional."""
+    names = [*_FIXED, *(f"{name}_{p}" for name in ("c", "thm1p", "thm2", "thm2p") for p in (1, 3))]
+    ssa = builtin("ssa")
+    return [builtin(name) for name in names] + [
+        InequalityTemplate("wide", ssa.slots, {**ssa.functional.coefs, 1: -3**41},
+                           symmetries=ssa.symmetries, empty_ok=ssa.empty_ok),
+        InequalityTemplate("tiny", ssa.slots, ssa.functional.coefs,
+                           [{1: Fraction(1, 2**64), 6: Fraction(-3, 2**64)}],
+                           ssa.symmetries, ssa.empty_ok),
+    ]
+
+
+@pytest.mark.parametrize("template", _realize_cases(), ids=lambda t: t.name)
+def test_realize_matches_the_per_form_reference(template):
+    """Every column of `realize` on `slot_blocks` rows: the arrays, and
+    their dtypes, of the per-form path the one coefficient matrix replaced."""
+    ground = GroundSet(tuple(f"p{i}" for i in range(6 if len(template.slots) > 3 else 5)))
+    dtypes = set()
+    for rows in slot_blocks(template, ground):
+        for j in range(1 + len(template.constraints)):
+            got = template.realize(rows, ground, j)
+            want = reference_column_realize(template, rows, ground, j)
+            for name in ("masks", "nums", "starts", "dens"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tolist() == b.tolist(), (j, name)
+            dtypes.add((j, got.nums.dtype))
+    if template.name == "wide":
+        assert dtypes == {(0, np.dtype(object))}
+    if template.name == "tiny":  # the functional column stays int64
+        assert dtypes == {(0, np.dtype(np.int64)), (1, np.dtype(object))}
 
 
 @st.composite

@@ -60,6 +60,12 @@ def reference_instances(template, ground, fixed=None):
     return rec(0, sum(fixed_masks.values()))
 
 
+def assert_block_discipline(template, ground, fixed):
+    """Every `slot_blocks` block is int64, nonempty and at most BATCH_ROWS rows."""
+    for rows in slot_blocks(template, ground, fixed):
+        assert rows.dtype == np.int64 and 0 < len(rows) <= BATCH_ROWS
+
+
 @st.composite
 def enumeration_cases(draw):
     """A template of 1-6 slots with random symmetry groups, empty_ok slots
@@ -93,6 +99,7 @@ def test_enumeration_matches_reference_recursion(case):
     template, ground, fixed = case
     got = list(enumerate_instances(template, ground, fixed=fixed))
     assert got == list(reference_instances(template, ground, fixed))
+    assert_block_discipline(template, ground, fixed)
 
 
 # each but lw05 runs past one block of BATCH_ROWS rows (6,069, 1,715,
@@ -108,6 +115,7 @@ def test_builtin_enumeration_matches_reference_recursion(name, labels, fixed):
     template, ground = builtin(name), GroundSet(tuple(labels))
     got = list(enumerate_instances(template, ground, fixed=fixed))
     assert got == list(reference_instances(template, ground, fixed))
+    assert_block_discipline(template, ground, fixed)
 
 
 def test_fixed_slot_inside_a_symmetry_group_still_dedups_its_neighbours():

@@ -346,3 +346,26 @@ def test_zero_sum_check_sees_one_bumped_x_value(monkeypatch, subset, ok):
 
     monkeypatch.setattr(witness, "_witness_types", bumped)
     assert verify_witness(3).zero_sum_ok is ok
+
+
+def test_special_values_are_one_per_type(monkeypatch):
+    # 8 + n entries, and a bump of f at type {a,b,2x} fails f(a:b|{2x}) alone
+    from entrocone import witness
+
+    rep = verify_witness(3)
+    assert [c["check"] for c in rep.special_values] == [
+        "f(b:c|a)", "f(a:c|b)", "f(a:c)", "f(a:b)", "f(ab:c)", "f(b:x|a)", "f(a:x|b)",
+        "f(a:x)", "f(a:b|{1x})", "f(a:b|{2x})", "f(a:b|{3x})"]
+    assert all(c["ok"] for c in rep.special_values)
+
+    true_types = witness._witness_types
+
+    def bumped(k):
+        f = true_types(k)
+        values = list(f.values)
+        values[f.ground.type_of(f.ground.ground.mask_of(("a", "b", "x1", "x2")))] += 1
+        return SetFunction(f.ground, values)
+
+    monkeypatch.setattr(witness, "_witness_types", bumped)
+    rep = verify_witness(3)
+    assert [c["check"] for c in rep.special_values if not c["ok"]] == ["f(a:b|{2x})"]
